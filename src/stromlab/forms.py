@@ -104,6 +104,8 @@ def smag(x) -> float:
 
 def is_zero_scalar(x) -> bool:
     if isinstance(x, Jet):
+        if abs(x.c[0]) >= PRUNE_EPS:  # the common case; NaN falls through
+            return False
         return bool(np.all(np.abs(x.c) < PRUNE_EPS))
     return abs(x) < PRUNE_EPS
 
@@ -208,8 +210,14 @@ class FormValue:
         return self.terms.get(tuple(multi), 0.0)
 
     def sup(self) -> float:
-        """Sup of coefficient magnitudes in chart coordinates (residual norm)."""
-        return max((smag(c) for c in self.terms.values()), default=0.0)
+        """Sup of coefficient magnitudes in chart coordinates (residual norm).
+
+        NaN if any magnitude is NaN, so that no residual gate can pass on it.
+        """
+        mags = [smag(c) for c in self.terms.values()]
+        if any(math.isnan(m) for m in mags):
+            return math.nan
+        return max(mags, default=0.0)
 
     def evaluate(self, *vectors) -> complex:
         """Evaluate on degree-many tangent vectors (given as real components)."""
@@ -308,10 +316,10 @@ def to_complex_components(form: FormValue) -> list:
     if form.degree != 1:
         raise DegreeError("complex components only for 1-forms")
     chart = form.chart
-    Tinv = _BASIS_INV_CACHE.get(chart.name)
+    Tinv = _BASIS_INV_CACHE.get(chart)
     if Tinv is None:
         Tinv = _complex_basis_inverse(chart)
-        _BASIS_INV_CACHE[chart.name] = Tinv
+        _BASIS_INV_CACHE[chart] = Tinv
     comps = []
     for k in range(chart.dim):
         acc = 0.0 + 0.0j
@@ -448,7 +456,10 @@ class TypeContext:
     """Pointwise (p,q) machinery for one almost complex structure.
 
     Caches the projected basis 1-forms P dx_v, Q dx_v and, per degree, the
-    expansion of each basis k-form into its pure-type parts.
+    expansion of each basis k-form into its pure-type parts.  The expansion
+    of dx_I ^ dx_v grows from the cached expansion of its prefix dx_I, so a
+    degree-k table builds the degree-(k-1) one first and adds one wedge
+    factor per entry.
     """
 
     def __init__(self, acs: AlmostComplexStructure):
@@ -481,18 +492,20 @@ class TypeContext:
     def _table(self, k: int) -> dict:
         tab = self._tables.get(k)
         if tab is None:
+            if k > 1:
+                prefixes = self._table(k - 1)
+            else:
+                prefixes = {(): {(0, 0): FormValue.scalar(self.chart, 1.0 + 0.0j)}}
             tab = {}
             for multi in combinations(range(self.chart.dim), k):
-                parts = {(0, 0): FormValue.scalar(self.chart, 1.0 + 0.0j)}
-                for v in multi:
-                    grown: dict = {}
-                    for (p, q), f in parts.items():
-                        for dp, dq, img in ((1, 0, self.p_images[v]), (0, 1, self.q_images[v])):
-                            key = (p + dp, q + dq)
-                            w = f.wedge(img)
-                            grown[key] = grown[key] + w if key in grown else w
-                    parts = grown
-                tab[multi] = parts
+                v = multi[-1]
+                grown: dict = {}
+                for (p, q), f in prefixes[multi[:-1]].items():
+                    for dp, dq, img in ((1, 0, self.p_images[v]), (0, 1, self.q_images[v])):
+                        key = (p + dp, q + dq)
+                        w = f.wedge(img)
+                        grown[key] = grown[key] + w if key in grown else w
+                tab[multi] = grown
             self._tables[k] = tab
         return tab
 
@@ -602,17 +615,6 @@ def mat_mul(A, B):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_vec(A, x):
-    return [sum_scalars([A[i][j] * x[j] for j in range(len(x))]) for i in range(len(A))]
-
-
-def sum_scalars(xs):
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = acc + x
-    return acc
 
 
 def mat_conj_transpose(A):
@@ -768,6 +770,9 @@ def relative_residual(diff_sup: float, scale: float) -> float:
     """Sup residual divided by the local magnitude of the largest entering term.
 
     Scales below 1 keep absolute semantics so near-zero identities are not
-    inflated by noise.
+    inflated by noise.  A non-finite diff or scale gives inf, which fails
+    every ``<= tol`` gate.
     """
+    if not (math.isfinite(diff_sup) and math.isfinite(scale)):
+        return math.inf
     return diff_sup / max(scale, 1.0)

@@ -10,9 +10,11 @@ suite, never as a primary derivative source.
 
 Coefficients are stored densely over the graded-lexicographic monomial
 list of a :class:`JetSpace`; multiplication runs through a precomputed
-index table so that a product is two ``np.bincount`` calls.  Each jet
-carries its own validity ``order``: differentiating lowers it by one, and
-reading a coefficient beyond it raises :class:`InsufficientJetOrder`.
+pair table sorted by output monomial, so that a product is one gather and
+multiply plus one ``np.add.reduceat`` over the pairs the result can keep.
+Each jet carries its own validity ``order``: differentiating lowers it by
+one, reading a coefficient beyond it raises :class:`InsufficientJetOrder`,
+and a product is summed only up to the lower validity order of its factors.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ import numpy as np
 
 class InsufficientJetOrder(Exception):
     """A derivative or coefficient was requested beyond a jet's valid order."""
+
+
+class JetOverflowError(OverflowError):
+    """A Taylor coefficient of a jet primitive or power is not finite."""
 
 
 class JetSpace:
@@ -50,45 +56,62 @@ class JetSpace:
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.size = len(self.monomials)
         self.degrees = np.array([sum(m) for m in self.monomials], dtype=np.int64)
+        # prefix_sizes[o]: number of monomials of degree <= o (they come first)
+        self.prefix_sizes = [int(n) for n in np.searchsorted(self.degrees, np.arange(order + 1), side="right")]
+        # exponents as base-(order+1) digits: no exponent of a kept product
+        # exceeds order, so the code of a product is the sum of the codes
+        self._exponents = np.array(self.monomials, dtype=np.int64).reshape(self.size, nvars)
+        self._digits = (order + 1) ** np.arange(nvars, dtype=np.int64)
+        self._codes = self._exponents @ self._digits
+        self._code_rank = np.argsort(self._codes)
+        self._sorted_codes = self._codes[self._code_rank]
         self._mul_table = None
+        self._mul_starts = None
+        self._mul_prefixes = None
         self._diff_tables = {}
 
+    def _lookup(self, codes: np.ndarray) -> np.ndarray:
+        """Monomial indices of exponent codes that are known to exist."""
+        return self._code_rank[np.searchsorted(self._sorted_codes, codes)]
+
     def mul_table(self):
+        """(ii, jj, kk): every pair with deg ii + deg jj <= order, kk the product.
+
+        Pairs are sorted stably by kk, so the pairs of one output monomial
+        are contiguous and start at ``_mul_starts[kk]``; the pairs of all
+        outputs of degree <= o form the prefix ``[:_mul_starts[prefix_sizes[o]]]``.
+        """
         if self._mul_table is None:
-            ii, jj, kk = [], [], []
-            for i, mi in enumerate(self.monomials):
-                di = sum(mi)
-                for j, mj in enumerate(self.monomials):
-                    if di + sum(mj) > self.order:
-                        continue
-                    ii.append(i)
-                    jj.append(j)
-                    kk.append(self.index[tuple(a + b for a, b in zip(mi, mj))])
-            self._mul_table = (
-                np.array(ii, dtype=np.intp),
-                np.array(jj, dtype=np.intp),
-                np.array(kk, dtype=np.intp),
-            )
+            ii, jj = [], []
+            # rows of degree d pair with the columns of degree <= order - d,
+            # which are a prefix; blocks keep temporaries O(pairs)
+            for d in range(self.order + 1):
+                lo = self.prefix_sizes[d - 1] if d else 0
+                rows = np.arange(lo, self.prefix_sizes[d], dtype=np.intp)
+                cols = np.arange(self.prefix_sizes[self.order - d], dtype=np.intp)
+                ii.append(np.repeat(rows, len(cols)))
+                jj.append(np.tile(cols, len(rows)))
+            ii = np.concatenate(ii)
+            jj = np.concatenate(jj)
+            kk = self._lookup(self._codes[ii] + self._codes[jj]).astype(np.intp)
+            perm = np.argsort(kk, kind="stable")
+            ii, jj, kk = ii[perm], jj[perm], kk[perm]
+            starts = np.searchsorted(kk, np.arange(self.size + 1))
+            self._mul_starts = starts
+            self._mul_prefixes = [
+                (ii[: starts[n]], jj[: starts[n]], starts[:n], n) for n in self.prefix_sizes
+            ]
+            self._mul_table = (ii, jj, kk)
         return self._mul_table
 
     def diff_table(self, v: int):
         """Index map realizing d/dx_v on Taylor coefficients."""
         tab = self._diff_tables.get(v)
         if tab is None:
-            src, dst, fac = [], [], []
-            for i, m in enumerate(self.monomials):
-                if m[v] == 0:
-                    continue
-                lowered = list(m)
-                lowered[v] -= 1
-                src.append(i)
-                dst.append(self.index[tuple(lowered)])
-                fac.append(float(m[v]))
-            tab = (
-                np.array(src, dtype=np.intp),
-                np.array(dst, dtype=np.intp),
-                np.array(fac, dtype=np.float64),
-            )
+            src = np.flatnonzero(self._exponents[:, v]).astype(np.intp)
+            dst = self._lookup(self._codes[src] - self._digits[v]).astype(np.intp)
+            fac = self._exponents[src, v].astype(np.float64)
+            tab = (src, dst, fac)
             self._diff_tables[v] = tab
         return tab
 
@@ -101,12 +124,27 @@ def jet_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
 
 
-def _mul_coeffs(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ii, jj, kk = space.mul_table()
-    prod = a[ii] * b[jj]
-    out = np.bincount(kk, weights=prod.real, minlength=space.size).astype(np.complex128)
-    out += 1j * np.bincount(kk, weights=prod.imag, minlength=space.size)
+def _mul_coeffs(space: JetSpace, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients of a * b valid to degree ``order``.
+
+    Only the pairs whose output has degree <= order are summed; the
+    coefficients above ``order`` are exactly zero, not the partial sums of
+    invalid coefficients that a full product would leave there.
+    """
+    if space._mul_prefixes is None:
+        space.mul_table()
+    ii, jj, starts, n = space._mul_prefixes[order]
+    out = np.zeros(space.size, dtype=np.complex128)
+    out[:n] = np.add.reduceat(a[ii] * b[jj], starts)
     return out
+
+
+def _cmath(fn, z):
+    """fn(z) for a cmath primitive, its overflow raised as JetOverflowError."""
+    try:
+        return fn(z)
+    except OverflowError as exc:
+        raise JetOverflowError(f"{fn.__name__}({z}) overflows") from exc
 
 
 class Jet:
@@ -207,7 +245,8 @@ class Jet:
             return NotImplemented
         if not isinstance(other, Jet):
             return Jet(self.space, self.c * o.c[0], self.order)
-        return Jet(self.space, _mul_coeffs(self.space, self.c, o.c), min(self.order, o.order))
+        order = min(self.order, o.order)
+        return Jet(self.space, _mul_coeffs(self.space, self.c, o.c, order), order)
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -235,12 +274,15 @@ class Jet:
             if n < 0:
                 return self.reciprocal() ** (-n)
             out = Jet.constant(self.space, 1.0, self.order)
-            base = self
-            while n:
-                if n & 1:
-                    out = out * base
-                base = base * base if n > 1 else base
-                n >>= 1
+            base, k = self, n
+            with np.errstate(over="ignore", invalid="ignore"):
+                while k:
+                    if k & 1:
+                        out = out * base
+                    base = base * base if k > 1 else base
+                    k >>= 1
+            if not np.isfinite(out.c).all():
+                raise JetOverflowError(f"power {n} of a jet with value {self.value} overflows")
             return out
         return (self.log() * n).exp()
 
@@ -248,13 +290,15 @@ class Jet:
 
     def _compose(self, derivs) -> "Jet":
         """Evaluate f(self) where derivs[j] = f^(j)(value)/j! for j = 0..order."""
+        if not all(cmath.isfinite(d) for d in derivs):
+            raise JetOverflowError(f"a Taylor factor at value {self.value} is not finite")
         hat = self.c.copy()
         hat[0] = 0.0
         k = self.order
         acc = np.zeros(self.space.size, dtype=np.complex128)
         acc[0] = derivs[k]
         for j in range(k - 1, -1, -1):
-            acc = _mul_coeffs(self.space, acc, hat)
+            acc = _mul_coeffs(self.space, acc, hat, k)
             acc[0] += derivs[j]
         return Jet(self.space, acc, self.order)
 
@@ -266,7 +310,7 @@ class Jet:
         return self._compose(derivs)
 
     def exp(self) -> "Jet":
-        e = cmath.exp(self.c[0])
+        e = _cmath(cmath.exp, self.c[0])
         derivs = [e / math.factorial(j) for j in range(self.order + 1)]
         return self._compose(derivs)
 
@@ -293,13 +337,15 @@ class Jet:
 
     def sin(self) -> "Jet":
         g0 = self.c[0]
-        cycle = [cmath.sin(g0), cmath.cos(g0), -cmath.sin(g0), -cmath.cos(g0)]
+        s, c = _cmath(cmath.sin, g0), _cmath(cmath.cos, g0)
+        cycle = [s, c, -s, -c]
         derivs = [cycle[j % 4] / math.factorial(j) for j in range(self.order + 1)]
         return self._compose(derivs)
 
     def cos(self) -> "Jet":
         g0 = self.c[0]
-        cycle = [cmath.cos(g0), -cmath.sin(g0), -cmath.cos(g0), cmath.sin(g0)]
+        s, c = _cmath(cmath.sin, g0), _cmath(cmath.cos, g0)
+        cycle = [c, -s, -c, s]
         derivs = [cycle[j % 4] / math.factorial(j) for j in range(self.order + 1)]
         return self._compose(derivs)
 

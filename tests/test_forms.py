@@ -18,12 +18,15 @@ from stromlab.forms import (
     ddbar_scalar,
     dolbeault_split,
     exterior_derivative,
+    is_zero_scalar,
     point,
+    relative_residual,
     standard_acs,
+    to_complex_components,
     type_decompose,
     wedge,
 )
-from stromlab.jets import seed_jets
+from stromlab.jets import Jet, jet_space, seed_jets
 
 LINE = Chart("complex_line", ("zr", "zi"), ("zeta",))
 C2 = Chart("c2", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
@@ -260,3 +263,25 @@ def test_chart_point_validation():
         point(C2, 0.0, float("nan"), 1.0, 2.0)
     p = point(C2, 0.1, 0.2, 0.3, 0.4)
     assert p.complex_coord(1) == complex(0.3, 0.4)
+
+
+def test_sup_and_relative_residual_propagate_nan():
+    form = FormValue(C2, 1, {(0,): 1e-20, (1,): complex(float("nan"), 0.0)})
+    assert math.isnan(form.sup())
+    assert relative_residual(form.sup(), 1.0) == math.inf
+    assert relative_residual(1e-20, float("inf")) == math.inf
+    assert not relative_residual(1e-20, float("nan")) <= 1e-8
+
+
+def test_is_zero_scalar_reads_every_jet_coefficient():
+    slope = seed_jets((0.0, 1.0), 2)[0]
+    assert not is_zero_scalar(slope)
+    assert not is_zero_scalar(Jet.constant(jet_space(2, 2), float("nan")))
+    assert is_zero_scalar(slope * 0.0)
+
+
+def test_complex_components_cache_is_per_chart():
+    # same name, different dimension: each chart gets its own basis inverse
+    line = Chart("c2", ("x", "y"), ("z",))
+    assert to_complex_components(d_complex(C2, 1))[1] == pytest.approx(1.0)
+    assert to_complex_components(d_complex_bar(line, 0)) == pytest.approx([0.0, 1.0])

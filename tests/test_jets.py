@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from stromlab.jets import InsufficientJetOrder, Jet, jet_space, seed_jets, wirtinger
+from stromlab.jets import (
+    InsufficientJetOrder,
+    Jet,
+    JetOverflowError,
+    _mul_coeffs,
+    jet_space,
+    seed_jets,
+    wirtinger,
+)
 
 
 def fd_partial(f, coords, v, h=1e-4):
@@ -135,3 +143,127 @@ def test_space_cache_and_sizes():
     sp = jet_space(6, 4)
     assert sp is jet_space(6, 4)
     assert sp.size == math.comb(6 + 4, 4)
+
+
+# -- product and derivative tables against the direct loops --------------------
+
+
+def reference_mul_table(space):
+    """Every pair (i, j) with deg i + deg j <= order, in loop order."""
+    ii, jj, kk = [], [], []
+    for i, mi in enumerate(space.monomials):
+        di = sum(mi)
+        for j, mj in enumerate(space.monomials):
+            if di + sum(mj) > space.order:
+                continue
+            ii.append(i)
+            jj.append(j)
+            kk.append(space.index[tuple(a + b for a, b in zip(mi, mj))])
+    return np.array(ii), np.array(jj), np.array(kk)
+
+
+def reference_diff_table(space, v):
+    src, dst, fac = [], [], []
+    for i, m in enumerate(space.monomials):
+        if m[v] == 0:
+            continue
+        lowered = list(m)
+        lowered[v] -= 1
+        src.append(i)
+        dst.append(space.index[tuple(lowered)])
+        fac.append(float(m[v]))
+    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(fac)
+
+
+def reference_mul_coeffs(space, a, b):
+    """The full product over every pair of the table, summed with bincount."""
+    ii, jj, kk = reference_mul_table(space)
+    prod = a[ii] * b[jj]
+    out = np.bincount(kk, weights=prod.real, minlength=space.size).astype(np.complex128)
+    out += 1j * np.bincount(kk, weights=prod.imag, minlength=space.size)
+    return out
+
+
+TABLE_SPACES = [(1, 2), (3, 0), (4, 3), (4, 7), (6, 4)]
+KERNEL_SPACES = [(1, 2), (4, 3), (4, 7), (6, 4)]
+
+
+@pytest.mark.parametrize("nvars,order", TABLE_SPACES)
+def test_tables_match_the_direct_loops(nvars, order):
+    sp = jet_space(nvars, order)
+    ii, jj, kk = reference_mul_table(sp)
+    perm = np.argsort(kk, kind="stable")
+    got = sp.mul_table()
+    for want, have in zip((ii[perm], jj[perm], kk[perm]), got):
+        assert np.array_equal(want, have)
+    for v in range(nvars):
+        for want, have in zip(reference_diff_table(sp, v), sp.diff_table(v)):
+            assert want.dtype == have.dtype
+            assert np.array_equal(want, have)
+
+
+def random_coeffs(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def assert_truncated_match(space, got, want, validity):
+    """Coefficients up to ``validity`` agree with the reference, the rest are 0.
+
+    The tolerance covers float64 rounding of sums over at most 6435 pairs,
+    relative to the largest reference coefficient.
+    """
+    low = space.degrees <= validity
+    scale = np.max(np.abs(want[low]))
+    assert np.all(np.abs(got[low] - want[low]) <= 1e-13 * scale)
+    assert np.all(got[~low] == 0)
+
+
+@pytest.mark.parametrize("nvars,order", KERNEL_SPACES)
+def test_truncated_product_matches_full_product(nvars, order):
+    sp = jet_space(nvars, order)
+    rng = np.random.default_rng(7 * nvars + order)
+    a = random_coeffs(rng, sp.size)
+    b = random_coeffs(rng, sp.size)
+    want = reference_mul_coeffs(sp, a, b)
+    for validity in range(order + 1):
+        assert_truncated_match(sp, _mul_coeffs(sp, a, b, validity), want, validity)
+
+
+@pytest.mark.parametrize("nvars,order", KERNEL_SPACES)
+def test_primitives_of_lower_order_jets_match_full_products(nvars, order):
+    # f(g) by Horner with full products, truncated only at the end
+    sp = jet_space(nvars, order)
+    rng = np.random.default_rng(11 * nvars + order)
+    c = 0.3 * random_coeffs(rng, sp.size)
+    c[0] = 1.5 + 0.25j
+    for validity in range(order + 1):
+        g = Jet(sp, c.copy(), validity)
+        e0 = np.exp(c[0])
+        for got, derivs in (
+            (g.exp(), [e0 / math.factorial(j) for j in range(validity + 1)]),
+            (g.reciprocal(), [(-1.0) ** j / c[0] ** (j + 1) for j in range(validity + 1)]),
+        ):
+            hat = c.copy()
+            hat[0] = 0.0
+            acc = np.zeros(sp.size, dtype=np.complex128)
+            acc[0] = derivs[validity]
+            for j in range(validity - 1, -1, -1):
+                acc = reference_mul_coeffs(sp, acc, hat)
+                acc[0] += derivs[j]
+            assert got.order == validity
+            assert_truncated_match(sp, got.c, acc, validity)
+
+
+# -- overflow --------------------------------------------------------------------
+
+
+def test_overflow_is_a_named_jet_error():
+    x = Jet.variable(jet_space(1, 2), 0, 800.0)
+    with pytest.raises(JetOverflowError):
+        x ** 3**27
+    with pytest.raises(JetOverflowError) as info:
+        x.exp()
+    assert isinstance(info.value.__cause__, OverflowError)
+    with pytest.raises(JetOverflowError), np.errstate(all="ignore"):
+        Jet.variable(jet_space(1, 2), 0, 1e-200).reciprocal()
+    assert issubclass(JetOverflowError, OverflowError)

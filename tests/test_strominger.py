@@ -279,6 +279,17 @@ def test_anomaly_wrong_constant_fails():
     )
 
 
+def test_anomaly_gate_fails_on_a_nan_curvature_coefficient():
+    p = twistor_points(FLAT, 1, seed=83)[0]
+    params = AnsatzParams.coupling_solution(alpha_prime=2.0)
+    F = AnsatzCurvatureData(FLAT, params, p, order=4).quotient_curvature().values()
+    # F has only dzeta^dzetabar parts, so a NaN on dx4^dx5 survives in tr(F^F);
+    # it is not the first term of the difference, where a plain max() drops it
+    entry = F.entries[1][1]
+    F.entries[1][1] = FormValue(entry.chart, 2, {**entry.terms, (4, 5): complex(float("nan"), 0.0)})
+    assert not anomaly_residual(FLAT, params, p, curvature=F) <= 1e-8
+
+
 # -- radial reduction ---------------------------------------------------------------
 
 
