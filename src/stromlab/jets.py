@@ -93,7 +93,7 @@ class JetSpace:
                 jj.append(np.tile(cols, len(rows)))
             ii = np.concatenate(ii)
             jj = np.concatenate(jj)
-            kk = self._lookup(self._codes[ii] + self._codes[jj]).astype(np.intp)
+            kk = self._lookup(self._codes[ii] + self._codes[jj])
             perm = np.argsort(kk, kind="stable")
             ii, jj, kk = ii[perm], jj[perm], kk[perm]
             starts = np.searchsorted(kk, np.arange(self.size + 1))
@@ -108,8 +108,8 @@ class JetSpace:
         """Index map realizing d/dx_v on Taylor coefficients."""
         tab = self._diff_tables.get(v)
         if tab is None:
-            src = np.flatnonzero(self._exponents[:, v]).astype(np.intp)
-            dst = self._lookup(self._codes[src] - self._digits[v]).astype(np.intp)
+            src = np.flatnonzero(self._exponents[:, v])
+            dst = self._lookup(self._codes[src] - self._digits[v])
             fac = self._exponents[src, v].astype(np.float64)
             tab = (src, dst, fac)
             self._diff_tables[v] = tab
