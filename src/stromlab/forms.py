@@ -102,6 +102,21 @@ def smag(x) -> float:
     return abs(svalue(x))
 
 
+def nan_max(values, default: float = 0.0) -> float:
+    """max(values, default) that returns NaN if any value is NaN.
+
+    The built-in max keeps whichever of two values compares greater, so a
+    NaN that is not first is dropped and a residual gate could pass on it.
+    """
+    worst = default
+    for v in values:
+        if math.isnan(v):
+            return math.nan
+        if v > worst:
+            worst = v
+    return worst
+
+
 def is_zero_scalar(x) -> bool:
     if isinstance(x, Jet):
         if abs(x.c[0]) >= PRUNE_EPS:  # the common case; NaN falls through
@@ -214,10 +229,7 @@ class FormValue:
 
         NaN if any magnitude is NaN, so that no residual gate can pass on it.
         """
-        mags = [smag(c) for c in self.terms.values()]
-        if any(math.isnan(m) for m in mags):
-            return math.nan
-        return max(mags, default=0.0)
+        return nan_max(smag(c) for c in self.terms.values())
 
     def evaluate(self, *vectors) -> complex:
         """Evaluate on degree-many tangent vectors (given as real components)."""
@@ -397,15 +409,15 @@ class AlmostComplexStructure:
 
     def square_residual(self) -> float:
         n = self.chart.dim
-        worst = 0.0
+        residuals = []
         for i in range(n):
             for j in range(n):
                 acc = 0.0 + 0.0j
                 for k in range(n):
                     acc += svalue(self.mat[i][k]) * svalue(self.mat[k][j])
                 target = -1.0 if i == j else 0.0
-                worst = max(worst, abs(acc - target))
-        return worst
+                residuals.append(abs(acc - target))
+        return nan_max(residuals)
 
 
 def standard_acs(chart: Chart) -> AlmostComplexStructure:
@@ -545,22 +557,19 @@ class TypeContext:
             parts = self.decompose(df)
             del_part = parts.get((p + 1, q), FormValue.zero(self.chart, form.degree + 1))
             dbar_part = parts.get((p, q + 1), FormValue.zero(self.chart, form.degree + 1))
-            off = 0.0
-            for key, f in parts.items():
-                if key not in ((p + 1, q), (p, q + 1)):
-                    off = max(off, f.sup())
+            off = nan_max(f.sup() for key, f in parts.items() if key not in ((p + 1, q), (p, q + 1)))
             return del_part, dbar_part, off
         del_total = FormValue.zero(self.chart, form.degree + 1)
         dbar_total = FormValue.zero(self.chart, form.degree + 1)
-        off = 0.0
+        offs = []
         for (p, q), part in self.decompose(form).items():
             if not part.terms:
                 continue
             dp, dq, o = self.d_split(part, ptype=(p, q))
             del_total = del_total + dp
             dbar_total = dbar_total + dq
-            off = max(off, o)
-        return del_total, dbar_total, off
+            offs.append(o)
+        return del_total, dbar_total, nan_max(offs)
 
     def del_scalar(self, f: Jet) -> FormValue:
         return self.project1(differential_of_scalar(f, self.chart), antiholomorphic=False)
@@ -727,7 +736,7 @@ def gram_curvature(H, ctx: TypeContext):
     ]
     X = [
         [
-            _form_linear_combo([del_Hbar[k][j] for k in range(n)], [Hbar_inv[i][k] for k in range(n)])
+            form_linear_combo([del_Hbar[k][j] for k in range(n)], [Hbar_inv[i][k] for k in range(n)])
             for j in range(n)
         ]
         for i in range(n)
@@ -742,7 +751,7 @@ def gram_curvature(H, ctx: TypeContext):
     return R
 
 
-def _form_linear_combo(forms, coeffs) -> FormValue:
+def form_linear_combo(forms, coeffs) -> FormValue:
     out = FormValue.zero(forms[0].chart, forms[0].degree)
     for f, c in zip(forms, coeffs):
         out = out + f.scale(c)

@@ -29,6 +29,7 @@ from .forms import (
     gram_curvature,
     coframe_gram,
     mat_inv,
+    nan_max,
     relative_residual,
     standard_acs,
     svalue,
@@ -321,7 +322,7 @@ def det_residual(model: HyperkahlerModel, p: ChartPoint) -> float:
 
 def validate_hyperkahler(model: HyperkahlerModel, points) -> float:
     """Max Monge-Ampere determinant residual over a sample of points."""
-    return max(det_residual(model, p) for p in points)
+    return nan_max(det_residual(model, p) for p in points)
 
 
 def cotangent_gram(model: HyperkahlerModel, xjets):
@@ -347,19 +348,16 @@ def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
     F = gram_curvature(gram, ctx)
     triple = triple_forms(model, model.chart, 0, xjets)
     forms = [triple.omega_I.values(), triple.omega_J.values(), triple.omega_K.values()]
-    worst = 0.0
-    scale = 1.0
+    sups = []
+    scales = [1.0]
     for i in range(2):
         for j in range(2):
             entry = F[i][j].values()
             for om in forms:
                 wedge_form, sc = wedge_with_scale(entry, om)
-                worst = max(worst, wedge_form.sup())
-                scale = max(scale, sc)
+                sups.append(wedge_form.sup())
+                scales.append(sc)
             parts = ctx.decompose(entry)
-            for key in ((2, 0), (0, 2)):
-                part = parts.get(key)
-                if part is not None:
-                    worst = max(worst, part.sup())
-            scale = max(scale, entry.sup())
-    return relative_residual(worst, scale)
+            sups += [part.sup() for key, part in parts.items() if key in ((2, 0), (0, 2))]
+            scales.append(entry.sup())
+    return relative_residual(nan_max(sups), nan_max(scales))

@@ -15,6 +15,18 @@ multiply plus one ``np.add.reduceat`` over the pairs the result can keep.
 Each jet carries its own validity ``order``: differentiating lowers it by
 one, reading a coefficient beyond it raises :class:`InsufficientJetOrder`,
 and a product is summed only up to the lower validity order of its factors.
+
+Each jet also carries a support ``mask``, a bitmask of the variables it may
+depend on: every coefficient of a monomial in another variable is exactly
+zero.  Constants have mask 0 and the seed of variable v has ``1 << v``;
+sums and products take the union of their operands' masks, while scalar
+scaling, the analytic primitives, derivatives and the real-structure
+helpers keep it.  A jet built from a bare coefficient array gets every
+variable, so an unknown support is never narrowed.  A product sums only the
+pairs whose output monomial lies in the union mask; these are all the pairs
+of those outputs, in the same order, so the result is bit-identical to the
+full product while a product of, say, two functions of 2 of 6 variables
+touches 70 instead of 1820 pairs at order 4.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ class JetSpace:
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.size = len(self.monomials)
         self.degrees = np.array([sum(m) for m in self.monomials], dtype=np.int64)
+        self.full_mask = (1 << nvars) - 1
         # prefix_sizes[o]: number of monomials of degree <= o (they come first)
         self.prefix_sizes = [int(n) for n in np.searchsorted(self.degrees, np.arange(order + 1), side="right")]
         # exponents as base-(order+1) digits: no exponent of a kept product
@@ -63,11 +76,13 @@ class JetSpace:
         self._exponents = np.array(self.monomials, dtype=np.int64).reshape(self.size, nvars)
         self._digits = (order + 1) ** np.arange(nvars, dtype=np.int64)
         self._codes = self._exponents @ self._digits
+        # bitmask of the variables each monomial involves
+        self._supports = (self._exponents > 0) @ (1 << np.arange(nvars, dtype=np.int64))
         self._code_rank = np.argsort(self._codes)
         self._sorted_codes = self._codes[self._code_rank]
         self._mul_table = None
         self._mul_starts = None
-        self._mul_prefixes = None
+        self._mul_subsets = {}
         self._diff_tables = {}
 
     def _lookup(self, codes: np.ndarray) -> np.ndarray:
@@ -96,13 +111,36 @@ class JetSpace:
             kk = self._lookup(self._codes[ii] + self._codes[jj])
             perm = np.argsort(kk, kind="stable")
             ii, jj, kk = ii[perm], jj[perm], kk[perm]
-            starts = np.searchsorted(kk, np.arange(self.size + 1))
-            self._mul_starts = starts
-            self._mul_prefixes = [
-                (ii[: starts[n]], jj[: starts[n]], starts[:n], n) for n in self.prefix_sizes
-            ]
+            self._mul_starts = np.searchsorted(kk, np.arange(self.size + 1))
             self._mul_table = (ii, jj, kk)
         return self._mul_table
+
+    def mul_subset(self, mask: int, order: int):
+        """(ii, jj, starts, outs): the pairs of the outputs in ``mask`` of degree <= order.
+
+        A stable subset of the sorted table's prefix for ``order``: the
+        outputs are the monomials of degree <= order in the variables of
+        ``mask``, each keeps all of its pairs in table order, and
+        ``starts`` indexes the first pair of each output.  ``outs`` is a
+        slice when the outputs are a prefix of the monomial list.
+        """
+        key = (mask, order)
+        sub = self._mul_subsets.get(key)
+        if sub is None:
+            ii, jj, kk = self.mul_table()
+            n = self.prefix_sizes[order]
+            end = self._mul_starts[n]
+            ii, jj, kk = ii[:end], jj[:end], kk[:end]
+            if mask != self.full_mask:
+                inside = (self._supports[kk] & ~mask) == 0
+                ii, jj, kk = ii[inside], jj[inside], kk[inside]
+            # every output has at least the pair (itself, 1)
+            starts = np.flatnonzero(np.r_[True, kk[1:] != kk[:-1]])
+            outs = kk[starts]
+            if outs[-1] == len(outs) - 1:
+                outs = slice(0, len(outs))
+            sub = self._mul_subsets[key] = (ii, jj, starts, outs)
+        return sub
 
     def diff_table(self, v: int):
         """Index map realizing d/dx_v on Taylor coefficients."""
@@ -124,18 +162,18 @@ def jet_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
 
 
-def _mul_coeffs(space: JetSpace, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients of a * b valid to degree ``order``.
+def _mul_coeffs(space: JetSpace, a: np.ndarray, b: np.ndarray, order: int, mask: int) -> np.ndarray:
+    """Coefficients of a * b valid to degree ``order``, for factors supported in ``mask``.
 
-    Only the pairs whose output has degree <= order are summed; the
-    coefficients above ``order`` are exactly zero, not the partial sums of
-    invalid coefficients that a full product would leave there.
+    Only the pairs whose output has degree <= order and lies in ``mask``
+    are summed.  The coefficients above ``order`` are exactly zero, not the
+    partial sums of invalid coefficients that a full product would leave
+    there; so are those outside ``mask``, which a full product would sum
+    from zero factors.
     """
-    if space._mul_prefixes is None:
-        space.mul_table()
-    ii, jj, starts, n = space._mul_prefixes[order]
+    ii, jj, starts, outs = space.mul_subset(mask, order)
     out = np.zeros(space.size, dtype=np.complex128)
-    out[:n] = np.add.reduceat(a[ii] * b[jj], starts)
+    out[outs] = np.add.reduceat(a[ii] * b[jj], starts)
     return out
 
 
@@ -150,12 +188,13 @@ def _cmath(fn, z):
 class Jet:
     """Truncated Taylor expansion of a smooth function at a fixed point."""
 
-    __slots__ = ("space", "c", "order")
+    __slots__ = ("space", "c", "order", "mask")
 
-    def __init__(self, space: JetSpace, c: np.ndarray, order: int | None = None):
+    def __init__(self, space: JetSpace, c: np.ndarray, order: int | None = None, mask: int | None = None):
         self.space = space
         self.c = c
         self.order = space.order if order is None else order
+        self.mask = space.full_mask if mask is None else mask
 
     # -- constructors -------------------------------------------------
 
@@ -163,7 +202,7 @@ class Jet:
     def constant(space: JetSpace, value, order: int | None = None) -> "Jet":
         c = np.zeros(space.size, dtype=np.complex128)
         c[0] = value
-        return Jet(space, c, order)
+        return Jet(space, c, order, 0)
 
     @staticmethod
     def variable(space: JetSpace, v: int, value, order: int | None = None) -> "Jet":
@@ -174,7 +213,7 @@ class Jet:
             unit = [0] * space.nvars
             unit[v] = 1
             c[space.index[tuple(unit)]] = 1.0
-        return Jet(space, c, order)
+        return Jet(space, c, order, 1 << v)
 
     # -- queries ------------------------------------------------------
 
@@ -203,7 +242,7 @@ class Jet:
         src, dst, fac = self.space.diff_table(v)
         out = np.zeros(self.space.size, dtype=np.complex128)
         out[dst] = self.c[src] * fac
-        return Jet(self.space, out, self.order - 1)
+        return Jet(self.space, out, self.order - 1, self.mask)
 
     # -- ring operations ----------------------------------------------
 
@@ -220,7 +259,7 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet(self.space, self.c + o.c, min(self.order, o.order))
+        return Jet(self.space, self.c + o.c, min(self.order, o.order), self.mask | o.mask)
 
     __radd__ = __add__
 
@@ -228,38 +267,39 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet(self.space, self.c - o.c, min(self.order, o.order))
+        return Jet(self.space, self.c - o.c, min(self.order, o.order), self.mask | o.mask)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet(self.space, o.c - self.c, min(self.order, o.order))
+        return Jet(self.space, o.c - self.c, min(self.order, o.order), self.mask | o.mask)
 
     def __neg__(self):
-        return Jet(self.space, -self.c, self.order)
+        return Jet(self.space, -self.c, self.order, self.mask)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not isinstance(other, Jet):
-            return Jet(self.space, self.c * o.c[0], self.order)
+            return Jet(self.space, self.c * o.c[0], self.order, self.mask)
         order = min(self.order, o.order)
-        return Jet(self.space, _mul_coeffs(self.space, self.c, o.c, order), order)
+        mask = self.mask | o.mask
+        return Jet(self.space, _mul_coeffs(self.space, self.c, o.c, order, mask), order, mask)
 
     def __rmul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet(self.space, self.c * o.c[0], self.order)
+        return Jet(self.space, self.c * o.c[0], self.order, self.mask)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not isinstance(other, Jet):
-            return Jet(self.space, self.c / o.c[0], self.order)
+            return Jet(self.space, self.c / o.c[0], self.order, self.mask)
         return self * o.reciprocal()
 
     def __rtruediv__(self, other):
@@ -298,9 +338,9 @@ class Jet:
         acc = np.zeros(self.space.size, dtype=np.complex128)
         acc[0] = derivs[k]
         for j in range(k - 1, -1, -1):
-            acc = _mul_coeffs(self.space, acc, hat, k)
+            acc = _mul_coeffs(self.space, acc, hat, k, self.mask)
             acc[0] += derivs[j]
-        return Jet(self.space, acc, self.order)
+        return Jet(self.space, acc, self.order, self.mask)
 
     def reciprocal(self) -> "Jet":
         g0 = self.c[0]
@@ -352,13 +392,13 @@ class Jet:
     # -- real-structure helpers (variables are real) --------------------
 
     def conjugate(self) -> "Jet":
-        return Jet(self.space, np.conj(self.c), self.order)
+        return Jet(self.space, np.conj(self.c), self.order, self.mask)
 
     def real(self) -> "Jet":
-        return Jet(self.space, self.c.real.astype(np.complex128), self.order)
+        return Jet(self.space, self.c.real.astype(np.complex128), self.order, self.mask)
 
     def imag(self) -> "Jet":
-        return Jet(self.space, self.c.imag.astype(np.complex128), self.order)
+        return Jet(self.space, self.c.imag.astype(np.complex128), self.order, self.mask)
 
     def abs(self) -> "Jet":
         """|f| = sqrt(f conj f); smooth away from zeros of f."""

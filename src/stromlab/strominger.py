@@ -25,12 +25,14 @@ from .forms import (
     exterior_derivative_with_scale,
     dbar_del_scalar,
     differential_of_scalar,
+    form_linear_combo,
     gram_curvature,
     mat_conj_transpose,
     mat_inv,
     mat_mul,
     matrix_trace_form,
     matrix_wedge_trace,
+    nan_max,
     relative_residual,
     standard_acs,
     svalue,
@@ -75,19 +77,17 @@ class CurvatureValue:
         return CurvatureValue([[e.values() for e in row] for row in self.entries])
 
     def sup(self) -> float:
-        return max(e.sup() for row in self.entries for e in row)
+        return nan_max(e.sup() for row in self.entries for e in row)
 
     def pure_type_residual(self, ctx: TypeContext) -> float:
         """Sup of the (2,0) and (0,2) parts over all entries."""
-        worst = 0.0
-        for row in self.entries:
-            for e in row:
-                parts = ctx.decompose(e.values())
-                for key in ((2, 0), (0, 2)):
-                    part = parts.get(key)
-                    if part is not None:
-                        worst = max(worst, part.sup())
-        return worst
+        return nan_max(
+            part.sup()
+            for row in self.entries
+            for e in row
+            for key, part in ctx.decompose(e.values()).items()
+            if key in ((2, 0), (0, 2))
+        )
 
     def conjugation_residual(self, H) -> float:
         """Metric skew-hermiticity: Hbar F + (Hbar F)^dagger = 0 entrywise.
@@ -99,23 +99,12 @@ class CurvatureValue:
         Hbar = [[svalue(e).conjugate() for e in row] for row in H]
         HF = [
             [
-                _combo([self.entries[k][j].values() for k in range(n)], [Hbar[i][k] for k in range(n)])
+                form_linear_combo([self.entries[k][j].values() for k in range(n)], [Hbar[i][k] for k in range(n)])
                 for j in range(n)
             ]
             for i in range(n)
         ]
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                worst = max(worst, (HF[i][j] + HF[j][i].conj()).sup())
-        return worst
-
-
-def _combo(forms, coeffs):
-    out = forms[0].scale(coeffs[0])
-    for f, c in zip(forms[1:], coeffs[1:]):
-        out = out + f.scale(c)
-    return out
+        return nan_max((HF[i][j] + HF[j][i].conj()).sup() for i in range(n) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +236,14 @@ def hym_residual(
     F = curvature if curvature is not None else data.quotient_curvature().values()
     omega = data.fr.metric().values()
     omega2 = omega.wedge(omega)
-    worst = 0.0
-    scale = omega2.sup()
+    sups = [F.pure_type_residual(data.fr.ctx)]
+    scales = [omega2.sup()]
     for row in F.entries:
         for e in row:
             w, sc = wedge_with_scale(e.values(), omega2)
-            worst = max(worst, w.sup())
-            scale = max(scale, sc, e.values().sup())
-    worst = max(worst, F.pure_type_residual(data.fr.ctx))
-    return relative_residual(worst, scale)
+            sups.append(w.sup())
+            scales += [sc, e.values().sup()]
+    return relative_residual(nan_max(sups), nan_max(scales))
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,9 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 def _print(node: Node, parent_prec: int) -> str:
     if node.kind == "num":
-        return repr(node.value)
+        text = repr(node.value)
+        # a negative literal reads back as unary minus, so it binds like one
+        return f"({text})" if text.startswith("-") and parent_prec > _PRECEDENCE["neg"] else text
     if node.kind == "var":
         return node.value
     if node.kind == "call":

@@ -29,6 +29,7 @@ from .forms import (
     d_complex_bar,
     differential_of_scalar,
     exterior_derivative,
+    nan_max,
     svalue,
     to_complex_components,
 )
@@ -144,6 +145,8 @@ class AnsatzParams:
 # ---------------------------------------------------------------------------
 # per-point assembly shared by the residual operators
 
+_CTX_CACHE: dict = {}  # one entry: (model, point, jet space) -> TypeContext
+
 
 class TwistorFrame:
     """Jets of every basic quantity of the ansatz at one twistor point."""
@@ -184,8 +187,17 @@ class TwistorFrame:
 
     @property
     def ctx(self) -> TypeContext:
+        """The type context of the twistor structure, shared by the frames at this point."""
         if self._ctx is None:
-            self._ctx = TypeContext(self.acs)
+            # the structure does not involve the ansatz profiles; keying on
+            # the jet space object, not its order, keeps the tables' jets
+            # combinable with this frame's after jet_space.cache_clear()
+            key = (self.model, self.point, self.zr.space)
+            ctx = _CTX_CACHE.get(key)
+            if ctx is None:
+                _CTX_CACHE.clear()
+                ctx = _CTX_CACHE[key] = TypeContext(self.acs)
+            self._ctx = ctx
         return self._ctx
 
     def fiber_form(self) -> FormValue:
@@ -397,15 +409,15 @@ class _FrameData:
 
     def reconstruction_residual(self) -> float:
         theta1, theta2 = self.theta()
-        worst = 0.0
+        sups = []
         for i in range(2):
             rebuilt = (
                 self.fr.dzeta.scale(self.L[i])
                 + theta1.scale(self.C[i])
                 - theta2.scale(self.D[i])
             )
-            worst = max(worst, (self.dw[i].values() - rebuilt.values()).sup())
-        return worst
+            sups.append((self.dw[i].values() - rebuilt.values()).sup())
+        return nan_max(sups)
 
 
 def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositionResult:
@@ -424,8 +436,8 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     ctx = fr.ctx
     one_minus_alpha = 1.0 - fr.alpha
 
-    simp = 0.0
-    loc = 0.0
+    simps = []
+    locs = []
     for i in range(2):
         dbar_C = ctx.project1(differential_of_scalar(data.C[i], fr.chart), antiholomorphic=True)
         dbar_D = ctx.project1(differential_of_scalar(data.D[i], fr.chart), antiholomorphic=True)
@@ -436,13 +448,13 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
         m122 = theta1_bar.scale(third[0][1][1]) - theta2_bar.scale(third[1][1][1])
         rhs_C = (m112.scale(data.C[i]) - m111.scale(data.D[i])).scale(phase)
         rhs_D = (m122.scale(data.C[i]) - m112.scale(data.D[i])).scale(phase)
-        simp = max(simp, (dbar_C.values() - rhs_C.values()).sup())
-        simp = max(simp, (dbar_D.values() - rhs_D.values()).sup())
+        simps.append((dbar_C.values() - rhs_C.values()).sup())
+        simps.append((dbar_D.values() - rhs_D.values()).sup())
         lhs_L = dbar_L.scale(2.0 * fr.zeta)
         rhs_L = -(theta1.scale(one_minus_alpha) - fr.dzb[0].scale(2.0)).scale(data.C[i]) + (
             theta2.scale(one_minus_alpha) + fr.dzb[1].scale(2.0)
         ).scale(data.D[i])
-        loc = max(loc, (lhs_L.values() - rhs_L.values()).sup())
+        locs.append((lhs_L.values() - rhs_L.values()).sup())
 
     decomposition = FrameDecomposition(
         L=tuple(svalue(l) for l in data.L),
@@ -450,7 +462,7 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     )
     return FrameDecompositionResult(
         decomposition=decomposition,
-        simp_residual=simp,
-        loc_residual=loc,
+        simp_residual=nan_max(simps),
+        loc_residual=nan_max(locs),
         reconstruction_residual=data.reconstruction_residual(),
     )

@@ -19,6 +19,7 @@ from stromlab.forms import (
     dolbeault_split,
     exterior_derivative,
     is_zero_scalar,
+    nan_max,
     point,
     relative_residual,
     standard_acs,
@@ -271,6 +272,16 @@ def test_sup_and_relative_residual_propagate_nan():
     assert relative_residual(form.sup(), 1.0) == math.inf
     assert relative_residual(1e-20, float("inf")) == math.inf
     assert not relative_residual(1e-20, float("nan")) <= 1e-8
+
+
+def test_nan_max_propagates_nan_in_any_position():
+    nan = float("nan")
+    assert math.isnan(nan_max([1e-20, nan]))
+    assert math.isnan(nan_max([nan, 1.0]))
+    assert math.isnan(nan_max(iter([0.0, 2.0, nan, 3.0])))
+    assert nan_max([0.5, math.inf, 2.0]) == math.inf
+    assert nan_max([]) == 0.0
+    assert nan_max([0.25], default=1.0) == 1.0
 
 
 def test_is_zero_scalar_reads_every_jet_coefficient():

@@ -226,7 +226,7 @@ def test_truncated_product_matches_full_product(nvars, order):
     b = random_coeffs(rng, sp.size)
     want = reference_mul_coeffs(sp, a, b)
     for validity in range(order + 1):
-        assert_truncated_match(sp, _mul_coeffs(sp, a, b, validity), want, validity)
+        assert_truncated_match(sp, _mul_coeffs(sp, a, b, validity, sp.full_mask), want, validity)
 
 
 @pytest.mark.parametrize("nvars,order", KERNEL_SPACES)
@@ -267,3 +267,110 @@ def test_overflow_is_a_named_jet_error():
     with pytest.raises(JetOverflowError), np.errstate(all="ignore"):
         Jet.variable(jet_space(1, 2), 0, 1e-200).reciprocal()
     assert issubclass(JetOverflowError, OverflowError)
+
+
+# -- support masks -----------------------------------------------------------------
+
+
+def outside_mask(space, mask):
+    """Monomials that involve a variable outside ``mask``, from the monomial list."""
+    return np.array([any(e and not mask >> v & 1 for v, e in enumerate(m)) for m in space.monomials])
+
+
+def random_masked_coeffs(rng, space, mask):
+    c = random_coeffs(rng, space.size)
+    c[outside_mask(space, mask)] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("nvars,order", KERNEL_SPACES)
+def test_mask_restricted_product_matches_full_product_bit_for_bit(nvars, order):
+    sp = jet_space(nvars, order)
+    rng = np.random.default_rng(13 * nvars + order)
+    masks = [0, sp.full_mask] + [int(m) for m in rng.integers(0, sp.full_mask + 1, 6)]
+    for validity in range(order + 1):
+        for ma in masks:
+            mb = masks[int(rng.integers(len(masks)))]
+            a = random_masked_coeffs(rng, sp, ma)
+            b = random_masked_coeffs(rng, sp, mb)
+            got = _mul_coeffs(sp, a, b, validity, ma | mb)
+            assert np.array_equal(got, _mul_coeffs(sp, a, b, validity, sp.full_mask))
+            assert np.all(got[outside_mask(sp, ma | mb)] == 0)
+
+
+def random_chain(rng, space, steps, track):
+    """A seeded chain of jet operations on the coordinate seeds of ``space``.
+
+    Without ``track`` the seeds are bare jets, whose masks hold every variable.
+    """
+    n = space.nvars
+    pool = [Jet.variable(space, v, float(rng.uniform(0.5, 1.5))) for v in range(n)]
+    pool.append(Jet.constant(space, 0.7 - 0.2j))
+    if not track:
+        pool = [Jet(space, jet.c) for jet in pool]
+    for _ in range(steps):
+        a = pool[int(rng.integers(len(pool)))]
+        b = pool[int(rng.integers(len(pool)))]
+        op = int(rng.integers(16))
+        if op == 0:
+            out = a + b
+        elif op == 1:
+            out = a - b
+        elif op == 2:
+            out = a * b
+        elif op == 3:
+            out = a / (2.0 + b * b.conjugate()).real()
+        elif op == 4:
+            k = int(rng.integers(-2, 4))
+            out = a**k if k >= 0 or abs(a.value) > 0.1 else a
+        elif op == 5:
+            out = (0.1 * a).exp()
+        elif op == 6:
+            out = (2.0 + a * a.conjugate()).real().log()
+        elif op == 7:
+            out = (3.0 + a * a.conjugate()).real().sqrt()
+        elif op == 8:
+            out = a.sin() * b.cos()
+        elif op == 9:
+            out = a.derivative(int(rng.integers(n))) if a.order > 1 else a
+        elif op == 10:
+            out = wirtinger(a, 0, n - 1, bool(rng.integers(2))) if a.order > 1 else a
+        elif op == 11:
+            out = a.conjugate() if rng.integers(2) else b.real() - a.imag()
+        elif op == 12:
+            out = 2.5 * a - b * (1.0 - 0.5j) if rng.integers(2) else a / 3.0
+        elif op == 13:
+            out = 1.0 / (2.0 + a * a.conjugate())
+        elif op == 14:
+            out = a ** 1.5 if a.value.real > 0.1 else -a
+        else:
+            out = a.abs() if abs(a.value) > 0.1 else a
+        pool.append(out)
+    return pool
+
+
+@pytest.mark.parametrize("nvars,order", KERNEL_SPACES)
+def test_support_mask_is_sound(nvars, order):
+    # no chain leaves a nonzero coefficient outside the mask it tracks, and
+    # every coefficient equals the one computed with no narrow mask at all
+    sp = jet_space(nvars, order)
+    for seed in range(4):
+        key = 100 * seed + 10 * nvars + order
+        with np.errstate(all="ignore"):
+            pool = random_chain(np.random.default_rng(key), sp, 40, track=True)
+            untracked = random_chain(np.random.default_rng(key), sp, 40, track=False)
+        for jet, plain in zip(pool, untracked):
+            assert np.all(jet.c[outside_mask(sp, jet.mask)] == 0)
+            assert np.array_equal(jet.c, plain.c, equal_nan=True)
+        # the chains must also keep some supports narrow
+        assert any(0 < jet.mask < sp.full_mask for jet in pool[nvars + 1 :]) or nvars == 1
+
+
+def test_mask_bookkeeping():
+    sp = jet_space(4, 3)
+    x = seed_jets((0.1, 0.2, 0.3, 0.4), 3, sp)
+    assert Jet.constant(sp, 2.0).mask == 0
+    assert [v.mask for v in x] == [1, 2, 4, 8]
+    assert (x[0] * x[2] + 1.0).mask == 0b101
+    assert (x[1].exp() * 3.0).derivative(0).mask == 0b10
+    assert Jet(sp, np.zeros(sp.size, dtype=np.complex128)).mask == sp.full_mask

@@ -13,7 +13,8 @@ from stromlab.forms import (
     svalue,
 )
 from stromlab.hyperkahler import eguchi_hanson, flat_model, quaternion_operator
-from stromlab.jets import seed_jets
+from stromlab import twistor
+from stromlab.jets import jet_space, seed_jets
 from stromlab.sampling import box, random_ansatz_params, sample_points
 from stromlab.twistor import (
     C3_CHART,
@@ -288,6 +289,34 @@ def test_anomaly_gate_fails_on_a_nan_curvature_coefficient():
     entry = F.entries[1][1]
     F.entries[1][1] = FormValue(entry.chart, 2, {**entry.terms, (4, 5): complex(float("nan"), 0.0)})
     assert not anomaly_residual(FLAT, params, p, curvature=F) <= 1e-8
+
+
+def test_hym_gate_fails_on_a_nan_curvature_coefficient():
+    p = twistor_points(FLAT, 1, seed=83)[0]
+    params = AnsatzParams.coupling_solution(alpha_prime=2.0)
+    F = AnsatzCurvatureData(FLAT, params, p, order=4).quotient_curvature().values()
+    entry = F.entries[1][1]
+    F.entries[1][1] = FormValue(entry.chart, 2, {**entry.terms, (4, 5): complex(float("nan"), 0.0)})
+    assert not hym_residual(FLAT, params, p, curvature=F) <= 1e-8
+
+
+def test_curvature_sup_propagates_a_nan_that_is_not_first():
+    C = TWISTOR_FLAT
+    F = CurvatureValue([[FormValue(C, 2, {(0, 1): 1e-20}), FormValue(C, 2, {(0, 1): float("nan")})]])
+    assert math.isnan(F.sup())
+
+
+def test_type_context_survives_a_cleared_jet_space_cache():
+    # the operators at one point share one type context; after the jet
+    # spaces are rebuilt it must not hand out jets of the old space
+    p = twistor_points(FLAT, 1, seed=89)[0]
+    params = AnsatzParams.coupling_solution(alpha_prime=2.0)
+    twistor._CTX_CACHE.clear()
+    jet_space.cache_clear()
+    fresh = anomaly_residual(FLAT, params, p)
+    hym_residual(FLAT, params, p)
+    jet_space.cache_clear()
+    assert anomaly_residual(FLAT, params, p) == fresh
 
 
 # -- radial reduction ---------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from stromlab.jets import Jet, jet_space
 from stromlab.testfn import (
     EvaluationDomainError,
+    Node,
     ParseError,
     parse_testfn,
     pretty_print,
@@ -136,6 +137,12 @@ def test_pretty_print_round_trip_idempotent():
         assert pretty_print(reparsed) == printed
         env = {v: 0.37 for v in expr.variables()}
         assert expr(env) == pytest.approx(reparsed(env))
+    # a hand-built negative literal, which the parser never makes: (-2)^2 = 4
+    tree = Node("^", args=(Node("num", -2.0), Node("num", 2.0)))
+    printed = pretty_print(tree)
+    reparsed = parse_testfn(printed)
+    assert pretty_print(reparsed) == printed
+    assert reparsed({}) == 4.0
 
 
 @settings(max_examples=60, deadline=None)
