@@ -102,13 +102,13 @@ def smag(x) -> float:
     return abs(svalue(x))
 
 
-def nan_max(values, default: float = 0.0) -> float:
-    """max(values, default) that returns NaN if any value is NaN.
+def nan_max(values) -> float:
+    """Largest of ``values`` (0.0 if there are none), or NaN if any value is NaN.
 
     The built-in max keeps whichever of two values compares greater, so a
     NaN that is not first is dropped and a residual gate could pass on it.
     """
-    worst = default
+    worst = 0.0
     for v in values:
         if math.isnan(v):
             return math.nan

@@ -121,8 +121,7 @@ class JetSpace:
         A stable subset of the sorted table's prefix for ``order``: the
         outputs are the monomials of degree <= order in the variables of
         ``mask``, each keeps all of its pairs in table order, and
-        ``starts`` indexes the first pair of each output.  ``outs`` is a
-        slice when the outputs are a prefix of the monomial list.
+        ``starts`` indexes the first pair of each output.
         """
         key = (mask, order)
         sub = self._mul_subsets.get(key)
@@ -131,15 +130,11 @@ class JetSpace:
             n = self.prefix_sizes[order]
             end = self._mul_starts[n]
             ii, jj, kk = ii[:end], jj[:end], kk[:end]
-            if mask != self.full_mask:
-                inside = (self._supports[kk] & ~mask) == 0
-                ii, jj, kk = ii[inside], jj[inside], kk[inside]
+            inside = (self._supports[kk] & ~mask) == 0
+            ii, jj, kk = ii[inside], jj[inside], kk[inside]
             # every output has at least the pair (itself, 1)
             starts = np.flatnonzero(np.r_[True, kk[1:] != kk[:-1]])
-            outs = kk[starts]
-            if outs[-1] == len(outs) - 1:
-                outs = slice(0, len(outs))
-            sub = self._mul_subsets[key] = (ii, jj, starts, outs)
+            sub = self._mul_subsets[key] = (ii, jj, starts, kk[starts])
         return sub
 
     def diff_table(self, v: int):

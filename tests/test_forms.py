@@ -281,7 +281,6 @@ def test_nan_max_propagates_nan_in_any_position():
     assert math.isnan(nan_max(iter([0.0, 2.0, nan, 3.0])))
     assert nan_max([0.5, math.inf, 2.0]) == math.inf
     assert nan_max([]) == 0.0
-    assert nan_max([0.25], default=1.0) == 1.0
 
 
 def test_is_zero_scalar_reads_every_jet_coefficient():
