@@ -28,6 +28,7 @@ from .forms import (
     exterior_derivative_with_scale,
     i_ddbar,
     mat_det,
+    nan_max,
     relative_residual,
     standard_acs,
     svalue,
@@ -238,7 +239,7 @@ def omega0_d_residual(base: BaseKahlerModel, p: ChartPoint) -> float:
     fr = CanonicalBundleFrame(base, CalabiParams.plain(), p, 2)
     omega = fr.metric()
     d, scale = exterior_derivative_with_scale(omega)
-    return relative_residual(d.values().sup(), max(scale, omega.values().sup()))
+    return relative_residual(d.values().sup(), nan_max([scale, omega.values().sup()]))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,7 @@ def km_balanced_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPo
     for _ in range(base.n - 1):
         power = power.wedge(omega)
     d, scale = exterior_derivative_with_scale(power)
-    return relative_residual(d.values().sup(), max(scale, power.values().sup()))
+    return relative_residual(d.values().sup(), nan_max([scale, power.values().sup()]))
 
 
 def extremal_residual_of(omega: FormValue, gram, ctx: TypeContext) -> float:
@@ -394,7 +395,7 @@ def extremal_residual_of(omega: FormValue, gram, ctx: TypeContext) -> float:
     _, dbar_inner, _ = ctx.d_split(inner, ptype=(1, 1))
     del_dbar_inner, _, _ = ctx.d_split(dbar_inner, ptype=(1, 2))
     rhs = del_dbar_inner.values().scale(1j)
-    scale = max(lhs.sup(), rhs.sup(), 1.0)
+    scale = nan_max([lhs.sup(), rhs.sup(), 1.0])
     return relative_residual((lhs - rhs).sup(), scale)
 
 

@@ -276,19 +276,10 @@ def _merge_indices(ma: tuple, mb: tuple):
     return tuple(merged), sign
 
 
-def wedge(a: FormValue, b: FormValue) -> FormValue:
-    """Graded-commutative product; bilinear and associative."""
-    return a.wedge(b)
-
-
 def wedge_with_scale(a: FormValue, b: FormValue):
     """Wedge plus the sup of the individual term products (cancellation scale)."""
-    out = a.wedge(b)
-    scale = 0.0
-    for ca in a.terms.values():
-        for cb in b.terms.values():
-            scale = max(scale, smag(ca) * smag(cb))
-    return out, scale
+    scale = nan_max(smag(ca) * smag(cb) for ca in a.terms.values() for cb in b.terms.values())
+    return a.wedge(b), scale
 
 
 def d_real(chart: Chart, v: int) -> FormValue:
@@ -353,7 +344,7 @@ def exterior_derivative_with_scale(form: FormValue):
     """d plus the sup of individual partial contributions (cancellation scale)."""
     chart = form.chart
     terms: dict = {}
-    scale = 0.0
+    mags = []
     for multi, c in form.terms.items():
         if not isinstance(c, Jet):
             continue  # bare complex coefficients are constants, d kills them
@@ -363,12 +354,12 @@ def exterior_derivative_with_scale(form: FormValue):
             dc = c.derivative(v)
             if is_zero_scalar(dc):
                 continue
-            scale = max(scale, smag(dc))
+            mags.append(smag(dc))
             pos = bisect_left(multi, v)
             merged = multi[:pos] + (v,) + multi[pos:]
             contrib = dc if pos % 2 == 0 else -dc
             terms[merged] = terms[merged] + contrib if merged in terms else contrib
-    return FormValue(chart, form.degree + 1, terms), scale
+    return FormValue(chart, form.degree + 1, terms), nan_max(mags)
 
 
 def differential_of_scalar(f: Jet, chart: Chart) -> FormValue:
@@ -460,10 +451,6 @@ def acs_from_complex_action(chart: Chart, action) -> AlmostComplexStructure:
     return AlmostComplexStructure(chart, mat)
 
 
-def acs_apply(J: AlmostComplexStructure, eta: FormValue) -> FormValue:
-    return J.apply(eta)
-
-
 class TypeContext:
     """Pointwise (p,q) machinery for one almost complex structure.
 
@@ -477,6 +464,8 @@ class TypeContext:
     def __init__(self, acs: AlmostComplexStructure):
         self.acs = acs
         self.chart = acs.chart
+        self._pointwise = not any(isinstance(e, Jet) for row in acs.mat for e in row)
+        self._values = None
         n = self.chart.dim
         self.p_images = []
         self.q_images = []
@@ -492,6 +481,20 @@ class TypeContext:
             self.p_images.append(FormValue(self.chart, 1, pterms))
             self.q_images.append(FormValue(self.chart, 1, qterms))
         self._tables: dict = {}
+
+    def values(self) -> "TypeContext":
+        """The context of the structure's pointwise values, built once.
+
+        A form read only at its value decomposes here with plain complex
+        tables instead of jet-valued ones; the result is the value of the
+        jet decomposition.  A structure without jet entries is its own
+        (returned, not stored, so the context holds no reference cycle).
+        """
+        if self._pointwise:
+            return self
+        if self._values is None:
+            self._values = TypeContext(self.acs.values())
+        return self._values
 
     def project1(self, form: FormValue, antiholomorphic: bool) -> FormValue:
         """(1,0) or (0,1) part of a 1-form."""
@@ -578,34 +581,25 @@ class TypeContext:
         return self.project1(differential_of_scalar(f, self.chart), antiholomorphic=True)
 
 
-def type_decompose(eta: FormValue, J: AlmostComplexStructure) -> dict:
-    """Map (p,q) -> component, summing to eta."""
-    return TypeContext(J).decompose(eta)
-
-
-def dolbeault_split(form: FormValue, J: AlmostComplexStructure, ptype: tuple | None = None):
-    """(del part, dbar part) of d; off-type residue vanishes when J is integrable."""
-    del_part, dbar_part, _ = TypeContext(J).d_split(form, ptype=ptype)
-    return del_part, dbar_part
-
-
-def ddbar_scalar(f: Jet, chart: Chart, J: AlmostComplexStructure) -> FormValue:
-    """i del dbar f; real-valued (1,1) for real f."""
-    ctx = TypeContext(J)
-    return i_ddbar(ctx, f)
-
-
 def i_ddbar(ctx: TypeContext, f: Jet) -> FormValue:
+    """i del dbar f with jet coefficients; real-valued (1,1) for real f."""
     dbar_f = ctx.dbar_scalar(f)
     dd = exterior_derivative(dbar_f)
     return ctx.project(dd, 1, 1).scale(1j)
 
 
+def d_part_at_point(ctx: TypeContext, form: FormValue, p: int, q: int) -> FormValue:
+    """(p,q) part of d(form) at the point, for a result nothing differentiates."""
+    return ctx.values().project(exterior_derivative(form).values(), p, q)
+
+
 def dbar_del_scalar(ctx: TypeContext, f: Jet) -> FormValue:
-    """dbar del f (= -del dbar f); kept separate to mirror curvature formulas."""
-    del_f = ctx.del_scalar(f)
-    dd = exterior_derivative(del_f)
-    return ctx.project(dd, 1, 1)
+    """dbar del f (= -del dbar f) at the point; kept separate to mirror curvature formulas.
+
+    Only the value is returned: the (1,1) projection runs on the pointwise
+    context rather than on jet-valued tables.
+    """
+    return d_part_at_point(ctx, ctx.del_scalar(f), 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -722,18 +716,18 @@ def coframe_gram(omega: FormValue, J: AlmostComplexStructure, coframe):
 
 
 def gram_curvature(H, ctx: TypeContext):
-    """R = dbar(Hbar^-1 del Hbar) for a matrix of jet entries.
+    """R = dbar(Hbar^-1 del Hbar) at the point, for a matrix of jet entries.
 
-    Entries of the result are 2-forms; for an actual holomorphic-frame Gram
-    they are pure (1,1).  Requires jets of order >= 2.
+    Entries of the result are pointwise 2-forms (complex coefficients):
+    R_ij is the (1,1) part of d X_ij with X = Hbar^-1 del Hbar, taken on
+    the pointwise type context; for a (1,0)-form X that is its dbar.  For
+    an actual holomorphic-frame Gram the entries are pure (1,1).
+    Requires jets of order >= 2.
     """
     n = len(H)
     Hbar = [[sconj(e) for e in row] for row in H]
     Hbar_inv = mat_inv(Hbar)
-    del_Hbar = [
-        [ctx.project1(differential_of_scalar(e, ctx.chart), antiholomorphic=False) for e in row]
-        for row in Hbar
-    ]
+    del_Hbar = [[ctx.del_scalar(e) for e in row] for row in Hbar]
     X = [
         [
             form_linear_combo([del_Hbar[k][j] for k in range(n)], [Hbar_inv[i][k] for k in range(n)])
@@ -741,14 +735,7 @@ def gram_curvature(H, ctx: TypeContext):
         ]
         for i in range(n)
     ]
-    R = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            _, dbar_x, _ = ctx.d_split(X[i][j], ptype=(1, 0))
-            row.append(dbar_x)
-        R.append(row)
-    return R
+    return [[d_part_at_point(ctx, X[i][j], 1, 1) for j in range(n)] for i in range(n)]
 
 
 def form_linear_combo(forms, coeffs) -> FormValue:

@@ -22,9 +22,10 @@ from .forms import (
     ChartPoint,
     FormValue,
     TypeContext,
-    exterior_derivative_with_scale,
+    d_part_at_point,
     dbar_del_scalar,
     differential_of_scalar,
+    exterior_derivative_with_scale,
     form_linear_combo,
     gram_curvature,
     mat_conj_transpose,
@@ -52,16 +53,8 @@ class HermitianGram:
     """
 
     H: tuple
-    frame: str
     A: float
     B: float
-
-
-@dataclass(frozen=True)
-class QuotientGram:
-    """Gram matrix U = E K Ebar^T of the quotient-bundle frame."""
-
-    U: tuple
 
 
 @dataclass
@@ -85,7 +78,7 @@ class CurvatureValue:
             part.sup()
             for row in self.entries
             for e in row
-            for key, part in ctx.decompose(e.values()).items()
+            for key, part in ctx.values().decompose(e.values()).items()
             if key in ((2, 0), (0, 2))
         )
 
@@ -115,7 +108,7 @@ def conformally_balanced_residual(omega: FormValue, norm: Jet) -> float:
     """Relative sup of d(norm * omega^2); inputs carry jets of order >= 1."""
     X = omega.wedge(omega).scale(norm)
     d, scale = exterior_derivative_with_scale(X)
-    return relative_residual(d.values().sup(), max(scale, X.sup()))
+    return relative_residual(d.values().sup(), nan_max([scale, X.sup()]))
 
 
 def balanced_residual(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> float:
@@ -154,7 +147,11 @@ def chern_curvature(h_field, p: ChartPoint, acs_field=None, order: int = 2) -> C
 
 
 class AnsatzCurvatureData:
-    """Shared jet assembly for the curvature-level operators (flat model)."""
+    """Shared jet assembly for the curvature-level operators (flat model).
+
+    The frame and quotient curvatures are computed on first use and kept,
+    so the operators reading both at one point pay for each once.
+    """
 
     def __init__(self, model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint, order: int = 4):
         if model.model_id != "flat_r4":
@@ -169,6 +166,8 @@ class AnsatzCurvatureData:
         K = mat_inv(kh)
         E = [[self.fd.C[0], self.fd.D[0]], [self.fd.C[1], self.fd.D[1]]]
         self.U = mat_mul(mat_mul(E, K), mat_conj_transpose(E))
+        self._quotient_curvature = None
+        self._frame_curvature = None
 
     def gram(self):
         A, B, L = self.A, self.B, self.Lvec
@@ -182,10 +181,16 @@ class AnsatzCurvatureData:
         return H
 
     def quotient_curvature(self) -> CurvatureValue:
-        return CurvatureValue(gram_curvature(self.U, self.fr.ctx))
+        """F' = dbar(Ubar^-1 del Ubar) at the point; memoised, do not mutate."""
+        if self._quotient_curvature is None:
+            self._quotient_curvature = CurvatureValue(gram_curvature(self.U, self.fr.ctx))
+        return self._quotient_curvature
 
     def frame_curvature(self) -> CurvatureValue:
-        return CurvatureValue(gram_curvature(self.gram(), self.fr.ctx))
+        """R = dbar(Hbar^-1 del Hbar) of the frame Gram at the point; memoised, do not mutate."""
+        if self._frame_curvature is None:
+            self._frame_curvature = CurvatureValue(gram_curvature(self.gram(), self.fr.ctx))
+        return self._frame_curvature
 
     def w_form(self) -> FormValue:
         """W = dbar L^T Ubar^-1 del Lbar as a (1,1)-form with jet coefficients."""
@@ -205,20 +210,35 @@ class AnsatzCurvatureData:
 def ansatz_gram(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> HermitianGram:
     data = AnsatzCurvatureData(model, params, p, order=2)
     H = tuple(tuple(svalue(e) for e in row) for row in data.gram())
-    return HermitianGram(
-        H=H, frame="dzeta, zeta dw1, zeta dw2", A=svalue(data.A).real, B=svalue(data.B).real
-    )
+    return HermitianGram(H=H, A=svalue(data.A).real, B=svalue(data.B).real)
 
 
 def quotient_gram(model: HyperkahlerModel, p: ChartPoint, params: AnsatzParams | None = None):
-    """U and the quotient-bundle curvature F' = dbar(Ubar^-1 del Ubar).
+    """U = E K Ebar^T as a tuple of rows, and F' = dbar(Ubar^-1 del Ubar).
 
     The quotient metric does not involve the conformal profiles; ``params``
     is accepted for interface uniformity only.
     """
     data = AnsatzCurvatureData(model, params or AnsatzParams.constants(), p, order=4)
-    U = QuotientGram(U=tuple(tuple(svalue(e) for e in row) for row in data.U))
+    U = tuple(tuple(svalue(e) for e in row) for row in data.U)
     return U, data.quotient_curvature().values()
+
+
+_DATA_CACHE: dict = {}  # one entry: (model, params, point, jet space) -> AnsatzCurvatureData
+
+
+def _curvature_data(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> AnsatzCurvatureData:
+    """The order-4 curvature data of the point, shared by HYM, the anomaly and the identities.
+
+    As with the twistor type context, keying on the jet space object keeps
+    a cleared ``jet_space`` cache from handing out jets of a stale space.
+    """
+    key = (model, params, p, jet_space(p.chart.dim, 4))
+    data = _DATA_CACHE.get(key)
+    if data is None:
+        _DATA_CACHE.clear()
+        data = _DATA_CACHE[key] = AnsatzCurvatureData(model, params, p, order=4)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +252,8 @@ def hym_residual(
 
     A replacement curvature can be passed to probe that the check has teeth.
     """
-    data = AnsatzCurvatureData(model, params, p, order=4)
-    F = curvature if curvature is not None else data.quotient_curvature().values()
+    data = _curvature_data(model, params, p)
+    F = curvature if curvature is not None else data.quotient_curvature()
     omega = data.fr.metric().values()
     omega2 = omega.wedge(omega)
     sups = [F.pure_type_residual(data.fr.ctx)]
@@ -256,23 +276,23 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
 
     Keys: c1_res, trace_res, c2_res, w_res.
     """
-    data = AnsatzCurvatureData(model, params, p, order=4)
+    data = _curvature_data(model, params, p)
     fr = data.fr
     ctx = fr.ctx
 
     R = data.frame_curvature()
     Fq = data.quotient_curvature()
-    tr_R = R.trace().values()
-    tr_Fq = Fq.trace().values()
+    tr_R = R.trace()
+    tr_Fq = Fq.trace()
 
     ddbar_logA = dbar_del_scalar(ctx, data.A.log())
     ddbar_logB = dbar_del_scalar(ctx, data.B.log())
-    c1_rhs = (ddbar_logA + ddbar_logB.scale(2.0)).values() + tr_Fq
+    c1_rhs = ddbar_logA + ddbar_logB.scale(2.0) + tr_Fq
     c1_res = relative_residual(
-        (tr_R - c1_rhs).sup(), max(tr_R.sup(), c1_rhs.sup(), ddbar_logB.values().sup())
+        (tr_R - c1_rhs).sup(), nan_max([tr_R.sup(), c1_rhs.sup(), ddbar_logB.sup()])
     )
 
-    trace_res = relative_residual(tr_Fq.sup(), max(1.0, Fq.values().sup()))
+    trace_res = relative_residual(tr_Fq.sup(), nan_max([1.0, Fq.sup()]))
 
     # W = dbar L^T Ubar^-1 del Lbar evaluates in closed form to
     # (i/s)(alpha omega_I + beta omega_J + gamma omega_K); the prefactor is
@@ -281,23 +301,22 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     W = data.w_form()
     w_target = fr.fiber_form().scale(1j * fr.s.reciprocal())
     w_res = relative_residual(
-        (W.values() - w_target.values()).sup(), max(W.values().sup(), w_target.values().sup())
+        (W.values() - w_target.values()).sup(), nan_max([W.values().sup(), w_target.values().sup()])
     )
 
     # tr(R^R) against 2 del dbar((A/B) W) + 2 (dbar del log B)^2 + tr(F'^F')
-    tr_RR = matrix_wedge_trace(R.entries, R.entries).values()
+    tr_RR = matrix_wedge_trace(R.entries, R.entries)
     Y = W.scale(data.A / data.B)
     _, dbar_Y, _ = ctx.d_split(Y, ptype=(1, 1))
-    del_dbar_Y, _, _ = ctx.d_split(dbar_Y, ptype=(1, 2))
-    sq = ddbar_logB.values()
+    del_dbar_Y = d_part_at_point(ctx, dbar_Y, 2, 2)
     c2_rhs = (
-        del_dbar_Y.values().scale(2.0)
-        + sq.wedge(sq).scale(2.0)
-        + matrix_wedge_trace(Fq.entries, Fq.entries).values()
+        del_dbar_Y.scale(2.0)
+        + ddbar_logB.wedge(ddbar_logB).scale(2.0)
+        + matrix_wedge_trace(Fq.entries, Fq.entries)
     )
     c2_res = relative_residual(
         (tr_RR - c2_rhs).sup(),
-        max(tr_RR.sup(), del_dbar_Y.values().sup() * 2.0, sq.sup() ** 2, 1.0),
+        nan_max([tr_RR.sup(), del_dbar_Y.sup() * 2.0, ddbar_logB.sup() ** 2, 1.0]),
     )
     return {"c1_res": c1_res, "trace_res": trace_res, "c2_res": c2_res, "w_res": w_res}
 
@@ -315,23 +334,22 @@ def anomaly_residual(
     metric field, tr(R wedge R) from the frame Gram, tr(F wedge F) from the
     quotient Gram.
     """
-    data = AnsatzCurvatureData(model, params, p, order=4)
+    data = _curvature_data(model, params, p)
     fr = data.fr
     ctx = fr.ctx
 
     omega = fr.metric()
     _, dbar_omega, _ = ctx.d_split(omega, ptype=(1, 1))
-    del_dbar_omega, _, _ = ctx.d_split(dbar_omega, ptype=(1, 2))
-    torsion = del_dbar_omega.values().scale(1j)
+    torsion = d_part_at_point(ctx, dbar_omega, 2, 2).scale(1j)
 
     R = data.frame_curvature()
-    tr_RR = matrix_wedge_trace(R.entries, R.entries).values()
+    tr_RR = matrix_wedge_trace(R.entries, R.entries)
     F = curvature if curvature is not None else data.quotient_curvature()
     tr_FF = matrix_wedge_trace(F.entries, F.entries).values()
 
     quarter = params.alpha_prime / 4.0
     diff = torsion - (tr_RR - tr_FF).scale(quarter)
-    scale = max(torsion.sup(), quarter * tr_RR.sup(), quarter * tr_FF.sup())
+    scale = nan_max([torsion.sup(), quarter * tr_RR.sup(), quarter * tr_FF.sup()])
     return relative_residual(diff.sup(), scale)
 
 
@@ -406,8 +424,8 @@ def radial_h_residual(h_profile: RadialProfile, p: ChartPoint, model: Hyperkahle
     ).values()
     P = X.scale(1.0 / 2j)  # dbar del h per the expansion
 
-    log_s_hessian = dbar_del_scalar(fr.ctx, fr.s.log()).values()
+    log_s_hessian = dbar_del_scalar(fr.ctx, fr.s.log())
     lhs = P.wedge(P)
     rhs = P.wedge(log_s_hessian.scale(3.0))
-    scale = max(lhs.sup(), rhs.sup(), P.sup() ** 2, P.sup() * log_s_hessian.sup() * 3.0)
+    scale = nan_max([lhs.sup(), rhs.sup(), P.sup() ** 2, P.sup() * log_s_hessian.sup() * 3.0])
     return relative_residual((lhs - rhs).sup(), scale)

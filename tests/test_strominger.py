@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,13 +9,17 @@ from stromlab.forms import (
     TypeContext,
     d_complex,
     d_complex_bar,
+    form_linear_combo,
+    gram_curvature,
+    mat_inv,
+    nan_max,
     point,
     standard_acs,
     svalue,
 )
 from stromlab.hyperkahler import eguchi_hanson, flat_model, quaternion_operator
-from stromlab import twistor
-from stromlab.jets import jet_space, seed_jets
+from stromlab import strominger, twistor
+from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.sampling import box, random_ansatz_params, sample_points
 from stromlab.twistor import (
     C3_CHART,
@@ -140,6 +145,128 @@ def test_trace_equals_ddbar_log_det():
     assert (tr - expected).sup() <= 1e-10 * max(1.0, tr.sup())
 
 
+def random_jet_form(fr, degree, rng):
+    """Seeded form whose coefficients are random quadratics in the frame's jets."""
+    terms = {}
+    for multi in combinations(range(fr.chart.dim), degree):
+        i, j = rng.randrange(6), rng.randrange(6)
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        terms[multi] = fr.jets[i] * fr.jets[j] * c + rng.uniform(-1, 1)
+    return FormValue(fr.chart, degree, terms)
+
+
+def test_pointwise_decomposition_is_the_value_of_the_jet_decomposition():
+    rng = random.Random(17)
+    for p in twistor_points(FLAT, 3, seed=19):
+        fr = TwistorFrame(FLAT, p, 4)
+        ctx = fr.ctx
+        assert ctx.values() is ctx.values()
+        for degree in (1, 2, 3, 4):
+            f = random_jet_form(fr, degree, rng)
+            jet_parts = ctx.decompose(f)
+            value_parts = ctx.values().decompose(f.values())
+            assert set(value_parts) <= set(jet_parts)
+            for key, part in jet_parts.items():
+                want = part.values()
+                got = value_parts.get(key, FormValue.zero(fr.chart, degree))
+                assert (got - want).sup() <= 1e-14 * want.sup(), (degree, key)
+
+
+def test_constant_structure_is_its_own_pointwise_context():
+    ctx = TypeContext(standard_acs(C3_CHART))
+    assert ctx.values() is ctx
+
+
+def jet_path_curvature(H, ctx):
+    """dbar(Hbar^-1 del Hbar) through the jet-valued type tables, then evaluated."""
+    n = len(H)
+    Hbar = [[e.conjugate() for e in row] for row in H]
+    Hbar_inv = mat_inv(Hbar)
+    del_Hbar = [[ctx.del_scalar(e) for e in row] for row in Hbar]
+    X = [
+        [form_linear_combo([del_Hbar[k][j] for k in range(n)], [Hbar_inv[i][k] for k in range(n)]) for j in range(n)]
+        for i in range(n)
+    ]
+    return [[ctx.d_split(X[i][j], ptype=(1, 0))[1].values() for j in range(n)] for i in range(n)]
+
+
+def test_pointwise_gram_curvature_matches_the_jet_path():
+    for k, p in enumerate(twistor_points(FLAT, 2, seed=131)):
+        data = AnsatzCurvatureData(FLAT, random_ansatz_params(seed=137, pair_index=k), p, order=4)
+        ctx = data.fr.ctx
+        for H in (data.gram(), data.U):
+            want = jet_path_curvature(H, ctx)
+            got = gram_curvature(H, ctx)
+            scale = nan_max(e.sup() for row in want for e in row)
+            assert scale > 0.0
+            for row_got, row_want in zip(got, want):
+                for g, w in zip(row_got, row_want):
+                    assert not any(isinstance(c, Jet) for c in g.terms.values())
+                    assert (g - w).sup() <= 1e-13 * scale
+
+
+def test_curvature_data_is_memoised_per_object():
+    p = twistor_points(FLAT, 1, seed=139)[0]
+    data = AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p, order=4)
+    assert data.frame_curvature() is data.frame_curvature()
+    assert data.quotient_curvature() is data.quotient_curvature()
+    assert AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p, order=4) is not data
+
+
+def cold(fn, *args, **kwargs):
+    """``fn`` on empty per-point caches."""
+    strominger._DATA_CACHE.clear()
+    twistor._CTX_CACHE.clear()
+    return fn(*args, **kwargs)
+
+
+def test_shared_curvature_data_gives_the_cold_cache_values():
+    p = twistor_points(FLAT, 1, seed=149)[0]
+    params = random_ansatz_params(seed=151, pair_index=0)
+    ops = (hym_residual, anomaly_residual, curvature_identities)
+    want = [cold(op, FLAT, params, p) for op in ops]
+    strominger._DATA_CACHE.clear()
+    twistor._CTX_CACHE.clear()
+    assert [op(FLAT, params, p) for op in ops] == want
+
+
+def test_shared_curvature_data_tells_params_apart():
+    p = twistor_points(FLAT, 1, seed=157)[0]
+    first = AnsatzParams.coupling_solution(alpha_prime=2.0)
+    second = AnsatzParams.constants(g=1.0)
+    want_first = cold(anomaly_residual, FLAT, first, p)
+    want_second = cold(anomaly_residual, FLAT, second, p)
+    assert want_first <= 1e-8 < want_second
+    assert anomaly_residual(FLAT, first, p) == want_first
+    assert anomaly_residual(FLAT, second, p) == want_second
+    assert anomaly_residual(FLAT, first, p) == want_first
+
+
+def test_shared_curvature_data_survives_a_cleared_jet_space_cache():
+    p = twistor_points(FLAT, 1, seed=163)[0]
+    params = AnsatzParams.coupling_solution(alpha_prime=2.0)
+    want = cold(curvature_identities, FLAT, params, p)
+    hym_residual(FLAT, params, p)
+    jet_space.cache_clear()
+    assert curvature_identities(FLAT, params, p) == want
+    data = strominger._DATA_CACHE[next(iter(strominger._DATA_CACHE))]
+    assert data.fr.zr.space is jet_space(6, 4)
+
+
+def test_a_nan_injected_call_leaves_the_shared_data_clean():
+    p = twistor_points(FLAT, 1, seed=83)[0]
+    params = AnsatzParams.coupling_solution(alpha_prime=2.0)
+    want_anomaly = cold(anomaly_residual, FLAT, params, p)
+    want_hym = cold(hym_residual, FLAT, params, p)
+    F = AnsatzCurvatureData(FLAT, params, p, order=4).quotient_curvature().values()
+    entry = F.entries[1][1]
+    F.entries[1][1] = FormValue(entry.chart, 2, {**entry.terms, (4, 5): complex(float("nan"), 0.0)})
+    assert not anomaly_residual(FLAT, params, p, curvature=F) <= 1e-8
+    assert anomaly_residual(FLAT, params, p) == want_anomaly
+    assert not hym_residual(FLAT, params, p, curvature=F) <= 1e-8
+    assert hym_residual(FLAT, params, p) == want_hym
+
+
 def test_curvature_entries_are_1_1_and_metric_skew():
     params = random_ansatz_params(seed=29, pair_index=1)
     p = twistor_points(FLAT, 1, seed=37)[0]
@@ -170,9 +297,9 @@ def test_quotient_gram_flat_closed_form():
     p = twistor_points(FLAT, 1, seed=43)[0]
     U, F = quotient_gram(FLAT, p)
     zeta2 = p.coords[0] ** 2 + p.coords[1] ** 2
-    assert U.U[0][0] == pytest.approx(2.0 * zeta2, rel=1e-12)
-    assert U.U[1][1] == pytest.approx(2.0 * zeta2, rel=1e-12)
-    assert abs(U.U[0][1]) <= 1e-13
+    assert U[0][0] == pytest.approx(2.0 * zeta2, rel=1e-12)
+    assert U[1][1] == pytest.approx(2.0 * zeta2, rel=1e-12)
+    assert abs(U[0][1]) <= 1e-13
     assert F.sup() <= 1e-12
 
 

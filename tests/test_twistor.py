@@ -7,7 +7,6 @@ import pytest
 from stromlab.forms import (
     FormValue,
     TypeContext,
-    acs_apply,
     coframe_gram,
     d_complex,
     d_complex_bar,
@@ -83,15 +82,15 @@ def test_acs_at_zeta_zero_restricts_to_I():
     acs = twistor_acs(FLAT, p)
     dz1 = d_complex(TWISTOR_FLAT, 1)
     dz2 = d_complex(TWISTOR_FLAT, 2)
-    assert (acs_apply(acs, dz1) - dz1.scale(1j)).sup() <= 1e-14
-    assert (acs_apply(acs, dz2) - dz2.scale(1j)).sup() <= 1e-14
+    assert (acs.apply(dz1) - dz1.scale(1j)).sup() <= 1e-14
+    assert (acs.apply(dz2) - dz2.scale(1j)).sup() <= 1e-14
 
 
 def test_acs_dzeta_eigenform():
     p = point(TWISTOR_FLAT, 0.4, -0.8, 0.3, 0.2, -0.5, 0.7)
     acs = twistor_acs(FLAT, p)
     dzeta = d_complex(TWISTOR_FLAT, 0)
-    assert (acs_apply(acs, dzeta) - dzeta.scale(1j)).sup() <= 1e-14
+    assert (acs.apply(dzeta) - dzeta.scale(1j)).sup() <= 1e-14
 
 
 def test_acs_flat_beta_one_table_row():
@@ -100,7 +99,7 @@ def test_acs_flat_beta_one_table_row():
     acs = twistor_acs(FLAT, p)
     du1 = d_complex(TWISTOR_FLAT, 1)
     dub2 = d_complex_bar(TWISTOR_FLAT, 2)
-    assert (acs_apply(acs, du1) + dub2).sup() <= 1e-14
+    assert (acs.apply(du1) + dub2).sup() <= 1e-14
 
 
 def test_integrability_no_offtype_residue():
