@@ -21,22 +21,26 @@ from dataclasses import dataclass
 from .forms import (
     Chart,
     ChartPoint,
+    DomainError,
     FormValue,
     TypeContext,
     d_complex,
     d_complex_bar,
     exterior_derivative_with_scale,
+    form_power,
+    hermitian_form,
     i_ddbar,
     mat_det,
     nan_max,
     relative_residual,
     standard_acs,
     svalue,
+    top_ratio,
 )
 from .jets import Jet, jet_space, seed_jets, wirtinger
 
 
-class ZeroSectionError(Exception):
+class ZeroSectionError(DomainError):
     pass
 
 
@@ -196,13 +200,7 @@ class CanonicalBundleFrame:
             self.g = params.g_profile(self.R)
 
     def base_form(self) -> FormValue:
-        out = FormValue.zero(self.chart, 2)
-        for j in range(self.base.n):
-            for k in range(self.base.n):
-                out = out + d_complex(self.chart, j).wedge(d_complex_bar(self.chart, k)).scale(
-                    1j * self.hmat[j][k]
-                )
-        return out
+        return hermitian_form(self.chart, self.hmat)
 
     def dR_split(self):
         m = self.chart.ncomplex
@@ -225,13 +223,6 @@ class CanonicalBundleFrame:
         for j in range(1, self.chart.ncomplex):
             out = out.wedge(d_complex(self.chart, j))
         return out
-
-
-def calabi_metric(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint, order: int = 0) -> FormValue:
-    """The fiber-norm ansatz metric; positive (1,1) off the zero section."""
-    fr = CanonicalBundleFrame(base, params, p, max(order, 0) + 1)
-    omega = fr.metric()
-    return omega if order > 0 else omega.values()
 
 
 def omega0_d_residual(base: BaseKahlerModel, p: ChartPoint) -> float:
@@ -290,12 +281,6 @@ def _antiholo_component(v: int, b: int) -> complex:
     return 0.0
 
 
-def _top_ratio(numer: FormValue, denom: FormValue):
-    top = tuple(range(numer.chart.dim))
-    d = denom.coefficient(top)
-    return numer.coefficient(top) / d
-
-
 def chern_ricci_form(gram, ctx: TypeContext) -> FormValue:
     """rho = -i del dbar log det(Gram)."""
     det = mat_det(gram)
@@ -310,12 +295,7 @@ def chern_scalar_of(omega: FormValue, gram, ctx: TypeContext):
     """
     rho = chern_ricci_form(gram, ctx)
     m = omega.chart.ncomplex
-    power = omega
-    for _ in range(m - 2):
-        power = power.wedge(omega)
-    numer = rho.wedge(power) if m >= 2 else rho
-    denom = power.wedge(omega) if m >= 2 else omega
-    return float(m) * _top_ratio(numer, denom)
+    return float(m) * top_ratio(rho.wedge(form_power(omega, m - 1)), form_power(omega, m))
 
 
 def chern_scalar(base: BaseKahlerModel, params: CalabiParams | None, p: ChartPoint) -> float:
@@ -331,13 +311,7 @@ def base_chern_scalar(base: BaseKahlerModel, z_point) -> float:
     jets = seed_jets(z_point, 3)
     hmat = base.metric(jets)
     ctx = TypeContext(standard_acs(base.chart))
-    omega = FormValue.zero(base.chart, 2)
-    for j in range(base.n):
-        for k in range(base.n):
-            omega = omega + d_complex(base.chart, j).wedge(d_complex_bar(base.chart, k)).scale(
-                1j * hmat[j][k]
-            )
-    return svalue(chern_scalar_of(omega, hmat, ctx)).real
+    return svalue(chern_scalar_of(hermitian_form(base.chart, hmat), hmat, ctx)).real
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +319,17 @@ def base_chern_scalar(base: BaseKahlerModel, z_point) -> float:
 
 
 def volume_norm(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
+    """sqrt(|Omega^Omega_bar| / (omega^m/m!)), Omega = dz_1^...^dz_m.
+
+    The modulus drops the constant phase of Omega^Omega_bar; the ratio
+    raises DomainError unless omega^m is positive.
+    """
     fr = CanonicalBundleFrame(base, params, p, 1)
     omega = fr.metric().values()
     vol = fr.volume_form()
     m = fr.chart.ncomplex
-    power = omega
-    fact = 1.0
-    for j in range(2, m + 1):
-        power = power.wedge(omega)
-        fact *= j
-    numer = svalue(vol.wedge(vol.conj()).coefficient(tuple(range(fr.chart.dim))))
-    denom = svalue(power.coefficient(tuple(range(fr.chart.dim)))) / fact
-    return math.sqrt(abs(numer / denom))
+    numer = vol.wedge(vol.conj()).map_coeffs(abs)
+    return math.sqrt(math.factorial(m) * top_ratio(numer, form_power(omega, m)).real)
 
 
 def constant_norm_residual(base: BaseKahlerModel, params: CalabiParams, points) -> float:
@@ -369,10 +342,7 @@ def constant_norm_residual(base: BaseKahlerModel, params: CalabiParams, points) 
 def km_balanced_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
     """Relative sup of d(omega^n) on the (n+1)-dimensional total space."""
     fr = CanonicalBundleFrame(base, params, p, 2)
-    omega = fr.metric()
-    power = omega
-    for _ in range(base.n - 1):
-        power = power.wedge(omega)
+    power = form_power(fr.metric(), base.n)
     d, scale = exterior_derivative_with_scale(power)
     return relative_residual(d.values().sup(), nan_max([scale, power.values().sup()]))
 
@@ -387,9 +357,7 @@ def extremal_residual_of(omega: FormValue, gram, ctx: TypeContext) -> float:
     rho = chern_ricci_form(gram, ctx)
     s = chern_scalar_of(omega, gram, ctx)
     i_ddbar_s = i_ddbar(ctx, s)
-    lap_s = float(m) * _top_ratio(
-        i_ddbar_s.wedge(_power(omega, m - 1)), _power(omega, m)
-    )
+    lap_s = float(m) * top_ratio(i_ddbar_s.wedge(form_power(omega, m - 1)), form_power(omega, m))
     lhs = i_ddbar_s.values().wedge(rho.values()).scale(2.0 * (m - 1))
     inner = omega.scale(lap_s * 2.0 + s * s)
     _, dbar_inner, _ = ctx.d_split(inner, ptype=(1, 1))
@@ -397,15 +365,6 @@ def extremal_residual_of(omega: FormValue, gram, ctx: TypeContext) -> float:
     rhs = del_dbar_inner.values().scale(1j)
     scale = nan_max([lhs.sup(), rhs.sup(), 1.0])
     return relative_residual((lhs - rhs).sup(), scale)
-
-
-def _power(omega: FormValue, k: int) -> FormValue:
-    if k == 0:
-        return FormValue.scalar(omega.chart, 1.0 + 0.0j)
-    out = omega
-    for _ in range(k - 1):
-        out = out.wedge(omega)
-    return out
 
 
 def extremal_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .jets import InsufficientJetOrder, Jet, jet_space, seed_jets
+from .jets import InsufficientJetOrder, Jet
 
 PRUNE_EPS = 1e-300  # only exact-zero scale pruning; tolerances live in comparisons
 
@@ -34,6 +34,10 @@ class ChartMismatch(Exception):
 
 class DegreeError(Exception):
     pass
+
+
+class DomainError(Exception):
+    """A point or a form outside the domain where the quantity is defined."""
 
 
 @dataclass(frozen=True)
@@ -77,9 +81,6 @@ class ChartPoint:
 
     def complex_coord(self, j: int) -> complex:
         return complex(self.coords[2 * j], self.coords[2 * j + 1])
-
-    def seeds(self, order: int) -> list:
-        return seed_jets(self.coords, order)
 
 
 def point(chart: Chart, *coords) -> ChartPoint:
@@ -208,9 +209,6 @@ class FormValue:
             terms[merged] = acc
         return FormValue(self.chart, deg, terms)
 
-    def __xor__(self, other):  # a ^ b as wedge shorthand
-        return self.wedge(other)
-
     def conj(self) -> "FormValue":
         return FormValue(self.chart, self.degree, {m: sconj(c) for m, c in self.terms.items()})
 
@@ -280,10 +278,6 @@ def wedge_with_scale(a: FormValue, b: FormValue):
     """Wedge plus the sup of the individual term products (cancellation scale)."""
     scale = nan_max(smag(ca) * smag(cb) for ca in a.terms.values() for cb in b.terms.values())
     return a.wedge(b), scale
-
-
-def d_real(chart: Chart, v: int) -> FormValue:
-    return FormValue(chart, 1, {(v,): 1.0 + 0.0j})
 
 
 def d_complex(chart: Chart, j: int) -> FormValue:
@@ -364,6 +358,43 @@ def exterior_derivative_with_scale(form: FormValue):
 
 def differential_of_scalar(f: Jet, chart: Chart) -> FormValue:
     return exterior_derivative(FormValue.scalar(chart, f))
+
+
+# ---------------------------------------------------------------------------
+# Hermitian forms and their top powers
+
+
+def hermitian_form(chart: Chart, H, offset: int = 0) -> FormValue:
+    """sum_jk i H_jk dz_{offset+j} ^ dzbar_{offset+k}: the (1,1)-form of a Hermitian matrix."""
+    out = FormValue.zero(chart, 2)
+    for j, row in enumerate(H):
+        for k, h in enumerate(row):
+            out = out + d_complex(chart, offset + j).wedge(d_complex_bar(chart, offset + k)).scale(1j * h)
+    return out
+
+
+def form_power(omega: FormValue, k: int) -> FormValue:
+    """omega^k, wedged from the left; omega^0 is the constant 1."""
+    if k == 0:
+        return FormValue.scalar(omega.chart, 1.0 + 0.0j)
+    out = omega
+    for _ in range(k - 1):
+        out = out.wedge(omega)
+    return out
+
+
+def top_ratio(a: FormValue, b: FormValue):
+    """a / b for top-degree forms, where b is omega^m of a Hermitian form omega.
+
+    Raises DomainError unless the top coefficient of b has a positive real
+    part, and on NaN, so a form that is not positive yields neither a trace
+    nor a norm.
+    """
+    top = tuple(range(a.chart.dim))
+    d = b.coefficient(top)
+    if not svalue(d).real > 0.0:
+        raise DomainError(f"top form {svalue(d):.3g} is not positive: the form is not a metric here")
+    return a.coefficient(top) / d
 
 
 # ---------------------------------------------------------------------------

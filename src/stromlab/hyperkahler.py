@@ -5,7 +5,7 @@ where the (2,0)-form is dz1 wedge dz2; the potential carries exact jets to
 any order through the AD tower.  The hyperkahler condition pins the
 complex Monge-Ampere determinant of the potential to 1/4, which is the
 certification oracle: a candidate potential is only trusted once
-:func:`validate_hyperkahler` passes on a sample.
+:func:`det_residual` vanishes on a sample.
 
 The Eguchi-Hanson model lives on the punctured double cover C^2 minus the
 origin; the Z_2 quotient and the zero section are never represented, so
@@ -15,36 +15,31 @@ all identities here are local ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .forms import (
     AlmostComplexStructure,
     Chart,
     ChartPoint,
+    DomainError,
     FormValue,
     TypeContext,
     acs_from_complex_action,
-    d_complex,
-    d_complex_bar,
-    gram_curvature,
     coframe_gram,
-    mat_inv,
+    d_complex,
+    gram_curvature,
+    hermitian_form,
     nan_max,
     relative_residual,
     standard_acs,
     svalue,
     wedge_with_scale,
 )
-from .jets import Jet, jet_space, seed_jets, wirtinger
+from .jets import Jet, seed_jets, wirtinger
 
 FLAT_CHART = Chart("flat_r4", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
 EH_CHART = Chart("eguchi_hanson_cover", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
 
 MONGE_AMPERE_TARGET = 0.25
-
-
-class DomainError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -100,54 +95,6 @@ def eh_radial_derivatives(t: float, a: float) -> list:
 
 # ---------------------------------------------------------------------------
 # jets of the potential
-
-
-class KappaJet:
-    """Mixed holomorphic/antiholomorphic partials of the potential at a point.
-
-    Keys are exponent pairs ((n1, n2), (m1, m2)) for d^{n}/dz^{n} d^{m}/dzbar^{m}.
-    """
-
-    def __init__(self, entries: dict, order: int):
-        self.entries = entries
-        self.order = order
-
-    def d(self, holo=(), anti=()) -> complex:
-        key = (_expo(holo), _expo(anti))
-        return self.entries[key]
-
-    def hermitian(self):
-        """[kappa_{i jbar}] as a 2x2 matrix."""
-        return [
-            [self.d(holo=(1,), anti=(1,)), self.d(holo=(1,), anti=(2,))],
-            [self.d(holo=(2,), anti=(1,)), self.d(holo=(2,), anti=(2,))],
-        ]
-
-
-def _expo(indices) -> tuple:
-    e = [0, 0]
-    for i in indices:
-        e[i - 1] += 1
-    return tuple(e)
-
-
-def kappa_jet(model: HyperkahlerModel, p: ChartPoint, order: int = 4) -> KappaJet:
-    """All mixed Wirtinger partials of the potential up to total order."""
-    model.check_domain(p.coords)
-    k = model.kappa(seed_jets(p.coords, order))
-    entries = {}
-    for total in range(order + 1):
-        for nh in range(total + 1):
-            na = total - nh
-            for hcombo in combinations_with_replacement((1, 2), nh):
-                for acombo in combinations_with_replacement((1, 2), na):
-                    jet = k
-                    for i in hcombo:
-                        jet = wirtinger(jet, 2 * (i - 1), 2 * (i - 1) + 1, bar=False)
-                    for i in acombo:
-                        jet = wirtinger(jet, 2 * (i - 1), 2 * (i - 1) + 1, bar=True)
-                    entries[(_expo(hcombo), _expo(acombo))] = jet.value
-    return KappaJet(entries, order)
 
 
 def kappa_hermitian_jets(model: HyperkahlerModel, xjets, offset_pair: int = 0):
@@ -216,31 +163,11 @@ def triple_forms(model: HyperkahlerModel, chart: Chart, offset_pair: int, xjets)
     omega_I = i ddbar kappa from the potential Hessian; omega_J + i omega_K
     = dz1 wedge dz2.
     """
-    kh = kappa_hermitian_jets(model, xjets, offset_pair)
-    dz = [d_complex(chart, offset_pair), d_complex(chart, offset_pair + 1)]
-    dzb = [d_complex_bar(chart, offset_pair), d_complex_bar(chart, offset_pair + 1)]
-    omega_I = FormValue.zero(chart, 2)
-    for i in range(2):
-        for j in range(2):
-            omega_I = omega_I + dz[i].wedge(dzb[j]).scale(1j * kh[i][j])
-    holo2 = dz[0].wedge(dz[1])
+    omega_I = hermitian_form(chart, kappa_hermitian_jets(model, xjets, offset_pair), offset_pair)
+    holo2 = d_complex(chart, offset_pair).wedge(d_complex(chart, offset_pair + 1))
     omega_J = (holo2 + holo2.conj()).scale(0.5)
     omega_K = (holo2 - holo2.conj()).scale(-0.5j)
     return HyperkahlerTriple(omega_I, omega_J, omega_K)
-
-
-def hk_triple(model: HyperkahlerModel, p: ChartPoint, order: int = 0) -> HyperkahlerTriple:
-    model.check_domain(p.coords)
-    xjets = seed_jets(p.coords, max(order + 2, 2))
-    t = triple_forms(model, model.chart, 0, xjets)
-    if order == 0:
-        return HyperkahlerTriple(t.omega_I.values(), t.omega_J.values(), t.omega_K.values())
-    return t
-
-
-def volume_form(triple: HyperkahlerTriple) -> FormValue:
-    """vol with omega_I^2 = 2 vol."""
-    return triple.omega_I.wedge(triple.omega_I).scale(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +226,6 @@ def quaternion_operator(
     return acs_from_complex_action(chart, action)
 
 
-def quaternion_action(model: HyperkahlerModel, p: ChartPoint, eta: FormValue, which: str) -> FormValue:
-    """Apply I, J or K to a 1-form at a point of the 4-manifold chart."""
-    model.check_domain(p.coords)
-    xjets = seed_jets(p.coords, 2)
-    op = quaternion_operator(model, which, xjets)
-    return op.values().apply(eta).map_coeffs(svalue)
-
-
 # ---------------------------------------------------------------------------
 # certification residuals
 
@@ -318,11 +237,6 @@ def det_residual(model: HyperkahlerModel, p: ChartPoint) -> float:
     kh = kappa_hermitian_jets(model, xjets)
     det = kh[0][0] * kh[1][1] - kh[0][1] * kh[1][0]
     return abs(svalue(det) - MONGE_AMPERE_TARGET)
-
-
-def validate_hyperkahler(model: HyperkahlerModel, points) -> float:
-    """Max Monge-Ampere determinant residual over a sample of points."""
-    return nan_max(det_residual(model, p) for p in points)
 
 
 def cotangent_gram(model: HyperkahlerModel, xjets):

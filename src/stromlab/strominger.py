@@ -15,7 +15,6 @@ once from the frame Gram matrix and once from its reduction, never shared.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .forms import (
@@ -35,26 +34,12 @@ from .forms import (
     matrix_wedge_trace,
     nan_max,
     relative_residual,
-    standard_acs,
     svalue,
     wedge_with_scale,
 )
 from .hyperkahler import HyperkahlerModel, kappa_hermitian_jets, quaternion_operator
 from .jets import Jet, jet_space
-from .twistor import AnsatzParams, TwistorFrame, _FrameData, twistor_chart
-
-
-@dataclass(frozen=True)
-class HermitianGram:
-    """Gram matrix of the holomorphic frame {dzeta, zeta dw_1, zeta dw_2}.
-
-    A = s^2 / (2 e^{2g}) and B = s^3 / e^{2h+g} are the two scalar weights
-    out of which the matrix is assembled.
-    """
-
-    H: tuple
-    A: float
-    B: float
+from .twistor import AnsatzParams, TwistorFrame, _FrameData
 
 
 @dataclass
@@ -65,9 +50,6 @@ class CurvatureValue:
 
     def trace(self) -> FormValue:
         return matrix_trace_form(self.entries)
-
-    def values(self) -> "CurvatureValue":
-        return CurvatureValue([[e.values() for e in row] for row in self.entries])
 
     def sup(self) -> float:
         return nan_max(e.sup() for row in self.entries for e in row)
@@ -123,26 +105,6 @@ def balanced_residual(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoi
 
 
 # ---------------------------------------------------------------------------
-# Chern curvature of a Hermitian Gram field
-
-
-def chern_curvature(h_field, p: ChartPoint, acs_field=None, order: int = 2) -> CurvatureValue:
-    """R = dbar(Hbar^-1 del Hbar) for a Gram-matrix field.
-
-    ``h_field(point, order)`` returns the matrix with jet entries;
-    ``acs_field(point, order)`` the almost complex structure (defaults to
-    the standard one of the chart).
-    """
-    H = h_field(p, order)
-    if acs_field is None:
-        acs = standard_acs(p.chart)
-    else:
-        acs = acs_field(p, order)
-    ctx = TypeContext(acs)
-    return CurvatureValue(gram_curvature(H, ctx))
-
-
-# ---------------------------------------------------------------------------
 # the frame Gram matrix and its pieces
 
 
@@ -170,6 +132,11 @@ class AnsatzCurvatureData:
         self._frame_curvature = None
 
     def gram(self):
+        """Gram matrix of the holomorphic frame {dzeta, zeta dw_1, zeta dw_2}.
+
+        It is assembled from the weights A = s^2 / (2 e^{2g}) and
+        B = s^3 / e^{2h+g}, the quotient Gram U and the frame coefficients L.
+        """
         A, B, L = self.A, self.B, self.Lvec
         H = [[None] * 3 for _ in range(3)]
         H[0][0] = A
@@ -205,23 +172,6 @@ class AnsatzCurvatureData:
             for j in range(2):
                 out = out + dbar_L[i].scale(Ubar_inv[i][j]).wedge(dbar_L[j].conj())
         return out
-
-
-def ansatz_gram(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> HermitianGram:
-    data = AnsatzCurvatureData(model, params, p, order=2)
-    H = tuple(tuple(svalue(e) for e in row) for row in data.gram())
-    return HermitianGram(H=H, A=svalue(data.A).real, B=svalue(data.B).real)
-
-
-def quotient_gram(model: HyperkahlerModel, p: ChartPoint, params: AnsatzParams | None = None):
-    """U = E K Ebar^T as a tuple of rows, and F' = dbar(Ubar^-1 del Ubar).
-
-    The quotient metric does not involve the conformal profiles; ``params``
-    is accepted for interface uniformity only.
-    """
-    data = AnsatzCurvatureData(model, params or AnsatzParams.constants(), p, order=4)
-    U = tuple(tuple(svalue(e) for e in row) for row in data.U)
-    return U, data.quotient_curvature().values()
 
 
 _DATA_CACHE: dict = {}  # one entry: (model, params, point, jet space) -> AnsatzCurvatureData

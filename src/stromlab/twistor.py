@@ -22,6 +22,7 @@ from .forms import (
     AlmostComplexStructure,
     Chart,
     ChartPoint,
+    DomainError,
     FormValue,
     TypeContext,
     acs_from_complex_action,
@@ -29,14 +30,14 @@ from .forms import (
     d_complex_bar,
     differential_of_scalar,
     exterior_derivative,
+    form_power,
     nan_max,
     svalue,
     to_complex_components,
+    top_ratio,
 )
 from .hyperkahler import (
-    DomainError,
     HyperkahlerModel,
-    HyperkahlerTriple,
     kappa_hermitian_jets,
     kappa_third_jets,
     triple_forms,
@@ -64,26 +65,8 @@ def const_like(jet: Jet, value) -> Jet:
 # the sphere of complex structures
 
 
-@dataclass(frozen=True)
-class SphereCoords:
-    alpha: float
-    beta: float
-    gamma: float
-
-    def norm_residual(self) -> float:
-        return abs(self.alpha**2 + self.beta**2 + self.gamma**2 - 1.0)
-
-
-def sphere_map(zeta: complex) -> SphereCoords:
-    """Stereographic identification of the zeta-plane with the unit sphere."""
-    s = 1.0 + abs(zeta) ** 2
-    return SphereCoords(
-        (1.0 - abs(zeta) ** 2) / s, 2.0 * zeta.real / s, 2.0 * zeta.imag / s
-    )
-
-
 def sphere_jets(zr: Jet, zi: Jet):
-    """alpha, beta, gamma and s = 1 + |zeta|^2 as jets."""
+    """alpha, beta, gamma and s = 1 + |zeta|^2 as jets: zeta's stereographic image on the unit sphere."""
     mod2 = zr * zr + zi * zi
     s = mod2 + 1.0
     inv = s.reciprocal()
@@ -246,44 +229,19 @@ def _twistor_acs_from_frame(fr: TwistorFrame) -> AlmostComplexStructure:
     return acs_from_complex_action(fr.chart, action)
 
 
-def twistor_acs(model: HyperkahlerModel, p: ChartPoint, order: int = 0) -> AlmostComplexStructure:
-    """The twistor complex structure acting on 1-forms at a point."""
-    fr = TwistorFrame(model, p, max(order, 0) + 2)
-    acs = fr.acs
-    return acs if order > 0 else acs.values()
-
-
-def holomorphic_volume(model: HyperkahlerModel, p: ChartPoint, order: int = 0) -> FormValue:
-    """The trivializing (3,0)-form; d-closed."""
-    fr = TwistorFrame(model, p, max(order, 1) + 2)
-    omega = fr.volume_3form()
-    return omega if order > 0 else omega.values()
-
-
-def ansatz_metric(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint, order: int = 0) -> FormValue:
-    """The Hermitian ansatz form; positive (1,1) for the twistor structure."""
-    fr = TwistorFrame(model, p, max(order, 0) + 2, params)
-    omega = fr.metric()
-    return omega if order > 0 else omega.values()
-
-
 def omega_norm(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> float:
     """Norm of the holomorphic volume form against the ansatz metric.
 
-    Computed from the top-form ratio of Omega^Omega_bar and omega^3/3!,
-    with the sign fixed so the output is positive; only ratios across
-    points are meaningful since the overall constant is conventional.
+    sqrt(|Omega^Omega_bar| / (omega^3/3!)); the modulus drops the constant
+    phase of Omega^Omega_bar, and the ratio raises DomainError unless
+    omega^3 is positive.  Only ratios across points are meaningful since
+    the overall constant is conventional.
     """
     fr = TwistorFrame(model, p, 2, params)
     omega = fr.metric().values()
     vol = fr.volume_3form().values()
-    top = tuple(range(fr.chart.dim))
-    omega3 = omega.wedge(omega).wedge(omega)
-    denom = svalue(omega3.coefficient(top)) / 6.0
-    if abs(denom) == 0.0:
-        raise ZeroDivisionError("degenerate ansatz metric")
-    numer = svalue(vol.wedge(vol.conj()).coefficient(top))
-    return math.sqrt(abs(numer / denom))
+    numer = vol.wedge(vol.conj()).map_coeffs(abs)
+    return math.sqrt(6.0 * top_ratio(numer, form_power(omega, 3)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +293,7 @@ def w_field_jets(fr: TwistorFrame):
 
 
 def theta_coframe_jets(fr: TwistorFrame):
+    """theta_1, theta_2: (1,0)-forms completing dzeta to a coframe for zeta != 0."""
     if abs(svalue(fr.zeta)) == 0.0:
         raise DomainError("theta coframe is singular at zeta = 0")
     inv = fr.zeta.reciprocal()
@@ -347,15 +306,6 @@ def theta_coframe_jets(fr: TwistorFrame):
         fr.dz[0].scale(2j * inv * k11) + fr.dz[1].scale(2j * inv * k21) - fr.dzb[1]
     )
     return theta1, theta2
-
-
-def theta_coframe(model: HyperkahlerModel, p: ChartPoint, order: int = 0):
-    """theta_1, theta_2: (1,0)-forms completing dzeta to a coframe for zeta != 0."""
-    fr = TwistorFrame(model, p, max(order, 0) + 2)
-    t1, t2 = theta_coframe_jets(fr)
-    if order > 0:
-        return t1, t2
-    return t1.values(), t2.values()
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +352,7 @@ class _FrameData:
             self.D.append(comps[5])
         det = self.C[0] * self.D[1] - self.C[1] * self.D[0]
         if abs(svalue(det)) < 1e-14:
-            raise ZeroDivisionError("frame solve is singular at this point")
+            raise DomainError("frame solve is singular at this point")
 
     def theta(self):
         return theta_coframe_jets(self.fr)

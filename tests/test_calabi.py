@@ -11,7 +11,6 @@ from stromlab.calabi import (
     Profile,
     ZeroSectionError,
     base_chern_scalar,
-    calabi_metric,
     chern_scalar,
     constant_norm_residual,
     extremal_residual,
@@ -77,7 +76,7 @@ def test_scaling_divides_scalar():
 
 def test_metric_reduces_to_induced_form():
     p = total_points(TORUS, 1, seed=1)[0]
-    omega = calabi_metric(TORUS, CalabiParams.plain(), p)
+    omega = CanonicalBundleFrame(TORUS, CalabiParams.plain(), p, 1).metric().values()
     # flat base, R = |t|^2: fiber part is i dt ^ dtbar
     from stromlab.forms import d_complex, d_complex_bar
 
@@ -90,7 +89,7 @@ def test_metric_reduces_to_induced_form():
 
 def test_zero_section_rejected():
     with pytest.raises(ZeroSectionError):
-        calabi_metric(FS, CalabiParams.plain(), point(FS.total_chart, 0.1, 0.2, 0.0, 0.0))
+        CanonicalBundleFrame(FS, CalabiParams.plain(), point(FS.total_chart, 0.1, 0.2, 0.0, 0.0), 1)
 
 
 def test_omega0_kahler_iff_flat_base():

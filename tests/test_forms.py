@@ -8,14 +8,16 @@ from stromlab.forms import (
     Chart,
     ChartPoint,
     DegreeError,
+    DomainError,
     FormValue,
     InsufficientJetOrder,
     TypeContext,
     d_complex,
     d_complex_bar,
-    d_real,
     exterior_derivative,
     exterior_derivative_with_scale,
+    form_power,
+    hermitian_form,
     i_ddbar,
     is_zero_scalar,
     nan_max,
@@ -23,6 +25,7 @@ from stromlab.forms import (
     relative_residual,
     standard_acs,
     to_complex_components,
+    top_ratio,
     wedge_with_scale,
 )
 from stromlab.jets import Jet, jet_space, seed_jets
@@ -50,6 +53,10 @@ def random_polynomial_form(chart, degree, rng, order, coords):
 
 
 # -- wedge algebra ----------------------------------------------------------
+
+
+def d_real(chart, v):
+    return FormValue(chart, 1, {(v,): 1.0 + 0.0j})
 
 
 def test_wedge_basis_case():
@@ -307,3 +314,26 @@ def test_complex_components_cache_is_per_chart():
     line = Chart("c2", ("x", "y"), ("z",))
     assert to_complex_components(d_complex(C2, 1))[1] == pytest.approx(1.0)
     assert to_complex_components(d_complex_bar(line, 0)) == pytest.approx([0.0, 1.0])
+
+
+# -- top forms -----------------------------------------------------------------
+
+
+def test_form_power_and_top_ratio_of_a_hermitian_form():
+    omega = hermitian_form(C2, [[2.0, 0.5j], [-0.5j, 1.0]])
+    assert form_power(omega, 0).terms == {(): 1.0 + 0.0j}
+    assert form_power(omega, 1).terms == omega.terms
+    # omega^2 / 2! = det(H) (i dz1^dzb1)^(i dz2^dzb2) = 4 det(H) dx1^dy1^dx2^dy2
+    assert form_power(omega, 2).coefficient((0, 1, 2, 3)) == pytest.approx(2.0 * 4.0 * 1.75)
+    assert top_ratio(form_power(omega, 2).scale(3.0), form_power(omega, 2)) == pytest.approx(3.0)
+
+
+def test_top_ratio_rejects_a_form_that_is_not_positive():
+    indefinite = hermitian_form(C2, [[1.0, 0.0], [0.0, -1.0]])
+    numer = FormValue(C2, 4, {(0, 1, 2, 3): 1.0})
+    with pytest.raises(DomainError):
+        top_ratio(numer, form_power(indefinite, 2))
+    with pytest.raises(DomainError):
+        top_ratio(numer, FormValue(C2, 4, {(0, 1, 2, 3): complex(math.nan, 0.0)}))
+    with pytest.raises(DomainError):
+        top_ratio(numer, FormValue.zero(C2, 4))

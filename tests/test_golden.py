@@ -10,7 +10,7 @@ balanced check).  The certificates without a workload (``omega_norm``,
 recorded alongside.
 
 A value matches when |new - old| <= 1e-12 max(1, |old|); NaN and inf never
-match.  ``python tests/test_golden.py`` records the file again.
+match.  ``PYTHONPATH=src python tests/test_golden.py`` records the file again.
 """
 
 import json

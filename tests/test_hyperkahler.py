@@ -1,9 +1,8 @@
-import math
 import random
 
 import pytest
 
-from stromlab.forms import FormValue, d_complex, d_complex_bar, exterior_derivative, point, svalue
+from stromlab.forms import FormValue, d_complex, d_complex_bar, exterior_derivative, nan_max, point, svalue
 from stromlab.hyperkahler import (
     EH_CHART,
     FLAT_CHART,
@@ -14,14 +13,12 @@ from stromlab.hyperkahler import (
     eguchi_hanson,
     eh_radial_derivatives,
     flat_model,
-    hk_triple,
     kappa_hermitian_jets,
-    kappa_jet,
-    quaternion_action,
-    validate_hyperkahler,
-    volume_form,
+    kappa_third_jets,
+    quaternion_operator,
+    triple_forms,
 )
-from stromlab.jets import seed_jets
+from stromlab.jets import seed_jets, wirtinger
 
 
 def sample_points(chart, n, seed, lo=-1.4, hi=1.4, min_r2=0.4):
@@ -38,17 +35,34 @@ FLAT = flat_model()
 EH = eguchi_hanson(1.0)
 
 
+def triple_values(model, p):
+    t = triple_forms(model, model.chart, 0, seed_jets(p.coords, 2))
+    return t.omega_I.values(), t.omega_J.values(), t.omega_K.values()
+
+
+def quaternion_at(model, p):
+    """I, J and K on the 1-forms of the 4-manifold chart, at the point's values."""
+    xjets = seed_jets(p.coords, 2)
+    return {which: quaternion_operator(model, which, xjets).values() for which in "IJK"}
+
+
 # -- potential jets ----------------------------------------------------------
 
 
 def test_flat_kappa_jet_values():
+    # through the AD tower of the potential, which the flat Hessian shortcut skips
     p = point(FLAT_CHART, 0.3, -0.7, 1.1, 0.4)
-    kj = kappa_jet(FLAT, p, order=3)
-    assert kj.d(holo=(1,), anti=(1,)) == pytest.approx(0.5)
-    assert kj.d(holo=(2,), anti=(2,)) == pytest.approx(0.5)
-    assert kj.d(holo=(1,), anti=(2,)) == pytest.approx(0.0, abs=1e-15)
-    assert kj.d(holo=(1, 1), anti=(1,)) == pytest.approx(0.0, abs=1e-15)
-    assert kj.d(holo=(1,), anti=(1, 2)) == pytest.approx(0.0, abs=1e-15)
+    kappa = FLAT.kappa(seed_jets(p.coords, 3))
+
+    def d(jet, i, bar):
+        return wirtinger(jet, 2 * (i - 1), 2 * i - 1, bar=bar)
+
+    k1 = d(kappa, 1, False)
+    assert d(k1, 1, True).value == pytest.approx(0.5)
+    assert d(d(kappa, 2, False), 2, True).value == pytest.approx(0.5)
+    assert d(k1, 2, True).value == pytest.approx(0.0, abs=1e-15)
+    assert d(d(k1, 1, False), 1, True).value == pytest.approx(0.0, abs=1e-15)
+    assert kappa_third_jets(FLAT, seed_jets(p.coords, 3))[0][0][1].value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_flat_determinant_exact():
@@ -77,21 +91,21 @@ def test_eh_mixed_partials_chain_rule_oracle():
     z = [p.complex_coord(0), p.complex_coord(1)]
     t = sum(abs(w) ** 2 for w in z)
     _, k1, k2, _, _ = eh_radial_derivatives(t, 1.0)
-    kj = kappa_jet(EH, p, order=2)
+    kh = kappa_hermitian_jets(EH, seed_jets(p.coords, 2))
     for i in (1, 2):
         for j in (1, 2):
             expected = k1 * (i == j) + k2 * z[i - 1].conjugate() * z[j - 1]
-            assert kj.d(holo=(i,), anti=(j,)) == pytest.approx(expected, rel=1e-10)
+            assert kh[i - 1][j - 1].value == pytest.approx(expected, rel=1e-10)
 
 
 def test_eh_determinant_certification():
     pts = sample_points(EH_CHART, 1000, seed=17)
-    assert validate_hyperkahler(EH, pts) <= 1e-9
+    assert nan_max(det_residual(EH, p) for p in pts) <= 1e-9
 
 
 def test_eh_domain_error_at_origin():
     with pytest.raises(DomainError):
-        kappa_jet(EH, point(EH_CHART, 0.0, 0.0, 0.0, 0.0), order=2)
+        det_residual(EH, point(EH_CHART, 0.0, 0.0, 0.0, 0.0))
 
 
 def test_perturbed_potential_fails_certification():
@@ -119,25 +133,25 @@ def test_perturbed_potential_fails_certification():
 
 def test_flat_triple_closed_forms():
     p = point(FLAT_CHART, 0.4, 0.8, -0.3, 0.6)
-    t = hk_triple(FLAT, p)
+    omega_I, omega_J, omega_K = triple_values(FLAT, p)
     dz1, dz2 = d_complex(FLAT_CHART, 0), d_complex(FLAT_CHART, 1)
     dzb1, dzb2 = d_complex_bar(FLAT_CHART, 0), d_complex_bar(FLAT_CHART, 1)
     expected_I = (dz1.wedge(dzb1) + dz2.wedge(dzb2)).scale(0.5j)
-    assert (t.omega_I - expected_I).sup() < 1e-14
+    assert (omega_I - expected_I).sup() < 1e-14
     holo = dz1.wedge(dz2)
-    assert (t.omega_J + t.omega_K.scale(1j) - holo).sup() < 1e-14
+    assert (omega_J + omega_K.scale(1j) - holo).sup() < 1e-14
 
 
 @pytest.mark.parametrize("model,chart", [(FLAT, FLAT_CHART), (EH, EH_CHART)])
 def test_triple_orthogonality_and_volume(model, chart):
     for p in sample_points(chart, 5, seed=23):
-        t = hk_triple(model, p)
-        assert t.omega_J.wedge(t.omega_K).sup() < 1e-12
-        assert t.omega_I.wedge(t.omega_J).sup() < 1e-12
-        assert t.omega_I.wedge(t.omega_K).sup() < 1e-12
-        vol2_I = t.omega_I.wedge(t.omega_I)
-        vol2_J = t.omega_J.wedge(t.omega_J)
-        vol2_K = t.omega_K.wedge(t.omega_K)
+        omega_I, omega_J, omega_K = triple_values(model, p)
+        assert omega_J.wedge(omega_K).sup() < 1e-12
+        assert omega_I.wedge(omega_J).sup() < 1e-12
+        assert omega_I.wedge(omega_K).sup() < 1e-12
+        vol2_I = omega_I.wedge(omega_I)
+        vol2_J = omega_J.wedge(omega_J)
+        vol2_K = omega_K.wedge(omega_K)
         assert (vol2_I - vol2_J).sup() < 1e-9
         assert (vol2_I - vol2_K).sup() < 1e-9
 
@@ -145,7 +159,7 @@ def test_triple_orthogonality_and_volume(model, chart):
 @pytest.mark.parametrize("model,chart", [(FLAT, FLAT_CHART), (EH, EH_CHART)])
 def test_triple_is_closed(model, chart):
     for p in sample_points(chart, 4, seed=31):
-        t = hk_triple(model, p, order=1)
+        t = triple_forms(model, chart, 0, seed_jets(p.coords, 3))
         for omega in (t.omega_I, t.omega_J, t.omega_K):
             assert exterior_derivative(omega).values().sup() <= 1e-10
 
@@ -155,7 +169,7 @@ def test_two_zero_form_is_dbar_closed_type_20():
     from stromlab.forms import TypeContext, standard_acs
 
     for p in sample_points(EH_CHART, 3, seed=5):
-        t = hk_triple(EH, p, order=1)
+        t = triple_forms(EH, EH_CHART, 0, seed_jets(p.coords, 3))
         form = t.omega_J + t.omega_K.scale(1j)
         ctx = TypeContext(standard_acs(EH_CHART))
         parts = ctx.decompose(form.values())
@@ -170,32 +184,31 @@ def test_two_zero_form_is_dbar_closed_type_20():
 
 
 def test_flat_action_table_cases():
-    p = point(FLAT_CHART, 0.2, -0.4, 0.9, 0.3)
+    q = quaternion_at(FLAT, point(FLAT_CHART, 0.2, -0.4, 0.9, 0.3))
     dz1, dz2 = d_complex(FLAT_CHART, 0), d_complex(FLAT_CHART, 1)
     dzb1, dzb2 = d_complex_bar(FLAT_CHART, 0), d_complex_bar(FLAT_CHART, 1)
-    assert (quaternion_action(FLAT, p, dz1, "J") + dzb2).sup() < 1e-14
-    assert (quaternion_action(FLAT, p, dz2, "K") - dzb1.scale(1j)).sup() < 1e-14
-    assert (quaternion_action(FLAT, p, dz1, "I") - dz1.scale(1j)).sup() < 1e-14
+    assert (q["J"].apply(dz1) + dzb2).sup() < 1e-14
+    assert (q["K"].apply(dz2) - dzb1.scale(1j)).sup() < 1e-14
+    assert (q["I"].apply(dz1) - dz1.scale(1j)).sup() < 1e-14
 
 
 @pytest.mark.parametrize("model,chart", [(FLAT, FLAT_CHART), (EH, EH_CHART)])
 def test_quaternion_relations(model, chart):
     rng = random.Random(2)
     for p in sample_points(chart, 3, seed=41):
+        q = quaternion_at(model, p)
         eta = FormValue(
             chart, 1, {(v,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for v in range(4)}
         )
         for which in "IJK":
-            twice = quaternion_action(model, p, quaternion_action(model, p, eta, which), which)
+            twice = q[which].apply(q[which].apply(eta))
             assert (twice + eta).sup() < 1e-10
         # K(J(I eta)) = -eta realizes IJK = -id on vectors
-        out = quaternion_action(model, p, eta, "I")
-        out = quaternion_action(model, p, out, "J")
-        out = quaternion_action(model, p, out, "K")
+        out = q["K"].apply(q["J"].apply(q["I"].apply(eta)))
         assert (out + eta).sup() < 1e-10
         # pairwise anticommutation
-        ij = quaternion_action(model, p, quaternion_action(model, p, eta, "I"), "J")
-        ji = quaternion_action(model, p, quaternion_action(model, p, eta, "J"), "I")
+        ij = q["J"].apply(q["I"].apply(eta))
+        ji = q["I"].apply(q["J"].apply(eta))
         assert (ij + ji).sup() < 1e-10
 
 

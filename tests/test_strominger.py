@@ -5,10 +5,9 @@ from itertools import combinations
 import pytest
 
 from stromlab.forms import (
+    DomainError,
     FormValue,
     TypeContext,
-    d_complex,
-    d_complex_bar,
     form_linear_combo,
     gram_curvature,
     mat_inv,
@@ -33,13 +32,10 @@ from stromlab.strominger import (
     CurvatureValue,
     RadialProfile,
     anomaly_residual,
-    ansatz_gram,
     balanced_residual,
-    chern_curvature,
     conformally_balanced_residual,
     curvature_identities,
     hym_residual,
-    quotient_gram,
     radial_h_residual,
 )
 
@@ -94,8 +90,8 @@ def test_constant_gram_curvature_vanishes():
             [one * 0.0, one * 0.0, one * 1.0],
         ]
 
-    R = chern_curvature(h_field, p)
-    assert R.values().sup() <= 1e-14
+    R = CurvatureValue(gram_curvature(h_field(p, 2), TypeContext(standard_acs(C3_CHART))))
+    assert R.sup() <= 1e-14
 
 
 def test_conformal_gram_trace():
@@ -111,10 +107,10 @@ def test_conformal_gram_trace():
         zero = jets[0] * 0.0
         return [[e, zero, zero], [zero, e, zero], [zero, zero, e]]
 
-    R = chern_curvature(h_field, p, order=3)
     from stromlab.forms import dbar_del_scalar
 
     ctx = TypeContext(standard_acs(C3_CHART))
+    R = CurvatureValue(gram_curvature(h_field(p, 3), ctx))
     jets = seed_jets(p.coords, 3)
     expected = dbar_del_scalar(ctx, 2.0 * phi_of(jets)).values()
     diff = (R.trace().values() - expected.scale(3.0)).sup()
@@ -122,7 +118,7 @@ def test_conformal_gram_trace():
     # conformal shift against the constant-Gram baseline
     for i in range(3):
         for j in range(3):
-            entry = R.values().entries[i][j]
+            entry = R.entries[i][j]
             target = expected if i == j else FormValue.zero(C3_CHART, 2)
             assert (entry - target).sup() <= 1e-10 * max(1.0, expected.sup())
 
@@ -258,7 +254,7 @@ def test_a_nan_injected_call_leaves_the_shared_data_clean():
     params = AnsatzParams.coupling_solution(alpha_prime=2.0)
     want_anomaly = cold(anomaly_residual, FLAT, params, p)
     want_hym = cold(hym_residual, FLAT, params, p)
-    F = AnsatzCurvatureData(FLAT, params, p, order=4).quotient_curvature().values()
+    F = AnsatzCurvatureData(FLAT, params, p, order=4).quotient_curvature()
     entry = F.entries[1][1]
     F.entries[1][1] = FormValue(entry.chart, 2, {**entry.terms, (4, 5): complex(float("nan"), 0.0)})
     assert not anomaly_residual(FLAT, params, p, curvature=F) <= 1e-8
@@ -272,22 +268,22 @@ def test_curvature_entries_are_1_1_and_metric_skew():
     p = twistor_points(FLAT, 1, seed=37)[0]
     data = AnsatzCurvatureData(FLAT, params, p, order=4)
     R = data.frame_curvature()
-    scale = max(1.0, R.values().sup())
+    scale = max(1.0, R.sup())
     assert R.pure_type_residual(data.fr.ctx) <= 1e-10 * scale
-    assert R.values().conjugation_residual(data.gram()) <= 1e-9 * scale
+    assert R.conjugation_residual(data.gram()) <= 1e-9 * scale
 
 
 def test_frame_gram_is_positive_and_exposes_weights():
     p = twistor_points(FLAT, 1, seed=41)[0]
     import numpy as np
 
-    gram = ansatz_gram(FLAT, AnsatzParams.constants(), p)
-    eig = np.linalg.eigvalsh(np.array(gram.H))
+    data = AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p, order=2)
+    eig = np.linalg.eigvalsh(np.array([[svalue(e) for e in row] for row in data.gram()]))
     assert eig.min() > 0.0
     zeta = complex(p.coords[0], p.coords[1])
     s = 1.0 + abs(zeta) ** 2
-    assert gram.A == pytest.approx(s * s / 2.0, rel=1e-12)
-    assert gram.B == pytest.approx(s**3, rel=1e-12)
+    assert svalue(data.A).real == pytest.approx(s * s / 2.0, rel=1e-12)
+    assert svalue(data.B).real == pytest.approx(s**3, rel=1e-12)
 
 
 # -- quotient bundle -------------------------------------------------------------
@@ -295,7 +291,9 @@ def test_frame_gram_is_positive_and_exposes_weights():
 
 def test_quotient_gram_flat_closed_form():
     p = twistor_points(FLAT, 1, seed=43)[0]
-    U, F = quotient_gram(FLAT, p)
+    data = AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p, order=4)
+    U = [[svalue(e) for e in row] for row in data.U]
+    F = data.quotient_curvature()
     zeta2 = p.coords[0] ** 2 + p.coords[1] ** 2
     assert U[0][0] == pytest.approx(2.0 * zeta2, rel=1e-12)
     assert U[1][1] == pytest.approx(2.0 * zeta2, rel=1e-12)
@@ -305,7 +303,7 @@ def test_quotient_gram_flat_closed_form():
 
 def test_quotient_curvature_no_sphere_volume_component():
     p = twistor_points(FLAT, 1, seed=47)[0]
-    _, F = quotient_gram(FLAT, p)
+    F = AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p, order=4).quotient_curvature()
     for row in F.entries:
         for e in row:
             assert abs(svalue(e.coefficient((0, 1)))) <= 1e-12
@@ -320,6 +318,12 @@ def test_hym_flat_profiles():
         params = random_ansatz_params(seed=59, pair_index=k)
         p = twistor_points(FLAT, 1, seed=400 + k)[0]
         assert hym_residual(FLAT, params, p) <= 1e-8
+
+
+def test_hym_raises_a_domain_error_at_the_frame_cutoff():
+    p = point(TWISTOR_FLAT, 1e-8, 0.0, 0.4, 0.8, -0.3, 0.5)
+    with pytest.raises(DomainError):
+        hym_residual(FLAT, AnsatzParams.coupling_solution(), p)
 
 
 def test_hym_counterexample_random_curvature():
@@ -410,7 +414,7 @@ def test_anomaly_wrong_constant_fails():
 def test_anomaly_gate_fails_on_a_nan_curvature_coefficient():
     p = twistor_points(FLAT, 1, seed=83)[0]
     params = AnsatzParams.coupling_solution(alpha_prime=2.0)
-    F = AnsatzCurvatureData(FLAT, params, p, order=4).quotient_curvature().values()
+    F = AnsatzCurvatureData(FLAT, params, p, order=4).quotient_curvature()
     # F has only dzeta^dzetabar parts, so a NaN on dx4^dx5 survives in tr(F^F);
     # it is not the first term of the difference, where a plain max() drops it
     entry = F.entries[1][1]
@@ -421,7 +425,7 @@ def test_anomaly_gate_fails_on_a_nan_curvature_coefficient():
 def test_hym_gate_fails_on_a_nan_curvature_coefficient():
     p = twistor_points(FLAT, 1, seed=83)[0]
     params = AnsatzParams.coupling_solution(alpha_prime=2.0)
-    F = AnsatzCurvatureData(FLAT, params, p, order=4).quotient_curvature().values()
+    F = AnsatzCurvatureData(FLAT, params, p, order=4).quotient_curvature()
     entry = F.entries[1][1]
     F.entries[1][1] = FormValue(entry.chart, 2, {**entry.terms, (4, 5): complex(float("nan"), 0.0)})
     assert not hym_residual(FLAT, params, p, curvature=F) <= 1e-8

@@ -5,16 +5,19 @@ import random
 import pytest
 
 from stromlab.forms import (
+    DomainError,
     FormValue,
     TypeContext,
     coframe_gram,
     d_complex,
     d_complex_bar,
     exterior_derivative,
+    form_power,
     mat_inv,
     point,
     standard_acs,
     svalue,
+    top_ratio,
 )
 from stromlab.hyperkahler import eguchi_hanson, flat_model, kappa_hermitian_jets
 from stromlab.jets import seed_jets
@@ -25,14 +28,11 @@ from stromlab.twistor import (
     TWISTOR_FLAT,
     AnsatzParams,
     TwistorFrame,
-    ansatz_metric,
     c3_chart_map,
     frame_decompose,
-    holomorphic_volume,
     omega_norm,
-    sphere_map,
-    theta_coframe,
-    twistor_acs,
+    sphere_jets,
+    theta_coframe_jets,
     twistor_chart,
     w_field_jets,
 )
@@ -50,13 +50,16 @@ def twistor_points(model, n, seed, min_zeta=0.25):
 # -- sphere map ---------------------------------------------------------------
 
 
+def sphere_values(zeta):
+    """(alpha, beta, gamma) at zeta, from the jets the twistor frame uses."""
+    zr, zi = seed_jets((zeta.real, zeta.imag), 0)
+    return tuple(svalue(x).real for x in sphere_jets(zr, zi)[:3])
+
+
 def test_sphere_map_anchors():
-    a = sphere_map(0.0)
-    assert (a.alpha, a.beta, a.gamma) == pytest.approx((1.0, 0.0, 0.0))
-    b = sphere_map(1.0 + 0.0j)
-    assert (b.alpha, b.beta, b.gamma) == pytest.approx((0.0, 1.0, 0.0))
-    c = sphere_map(1j)
-    assert (c.alpha, c.beta, c.gamma) == pytest.approx((0.0, 0.0, 1.0))
+    assert sphere_values(0j) == pytest.approx((1.0, 0.0, 0.0))
+    assert sphere_values(1.0 + 0.0j) == pytest.approx((0.0, 1.0, 0.0))
+    assert sphere_values(1j) == pytest.approx((0.0, 0.0, 1.0))
 
 
 def test_sphere_map_unit_norm_bulk():
@@ -64,7 +67,8 @@ def test_sphere_map_unit_norm_bulk():
     worst = 0.0
     for _ in range(10000):
         zeta = complex(rng.uniform(-50, 50), rng.uniform(-50, 50))
-        worst = max(worst, sphere_map(zeta).norm_residual())
+        alpha, beta, gamma = sphere_values(zeta)
+        worst = max(worst, abs(alpha**2 + beta**2 + gamma**2 - 1.0))
     assert worst <= 1e-14
 
 
@@ -74,12 +78,12 @@ def test_sphere_map_unit_norm_bulk():
 def test_acs_squares_to_minus_identity():
     for model in (FLAT, EH):
         for p in twistor_points(model, 4, seed=3):
-            assert twistor_acs(model, p).square_residual() <= 1e-12
+            assert TwistorFrame(model, p, 2).acs.values().square_residual() <= 1e-12
 
 
 def test_acs_at_zeta_zero_restricts_to_I():
     p = point(TWISTOR_FLAT, 0.0, 0.0, 0.7, -0.2, 0.4, 0.9)
-    acs = twistor_acs(FLAT, p)
+    acs = TwistorFrame(FLAT, p, 2).acs.values()
     dz1 = d_complex(TWISTOR_FLAT, 1)
     dz2 = d_complex(TWISTOR_FLAT, 2)
     assert (acs.apply(dz1) - dz1.scale(1j)).sup() <= 1e-14
@@ -88,7 +92,7 @@ def test_acs_at_zeta_zero_restricts_to_I():
 
 def test_acs_dzeta_eigenform():
     p = point(TWISTOR_FLAT, 0.4, -0.8, 0.3, 0.2, -0.5, 0.7)
-    acs = twistor_acs(FLAT, p)
+    acs = TwistorFrame(FLAT, p, 2).acs.values()
     dzeta = d_complex(TWISTOR_FLAT, 0)
     assert (acs.apply(dzeta) - dzeta.scale(1j)).sup() <= 1e-14
 
@@ -96,7 +100,7 @@ def test_acs_dzeta_eigenform():
 def test_acs_flat_beta_one_table_row():
     # at zeta = 1 the structure acts as J: du1 -> -du2_bar
     p = point(TWISTOR_FLAT, 1.0, 0.0, 0.3, -0.6, 0.8, 0.1)
-    acs = twistor_acs(FLAT, p)
+    acs = TwistorFrame(FLAT, p, 2).acs.values()
     du1 = d_complex(TWISTOR_FLAT, 1)
     dub2 = d_complex_bar(TWISTOR_FLAT, 2)
     assert (acs.apply(du1) + dub2).sup() <= 1e-14
@@ -123,7 +127,7 @@ def test_integrability_no_offtype_residue():
 
 def test_volume_at_zeta_zero_flat():
     p = point(TWISTOR_FLAT, 0.0, 0.0, 0.5, -0.3, 0.8, 0.2)
-    vol = holomorphic_volume(FLAT, p)
+    vol = TwistorFrame(FLAT, p, 2).volume_3form().values()
     expected = (
         d_complex(TWISTOR_FLAT, 1)
         .wedge(d_complex(TWISTOR_FLAT, 2))
@@ -150,7 +154,7 @@ def test_volume_is_3_0_and_closed():
 
 def test_ansatz_simplest_case_closed_form():
     p = point(TWISTOR_FLAT, 0.0, 0.0, 0.4, 0.1, -0.7, 0.3)
-    omega = ansatz_metric(FLAT, AnsatzParams.constants(), p)
+    omega = TwistorFrame(FLAT, p, 2, AnsatzParams.constants()).metric().values()
     fr = TwistorFrame(FLAT, p, 2)
     expected = fr.triple.omega_I.values() + d_complex(TWISTOR_FLAT, 0).wedge(
         d_complex_bar(TWISTOR_FLAT, 0)
@@ -231,6 +235,14 @@ def test_norm_constant_on_branch():
         assert n == pytest.approx(norms[0], rel=1e-10)
 
 
+def test_norm_rejects_a_metric_that_is_not_positive():
+    p = twistor_points(FLAT, 1, seed=67)[0]
+    omega = TwistorFrame(FLAT, p, 2, AnsatzParams.constants()).metric().values()
+    assert top_ratio(form_power(omega, 3), form_power(omega, 3)) == pytest.approx(1.0)
+    with pytest.raises(DomainError):
+        top_ratio(form_power(omega, 3), form_power(omega.scale(-1.0), 3))
+
+
 def test_norm_scaling_homogeneity():
     # omega -> 4 omega divides the norm by 8
     base = AnsatzParams.constants()
@@ -308,7 +320,7 @@ def test_expression_of_fiber_form_in_w_coordinates():
 def test_theta_flat_closed_form():
     p = point(TWISTOR_FLAT, 0.6, -0.2, 0.4, 0.8, -0.3, 0.5)
     zeta = complex(0.6, -0.2)
-    t1, t2 = theta_coframe(FLAT, p)
+    t1, t2 = (t.values() for t in theta_coframe_jets(TwistorFrame(FLAT, p, 2)))
     expected1 = d_complex(TWISTOR_FLAT, 2).scale(1j / zeta) + d_complex_bar(TWISTOR_FLAT, 1)
     expected2 = d_complex(TWISTOR_FLAT, 1).scale(1j / zeta) - d_complex_bar(TWISTOR_FLAT, 2)
     assert (t1 - expected1).sup() <= 1e-14
@@ -319,8 +331,6 @@ def test_theta_are_1_0_forms():
     for model in (FLAT, EH):
         for p in twistor_points(model, 3, seed=83):
             fr = TwistorFrame(model, p, 2)
-            from stromlab.twistor import theta_coframe_jets
-
             t1, t2 = theta_coframe_jets(fr)
             acs = fr.acs
             for t in (t1, t2):
@@ -331,7 +341,7 @@ def test_theta_are_1_0_forms():
 
 def test_theta_completes_coframe():
     for p in twistor_points(FLAT, 2, seed=89):
-        t1, t2 = theta_coframe(FLAT, p)
+        t1, t2 = (t.values() for t in theta_coframe_jets(TwistorFrame(FLAT, p, 2)))
         dzeta = d_complex(TWISTOR_FLAT, 0)
         top = dzeta.wedge(t1).wedge(t2)
         assert top.sup() > 1e-3  # nondegenerate wherever zeta != 0
@@ -341,8 +351,6 @@ def test_del_theta1_matches_closed_form():
     # del theta_1 = -(1+alpha)/(2 zeta) dzeta ^ theta_1
     for p in twistor_points(FLAT, 3, seed=97):
         fr = TwistorFrame(FLAT, p, 3)
-        from stromlab.twistor import theta_coframe_jets
-
         t1, _ = theta_coframe_jets(fr)
         del_t1, _, _ = fr.ctx.d_split(t1, ptype=(1, 0))
         zeta = svalue(fr.zeta)
@@ -359,8 +367,6 @@ def test_gram_identities(model):
     params = random_ansatz_params(seed=3, pair_index=4)
     for p in twistor_points(model, 2, seed=101):
         fr = TwistorFrame(model, p, 2, params)
-        from stromlab.twistor import theta_coframe_jets
-
         t1, t2 = theta_coframe_jets(fr)
         omega = fr.metric().values()
         acs = fr.acs.values()
@@ -404,6 +410,12 @@ def test_frame_decompose_closed_form():
     assert E[1][0] == pytest.approx(-1j * zeta, abs=1e-12)
     assert E[1][1] == pytest.approx(0.0, abs=1e-12)
     assert res.reconstruction_residual <= 1e-12
+
+
+def test_frame_decompose_raises_a_domain_error_at_the_determinant_cutoff():
+    # det E = |zeta|^2 on flat: below the 1e-14 cutoff for |zeta| < 1e-7
+    with pytest.raises(DomainError):
+        frame_decompose(FLAT, point(TWISTOR_FLAT, 1e-8, 0.0, 0.4, 0.8, -0.3, 0.5))
 
 
 def test_frame_residuals_random_points():
