@@ -10,8 +10,13 @@ like ``dbar(Hbar^-1 del Hbar)`` come out exact.
 The Dolbeault operators make no holomorphic-coordinate assumption: del
 and dbar are assembled from real partials through the (1,0)/(0,1)
 projectors of a pointwise almost complex structure.  Type decomposition
-of k-forms expands the projected basis differentials, which is both exact
-(the sum of the parts reproduces the input) and cheap at low degree.
+of k-forms expands the projected basis differentials, which is exact (the
+sum of the parts reproduces the input).  :class:`TypeContext` holds that
+expansion as one dense array per degree, indexed by (jet monomial, p,
+output multi-index, input multi-index); each degree grows from the one
+below in one batched jet product over a precomputed index plan, and a
+decomposition is one batched contraction of that array with the form's
+coefficients.
 """
 
 from __future__ import annotations
@@ -19,11 +24,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 
 import numpy as np
 
-from .jets import InsufficientJetOrder, Jet
+from .jets import InsufficientJetOrder, Jet, mul_batch, mul_contract
 
 PRUNE_EPS = 1e-300  # only exact-zero scale pruning; tolerances live in comparisons
 
@@ -295,17 +302,19 @@ def complex_basis(chart: Chart) -> list:
     return [d_complex(chart, j) for j in range(m)] + [d_complex_bar(chart, j) for j in range(m)]
 
 
-def _complex_basis_inverse(chart: Chart) -> np.ndarray:
-    """Matrix sending real-basis coefficients to complex-basis coefficients."""
-    m = chart.ncomplex
-    T = np.zeros((chart.dim, chart.dim), dtype=np.complex128)
-    for k, form in enumerate(complex_basis(chart)):
-        for (v,), c in form.terms.items():
-            T[v, k] = c
-    return np.linalg.inv(T)
+_BASIS_INV_CACHE: dict = {}  # chart -> (T, T^-1)
 
 
-_BASIS_INV_CACHE: dict = {}
+def _complex_basis_matrices(chart: Chart):
+    """(T, T^-1): T sends complex-basis coefficients to real-basis ones; built once per chart."""
+    pair = _BASIS_INV_CACHE.get(chart)
+    if pair is None:
+        T = np.zeros((chart.dim, chart.dim), dtype=np.complex128)
+        for k, form in enumerate(complex_basis(chart)):
+            for (v,), c in form.terms.items():
+                T[v, k] = c
+        pair = _BASIS_INV_CACHE[chart] = (T, np.linalg.inv(T))
+    return pair
 
 
 def to_complex_components(form: FormValue) -> list:
@@ -313,10 +322,7 @@ def to_complex_components(form: FormValue) -> list:
     if form.degree != 1:
         raise DegreeError("complex components only for 1-forms")
     chart = form.chart
-    Tinv = _BASIS_INV_CACHE.get(chart)
-    if Tinv is None:
-        Tinv = _complex_basis_inverse(chart)
-        _BASIS_INV_CACHE[chart] = Tinv
+    Tinv = _complex_basis_matrices(chart)[1]
     comps = []
     for k in range(chart.dim):
         acc = 0.0 + 0.0j
@@ -460,11 +466,7 @@ def acs_from_complex_action(chart: Chart, action) -> AlmostComplexStructure:
     ``action[l][k]`` is the phi_l component of J phi_k.
     """
     n = chart.dim
-    T = np.zeros((n, n), dtype=np.complex128)
-    for k, form in enumerate(complex_basis(chart)):
-        for (v,), c in form.terms.items():
-            T[v, k] = c
-    Tinv = np.linalg.inv(T)
+    T, Tinv = _complex_basis_matrices(chart)
     # M = T action Tinv, kept generic so jet entries survive
     mat = [[0.0 + 0.0j for _ in range(n)] for _ in range(n)]
     for w in range(n):
@@ -482,36 +484,79 @@ def acs_from_complex_action(chart: Chart, action) -> AlmostComplexStructure:
     return AlmostComplexStructure(chart, mat)
 
 
+@lru_cache(maxsize=None)
+def _index_plan(n: int, k: int):
+    """The degree-k multi-indices on n coordinates, and how each grows from degree k - 1.
+
+    Returns ``(rank, grow)``.  ``rank`` maps each increasing k-tuple to its
+    row, in combinations order.  ``grow`` holds three arrays over the
+    positions (r, J, I), flattened in that order, of the product that grows
+    the degree-k table: the flat (J', I') index into the degree-(k-1) table
+    of the dx_{J'} coefficient of a part of dx_{I'}, the flat (w, v) index
+    into the degree-1 table of the dx_w coefficient of a projector image of
+    dx_v, and the sign (-1)^(k-1-r) that turns dx_{J'} ^ dx_w into dx_J.
+    Here w is the r-th index of J and J' the rest, v the last index of I
+    and I' the rest.
+    """
+    rank = {m: i for i, m in enumerate(combinations(range(n), k))}
+    prev = {m: i for i, m in enumerate(combinations(range(n), k - 1))}
+    multis = np.array(list(rank), dtype=np.intp).reshape(len(rank), k)
+    drop = np.array([[prev[m[:r] + m[r + 1 :]] for r in range(k)] for m in rank], dtype=np.intp).reshape(len(rank), k)
+    r, J, I = np.indices((k, len(rank), len(rank))).reshape(3, -1)
+    grow = (drop[J, r] * len(prev) + drop[I, -1], multis[J, r] * n + multis[I, -1], (-1.0) ** (k - 1 - r))
+    return rank, grow
+
+
 class TypeContext:
     """Pointwise (p,q) machinery for one almost complex structure.
 
-    Caches the projected basis 1-forms P dx_v, Q dx_v and, per degree, the
-    expansion of each basis k-form into its pure-type parts.  The expansion
-    of dx_I ^ dx_v grows from the cached expansion of its prefix dx_I, so a
-    degree-k table builds the degree-(k-1) one first and adds one wedge
-    factor per entry.
+    The type table of degree k is one complex array of shape (monomials,
+    k + 1, C(n,k), C(n,k)): entry ``[:, p, J, I]`` is the dx_J coefficient
+    of the (p, k-p) part of dx_I, with multi-indices as rows in combinations
+    order.  The first axis holds the Taylor coefficients of that entry on
+    ``JetSpace.support`` of the structure's union mask, up to the lowest
+    order of its jet entries; for a structure of plain complex numbers it
+    has the one constant coefficient.
+
+    Degree 1 stacks the projectors Q = (1 + iJ)/2 and P = (1 - iJ)/2.
+    Degree k grows from degree k - 1 in one batched jet product over an
+    index plan (``_index_plan``): the (p,q) part of dx_I = dx_{I'} ^ dx_v
+    is (p-1,q)(dx_{I'}) ^ P dx_v + (p,q-1)(dx_{I'}) ^ Q dx_v, and the dx_J
+    coefficient of a (k-1)-form wedged with a 1-form sums, over the k ways
+    to write J as J' plus {w}, the dx_{J'} coefficient times the dx_w one
+    with the merge sign.
+
+    Decomposing and projecting contract the table with the form's
+    coefficient vector, one matrix product per table monomial, and build
+    forms only for the result.  Its jets are valid to the lowest order of
+    the table and the form's coefficients and carry the union of their
+    masks.
     """
 
     def __init__(self, acs: AlmostComplexStructure):
         self.acs = acs
         self.chart = acs.chart
-        self._pointwise = not any(isinstance(e, Jet) for row in acs.mat for e in row)
-        self._values = None
         n = self.chart.dim
-        self.p_images = []
-        self.q_images = []
-        for v in range(n):
-            column = [acs.mat[w][v] for w in range(n)]
-            pterms = {}
-            qterms = {}
-            for w in range(n):
-                base = 1.0 + 0.0j if w == v else 0.0 + 0.0j
-                jc = column[w]
-                pterms[(w,)] = (base - 1j * jc) * 0.5
-                qterms[(w,)] = (base + 1j * jc) * 0.5
-            self.p_images.append(FormValue(self.chart, 1, pterms))
-            self.q_images.append(FormValue(self.chart, 1, qterms))
-        self._tables: dict = {}
+        entries = [e for row in acs.mat for e in row if isinstance(e, Jet)]
+        self._values = None
+        self._space, self._order, self._mask = None, None, 0
+        support = [0]
+        if entries:
+            self._space = entries[0].space
+            self._order = min(e.order for e in entries)
+            self._mask = reduce(or_, (e.mask for e in entries))
+            support = self._space.support(self._mask, self._order)
+        J = np.zeros((len(support), n, n), dtype=np.complex128)
+        for w, row in enumerate(acs.mat):
+            for v, e in enumerate(row):
+                if isinstance(e, Jet):
+                    J[:, w, v] = e.c[support]
+                else:
+                    J[0, w, v] = e
+        eye = np.zeros_like(J)
+        eye[0] = np.eye(n)
+        # the type axis counts p: Q dx_v is the (0,1) part of dx_v, P dx_v the (1,0) part
+        self._tables: dict = {1: np.stack([(eye + 1j * J) * 0.5, (eye - 1j * J) * 0.5], axis=1)}
 
     def values(self) -> "TypeContext":
         """The context of the structure's pointwise values, built once.
@@ -521,63 +566,97 @@ class TypeContext:
         jet decomposition.  A structure without jet entries is its own
         (returned, not stored, so the context holds no reference cycle).
         """
-        if self._pointwise:
+        if self._space is None:
             return self
         if self._values is None:
             self._values = TypeContext(self.acs.values())
         return self._values
 
-    def project1(self, form: FormValue, antiholomorphic: bool) -> FormValue:
-        """(1,0) or (0,1) part of a 1-form."""
-        images = self.q_images if antiholomorphic else self.p_images
-        out = FormValue.zero(self.chart, 1)
-        for (v,), c in form.terms.items():
-            out = out + images[v].scale(c)
-        return out
-
-    def _table(self, k: int) -> dict:
+    def _table(self, k: int) -> np.ndarray:
         tab = self._tables.get(k)
         if tab is None:
-            if k > 1:
-                prefixes = self._table(k - 1)
+            prev = self._table(k - 1)
+            pq = self._tables[1]
+            rank, (src, pq_src, signs) = _index_plan(self.chart.dim, k)
+            mt = prev.shape[0]
+            prev, pq = prev.reshape(mt, k, -1), pq.reshape(mt, 2, -1)
+            # only the positions where neither factor is zero (3 in 10 on the flat twistor structure)
+            live = np.flatnonzero(np.any(prev != 0, axis=(0, 1))[src] & np.any(pq != 0, axis=(0, 1))[pq_src])
+            lhs = np.take(prev, src[live], axis=2)[:, None]  # [:, 1, p, live]
+            rhs = (np.take(pq, pq_src[live], axis=2) * signs[live])[:, :, None]  # [:, s, 1, live]: Q, P
+            if self._space is None:
+                grown = lhs * rhs
             else:
-                prefixes = {(): {(0, 0): FormValue.scalar(self.chart, 1.0 + 0.0j)}}
-            tab = {}
-            for multi in combinations(range(self.chart.dim), k):
-                v = multi[-1]
-                grown: dict = {}
-                for (p, q), f in prefixes[multi[:-1]].items():
-                    for dp, dq, img in ((1, 0, self.p_images[v]), (0, 1, self.q_images[v])):
-                        key = (p + dp, q + dq)
-                        w = f.wedge(img)
-                        grown[key] = grown[key] + w if key in grown else w
-                tab[multi] = grown
-            self._tables[k] = tab
+                grown = mul_batch(self._space, lhs, rhs, self._order, self._mask)
+            # the positions of one r have distinct (J, I), so each block adds without collisions
+            size = len(rank) ** 2
+            tab = np.zeros((mt, k + 1, size), dtype=np.complex128)
+            bounds = np.searchsorted(live, np.arange(k + 1) * size)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                targets = live[lo:hi] % size
+                tab[:, :k, targets] += grown[:, 0, :, lo:hi]
+                tab[:, 1:, targets] += grown[:, 1, :, lo:hi]
+            tab = self._tables[k] = tab.reshape(mt, k + 1, len(rank), len(rank))
         return tab
+
+    def _parts(self, form: FormValue, types: slice) -> list:
+        """The (p, k-p) parts of a k-form, for p in ``range(k + 1)[types]``."""
+        k = form.degree
+        rank = _index_plan(self.chart.dim, k)[0]
+        tab = self._table(k)[:, types]
+        rows = [rank[m] for m in form.terms]
+        coeffs = list(form.terms.values())
+        jets = [c for c in coeffs if isinstance(c, Jet)]
+        space = self._space or (jets[0].space if jets else None)
+        if space is None:
+            vector = np.zeros(len(rank), dtype=np.complex128)
+            vector[rows] = coeffs
+            out = (tab[0] @ vector)[..., None]
+        else:
+            if any(j.space is not space for j in jets):
+                raise ValueError("jets from different spaces cannot be combined")
+            order = min([j.order for j in jets] + ([] if self._space is None else [self._order]))
+            cmask = reduce(or_, (j.mask for j in jets), 0)
+            mask = cmask | self._mask
+            cols = space.support(cmask, order)
+            matrix = np.zeros((len(rank), len(cols)), dtype=np.complex128)
+            for r, c in zip(rows, coeffs):
+                if isinstance(c, Jet):
+                    matrix[r] = c.c[cols]
+                else:
+                    matrix[r, 0] = c
+            out = mul_contract(space, tab, self._mask, matrix, cmask, order)
+        keep = ~np.all(np.abs(out) < PRUNE_EPS, axis=-1)  # NaN is kept, as in is_zero_scalar
+        multis = list(rank)
+        parts = []
+        for part, kept in zip(out, keep):
+            if space is None:
+                terms = {multis[J]: complex(part[J, 0]) for J in np.flatnonzero(kept)}
+            else:
+                terms = {multis[J]: Jet(space, part[J], order, mask) for J in np.flatnonzero(kept)}
+            parts.append(FormValue(self.chart, k, terms))
+        return parts
 
     def decompose(self, form: FormValue) -> dict:
         """Partition into pure (p,q) parts; the parts sum back to the input."""
         k = form.degree
         if k == 0:
             return {(0, 0): form}
-        tab = self._table(k)
-        out: dict = {}
-        for multi, c in form.terms.items():
-            for key, f in tab[multi].items():
-                add = f.scale(c)
-                out[key] = out[key] + add if key in out else add
-        return out
+        if not form.terms:
+            return {}
+        return {(p, k - p): part for p, part in enumerate(self._parts(form, slice(None)))}
 
     def project(self, form: FormValue, p: int, q: int) -> FormValue:
-        if form.degree == 0:
+        k = form.degree
+        if k == 0:
             return form if (p, q) == (0, 0) else FormValue.zero(self.chart, 0)
-        tab = self._table(form.degree)
-        out = FormValue.zero(self.chart, form.degree)
-        for multi, c in form.terms.items():
-            f = tab[multi].get((p, q))
-            if f is not None:
-                out = out + f.scale(c)
-        return out
+        if p + q != k or p < 0 or q < 0 or not form.terms:
+            return FormValue.zero(self.chart, k)
+        return self._parts(form, slice(p, p + 1))[0]
+
+    def project1(self, form: FormValue, antiholomorphic: bool) -> FormValue:
+        """(1,0) or (0,1) part of a 1-form."""
+        return self.project(form, 0, 1) if antiholomorphic else self.project(form, 1, 0)
 
     def d_split(self, form: FormValue, ptype: tuple | None = None):
         """(del, dbar, off-type residual sup) of a form with jet coefficients.
@@ -681,7 +760,7 @@ def mat_inv(A):
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: smag(work[r][col]))
         if smag(work[pivot][col]) == 0.0:
-            raise ZeroDivisionError("singular matrix")
+            raise DomainError("singular matrix")
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
             inv[col], inv[pivot] = inv[pivot], inv[col]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .forms import (
     ChartPoint,
+    DomainError,
     FormValue,
     TypeContext,
     d_part_at_point,
@@ -348,7 +349,7 @@ def radial_h_residual(h_profile: RadialProfile, p: ChartPoint, model: Hyperkahle
         raise ValueError("the radial reduction lives on the flat model")
     rho_val = sum(x * x for x in p.coords[2:])
     if rho_val <= 0.0:
-        raise ZeroDivisionError("radial profile is singular at rho = 0")
+        raise DomainError("radial profile is singular at rho = 0")
     fr = TwistorFrame(model, p, 2)
     chart = fr.chart
     rho = fr.x[0] * fr.x[0] + fr.x[1] * fr.x[1] + fr.x[2] * fr.x[2] + fr.x[3] * fr.x[3]

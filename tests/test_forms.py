@@ -20,6 +20,7 @@ from stromlab.forms import (
     hermitian_form,
     i_ddbar,
     is_zero_scalar,
+    mat_inv,
     nan_max,
     point,
     relative_residual,
@@ -307,6 +308,15 @@ def test_is_zero_scalar_reads_every_jet_coefficient():
     assert not is_zero_scalar(slope)
     assert not is_zero_scalar(Jet.constant(jet_space(2, 2), float("nan")))
     assert is_zero_scalar(slope * 0.0)
+
+
+def test_mat_inv_raises_a_domain_error_on_a_singular_matrix():
+    with pytest.raises(DomainError):
+        mat_inv([[1.0 + 2.0j, 2.0 - 1.0j], [2.0 + 4.0j, 4.0 - 2.0j]])
+    # dyadic values keep the elimination exact, so the second pivot is exactly 0
+    x, y = seed_jets((0.5, -0.25), 2)
+    with pytest.raises(DomainError):
+        mat_inv([[x, y], [x * 2.0, y * 2.0]])
 
 
 def test_complex_components_cache_is_per_chart():

@@ -462,6 +462,11 @@ def test_radial_dichotomy():
         assert radial_h_residual(RadialProfile.log_slope(-1.0), p) >= 1e-3
 
 
+def test_radial_residual_raises_a_domain_error_at_rho_zero():
+    with pytest.raises(DomainError):
+        radial_h_residual(RadialProfile.constant(), point(TWISTOR_FLAT, 0.5, 0.3, 0.0, 0.0, 0.0, 0.0))
+
+
 def test_radial_expansion_matches_dolbeault_machinery():
     # the quaternionic expansion of 2i dbar del h against i del dbar h from jets
     from stromlab.forms import differential_of_scalar, i_ddbar
