@@ -24,8 +24,10 @@ from .forms import (
     DomainError,
     FormValue,
     TypeContext,
+    _complex_basis_matrices,
     d_complex,
     d_complex_bar,
+    exterior_derivative,
     exterior_derivative_with_scale,
     form_power,
     hermitian_form,
@@ -238,47 +240,26 @@ def omega0_d_residual(base: BaseKahlerModel, p: ChartPoint) -> float:
 
 
 def hermitian_matrix_of(omega: FormValue, chart: Chart):
-    """Coefficients g_{a bbar} of a (1,1)-form i g_{a bbar} dz^a ^ dzbar^b."""
+    """Coefficients g_{a bbar} of a (1,1)-form i g_{a bbar} dz^a ^ dzbar^b.
+
+    Each dx_v ^ dx_w is expanded in the complex basis through T^-1, as in
+    :func:`~stromlab.forms.to_complex_components`.
+    """
     m = chart.ncomplex
+    Tinv = _complex_basis_matrices(chart)[1]
     G = [[None] * m for _ in range(m)]
     for a in range(m):
         for b in range(m):
             # omega(d/dz_a, d/dzbar_b) = i g_{a bbar}
             acc = None
             for (v, w), cf in omega.terms.items():
-                xa = _holo_component(v, a) * _antiholo_component(w, b) - _holo_component(
-                    w, a
-                ) * _antiholo_component(v, b)
+                xa = Tinv[a, v] * Tinv[m + b, w] - Tinv[a, w] * Tinv[m + b, v]
                 if xa == 0.0:
                     continue
                 term = cf * xa
                 acc = term if acc is None else acc + term
-            zero = omega_zero_like(omega)
-            G[a][b] = (acc if acc is not None else zero) * (-1j)
+            G[a][b] = (0.0 + 0.0j if acc is None else acc) * (-1j)
     return G
-
-
-def omega_zero_like(omega: FormValue):
-    for cf in omega.terms.values():
-        return cf * 0.0
-    return 0.0 + 0.0j
-
-
-def _holo_component(v: int, a: int) -> complex:
-    # d/dz_a = (e_{2a} - i e_{2a+1})/2
-    if v == 2 * a:
-        return 0.5
-    if v == 2 * a + 1:
-        return -0.5j
-    return 0.0
-
-
-def _antiholo_component(v: int, b: int) -> complex:
-    if v == 2 * b:
-        return 0.5
-    if v == 2 * b + 1:
-        return 0.5j
-    return 0.0
 
 
 def chern_ricci_form(gram, ctx: TypeContext) -> FormValue:
@@ -360,8 +341,8 @@ def extremal_residual_of(omega: FormValue, gram, ctx: TypeContext) -> float:
     lap_s = float(m) * top_ratio(i_ddbar_s.wedge(form_power(omega, m - 1)), form_power(omega, m))
     lhs = i_ddbar_s.values().wedge(rho.values()).scale(2.0 * (m - 1))
     inner = omega.scale(lap_s * 2.0 + s * s)
-    _, dbar_inner, _ = ctx.d_split(inner, ptype=(1, 1))
-    del_dbar_inner, _, _ = ctx.d_split(dbar_inner, ptype=(1, 2))
+    dbar_inner = ctx.project(exterior_derivative(inner), 1, 2)
+    del_dbar_inner = ctx.project(exterior_derivative(dbar_inner), 2, 2)
     rhs = del_dbar_inner.values().scale(1j)
     scale = nan_max([lhs.sup(), rhs.sup(), 1.0])
     return relative_residual((lhs - rhs).sup(), scale)

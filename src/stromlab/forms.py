@@ -30,7 +30,7 @@ from operator import or_
 
 import numpy as np
 
-from .jets import InsufficientJetOrder, Jet, mul_batch, mul_contract
+from .jets import Jet, mul_batch, mul_contract
 
 PRUNE_EPS = 1e-300  # only exact-zero scale pruning; tolerances live in comparisons
 
@@ -654,41 +654,11 @@ class TypeContext:
             return FormValue.zero(self.chart, k)
         return self._parts(form, slice(p, p + 1))[0]
 
-    def project1(self, form: FormValue, antiholomorphic: bool) -> FormValue:
-        """(1,0) or (0,1) part of a 1-form."""
-        return self.project(form, 0, 1) if antiholomorphic else self.project(form, 1, 0)
-
-    def d_split(self, form: FormValue, ptype: tuple | None = None):
-        """(del, dbar, off-type residual sup) of a form with jet coefficients.
-
-        With ``ptype`` the input is taken as pure (p,q); otherwise each pure
-        part is differentiated separately and the outputs are summed.
-        """
-        if ptype is not None:
-            df = exterior_derivative(form)
-            p, q = ptype
-            parts = self.decompose(df)
-            del_part = parts.get((p + 1, q), FormValue.zero(self.chart, form.degree + 1))
-            dbar_part = parts.get((p, q + 1), FormValue.zero(self.chart, form.degree + 1))
-            off = nan_max(f.sup() for key, f in parts.items() if key not in ((p + 1, q), (p, q + 1)))
-            return del_part, dbar_part, off
-        del_total = FormValue.zero(self.chart, form.degree + 1)
-        dbar_total = FormValue.zero(self.chart, form.degree + 1)
-        offs = []
-        for (p, q), part in self.decompose(form).items():
-            if not part.terms:
-                continue
-            dp, dq, o = self.d_split(part, ptype=(p, q))
-            del_total = del_total + dp
-            dbar_total = dbar_total + dq
-            offs.append(o)
-        return del_total, dbar_total, nan_max(offs)
-
     def del_scalar(self, f: Jet) -> FormValue:
-        return self.project1(differential_of_scalar(f, self.chart), antiholomorphic=False)
+        return self.project(differential_of_scalar(f, self.chart), 1, 0)
 
     def dbar_scalar(self, f: Jet) -> FormValue:
-        return self.project1(differential_of_scalar(f, self.chart), antiholomorphic=True)
+        return self.project(differential_of_scalar(f, self.chart), 0, 1)
 
 
 def i_ddbar(ctx: TypeContext, f: Jet) -> FormValue:

@@ -25,6 +25,7 @@ from .forms import (
     d_part_at_point,
     dbar_del_scalar,
     differential_of_scalar,
+    exterior_derivative,
     exterior_derivative_with_scale,
     form_linear_combo,
     gram_curvature,
@@ -164,10 +165,7 @@ class AnsatzCurvatureData:
         """W = dbar L^T Ubar^-1 del Lbar as a (1,1)-form with jet coefficients."""
         fr = self.fr
         Ubar_inv = mat_inv([[e.conjugate() for e in row] for row in self.U])
-        dbar_L = [
-            fr.ctx.project1(differential_of_scalar(l, fr.chart), antiholomorphic=True)
-            for l in self.Lvec
-        ]
+        dbar_L = [fr.ctx.dbar_scalar(l) for l in self.Lvec]
         out = FormValue.zero(fr.chart, 2)
         for i in range(2):
             for j in range(2):
@@ -181,8 +179,8 @@ _DATA_CACHE: dict = {}  # one entry: (model, params, point, jet space) -> Ansatz
 def _curvature_data(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> AnsatzCurvatureData:
     """The order-4 curvature data of the point, shared by HYM, the anomaly and the identities.
 
-    As with the twistor type context, keying on the jet space object keeps
-    a cleared ``jet_space`` cache from handing out jets of a stale space.
+    Keying on the jet space object keeps a cleared ``jet_space`` cache from
+    handing out jets of a stale space.
     """
     key = (model, params, p, jet_space(p.chart.dim, 4))
     data = _DATA_CACHE.get(key)
@@ -258,7 +256,7 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     # tr(R^R) against 2 del dbar((A/B) W) + 2 (dbar del log B)^2 + tr(F'^F')
     tr_RR = matrix_wedge_trace(R.entries, R.entries)
     Y = W.scale(data.A / data.B)
-    _, dbar_Y, _ = ctx.d_split(Y, ptype=(1, 1))
+    dbar_Y = ctx.project(exterior_derivative(Y), 1, 2)
     del_dbar_Y = d_part_at_point(ctx, dbar_Y, 2, 2)
     c2_rhs = (
         del_dbar_Y.scale(2.0)
@@ -290,7 +288,7 @@ def anomaly_residual(
     ctx = fr.ctx
 
     omega = fr.metric()
-    _, dbar_omega, _ = ctx.d_split(omega, ptype=(1, 1))
+    dbar_omega = ctx.project(exterior_derivative(omega), 1, 2)
     torsion = d_part_at_point(ctx, dbar_omega, 2, 2).scale(1j)
 
     R = data.frame_curvature()

@@ -28,7 +28,6 @@ from .forms import (
     acs_from_complex_action,
     d_complex,
     d_complex_bar,
-    differential_of_scalar,
     exterior_derivative,
     form_power,
     nan_max,
@@ -128,9 +127,6 @@ class AnsatzParams:
 # ---------------------------------------------------------------------------
 # per-point assembly shared by the residual operators
 
-_CTX_CACHE: dict = {}  # one entry: (model, point, jet space) -> TypeContext
-
-
 class TwistorFrame:
     """Jets of every basic quantity of the ansatz at one twistor point."""
 
@@ -170,17 +166,9 @@ class TwistorFrame:
 
     @property
     def ctx(self) -> TypeContext:
-        """The type context of the twistor structure, shared by the frames at this point."""
+        """The type context of the twistor structure, built once per frame."""
         if self._ctx is None:
-            # the structure does not involve the ansatz profiles; keying on
-            # the jet space object, not its order, keeps the tables' jets
-            # combinable with this frame's after jet_space.cache_clear()
-            key = (self.model, self.point, self.zr.space)
-            ctx = _CTX_CACHE.get(key)
-            if ctx is None:
-                _CTX_CACHE.clear()
-                ctx = _CTX_CACHE[key] = TypeContext(self.acs)
-            self._ctx = ctx
+            self._ctx = TypeContext(self.acs)
         return self._ctx
 
     def fiber_form(self) -> FormValue:
@@ -334,8 +322,14 @@ class _FrameData:
     def __init__(self, fr: TwistorFrame):
         if fr.model.model_id != "flat_r4":
             raise DomainError("frame decomposition needs the flat model's global coordinates")
-        if abs(svalue(fr.zeta)) == 0.0:
-            raise DomainError("frame decomposition is singular at zeta = 0")
+        # E carries 1/zeta and det E = |zeta|^2 on flat, so the curvatures lose
+        # digits as zeta -> 0: for coupling_solution() at (zeta, 0, 0.4, 0.8,
+        # -0.3, 0.5), anomaly_residual reads 3.3e-10 at zeta = 1e-3, 5.1e-9 at
+        # 3e-4, 8.5e-8 at 1e-4 and 1.6e-2 at 2e-7, and the curvature identities
+        # 9.4e-9 at 1e-4 and 6.0e-7 at 1e-5.  An exact solution would fail the
+        # 1e-8 gates below about 1e-4, so the domain stops at 1e-3.
+        if abs(svalue(fr.zeta)) < 1e-3:
+            raise DomainError("frame decomposition is singular at |zeta| < 1e-3")
         self.fr = fr
         w1, w2 = w_field_jets(fr)
         self.dw = [
@@ -350,9 +344,6 @@ class _FrameData:
             self.L.append(comps[0])
             self.C.append(comps[4])
             self.D.append(comps[5])
-        det = self.C[0] * self.D[1] - self.C[1] * self.D[0]
-        if abs(svalue(det)) < 1e-14:
-            raise DomainError("frame solve is singular at this point")
 
     def theta(self):
         return theta_coframe_jets(self.fr)
@@ -389,9 +380,9 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     simps = []
     locs = []
     for i in range(2):
-        dbar_C = ctx.project1(differential_of_scalar(data.C[i], fr.chart), antiholomorphic=True)
-        dbar_D = ctx.project1(differential_of_scalar(data.D[i], fr.chart), antiholomorphic=True)
-        dbar_L = ctx.project1(differential_of_scalar(data.L[i], fr.chart), antiholomorphic=True)
+        dbar_C = ctx.dbar_scalar(data.C[i])
+        dbar_D = ctx.dbar_scalar(data.D[i])
+        dbar_L = ctx.dbar_scalar(data.L[i])
         # kappa_{1 bar1 bar2} theta_bar1 - kappa_{2 bar1 bar2} theta_bar2 and friends
         m112 = theta1_bar.scale(third[0][0][1]) - theta2_bar.scale(third[1][0][1])
         m111 = theta1_bar.scale(third[0][0][0]) - theta2_bar.scale(third[1][0][0])

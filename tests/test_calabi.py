@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from stromlab.forms import FormValue, point
-from stromlab.jets import Jet, jet_space
+from stromlab.forms import FormValue, hermitian_form, point
+from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.calabi import (
     CalabiParams,
     CanonicalBundleFrame,
@@ -16,6 +16,7 @@ from stromlab.calabi import (
     extremal_residual,
     flat_torus_chart,
     fubini_study_cp1,
+    hermitian_matrix_of,
     km_balanced_residual,
     omega0_d_residual,
     profile_ode_residual,
@@ -39,6 +40,18 @@ def total_points(base, n, seed, tmin=0.35):
 
 
 # -- base scalars -------------------------------------------------------------
+
+
+def test_hermitian_matrix_of_inverts_hermitian_form():
+    chart = FS.total_chart
+    y1, y2, tr, ti = seed_jets((0.3, -0.5, 0.7, 0.2), 3)
+    b = y1 * tr + 1j * (y2 - ti * ti)
+    H = [[y1 * y1 + ti + 1.0, b], [b.conjugate(), y2 * tr + 2.0]]
+    G = hermitian_matrix_of(hermitian_form(chart, H), chart)
+    for g_row, h_row in zip(G, H):
+        for g, h in zip(g_row, h_row):
+            assert (g - h).order == 3
+            assert max(abs(c) for c in (g - h).c) <= 1e-15
 
 
 def test_base_scalars():

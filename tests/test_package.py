@@ -1,3 +1,4 @@
+import ast
 import importlib
 from pathlib import Path
 
@@ -12,3 +13,27 @@ def test_declared_console_scripts_import():
     for name, target in meta["project"].get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def stromlab_imports(path: Path) -> set:
+    """The stromlab modules a source file imports, absolutely or relatively."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = f"stromlab.{node.module or ''}" if node.level == 1 else node.module or ""
+            dotted = [f"{module.rstrip('.')}.{a.name}" for a in node.names]
+        else:
+            continue
+        found.update(d.split(".")[1] for d in dotted if d.startswith("stromlab."))
+    return found
+
+
+def test_every_module_has_a_caller_outside_the_tests():
+    # perfbench/workloads.py is read, not imported: the benchmark's callers count
+    src = sorted((ROOT / "src" / "stromlab").glob("*.py"))
+    reached = stromlab_imports(ROOT / "perfbench" / "workloads.py")
+    for path in src:
+        reached |= stromlab_imports(path) - {path.stem}
+    assert {path.stem for path in src} - reached == set()

@@ -8,6 +8,7 @@ from stromlab.forms import (
     DomainError,
     FormValue,
     TypeContext,
+    exterior_derivative,
     form_linear_combo,
     gram_curvature,
     mat_inv,
@@ -17,7 +18,7 @@ from stromlab.forms import (
     svalue,
 )
 from stromlab.hyperkahler import eguchi_hanson, flat_model, quaternion_operator
-from stromlab import strominger, twistor
+from stromlab import strominger
 from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.sampling import box, random_ansatz_params, sample_points
 from stromlab.twistor import (
@@ -183,7 +184,7 @@ def jet_path_curvature(H, ctx):
         [form_linear_combo([del_Hbar[k][j] for k in range(n)], [Hbar_inv[i][k] for k in range(n)]) for j in range(n)]
         for i in range(n)
     ]
-    return [[ctx.d_split(X[i][j], ptype=(1, 0))[1].values() for j in range(n)] for i in range(n)]
+    return [[ctx.project(exterior_derivative(X[i][j]), 1, 1).values() for j in range(n)] for i in range(n)]
 
 
 def test_pointwise_gram_curvature_matches_the_jet_path():
@@ -212,7 +213,6 @@ def test_curvature_data_is_memoised_per_object():
 def cold(fn, *args, **kwargs):
     """``fn`` on empty per-point caches."""
     strominger._DATA_CACHE.clear()
-    twistor._CTX_CACHE.clear()
     return fn(*args, **kwargs)
 
 
@@ -222,7 +222,6 @@ def test_shared_curvature_data_gives_the_cold_cache_values():
     ops = (hym_residual, anomaly_residual, curvature_identities)
     want = [cold(op, FLAT, params, p) for op in ops]
     strominger._DATA_CACHE.clear()
-    twistor._CTX_CACHE.clear()
     assert [op(FLAT, params, p) for op in ops] == want
 
 
@@ -324,6 +323,21 @@ def test_hym_raises_a_domain_error_at_the_frame_cutoff():
     p = point(TWISTOR_FLAT, 1e-8, 0.0, 0.4, 0.8, -0.3, 0.5)
     with pytest.raises(DomainError):
         hym_residual(FLAT, AnsatzParams.coupling_solution(), p)
+
+
+@pytest.mark.parametrize("zeta", [1e-4, 2e-7])
+def test_curvature_operators_raise_a_domain_error_near_zeta_zero(zeta):
+    # an exact solution already fails the 1e-8 anomaly gate here
+    p = point(TWISTOR_FLAT, zeta, 0.0, 0.4, 0.8, -0.3, 0.5)
+    for op in (hym_residual, anomaly_residual, curvature_identities):
+        with pytest.raises(DomainError):
+            op(FLAT, AnsatzParams.coupling_solution(), p)
+
+
+@pytest.mark.parametrize("zeta", [1e-3, 1e-2])
+def test_anomaly_of_the_coupling_solution_passes_near_the_zeta_cutoff(zeta):
+    p = point(TWISTOR_FLAT, zeta, 0.0, 0.4, 0.8, -0.3, 0.5)
+    assert anomaly_residual(FLAT, AnsatzParams.coupling_solution(), p) <= 1e-8
 
 
 def test_hym_counterexample_random_curvature():
@@ -438,11 +452,11 @@ def test_curvature_sup_propagates_a_nan_that_is_not_first():
 
 
 def test_type_context_survives_a_cleared_jet_space_cache():
-    # the operators at one point share one type context; after the jet
-    # spaces are rebuilt it must not hand out jets of the old space
+    # the operators at one point share one curvature data object and the
+    # type context of its frame; after the jet spaces are rebuilt it must
+    # not hand out jets of the old space
     p = twistor_points(FLAT, 1, seed=89)[0]
     params = AnsatzParams.coupling_solution(alpha_prime=2.0)
-    twistor._CTX_CACHE.clear()
     jet_space.cache_clear()
     fresh = anomaly_residual(FLAT, params, p)
     hym_residual(FLAT, params, p)
