@@ -30,7 +30,7 @@ from operator import or_
 
 import numpy as np
 
-from .jets import Jet, mul_batch, mul_contract
+from .jets import InsufficientJetOrder, Jet, mul_batch, mul_contract
 
 PRUNE_EPS = 1e-300  # only exact-zero scale pruning; tolerances live in comparisons
 
@@ -362,6 +362,36 @@ def exterior_derivative_with_scale(form: FormValue):
     return FormValue(chart, form.degree + 1, terms), nan_max(mags)
 
 
+def d_at_point(form: FormValue) -> FormValue:
+    """The value of d(form) at the point, read from first-order Taylor coefficients.
+
+    The value of d/dx_v of a jet is its x_v coefficient, so no derivative
+    jet is built.  Contributions are added in the order and with the pruning
+    of ``exterior_derivative``, so the result equals
+    ``exterior_derivative(form).values()`` bit for bit on finite coefficients.
+    """
+    chart = form.chart
+    terms: dict = {}
+    for multi, c in form.terms.items():
+        if not isinstance(c, Jet):
+            continue
+        if c.order < 1:
+            raise InsufficientJetOrder("cannot differentiate an order-0 jet")
+        first = c.c[c.space.first_order].tolist()
+        for v in range(chart.dim):
+            if v in multi or not c.mask >> v & 1:
+                continue  # a jet free of x_v has an exactly zero d/dx_v
+            dc = first[v]
+            # exterior_derivative drops a derivative only if every coefficient is below PRUNE_EPS
+            if abs(dc) < PRUNE_EPS and is_zero_scalar(c.derivative(v)):
+                continue
+            pos = bisect_left(multi, v)
+            merged = multi[:pos] + (v,) + multi[pos:]
+            contrib = dc if pos % 2 == 0 else -dc
+            terms[merged] = terms[merged] + contrib if merged in terms else contrib
+    return FormValue(chart, form.degree + 1, terms)
+
+
 def differential_of_scalar(f: Jet, chart: Chart) -> FormValue:
     return exterior_derivative(FormValue.scalar(chart, f))
 
@@ -485,6 +515,12 @@ def acs_from_complex_action(chart: Chart, action) -> AlmostComplexStructure:
 
 
 @lru_cache(maxsize=None)
+def _ranks(n: int, k: int) -> dict:
+    """Row of each increasing k-tuple on n coordinates, in combinations order."""
+    return {m: i for i, m in enumerate(combinations(range(n), k))}
+
+
+@lru_cache(maxsize=None)
 def _index_plan(n: int, k: int):
     """The degree-k multi-indices on n coordinates, and how each grows from degree k - 1.
 
@@ -498,8 +534,7 @@ def _index_plan(n: int, k: int):
     Here w is the r-th index of J and J' the rest, v the last index of I
     and I' the rest.
     """
-    rank = {m: i for i, m in enumerate(combinations(range(n), k))}
-    prev = {m: i for i, m in enumerate(combinations(range(n), k - 1))}
+    rank, prev = _ranks(n, k), _ranks(n, k - 1)
     multis = np.array(list(rank), dtype=np.intp).reshape(len(rank), k)
     drop = np.array([[prev[m[:r] + m[r + 1 :]] for r in range(k)] for m in rank], dtype=np.intp).reshape(len(rank), k)
     r, J, I = np.indices((k, len(rank), len(rank))).reshape(3, -1)
@@ -670,7 +705,7 @@ def i_ddbar(ctx: TypeContext, f: Jet) -> FormValue:
 
 def d_part_at_point(ctx: TypeContext, form: FormValue, p: int, q: int) -> FormValue:
     """(p,q) part of d(form) at the point, for a result nothing differentiates."""
-    return ctx.values().project(exterior_derivative(form).values(), p, q)
+    return ctx.values().project(d_at_point(form), p, q)
 
 
 def dbar_del_scalar(ctx: TypeContext, f: Jet) -> FormValue:
@@ -832,14 +867,50 @@ def matrix_trace_form(M) -> FormValue:
     return out
 
 
-def matrix_wedge_trace(A, B) -> FormValue:
-    """tr(A wedge B) for matrices of forms."""
-    n = len(A)
-    out = FormValue.zero(A[0][0].chart, A[0][0].degree + B[0][0].degree)
-    for i in range(n):
-        for j in range(n):
-            out = out + A[i][j].wedge(B[j][i])
+@lru_cache(maxsize=None)
+def _wedge_signs(n: int, ka: int, kb: int) -> np.ndarray:
+    """Sign plan of the wedge of a ka-form and a kb-form on n coordinates.
+
+    Entry ``[I * C(n, kb) + J, K]`` is the sign s with dx_I ^ dx_J = s dx_K,
+    and 0 where I and J share an index or do not merge to K; rows and
+    columns are multi-indices in combinations order.
+    """
+    rows, cols, out = _ranks(n, ka), _ranks(n, kb), _ranks(n, ka + kb)
+    signs = np.zeros((len(rows), len(cols), len(out)), dtype=np.complex128)
+    for ma, i in rows.items():
+        for mb, j in cols.items():
+            merged, sign = _merge_indices(ma, mb)
+            if merged is not None:
+                signs[i, j, out[merged]] = sign
+    return signs.reshape(len(rows) * len(cols), len(out))
+
+
+def _stacked_coefficients(M, k: int) -> np.ndarray:
+    """Coefficients of a matrix of pointwise k-forms, shape (rows, cols, C(n, k))."""
+    rank = _ranks(M[0][0].chart.dim, k)
+    out = np.zeros((len(M), len(M[0]), len(rank)), dtype=np.complex128)
+    for i, row in enumerate(M):
+        for j, form in enumerate(row):
+            for m, c in form.terms.items():
+                out[i, j, rank[m]] = c
     return out
+
+
+def matrix_wedge_trace(A, B) -> FormValue:
+    """tr(A wedge B) for square matrices of pointwise forms (complex coefficients).
+
+    One contraction of the stacked coefficients gives sum_ij A_ij[I] B_ji[J]
+    for every pair of multi-indices (I, J), and one product with the sign
+    plan sends each pair to dx_I ^ dx_J.  A NaN coefficient anywhere makes
+    every coefficient of the result NaN.
+    """
+    chart = A[0][0].chart
+    ka, kb = A[0][0].degree, B[0][0].degree
+    a = _stacked_coefficients(A, ka)
+    b = a if B is A else _stacked_coefficients(B, kb)
+    pairs = np.einsum("ijI,jiJ->IJ", a, b)
+    values = pairs.reshape(-1) @ _wedge_signs(chart.dim, ka, kb)
+    return FormValue(chart, ka + kb, dict(zip(_ranks(chart.dim, ka + kb), values.tolist())))
 
 
 def relative_residual(diff_sup: float, scale: float) -> float:

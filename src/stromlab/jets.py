@@ -86,6 +86,8 @@ class JetSpace:
         self._supports = (self._exponents > 0) @ (1 << np.arange(nvars, dtype=np.int64))
         self._code_rank = np.argsort(self._codes)
         self._sorted_codes = self._codes[self._code_rank]
+        # first_order[v]: index of the monomial x_v, whose coefficient is d/dx_v at the point
+        self.first_order = self._lookup(self._digits) if order >= 1 else np.zeros(0, dtype=np.intp)
         self._mul_table = None
         self._mul_starts = None
         self._mul_subsets = {}

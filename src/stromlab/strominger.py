@@ -46,7 +46,7 @@ from .twistor import AnsatzParams, TwistorFrame, _FrameData
 
 @dataclass
 class CurvatureValue:
-    """Matrix-valued curvature 2-form in a holomorphic frame."""
+    """Matrix-valued curvature 2-form in a holomorphic frame, with pointwise entries."""
 
     entries: list
 
@@ -62,7 +62,7 @@ class CurvatureValue:
             part.sup()
             for row in self.entries
             for e in row
-            for key, part in ctx.values().decompose(e.values()).items()
+            for key, part in ctx.values().decompose(e).items()
             if key in ((2, 0), (0, 2))
         )
 
@@ -76,7 +76,7 @@ class CurvatureValue:
         Hbar = [[svalue(e).conjugate() for e in row] for row in H]
         HF = [
             [
-                form_linear_combo([self.entries[k][j].values() for k in range(n)], [Hbar[i][k] for k in range(n)])
+                form_linear_combo([self.entries[k][j] for k in range(n)], [Hbar[i][k] for k in range(n)])
                 for j in range(n)
             ]
             for i in range(n)
@@ -209,9 +209,9 @@ def hym_residual(
     scales = [omega2.sup()]
     for row in F.entries:
         for e in row:
-            w, sc = wedge_with_scale(e.values(), omega2)
+            w, sc = wedge_with_scale(e, omega2)
             sups.append(w.sup())
-            scales += [sc, e.values().sup()]
+            scales += [sc, e.sup()]
     return relative_residual(nan_max(sups), nan_max(scales))
 
 
@@ -294,7 +294,7 @@ def anomaly_residual(
     R = data.frame_curvature()
     tr_RR = matrix_wedge_trace(R.entries, R.entries)
     F = curvature if curvature is not None else data.quotient_curvature()
-    tr_FF = matrix_wedge_trace(F.entries, F.entries).values()
+    tr_FF = matrix_wedge_trace(F.entries, F.entries)
 
     quarter = params.alpha_prime / 4.0
     diff = torsion - (tr_RR - tr_FF).scale(quarter)

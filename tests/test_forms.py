@@ -1,5 +1,8 @@
 import math
+import random
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from stromlab.forms import (
     DomainError,
     FormValue,
     TypeContext,
+    d_at_point,
     d_complex,
     d_complex_bar,
     exterior_derivative,
@@ -20,6 +24,7 @@ from stromlab.forms import (
     i_ddbar,
     is_zero_scalar,
     mat_inv,
+    matrix_wedge_trace,
     nan_max,
     point,
     relative_residual,
@@ -29,6 +34,7 @@ from stromlab.forms import (
     wedge_with_scale,
 )
 from stromlab.jets import InsufficientJetOrder, Jet, jet_space, seed_jets
+from stromlab.twistor import TWISTOR_FLAT
 
 LINE = Chart("complex_line", ("zr", "zi"), ("zeta",))
 C2 = Chart("c2", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
@@ -160,6 +166,70 @@ def test_d_of_constant_form_vanishes_but_order_zero_jet_raises():
     jets = seed_jets((0.1, 0.2, 0.3, 0.4), 0)
     with pytest.raises(InsufficientJetOrder):
         exterior_derivative(FormValue(C2, 1, {(0,): jets[0]}))
+
+
+def random_masked_jet(space, rng):
+    """A jet of validity order 1 to 4 whose coefficients vanish outside a random mask.
+
+    Some slopes are exactly zero, with or without higher coefficients in their
+    variable, and some are tiny with nothing above them, so both ways that d
+    keeps or drops a derivative below PRUNE_EPS occur.
+    """
+    mask = rng.randrange(1 << space.nvars)
+    c = np.zeros(space.size, dtype=np.complex128)
+    for i, mono in enumerate(space.monomials):
+        if all(not e or mask >> v & 1 for v, e in enumerate(mono)):
+            c[i] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    for v in range(space.nvars):
+        roll = rng.random()
+        if roll < 0.3:
+            c[[i for i, mono in enumerate(space.monomials) if mono[v]]] = 0.0
+            c[space.first_order[v]] = 1e-305 if roll < 0.15 else 0.0
+        elif roll < 0.45:
+            c[space.first_order[v]] = 0.0
+    return Jet(space, c, rng.randint(1, 4), mask)
+
+
+def test_d_at_point_equals_the_value_of_d_bit_for_bit():
+    rng = random.Random(5)
+    space = jet_space(TWISTOR_FLAT.dim, 4)
+    for trial in range(200):
+        degree = trial % 5
+        multis = list(combinations(range(TWISTOR_FLAT.dim), degree))
+        terms = {
+            m: random_masked_jet(space, rng) if rng.random() < 0.9 else complex(rng.uniform(-1, 1), 0.5)
+            for m in rng.sample(multis, rng.randint(1, min(8, len(multis))))
+        }
+        form = FormValue(TWISTOR_FLAT, degree, terms)
+        assert d_at_point(form).terms == exterior_derivative(form).values().terms
+
+
+def test_d_at_point_keeps_and_drops_tiny_slopes_as_d_does():
+    # d of f dx2 + g dx1 on dx1^dx2 is f_x1 - g_x2: a slope of 1e-305 in g
+    # moves 1e-295 by a few ulps, and d drops it only if g has nothing else in x2
+    space = jet_space(4, 2)
+    f = Jet(space, np.zeros(space.size, dtype=np.complex128), 2, 0b0001)
+    f.c[space.first_order[0]] = 1e-295
+    sums = set()
+    for higher in (0.0, 1.0):
+        g = Jet(space, np.zeros(space.size, dtype=np.complex128), 2, 0b0010)
+        g.c[0], g.c[space.first_order[1]] = 1.0, 1e-305
+        g.c[space.index[(0, 2, 0, 0)]] = higher
+        form = FormValue(C2, 1, {(1,): f, (0,): g})
+        got = d_at_point(form).terms
+        assert got == exterior_derivative(form).values().terms
+        sums.add(got[(0, 1)])
+    assert len(sums) == 2
+
+
+def test_d_at_point_raises_on_an_order_zero_jet():
+    space = jet_space(TWISTOR_FLAT.dim, 4)
+    flat = Jet(space, random_masked_jet(space, random.Random(2)).c, 0)
+    with pytest.raises(InsufficientJetOrder):
+        d_at_point(FormValue(TWISTOR_FLAT, 1, {(0,): flat}))
+    constant = seed_jets((0.1, 0.2, 0.3, 0.4), 0)[0]
+    with pytest.raises(InsufficientJetOrder):
+        d_at_point(FormValue(C2, 1, {(1,): constant}))
 
 
 # -- almost complex structures ----------------------------------------------
@@ -330,6 +400,63 @@ def test_complex_components_cache_is_per_chart():
     line = Chart("c2", ("x", "y"), ("z",))
     assert to_complex_components(d_complex(C2, 1))[1] == pytest.approx(1.0)
     assert to_complex_components(d_complex_bar(line, 0)) == pytest.approx([0.0, 1.0])
+
+
+
+# -- traces of matrices of forms -----------------------------------------------
+
+
+def random_point_matrix(chart, n, degree, rng):
+    """n x n pointwise forms, each on a random subset of the degree's multi-indices."""
+    multis = list(combinations(range(chart.dim), degree))
+    return [
+        [
+            FormValue(
+                chart,
+                degree,
+                {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in multis if rng.random() < 0.6},
+            )
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+
+
+def wedge_trace_oracle(A, B):
+    out = FormValue.zero(A[0][0].chart, A[0][0].degree + B[0][0].degree)
+    for i in range(len(A)):
+        for j in range(len(A)):
+            out = out + A[i][j].wedge(B[j][i])
+    return out
+
+
+@pytest.mark.parametrize("chart, n", [(C2, 2), (TWISTOR_FLAT, 3)])
+@pytest.mark.parametrize("ka, kb", [(1, 1), (1, 2), (2, 2)])
+def test_matrix_wedge_trace_matches_the_sum_of_entry_wedges(chart, n, ka, kb):
+    rng = random.Random(100 * ka + 10 * kb + chart.dim)
+    for trial in range(6):
+        A = random_point_matrix(chart, n, ka, rng)
+        # tr(A^A) cancels to rounding for odd degrees, so only even ones reuse A
+        B = A if ka == kb == 2 and trial % 2 else random_point_matrix(chart, n, kb, rng)
+        got, want = matrix_wedge_trace(A, B), wedge_trace_oracle(A, B)
+        assert got.degree == ka + kb
+        assert (got - want).sup() <= 1e-14 * want.sup()
+
+
+def test_matrix_wedge_trace_propagates_a_nan_from_any_entry():
+    rng = random.Random(7)
+    nan = complex(float("nan"), 0.0)
+    for i, j, side in product(range(3), range(3), range(2)):
+        A = random_point_matrix(TWISTOR_FLAT, 3, 2, rng)
+        B = random_point_matrix(TWISTOR_FLAT, 3, 2, rng)
+        M = (A, B)[side]
+        M[i][j] = FormValue(TWISTOR_FLAT, 2, {**M[i][j].terms, rng.choice(list(combinations(range(6), 2))): nan})
+        assert math.isnan(matrix_wedge_trace(A, B).sup())
+    # every pair of entries collides, so no wedge of the NaN survives; the trace is still NaN
+    one = [[FormValue(TWISTOR_FLAT, 2, {(0, 1): 1.0 + 0.0j})]]
+    assert wedge_trace_oracle(one, one).sup() == 0.0
+    with_nan = [[FormValue(TWISTOR_FLAT, 2, {(0, 1): nan})]]
+    assert math.isnan(matrix_wedge_trace(with_nan, one).sup())
 
 
 # -- top forms -----------------------------------------------------------------

@@ -108,6 +108,15 @@ def test_eh_domain_error_at_origin():
         det_residual(EH, point(EH_CHART, 0.0, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_eh_gates_hold_at_the_domain_edge(a):
+    r = 0.05 * a
+    p = point(EH_CHART, r / 2, r / 2, -r / 2, r / 2)
+    model = eguchi_hanson(a)
+    assert det_residual(model, p) <= 1e-9
+    assert asd_residual(model, p) <= 1e-8
+
+
 def test_perturbed_potential_fails_certification():
     # flat kappa + 0.1 |z1|^4 violates the determinant identity at |z1| = 1
     bad = point(FLAT_CHART, 1.0, 0.0, 0.2, 0.1)

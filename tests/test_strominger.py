@@ -17,12 +17,13 @@ from stromlab.forms import (
     standard_acs,
     svalue,
 )
-from stromlab.hyperkahler import eguchi_hanson, flat_model, quaternion_operator
+from stromlab.hyperkahler import EH_CHART, asd_residual, det_residual, eguchi_hanson, flat_model, quaternion_operator
 from stromlab import strominger
 from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.sampling import box, random_ansatz_params, sample_points
 from stromlab.twistor import (
     C3_CHART,
+    TWISTOR_EH,
     TWISTOR_FLAT,
     AnsatzParams,
     TwistorFrame,
@@ -332,6 +333,21 @@ def test_curvature_operators_raise_a_domain_error_near_zeta_zero(zeta):
     for op in (hym_residual, anomaly_residual, curvature_identities):
         with pytest.raises(DomainError):
             op(FLAT, AnsatzParams.coupling_solution(), p)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_eguchi_hanson_operators_raise_a_domain_error_near_the_origin(a):
+    # at |x| = 0.01a the exact potential reads det 9.3e-10 and asd 4.7e-7,
+    # against gates of 1e-9 and 1e-8
+    model = eguchi_hanson(a)
+    r = 0.01 * a
+    base = (r / 2, r / 2, -r / 2, r / 2)
+    with pytest.raises(DomainError):
+        det_residual(model, point(EH_CHART, *base))
+    with pytest.raises(DomainError):
+        asd_residual(model, point(EH_CHART, *base))
+    with pytest.raises(DomainError):
+        balanced_residual(model, AnsatzParams.coupling_solution(), point(TWISTOR_EH, 0.4, 0.3, *base))
 
 
 @pytest.mark.parametrize("zeta", [1e-3, 1e-2])
