@@ -758,7 +758,13 @@ def mat_det(A):
 
 
 def mat_inv(A):
-    """Gauss-Jordan with value-magnitude pivoting, generic over jets."""
+    """Gauss-Jordan with value-magnitude pivoting, generic over jets.
+
+    A jet pivot is inverted once and multiplied by, which is exactly how a
+    jet division computes; a pointwise pivot divides, since x / s and
+    x * (1 / s) round differently.  Columns of ``work`` up to the pivot's
+    are never read again, so they are not updated.
+    """
     n = len(A)
     work = [list(row) for row in A]
     inv = [[1.0 + 0.0j if i == j else 0.0 + 0.0j for j in range(n)] for i in range(n)]
@@ -770,17 +776,22 @@ def mat_inv(A):
             work[col], work[pivot] = work[pivot], work[col]
             inv[col], inv[pivot] = inv[pivot], inv[col]
         scale = work[col][col]
-        for j in range(n):
-            work[col][j] = work[col][j] / scale
-            inv[col][j] = inv[col][j] / scale
+        if isinstance(scale, Jet):
+            rs = scale.reciprocal()
+            work[col][col + 1 :] = [x * rs for x in work[col][col + 1 :]]
+            inv[col] = [x * rs for x in inv[col]]
+        else:
+            work[col][col + 1 :] = [x / scale for x in work[col][col + 1 :]]
+            inv[col] = [x / scale for x in inv[col]]
         for r in range(n):
             if r == col:
                 continue
             f = work[r][col]
             if is_zero_scalar(f):
                 continue
-            for j in range(n):
+            for j in range(col + 1, n):
                 work[r][j] = work[r][j] - f * work[col][j]
+            for j in range(n):
                 inv[r][j] = inv[r][j] - f * inv[col][j]
     return inv
 

@@ -167,13 +167,14 @@ class HyperkahlerTriple:
         )
 
 
-def triple_forms(model: HyperkahlerModel, chart: Chart, offset_pair: int, xjets) -> HyperkahlerTriple:
+def triple_forms(chart: Chart, kh, offset_pair: int) -> HyperkahlerTriple:
     """(omega_I, omega_J, omega_K) on ``chart`` with jet coefficients.
 
-    omega_I = i ddbar kappa from the potential Hessian; omega_J + i omega_K
-    = dz1 wedge dz2.
+    omega_I = i ddbar kappa from the potential Hessian ``kh``, as returned
+    by :func:`kappa_hermitian_jets` with the same ``offset_pair``;
+    omega_J + i omega_K = dz1 wedge dz2.
     """
-    omega_I = hermitian_form(chart, kappa_hermitian_jets(model, xjets, offset_pair), offset_pair)
+    omega_I = hermitian_form(chart, kh, offset_pair)
     holo2 = d_complex(chart, offset_pair).wedge(d_complex(chart, offset_pair + 1))
     omega_J = (holo2 + holo2.conj()).scale(0.5)
     omega_K = (holo2 - holo2.conj()).scale(-0.5j)
@@ -249,12 +250,18 @@ def det_residual(model: HyperkahlerModel, p: ChartPoint) -> float:
     return abs(svalue(det) - MONGE_AMPERE_TARGET)
 
 
+def _base_triple(model: HyperkahlerModel, xjets) -> HyperkahlerTriple:
+    return triple_forms(model.chart, kappa_hermitian_jets(model, xjets), 0)
+
+
+def _dz_gram(chart: Chart, omega_I: FormValue):
+    dz = [d_complex(chart, 0), d_complex(chart, 1)]
+    return coframe_gram(omega_I, standard_acs(chart), dz)
+
+
 def cotangent_gram(model: HyperkahlerModel, xjets):
     """Gram of the holomorphic coframe {dz1, dz2} under the omega_I metric."""
-    triple = triple_forms(model, model.chart, 0, xjets)
-    acs = standard_acs(model.chart)
-    dz = [d_complex(model.chart, 0), d_complex(model.chart, 1)]
-    return coframe_gram(triple.omega_I, acs, dz)
+    return _dz_gram(model.chart, _base_triple(model, xjets).omega_I)
 
 
 def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
@@ -267,10 +274,10 @@ def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
     model.check_domain(p.coords)
     xjets = seed_jets(p.coords, 4)
     ctx = TypeContext(standard_acs(model.chart))
+    triple = _base_triple(model, xjets)
     if gram is None:
-        gram = cotangent_gram(model, xjets)
+        gram = _dz_gram(model.chart, triple.omega_I)
     F = gram_curvature(gram, ctx)
-    triple = triple_forms(model, model.chart, 0, xjets)
     forms = [triple.omega_I.values(), triple.omega_J.values(), triple.omega_K.values()]
     sups = []
     scales = [1.0]

@@ -319,18 +319,33 @@ class Jet:
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other):
+        """A jet of the same space, a scalar as a complex, or None for anything else."""
         if isinstance(other, Jet):
             if other.space is not self.space:
                 raise ValueError("jets from different spaces cannot be combined")
             return other
         if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
-            return Jet.constant(self.space, complex(other), self.order)
+            return complex(other)
         return None
+
+    # numpy defers to the reflected operators, so np.complex128(z) * jet
+    # reaches __rmul__ instead of numpy's object-array path
+    __array_ufunc__ = None
+
+    # A scalar operand moves only the constant coefficient (+, -) or scales
+    # the coefficients (*, /); no constant jet is built for it.  The results
+    # equal those with the scalar lifted to Jet.constant(space, scalar, order),
+    # taken as the right factor of a product (numpy's complex multiply may
+    # round a * b and b * a differently); s / jet is jet.reciprocal() * s.
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not isinstance(o, Jet):
+            c = self.c.copy()
+            c[0] += o
+            return Jet(self.space, c, self.order, self.mask)
         return Jet(self.space, self.c + o.c, min(self.order, o.order), self.mask | o.mask)
 
     __radd__ = __add__
@@ -339,13 +354,19 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not isinstance(o, Jet):
+            c = self.c.copy()
+            c[0] -= o
+            return Jet(self.space, c, self.order, self.mask)
         return Jet(self.space, self.c - o.c, min(self.order, o.order), self.mask | o.mask)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet(self.space, o.c - self.c, min(self.order, o.order), self.mask | o.mask)
+        c = -self.c
+        c[0] = o - self.c[0]
+        return Jet(self.space, c, self.order, self.mask)
 
     def __neg__(self):
         return Jet(self.space, -self.c, self.order, self.mask)
@@ -354,8 +375,8 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not isinstance(other, Jet):
-            return Jet(self.space, self.c * o.c[0], self.order, self.mask)
+        if not isinstance(o, Jet):
+            return Jet(self.space, self.c * o, self.order, self.mask)
         order = min(self.order, o.order)
         mask = self.mask | o.mask
         return Jet(self.space, _mul_coeffs(self.space, self.c, o.c, order, mask), order, mask)
@@ -364,21 +385,21 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet(self.space, self.c * o.c[0], self.order, self.mask)
+        return Jet(self.space, self.c * o, self.order, self.mask)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not isinstance(other, Jet):
-            return Jet(self.space, self.c / o.c[0], self.order, self.mask)
+        if not isinstance(o, Jet):
+            return Jet(self.space, self.c / o, self.order, self.mask)
         return self * o.reciprocal()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.reciprocal()
+        return self.reciprocal() * o
 
     def __pow__(self, n):
         if isinstance(n, (int, np.integer)):

@@ -39,7 +39,7 @@ from .forms import (
     svalue,
     wedge_with_scale,
 )
-from .hyperkahler import HyperkahlerModel, kappa_hermitian_jets, quaternion_operator
+from .hyperkahler import HyperkahlerModel, quaternion_operator
 from .jets import Jet, jet_space
 from .twistor import AnsatzParams, TwistorFrame, _FrameData
 
@@ -126,8 +126,7 @@ class AnsatzCurvatureData:
         self.A = fr.s * fr.s * (-2.0 * fr.g).exp() * 0.5
         self.B = fr.s * fr.s * fr.s * (-2.0 * fr.h - fr.g).exp()
         self.Lvec = [fr.zeta * self.fd.L[0], fr.zeta * self.fd.L[1]]
-        kh = kappa_hermitian_jets(model, fr.jets, offset_pair=1)
-        K = mat_inv(kh)
+        K = mat_inv(fr.kh)
         E = [[self.fd.C[0], self.fd.D[0]], [self.fd.C[1], self.fd.D[1]]]
         self.U = mat_mul(mat_mul(E, K), mat_conj_transpose(E))
         self._quotient_curvature = None

@@ -76,6 +76,30 @@ def sphere_jets(zr: Jet, zi: Jet):
 # ansatz parameters
 
 
+def _radial_h(x1: Jet, x2: Jet, x3: Jet, x4: Jet) -> Jet:
+    """h = -(3/2) log rho with rho = |x|^2, away from the base origin.
+
+    Near the origin the coupling solution with this h fails its own gates
+    before the log is singular.  Worst over four flat points (zeta = 0.5 or
+    0.4 + 0.3i, the base along x1 or (1, 1, -1, 1)/2), against gates of 1e-8:
+
+        base radius   anomaly   c1_res    c2_res
+        0.003         5.6e-7    6.0e-7    5.6e-7
+        0.01          1.1e-8    7.6e-9    1.1e-8
+        0.02          9.9e-10   2.7e-10   9.9e-10
+        0.03          8.6e-11   4.1e-11   8.6e-11
+        0.05          1.3e-11   6.4e-12   1.3e-11
+
+    so the domain stops at base radius 0.03.
+    """
+    rho = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
+    if rho.value.real < 0.03**2:
+        raise DomainError(
+            f"base radius {math.sqrt(rho.value.real):.3g} < 0.03: h = -(3/2) log rho loses its gates near the origin"
+        )
+    return rho.log() * (-1.5)
+
+
 @dataclass(frozen=True)
 class AnsatzParams:
     """Conformal profiles of the ansatz metric.
@@ -108,7 +132,7 @@ class AnsatzParams:
         """
         gval = 0.5 * math.log(alpha_prime / 4.0)
         if radial_h:
-            h_fn = lambda x1, x2, x3, x4: (x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4).log() * (-1.5)
+            h_fn = _radial_h
         else:
             h_fn = lambda x1, x2, x3, x4: const_like(x1, 0.0)
         return AnsatzParams(
@@ -147,7 +171,7 @@ class TwistorFrame:
         self.zeta_bar = self.zeta.conjugate()
         self.alpha, self.beta, self.gamma, self.s = sphere_jets(self.zr, self.zi)
         self.kh = kappa_hermitian_jets(model, jets, offset_pair=1)
-        self.triple = triple_forms(model, chart, 1, jets)
+        self.triple = triple_forms(chart, self.kh, 1)
         self.dzeta = d_complex(chart, 0)
         self.dzeta_bar = d_complex_bar(chart, 0)
         self.dz = [d_complex(chart, 1), d_complex(chart, 2)]

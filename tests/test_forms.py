@@ -395,6 +395,58 @@ def test_mat_inv_raises_a_domain_error_on_a_singular_matrix():
         mat_inv([[x, y], [x * 2.0, y * 2.0]])
 
 
+def random_jet_matrix(n, rng, zero_leading):
+    """A seeded n x n matrix of order-3 jets in 6 variables, well conditioned in value.
+
+    With ``zero_leading`` the first two rows of a diagonally dominant matrix
+    are swapped and the leading entry's value is set to 0.
+    """
+    space = jet_space(6, 3)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            c = 0.3 * (rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size))
+            c[0] = (3.0 + rng.uniform()) if i == j else complex(*rng.uniform(-1.0, 1.0, 2))
+            row.append(Jet(space, c))
+        rows.append(row)
+    if zero_leading:
+        rows[0], rows[1] = rows[1], rows[0]
+        rows[0][0].c[0] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("n,zero_leading", [(2, False), (3, True), (4, False)])
+def test_mat_inv_of_jet_matrices_against_the_identity(n, zero_leading, monkeypatch):
+    # oracle: A A^-1 = A^-1 A = I on every coefficient up to the validity
+    # order, from plain jet products; one reciprocal per pivot
+    A = random_jet_matrix(n, np.random.default_rng(40 + n), zero_leading)
+    if zero_leading:
+        assert max(range(n), key=lambda r: abs(A[r][0].value)) != 0
+    calls = []
+    reciprocal = Jet.reciprocal
+
+    def counted(jet):
+        calls.append(jet)
+        return reciprocal(jet)
+
+    monkeypatch.setattr(Jet, "reciprocal", counted)
+    inv = mat_inv(A)
+    assert len(calls) == n
+    monkeypatch.undo()
+    keep = A[0][0].space.prefix_sizes[3]
+    for left, right in ((A, inv), (inv, A)):
+        for i in range(n):
+            for j in range(n):
+                entry = left[i][0] * right[0][j]
+                for k in range(1, n):
+                    entry = entry + left[i][k] * right[k][j]
+                assert entry.order == 3
+                want = np.zeros(keep, dtype=np.complex128)
+                want[0] = 1.0 if i == j else 0.0
+                assert np.max(np.abs(entry.c[:keep] - want)) <= 1e-12
+
+
 def test_complex_components_cache_is_per_chart():
     # same name, different dimension: each chart gets its own basis inverse
     line = Chart("c2", ("x", "y"), ("z",))

@@ -36,7 +36,7 @@ EH = eguchi_hanson(1.0)
 
 
 def triple_values(model, p):
-    t = triple_forms(model, model.chart, 0, seed_jets(p.coords, 2))
+    t = triple_forms(model.chart, kappa_hermitian_jets(model, seed_jets(p.coords, 2)), 0)
     return t.omega_I.values(), t.omega_J.values(), t.omega_K.values()
 
 
@@ -168,7 +168,7 @@ def test_triple_orthogonality_and_volume(model, chart):
 @pytest.mark.parametrize("model,chart", [(FLAT, FLAT_CHART), (EH, EH_CHART)])
 def test_triple_is_closed(model, chart):
     for p in sample_points(chart, 4, seed=31):
-        t = triple_forms(model, chart, 0, seed_jets(p.coords, 3))
+        t = triple_forms(chart, kappa_hermitian_jets(model, seed_jets(p.coords, 3)), 0)
         for omega in (t.omega_I, t.omega_J, t.omega_K):
             assert exterior_derivative(omega).values().sup() <= 1e-10
 
@@ -178,7 +178,7 @@ def test_two_zero_form_is_dbar_closed_type_20():
     from stromlab.forms import TypeContext, standard_acs
 
     for p in sample_points(EH_CHART, 3, seed=5):
-        t = triple_forms(EH, EH_CHART, 0, seed_jets(p.coords, 3))
+        t = triple_forms(EH_CHART, kappa_hermitian_jets(EH, seed_jets(p.coords, 3)), 0)
         form = t.omega_J + t.omega_K.scale(1j)
         ctx = TypeContext(standard_acs(EH_CHART))
         parts = ctx.decompose(form.values())

@@ -410,3 +410,71 @@ def test_batched_products_match_jet_products():
     for r in range(2):
         want = a[r][0] * b[0] + a[r][1] * b[1] + a[r][2] * b[2] + a[r][3] * b[3]
         assert np.max(np.abs(got[r] - want.c)) <= 1e-14
+
+
+# -- scalar operands -------------------------------------------------------------
+
+SCALARS = [3, -2, 0.75, -1.5 + 0.25j, np.int64(4), np.float64(-0.625), np.complex128(0.5 - 1.25j)]
+
+
+def scalar_operand_jets():
+    sp = jet_space(4, 3)
+    x = seed_jets((0.4, -0.7, 1.1, 0.2), 3, sp)
+    full = (x[0] * x[1]).exp() + x[2] * (0.3 - 0.2j)
+    narrow = (x[1] * x[3] + 2.0).log().derivative(3)  # order 2, mask 0b1010
+    assert (narrow.order, narrow.mask) == (2, 0b1010)
+    return sp, [full, narrow]
+
+
+def test_scalar_operands_equal_lifted_constants_and_build_none(monkeypatch):
+    sp, operands = scalar_operand_jets()
+
+    def lift(jet, s):
+        return Jet.constant(sp, complex(s), jet.order)
+
+    # the lifted results, before Jet.constant is taken away.  A scalar factor
+    # is the right factor of its product, as numpy's complex multiply can
+    # round a * b and b * a differently; a scalar divisor divides the
+    # coefficients, since x / s and x * (1 / s) round differently too
+    lifted = [
+        (
+            jet + lift(jet, s),
+            lift(jet, s) + jet,
+            jet - lift(jet, s),
+            lift(jet, s) - jet,
+            jet * lift(jet, s),
+            jet * lift(jet, s),
+            Jet(sp, jet.c / lift(jet, s).value, jet.order, jet.mask),
+            jet.reciprocal() * lift(jet, s),
+        )
+        for jet in operands
+        for s in SCALARS
+    ]
+
+    def no_constant(*args, **kwargs):
+        raise AssertionError("a scalar operand built a constant jet")
+
+    monkeypatch.setattr(Jet, "constant", staticmethod(no_constant))
+    got = [
+        (jet + s, s + jet, jet - s, s - jet, jet * s, s * jet, jet / s, s / jet)
+        for jet in operands
+        for s in SCALARS
+    ]
+    for want_row, got_row in zip(lifted, got):
+        for want, have in zip(want_row, got_row):
+            assert isinstance(have, Jet)
+            assert np.all(have.c == want.c)
+            assert (have.order, have.mask) == (want.order, want.mask)
+
+
+def test_numpy_scalars_defer_to_the_jet_and_arrays_are_refused():
+    _, (jet, _) = scalar_operand_jets()
+    z = np.complex128(0.5 - 1.25j)
+    left = z * jet
+    assert isinstance(left, Jet)
+    assert np.all(left.c == (jet * z).c)
+    assert isinstance(np.float64(2.0) + jet, Jet)
+    with pytest.raises(TypeError):
+        np.ones(3) * jet
+    with pytest.raises(TypeError):
+        jet * np.ones(3)

@@ -18,7 +18,7 @@ from stromlab.forms import (
     svalue,
 )
 from stromlab.hyperkahler import EH_CHART, asd_residual, det_residual, eguchi_hanson, flat_model, quaternion_operator
-from stromlab import strominger
+from stromlab import hyperkahler, strominger, twistor
 from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.sampling import box, random_ansatz_params, sample_points
 from stromlab.twistor import (
@@ -348,6 +348,66 @@ def test_eguchi_hanson_operators_raise_a_domain_error_near_the_origin(a):
         asd_residual(model, point(EH_CHART, *base))
     with pytest.raises(DomainError):
         balanced_residual(model, AnsatzParams.coupling_solution(), point(TWISTOR_EH, 0.4, 0.3, *base))
+
+
+def radial_points(radius):
+    # zeta = 0.5 or 0.4 + 0.3i, the base along x1 or (1, 1, -1, 1)/2
+    bases = [(radius, 0.0, 0.0, 0.0), (radius / 2, radius / 2, -radius / 2, radius / 2)]
+    return [point(TWISTOR_FLAT, *zeta, *base) for zeta in ((0.5, 0.0), (0.4, 0.3)) for base in bases]
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.01])
+def test_radial_h_operators_raise_a_domain_error_near_the_base_origin(radius):
+    # at rho = 0 the log leaked ZeroDivisionError; at 0.01 the exact solution
+    # read 1.1e-8 on the anomaly, against a gate of 1e-8
+    params = AnsatzParams.coupling_solution(radial_h=True)
+    for p in radial_points(radius):
+        for op in (balanced_residual, hym_residual, anomaly_residual, curvature_identities):
+            with pytest.raises(DomainError):
+                op(FLAT, params, p)
+
+
+def test_radial_h_coupling_solution_passes_at_the_domain_edge():
+    params = AnsatzParams.coupling_solution(radial_h=True)
+    for p in radial_points(0.03):
+        assert anomaly_residual(FLAT, params, p) <= 1e-8
+        assert all(v <= 1e-8 for v in curvature_identities(FLAT, params, p).values())
+
+
+def count_kappa_hessians(monkeypatch) -> list:
+    """Counts kappa_hermitian_jets calls at every module name that binds it."""
+    calls = []
+    orig = hyperkahler.kappa_hermitian_jets
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].model_id)
+        return orig(*args, **kwargs)
+
+    for module in (hyperkahler, twistor, strominger):
+        for name, value in list(vars(module).items()):
+            if value is orig:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_kappa_hessian_per_eguchi_hanson_frame(monkeypatch):
+    calls = count_kappa_hessians(monkeypatch)
+    TwistorFrame(EH, twistor_points(EH, 1, seed=71)[0], 3)
+    assert calls == ["eguchi_hanson"]
+
+
+def test_one_kappa_hessian_per_flat_curvature_data(monkeypatch):
+    p = twistor_points(FLAT, 1, seed=72)[0]
+    strominger._DATA_CACHE.clear()
+    calls = count_kappa_hessians(monkeypatch)
+    strominger._curvature_data(FLAT, AnsatzParams.coupling_solution(), p)
+    assert calls == ["flat_r4"]
+
+
+def test_one_kappa_hessian_per_asd_residual(monkeypatch):
+    calls = count_kappa_hessians(monkeypatch)
+    asd_residual(EH, point(EH_CHART, 0.6, -0.3, 0.5, 0.4))
+    assert calls == ["eguchi_hanson"]
 
 
 @pytest.mark.parametrize("zeta", [1e-3, 1e-2])
