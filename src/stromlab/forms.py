@@ -17,10 +17,19 @@ output multi-index, input multi-index); each degree grows from the one
 below in one batched jet product over a precomputed index plan, and a
 decomposition is one batched contraction of that array with the form's
 coefficients.
+
+A reader that needs a projection only to some jet order asks for it:
+``TypeContext.at_order(o)`` is the context of the structure's entries read
+to order o, built once per order, whose tables are bit-identical prefixes
+(over the monomials of degree <= o) of the full ones.  The curvature
+readers take what d at the point reads and no more: the (1,2) projections
+whose first derivatives they read run at order 1, ``gram_curvature`` reads
+its matrix to order 2, and ``dbar_del_scalar`` its function to order 2.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -126,10 +135,11 @@ def nan_max(values) -> float:
 
 
 def is_zero_scalar(x) -> bool:
+    """Whether x is zero to within PRUNE_EPS; a jet is read to its validity order, NaN is never zero."""
     if isinstance(x, Jet):
         if abs(x.c[0]) >= PRUNE_EPS:  # the common case; NaN falls through
             return False
-        return bool(np.all(np.abs(x.c) < PRUNE_EPS))
+        return bool(np.all(np.abs(x.c[: x.space.prefix_sizes[x.order]]) < PRUNE_EPS))
     return abs(x) < PRUNE_EPS
 
 
@@ -491,27 +501,53 @@ def standard_acs(chart: Chart) -> AlmostComplexStructure:
 
 
 def acs_from_complex_action(chart: Chart, action) -> AlmostComplexStructure:
-    """Build the real matrix from the action on [dz..., dzbar...].
+    """Build the real matrix M = T action T^-1 from the action on [dz..., dzbar...].
 
-    ``action[l][k]`` is the phi_l component of J phi_k.
+    ``action[l][k]`` is the phi_l component of J phi_k.  The Taylor
+    coefficients of the action are stacked into one (monomials, n^2) array
+    and sent to M in one product with the (n^2, n^2) matrix of
+    T[w, l] T^-1[k, v]; its entries are 0, +-1/2 and +-i/2, so every term
+    is exact and each entry of M sums its terms in (l, k) order.  An entry
+    of M is a jet valid to the lowest order, and supported on the union of
+    the masks, of the jet entries it combines, leaving out entries that are
+    zero within PRUNE_EPS; an entry that combines none is the complex 0.
     """
     n = chart.dim
     T, Tinv = _complex_basis_matrices(chart)
-    # M = T action Tinv, kept generic so jet entries survive
-    mat = [[0.0 + 0.0j for _ in range(n)] for _ in range(n)]
-    for w in range(n):
-        for v in range(n):
-            acc = 0.0 + 0.0j
-            for l in range(n):
-                if T[w, l] == 0:
-                    continue
-                for k in range(n):
-                    a = action[l][k]
-                    if is_zero_scalar(a) or Tinv[k, v] == 0:
-                        continue
-                    acc = acc + T[w, l] * (a * Tinv[k, v])
-            mat[w][v] = acc
-    return AlmostComplexStructure(chart, mat)
+    flat = [a for row in action for a in row]
+    jets = [a for a in flat if isinstance(a, Jet)]
+    space = jets[0].space if jets else None
+    top = max((a.order for a in jets), default=0)
+    rows = space.support(reduce(or_, (a.mask for a in jets)), top) if jets else np.zeros(1, dtype=np.intp)
+    stacked = np.zeros((len(rows), n * n), dtype=np.complex128)
+    is_jet = np.zeros(n * n, dtype=bool)
+    orders = np.full(n * n, top, dtype=np.int64)
+    masks = np.zeros(n * n, dtype=np.int64)
+    for i, a in enumerate(flat):
+        if isinstance(a, Jet):
+            if a.space is not space:
+                raise ValueError("jets from different spaces cannot be combined")
+            valid = np.searchsorted(space.degrees[rows], a.order, side="right")
+            stacked[:valid, i] = a.c[rows[:valid]]
+            is_jet[i], orders[i], masks[i] = True, a.order, a.mask
+        else:
+            stacked[0, i] = a
+    coupling = np.einsum("wl,kv->lkwv", T, Tinv).reshape(n * n, n * n)
+    out = stacked @ coupling
+    # reach[i, j]: action entry i is not zero (NaN is not, as in is_zero_scalar) and enters M entry j
+    reach = (coupling != 0) & ~np.all(np.abs(stacked) < PRUNE_EPS, axis=0)[:, None]
+    jet_reach = reach & is_jet[:, None]
+    out_order = np.min(np.where(jet_reach, orders[:, None], top), axis=0)
+    out_mask = np.bitwise_or.reduce(np.where(reach, masks[:, None], 0), axis=0)
+    entries = []
+    for i, (jet, live) in enumerate(zip(jet_reach.any(axis=0), reach.any(axis=0))):
+        if jet:
+            c = np.zeros(space.size, dtype=np.complex128)
+            c[rows] = out[:, i]
+            entries.append(Jet(space, c, int(out_order[i]), int(out_mask[i])))
+        else:
+            entries.append(complex(out[0, i]) if live else 0.0 + 0.0j)
+    return AlmostComplexStructure(chart, [entries[w * n : (w + 1) * n] for w in range(n)])
 
 
 @lru_cache(maxsize=None)
@@ -566,6 +602,12 @@ class TypeContext:
     forms only for the result.  Its jets are valid to the lowest order of
     the table and the form's coefficients and carry the union of their
     masks.
+
+    ``at_order(o)`` gives the context read to order o: its tables hold the
+    monomials of degree <= o and equal the prefix of the full tables bit
+    for bit.  A projection there is the full projection truncated to order
+    o, for a fraction of the pairs; the contraction may associate its sums
+    differently, so the two agree to rounding.
     """
 
     def __init__(self, acs: AlmostComplexStructure):
@@ -592,6 +634,30 @@ class TypeContext:
         eye[0] = np.eye(n)
         # the type axis counts p: Q dx_v is the (0,1) part of dx_v, P dx_v the (1,0) part
         self._tables: dict = {1: np.stack([(eye + 1j * J) * 0.5, (eye - 1j * J) * 0.5], axis=1)}
+        self._lower: dict = {}  # order -> the context read to that order
+
+    def at_order(self, order: int) -> "TypeContext":
+        """The context of the structure's entries read to ``order``, built once per order.
+
+        Its table of each degree is the prefix of this context's table over
+        ``JetSpace.support(mask, order)``, bit for bit: ``mul_batch`` sums
+        the pairs of each output monomial in the same order at any
+        truncation.  A reader that needs only the first Taylor coefficients
+        of a projection projects here at order 1.  At or above this
+        context's order (and for a structure without jet entries) it is this
+        context.
+        """
+        if order < 0:
+            raise ValueError("a jet order is >= 0")
+        if self._space is None or order >= self._order:
+            return self
+        ctx = self._lower.get(order)
+        if ctx is None:
+            ctx = self._lower[order] = copy.copy(self)
+            ctx._order = order
+            ctx._tables = {1: self._tables[1][: len(self._space.support(self._mask, order))]}
+            ctx._lower = {}
+        return ctx
 
     def values(self) -> "TypeContext":
         """The context of the structure's pointwise values, built once.
@@ -711,10 +777,11 @@ def d_part_at_point(ctx: TypeContext, form: FormValue, p: int, q: int) -> FormVa
 def dbar_del_scalar(ctx: TypeContext, f: Jet) -> FormValue:
     """dbar del f (= -del dbar f) at the point; kept separate to mirror curvature formulas.
 
-    Only the value is returned: the (1,1) projection runs on the pointwise
-    context rather than on jet-valued tables.
+    Only the value is returned, so f is read to order 2: del f is then valid
+    to order 1, all that d at the point reads, and the (1,1) projection runs
+    on the pointwise context rather than on jet-valued tables.
     """
-    return d_part_at_point(ctx, ctx.del_scalar(f), 1, 1)
+    return d_part_at_point(ctx, ctx.del_scalar(f.to_order(2)), 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -848,12 +915,15 @@ def gram_curvature(H, ctx: TypeContext):
     R_ij is the (1,1) part of d X_ij with X = Hbar^-1 del Hbar, taken on
     the pointwise type context; for a (1,0)-form X that is its dbar.  For
     an actual holomorphic-frame Gram the entries are pure (1,1).
-    Requires jets of order >= 2.
+
+    Reads H to order 2: d at the point reads X to order 1, so Hbar^-1 is
+    formed from the entries read to order 1 and del Hbar from them read to
+    order 2.
     """
     n = len(H)
     Hbar = [[sconj(e) for e in row] for row in H]
-    Hbar_inv = mat_inv(Hbar)
-    del_Hbar = [[ctx.del_scalar(e) for e in row] for row in Hbar]
+    Hbar_inv = mat_inv([[e.to_order(1) for e in row] for row in Hbar])
+    del_Hbar = [[ctx.del_scalar(e.to_order(2)) for e in row] for row in Hbar]
     X = [
         [
             form_linear_combo([del_Hbar[k][j] for k in range(n)], [Hbar_inv[i][k] for k in range(n)])

@@ -214,17 +214,14 @@ def quaternion_complex_action(which: str, kh):
     raise ValueError(f"unknown quaternion label {which!r}")
 
 
-def quaternion_operator(
-    model: HyperkahlerModel, which: str, xjets, chart: Chart | None = None, offset_pair: int = 0
-) -> AlmostComplexStructure:
-    """I, J or K as an operator on 1-forms of ``chart``.
+def quaternion_operator(kh, which: str, chart: Chart, offset_pair: int = 0) -> AlmostComplexStructure:
+    """I, J or K as an operator on 1-forms of ``chart``, from the potential Hessian ``kh``.
 
+    ``kh`` is :func:`kappa_hermitian_jets` with the same ``offset_pair``.
     On a six-coordinate chart the fiber directions are annihilated, so the
     result is the quaternionic action on the 4-manifold factor only (no
     square -identity there).
     """
-    chart = chart or model.chart
-    kh = kappa_hermitian_jets(model, xjets, offset_pair)
     action4 = quaternion_complex_action(which, kh)
     m = chart.ncomplex
     n = chart.dim

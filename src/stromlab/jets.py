@@ -15,6 +15,14 @@ multiply plus one ``np.add.reduceat`` over the pairs the result can keep.
 Each jet carries its own validity ``order``: differentiating lowers it by
 one, reading a coefficient beyond it raises :class:`InsufficientJetOrder`,
 and a product is summed only up to the lower validity order of its factors.
+``Jet.to_order(o)`` reads a jet to order o: a view valid to min(o, order)
+that shares the coefficient array (nothing mutates ``Jet.c`` in place), so
+a reader that needs, say, first derivatives at the point asks for order 2
+and every product after it sums only the pairs of degree <= 2.  The
+coefficients of degree <= o are those of the full jet, and no coefficient a
+result is valid for depends on an operand's coefficients above the
+operand's validity order, so nothing computed from the view depends on the
+coefficients above o.
 
 Each jet also carries a support ``mask``, a bitmask of the variables it may
 depend on: every coefficient of a monomial in another variable is exactly
@@ -288,6 +296,14 @@ class Jet:
         return Jet(space, c, order, 1 << v)
 
     # -- queries ------------------------------------------------------
+
+    def to_order(self, order: int) -> "Jet":
+        """This jet read to ``order``: valid to min(order, self.order), sharing ``c``."""
+        if order < 0:
+            raise ValueError("a jet order is >= 0")
+        if order >= self.order:
+            return self
+        return Jet(self.space, self.c, order, self.mask)
 
     @property
     def value(self) -> complex:

@@ -133,20 +133,12 @@ class AnsatzCurvatureData:
         self._frame_curvature = None
 
     def gram(self):
-        """Gram matrix of the holomorphic frame {dzeta, zeta dw_1, zeta dw_2}.
+        """Gram matrix of the holomorphic frame {dzeta, zeta dw_1, zeta dw_2}, at the frame's order.
 
         It is assembled from the weights A = s^2 / (2 e^{2g}) and
         B = s^3 / e^{2h+g}, the quotient Gram U and the frame coefficients L.
         """
-        A, B, L = self.A, self.B, self.Lvec
-        H = [[None] * 3 for _ in range(3)]
-        H[0][0] = A
-        for i in range(2):
-            H[0][i + 1] = A * L[i].conjugate()
-            H[i + 1][0] = A * L[i]
-            for j in range(2):
-                H[i + 1][j + 1] = A * L[i] * L[j].conjugate() + B * self.U[i][j]
-        return H
+        return _frame_gram(self.A, self.B, self.Lvec, self.U)
 
     def quotient_curvature(self) -> CurvatureValue:
         """F' = dbar(Ubar^-1 del Ubar) at the point; memoised, do not mutate."""
@@ -155,21 +147,45 @@ class AnsatzCurvatureData:
         return self._quotient_curvature
 
     def frame_curvature(self) -> CurvatureValue:
-        """R = dbar(Hbar^-1 del Hbar) of the frame Gram at the point; memoised, do not mutate."""
+        """R = dbar(Hbar^-1 del Hbar) of the frame Gram at the point; memoised, do not mutate.
+
+        ``gram_curvature`` reads H to order 2, so H is built from A, B, L
+        and U read to order 2.
+        """
         if self._frame_curvature is None:
-            self._frame_curvature = CurvatureValue(gram_curvature(self.gram(), self.fr.ctx))
+            A, B = self.A.to_order(2), self.B.to_order(2)
+            L = [l.to_order(2) for l in self.Lvec]
+            U = [[e.to_order(2) for e in row] for row in self.U]
+            self._frame_curvature = CurvatureValue(gram_curvature(_frame_gram(A, B, L, U), self.fr.ctx))
         return self._frame_curvature
 
     def w_form(self) -> FormValue:
-        """W = dbar L^T Ubar^-1 del Lbar as a (1,1)-form with jet coefficients."""
+        """W = dbar L^T Ubar^-1 del Lbar as a (1,1)-form with jet coefficients valid to order 2.
+
+        Its readers take its value and the first derivatives of (A/B) W, so
+        Ubar^-1 is formed from U read to order 2 and dbar L from L read to
+        order 3.
+        """
         fr = self.fr
-        Ubar_inv = mat_inv([[e.conjugate() for e in row] for row in self.U])
-        dbar_L = [fr.ctx.dbar_scalar(l) for l in self.Lvec]
+        Ubar_inv = mat_inv([[e.conjugate().to_order(2) for e in row] for row in self.U])
+        dbar_L = [fr.ctx.dbar_scalar(l.to_order(3)) for l in self.Lvec]
         out = FormValue.zero(fr.chart, 2)
         for i in range(2):
             for j in range(2):
                 out = out + dbar_L[i].scale(Ubar_inv[i][j]).wedge(dbar_L[j].conj())
         return out
+
+
+def _frame_gram(A, B, L, U):
+    """H[0][0] = A, H[0][i+1] = A Lbar_i, H[i+1][0] = A L_i, H[i+1][j+1] = A L_i Lbar_j + B U_ij."""
+    H = [[None] * 3 for _ in range(3)]
+    H[0][0] = A
+    for i in range(2):
+        H[0][i + 1] = A * L[i].conjugate()
+        H[i + 1][0] = A * L[i]
+        for j in range(2):
+            H[i + 1][j + 1] = A * L[i] * L[j].conjugate() + B * U[i][j]
+    return H
 
 
 _DATA_CACHE: dict = {}  # one entry: (model, params, point, jet space) -> AnsatzCurvatureData
@@ -233,8 +249,10 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     tr_R = R.trace()
     tr_Fq = Fq.trace()
 
-    ddbar_logA = dbar_del_scalar(ctx, data.A.log())
-    ddbar_logB = dbar_del_scalar(ctx, data.B.log())
+    # dbar_del_scalar reads its argument to order 2, so the logs are taken there
+    A2, B2 = data.A.to_order(2), data.B.to_order(2)
+    ddbar_logA = dbar_del_scalar(ctx, A2.log())
+    ddbar_logB = dbar_del_scalar(ctx, B2.log())
     c1_rhs = ddbar_logA + ddbar_logB.scale(2.0) + tr_Fq
     c1_res = relative_residual(
         (tr_R - c1_rhs).sup(), nan_max([tr_R.sup(), c1_rhs.sup(), ddbar_logB.sup()])
@@ -252,10 +270,11 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
         (W.values() - w_target.values()).sup(), nan_max([W.values().sup(), w_target.values().sup()])
     )
 
-    # tr(R^R) against 2 del dbar((A/B) W) + 2 (dbar del log B)^2 + tr(F'^F')
+    # tr(R^R) against 2 del dbar((A/B) W) + 2 (dbar del log B)^2 + tr(F'^F');
+    # only the first derivatives of dbar Y are read, so it is projected at order 1
     tr_RR = matrix_wedge_trace(R.entries, R.entries)
-    Y = W.scale(data.A / data.B)
-    dbar_Y = ctx.project(exterior_derivative(Y), 1, 2)
+    Y = W.scale(A2 / B2)
+    dbar_Y = ctx.at_order(1).project(exterior_derivative(Y), 1, 2)
     del_dbar_Y = d_part_at_point(ctx, dbar_Y, 2, 2)
     c2_rhs = (
         del_dbar_Y.scale(2.0)
@@ -286,8 +305,9 @@ def anomaly_residual(
     fr = data.fr
     ctx = fr.ctx
 
+    # only the first derivatives of dbar omega are read, so it is projected at order 1
     omega = fr.metric()
-    dbar_omega = ctx.project(exterior_derivative(omega), 1, 2)
+    dbar_omega = ctx.at_order(1).project(exterior_derivative(omega), 1, 2)
     torsion = d_part_at_point(ctx, dbar_omega, 2, 2).scale(1j)
 
     R = data.frame_curvature()
@@ -353,9 +373,9 @@ def radial_h_residual(h_profile: RadialProfile, p: ChartPoint, model: Hyperkahle
     d_rho = differential_of_scalar(rho, chart)
     h1, h2 = h_profile.derivatives(rho_val)
 
-    Id_rho = quaternion_operator(model, "I", fr.jets, chart, 1).apply(d_rho)
-    Jd_rho = quaternion_operator(model, "J", fr.jets, chart, 1).apply(d_rho)
-    Kd_rho = quaternion_operator(model, "K", fr.jets, chart, 1).apply(d_rho)
+    Id_rho = quaternion_operator(fr.kh, "I", chart, 1).apply(d_rho)
+    Jd_rho = quaternion_operator(fr.kh, "J", chart, 1).apply(d_rho)
+    Kd_rho = quaternion_operator(fr.kh, "K", chart, 1).apply(d_rho)
     frak_d_rho = (
         Id_rho.scale(fr.alpha) + Jd_rho.scale(fr.beta) + Kd_rho.scale(fr.gamma)
     )

@@ -28,6 +28,7 @@ from .forms import (
     acs_from_complex_action,
     d_complex,
     d_complex_bar,
+    d_part_at_point,
     exterior_derivative,
     form_power,
     nan_max,
@@ -181,6 +182,7 @@ class TwistorFrame:
             self.h = params.h_fn(*self.x)
         self._acs = None
         self._ctx = None
+        self._metric = None
 
     @property
     def acs(self) -> AlmostComplexStructure:
@@ -205,10 +207,12 @@ class TwistorFrame:
         return self.dzeta.wedge(self.dzeta_bar).scale(2j * s2inv)
 
     def metric(self) -> FormValue:
-        """The Hermitian ansatz form."""
-        s2inv = (self.s * self.s).reciprocal()
-        conf = (2.0 * self.h + self.g).exp() * s2inv
-        return self.fiber_form().scale(conf) + self.fubini_study().scale((2.0 * self.g).exp())
+        """The Hermitian ansatz form, built once per frame; do not mutate."""
+        if self._metric is None:
+            s2inv = (self.s * self.s).reciprocal()
+            conf = (2.0 * self.h + self.g).exp() * s2inv
+            self._metric = self.fiber_form().scale(conf) + self.fubini_study().scale((2.0 * self.g).exp())
+        return self._metric
 
     def norm_profile(self) -> Jet:
         """s^4 e^{-2h-2g}: the volume-form norm up to a constant."""
@@ -354,7 +358,6 @@ class _FrameData:
         # 1e-8 gates below about 1e-4, so the domain stops at 1e-3.
         if abs(svalue(fr.zeta)) < 1e-3:
             raise DomainError("frame decomposition is singular at |zeta| < 1e-3")
-        self.fr = fr
         w1, w2 = w_field_jets(fr)
         self.dw = [
             exterior_derivative(FormValue.scalar(fr.chart, w1)),
@@ -369,21 +372,6 @@ class _FrameData:
             self.C.append(comps[4])
             self.D.append(comps[5])
 
-    def theta(self):
-        return theta_coframe_jets(self.fr)
-
-    def reconstruction_residual(self) -> float:
-        theta1, theta2 = self.theta()
-        sups = []
-        for i in range(2):
-            rebuilt = (
-                self.fr.dzeta.scale(self.L[i])
-                + theta1.scale(self.C[i])
-                - theta2.scale(self.D[i])
-            )
-            sups.append((self.dw[i].values() - rebuilt.values()).sup())
-        return nan_max(sups)
-
 
 def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositionResult:
     """Decompose {dw_1, dw_2} in {dzeta, theta_1, theta_2} and certify it.
@@ -394,32 +382,39 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     """
     fr = TwistorFrame(model, p, 3)
     data = _FrameData(fr)
-    theta1, theta2 = data.theta()
+    chart, ctx = fr.chart, fr.ctx
+    # every residual is read at its value: the dbar terms come from d at the
+    # point, and the right-hand sides from the values of their factors
+    theta1, theta2 = (t.values() for t in theta_coframe_jets(fr))
     theta1_bar, theta2_bar = theta1.conj(), theta2.conj()
-    third = kappa_third_jets(model, fr.jets, offset_pair=1)
-    phase = 1j * (fr.beta - 1j * fr.gamma)
-    ctx = fr.ctx
-    one_minus_alpha = 1.0 - fr.alpha
+    third = [[[svalue(k) for k in row] for row in plane] for plane in kappa_third_jets(model, fr.jets, offset_pair=1)]
+    phase = svalue(1j * (fr.beta - 1j * fr.gamma))
+    one_minus_alpha = svalue(1.0 - fr.alpha)
+    two_zeta = svalue(2.0 * fr.zeta)
+    # kappa_{1 bar1 bar2} theta_bar1 - kappa_{2 bar1 bar2} theta_bar2 and friends
+    m112 = theta1_bar.scale(third[0][0][1]) - theta2_bar.scale(third[1][0][1])
+    m111 = theta1_bar.scale(third[0][0][0]) - theta2_bar.scale(third[1][0][0])
+    m122 = theta1_bar.scale(third[0][1][1]) - theta2_bar.scale(third[1][1][1])
 
     simps = []
     locs = []
+    rebuilds = []
     for i in range(2):
-        dbar_C = ctx.dbar_scalar(data.C[i])
-        dbar_D = ctx.dbar_scalar(data.D[i])
-        dbar_L = ctx.dbar_scalar(data.L[i])
-        # kappa_{1 bar1 bar2} theta_bar1 - kappa_{2 bar1 bar2} theta_bar2 and friends
-        m112 = theta1_bar.scale(third[0][0][1]) - theta2_bar.scale(third[1][0][1])
-        m111 = theta1_bar.scale(third[0][0][0]) - theta2_bar.scale(third[1][0][0])
-        m122 = theta1_bar.scale(third[0][1][1]) - theta2_bar.scale(third[1][1][1])
-        rhs_C = (m112.scale(data.C[i]) - m111.scale(data.D[i])).scale(phase)
-        rhs_D = (m122.scale(data.C[i]) - m112.scale(data.D[i])).scale(phase)
-        simps.append((dbar_C.values() - rhs_C.values()).sup())
-        simps.append((dbar_D.values() - rhs_D.values()).sup())
-        lhs_L = dbar_L.scale(2.0 * fr.zeta)
-        rhs_L = -(theta1.scale(one_minus_alpha) - fr.dzb[0].scale(2.0)).scale(data.C[i]) + (
+        c, d, l = svalue(data.C[i]), svalue(data.D[i]), svalue(data.L[i])
+        dbar_C, dbar_D, dbar_L = (
+            d_part_at_point(ctx, FormValue.scalar(chart, f), 0, 1) for f in (data.C[i], data.D[i], data.L[i])
+        )
+        rhs_C = (m112.scale(c) - m111.scale(d)).scale(phase)
+        rhs_D = (m122.scale(c) - m112.scale(d)).scale(phase)
+        simps.append((dbar_C - rhs_C).sup())
+        simps.append((dbar_D - rhs_D).sup())
+        lhs_L = dbar_L.scale(two_zeta)
+        rhs_L = -(theta1.scale(one_minus_alpha) - fr.dzb[0].scale(2.0)).scale(c) + (
             theta2.scale(one_minus_alpha) + fr.dzb[1].scale(2.0)
-        ).scale(data.D[i])
-        locs.append((lhs_L.values() - rhs_L.values()).sup())
+        ).scale(d)
+        locs.append((lhs_L - rhs_L).sup())
+        rebuilt = fr.dzeta.scale(l) + theta1.scale(c) - theta2.scale(d)
+        rebuilds.append((data.dw[i].values() - rebuilt).sup())
 
     decomposition = FrameDecomposition(
         L=tuple(svalue(l) for l in data.L),
@@ -429,5 +424,5 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
         decomposition=decomposition,
         simp_residual=nan_max(simps),
         loc_residual=nan_max(locs),
-        reconstruction_residual=data.reconstruction_residual(),
+        reconstruction_residual=nan_max(rebuilds),
     )

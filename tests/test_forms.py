@@ -14,6 +14,8 @@ from stromlab.forms import (
     DomainError,
     FormValue,
     TypeContext,
+    _complex_basis_matrices,
+    acs_from_complex_action,
     d_at_point,
     d_complex,
     d_complex_bar,
@@ -386,6 +388,15 @@ def test_is_zero_scalar_reads_every_jet_coefficient():
     assert is_zero_scalar(slope * 0.0)
 
 
+def test_is_zero_scalar_reads_no_coefficient_above_the_validity_order():
+    slope = seed_jets((0.0, 1.0), 2)[0]
+    assert is_zero_scalar(slope.to_order(0))
+    c = (slope * slope).c.copy()  # x^2 at x = 0: zero to order 1
+    c[3:] = float("nan")  # every coefficient of degree 2
+    assert is_zero_scalar(Jet(slope.space, c, 1, slope.mask))
+    assert not is_zero_scalar(Jet(slope.space, c, 2, slope.mask))
+
+
 def test_mat_inv_raises_a_domain_error_on_a_singular_matrix():
     with pytest.raises(DomainError):
         mat_inv([[1.0 + 2.0j, 2.0 - 1.0j], [2.0 + 4.0j, 4.0 - 2.0j]])
@@ -445,6 +456,49 @@ def test_mat_inv_of_jet_matrices_against_the_identity(n, zero_leading, monkeypat
                 want = np.zeros(keep, dtype=np.complex128)
                 want[0] = 1.0 if i == j else 0.0
                 assert np.max(np.abs(entry.c[:keep] - want)) <= 1e-12
+
+
+def acs_oracle(chart, action):
+    """T action T^-1 entry by entry: sum over (l, k) in order, skipping zero terms."""
+    n = chart.dim
+    T, Tinv = _complex_basis_matrices(chart)
+    mat = []
+    for w in range(n):
+        row = []
+        for v in range(n):
+            acc = 0.0 + 0.0j
+            for l in range(n):
+                for k in range(n):
+                    a = action[l][k]
+                    if T[w, l] != 0 and Tinv[k, v] != 0 and not is_zero_scalar(a):
+                        acc = acc + T[w, l] * (a * Tinv[k, v])
+            row.append(acc)
+        mat.append(row)
+    return mat
+
+
+def test_acs_from_complex_action_matches_the_entrywise_sum():
+    rng = random.Random(151)
+    x = seed_jets([rng.uniform(-1, 1) for _ in range(6)], 4)
+    pool = [
+        lambda: x[0] * x[1] * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+        lambda: (x[2] + 0.5).exp().to_order(2),
+        lambda: x[3] * 0.0,  # zero to within PRUNE_EPS: combines nothing
+        lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+        lambda: 0.0 + 0.0j,
+    ]
+    for trial in range(4):
+        action = [[rng.choice(pool)() for _ in range(6)] for _ in range(6)]
+        got = acs_from_complex_action(TWISTOR_FLAT, action).mat
+        want = acs_oracle(TWISTOR_FLAT, action)
+        for g, e in zip(sum(got, []), sum(want, [])):
+            assert isinstance(g, Jet) == isinstance(e, Jet)
+            if isinstance(e, Jet):
+                assert (g.order, g.mask) == (e.order, e.mask)
+                n = e.space.prefix_sizes[e.order]
+                assert np.array_equal(g.c[:n], e.c[:n])
+            else:
+                assert g == e
 
 
 def test_complex_components_cache_is_per_chart():

@@ -10,7 +10,9 @@ balanced check).  The certificates without a workload (``omega_norm``,
 recorded alongside.
 
 A value matches when |new - old| <= 1e-12 max(1, |old|); NaN and inf never
-match.  ``PYTHONPATH=src python tests/test_golden.py`` records the file again.
+match.  ``PYTHONPATH=src python tests/test_golden.py`` records the file again;
+with ``--drift`` it prints, per group, how many values differ from the file,
+the largest |new - old| / max(1, |old|) and its key, and writes nothing.
 """
 
 import json
@@ -164,6 +166,34 @@ def test_golden_match_rejects_nan_and_inf():
     assert not any(matches(x, x) for x in (math.nan, math.inf, -math.inf))
 
 
+def drift(new, old) -> float:
+    """|new - old| / max(1, |old|), the measure ``matches`` gates; inf unless both are finite."""
+    if not (math.isfinite(new) and math.isfinite(old)):
+        return 0.0 if new == old else math.inf
+    return abs(new - old) / max(1.0, abs(old))
+
+
+def drift_report(group) -> str:
+    """One line: how many values of the group differ from the file, and the largest drift."""
+    golden = json.loads(GOLDEN.read_text())[group]
+    new = compute(group)
+    missing = sorted(set(golden) ^ set(new))
+    moved = {k: drift(new[k], golden[k]) for k in golden if k in new and new[k] != golden[k]}
+    line = f"{group}: {len(moved)} of {len(golden)} values differ"
+    if moved:
+        key = max(moved, key=moved.get)
+        line += f", largest drift {moved[key]:.3g} at {key}"
+    if missing:
+        line += f"; keys in only one of file and run: {missing}"
+    return line
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({g: compute(g) for g in GROUPS}, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    if sys.argv[1:] == ["--drift"]:
+        for g in GROUPS:
+            print(drift_report(g))
+    elif sys.argv[1:]:
+        sys.exit("usage: test_golden.py [--drift]")
+    else:
+        GOLDEN.write_text(json.dumps({g: compute(g) for g in GROUPS}, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -42,8 +42,8 @@ def triple_values(model, p):
 
 def quaternion_at(model, p):
     """I, J and K on the 1-forms of the 4-manifold chart, at the point's values."""
-    xjets = seed_jets(p.coords, 2)
-    return {which: quaternion_operator(model, which, xjets).values() for which in "IJK"}
+    kh = kappa_hermitian_jets(model, seed_jets(p.coords, 2))
+    return {which: quaternion_operator(kh, which, model.chart).values() for which in "IJK"}
 
 
 # -- potential jets ----------------------------------------------------------

@@ -478,3 +478,24 @@ def test_numpy_scalars_defer_to_the_jet_and_arrays_are_refused():
         np.ones(3) * jet
     with pytest.raises(TypeError):
         jet * np.ones(3)
+
+
+def test_to_order_is_a_view_valid_to_the_lower_order():
+    x, y, z = seed_jets((0.3, -0.2, 0.5), 4)
+    f = (x * y + z).exp()
+    low = f.to_order(2)
+    assert (low.order, low.mask, low.space) == (2, f.mask, f.space)
+    assert low.c is f.c  # shared, not copied
+    assert f.to_order(4) is f and f.to_order(6) is f
+    assert low.to_order(3) is low
+    assert low.coefficient((1, 1, 0)) == f.coefficient((1, 1, 0))
+    with pytest.raises(InsufficientJetOrder):
+        low.coefficient((1, 1, 1))
+    with pytest.raises(ValueError):
+        f.to_order(-1)
+    # a product of views is summed to the views' order and equals the full product there
+    g = (x - z).sin()
+    prod, full = low * g.to_order(2), f * g
+    n = f.space.prefix_sizes[2]
+    assert prod.order == 2
+    assert np.array_equal(prod.c[:n], full.c[:n]) and not prod.c[n:].any()

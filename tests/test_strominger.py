@@ -8,6 +8,7 @@ from stromlab.forms import (
     DomainError,
     FormValue,
     TypeContext,
+    dbar_del_scalar,
     exterior_derivative,
     form_linear_combo,
     gram_curvature,
@@ -19,7 +20,7 @@ from stromlab.forms import (
 )
 from stromlab.hyperkahler import EH_CHART, asd_residual, det_residual, eguchi_hanson, flat_model, quaternion_operator
 from stromlab import hyperkahler, strominger, twistor
-from stromlab.jets import Jet, jet_space, seed_jets
+from stromlab.jets import InsufficientJetOrder, Jet, jet_space, seed_jets
 from stromlab.sampling import box, random_ansatz_params, sample_points
 from stromlab.twistor import (
     C3_CHART,
@@ -109,8 +110,6 @@ def test_conformal_gram_trace():
         zero = jets[0] * 0.0
         return [[e, zero, zero], [zero, e, zero], [zero, zero, e]]
 
-    from stromlab.forms import dbar_del_scalar
-
     ctx = TypeContext(standard_acs(C3_CHART))
     R = CurvatureValue(gram_curvature(h_field(p, 3), ctx))
     jets = seed_jets(p.coords, 3)
@@ -136,8 +135,6 @@ def test_trace_equals_ddbar_log_det():
         - H[0][1] * (H[1][0] * H[2][2] - H[1][2] * H[2][0])
         + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0])
     )
-    from stromlab.forms import dbar_del_scalar
-
     expected = dbar_del_scalar(data.fr.ctx, det.conjugate().log()).values()
     tr = R.trace().values()
     assert (tr - expected).sup() <= 1e-10 * max(1.0, tr.sup())
@@ -201,6 +198,59 @@ def test_pointwise_gram_curvature_matches_the_jet_path():
                 for g, w in zip(row_got, row_want):
                     assert not any(isinstance(c, Jet) for c in g.terms.values())
                     assert (g - w).sup() <= 1e-13 * scale
+
+
+def poisoned_above(x, order):
+    """x with every coefficient of degree > order set to NaN; the jet keeps its claimed order."""
+    c = x.c.copy()
+    c[x.space.prefix_sizes[order] :] = math.nan
+    return Jet(x.space, c, x.order, x.mask)
+
+
+def same_form(a, b) -> bool:
+    return a.degree == b.degree and a.terms.keys() == b.terms.keys() and all(a.terms[m] == b.terms[m] for m in a.terms)
+
+
+def test_gram_curvature_and_dbar_del_read_their_inputs_to_order_two():
+    p = twistor_points(FLAT, 1, seed=141)[0]
+    data = AnsatzCurvatureData(FLAT, random_ansatz_params(seed=143, pair_index=0), p, order=4)
+    ctx = data.fr.ctx
+    for H in (data.gram(), data.U):
+        want = gram_curvature(H, ctx)
+        got = gram_curvature([[poisoned_above(e, 2) for e in row] for row in H], ctx)
+        assert all(same_form(g, w) for rg, rw in zip(got, want) for g, w in zip(rg, rw))
+        # the same poison one degree lower reaches the result
+        seen = gram_curvature([[poisoned_above(e, 1) for e in row] for row in H], ctx)
+        assert math.isnan(CurvatureValue(seen).sup())
+    f = data.B.log()
+    assert f.order == 4
+    assert same_form(dbar_del_scalar(ctx, poisoned_above(f, 2)), dbar_del_scalar(ctx, f))
+    assert math.isnan(dbar_del_scalar(ctx, poisoned_above(f, 1)).sup())
+
+
+def test_readers_lowered_one_order_too_far_raise(monkeypatch):
+    p = twistor_points(FLAT, 1, seed=145)[0]
+    params = AnsatzParams.coupling_solution()
+    data = AnsatzCurvatureData(FLAT, params, p, order=4)
+    H, f, ctx = data.gram(), data.B.log(), data.fr.ctx
+    to_order, at_order = Jet.to_order, TypeContext.at_order
+    strominger._DATA_CACHE.clear()
+    with monkeypatch.context() as m:
+        m.setattr(Jet, "to_order", lambda self, o: to_order(self, max(o - 1, 0)))
+        with pytest.raises(InsufficientJetOrder):
+            gram_curvature(H, ctx)
+        with pytest.raises(InsufficientJetOrder):
+            dbar_del_scalar(ctx, f)
+        with pytest.raises(InsufficientJetOrder):
+            hym_residual(FLAT, params, p)
+    strominger._DATA_CACHE.clear()
+    # the order-1 projections of the torsion and of dbar Y, alone
+    with monkeypatch.context() as m:
+        m.setattr(TypeContext, "at_order", lambda self, o: at_order(self, max(o - 1, 0)))
+        for op in (anomaly_residual, curvature_identities):
+            with pytest.raises(InsufficientJetOrder):
+                op(FLAT, params, p)
+    strominger._DATA_CACHE.clear()
 
 
 def test_curvature_data_is_memoised_per_object():
@@ -410,6 +460,31 @@ def test_one_kappa_hessian_per_asd_residual(monkeypatch):
     assert calls == ["eguchi_hanson"]
 
 
+def test_one_kappa_hessian_per_radial_h_residual(monkeypatch):
+    calls = count_kappa_hessians(monkeypatch)
+    radial_h_residual(RadialProfile.inverse_three_halves(), point(TWISTOR_FLAT, 0.5, 0.2, 0.4, 0.8, -0.3, 0.5))
+    assert calls == ["flat_r4"]
+
+
+def test_one_metric_per_twistor_frame(monkeypatch):
+    p = twistor_points(FLAT, 1, seed=73)[0]
+    params = AnsatzParams.coupling_solution()
+    strominger._DATA_CACHE.clear()
+    calls = []
+    orig = TwistorFrame.fiber_form
+
+    def counted(self):
+        calls.append(self)
+        return orig(self)
+
+    monkeypatch.setattr(TwistorFrame, "fiber_form", counted)
+    hym_residual(FLAT, params, p)
+    anomaly_residual(FLAT, params, p)
+    fr = strominger._curvature_data(FLAT, params, p).fr
+    assert calls == [fr]  # hym and the anomaly share one metric of the cached frame
+    assert fr.metric() is fr.metric()
+
+
 @pytest.mark.parametrize("zeta", [1e-3, 1e-2])
 def test_anomaly_of_the_coupling_solution_passes_near_the_zeta_cutoff(zeta):
     p = point(TWISTOR_FLAT, zeta, 0.0, 0.4, 0.8, -0.3, 0.5)
@@ -570,9 +645,9 @@ def test_radial_expansion_matches_dolbeault_machinery():
     d_rho = differential_of_scalar(rho, fr.chart)
     prof_d1 = svalue((-1.5) * rho.reciprocal() + 0.2)
     prof_d2 = svalue(1.5 * (rho * rho).reciprocal())
-    Id_rho = quaternion_operator(FLAT, "I", fr.jets, fr.chart, 1).apply(d_rho)
-    Jd_rho = quaternion_operator(FLAT, "J", fr.jets, fr.chart, 1).apply(d_rho)
-    Kd_rho = quaternion_operator(FLAT, "K", fr.jets, fr.chart, 1).apply(d_rho)
+    Id_rho = quaternion_operator(fr.kh, "I", fr.chart, 1).apply(d_rho)
+    Jd_rho = quaternion_operator(fr.kh, "J", fr.chart, 1).apply(d_rho)
+    Kd_rho = quaternion_operator(fr.kh, "K", fr.chart, 1).apply(d_rho)
     frak = Id_rho.scale(fr.alpha) + Jd_rho.scale(fr.beta) + Kd_rho.scale(fr.gamma)
     sphere = (
         differential_of_scalar(fr.alpha, fr.chart).wedge(Id_rho)
@@ -597,9 +672,9 @@ def test_quaternion_identity_on_twistor_chart():
     fr = TwistorFrame(FLAT, p, 2)
     rho = fr.x[0] * fr.x[0] + fr.x[1] * fr.x[1] + fr.x[2] * fr.x[2] + fr.x[3] * fr.x[3]
     d_rho = differential_of_scalar(rho, fr.chart)
-    Id_rho = quaternion_operator(FLAT, "I", fr.jets, fr.chart, 1).apply(d_rho)
-    Jd_rho = quaternion_operator(FLAT, "J", fr.jets, fr.chart, 1).apply(d_rho)
-    Kd_rho = quaternion_operator(FLAT, "K", fr.jets, fr.chart, 1).apply(d_rho)
+    Id_rho = quaternion_operator(fr.kh, "I", fr.chart, 1).apply(d_rho)
+    Jd_rho = quaternion_operator(fr.kh, "J", fr.chart, 1).apply(d_rho)
+    Kd_rho = quaternion_operator(fr.kh, "K", fr.chart, 1).apply(d_rho)
     lhs = d_rho.wedge(Id_rho).values() + fr.triple.omega_I.values().scale(4.0 * svalue(rho))
     rhs = Jd_rho.wedge(Kd_rho).values()
     assert (lhs - rhs).sup() <= 1e-11 * max(1.0, rhs.sup())

@@ -135,3 +135,28 @@ def test_jet_parts_sum_back_project_idempotently_and_follow_the_order_rule(twist
         again = ctx.project(part, p, q)
         assert_forms_close(again, part, 1e-13, size)
         assert_forms_close(ctx.project(form, p, q), part, 0.0, size)
+
+
+def test_lower_order_contexts_hold_prefixes_of_the_full_tables(twistor_frame):
+    ctx = TypeContext(twistor_frame.acs)
+    space, mask, order = twistor_frame.zr.space, 0b11, twistor_frame.order
+    assert ctx.at_order(order) is ctx and ctx.at_order(order + 3) is ctx
+    lower = {o: ctx.at_order(o) for o in (1, 2, 3)}
+    for o, low in lower.items():
+        assert low is ctx.at_order(o) and low is not ctx
+        for k in (1, 2, 3):
+            assert low._table(k) is low._table(k)  # built once
+    assert set(ctx._tables) == {1}  # the lower tables are built without the full ones
+    for o, low in lower.items():
+        rows = len(space.support(mask, o))
+        for k in (1, 2, 3):
+            full = ctx._table(k)
+            assert low._table(k).shape == (rows,) + full.shape[1:]
+            assert low._table(k).tobytes() == full[:rows].tobytes(), (o, k)
+
+
+def test_a_constant_structure_is_its_own_context_at_every_order():
+    ctx = TypeContext(conjugated_structure())
+    assert all(ctx.at_order(o) is ctx for o in (0, 1, 4))
+    with pytest.raises(ValueError):
+        ctx.at_order(-1)
