@@ -11,6 +11,19 @@ satisfies.
 
 Charts carry the standard complex structure (base coordinates plus the
 fiber coordinate t are holomorphic); the zero section t = 0 is excluded.
+
+The operators share one :class:`CanonicalBundleFrame` per (base, params,
+point): it keeps its metric, Gram matrix, Chern-Ricci form and Chern scalar
+once built.  ``_frame`` hands out a kept frame of at least the order asked
+for, and keeps only the two frames used last (a point certifies the theorem
+metric and then a must-fail profile, and the theorem frame must survive the
+second); a frame whose jet space is no longer ``jet_space(dim, order)``
+(after ``jet_space.cache_clear()``) is rebuilt.  Each operator reads the
+frame only to the order it needs: ``extremal_residual`` at order 7,
+``chern_scalar`` at 3, ``km_balanced_residual`` at 2 and ``volume_norm`` at
+1.  The low coefficients of a truncated product or composition do not depend
+on the truncation order, so a reader gets the same bits from any frame of at
+least its order.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ from .forms import (
     _complex_basis_matrices,
     d_complex,
     d_complex_bar,
+    d_part_at_point,
     exterior_derivative,
     exterior_derivative_with_scale,
     form_power,
@@ -109,13 +123,15 @@ class Profile:
 
 
 def solve_profile_f(s_const: float, c: float, c0: float, n: int) -> Profile:
-    """Closed-form profile with e^{(n+1)f} = (n+1) s e^c R + C0.
+    """Closed-form profile with e^{(n+1)f} = (n+1) (s/n) e^c R + C0.
 
-    Differentiating gives e^{(n+1)f - c} f' = s, the reduction of the
-    balanced condition over a constant-Chern-scalar base; the returned
-    profile is self-certifying through :func:`profile_ode_residual`.
+    Differentiating gives e^{(n+1)f - c} f' = s/n, the reduction of the
+    balanced condition over a base of constant Chern scalar s and complex
+    dimension n: d(omega^n) = n [f' e^{nf} - (s/n) e^{c-f}] dR ^ omega_B^n,
+    from rho_B ^ omega_B^{n-1} = (s/n) omega_B^n.  The returned profile is
+    self-certifying through :func:`profile_ode_residual`.
     """
-    k = (n + 1) * s_const * math.exp(c)
+    k = (n + 1) * (s_const / n) * math.exp(c)
 
     def fn(R):
         arg = R * k + c0
@@ -127,12 +143,12 @@ def solve_profile_f(s_const: float, c: float, c0: float, n: int) -> Profile:
 
 
 def profile_ode_residual(profile: Profile, s_const: float, c: float, n: int, R_value: float) -> float:
-    """|e^{(n+1)f - c} f' - s| at one fiber-norm value."""
+    """|e^{(n+1)f - c} f' - s/n| at one fiber-norm value."""
     space = jet_space(1, 1)
     R = Jet.variable(space, 0, R_value)
     f = profile(R)
     fprime = f.derivative(0).value
-    return abs(math.exp((n + 1) * svalue(f).real - c) * fprime - s_const)
+    return abs(math.exp((n + 1) * svalue(f).real - c) * fprime - s_const / n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +194,16 @@ class CalabiParams:
 
 
 class CanonicalBundleFrame:
-    """Jets of the ansatz data at a point of the total-space chart."""
+    """Jets of the ansatz data at a point of the total-space chart, seeded at ``order``.
+
+    The metric, its Gram matrix, the Chern-Ricci form and the Chern scalar
+    are each built on first use and kept, so every operator reading the
+    frame pays for each once; do not mutate them.  The metric's fiber part
+    differentiates R, so the metric is valid to order - 1, the Ricci form to
+    order - 3 and the scalar to order - 3: the extremal equation (the
+    Hessian of the Laplacian of s, read at the point) needs order 7, the
+    Chern scalar 3, d(omega^n) 2 and the volume norm 1.
+    """
 
     def __init__(self, base: BaseKahlerModel, params: CalabiParams | None, p: ChartPoint, order: int):
         if p.chart != base.total_chart:
@@ -188,6 +213,7 @@ class CanonicalBundleFrame:
             raise ZeroSectionError("the fiber-norm ansatz is singular on the zero section")
         self.base = base
         self.chart = base.total_chart
+        self.order = order
         self.jets = seed_jets(p.coords, order)
         self.zjets = self.jets[: 2 * base.n]
         self.t = self.jets[2 * base.n] + 1j * self.jets[2 * base.n + 1]
@@ -200,6 +226,7 @@ class CanonicalBundleFrame:
             self.v = params.v_fn(self.zjets)
             self.f = params.f_profile(self.R)
             self.g = params.g_profile(self.R)
+        self._metric = self._gram = self._ricci = self._scalar = None
 
     def base_form(self) -> FormValue:
         return hermitian_form(self.chart, self.hmat)
@@ -216,15 +243,61 @@ class CanonicalBundleFrame:
         return del_R, dbar_R
 
     def metric(self) -> FormValue:
-        del_R, dbar_R = self.dR_split()
-        fiber = del_R.wedge(dbar_R).scale(1j * self.R.reciprocal() * (self.v + self.g).exp())
-        return self.base_form().scale((self.u + self.f).exp()) + fiber
+        if self._metric is None:
+            del_R, dbar_R = self.dR_split()
+            fiber = del_R.wedge(dbar_R).scale(1j * self.R.reciprocal() * (self.v + self.g).exp())
+            self._metric = self.base_form().scale((self.u + self.f).exp()) + fiber
+        return self._metric
+
+    def gram(self):
+        """g_{a bbar} of the metric."""
+        if self._gram is None:
+            self._gram = hermitian_matrix_of(self.metric(), self.chart)
+        return self._gram
+
+    def ricci(self) -> FormValue:
+        """rho = -i del dbar log det g."""
+        if self._ricci is None:
+            self._ricci = chern_ricci_form(self.gram(), self.ctx)
+        return self._ricci
+
+    def scalar(self):
+        """The Chern scalar s, as a jet."""
+        if self._scalar is None:
+            self._scalar = chern_scalar_of(self.metric(), self.ricci())
+        return self._scalar
 
     def volume_form(self) -> FormValue:
         out = d_complex(self.chart, 0)
         for j in range(1, self.chart.ncomplex):
             out = out.wedge(d_complex(self.chart, j))
         return out
+
+
+_FRAMES: dict = {}  # (base, params, point) -> frame; the two used last, the older first
+
+
+def _frame(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint, order: int) -> CanonicalBundleFrame:
+    """A frame of order >= ``order`` at the point, shared by the operators.
+
+    A kept frame serves if its order suffices and its jets still live in
+    the space ``jet_space`` returns for its order (a cleared cache makes new
+    spaces); otherwise one is built at ``order`` and replaces it.  Only the
+    two frames used last are kept.
+    """
+    key = (base, params, p)
+    fr = _FRAMES.pop(key, None)
+    if fr is None or fr.order < order or fr.jets[0].space is not jet_space(p.chart.dim, fr.order):
+        fr = CanonicalBundleFrame(base, params, p, order)
+    _FRAMES[key] = fr
+    if len(_FRAMES) > 2:
+        del _FRAMES[next(iter(_FRAMES))]
+    return fr
+
+
+def _read_to(form: FormValue, order: int) -> FormValue:
+    """The form with each jet coefficient read to ``order``."""
+    return form.map_coeffs(lambda c: c.to_order(order) if isinstance(c, Jet) else c)
 
 
 def omega0_d_residual(base: BaseKahlerModel, p: ChartPoint) -> float:
@@ -268,23 +341,24 @@ def chern_ricci_form(gram, ctx: TypeContext) -> FormValue:
     return i_ddbar(ctx, det.log()).scale(-1.0)
 
 
-def chern_scalar_of(omega: FormValue, gram, ctx: TypeContext):
-    """s = trace of the Chern-Ricci form against the metric.
+def chern_scalar_of(omega: FormValue, rho: FormValue):
+    """s = trace of the Chern-Ricci form rho against the metric omega.
 
     Uses dim * (rho ^ omega^{dim-1}) / omega^dim, which avoids any frame
-    choice; returns a jet when the inputs carry jets.
+    choice; omega is read to the order of rho's jets.  Returns a jet when
+    the inputs carry jets.
     """
-    rho = chern_ricci_form(gram, ctx)
+    orders = [c.order for c in rho.terms.values() if isinstance(c, Jet)]
+    if orders:
+        omega = _read_to(omega, min(orders))
     m = omega.chart.ncomplex
     return float(m) * top_ratio(rho.wedge(form_power(omega, m - 1)), form_power(omega, m))
 
 
 def chern_scalar(base: BaseKahlerModel, params: CalabiParams | None, p: ChartPoint) -> float:
     """Chern scalar of the total-space ansatz metric (or of omega_0 if no params)."""
-    fr = CanonicalBundleFrame(base, params or CalabiParams.plain(), p, 3)
-    omega = fr.metric()
-    gram = hermitian_matrix_of(omega, fr.chart)
-    return svalue(chern_scalar_of(omega, gram, fr.ctx)).real
+    fr = _frame(base, params or CalabiParams.plain(), p, 3)
+    return svalue(fr.scalar()).real
 
 
 def base_chern_scalar(base: BaseKahlerModel, z_point) -> float:
@@ -292,7 +366,7 @@ def base_chern_scalar(base: BaseKahlerModel, z_point) -> float:
     jets = seed_jets(z_point, 3)
     hmat = base.metric(jets)
     ctx = TypeContext(standard_acs(base.chart))
-    return svalue(chern_scalar_of(hermitian_form(base.chart, hmat), hmat, ctx)).real
+    return svalue(chern_scalar_of(hermitian_form(base.chart, hmat), chern_ricci_form(hmat, ctx))).real
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +379,7 @@ def volume_norm(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> f
     The modulus drops the constant phase of Omega^Omega_bar; the ratio
     raises DomainError unless omega^m is positive.
     """
-    fr = CanonicalBundleFrame(base, params, p, 1)
+    fr = _frame(base, params, p, 1)
     omega = fr.metric().values()
     vol = fr.volume_form()
     m = fr.chart.ncomplex
@@ -322,39 +396,37 @@ def constant_norm_residual(base: BaseKahlerModel, params: CalabiParams, points) 
 
 def km_balanced_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
     """Relative sup of d(omega^n) on the (n+1)-dimensional total space."""
-    fr = CanonicalBundleFrame(base, params, p, 2)
-    power = form_power(fr.metric(), base.n)
+    fr = _frame(base, params, p, 2)
+    power = form_power(_read_to(fr.metric(), 1), base.n)
     d, scale = exterior_derivative_with_scale(power)
     return relative_residual(d.values().sup(), nan_max([scale, power.values().sup()]))
 
 
-def extremal_residual_of(omega: FormValue, gram, ctx: TypeContext) -> float:
+def extremal_residual_of(omega: FormValue, rho: FormValue, s, ctx: TypeContext) -> float:
     """Euler-Lagrange residual 2(n-1) i del dbar s ^ rho - i del dbar((2 Lap s + s^2) omega).
 
-    Inputs must carry jets of order >= 4 on the metric coefficients (the
-    scalar curvature consumes two, and the outer Hessians two more).
+    Takes the metric omega, its Chern-Ricci form rho and its Chern scalar s
+    (a jet, as ``chern_scalar_of`` returns it).  Only values at the point
+    are compared: s must be valid to order >= 4 (its Hessian feeds the
+    Laplacian, which the outer del dbar differentiates twice), omega and
+    the Laplacian are read to order 2, and rho at its value.
     """
     m = omega.chart.ncomplex
-    rho = chern_ricci_form(gram, ctx)
-    s = chern_scalar_of(omega, gram, ctx)
+    omega2 = _read_to(omega, 2)
     i_ddbar_s = i_ddbar(ctx, s)
-    lap_s = float(m) * top_ratio(i_ddbar_s.wedge(form_power(omega, m - 1)), form_power(omega, m))
+    lap_s = float(m) * top_ratio(i_ddbar_s.wedge(form_power(omega2, m - 1)), form_power(omega2, m))
     lhs = i_ddbar_s.values().wedge(rho.values()).scale(2.0 * (m - 1))
-    inner = omega.scale(lap_s * 2.0 + s * s)
+    s2 = s.to_order(2)
+    inner = omega2.scale(lap_s * 2.0 + s2 * s2)
     dbar_inner = ctx.project(exterior_derivative(inner), 1, 2)
-    del_dbar_inner = ctx.project(exterior_derivative(dbar_inner), 2, 2)
-    rhs = del_dbar_inner.values().scale(1j)
+    rhs = d_part_at_point(ctx, dbar_inner, 2, 2).scale(1j)
     scale = nan_max([lhs.sup(), rhs.sup(), 1.0])
     return relative_residual((lhs - rhs).sup(), scale)
 
 
 def extremal_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
-    # metric coefficients need six valid orders: two for the Ricci form, two
-    # for the Hessian of the scalar, two for the outer Hessian
-    fr = CanonicalBundleFrame(base, params, p, 7)
-    omega = fr.metric()
-    gram = hermitian_matrix_of(omega, fr.chart)
-    return extremal_residual_of(omega, gram, fr.ctx)
+    fr = _frame(base, params, p, 7)
+    return extremal_residual_of(fr.metric(), fr.ricci(), fr.scalar(), fr.ctx)
 
 
 def theorem_metric_params(base: BaseKahlerModel, c: float = 0.0, c0: float = 1.0) -> CalabiParams:
@@ -363,6 +435,6 @@ def theorem_metric_params(base: BaseKahlerModel, c: float = 0.0, c0: float = 1.0
     The base must have constant Chern scalar; the scalar is sampled at the
     chart origin and trusted to the constancy checks elsewhere.
     """
-    s0 = base_chern_scalar(base, (0.0, 0.0))
+    s0 = base_chern_scalar(base, (0.0,) * (2 * base.n))
     f = solve_profile_f(s0, c, c0, base.n)
     return CalabiParams.constant_length(base, f_profile=f, c=c)

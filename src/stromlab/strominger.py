@@ -100,9 +100,11 @@ def balanced_residual(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoi
 
     The norm profile s^4 e^{-2h-2g} is used for |Omega|; its agreement with
     the honest top-form ratio is certified separately, and the constant
-    factor is killed by d anyway.
+    factor is killed by d anyway.  d is read only at the point, so order 1
+    suffices where the kappa Hessian is constant; elsewhere the Hessian
+    costs two more orders.
     """
-    fr = TwistorFrame(model, p, 3, params)
+    fr = TwistorFrame(model, p, 1 if model.hessian_constant else 3, params)
     return conformally_balanced_residual(fr.metric(), fr.norm_profile())
 
 

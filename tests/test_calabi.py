@@ -1,9 +1,12 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
-from stromlab.forms import FormValue, hermitian_form, point
+from stromlab import calabi
+from stromlab.forms import Chart, FormValue, hermitian_form, point
 from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.calabi import (
     CalabiParams,
@@ -82,6 +85,38 @@ def test_scaling_divides_scalar():
             return [[e * 3.0 for e in row] for row in FS.metric(zjets)]
 
     assert base_chern_scalar(Scaled(), (0.3, 0.4)) == pytest.approx(2.0 / 3.0, abs=1e-10)
+
+
+class FubiniStudyCP2:
+    """g = i del dbar log q on C^2, q = 1 + |z|^2: Kahler-Einstein with s = n(n+1) = 6."""
+
+    n = 2
+    chart = Chart("cp2_base", ("y1", "y2", "y3", "y4"), ("z1", "z2"))
+    total_chart = Chart("cp2_total", ("y1", "y2", "y3", "y4", "tr", "ti"), ("z1", "z2", "t"))
+
+    def metric(self, zjets):
+        z = [zjets[0] + 1j * zjets[1], zjets[2] + 1j * zjets[3]]
+        q_inv = (z[0] * z[0].conjugate() + z[1] * z[1].conjugate() + 1.0).reciprocal()
+        # g_{j kbar} = delta_jk / q - zbar_j z_k / q^2
+        return [
+            [(q_inv if j == k else 0.0) - z[j].conjugate() * z[k] * q_inv * q_inv for k in range(2)]
+            for j in range(2)
+        ]
+
+
+def test_cp2_theorem_profile_is_balanced():
+    # the profile solves e^{(n+1)f - c} f' = s/n; with s in place of s/n
+    # (the profile of solve_profile_f(n * s0, ...)) d(omega^n) is far from 0
+    base = FubiniStudyCP2()
+    s0 = base_chern_scalar(base, (0.0,) * 4)
+    assert s0 == pytest.approx(6.0, abs=1e-9)
+    params = theorem_metric_params(base)
+    old = CalabiParams.constant_length(base, f_profile=solve_profile_f(base.n * s0, 0.0, 1.0, base.n))
+    for coords in ((0.3, -0.2, 0.5, 0.1, 0.7, 0.4), (-0.6, 0.4, 0.2, -0.5, 0.5, -0.6)):
+        p = point(base.total_chart, *coords)
+        assert km_balanced_residual(base, params, p) <= 1e-8
+        assert abs(chern_scalar(base, params, p)) <= 1e-8
+        assert km_balanced_residual(base, old, p) >= 1e-3
 
 
 # -- the ansatz ---------------------------------------------------------------
@@ -251,7 +286,7 @@ def test_full_certificate_simultaneously():
 @pytest.mark.slow
 def test_extremal_fails_on_nonzero_scalar_metric():
     # the twistor ansatz with growing radial h has nonzero Chern scalar
-    from stromlab.calabi import extremal_residual_of
+    from stromlab.calabi import chern_ricci_form, chern_scalar_of, extremal_residual_of
     from stromlab.hyperkahler import flat_model
     from stromlab.strominger import AnsatzCurvatureData
     from stromlab.twistor import TWISTOR_FLAT, AnsatzParams
@@ -262,5 +297,76 @@ def test_extremal_fails_on_nonzero_scalar_metric():
         h_fn=lambda x1, x2, x3, x4: (x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4) * 0.2,
     )
     data = AnsatzCurvatureData(flat_model(), params, p, order=7)
-    res = extremal_residual_of(data.fr.metric(), data.gram(), data.fr.ctx)
+    omega = data.fr.metric()
+    rho = chern_ricci_form(data.gram(), data.fr.ctx)
+    res = extremal_residual_of(omega, rho, chern_scalar_of(omega, rho), data.fr.ctx)
     assert res >= 1e-4
+
+
+# -- the shared frame -----------------------------------------------------------
+
+
+SHARED = (chern_scalar, km_balanced_residual, volume_norm, extremal_residual)
+
+
+@pytest.fixture
+def frames_built(monkeypatch):
+    """Weak references to every frame built while the fixture is active, cache emptied first."""
+    calabi._FRAMES.clear()
+    built = []
+    init = CanonicalBundleFrame.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(CanonicalBundleFrame, "__init__", recording)
+    return built
+
+
+def test_shared_frame_reads_equal_fresh_frames():
+    for base, seed in ((FS, 59), (TORUS, 61)):
+        params = theorem_metric_params(base)
+        for p in total_points(base, 4, seed):
+            fresh = []
+            for op in SHARED:
+                calabi._FRAMES.clear()
+                fresh.append(op(base, params, p))
+            # after chern_scalar the order-3 frame serves all but extremal, which rebuilds at 7
+            for first in (extremal_residual, chern_scalar):
+                calabi._FRAMES.clear()
+                first(base, params, p)
+                assert [op(base, params, p) for op in SHARED] == fresh
+
+
+def test_workload_point_builds_two_frames(frames_built):
+    params = theorem_metric_params(FS)
+    linear = CalabiParams.constant_length(FS, f_profile=Profile.linear(1.0))
+    p = total_points(FS, 1, seed=67)[0]
+    extremal_residual(FS, params, p)
+    km_balanced_residual(FS, params, p)
+    km_balanced_residual(FS, linear, p)
+    chern_scalar(FS, params, p)
+    volume_norm(FS, params, p)
+    assert [ref().order for ref in frames_built] == [7, 2]
+
+
+def test_cleared_jet_spaces_rebuild_the_frame(frames_built):
+    params = theorem_metric_params(FS)
+    p = total_points(FS, 1, seed=71)[0]
+    first = chern_scalar(FS, params, p)
+    chern_scalar(FS, params, p)
+    assert len(frames_built) == 1
+    jet_space.cache_clear()
+    assert chern_scalar(FS, params, p) == first
+    assert len(frames_built) == 2
+    assert frames_built[1]().jets[0].space is jet_space(4, 3)
+
+
+def test_frame_cache_keeps_two_frames(frames_built):
+    p = total_points(FS, 1, seed=73)[0]
+    for _ in range(10):
+        volume_norm(FS, theorem_metric_params(FS), p)
+    gc.collect()
+    assert len(frames_built) == 10
+    assert sum(ref() is not None for ref in frames_built) <= 2

@@ -10,13 +10,22 @@ balanced check).  The certificates without a workload (``omega_norm``,
 recorded alongside.
 
 A value matches when |new - old| <= 1e-12 max(1, |old|); NaN and inf never
-match.  ``PYTHONPATH=src python tests/test_golden.py`` records the file again;
-with ``--drift`` it prints, per group, how many values differ from the file,
-the largest |new - old| / max(1, |old|) and its key, and writes nothing.
+match.  The calabi extremal residuals are rounding noise (6e-13 to 1.2e-10
+here), so a reordered sum moves them past that tolerance: a change must leave the
+``calabi_canonical`` group bit-identical.
+
+``PYTHONPATH=src python tests/test_golden.py`` records the file again; with
+``--drift`` it prints, per group, how many values differ from the file, the
+largest |new - old| / max(1, |old|) and its key, and writes nothing.  With
+``--against <checkout>`` it computes every group from that checkout's
+``src/`` in a subprocess and prints the same per group for this checkout
+against it, again writing nothing.
 """
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -173,27 +182,56 @@ def drift(new, old) -> float:
     return abs(new - old) / max(1.0, abs(old))
 
 
-def drift_report(group) -> str:
-    """One line: how many values of the group differ from the file, and the largest drift."""
-    golden = json.loads(GOLDEN.read_text())[group]
-    new = compute(group)
-    missing = sorted(set(golden) ^ set(new))
-    moved = {k: drift(new[k], golden[k]) for k in golden if k in new and new[k] != golden[k]}
-    line = f"{group}: {len(moved)} of {len(golden)} values differ"
+def drift_report(group, new, old) -> str:
+    """One line: how many values of the group differ between two runs, and the largest drift."""
+    missing = sorted(set(old) ^ set(new))
+    moved = {k: drift(new[k], old[k]) for k in old if k in new and new[k] != old[k]}
+    line = f"{group}: {len(moved)} of {len(old)} values differ"
     if moved:
         key = max(moved, key=moved.get)
         line += f", largest drift {moved[key]:.3g} at {key}"
     if missing:
-        line += f"; keys in only one of file and run: {missing}"
+        line += f"; keys in only one of the two runs: {missing}"
     return line
 
 
+def computed_in(checkout) -> dict:
+    """Every group computed from ``<checkout>/src`` in a fresh interpreter."""
+    src = (Path(checkout) / "src").resolve()
+    if not (src / "stromlab").is_dir():
+        sys.exit(f"no src/stromlab in {checkout}")
+    proc = subprocess.run(
+        [sys.executable, __file__, "--json"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"computing the groups in {checkout} failed:\n{proc.stderr}")
+    origin, values = proc.stdout.split("\n", 1)
+    if Path(origin).resolve().parent.parent != src:
+        sys.exit(f"the subprocess imported stromlab from {origin}, not from {src}")
+    return json.loads(values)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--drift"]:
+    args = sys.argv[1:]
+    if args == ["--drift"]:
+        golden = json.loads(GOLDEN.read_text())
         for g in GROUPS:
-            print(drift_report(g))
-    elif sys.argv[1:]:
-        sys.exit("usage: test_golden.py [--drift]")
+            print(drift_report(g, compute(g), golden[g]))
+    elif args == ["--json"]:
+        from stromlab import calabi
+
+        print(calabi.__file__)
+        print(json.dumps({g: compute(g) for g in GROUPS}))
+    elif len(args) == 2 and args[0] == "--against":
+        other = computed_in(args[1])
+        for g in GROUPS:
+            print(drift_report(g, compute(g), other[g]))
+    elif args:
+        sys.exit("usage: test_golden.py [--drift | --against <checkout>]")
     else:
         GOLDEN.write_text(json.dumps({g: compute(g) for g in GROUPS}, indent=1, sort_keys=True) + "\n")
         print(f"wrote {GOLDEN}", file=sys.stderr)

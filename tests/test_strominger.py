@@ -68,6 +68,14 @@ def test_balanced_random_profiles(model, subtests=None):
         assert balanced_residual(model, params, p) <= 1e-8
 
 
+def test_flat_balanced_order_one_frame_matches_order_three():
+    # the flat kappa Hessian is constant, so the order-1 frame gives the same bits
+    for k, p in enumerate(twistor_points(FLAT, 4, seed=61)):
+        params = random_ansatz_params(seed=7, pair_index=k)
+        fr = TwistorFrame(FLAT, p, 3, params)
+        assert balanced_residual(FLAT, params, p) == conformally_balanced_residual(fr.metric(), fr.norm_profile())
+
+
 def test_balanced_counterexample_without_sphere_factor():
     # dropping the 1/s^2 factor on the fiber part breaks the equation
     p = twistor_points(FLAT, 1, seed=9)[0]
