@@ -66,21 +66,16 @@ class ZeroSectionError(DomainError):
 
 @dataclass(frozen=True)
 class BaseKahlerModel:
-    """A Kahler base given by its metric coefficient matrix on one chart."""
+    """A Kahler base of complex dimension ``n``, given by its metric on one chart.
 
-    model_id: str
+    ``metric(zjets)`` returns [h_{j kbar}] with jet entries from the 2n base
+    real-coordinate jets; ``total_chart`` adds the fiber coordinate t.
+    """
+
     n: int
     chart: Chart
     total_chart: Chart
-
-    def metric(self, zjets):
-        """[h_{j kbar}] with jet entries; zjets are the base real-coordinate jets."""
-        if self.model_id == "fubini_study_cp1":
-            mod2 = zjets[0] * zjets[0] + zjets[1] * zjets[1]
-            return [[((1.0 + mod2) ** 2).reciprocal()]]
-        if self.model_id == "flat_torus_chart":
-            return [[zjets[0] * 0.0 + 1.0]]
-        raise ValueError(f"unknown base model {self.model_id!r}")
+    metric: object
 
 
 def _charts(name: str):
@@ -89,14 +84,21 @@ def _charts(name: str):
     return base, total
 
 
+def _fubini_study_cp1_metric(zjets):
+    mod2 = zjets[0] * zjets[0] + zjets[1] * zjets[1]
+    return [[((1.0 + mod2) ** 2).reciprocal()]]
+
+
+def _flat_metric(zjets):
+    return [[zjets[0] * 0.0 + 1.0]]
+
+
 def fubini_study_cp1() -> BaseKahlerModel:
-    base, total = _charts("fubini_study_cp1")
-    return BaseKahlerModel("fubini_study_cp1", 1, base, total)
+    return BaseKahlerModel(1, *_charts("fubini_study_cp1"), _fubini_study_cp1_metric)
 
 
 def flat_torus_chart() -> BaseKahlerModel:
-    base, total = _charts("flat_torus_chart")
-    return BaseKahlerModel("flat_torus_chart", 1, base, total)
+    return BaseKahlerModel(1, *_charts("flat_torus_chart"), _flat_metric)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +109,6 @@ def flat_torus_chart() -> BaseKahlerModel:
 class Profile:
     """Smooth function of the fiber-norm variable, jet-capable."""
 
-    name: str
     fn: object
 
     def __call__(self, R):
@@ -115,11 +116,11 @@ class Profile:
 
     @staticmethod
     def zero() -> "Profile":
-        return Profile("0", lambda R: R * 0.0)
+        return Profile(lambda R: R * 0.0)
 
     @staticmethod
     def linear(slope: float) -> "Profile":
-        return Profile(f"{slope}*R", lambda R: R * slope)
+        return Profile(lambda R: R * slope)
 
 
 def solve_profile_f(s_const: float, c: float, c0: float, n: int) -> Profile:
@@ -139,7 +140,7 @@ def solve_profile_f(s_const: float, c: float, c0: float, n: int) -> Profile:
             raise ValueError("profile argument must stay positive on the sampled range")
         return arg.log() * (1.0 / (n + 1))
 
-    return Profile(f"log({k}*R+{c0})/{n + 1}", fn)
+    return Profile(fn)
 
 
 def profile_ode_residual(profile: Profile, s_const: float, c: float, n: int, R_value: float) -> float:
@@ -179,7 +180,7 @@ class CalabiParams:
             u_fn=u,
             v_fn=lambda zjets: u(zjets) * (-float(n)),
             f_profile=f,
-            g_profile=Profile(f"-{n}*({f.name})+{c}", lambda R: f(R) * (-float(n)) + c),
+            g_profile=Profile(lambda R: f(R) * (-float(n)) + c),
             c=c,
         )
 

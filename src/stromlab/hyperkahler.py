@@ -1,11 +1,15 @@
 """Hyperkahler 4-manifold models: flat R^4 and the Eguchi-Hanson space.
 
-Each model is represented by its Kahler potential on the holomorphic chart
-where the (2,0)-form is dz1 wedge dz2; the potential carries exact jets to
-any order through the AD tower.  The hyperkahler condition pins the
-complex Monge-Ampere determinant of the potential to 1/4, which is the
-certification oracle: a candidate potential is only trusted once
-:func:`det_residual` vanishes on a sample.
+A model is data (:class:`HyperkahlerModel`): its Kahler potential on the
+holomorphic chart where the (2,0)-form is dz1 wedge dz2, exact to any jet
+order through the AD tower; the chart of its twistor space; its domain
+check; and the fact ``flat``, which promises the constant Hessian 1/2 and
+the global holomorphic coordinates w1, w2 on the twistor space.  A new
+base is one model class and its constructor.
+
+The hyperkahler condition pins the complex Monge-Ampere determinant of
+the potential to 1/4, which is the certification oracle: a candidate
+potential is only trusted once :func:`det_residual` vanishes on a sample.
 
 The Eguchi-Hanson model lives on the punctured double cover C^2 minus the
 origin; the Z_2 quotient and the zero section are never represented, so
@@ -27,10 +31,10 @@ from .forms import (
     FormValue,
     TypeContext,
     acs_from_complex_action,
-    coframe_gram,
     d_complex,
     gram_curvature,
     hermitian_form,
+    mat_inv,
     nan_max,
     relative_residual,
     standard_acs,
@@ -41,66 +45,95 @@ from .jets import Jet, seed_jets, wirtinger
 
 FLAT_CHART = Chart("flat_r4", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
 EH_CHART = Chart("eguchi_hanson_cover", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
+TWISTOR_FLAT = Chart("twistor_flat", ("zr", "zi", "x1", "x2", "x3", "x4"), ("zeta", "z1", "z2"))
+TWISTOR_EH = Chart("twistor_eguchi_hanson", ("zr", "zi", "x1", "x2", "x3", "x4"), ("zeta", "z1", "z2"))
 
 MONGE_AMPERE_TARGET = 0.25
 
 
-@dataclass(frozen=True)
 class HyperkahlerModel:
-    model_id: str
+    """A hyperkahler 4-manifold: its potential, its charts, its domain and whether it is flat.
+
+    ``kappa(xjets)`` is the Kahler potential as a jet of the four real
+    coordinate jets of ``chart``; ``twistor_chart`` is the chart of the
+    twistor space, the sphere coordinate first; ``check_domain(coords)``
+    raises :class:`DomainError` at base points where the potential is not
+    trusted.  ``flat`` promises that the Hessian kappa_{i jbar} is the
+    constant 1/2 delta_ij and that the twistor space has the global
+    holomorphic coordinates w1, w2.
+
+    Each model is a frozen dataclass subclass whose fields are its
+    parameters, so two models built from equal arguments compare and hash
+    equal; the caches of the curvature operators key on them.
+    """
+
     chart: Chart
-    scale: float = 0.0  # Eguchi-Hanson resolution parameter a
-    hessian_constant: bool = False  # flat: second derivatives need no extra jet order
+    twistor_chart: Chart
+    flat = False
+
+    def kappa(self, xjets) -> Jet:
+        raise NotImplementedError
 
     def check_domain(self, coords) -> None:
-        if self.model_id == "eguchi_hanson":
-            # Near the origin the exact potential loses its own gates before
-            # it is singular, and the loss scales with a: at (r, r, -r, r)/2
-            # with |x| = 0.01a, det_residual reads 9.3e-10 and asd_residual
-            # 4.7e-7 for a = 0.5, 1 and 2 (gates 1e-9 and 1e-8); at
-            # (0.01, 0, 0, 0) with a = 1 they read 2.8e-9 and 2.0e-7, and at
-            # |x| = 1e-5 det reads 2.4e3.  At |x| = 0.05a they read 1.6e-11
-            # and 4.5e-10, so the domain stops there.
-            t = sum(x * x for x in coords)
-            if t < (0.05 * self.scale) ** 2:
-                raise DomainError(
-                    f"|x| = {math.sqrt(t):.3g} < 0.05 a: the Eguchi-Hanson potential loses its gates near the origin"
-                )
+        """Raise DomainError where the potential is not trusted; no-op unless overridden."""
 
-    def kappa(self, xjets):
-        """Kahler potential as a jet; xjets are the four real coordinate jets."""
-        t = xjets[0] * xjets[0] + xjets[1] * xjets[1] + xjets[2] * xjets[2] + xjets[3] * xjets[3]
-        if self.model_id == "flat_r4":
-            return t * 0.5
-        a2 = self.scale * self.scale
+
+def _radius2(xjets):
+    return xjets[0] * xjets[0] + xjets[1] * xjets[1] + xjets[2] * xjets[2] + xjets[3] * xjets[3]
+
+
+@dataclass(frozen=True)
+class FlatR4(HyperkahlerModel):
+    """R^4 = C^2 with kappa = |z|^2 / 2."""
+
+    chart = FLAT_CHART
+    twistor_chart = TWISTOR_FLAT
+    flat = True
+
+    def kappa(self, xjets) -> Jet:
+        return _radius2(xjets) * 0.5
+
+
+@dataclass(frozen=True)
+class EguchiHanson(HyperkahlerModel):
+    """The Eguchi-Hanson metric with resolution parameter ``a``, on the punctured double cover."""
+
+    a: float
+    chart = EH_CHART
+    twistor_chart = TWISTOR_EH
+
+    def __post_init__(self):
+        if self.a <= 0:
+            raise ValueError("Eguchi-Hanson scale must be positive")
+
+    def kappa(self, xjets) -> Jet:
+        t = _radius2(xjets)
+        a2 = self.a * self.a
         a4 = a2 * a2
         s = (t * t + a4).sqrt()
         return (s - a2 * ((a2 + s) / t).log()) * 0.5
 
+    def check_domain(self, coords) -> None:
+        # Near the origin the exact potential loses its own gates before
+        # it is singular, and the loss scales with a: at (r, r, -r, r)/2
+        # with |x| = 0.01a, det_residual reads 9.3e-10 and asd_residual
+        # 4.7e-7 for a = 0.5, 1 and 2 (gates 1e-9 and 1e-8); at
+        # (0.01, 0, 0, 0) with a = 1 they read 2.8e-9 and 2.0e-7, and at
+        # |x| = 1e-5 det reads 2.4e3.  At |x| = 0.05a they read 1.6e-11
+        # and 4.5e-10, so the domain stops there.
+        t = sum(x * x for x in coords)
+        if t < (0.05 * self.a) ** 2:
+            raise DomainError(
+                f"|x| = {math.sqrt(t):.3g} < 0.05 a: the Eguchi-Hanson potential loses its gates near the origin"
+            )
+
 
 def flat_model() -> HyperkahlerModel:
-    return HyperkahlerModel("flat_r4", FLAT_CHART, hessian_constant=True)
+    return FlatR4()
 
 
 def eguchi_hanson(a: float = 1.0) -> HyperkahlerModel:
-    if a <= 0:
-        raise ValueError("Eguchi-Hanson scale must be positive")
-    return HyperkahlerModel("eguchi_hanson", EH_CHART, scale=a)
-
-
-def eh_radial_derivatives(t: float, a: float) -> list:
-    """kappa and d^k kappa/dt^k, k <= 4, for the Eguchi-Hanson profile.
-
-    Closed forms used as an independent oracle against the AD tower.
-    """
-    a2, a4 = a * a, a ** 4
-    s = math.sqrt(t * t + a4)
-    kappa = 0.5 * (s - a2 * math.log((a2 + s) / t))
-    k1 = s / (2 * t)
-    k2 = -a4 / (2 * t * t * s)
-    k3 = a4 * (2 * s * s + t * t) / (2 * t ** 3 * s ** 3)
-    k4 = -a4 * 0.5 * (6 / (t ** 4 * s) + 3 / (t ** 2 * s ** 3) + 3 / s ** 5)
-    return [kappa, k1, k2, k3, k4]
+    return EguchiHanson(a)
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +141,12 @@ def eh_radial_derivatives(t: float, a: float) -> list:
 
 
 def kappa_hermitian_jets(model: HyperkahlerModel, xjets, offset_pair: int = 0):
-    """[kappa_{i jbar}] with jet entries; exact constants on the flat model.
+    """[kappa_{i jbar}] with jet entries; exact constants on a flat model.
 
     ``offset_pair`` gives the complex-coordinate offset of z1 inside the jet
     variables (2 on twistor charts, 0 on the bare 4-manifold chart).
     """
-    if model.hessian_constant:
+    if model.flat:
         space = xjets[0].space
         order = xjets[0].order
         half = Jet.constant(space, 0.5, order)
@@ -247,18 +280,15 @@ def det_residual(model: HyperkahlerModel, p: ChartPoint) -> float:
     return abs(svalue(det) - MONGE_AMPERE_TARGET)
 
 
-def _base_triple(model: HyperkahlerModel, xjets) -> HyperkahlerTriple:
-    return triple_forms(model.chart, kappa_hermitian_jets(model, xjets), 0)
-
-
-def _dz_gram(chart: Chart, omega_I: FormValue):
-    dz = [d_complex(chart, 0), d_complex(chart, 1)]
-    return coframe_gram(omega_I, standard_acs(chart), dz)
-
-
 def cotangent_gram(model: HyperkahlerModel, xjets):
-    """Gram of the holomorphic coframe {dz1, dz2} under the omega_I metric."""
-    return _dz_gram(model.chart, _base_triple(model, xjets).omega_I)
+    """Gram <dz_i, dz_j> of the holomorphic coframe under the omega_I metric."""
+    return _dz_gram(kappa_hermitian_jets(model, xjets))
+
+
+def _dz_gram(kh):
+    """<dz_i, dz_j> = (kappa^-1)_{ji}: the Gram is the transpose of the inverse Hessian ``kh``."""
+    inv = mat_inv(kh)
+    return [[inv[j][i] for j in range(2)] for i in range(2)]
 
 
 def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
@@ -271,9 +301,10 @@ def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
     model.check_domain(p.coords)
     xjets = seed_jets(p.coords, 4)
     ctx = TypeContext(standard_acs(model.chart))
-    triple = _base_triple(model, xjets)
+    kh = kappa_hermitian_jets(model, xjets)
+    triple = triple_forms(model.chart, kh, 0)
     if gram is None:
-        gram = _dz_gram(model.chart, triple.omega_I)
+        gram = _dz_gram(kh)
     F = gram_curvature(gram, ctx)
     forms = [triple.omega_I.values(), triple.omega_J.values(), triple.omega_K.values()]
     sups = []

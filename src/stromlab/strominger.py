@@ -39,7 +39,7 @@ from .forms import (
     svalue,
     wedge_with_scale,
 )
-from .hyperkahler import HyperkahlerModel, quaternion_operator
+from .hyperkahler import HyperkahlerModel, flat_model, quaternion_operator
 from .jets import Jet, jet_space
 from .twistor import AnsatzParams, TwistorFrame, _FrameData
 
@@ -104,7 +104,7 @@ def balanced_residual(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoi
     suffices where the kappa Hessian is constant; elsewhere the Hessian
     costs two more orders.
     """
-    fr = TwistorFrame(model, p, 1 if model.hessian_constant else 3, params)
+    fr = TwistorFrame(model, p, 1 if model.flat else 3, params)
     return conformally_balanced_residual(fr.metric(), fr.norm_profile())
 
 
@@ -113,15 +113,13 @@ def balanced_residual(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoi
 
 
 class AnsatzCurvatureData:
-    """Shared jet assembly for the curvature-level operators (flat model).
+    """Shared jet assembly for the curvature-level operators (flat models only: the frame needs w1, w2).
 
     The frame and quotient curvatures are computed on first use and kept,
     so the operators reading both at one point pay for each once.
     """
 
     def __init__(self, model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint, order: int = 4):
-        if model.model_id != "flat_r4":
-            raise ValueError("curvature operators need the flat model's global frame")
         self.fr = TwistorFrame(model, p, order, params)
         self.fd = _FrameData(self.fr)
         fr = self.fr
@@ -331,7 +329,6 @@ def anomaly_residual(
 class RadialProfile:
     """h = h(rho) given by a jet-capable callable of rho."""
 
-    name: str
     fn: object
 
     def derivatives(self, rho: float):
@@ -341,19 +338,19 @@ class RadialProfile:
 
     @staticmethod
     def constant() -> "RadialProfile":
-        return RadialProfile("constant", lambda r: r * 0.0)
+        return RadialProfile(lambda r: r * 0.0)
 
     @staticmethod
     def inverse_three_halves() -> "RadialProfile":
         """h' = -3/(2 rho), the nonconstant branch of the dichotomy."""
-        return RadialProfile("-1.5*log(rho)", lambda r: r.log() * (-1.5))
+        return RadialProfile(lambda r: r.log() * (-1.5))
 
     @staticmethod
     def log_slope(slope: float) -> "RadialProfile":
-        return RadialProfile(f"{slope}*log(rho)", lambda r: r.log() * slope)
+        return RadialProfile(lambda r: r.log() * slope)
 
 
-def radial_h_residual(h_profile: RadialProfile, p: ChartPoint, model: HyperkahlerModel | None = None) -> float:
+def radial_h_residual(h_profile: RadialProfile, p: ChartPoint) -> float:
     """Residual of (del dbar h)^2 = del dbar h wedge (3 del dbar log s), g constant.
 
     The left side is assembled from the radial expansion
@@ -361,15 +358,10 @@ def radial_h_residual(h_profile: RadialProfile, p: ChartPoint, model: Hyperkahle
     with J the pointwise twistor structure; the right side uses the
     independent Dolbeault machinery for log s.
     """
-    from .hyperkahler import flat_model
-
-    model = model or flat_model()
-    if model.model_id != "flat_r4":
-        raise ValueError("the radial reduction lives on the flat model")
     rho_val = sum(x * x for x in p.coords[2:])
     if rho_val <= 0.0:
         raise DomainError("radial profile is singular at rho = 0")
-    fr = TwistorFrame(model, p, 2)
+    fr = TwistorFrame(flat_model(), p, 2)
     chart = fr.chart
     rho = fr.x[0] * fr.x[0] + fr.x[1] * fr.x[1] + fr.x[2] * fr.x[2] + fr.x[3] * fr.x[3]
     d_rho = differential_of_scalar(rho, chart)

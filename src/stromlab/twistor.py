@@ -37,6 +37,8 @@ from .forms import (
     top_ratio,
 )
 from .hyperkahler import (
+    TWISTOR_EH,
+    TWISTOR_FLAT,
     HyperkahlerModel,
     kappa_hermitian_jets,
     kappa_third_jets,
@@ -44,17 +46,7 @@ from .hyperkahler import (
 )
 from .jets import Jet, seed_jets
 
-TWISTOR_FLAT = Chart(
-    "twistor_flat", ("zr", "zi", "x1", "x2", "x3", "x4"), ("zeta", "z1", "z2")
-)
-TWISTOR_EH = Chart(
-    "twistor_eguchi_hanson", ("zr", "zi", "x1", "x2", "x3", "x4"), ("zeta", "z1", "z2")
-)
 C3_CHART = Chart("c3", ("zr", "zi", "w1r", "w1i", "w2r", "w2i"), ("zeta", "w1", "w2"))
-
-
-def twistor_chart(model: HyperkahlerModel) -> Chart:
-    return TWISTOR_FLAT if model.model_id == "flat_r4" else TWISTOR_EH
 
 
 def const_like(jet: Jet, value) -> Jet:
@@ -156,7 +148,7 @@ class TwistorFrame:
     """Jets of every basic quantity of the ansatz at one twistor point."""
 
     def __init__(self, model: HyperkahlerModel, p: ChartPoint, order: int, params: AnsatzParams | None = None):
-        chart = twistor_chart(model)
+        chart = model.twistor_chart
         if p.chart != chart:
             raise ValueError(f"point lives on {p.chart.name!r}, expected {chart.name!r}")
         model.check_domain(p.coords[2:])
@@ -295,8 +287,8 @@ def c3_chart_map(direction: str, p: ChartPoint) -> ChartPoint:
 
 def w_field_jets(fr: TwistorFrame):
     """The global holomorphic coordinates w1, w2 as scalar jets on the twistor chart."""
-    if fr.model.model_id != "flat_r4":
-        raise DomainError("global holomorphic coordinates exist only on the flat model")
+    if not fr.model.flat:
+        raise DomainError("global holomorphic coordinates exist only on a flat model")
     u1 = fr.x[0] + 1j * fr.x[1]
     u2 = fr.x[2] + 1j * fr.x[3]
     w1 = u1 + 1j * fr.zeta * u2.conjugate()
@@ -348,8 +340,6 @@ class _FrameData:
     """Jet-level frame decomposition, shared by the curvature operators."""
 
     def __init__(self, fr: TwistorFrame):
-        if fr.model.model_id != "flat_r4":
-            raise DomainError("frame decomposition needs the flat model's global coordinates")
         # E carries 1/zeta and det E = |zeta|^2 on flat, so the curvatures lose
         # digits as zeta -> 0: for coupling_solution() at (zeta, 0, 0.4, 0.8,
         # -0.3, 0.5), anomaly_residual reads 3.3e-10 at zeta = 1e-3, 5.1e-9 at

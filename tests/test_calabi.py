@@ -9,6 +9,7 @@ from stromlab import calabi
 from stromlab.forms import Chart, FormValue, hermitian_form, point
 from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.calabi import (
+    BaseKahlerModel,
     CalabiParams,
     CanonicalBundleFrame,
     Profile,
@@ -72,42 +73,35 @@ def test_base_scalar_constancy_across_sample():
 
 def test_scaling_divides_scalar():
     # lambda * omega has Chern scalar s / lambda
-    import dataclasses
-
-    scaled = dataclasses.replace(FS, model_id="fubini_study_cp1")
-
-    class Scaled:
-        n = 1
-        chart = FS.chart
-        total_chart = FS.total_chart
-
-        def metric(self, zjets):
-            return [[e * 3.0 for e in row] for row in FS.metric(zjets)]
-
-    assert base_chern_scalar(Scaled(), (0.3, 0.4)) == pytest.approx(2.0 / 3.0, abs=1e-10)
+    scaled = BaseKahlerModel(
+        1, FS.chart, FS.total_chart, lambda zjets: [[e * 3.0 for e in row] for row in FS.metric(zjets)]
+    )
+    assert base_chern_scalar(scaled, (0.3, 0.4)) == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
-class FubiniStudyCP2:
+def fubini_study_cp2_metric(zjets):
     """g = i del dbar log q on C^2, q = 1 + |z|^2: Kahler-Einstein with s = n(n+1) = 6."""
+    z = [zjets[0] + 1j * zjets[1], zjets[2] + 1j * zjets[3]]
+    q_inv = (z[0] * z[0].conjugate() + z[1] * z[1].conjugate() + 1.0).reciprocal()
+    # g_{j kbar} = delta_jk / q - zbar_j z_k / q^2
+    return [
+        [(q_inv if j == k else 0.0) - z[j].conjugate() * z[k] * q_inv * q_inv for k in range(2)]
+        for j in range(2)
+    ]
 
-    n = 2
-    chart = Chart("cp2_base", ("y1", "y2", "y3", "y4"), ("z1", "z2"))
-    total_chart = Chart("cp2_total", ("y1", "y2", "y3", "y4", "tr", "ti"), ("z1", "z2", "t"))
 
-    def metric(self, zjets):
-        z = [zjets[0] + 1j * zjets[1], zjets[2] + 1j * zjets[3]]
-        q_inv = (z[0] * z[0].conjugate() + z[1] * z[1].conjugate() + 1.0).reciprocal()
-        # g_{j kbar} = delta_jk / q - zbar_j z_k / q^2
-        return [
-            [(q_inv if j == k else 0.0) - z[j].conjugate() * z[k] * q_inv * q_inv for k in range(2)]
-            for j in range(2)
-        ]
+CP2 = BaseKahlerModel(
+    2,
+    Chart("cp2_base", ("y1", "y2", "y3", "y4"), ("z1", "z2")),
+    Chart("cp2_total", ("y1", "y2", "y3", "y4", "tr", "ti"), ("z1", "z2", "t")),
+    fubini_study_cp2_metric,
+)
 
 
 def test_cp2_theorem_profile_is_balanced():
     # the profile solves e^{(n+1)f - c} f' = s/n; with s in place of s/n
     # (the profile of solve_profile_f(n * s0, ...)) d(omega^n) is far from 0
-    base = FubiniStudyCP2()
+    base = CP2
     s0 = base_chern_scalar(base, (0.0,) * 4)
     assert s0 == pytest.approx(6.0, abs=1e-9)
     params = theorem_metric_params(base)
@@ -228,7 +222,7 @@ def test_norm_variance_detects_violation():
         u_fn=lambda zjets: zjets[0] * 0.0,
         v_fn=lambda zjets: zjets[0] * 0.0,
         f_profile=f,
-        g_profile=Profile("violate", lambda R: f(R) * (-1.0) + R * 0.1),
+        g_profile=Profile(lambda R: f(R) * (-1.0) + R * 0.1),
     )
     assert constant_norm_residual(FS, broken, pts) >= 1e-3
 

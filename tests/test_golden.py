@@ -139,11 +139,11 @@ def calabi_canonical(seed):
         out[f"{i}/chern_scalar"] = chern_scalar(FS, params, p)
         out[f"{i}/volume_norm"] = volume_norm(FS, params, p)
     out["constant_norm_residual"] = constant_norm_residual(FS, params, points)
-    for base in (FS, TORUS):
+    for name, base in (("fubini_study_cp1", FS), ("flat_torus_chart", TORUS)):
         for i, p in enumerate(_total_points(base, 4, seed, 32)):
-            out[f"{base.model_id}/{i}/omega0_d_residual"] = omega0_d_residual(base, p)
+            out[f"{name}/{i}/omega0_d_residual"] = omega0_d_residual(base, p)
         for i, p in enumerate(sample_points(base.chart, box(base.chart, -1.2, 1.2), 4, seed, 33)):
-            out[f"{base.model_id}/{i}/base_chern_scalar"] = base_chern_scalar(base, p.coords)
+            out[f"{name}/{i}/base_chern_scalar"] = base_chern_scalar(base, p.coords)
     return out
 
 

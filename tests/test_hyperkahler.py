@@ -1,8 +1,18 @@
+import math
 import random
 
 import pytest
 
-from stromlab.forms import FormValue, d_complex, d_complex_bar, exterior_derivative, nan_max, point, svalue
+from stromlab.forms import (
+    FormValue,
+    d_complex,
+    d_complex_bar,
+    exterior_derivative,
+    nan_max,
+    point,
+    standard_acs,
+    svalue,
+)
 from stromlab.hyperkahler import (
     EH_CHART,
     FLAT_CHART,
@@ -11,7 +21,6 @@ from stromlab.hyperkahler import (
     cotangent_gram,
     det_residual,
     eguchi_hanson,
-    eh_radial_derivatives,
     flat_model,
     kappa_hermitian_jets,
     kappa_third_jets,
@@ -19,6 +28,8 @@ from stromlab.hyperkahler import (
     triple_forms,
 )
 from stromlab.jets import seed_jets, wirtinger
+
+from coframe_oracle import coframe_gram
 
 
 def sample_points(chart, n, seed, lo=-1.4, hi=1.4, min_r2=0.4):
@@ -68,6 +79,21 @@ def test_flat_kappa_jet_values():
 def test_flat_determinant_exact():
     p = point(FLAT_CHART, 0.9, 0.1, -0.5, 0.3)
     assert det_residual(FLAT, p) < 1e-15
+
+
+def eh_radial_derivatives(t: float, a: float) -> list:
+    """kappa and d^k kappa/dt^k, k <= 4, for the Eguchi-Hanson profile.
+
+    Closed forms used as an independent oracle against the AD tower.
+    """
+    a2, a4 = a * a, a ** 4
+    s = math.sqrt(t * t + a4)
+    kappa = 0.5 * (s - a2 * math.log((a2 + s) / t))
+    k1 = s / (2 * t)
+    k2 = -a4 / (2 * t * t * s)
+    k3 = a4 * (2 * s * s + t * t) / (2 * t ** 3 * s ** 3)
+    k4 = -a4 * 0.5 * (6 / (t ** 4 * s) + 3 / (t ** 2 * s ** 3) + 3 / s ** 5)
+    return [kappa, k1, k2, k3, k4]
 
 
 def test_eh_radial_profile_matches_ad_tower():
@@ -232,6 +258,24 @@ def test_flat_curvature_vanishes():
 def test_eh_asd_residual():
     for p in sample_points(EH_CHART, 6, seed=57):
         assert asd_residual(EH, p) <= 1e-8
+
+
+@pytest.mark.parametrize("model,chart", [(FLAT, FLAT_CHART), (EH, EH_CHART)])
+def test_cotangent_gram_matches_the_generic_coframe_gram(model, chart):
+    # the closed form (kappa^-1)^T against the inverse of the real 4x4
+    # metric of omega_I, every jet coefficient up to the Gram's order
+    dz = [d_complex(chart, 0), d_complex(chart, 1)]
+    for p in sample_points(chart, 3, seed=61):
+        xj = seed_jets(p.coords, 4)
+        omega_I = triple_forms(chart, kappa_hermitian_jets(model, xj), 0).omega_I
+        oracle = coframe_gram(omega_I, standard_acs(chart), dz)
+        gram = cotangent_gram(model, xj)
+        scale = max(max(abs(c) for c in e.c) for row in oracle for e in row)
+        for g_row, o_row in zip(gram, oracle):
+            for g, o in zip(g_row, o_row):
+                assert o.order >= g.order >= 2
+                valid = g.space.degrees <= g.order
+                assert max(abs(g.c - o.c)[valid]) <= 1e-14 * scale
 
 
 def test_perturbed_gram_breaks_asd():

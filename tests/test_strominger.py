@@ -28,7 +28,8 @@ from stromlab.twistor import (
     TWISTOR_FLAT,
     AnsatzParams,
     TwistorFrame,
-    twistor_chart,
+    frame_decompose,
+    w_field_jets,
 )
 from stromlab.strominger import (
     AnsatzCurvatureData,
@@ -47,7 +48,7 @@ EH = eguchi_hanson(1.0)
 
 
 def twistor_points(model, n, seed, min_zeta=0.3):
-    chart = twistor_chart(model)
+    chart = model.twistor_chart
     region = box(chart, -1.2, 1.2, zeta_exclusion=min_zeta, min_base_radius2=0.4)
     return sample_points(chart, region, n, seed)
 
@@ -408,6 +409,20 @@ def test_eguchi_hanson_operators_raise_a_domain_error_near_the_origin(a):
         balanced_residual(model, AnsatzParams.coupling_solution(), point(TWISTOR_EH, 0.4, 0.3, *base))
 
 
+def test_operators_that_need_w1_w2_refuse_eguchi_hanson_with_one_domain_error():
+    # the one flatness check is in w_field_jets; |zeta| >= 0.3 keeps the zeta cutoff away
+    p = twistor_points(EH, 1, seed=74)[0]
+    params = AnsatzParams.coupling_solution()
+    no_w = "global holomorphic coordinates"
+    with pytest.raises(DomainError, match=no_w):
+        w_field_jets(TwistorFrame(EH, p, 3))
+    with pytest.raises(DomainError, match=no_w):
+        frame_decompose(EH, p)
+    for op in (hym_residual, anomaly_residual, curvature_identities):
+        with pytest.raises(DomainError, match=no_w):
+            op(EH, params, p)
+
+
 def radial_points(radius):
     # zeta = 0.5 or 0.4 + 0.3i, the base along x1 or (1, 1, -1, 1)/2
     bases = [(radius, 0.0, 0.0, 0.0), (radius / 2, radius / 2, -radius / 2, radius / 2)]
@@ -433,12 +448,12 @@ def test_radial_h_coupling_solution_passes_at_the_domain_edge():
 
 
 def count_kappa_hessians(monkeypatch) -> list:
-    """Counts kappa_hermitian_jets calls at every module name that binds it."""
+    """Records the model of every kappa_hermitian_jets call, at every module name that binds it."""
     calls = []
     orig = hyperkahler.kappa_hermitian_jets
 
     def counted(*args, **kwargs):
-        calls.append(args[0].model_id)
+        calls.append(args[0])
         return orig(*args, **kwargs)
 
     for module in (hyperkahler, twistor, strominger):
@@ -451,7 +466,7 @@ def count_kappa_hessians(monkeypatch) -> list:
 def test_one_kappa_hessian_per_eguchi_hanson_frame(monkeypatch):
     calls = count_kappa_hessians(monkeypatch)
     TwistorFrame(EH, twistor_points(EH, 1, seed=71)[0], 3)
-    assert calls == ["eguchi_hanson"]
+    assert calls == [EH]
 
 
 def test_one_kappa_hessian_per_flat_curvature_data(monkeypatch):
@@ -459,19 +474,19 @@ def test_one_kappa_hessian_per_flat_curvature_data(monkeypatch):
     strominger._DATA_CACHE.clear()
     calls = count_kappa_hessians(monkeypatch)
     strominger._curvature_data(FLAT, AnsatzParams.coupling_solution(), p)
-    assert calls == ["flat_r4"]
+    assert calls == [FLAT]
 
 
 def test_one_kappa_hessian_per_asd_residual(monkeypatch):
     calls = count_kappa_hessians(monkeypatch)
     asd_residual(EH, point(EH_CHART, 0.6, -0.3, 0.5, 0.4))
-    assert calls == ["eguchi_hanson"]
+    assert calls == [EH]
 
 
 def test_one_kappa_hessian_per_radial_h_residual(monkeypatch):
     calls = count_kappa_hessians(monkeypatch)
     radial_h_residual(RadialProfile.inverse_three_halves(), point(TWISTOR_FLAT, 0.5, 0.2, 0.4, 0.8, -0.3, 0.5))
-    assert calls == ["flat_r4"]
+    assert calls == [FLAT]
 
 
 def test_one_metric_per_twistor_frame(monkeypatch):

@@ -8,7 +8,6 @@ from stromlab.forms import (
     DomainError,
     FormValue,
     TypeContext,
-    coframe_gram,
     d_complex,
     d_complex_bar,
     exterior_derivative,
@@ -34,16 +33,17 @@ from stromlab.twistor import (
     omega_norm,
     sphere_jets,
     theta_coframe_jets,
-    twistor_chart,
     w_field_jets,
 )
+
+from coframe_oracle import coframe_gram
 
 FLAT = flat_model()
 EH = eguchi_hanson(1.0)
 
 
 def twistor_points(model, n, seed, min_zeta=0.25):
-    chart = twistor_chart(model)
+    chart = model.twistor_chart
     region = box(chart, -1.3, 1.3, zeta_exclusion=min_zeta, min_base_radius2=0.35)
     return sample_points(chart, region, n, seed)
 
