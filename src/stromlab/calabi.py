@@ -38,20 +38,19 @@ from .forms import (
     FormValue,
     TypeContext,
     _complex_basis_matrices,
+    closedness_residual,
     d_complex,
     d_complex_bar,
-    d_part_at_point,
-    exterior_derivative,
-    exterior_derivative_with_scale,
+    del_dbar_at_point,
     form_power,
     hermitian_form,
     i_ddbar,
+    identity_residual,
     mat_det,
-    nan_max,
-    relative_residual,
     standard_acs,
     svalue,
     top_ratio,
+    volume_form_norm,
 )
 from .jets import Jet, jet_space, seed_jets, wirtinger
 
@@ -229,9 +228,6 @@ class CanonicalBundleFrame:
             self.g = params.g_profile(self.R)
         self._metric = self._gram = self._ricci = self._scalar = None
 
-    def base_form(self) -> FormValue:
-        return hermitian_form(self.chart, self.hmat)
-
     def dR_split(self):
         m = self.chart.ncomplex
         del_R = FormValue.zero(self.chart, 1)
@@ -244,10 +240,17 @@ class CanonicalBundleFrame:
         return del_R, dbar_R
 
     def metric(self) -> FormValue:
+        """e^{u+f} omega_B + i e^{v+g} del R ^ dbar R / R, valid to order - 1.
+
+        The fiber part differentiates R, so the base part is read to
+        order - 1 before its product too.
+        """
         if self._metric is None:
             del_R, dbar_R = self.dR_split()
             fiber = del_R.wedge(dbar_R).scale(1j * self.R.reciprocal() * (self.v + self.g).exp())
-            self._metric = self.base_form().scale((self.u + self.f).exp()) + fiber
+            top = self.order - 1
+            base = hermitian_form(self.chart, [[e.to_order(top) for e in row] for row in self.hmat])
+            self._metric = base.scale((self.u + self.f).to_order(top).exp()) + fiber
         return self._metric
 
     def gram(self):
@@ -303,10 +306,7 @@ def _read_to(form: FormValue, order: int) -> FormValue:
 
 def omega0_d_residual(base: BaseKahlerModel, p: ChartPoint) -> float:
     """Relative sup of d(omega_0) for the undeformed induced metric."""
-    fr = CanonicalBundleFrame(base, CalabiParams.plain(), p, 2)
-    omega = fr.metric()
-    d, scale = exterior_derivative_with_scale(omega)
-    return relative_residual(d.values().sup(), nan_max([scale, omega.values().sup()]))
+    return closedness_residual(CanonicalBundleFrame(base, CalabiParams.plain(), p, 2).metric())
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +316,7 @@ def omega0_d_residual(base: BaseKahlerModel, p: ChartPoint) -> float:
 def hermitian_matrix_of(omega: FormValue, chart: Chart):
     """Coefficients g_{a bbar} of a (1,1)-form i g_{a bbar} dz^a ^ dzbar^b.
 
-    Each dx_v ^ dx_w is expanded in the complex basis through T^-1, as in
-    :func:`~stromlab.forms.to_complex_components`.
+    Each dx_v ^ dx_w is expanded in the complex basis through T^-1.
     """
     m = chart.ncomplex
     Tinv = _complex_basis_matrices(chart)[1]
@@ -375,17 +374,9 @@ def base_chern_scalar(base: BaseKahlerModel, z_point) -> float:
 
 
 def volume_norm(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
-    """sqrt(|Omega^Omega_bar| / (omega^m/m!)), Omega = dz_1^...^dz_m.
-
-    The modulus drops the constant phase of Omega^Omega_bar; the ratio
-    raises DomainError unless omega^m is positive.
-    """
+    """sqrt(|Omega^Omega_bar| / (omega^m/m!)), Omega = dz_1^...^dz_m."""
     fr = _frame(base, params, p, 1)
-    omega = fr.metric().values()
-    vol = fr.volume_form()
-    m = fr.chart.ncomplex
-    numer = vol.wedge(vol.conj()).map_coeffs(abs)
-    return math.sqrt(math.factorial(m) * top_ratio(numer, form_power(omega, m)).real)
+    return volume_form_norm(fr.volume_form(), fr.metric().values())
 
 
 def constant_norm_residual(base: BaseKahlerModel, params: CalabiParams, points) -> float:
@@ -398,9 +389,7 @@ def constant_norm_residual(base: BaseKahlerModel, params: CalabiParams, points) 
 def km_balanced_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
     """Relative sup of d(omega^n) on the (n+1)-dimensional total space."""
     fr = _frame(base, params, p, 2)
-    power = form_power(_read_to(fr.metric(), 1), base.n)
-    d, scale = exterior_derivative_with_scale(power)
-    return relative_residual(d.values().sup(), nan_max([scale, power.values().sup()]))
+    return closedness_residual(form_power(_read_to(fr.metric(), 1), base.n))
 
 
 def extremal_residual_of(omega: FormValue, rho: FormValue, s, ctx: TypeContext) -> float:
@@ -418,11 +407,8 @@ def extremal_residual_of(omega: FormValue, rho: FormValue, s, ctx: TypeContext) 
     lap_s = float(m) * top_ratio(i_ddbar_s.wedge(form_power(omega2, m - 1)), form_power(omega2, m))
     lhs = i_ddbar_s.values().wedge(rho.values()).scale(2.0 * (m - 1))
     s2 = s.to_order(2)
-    inner = omega2.scale(lap_s * 2.0 + s2 * s2)
-    dbar_inner = ctx.project(exterior_derivative(inner), 1, 2)
-    rhs = d_part_at_point(ctx, dbar_inner, 2, 2).scale(1j)
-    scale = nan_max([lhs.sup(), rhs.sup(), 1.0])
-    return relative_residual((lhs - rhs).sup(), scale)
+    rhs = del_dbar_at_point(ctx, omega2.scale(lap_s * 2.0 + s2 * s2)).scale(1j)
+    return identity_residual(lhs, rhs)
 
 
 def extremal_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:

@@ -25,6 +25,15 @@ to order o, built once per order, whose tables are bit-identical prefixes
 readers take what d at the point reads and no more: the (1,2) projections
 whose first derivatives they read run at order 1, ``gram_curvature`` reads
 its matrix to order 2, and ``dbar_del_scalar`` its function to order 2.
+
+The certificates of the package share five shapes, each written once at
+the end of this module with its normalisation: a form is closed
+(``closedness_residual``), a curvature is (1,1) and annihilated by some
+forms (``curvature_residual``), one side of an identity equals the other
+(``identity_residual``), del dbar of a (1,1)-form read at the point
+(``del_dbar_at_point``), and the norm of a holomorphic volume form
+(``volume_form_norm``).  A residual is a sup divided by the largest entering
+term (``relative_residual``), so it never passes on NaN or inf.
 """
 
 from __future__ import annotations
@@ -246,16 +255,6 @@ class FormValue:
         """
         return nan_max(smag(c) for c in self.terms.values())
 
-    def evaluate(self, *vectors) -> complex:
-        """Evaluate on degree-many tangent vectors (given as real components)."""
-        if len(vectors) != self.degree:
-            raise DegreeError("wrong number of vectors")
-        total = 0.0 + 0.0j
-        for multi, c in self.terms.items():
-            minor = np.array([[vec[i] for i in multi] for vec in vectors], dtype=np.complex128)
-            total += svalue(c) * np.linalg.det(minor)
-        return total
-
     def __repr__(self):  # pragma: no cover
         names = self.chart.coords
         bits = []
@@ -325,23 +324,6 @@ def _complex_basis_matrices(chart: Chart):
                 T[v, k] = c
         pair = _BASIS_INV_CACHE[chart] = (T, np.linalg.inv(T))
     return pair
-
-
-def to_complex_components(form: FormValue) -> list:
-    """Components of a 1-form in the [dz..., dzbar...] basis."""
-    if form.degree != 1:
-        raise DegreeError("complex components only for 1-forms")
-    chart = form.chart
-    Tinv = _complex_basis_matrices(chart)[1]
-    comps = []
-    for k in range(chart.dim):
-        acc = 0.0 + 0.0j
-        for v in range(chart.dim):
-            c = form.terms.get((v,))
-            if c is not None:
-                acc = acc + Tinv[k, v] * c
-        comps.append(acc)
-    return comps
 
 
 def exterior_derivative(form: FormValue) -> FormValue:
@@ -474,18 +456,6 @@ class AlmostComplexStructure:
         return AlmostComplexStructure(
             self.chart, [[svalue(e) for e in row] for row in self.mat]
         )
-
-    def square_residual(self) -> float:
-        n = self.chart.dim
-        residuals = []
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0 + 0.0j
-                for k in range(n):
-                    acc += svalue(self.mat[i][k]) * svalue(self.mat[k][j])
-                target = -1.0 if i == j else 0.0
-                residuals.append(abs(acc - target))
-        return nan_max(residuals)
 
 
 def standard_acs(chart: Chart) -> AlmostComplexStructure:
@@ -953,6 +923,10 @@ def matrix_wedge_trace(A, B) -> FormValue:
     return FormValue(chart, ka + kb, dict(zip(_ranks(chart.dim, ka + kb), values.tolist())))
 
 
+# ---------------------------------------------------------------------------
+# the certificate shapes shared by the residual operators
+
+
 def relative_residual(diff_sup: float, scale: float) -> float:
     """Sup residual divided by the local magnitude of the largest entering term.
 
@@ -963,3 +937,61 @@ def relative_residual(diff_sup: float, scale: float) -> float:
     if not (math.isfinite(diff_sup) and math.isfinite(scale)):
         return math.inf
     return diff_sup / max(scale, 1.0)
+
+
+def closedness_residual(form: FormValue) -> float:
+    """d(form) = 0 at the point: the sup of d(form) relative to its cancellation scale and |form|.
+
+    The form's jet coefficients must be valid to order >= 1.
+    """
+    d, scale = exterior_derivative_with_scale(form)
+    return relative_residual(d.values().sup(), nan_max([scale, form.sup()]))
+
+
+def curvature_residual(F, forms, ctx: TypeContext) -> float:
+    """F is (1,1) and F_ij ^ form = 0 for each form, relative to the entering terms.
+
+    ``F`` is a matrix of pointwise 2-forms and ``forms`` a list of pointwise
+    forms.  The sups of every wedge and of the (2,0) and (0,2) parts of every
+    entry (on ``ctx.values()``) are compared against the largest term
+    product of a wedge and the largest entry.
+    """
+    values = ctx.values()
+    sups, scales = [], []
+    for row in F:
+        for entry in row:
+            for form in forms:
+                wedged, scale = wedge_with_scale(entry, form)
+                sups.append(wedged.sup())
+                scales.append(scale)
+            parts = values.decompose(entry)
+            sups += [parts[key].sup() for key in ((2, 0), (0, 2)) if key in parts]
+            scales.append(entry.sup())
+    return relative_residual(nan_max(sups), nan_max(scales))
+
+
+def identity_residual(lhs: FormValue, rhs: FormValue, *scales: float) -> float:
+    """lhs = rhs: the sup of lhs - rhs relative to |lhs|, |rhs| and any further term scales."""
+    return relative_residual((lhs - rhs).sup(), nan_max([lhs.sup(), rhs.sup(), *scales]))
+
+
+def del_dbar_at_point(ctx: TypeContext, form: FormValue) -> FormValue:
+    """del dbar of a (1,1)-form at the point.
+
+    Only the first derivatives of dbar(form) are read, so the (1,2)
+    projection runs on ``ctx.at_order(1)``; the (2,2) part of its d is
+    taken at the point.  The form's jets must be valid to order >= 2.
+    """
+    dbar = ctx.at_order(1).project(exterior_derivative(form), 1, 2)
+    return d_part_at_point(ctx, dbar, 2, 2)
+
+
+def volume_form_norm(vol: FormValue, omega: FormValue) -> float:
+    """sqrt(m! |vol ^ vol_bar| / omega^m) for a holomorphic volume form and a Hermitian form.
+
+    The modulus drops the constant phase of vol ^ vol_bar; the ratio raises
+    DomainError unless omega^m is positive.
+    """
+    m = omega.chart.ncomplex
+    numer = vol.wedge(vol.conj()).map_coeffs(abs)
+    return math.sqrt(math.factorial(m) * top_ratio(numer, form_power(omega, m)).real)

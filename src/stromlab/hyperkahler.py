@@ -31,15 +31,13 @@ from .forms import (
     FormValue,
     TypeContext,
     acs_from_complex_action,
+    curvature_residual,
     d_complex,
     gram_curvature,
     hermitian_form,
     mat_inv,
-    nan_max,
-    relative_residual,
     standard_acs,
     svalue,
-    wedge_with_scale,
 )
 from .jets import Jet, seed_jets, wirtinger
 
@@ -306,16 +304,4 @@ def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
     if gram is None:
         gram = _dz_gram(kh)
     F = gram_curvature(gram, ctx)
-    forms = [triple.omega_I.values(), triple.omega_J.values(), triple.omega_K.values()]
-    sups = []
-    scales = [1.0]
-    for row in F:
-        for entry in row:
-            for om in forms:
-                wedge_form, sc = wedge_with_scale(entry, om)
-                sups.append(wedge_form.sup())
-                scales.append(sc)
-            parts = ctx.decompose(entry)
-            sups += [part.sup() for key, part in parts.items() if key in ((2, 0), (0, 2))]
-            scales.append(entry.sup())
-    return relative_residual(nan_max(sups), nan_max(scales))
+    return curvature_residual(F, [triple.omega_I.values(), triple.omega_J.values(), triple.omega_K.values()], ctx)

@@ -76,7 +76,13 @@ def sample_points(chart: Chart, region: Region, count: int, seed: int, salt: int
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real polynomial over named jet variables, evaluated by Horner-free sums."""
+    """Real polynomial over named jet variables, evaluated by Horner-free sums.
+
+    Each monomial is built once, as its quotient by its last variable times
+    that variable, so a monomial of degree d >= 2 costs one jet product; the
+    graded order of ``random_polynomial`` builds every quotient first.  The
+    coefficient scales the monomial as a number.
+    """
 
     nvars: int
     coeffs: tuple  # ((expo tuple, float), ...)
@@ -84,13 +90,18 @@ class Polynomial:
     def __call__(self, *jets):
         if len(jets) != self.nvars:
             raise ValueError("wrong variable count")
+        monomials: dict = {}  # exponent tuple -> jet, for degree >= 1
+
+        def monomial(expo):
+            if expo not in monomials:
+                v = max(i for i, e in enumerate(expo) if e)
+                quotient = expo[:v] + (expo[v] - 1,) + expo[v + 1 :]
+                monomials[expo] = monomial(quotient) * jets[v] if any(quotient) else jets[v]
+            return monomials[expo]
+
         acc = jets[0] * 0.0
         for expo, c in self.coeffs:
-            term = acc * 0.0 + c
-            for v, e in enumerate(expo):
-                for _ in range(e):
-                    term = term * jets[v]
-            acc = acc + term
+            acc = acc + (monomial(expo) * c if any(expo) else c)
         return acc
 
 

@@ -7,10 +7,14 @@ curvature trace identities that reduce tr(R wedge R) to a closed form.
 
 All residuals are sup norms over stored coefficients in chart
 coordinates, divided by the magnitude of the largest term entering the
-identity so that large-coordinate sampling does not drown the comparison
-(scales below one are not inflated).  Both sides of every identity come
-out of independent jet pipelines; in particular tr(R wedge R) is computed
-once from the frame Gram matrix and once from its reduction, never shared.
+identity; the normalisation lives in the shared helpers of
+:mod:`stromlab.forms` (``closedness_residual``, ``curvature_residual``,
+``identity_residual``).  Only the anomaly and the tr(R wedge R)
+reduction, whose scales are term by term, and the quotient trace, scaled
+by the curvature it traces, build their own.  Both sides of
+every identity come out of independent jet pipelines; in particular
+tr(R wedge R) is computed once from the frame Gram matrix and once from its
+reduction, never shared.
 """
 
 from __future__ import annotations
@@ -21,14 +25,13 @@ from .forms import (
     ChartPoint,
     DomainError,
     FormValue,
-    TypeContext,
-    d_part_at_point,
+    closedness_residual,
+    curvature_residual,
     dbar_del_scalar,
+    del_dbar_at_point,
     differential_of_scalar,
-    exterior_derivative,
-    exterior_derivative_with_scale,
-    form_linear_combo,
     gram_curvature,
+    identity_residual,
     mat_conj_transpose,
     mat_inv,
     mat_mul,
@@ -36,8 +39,6 @@ from .forms import (
     matrix_wedge_trace,
     nan_max,
     relative_residual,
-    svalue,
-    wedge_with_scale,
 )
 from .hyperkahler import HyperkahlerModel, flat_model, quaternion_operator
 from .jets import Jet, jet_space
@@ -56,43 +57,9 @@ class CurvatureValue:
     def sup(self) -> float:
         return nan_max(e.sup() for row in self.entries for e in row)
 
-    def pure_type_residual(self, ctx: TypeContext) -> float:
-        """Sup of the (2,0) and (0,2) parts over all entries."""
-        return nan_max(
-            part.sup()
-            for row in self.entries
-            for e in row
-            for key, part in ctx.values().decompose(e).items()
-            if key in ((2, 0), (0, 2))
-        )
-
-    def conjugation_residual(self, H) -> float:
-        """Metric skew-hermiticity: Hbar F + (Hbar F)^dagger = 0 entrywise.
-
-        The dagger conjugate-transposes the matrix and conjugates the form
-        coefficients, which swaps the (1,0)/(0,1) slots.
-        """
-        n = len(self.entries)
-        Hbar = [[svalue(e).conjugate() for e in row] for row in H]
-        HF = [
-            [
-                form_linear_combo([self.entries[k][j] for k in range(n)], [Hbar[i][k] for k in range(n)])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return nan_max((HF[i][j] + HF[j][i].conj()).sup() for i in range(n) for j in range(n))
-
 
 # ---------------------------------------------------------------------------
 # conformally balanced equation
-
-
-def conformally_balanced_residual(omega: FormValue, norm: Jet) -> float:
-    """Relative sup of d(norm * omega^2); inputs carry jets of order >= 1."""
-    X = omega.wedge(omega).scale(norm)
-    d, scale = exterior_derivative_with_scale(X)
-    return relative_residual(d.values().sup(), nan_max([scale, X.sup()]))
 
 
 def balanced_residual(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> float:
@@ -105,7 +72,8 @@ def balanced_residual(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoi
     costs two more orders.
     """
     fr = TwistorFrame(model, p, 1 if model.flat else 3, params)
-    return conformally_balanced_residual(fr.metric(), fr.norm_profile())
+    omega = fr.metric()
+    return closedness_residual(omega.wedge(omega).scale(fr.norm_profile()))
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +99,6 @@ class AnsatzCurvatureData:
         self.U = mat_mul(mat_mul(E, K), mat_conj_transpose(E))
         self._quotient_curvature = None
         self._frame_curvature = None
-
-    def gram(self):
-        """Gram matrix of the holomorphic frame {dzeta, zeta dw_1, zeta dw_2}, at the frame's order.
-
-        It is assembled from the weights A = s^2 / (2 e^{2g}) and
-        B = s^3 / e^{2h+g}, the quotient Gram U and the frame coefficients L.
-        """
-        return _frame_gram(self.A, self.B, self.Lvec, self.U)
 
     def quotient_curvature(self) -> CurvatureValue:
         """F' = dbar(Ubar^-1 del Ubar) at the point; memoised, do not mutate."""
@@ -177,7 +137,12 @@ class AnsatzCurvatureData:
 
 
 def _frame_gram(A, B, L, U):
-    """H[0][0] = A, H[0][i+1] = A Lbar_i, H[i+1][0] = A L_i, H[i+1][j+1] = A L_i Lbar_j + B U_ij."""
+    """Gram matrix of the holomorphic frame {dzeta, zeta dw_1, zeta dw_2}.
+
+    It is assembled from the weights A = s^2 / (2 e^{2g}) and
+    B = s^3 / e^{2h+g}, the quotient Gram U and the frame coefficients L:
+    H[0][0] = A, H[0][i+1] = A Lbar_i, H[i+1][0] = A L_i, H[i+1][j+1] = A L_i Lbar_j + B U_ij.
+    """
     H = [[None] * 3 for _ in range(3)]
     H[0][0] = A
     for i in range(2):
@@ -219,15 +184,7 @@ def hym_residual(
     data = _curvature_data(model, params, p)
     F = curvature if curvature is not None else data.quotient_curvature()
     omega = data.fr.metric().values()
-    omega2 = omega.wedge(omega)
-    sups = [F.pure_type_residual(data.fr.ctx)]
-    scales = [omega2.sup()]
-    for row in F.entries:
-        for e in row:
-            w, sc = wedge_with_scale(e, omega2)
-            sups.append(w.sup())
-            scales += [sc, e.sup()]
-    return relative_residual(nan_max(sups), nan_max(scales))
+    return curvature_residual(F.entries, [omega.wedge(omega)], data.fr.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +211,7 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     ddbar_logA = dbar_del_scalar(ctx, A2.log())
     ddbar_logB = dbar_del_scalar(ctx, B2.log())
     c1_rhs = ddbar_logA + ddbar_logB.scale(2.0) + tr_Fq
-    c1_res = relative_residual(
-        (tr_R - c1_rhs).sup(), nan_max([tr_R.sup(), c1_rhs.sup(), ddbar_logB.sup()])
-    )
+    c1_res = identity_residual(tr_R, c1_rhs, ddbar_logB.sup())
 
     trace_res = relative_residual(tr_Fq.sup(), nan_max([1.0, Fq.sup()]))
 
@@ -266,16 +221,11 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     # reduction holding at machine precision.
     W = data.w_form()
     w_target = fr.fiber_form().scale(1j * fr.s.reciprocal())
-    w_res = relative_residual(
-        (W.values() - w_target.values()).sup(), nan_max([W.values().sup(), w_target.values().sup()])
-    )
+    w_res = identity_residual(W.values(), w_target.values())
 
-    # tr(R^R) against 2 del dbar((A/B) W) + 2 (dbar del log B)^2 + tr(F'^F');
-    # only the first derivatives of dbar Y are read, so it is projected at order 1
+    # tr(R^R) against 2 del dbar((A/B) W) + 2 (dbar del log B)^2 + tr(F'^F')
     tr_RR = matrix_wedge_trace(R.entries, R.entries)
-    Y = W.scale(A2 / B2)
-    dbar_Y = ctx.at_order(1).project(exterior_derivative(Y), 1, 2)
-    del_dbar_Y = d_part_at_point(ctx, dbar_Y, 2, 2)
+    del_dbar_Y = del_dbar_at_point(ctx, W.scale(A2 / B2))
     c2_rhs = (
         del_dbar_Y.scale(2.0)
         + ddbar_logB.wedge(ddbar_logB).scale(2.0)
@@ -302,13 +252,7 @@ def anomaly_residual(
     quotient Gram.
     """
     data = _curvature_data(model, params, p)
-    fr = data.fr
-    ctx = fr.ctx
-
-    # only the first derivatives of dbar omega are read, so it is projected at order 1
-    omega = fr.metric()
-    dbar_omega = ctx.at_order(1).project(exterior_derivative(omega), 1, 2)
-    torsion = d_part_at_point(ctx, dbar_omega, 2, 2).scale(1j)
+    torsion = del_dbar_at_point(data.fr.ctx, data.fr.metric()).scale(1j)
 
     R = data.frame_curvature()
     tr_RR = matrix_wedge_trace(R.entries, R.entries)
@@ -389,5 +333,4 @@ def radial_h_residual(h_profile: RadialProfile, p: ChartPoint) -> float:
     log_s_hessian = dbar_del_scalar(fr.ctx, fr.s.log())
     lhs = P.wedge(P)
     rhs = P.wedge(log_s_hessian.scale(3.0))
-    scale = nan_max([lhs.sup(), rhs.sup(), P.sup() ** 2, P.sup() * log_s_hessian.sup() * 3.0])
-    return relative_residual((lhs - rhs).sup(), scale)
+    return identity_residual(lhs, rhs, P.sup() ** 2, P.sup() * log_s_hessian.sup() * 3.0)

@@ -30,11 +30,9 @@ from .forms import (
     d_complex_bar,
     d_part_at_point,
     exterior_derivative,
-    form_power,
     nan_max,
     svalue,
-    to_complex_components,
-    top_ratio,
+    volume_form_norm,
 )
 from .hyperkahler import (
     TWISTOR_EH,
@@ -44,7 +42,7 @@ from .hyperkahler import (
     kappa_third_jets,
     triple_forms,
 )
-from .jets import Jet, seed_jets
+from .jets import Jet, seed_jets, wirtinger
 
 C3_CHART = Chart("c3", ("zr", "zi", "w1r", "w1i", "w2r", "w2i"), ("zeta", "w1", "w2"))
 
@@ -246,10 +244,7 @@ def omega_norm(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> 
     the overall constant is conventional.
     """
     fr = TwistorFrame(model, p, 2, params)
-    omega = fr.metric().values()
-    vol = fr.volume_3form().values()
-    numer = vol.wedge(vol.conj()).map_coeffs(abs)
-    return math.sqrt(6.0 * top_ratio(numer, form_power(omega, 3)).real)
+    return volume_form_norm(fr.volume_3form().values(), fr.metric().values())
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +317,10 @@ def theta_coframe_jets(fr: TwistorFrame):
 
 @dataclass(frozen=True)
 class FrameDecomposition:
-    """dw_i = L_i dzeta + C_i theta_1 - D_i theta_2 with E rows (C_i, D_i)."""
+    """dw_i = L_i dzeta + C_i theta_1 - D_i theta_2 with E rows (C_i, D_i), and its certificates."""
 
     L: tuple
     E: tuple
-
-
-@dataclass(frozen=True)
-class FrameDecompositionResult:
-    decomposition: FrameDecomposition
     simp_residual: float
     loc_residual: float
     reconstruction_residual: float
@@ -348,27 +338,21 @@ class _FrameData:
         # 1e-8 gates below about 1e-4, so the domain stops at 1e-3.
         if abs(svalue(fr.zeta)) < 1e-3:
             raise DomainError("frame decomposition is singular at |zeta| < 1e-3")
-        w1, w2 = w_field_jets(fr)
-        self.dw = [
-            exterior_derivative(FormValue.scalar(fr.chart, w1)),
-            exterior_derivative(FormValue.scalar(fr.chart, w2)),
-        ]
-        self.L = []
-        self.C = []
-        self.D = []
-        for i in range(2):
-            comps = to_complex_components(self.dw[i])
-            self.L.append(comps[0])
-            self.C.append(comps[4])
-            self.D.append(comps[5])
+        w = w_field_jets(fr)
+        self.dw = [exterior_derivative(FormValue.scalar(fr.chart, wi)) for wi in w]
+        # the dzeta, dzbar_1 and dzbar_2 components of dw are the Wirtinger derivatives of w
+        self.L = [wirtinger(wi, 0, 1, bar=False) for wi in w]
+        self.C = [wirtinger(wi, 2, 3, bar=True) for wi in w]
+        self.D = [wirtinger(wi, 4, 5, bar=True) for wi in w]
 
 
-def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositionResult:
+def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecomposition:
     """Decompose {dw_1, dw_2} in {dzeta, theta_1, theta_2} and certify it.
 
     ``simp_residual`` checks the dbar-compatibility system satisfied by the
     C, D coefficient fields; ``loc_residual`` the corresponding equation
-    for 2 zeta dbar L.
+    for 2 zeta dbar L; ``reconstruction_residual`` compares dw with the
+    frame rebuilt from the Wirtinger derivatives L, C, D.
     """
     fr = TwistorFrame(model, p, 3)
     data = _FrameData(fr)
@@ -406,12 +390,9 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
         rebuilt = fr.dzeta.scale(l) + theta1.scale(c) - theta2.scale(d)
         rebuilds.append((data.dw[i].values() - rebuilt).sup())
 
-    decomposition = FrameDecomposition(
+    return FrameDecomposition(
         L=tuple(svalue(l) for l in data.L),
         E=tuple((svalue(data.C[i]), svalue(data.D[i])) for i in range(2)),
-    )
-    return FrameDecompositionResult(
-        decomposition=decomposition,
         simp_residual=nan_max(simps),
         loc_residual=nan_max(locs),
         reconstruction_residual=nan_max(rebuilds),

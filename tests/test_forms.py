@@ -16,6 +16,8 @@ from stromlab.forms import (
     TypeContext,
     _complex_basis_matrices,
     acs_from_complex_action,
+    closedness_residual,
+    curvature_residual,
     d_at_point,
     d_complex,
     d_complex_bar,
@@ -24,6 +26,7 @@ from stromlab.forms import (
     form_power,
     hermitian_form,
     i_ddbar,
+    identity_residual,
     is_zero_scalar,
     mat_inv,
     matrix_wedge_trace,
@@ -31,12 +34,13 @@ from stromlab.forms import (
     point,
     relative_residual,
     standard_acs,
-    to_complex_components,
     top_ratio,
     wedge_with_scale,
 )
 from stromlab.jets import InsufficientJetOrder, Jet, jet_space, seed_jets
 from stromlab.twistor import TWISTOR_FLAT
+
+from form_oracles import square_residual, to_complex_components
 
 LINE = Chart("complex_line", ("zr", "zi"), ("zeta",))
 C2 = Chart("c2", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
@@ -239,7 +243,7 @@ def test_d_at_point_raises_on_an_order_zero_jet():
 
 def test_standard_acs_squares_to_minus_id():
     acs = standard_acs(C2)
-    assert acs.square_residual() <= 1e-15
+    assert square_residual(acs) <= 1e-15
 
 
 def test_standard_acs_eigenforms():
@@ -379,6 +383,30 @@ def test_cancellation_scales_propagate_a_nan_that_is_not_first():
     form = FormValue(C2, 1, {(0,): x[1] * 1e-20, (2,): slope_nan})
     _, scale = exterior_derivative_with_scale(form)
     assert math.isnan(scale)
+
+
+def test_shape_residuals_fail_on_a_nan_that_is_not_first():
+    nan = complex(float("nan"), 0.0)
+    # d of 1e-20 x2 dx1 + 0.5 dx3 is tiny; a NaN x1-slope on the dx3 coefficient is not its first term
+    x = seed_jets((0.1, 0.2, 0.3, 0.4), 1)
+    slope = x[0] * 0.0 + 0.5
+    assert closedness_residual(FormValue(C2, 1, {(0,): x[1] * 1e-20, (2,): slope})) <= 1e-8
+    slope.c[x[0].space.index[(1, 0, 0, 0)]] = nan
+    assert not closedness_residual(FormValue(C2, 1, {(0,): x[1] * 1e-20, (2,): slope})) <= 1e-8
+
+    tiny = FormValue(C2, 2, {(0, 1): 1e-20})
+    poisoned = FormValue(C2, 2, {(0, 1): 1e-20, (2, 3): nan})
+    zero = FormValue.zero(C2, 2)
+    assert identity_residual(tiny, zero, 1.0) <= 1e-8
+    for args in ((poisoned, zero), (zero, poisoned), (tiny, zero, 1.0, math.nan)):
+        assert not identity_residual(*args) <= 1e-8
+
+    ctx = TypeContext(standard_acs(C2))
+    omega = hermitian_form(C2, [[1.0, 0.0], [0.0, 1.0]])
+    assert curvature_residual([[tiny, tiny]], [omega], ctx) <= 1e-8
+    for forms in ([], [omega]):
+        assert not curvature_residual([[tiny, poisoned]], forms, ctx) <= 1e-8
+    assert not curvature_residual([[tiny, tiny]], [omega, poisoned], ctx) <= 1e-8
 
 
 def test_is_zero_scalar_reads_every_jet_coefficient():

@@ -17,9 +17,10 @@ here), so a reordered sum moves them past that tolerance: a change must leave th
 ``PYTHONPATH=src python tests/test_golden.py`` records the file again; with
 ``--drift`` it prints, per group, how many values differ from the file, the
 largest |new - old| / max(1, |old|) and its key, and writes nothing.  With
-``--against <checkout>`` it computes every group from that checkout's
-``src/`` in a subprocess and prints the same per group for this checkout
-against it, again writing nothing.
+``--against <checkout>`` it runs that checkout's own
+``tests/test_golden.py --json`` on its own ``src/`` in a subprocess, so an
+API change between the two does not break the comparison, and prints the
+same per group for this checkout against it, again writing nothing.
 """
 
 import json
@@ -100,7 +101,7 @@ def flat_strominger(seed):
         out[f"{i}/frame_decompose/simp_residual"] = res.simp_residual
         out[f"{i}/frame_decompose/loc_residual"] = res.loc_residual
         out[f"{i}/frame_decompose/reconstruction_residual"] = res.reconstruction_residual
-        for k, value in enumerate(res.decomposition.L + sum(res.decomposition.E, ())):
+        for k, value in enumerate(res.L + sum(res.E, ())):
             out[f"{i}/frame_decompose/coefficient{k}/re"] = value.real
             out[f"{i}/frame_decompose/coefficient{k}/im"] = value.imag
         out[f"{i}/omega_norm"] = omega_norm(FLAT, params, p)
@@ -196,12 +197,13 @@ def drift_report(group, new, old) -> str:
 
 
 def computed_in(checkout) -> dict:
-    """Every group computed from ``<checkout>/src`` in a fresh interpreter."""
+    """Every group computed by ``<checkout>/tests/test_golden.py`` from ``<checkout>/src`` in a fresh interpreter."""
     src = (Path(checkout) / "src").resolve()
-    if not (src / "stromlab").is_dir():
-        sys.exit(f"no src/stromlab in {checkout}")
+    script = Path(checkout).resolve() / "tests" / "test_golden.py"
+    if not (src / "stromlab").is_dir() or not script.is_file():
+        sys.exit(f"no src/stromlab or tests/test_golden.py in {checkout}")
     proc = subprocess.run(
-        [sys.executable, __file__, "--json"],
+        [sys.executable, str(script), "--json"],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,

@@ -8,6 +8,8 @@ from stromlab.forms import (
     DomainError,
     FormValue,
     TypeContext,
+    closedness_residual,
+    curvature_residual,
     dbar_del_scalar,
     exterior_derivative,
     form_linear_combo,
@@ -37,11 +39,12 @@ from stromlab.strominger import (
     RadialProfile,
     anomaly_residual,
     balanced_residual,
-    conformally_balanced_residual,
     curvature_identities,
     hym_residual,
     radial_h_residual,
 )
+
+from form_oracles import conjugation_residual, frame_gram
 
 FLAT = flat_model()
 EH = eguchi_hanson(1.0)
@@ -74,7 +77,8 @@ def test_flat_balanced_order_one_frame_matches_order_three():
     for k, p in enumerate(twistor_points(FLAT, 4, seed=61)):
         params = random_ansatz_params(seed=7, pair_index=k)
         fr = TwistorFrame(FLAT, p, 3, params)
-        assert balanced_residual(FLAT, params, p) == conformally_balanced_residual(fr.metric(), fr.norm_profile())
+        omega = fr.metric()
+        assert balanced_residual(FLAT, params, p) == closedness_residual(omega.wedge(omega).scale(fr.norm_profile()))
 
 
 def test_balanced_counterexample_without_sphere_factor():
@@ -84,7 +88,7 @@ def test_balanced_counterexample_without_sphere_factor():
     broken = fr.fiber_form().scale((2.0 * fr.h + fr.g).exp()) + fr.fubini_study().scale(
         (2.0 * fr.g).exp()
     )
-    assert conformally_balanced_residual(broken, fr.norm_profile()) >= 1e-3
+    assert closedness_residual(broken.wedge(broken).scale(fr.norm_profile())) >= 1e-3
 
 
 # -- generic Chern curvature -----------------------------------------------------
@@ -138,7 +142,7 @@ def test_trace_equals_ddbar_log_det():
     p = twistor_points(FLAT, 1, seed=31)[0]
     data = AnsatzCurvatureData(FLAT, params, p, order=4)
     R = data.frame_curvature()
-    H = data.gram()
+    H = frame_gram(data)
     det = (
         H[0][0] * (H[1][1] * H[2][2] - H[1][2] * H[2][1])
         - H[0][1] * (H[1][0] * H[2][2] - H[1][2] * H[2][0])
@@ -198,7 +202,7 @@ def test_pointwise_gram_curvature_matches_the_jet_path():
     for k, p in enumerate(twistor_points(FLAT, 2, seed=131)):
         data = AnsatzCurvatureData(FLAT, random_ansatz_params(seed=137, pair_index=k), p, order=4)
         ctx = data.fr.ctx
-        for H in (data.gram(), data.U):
+        for H in (frame_gram(data), data.U):
             want = jet_path_curvature(H, ctx)
             got = gram_curvature(H, ctx)
             scale = nan_max(e.sup() for row in want for e in row)
@@ -224,7 +228,7 @@ def test_gram_curvature_and_dbar_del_read_their_inputs_to_order_two():
     p = twistor_points(FLAT, 1, seed=141)[0]
     data = AnsatzCurvatureData(FLAT, random_ansatz_params(seed=143, pair_index=0), p, order=4)
     ctx = data.fr.ctx
-    for H in (data.gram(), data.U):
+    for H in (frame_gram(data), data.U):
         want = gram_curvature(H, ctx)
         got = gram_curvature([[poisoned_above(e, 2) for e in row] for row in H], ctx)
         assert all(same_form(g, w) for rg, rw in zip(got, want) for g, w in zip(rg, rw))
@@ -241,7 +245,7 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
     p = twistor_points(FLAT, 1, seed=145)[0]
     params = AnsatzParams.coupling_solution()
     data = AnsatzCurvatureData(FLAT, params, p, order=4)
-    H, f, ctx = data.gram(), data.B.log(), data.fr.ctx
+    H, f, ctx = frame_gram(data), data.B.log(), data.fr.ctx
     to_order, at_order = Jet.to_order, TypeContext.at_order
     strominger._DATA_CACHE.clear()
     with monkeypatch.context() as m:
@@ -328,8 +332,9 @@ def test_curvature_entries_are_1_1_and_metric_skew():
     data = AnsatzCurvatureData(FLAT, params, p, order=4)
     R = data.frame_curvature()
     scale = max(1.0, R.sup())
-    assert R.pure_type_residual(data.fr.ctx) <= 1e-10 * scale
-    assert R.conjugation_residual(data.gram()) <= 1e-9 * scale
+    # with no forms to wedge, curvature_residual is the (2,0)/(0,2) purity against max(1, |R|)
+    assert curvature_residual(R.entries, [], data.fr.ctx) <= 1e-10
+    assert conjugation_residual(R.entries, frame_gram(data)) <= 1e-9 * scale
 
 
 def test_frame_gram_is_positive_and_exposes_weights():
@@ -337,7 +342,7 @@ def test_frame_gram_is_positive_and_exposes_weights():
     import numpy as np
 
     data = AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p, order=2)
-    eig = np.linalg.eigvalsh(np.array([[svalue(e) for e in row] for row in data.gram()]))
+    eig = np.linalg.eigvalsh(np.array([[svalue(e) for e in row] for row in frame_gram(data)]))
     assert eig.min() > 0.0
     zeta = complex(p.coords[0], p.coords[1])
     s = 1.0 + abs(zeta) ** 2
@@ -527,6 +532,21 @@ def test_hym_counterexample_random_curvature():
     fake_entry = ctx.project(base, 1, 1)
     fake = CurvatureValue([[fake_entry, fake_entry.scale(0.3)], [fake_entry.scale(-0.2), fake_entry]])
     assert hym_residual(FLAT, AnsatzParams.constants(), p, curvature=fake) >= 1e-2
+
+
+def test_hym_catches_a_pure_2_0_curvature_entry_by_purity_alone():
+    # a (2,0) entry wedged with omega^2 is (4,2), zero on a 3-fold, so only the purity check sees it
+    p = twistor_points(FLAT, 1, seed=67)[0]
+    params = AnsatzParams.coupling_solution()
+    data = AnsatzCurvatureData(FLAT, params, p, order=4)
+    pure = data.fr.ctx.values().project(FormValue(p.chart, 2, {(0, 2): 0.6, (1, 3): 0.4j, (2, 4): -0.5}), 2, 0)
+    omega = data.fr.metric().values()
+    assert pure.sup() >= 0.1
+    assert pure.wedge(omega.wedge(omega)).sup() <= 1e-13
+    entries = [list(row) for row in data.quotient_curvature().entries]
+    entries[0][1] = entries[0][1] + pure
+    assert hym_residual(FLAT, params, p) <= 1e-8
+    assert hym_residual(FLAT, params, p, curvature=CurvatureValue(entries)) >= 1e-2
 
 
 # -- curvature identities ---------------------------------------------------------

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from stromlab.forms import (
@@ -33,10 +34,12 @@ from stromlab.twistor import (
     omega_norm,
     sphere_jets,
     theta_coframe_jets,
+    _FrameData,
     w_field_jets,
 )
 
 from coframe_oracle import coframe_gram
+from form_oracles import evaluate, square_residual, to_complex_components
 
 FLAT = flat_model()
 EH = eguchi_hanson(1.0)
@@ -79,7 +82,7 @@ def test_sphere_map_unit_norm_bulk():
 def test_acs_squares_to_minus_identity():
     for model in (FLAT, EH):
         for p in twistor_points(model, 4, seed=3):
-            assert TwistorFrame(model, p, 2).acs.values().square_residual() <= 1e-12
+            assert square_residual(TwistorFrame(model, p, 2).acs.values()) <= 1e-12
 
 
 def test_acs_at_zeta_zero_restricts_to_I():
@@ -215,7 +218,7 @@ def test_ansatz_positivity():
             jv = [
                 sum(svalue(acs.mat[u][w]) * v[u] for u in range(6)).real for w in range(6)
             ]
-            val = omega.evaluate(v, jv)
+            val = evaluate(omega, v, jv)
             assert val.real > 0.0
             assert abs(val.imag) <= 1e-12 * abs(val.real)
 
@@ -409,8 +412,7 @@ def test_frame_decompose_closed_form():
     u1 = complex(0.2, -0.6)
     u2 = complex(0.9, 0.4)
     res = frame_decompose(FLAT, p)
-    L = res.decomposition.L
-    E = res.decomposition.E
+    L, E = res.L, res.E
     assert L[0] == pytest.approx(1j * u2.conjugate(), abs=1e-12)
     assert L[1] == pytest.approx(-1j * u1.conjugate(), abs=1e-12)
     assert E[0][0] == pytest.approx(0.0, abs=1e-12)
@@ -418,6 +420,18 @@ def test_frame_decompose_closed_form():
     assert E[1][0] == pytest.approx(-1j * zeta, abs=1e-12)
     assert E[1][1] == pytest.approx(0.0, abs=1e-12)
     assert res.reconstruction_residual <= 1e-12
+
+
+def test_wirtinger_frame_coefficients_match_the_basis_change_of_dw():
+    # L, C, D are the Wirtinger derivatives of w; T^-1 reads the same components off dw
+    for p in twistor_points(FLAT, 3, seed=107):
+        data = _FrameData(TwistorFrame(FLAT, p, 3))
+        for i in range(2):
+            comps = to_complex_components(data.dw[i])
+            for got, want in ((data.L[i], comps[0]), (data.C[i], comps[4]), (data.D[i], comps[5])):
+                assert got.order == want.order == 2
+                n = got.space.prefix_sizes[got.order]
+                np.testing.assert_allclose(got.c[:n], want.c[:n], rtol=0.0, atol=1e-15)
 
 
 def test_frame_decompose_raises_a_domain_error_at_the_determinant_cutoff():
