@@ -5,7 +5,13 @@ real coordinate differentials.  Coefficients may be plain complex numbers
 (pointwise values) or :class:`~stromlab.jets.Jet` objects (local Taylor
 data), and every operation here is generic over the two: the exterior
 derivative simply differentiates jet coefficients, so nested expressions
-like ``dbar(Hbar^-1 del Hbar)`` come out exact.
+come out exact.  Where only the value at the point of such an expression
+is read, it is assembled from the low Taylor coefficients instead: the
+Chern curvature ``dbar(Hbar^-1 del Hbar)`` of a Gram matrix
+(``gram_curvature``) and ``dbar del f`` (``dbar_del_scalar``) are a few
+array contractions of first and second partials, the slopes of Hbar^-1
+and of the (1,0) projector, and one pointwise (1,1) projection for the
+whole matrix.
 
 The Dolbeault operators make no holomorphic-coordinate assumption: del
 and dbar are assembled from real partials through the (1,0)/(0,1)
@@ -24,7 +30,8 @@ to order o, built once per order, whose tables are bit-identical prefixes
 (over the monomials of degree <= o) of the full ones.  The curvature
 readers take what d at the point reads and no more: the (1,2) projections
 whose first derivatives they read run at order 1, ``gram_curvature`` reads
-its matrix to order 2, and ``dbar_del_scalar`` its function to order 2.
+its matrix to order 2 (its inverse, a jet elimination, to order 1) and the
+projector to order 1, and ``dbar_del_scalar`` its function to order 2.
 
 The certificates of the package share five shapes, each written once at
 the end of this module with its normalisation: a form is closed
@@ -643,6 +650,26 @@ class TypeContext:
             self._values = TypeContext(self.acs.values())
         return self._values
 
+    def projector_slopes(self):
+        """(P, dP): the (1,0) projector at the point and its first partials.
+
+        ``P[w, v]`` is the dx_w coefficient of the (1,0) part of dx_v and
+        ``dP[u] = d/dx_u P``, read from the degree-1 table of
+        ``at_order(1)``; a structure without jet entries has zero slopes.
+        """
+        n = self.chart.dim
+        low = self.at_order(1)
+        tab = low._tables[1][:, 1]
+        dP = np.zeros((n, n, n), dtype=np.complex128)
+        if low._space is not None:
+            if low._order < 1:
+                raise InsufficientJetOrder("the projector slopes need a structure valid to order 1")
+            space = low._space
+            rows = np.zeros((space.prefix_sizes[1], n, n), dtype=np.complex128)
+            rows[space.support(low._mask, 1)] = tab
+            dP = rows[space.first_order]
+        return tab[0], dP
+
     def _table(self, k: int) -> np.ndarray:
         tab = self._tables.get(k)
         if tab is None:
@@ -725,9 +752,6 @@ class TypeContext:
             return FormValue.zero(self.chart, k)
         return self._parts(form, slice(p, p + 1))[0]
 
-    def del_scalar(self, f: Jet) -> FormValue:
-        return self.project(differential_of_scalar(f, self.chart), 1, 0)
-
     def dbar_scalar(self, f: Jet) -> FormValue:
         return self.project(differential_of_scalar(f, self.chart), 0, 1)
 
@@ -742,16 +766,6 @@ def i_ddbar(ctx: TypeContext, f: Jet) -> FormValue:
 def d_part_at_point(ctx: TypeContext, form: FormValue, p: int, q: int) -> FormValue:
     """(p,q) part of d(form) at the point, for a result nothing differentiates."""
     return ctx.values().project(d_at_point(form), p, q)
-
-
-def dbar_del_scalar(ctx: TypeContext, f: Jet) -> FormValue:
-    """dbar del f (= -del dbar f) at the point; kept separate to mirror curvature formulas.
-
-    Only the value is returned, so f is read to order 2: del f is then valid
-    to order 1, all that d at the point reads, and the (1,1) projection runs
-    on the pointwise context rather than on jet-valued tables.
-    """
-    return d_part_at_point(ctx, ctx.del_scalar(f.to_order(2)), 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +848,50 @@ def mat_inv(A):
 
 
 # ---------------------------------------------------------------------------
-# Chern curvature of a Hermitian Gram matrix in a holomorphic frame
+# second-order reads at the point from stacked Taylor coefficients: the Chern
+# curvature of a Hermitian Gram matrix in a holomorphic frame, and dbar del f
+
+
+def _taylor_stack(M, order: int):
+    """Taylor data of a matrix of jets at the point, read to ``order`` (1 or 2), as arrays.
+
+    Returns the values (n, m), the first partials (n, m, dim) and, at order
+    2, the second partials (n, m, dim, dim).  Raises InsufficientJetOrder
+    for an entry valid below ``order``, so no coefficient beyond an entry's
+    validity is read.
+    """
+    if any(e.order < order for row in M for e in row):
+        raise InsufficientJetOrder(f"a matrix read to order {order} has an entry valid to a lower order")
+    space = M[0][0].space
+    dim = space.nvars
+    index = np.concatenate([[0], space.first_order] + ([space.second_order.reshape(-1)] if order == 2 else []))
+    coeffs = np.array([[e.c[index] for e in row] for row in M])
+    out = (coeffs[..., 0], coeffs[..., 1 : dim + 1])
+    if order == 2:
+        # the coefficient of x_u^2 is half of d2/dx_u^2; doubling is exact
+        out += (coeffs[..., dim + 1 :].reshape(coeffs.shape[:2] + (dim, dim)) * (1.0 + np.eye(dim)),)
+    return out
+
+
+def _del_at_point(ctx: TypeContext, df: np.ndarray, ddf: np.ndarray):
+    """del f at the point and its slopes, for stacked partials of functions f.
+
+    ``df[..., v]`` and ``ddf[..., u, v]`` are the first and second partials.
+    Returns ``Y`` and ``dY``: ``Y[..., w]`` is the dx_w coefficient of del f,
+    sum_v P[w, v] d_v f with P the (1,0) projector, and ``dY[..., u, w]`` its
+    d/dx_u.
+    """
+    P, dP = ctx.projector_slopes()
+    return df @ P.T, np.einsum("uwv,...v->...uw", dP, df) + ddf @ P.T
+
+
+def _part_11_at_point(ctx: TypeContext, dX: np.ndarray) -> list:
+    """(1,1) parts of the 2-forms sum_{u,w} dX[i, j, u, w] dx_u ^ dx_w, as a matrix of pointwise forms."""
+    dim = ctx.chart.dim
+    u, w = np.triu_indices(dim, 1)  # the pairs u < w in combinations order
+    coeffs = (dX[..., u, w] - dX[..., w, u]) @ ctx.values()._table(2)[0, 1].T
+    multis = _ranks(dim, 2)
+    return [[FormValue(ctx.chart, 2, dict(zip(multis, entry))) for entry in row] for row in coeffs.tolist()]
 
 
 def gram_curvature(H, ctx: TypeContext):
@@ -845,29 +902,40 @@ def gram_curvature(H, ctx: TypeContext):
     the pointwise type context; for a (1,0)-form X that is its dbar.  For
     an actual holomorphic-frame Gram the entries are pure (1,1).
 
-    Reads H to order 2: d at the point reads X to order 1, so Hbar^-1 is
-    formed from the entries read to order 1 and del Hbar from them read to
-    order 2.
+    d X is read at the point only, so it is assembled for the whole matrix
+    from stacked Taylor coefficients by the Leibniz rule,
+    d X_ij = sum_k d(Hbar^-1)_ik ^ del Hbar_kj + Hbar^-1_ik d(del Hbar_kj),
+    where del Hbar_kj has dx_w coefficient sum_v P[w, v] d_v Hbar_kj with P
+    the (1,0) projector (``_del_at_point``).  The slopes and second partials
+    of Hbar come from H read to order 2, P and its slopes from the projector
+    table at order 1 (``TypeContext.projector_slopes``), and one (1,1)
+    projection on the pointwise context serves every entry.
+
+    The value and the slopes of Hbar^-1 come from one ``mat_inv`` on the
+    entries read to order 1, a jet elimination with value pivoting.  The
+    pointwise alternatives, d(Hbar^-1) = -Hbar^-1 dHbar Hbar^-1 from an
+    explicit inverse or from LU solves, lose more digits at the domain edges
+    where Hbar is ill-conditioned (the Eguchi-Hanson cutoff |x| = 0.05a and
+    the radial-h cutoff at base radius 0.03) and fail the asd and the
+    anomaly gates there.
     """
-    n = len(H)
-    Hbar = [[sconj(e) for e in row] for row in H]
-    Hbar_inv = mat_inv([[e.to_order(1) for e in row] for row in Hbar])
-    del_Hbar = [[ctx.del_scalar(e.to_order(2)) for e in row] for row in Hbar]
-    X = [
-        [
-            form_linear_combo([del_Hbar[k][j] for k in range(n)], [Hbar_inv[i][k] for k in range(n)])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return [[d_part_at_point(ctx, X[i][j], 1, 1) for j in range(n)] for i in range(n)]
+    Ginv, dGinv = _taylor_stack(mat_inv([[e.to_order(1).conjugate() for e in row] for row in H]), 1)
+    _, dG, ddG = (np.conj(a) for a in _taylor_stack([[e.to_order(2) for e in row] for row in H], 2))
+    Y, dY = _del_at_point(ctx, dG, ddG)
+    # dX[i, j, u, w] = d/dx_u of the dx_w coefficient of X_ij
+    dX = np.einsum("iku,kjw->ijuw", dGinv, Y) + np.einsum("ik,kjuw->ijuw", Ginv, dY)
+    return _part_11_at_point(ctx, dX)
 
 
-def form_linear_combo(forms, coeffs) -> FormValue:
-    out = FormValue.zero(forms[0].chart, forms[0].degree)
-    for f, c in zip(forms, coeffs):
-        out = out + f.scale(c)
-    return out
+def dbar_del_scalar(ctx: TypeContext, f: Jet) -> FormValue:
+    """dbar del f (= -del dbar f) at the point; kept separate to mirror curvature formulas.
+
+    Only the value is returned, so f is read to order 2: the (1,1) part of
+    d(del f) at the point needs the slopes of del f, that is the first and
+    second partials of f and the projector to order 1 (``_del_at_point``).
+    """
+    _, df, ddf = _taylor_stack([[f.to_order(2)]], 2)
+    return _part_11_at_point(ctx, _del_at_point(ctx, df, ddf)[1])[0][0]
 
 
 def matrix_trace_form(M) -> FormValue:

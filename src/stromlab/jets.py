@@ -96,6 +96,11 @@ class JetSpace:
         self._sorted_codes = self._codes[self._code_rank]
         # first_order[v]: index of the monomial x_v, whose coefficient is d/dx_v at the point
         self.first_order = self._lookup(self._digits) if order >= 1 else np.zeros(0, dtype=np.intp)
+        # second_order[u, w]: index of the monomial x_u x_w, whose coefficient is d2/dx_u dx_w at
+        # the point for u != w and half of it for u == w
+        self.second_order = (
+            self._lookup(self._digits[:, None] + self._digits[None, :]) if order >= 2 else np.zeros((0, 0), dtype=np.intp)
+        )
         self._mul_table = None
         self._mul_starts = None
         self._mul_subsets = {}

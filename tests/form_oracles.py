@@ -3,14 +3,26 @@
 Each one computes by a route no operator of the package takes, so the
 tests can hold the package's closed forms against it: a form evaluated on
 tangent vectors by minors, J^2 = -1 entry by entry, metric
-skew-hermiticity of a curvature, the frame Gram of the twistor ansatz, and
-the complex components of a 1-form through the basis change T^-1.
+skew-hermiticity of a curvature, the frame Gram of the twistor ansatz, the
+complex components of a 1-form through the basis change T^-1, and the Chern
+curvature of a Gram matrix at the point in 50-digit arithmetic.
 """
 
+from itertools import combinations
+
+import mpmath
 import numpy as np
 
-from stromlab.forms import DegreeError, FormValue, _complex_basis_matrices, form_linear_combo, nan_max, svalue
+from stromlab.forms import DegreeError, FormValue, _complex_basis_matrices, nan_max, svalue
 from stromlab.strominger import _frame_gram
+
+
+def form_linear_combo(forms, coeffs) -> FormValue:
+    """sum_k coeffs[k] forms[k], for forms of one degree and scalar or jet coefficients."""
+    out = FormValue.zero(forms[0].chart, forms[0].degree)
+    for f, c in zip(forms, coeffs):
+        out = out + f.scale(c)
+    return out
 
 
 def evaluate(form: FormValue, *vectors) -> complex:
@@ -74,3 +86,75 @@ def to_complex_components(form: FormValue) -> list:
                 acc = acc + Tinv[k, v] * c
         comps.append(acc)
     return comps
+
+
+def _mp_partials(x, dim, order):
+    """Value, first partials and (order 2) second partials of a jet or a number, as mpmath numbers."""
+    if not hasattr(x, "partial"):
+        return mpmath.mpc(complex(x)), [mpmath.mpc(0)] * dim, [[mpmath.mpc(0)] * dim for _ in range(dim)]
+
+    def unit(*vs):
+        return tuple(sum(v == u for v in vs) for u in range(dim))
+
+    first = [mpmath.mpc(x.partial(unit(u))) for u in range(dim)]
+    second = [[mpmath.mpc(x.partial(unit(u, w))) for w in range(dim)] for u in range(dim)] if order == 2 else None
+    return mpmath.mpc(x.value), first, second
+
+
+def mp_gram_curvature(H, acs, dps: int = 50) -> list:
+    """(1,1) part of d(Hbar^-1 del Hbar) at the point, in ``dps``-digit arithmetic.
+
+    The inputs are the double-precision Taylor coefficients of H (to order 2)
+    and of the structure J (to order 1); from there every step runs in
+    mpmath: the inverse, d(Hbar^-1) = -Hbar^-1 dHbar Hbar^-1, the projector
+    P = (1 - iJ)/2 and its slopes, the Leibniz sum and the (1,1) part of
+    each dx_u ^ dx_w, (P dx_u) ^ (Q dx_w) + (Q dx_u) ^ (P dx_w).  Returns the
+    complex coefficients as nested lists [i][j][(a, b)] over a < b.
+    """
+    dim, n = acs.chart.dim, len(H)
+    with mpmath.workdps(dps):
+        taylor = [[_mp_partials(e, dim, 2) for e in row] for row in H]
+        G = mpmath.matrix([[t[0].conjugate() for t in row] for row in taylor])
+        dG = [mpmath.matrix([[t[1][u].conjugate() for t in row] for row in taylor]) for u in range(dim)]
+        ddG = [[[[taylor[k][j][2][u][v].conjugate() for v in range(dim)] for u in range(dim)] for j in range(n)] for k in range(n)]
+        Ginv = G**-1
+        dGinv = [-Ginv * dG[u] * Ginv for u in range(dim)]
+        J = [[_mp_partials(e, dim, 1) for e in row] for row in acs.mat]
+        P = [[((1 if w == v else 0) - 1j * J[w][v][0]) / 2 for v in range(dim)] for w in range(dim)]
+        Q = [[(1 if w == v else 0) - P[w][v] for v in range(dim)] for w in range(dim)]
+        dP = [[[-1j * J[w][v][1][u] / 2 for v in range(dim)] for w in range(dim)] for u in range(dim)]
+        Y = [[[mpmath.fsum(P[w][v] * dG[v][k, j] for v in range(dim)) for w in range(dim)] for j in range(n)] for k in range(n)]
+        dY = [
+            [
+                [
+                    [mpmath.fsum(dP[u][w][v] * dG[v][k, j] + P[w][v] * ddG[k][j][u][v] for v in range(dim)) for w in range(dim)]
+                    for u in range(dim)
+                ]
+                for j in range(n)
+            ]
+            for k in range(n)
+        ]
+        pairs = list(combinations(range(dim), 2))
+        part11 = {
+            (a, b): [
+                [P[a][u] * Q[b][w] - P[b][u] * Q[a][w] + Q[a][u] * P[b][w] - Q[b][u] * P[a][w] for w in range(dim)]
+                for u in range(dim)
+            ]
+            for a, b in pairs
+        }
+        R = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                dX = [
+                    [mpmath.fsum(dGinv[u][i, k] * Y[k][j][w] + Ginv[i, k] * dY[k][j][u][w] for k in range(n)) for w in range(dim)]
+                    for u in range(dim)
+                ]
+                row.append(
+                    {
+                        ab: complex(mpmath.fsum(dX[u][w] * m[u][w] for u in range(dim) for w in range(dim)))
+                        for ab, m in part11.items()
+                    }
+                )
+            R.append(row)
+    return R

@@ -147,6 +147,19 @@ def test_space_cache_and_sizes():
     assert sp.size == math.comb(6 + 4, 4)
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_second_order_index_reads_the_second_partials(order):
+    f = smooth_jet(seed_jets((0.4, 0.9, -0.6), order))
+    index = f.space.second_order
+    assert index.shape == (3, 3) and (index == index.T).all()
+    for u in range(3):
+        for w in range(3):
+            mono = tuple((v == u) + (v == w) for v in range(3))
+            coefficient = f.c[index[u, w]] * (2.0 if u == w else 1.0)
+            assert coefficient == f.partial(mono)
+    assert jet_space(3, 1).second_order.size == 0
+
+
 # -- product and derivative tables against the direct loops --------------------
 
 

@@ -10,9 +10,11 @@ from stromlab.forms import (
     TypeContext,
     closedness_residual,
     curvature_residual,
+    d_at_point,
+    d_part_at_point,
     dbar_del_scalar,
+    differential_of_scalar,
     exterior_derivative,
-    form_linear_combo,
     gram_curvature,
     mat_inv,
     nan_max,
@@ -20,7 +22,7 @@ from stromlab.forms import (
     standard_acs,
     svalue,
 )
-from stromlab.hyperkahler import EH_CHART, asd_residual, det_residual, eguchi_hanson, flat_model, quaternion_operator
+from stromlab.hyperkahler import EH_CHART, asd_residual, cotangent_gram, det_residual, eguchi_hanson, flat_model, quaternion_operator
 from stromlab import hyperkahler, strominger, twistor
 from stromlab.jets import InsufficientJetOrder, Jet, jet_space, seed_jets
 from stromlab.sampling import box, random_ansatz_params, sample_points
@@ -44,7 +46,7 @@ from stromlab.strominger import (
     radial_h_residual,
 )
 
-from form_oracles import conjugation_residual, frame_gram
+from form_oracles import conjugation_residual, form_linear_combo, frame_gram, mp_gram_curvature
 
 FLAT = flat_model()
 EH = eguchi_hanson(1.0)
@@ -186,31 +188,102 @@ def test_constant_structure_is_its_own_pointwise_context():
 
 
 def jet_path_curvature(H, ctx):
-    """dbar(Hbar^-1 del Hbar) through the jet-valued type tables, then evaluated."""
+    """dbar(Hbar^-1 del Hbar) through the jet-valued type tables, then evaluated.
+
+    Also returns the scale of the entering terms: the largest sup of the
+    (1,1) part of one Leibniz term, d(Hbar^-1)_ik ^ del Hbar_kj or
+    Hbar^-1_ik d(del Hbar_kj), at the point.
+    """
     n = len(H)
     Hbar = [[e.conjugate() for e in row] for row in H]
     Hbar_inv = mat_inv(Hbar)
-    del_Hbar = [[ctx.del_scalar(e) for e in row] for row in Hbar]
+    del_Hbar = [[ctx.project(differential_of_scalar(e, ctx.chart), 1, 0) for e in row] for row in Hbar]
     X = [
         [form_linear_combo([del_Hbar[k][j] for k in range(n)], [Hbar_inv[i][k] for k in range(n)]) for j in range(n)]
         for i in range(n)
     ]
-    return [[ctx.project(exterior_derivative(X[i][j]), 1, 1).values() for j in range(n)] for i in range(n)]
+    R = [[ctx.project(exterior_derivative(X[i][j]), 1, 1).values() for j in range(n)] for i in range(n)]
+    values = ctx.values()
+    terms = []
+    for i in range(n):
+        for k in range(n):
+            d_inv = d_at_point(FormValue.scalar(ctx.chart, Hbar_inv[i][k]))
+            for j in range(n):
+                terms.append(values.project(d_inv.wedge(del_Hbar[k][j].values()), 1, 1))
+                terms.append(values.project(d_at_point(del_Hbar[k][j]).scale(svalue(Hbar_inv[i][k])), 1, 1))
+    return R, nan_max(t.sup() for t in terms)
+
+
+def eh_cotangent_gram(p):
+    return cotangent_gram(EH, seed_jets(p.coords, 4)), TypeContext(standard_acs(EH_CHART))
 
 
 def test_pointwise_gram_curvature_matches_the_jet_path():
+    # the frame Gram on the jet-valued twistor context and the Eguchi-Hanson
+    # cotangent Gram on the constant context have curvatures of order 1
+    cases = []
     for k, p in enumerate(twistor_points(FLAT, 2, seed=131)):
         data = AnsatzCurvatureData(FLAT, random_ansatz_params(seed=137, pair_index=k), p, order=4)
-        ctx = data.fr.ctx
-        for H in (frame_gram(data), data.U):
-            want = jet_path_curvature(H, ctx)
-            got = gram_curvature(H, ctx)
-            scale = nan_max(e.sup() for row in want for e in row)
-            assert scale > 0.0
-            for row_got, row_want in zip(got, want):
-                for g, w in zip(row_got, row_want):
-                    assert not any(isinstance(c, Jet) for c in g.terms.values())
-                    assert (g - w).sup() <= 1e-13 * scale
+        cases.append((frame_gram(data), data.fr.ctx))
+    cases += [eh_cotangent_gram(p) for p in sample_points(EH_CHART, box(EH_CHART, -1.5, 1.5), 2, seed=133)]
+    for H, ctx in cases:
+        want, _ = jet_path_curvature(H, ctx)
+        got = gram_curvature(H, ctx)
+        scale = nan_max(e.sup() for row in want for e in row)
+        assert scale >= 0.01
+        for row_got, row_want in zip(got, want):
+            for g, w in zip(row_got, row_want):
+                assert not any(isinstance(c, Jet) for c in g.terms.values())
+                assert (g - w).sup() <= 1e-13 * scale
+
+
+def test_dbar_del_scalar_matches_the_jet_path():
+    # d at the point of the jet-valued (1,0) projection, on both kinds of context
+    cases = []
+    for k, p in enumerate(twistor_points(FLAT, 2, seed=157)):
+        data = AnsatzCurvatureData(FLAT, random_ansatz_params(seed=159, pair_index=k), p, order=4)
+        cases += [(data.B.log(), data.fr.ctx), (data.A * data.Lvec[0].conjugate(), data.fr.ctx)]
+    for H, ctx in (eh_cotangent_gram(p) for p in sample_points(EH_CHART, box(EH_CHART, -1.5, 1.5), 2, seed=161)):
+        cases.append((H[0][1] * H[1][1], ctx))
+    for f, ctx in cases:
+        want = d_part_at_point(ctx, ctx.project(differential_of_scalar(f, ctx.chart), 1, 0), 1, 1)
+        got = dbar_del_scalar(ctx, f)
+        assert want.sup() >= 0.01
+        assert (got - want).sup() <= 1e-13 * want.sup()
+
+
+def test_quotient_gram_curvature_is_zero_on_flat_within_rounding():
+    # F' vanishes on flat N: both paths read rounding only, so each is held
+    # against the terms that cancel, not against the other
+    for k, p in enumerate(twistor_points(FLAT, 2, seed=131)):
+        data = AnsatzCurvatureData(FLAT, random_ansatz_params(seed=137, pair_index=k), p, order=4)
+        want, entering = jet_path_curvature(data.U, data.fr.ctx)
+        assert entering >= 0.01
+        for F in (want, gram_curvature(data.U, data.fr.ctx)):
+            assert CurvatureValue(F).sup() <= 1e-14 * max(1.0, entering)
+
+
+def relative_error_against_50_digits(H, ctx) -> float:
+    """sup |gram_curvature - the 50-digit curvature| over the sup of the latter."""
+    want = mp_gram_curvature(H, ctx.acs)
+    got = gram_curvature(H, ctx)
+    scale = nan_max(abs(c) for row in want for entry in row for c in entry.values())
+    diff = nan_max(
+        abs(svalue(g.coefficient(ab)) - c) for rg, rw in zip(got, want) for g, w in zip(rg, rw) for ab, c in w.items()
+    )
+    return diff / scale
+
+
+def test_gram_curvature_against_50_digits_at_the_domain_edges():
+    # where Hbar is worst conditioned: the Eguchi-Hanson cutoff |x| = 0.05a
+    # (|F| = 1200) and the radial-h cutoff at base radius 0.03 (|R| up to
+    # 1e11); an explicit pointwise inverse of Hbar reads 4e-7 at the first
+    r = 0.05
+    assert relative_error_against_50_digits(*eh_cotangent_gram(point(EH_CHART, r / 2, r / 2, -r / 2, r / 2))) <= 1e-10
+    params = AnsatzParams.coupling_solution(radial_h=True)
+    for p in radial_points(0.03):
+        data = AnsatzCurvatureData(FLAT, params, p, order=4)
+        assert relative_error_against_50_digits(frame_gram(data), data.fr.ctx) <= 1e-10
 
 
 def poisoned_above(x, order):
@@ -382,6 +455,17 @@ def test_hym_flat_profiles():
         params = random_ansatz_params(seed=59, pair_index=k)
         p = twistor_points(FLAT, 1, seed=400 + k)[0]
         assert hym_residual(FLAT, params, p) <= 1e-8
+
+
+def test_quotient_curvature_vanishes_on_flat():
+    # so on flat N the HYM residual, the quotient trace and tr(F' ^ F') read
+    # rounding only, while the frame curvature R is of order 1
+    profiles = [AnsatzParams.coupling_solution(), AnsatzParams.coupling_solution(radial_h=True)]
+    profiles += [random_ansatz_params(seed=2, pair_index=k) for k in range(2)]
+    for params, p in zip(profiles * 2, twistor_points(FLAT, 8, seed=2)):
+        data = AnsatzCurvatureData(FLAT, params, p, order=4)
+        assert data.quotient_curvature().sup() <= 1e-13
+        assert data.frame_curvature().sup() >= 0.1
 
 
 def test_hym_raises_a_domain_error_at_the_frame_cutoff():
