@@ -40,7 +40,11 @@ forms (``curvature_residual``), one side of an identity equals the other
 (``identity_residual``), del dbar of a (1,1)-form read at the point
 (``del_dbar_at_point``), and the norm of a holomorphic volume form
 (``volume_form_norm``).  A residual is a sup divided by the largest entering
-term (``relative_residual``), so it never passes on NaN or inf.
+term (``relative_residual``), so it never passes on NaN or inf.  The
+curvature certificate works on the stacked coefficients of the whole
+matrix, like ``matrix_wedge_trace``: one product with the sign plan per form
+gives every wedge, and one product with the pointwise degree-2 type table
+gives every (2,0) and (0,2) part.
 """
 
 from __future__ import annotations
@@ -295,12 +299,6 @@ def _merge_indices(ma: tuple, mb: tuple):
     merged.extend(ma[i:])
     merged.extend(mb[j:])
     return tuple(merged), sign
-
-
-def wedge_with_scale(a: FormValue, b: FormValue):
-    """Wedge plus the sup of the individual term products (cancellation scale)."""
-    scale = nan_max(smag(ca) * smag(cb) for ca in a.terms.values() for cb in b.terms.values())
-    return a.wedge(b), scale
 
 
 def d_complex(chart: Chart, j: int) -> FormValue:
@@ -1016,25 +1014,43 @@ def closedness_residual(form: FormValue) -> float:
     return relative_residual(d.values().sup(), nan_max([scale, form.sup()]))
 
 
+def _array_sup(a: np.ndarray) -> float:
+    """Largest magnitude in ``a`` (0.0 if it is empty), or NaN if any entry is NaN.
+
+    Magnitudes are ``hypot(re, im)``, which equals the built-in ``abs`` of a
+    complex bit for bit; ``np.abs`` of a complex array rounds differently in
+    about a third of the entries.
+    """
+    return float(np.max(np.hypot(a.real, a.imag), initial=0.0))
+
+
 def curvature_residual(F, forms, ctx: TypeContext) -> float:
     """F is (1,1) and F_ij ^ form = 0 for each form, relative to the entering terms.
 
     ``F`` is a matrix of pointwise 2-forms and ``forms`` a list of pointwise
-    forms.  The sups of every wedge and of the (2,0) and (0,2) parts of every
-    entry (on ``ctx.values()``) are compared against the largest term
-    product of a wedge and the largest entry.
+    forms.  The entries are stacked into one coefficient array
+    (``_stacked_coefficients``).  Each form is wedged with every entry in one
+    product with the sign plan (``_wedge_signs``), and the (2,0) and (0,2)
+    parts of every entry come from one product with the degree-2 type table
+    of ``ctx.values()``.  The sup of the wedges and of those parts is
+    compared against sup|F| sup|form| and sup|F|.  Rounding is monotone, so
+    sup|F| sup|form| is bit for bit the largest product of a coefficient of
+    an entry and one of the form.  A NaN anywhere in F or in a form makes
+    the scale NaN and the residual inf.
     """
-    values = ctx.values()
-    sups, scales = [], []
-    for row in F:
-        for entry in row:
-            for form in forms:
-                wedged, scale = wedge_with_scale(entry, form)
-                sups.append(wedged.sup())
-                scales.append(scale)
-            parts = values.decompose(entry)
-            sups += [parts[key].sup() for key in ((2, 0), (0, 2)) if key in parts]
-            scales.append(entry.sup())
+    chart = F[0][0].chart
+    f = _stacked_coefficients(F, 2).reshape(len(F) * len(F[0]), -1)
+    sup_F = _array_sup(f)
+    sups = [_array_sup(f @ ctx.values()._table(2)[0, ::2].transpose(0, 2, 1))]
+    scales = [sup_F]
+    for form in forms:
+        F[0][0]._check(form)
+        if form.degree + 2 > chart.dim:
+            raise DegreeError("wedge degree exceeds chart dimension")
+        b = _stacked_coefficients([[form]], form.degree)[0, 0]
+        wedged = (f[:, :, None] * b).reshape(len(f), -1) @ _wedge_signs(chart.dim, 2, form.degree)
+        sups.append(_array_sup(wedged))
+        scales.append(sup_F * _array_sup(b))
     return relative_residual(nan_max(sups), nan_max(scales))
 
 

@@ -199,11 +199,12 @@ class HyperkahlerTriple:
 
 
 def triple_forms(chart: Chart, kh, offset_pair: int) -> HyperkahlerTriple:
-    """(omega_I, omega_J, omega_K) on ``chart`` with jet coefficients.
+    """(omega_I, omega_J, omega_K) on ``chart``.
 
     omega_I = i ddbar kappa from the potential Hessian ``kh``, as returned
-    by :func:`kappa_hermitian_jets` with the same ``offset_pair``;
-    omega_J + i omega_K = dz1 wedge dz2.
+    by :func:`kappa_hermitian_jets` with the same ``offset_pair`` (jet
+    coefficients) or its values (pointwise ones); omega_J + i omega_K =
+    dz1 wedge dz2.
     """
     omega_I = hermitian_form(chart, kh, offset_pair)
     holo2 = d_complex(chart, offset_pair).wedge(d_complex(chart, offset_pair + 1))
@@ -300,8 +301,9 @@ def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
     xjets = seed_jets(p.coords, 4)
     ctx = TypeContext(standard_acs(model.chart))
     kh = kappa_hermitian_jets(model, xjets)
-    triple = triple_forms(model.chart, kh, 0)
+    # the certificate reads the triple at the point only
+    triple = triple_forms(model.chart, [[svalue(e) for e in row] for row in kh], 0)
     if gram is None:
         gram = _dz_gram(kh)
     F = gram_curvature(gram, ctx)
-    return curvature_residual(F, [triple.omega_I.values(), triple.omega_J.values(), triple.omega_K.values()], ctx)
+    return curvature_residual(F, [triple.omega_I, triple.omega_J, triple.omega_K], ctx)

@@ -67,11 +67,10 @@ def balanced_residual(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoi
 
     The norm profile s^4 e^{-2h-2g} is used for |Omega|; its agreement with
     the honest top-form ratio is certified separately, and the constant
-    factor is killed by d anyway.  d is read only at the point, so order 1
-    suffices where the kappa Hessian is constant; elsewhere the Hessian
-    costs two more orders.
+    factor is killed by d anyway.  d is read only at the point, so the
+    frame is built to order 1.
     """
-    fr = TwistorFrame(model, p, 1 if model.flat else 3, params)
+    fr = TwistorFrame(model, p, 1, params)
     omega = fr.metric()
     return closedness_residual(omega.wedge(omega).scale(fr.norm_profile()))
 

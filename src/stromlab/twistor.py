@@ -143,7 +143,13 @@ class AnsatzParams:
 # per-point assembly shared by the residual operators
 
 class TwistorFrame:
-    """Jets of every basic quantity of the ansatz at one twistor point."""
+    """Jets of every basic quantity of the ansatz at one twistor point, each valid to ``order``.
+
+    The kappa Hessian costs two orders on a model that is not flat, so
+    there the coordinates are seeded two orders higher for kappa only; the
+    coordinate jets the frame holds, and so the sphere, g and h, are those
+    seeds read to ``order``.
+    """
 
     def __init__(self, model: HyperkahlerModel, p: ChartPoint, order: int, params: AnsatzParams | None = None):
         chart = model.twistor_chart
@@ -154,14 +160,15 @@ class TwistorFrame:
         self.chart = chart
         self.point = p
         self.order = order
-        jets = seed_jets(p.coords, order)
+        seeds = seed_jets(p.coords, order if model.flat else order + 2)
+        jets = [x.to_order(order) for x in seeds]
         self.jets = jets
         self.zr, self.zi = jets[0], jets[1]
         self.x = jets[2:]
         self.zeta = self.zr + 1j * self.zi
         self.zeta_bar = self.zeta.conjugate()
         self.alpha, self.beta, self.gamma, self.s = sphere_jets(self.zr, self.zi)
-        self.kh = kappa_hermitian_jets(model, jets, offset_pair=1)
+        self.kh = kappa_hermitian_jets(model, seeds, offset_pair=1)
         self.triple = triple_forms(chart, self.kh, 1)
         self.dzeta = d_complex(chart, 0)
         self.dzeta_bar = d_complex_bar(chart, 0)
@@ -243,7 +250,7 @@ def omega_norm(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> 
     omega^3 is positive.  Only ratios across points are meaningful since
     the overall constant is conventional.
     """
-    fr = TwistorFrame(model, p, 2, params)
+    fr = TwistorFrame(model, p, 0, params)
     return volume_form_norm(fr.volume_3form().values(), fr.metric().values())
 
 

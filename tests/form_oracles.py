@@ -4,7 +4,8 @@ Each one computes by a route no operator of the package takes, so the
 tests can hold the package's closed forms against it: a form evaluated on
 tangent vectors by minors, J^2 = -1 entry by entry, metric
 skew-hermiticity of a curvature, the frame Gram of the twistor ansatz, the
-complex components of a 1-form through the basis change T^-1, and the Chern
+complex components of a 1-form through the basis change T^-1, the curvature
+certificate wedge by wedge and pair of terms by pair of terms, and the Chern
 curvature of a Gram matrix at the point in 50-digit arithmetic.
 """
 
@@ -13,7 +14,7 @@ from itertools import combinations
 import mpmath
 import numpy as np
 
-from stromlab.forms import DegreeError, FormValue, _complex_basis_matrices, nan_max, svalue
+from stromlab.forms import DegreeError, FormValue, _complex_basis_matrices, nan_max, smag, svalue
 from stromlab.strominger import _frame_gram
 
 
@@ -64,6 +65,27 @@ def conjugation_residual(F, H) -> float:
         for i in range(n)
     ]
     return nan_max((HF[i][j] + HF[j][i].conj()).sup() for i in range(n) for j in range(n))
+
+
+def pairwise_curvature_terms(F, forms, ctx):
+    """(diff sup, scale) of ``curvature_residual``, entry by entry and form by form.
+
+    Each entry is wedged with each form through ``FormValue.wedge``, the
+    scale of that wedge is the largest product of a term of the entry and a
+    term of the form, colliding pairs included, and the (2,0) and (0,2)
+    parts come from ``TypeContext.decompose`` on ``ctx.values()``.
+    """
+    values = ctx.values()
+    sups, scales = [], []
+    for row in F:
+        for entry in row:
+            for form in forms:
+                sups.append(entry.wedge(form).sup())
+                scales.append(nan_max(smag(a) * smag(b) for a in entry.terms.values() for b in form.terms.values()))
+            parts = values.decompose(entry)
+            sups += [parts[key].sup() for key in ((2, 0), (0, 2)) if key in parts]
+            scales.append(entry.sup())
+    return nan_max(sups), nan_max(scales)
 
 
 def frame_gram(data):

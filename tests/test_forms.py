@@ -35,12 +35,13 @@ from stromlab.forms import (
     relative_residual,
     standard_acs,
     top_ratio,
-    wedge_with_scale,
 )
 from stromlab.jets import InsufficientJetOrder, Jet, jet_space, seed_jets
-from stromlab.twistor import TWISTOR_FLAT
+from stromlab import forms as forms_module
+from stromlab.hyperkahler import flat_model
+from stromlab.twistor import TWISTOR_FLAT, TwistorFrame
 
-from form_oracles import square_residual, to_complex_components
+from form_oracles import pairwise_curvature_terms, square_residual, to_complex_components
 
 LINE = Chart("complex_line", ("zr", "zi"), ("zeta",))
 C2 = Chart("c2", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
@@ -371,11 +372,21 @@ def test_nan_max_propagates_nan_in_any_position():
     assert nan_max([]) == 0.0
 
 
-def test_cancellation_scales_propagate_a_nan_that_is_not_first():
+def curvature_terms(monkeypatch, F, forms, ctx):
+    """The residual of ``curvature_residual`` and the (diff sup, scale) it normalised."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(forms_module, "relative_residual", lambda diff, scale: seen.append((diff, scale)) or relative_residual(diff, scale))
+        res = curvature_residual(F, forms, ctx)
+    return res, seen[-1]
+
+
+def test_cancellation_scales_propagate_a_nan_that_is_not_first(monkeypatch):
     nan = complex(float("nan"), 0.0)
-    a = FormValue(C2, 1, {(0,): 1e-20, (1,): nan})
-    _, scale = wedge_with_scale(a, FormValue(C2, 1, {(2,): 1.0}))
-    assert math.isnan(scale)
+    ctx = TypeContext(standard_acs(C2))
+    a = FormValue(C2, 2, {(0, 1): 1e-20, (0, 2): nan})
+    res, (_, scale) = curvature_terms(monkeypatch, [[a]], [FormValue(C2, 2, {(2, 3): 1.0})], ctx)
+    assert math.isnan(scale) and res == math.inf
     # d of 1e-20 x2 dx1 contributes 1e-20 first, then a NaN x1-slope on dx3
     x = seed_jets((0.1, 0.2, 0.3, 0.4), 1)
     slope_nan = x[0] * 0.0 + 0.5
@@ -554,6 +565,27 @@ def random_point_matrix(chart, n, degree, rng):
         ]
         for _ in range(n)
     ]
+
+
+def scaled_point_matrix(chart, n, degree, rng):
+    """``random_point_matrix`` with each coefficient scaled by a random power of ten in [1e-2, 1e2]."""
+    M = random_point_matrix(chart, n, degree, rng)
+    return [[entry.map_coeffs(lambda c: c * 10.0 ** rng.uniform(-2, 2)) for entry in row] for row in M]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_curvature_residual_matches_the_pairwise_oracle(n, monkeypatch):
+    rng = random.Random(40 + n)
+    twistor = TwistorFrame(flat_model(), point(TWISTOR_FLAT, 0.6, -0.4, 0.3, 0.8, -0.5, 0.2), 1).ctx
+    for chart, ctx, k in ((C2, TypeContext(standard_acs(C2)), 2), (TWISTOR_FLAT, twistor, 4)):
+        for trial in range(4):
+            F = scaled_point_matrix(chart, n, 2, rng)
+            forms = [scaled_point_matrix(chart, 1, k, rng)[0][0] for _ in range(trial % 3)]
+            res, (_, scale) = curvature_terms(monkeypatch, F, forms, ctx)
+            want_diff, want_scale = pairwise_curvature_terms(F, forms, ctx)
+            want = relative_residual(want_diff, want_scale)
+            assert scale == want_scale
+            assert abs(res - want) <= 1e-14 * want
 
 
 def wedge_trace_oracle(A, B):

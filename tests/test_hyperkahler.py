@@ -261,6 +261,17 @@ def test_eh_asd_residual():
 
 
 @pytest.mark.parametrize("model,chart", [(FLAT, FLAT_CHART), (EH, EH_CHART)])
+def test_triple_of_the_hessian_values_is_the_value_of_the_jet_triple(model, chart):
+    # asd_residual builds the triple from the values of the Hessian; it must equal the jet triple's values bit for bit
+    for p in sample_points(chart, 4, seed=59):
+        kh = kappa_hermitian_jets(model, seed_jets(p.coords, 4))
+        pointwise = triple_forms(chart, [[svalue(e) for e in row] for row in kh], 0)
+        jet_valued = triple_forms(chart, kh, 0)
+        for name in ("omega_I", "omega_J", "omega_K"):
+            assert getattr(pointwise, name).terms == getattr(jet_valued, name).values().terms
+
+
+@pytest.mark.parametrize("model,chart", [(FLAT, FLAT_CHART), (EH, EH_CHART)])
 def test_cotangent_gram_matches_the_generic_coframe_gram(model, chart):
     # the closed form (kappa^-1)^T against the inverse of the real 4x4
     # metric of omega_I, every jet coefficient up to the Gram's order

@@ -330,11 +330,25 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
         with pytest.raises(InsufficientJetOrder):
             hym_residual(FLAT, params, p)
     strominger._DATA_CACHE.clear()
-    # the order-1 projections of the torsion and of dbar Y, alone
+    # the order-1 projections of the torsion and of dbar Y, alone: at_order is
+    # lowered only inside del_dbar_at_point, so R, F' and dbar del log B, whose
+    # projector slopes also read at_order(1), still get their order, and each
+    # operator raises where d at the point reads its order-0 projection
+    inside = []
+    del_dbar = strominger.del_dbar_at_point
+
+    def del_dbar_lowered(ctx, form):
+        inside.append(True)
+        try:
+            return del_dbar(ctx, form)
+        finally:
+            inside.pop()
+
     with monkeypatch.context() as m:
-        m.setattr(TypeContext, "at_order", lambda self, o: at_order(self, max(o - 1, 0)))
+        m.setattr(strominger, "del_dbar_at_point", del_dbar_lowered)
+        m.setattr(TypeContext, "at_order", lambda self, o: at_order(self, max(o - len(inside), 0)))
         for op in (anomaly_residual, curvature_identities):
-            with pytest.raises(InsufficientJetOrder):
+            with pytest.raises(InsufficientJetOrder, match="order-0 jet"):
                 op(FLAT, params, p)
     strominger._DATA_CACHE.clear()
 
@@ -613,7 +627,7 @@ def test_hym_counterexample_random_curvature():
         2,
         {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in [(0, 2), (1, 3), (2, 3), (2, 4)]},
     )
-    fake_entry = ctx.project(base, 1, 1)
+    fake_entry = ctx.values().project(base, 1, 1)
     fake = CurvatureValue([[fake_entry, fake_entry.scale(0.3)], [fake_entry.scale(-0.2), fake_entry]])
     assert hym_residual(FLAT, AnsatzParams.constants(), p, curvature=fake) >= 1e-2
 

@@ -205,6 +205,21 @@ def test_ansatz_is_1_1_for_random_profiles():
         assert parts.get((2, 0), FormValue.zero(fr.chart, 2)).sup() <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("model", [FLAT, EH])
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_frame_quantities_are_valid_to_the_frame_order(model, order):
+    p = twistor_points(model, 1, seed=29)[0]
+    fr = TwistorFrame(model, p, order, random_ansatz_params(seed=37, pair_index=1))
+    held = [*fr.jets, fr.zeta, fr.alpha, fr.beta, fr.gamma, fr.s, fr.g, fr.h, *fr.kh[0], *fr.kh[1]]
+    assert {jet.order for jet in held} == {order}
+    # the Hessian of a frame is the prefix of the Hessian of a higher-order frame
+    top = TwistorFrame(model, p, order + 1)
+    for row, top_row in zip(fr.kh, top.kh):
+        for e, t in zip(row, top_row):
+            n = e.space.prefix_sizes[order]
+            assert np.array_equal(e.c[:n], t.c[:n])
+
+
 def test_ansatz_positivity():
     rng = random.Random(5)
     for p in twistor_points(EH, 3, seed=23):
