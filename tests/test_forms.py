@@ -375,8 +375,13 @@ def test_nan_max_propagates_nan_in_any_position():
 def curvature_terms(monkeypatch, F, forms, ctx):
     """The residual of ``curvature_residual`` and the (diff sup, scale) it normalised."""
     seen = []
+
+    def spy(diff, scale):
+        seen.append((diff, scale))
+        return relative_residual(diff, scale)
+
     with monkeypatch.context() as m:
-        m.setattr(forms_module, "relative_residual", lambda diff, scale: seen.append((diff, scale)) or relative_residual(diff, scale))
+        m.setattr(forms_module, "relative_residual", spy)
         res = curvature_residual(F, forms, ctx)
     return res, seen[-1]
 
