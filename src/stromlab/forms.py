@@ -18,20 +18,20 @@ and dbar are assembled from real partials through the (1,0)/(0,1)
 projectors of a pointwise almost complex structure.  Type decomposition
 of k-forms expands the projected basis differentials, which is exact (the
 sum of the parts reproduces the input).  :class:`TypeContext` holds that
-expansion as one dense array per degree, indexed by (jet monomial, p,
-output multi-index, input multi-index); each degree grows from the one
-below in one batched jet product over a precomputed index plan, and a
-decomposition is one batched contraction of that array with the form's
-coefficients.
+expansion as one dense array per degree, indexed by (row, p, output
+multi-index, input multi-index), where row 0 is the value at the point and
+the other rows its first partials; each degree grows from the one below by
+the Leibniz rule over a precomputed index plan, and a decomposition is a
+contraction of that array with the form's coefficients.
 
-A reader that needs a projection only to some jet order asks for it:
-``TypeContext.at_order(o)`` is the context of the structure's entries read
-to order o, built once per order, whose tables are bit-identical prefixes
-(over the monomials of degree <= o) of the full ones.  The curvature
-readers take what d at the point reads and no more: the (1,2) projections
-whose first derivatives they read run at order 1, ``gram_curvature`` reads
-its matrix to order 2 (its inverse, a jet elimination, to order 1) and the
-projector to order 1, and ``dbar_del_scalar`` its function to order 2.
+So a projection on a structure with jet entries is valid to order 1 at
+most, which is what every reader of one needs: the curvature readers take
+what d at the point reads and no more.  The (1,2) projection in
+``del_dbar_at_point`` is read for its first derivatives, ``gram_curvature``
+reads its matrix to order 2 (its inverse, a jet elimination, to order 1)
+and the projector slopes, and ``dbar_del_scalar`` its function to order 2.
+On a structure of plain complex numbers a projection keeps the order of
+the form.
 
 The certificates of the package share five shapes, each written once at
 the end of this module with its normalisation: a form is closed
@@ -43,13 +43,12 @@ forms (``curvature_residual``), one side of an identity equals the other
 term (``relative_residual``), so it never passes on NaN or inf.  The
 curvature certificate works on the stacked coefficients of the whole
 matrix, like ``matrix_wedge_trace``: one product with the sign plan per form
-gives every wedge, and one product with the pointwise degree-2 type table
-gives every (2,0) and (0,2) part.
+gives every wedge, and one product with the values of the degree-2 type
+table gives every (2,0) and (0,2) part.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ from operator import or_
 
 import numpy as np
 
-from .jets import InsufficientJetOrder, Jet, mul_batch, mul_contract
+from .jets import InsufficientJetOrder, Jet
 
 PRUNE_EPS = 1e-300  # only exact-zero scale pruning; tolerances live in comparisons
 
@@ -554,35 +553,33 @@ def _index_plan(n: int, k: int):
 
 
 class TypeContext:
-    """Pointwise (p,q) machinery for one almost complex structure.
+    """Pointwise (p,q) machinery for one almost complex structure, to order 1.
 
-    The type table of degree k is one complex array of shape (monomials,
-    k + 1, C(n,k), C(n,k)): entry ``[:, p, J, I]`` is the dx_J coefficient
-    of the (p, k-p) part of dx_I, with multi-indices as rows in combinations
-    order.  The first axis holds the Taylor coefficients of that entry on
-    ``JetSpace.support`` of the structure's union mask, up to the lowest
-    order of its jet entries; for a structure of plain complex numbers it
-    has the one constant coefficient.
+    The type table of degree k is one complex array of shape (1 + m, k + 1,
+    C(n,k), C(n,k)): entry ``[0, p, J, I]`` is the dx_J coefficient of the
+    (p, k-p) part of dx_I at the point, with multi-indices as rows in
+    combinations order, and entry ``[1 + i, p, J, I]`` its d/dx_u for the
+    i-th variable u of the union mask of the structure's jet entries.  A
+    structure of plain complex numbers, or one whose jets are valid only to
+    order 0, has m = 0.
 
     Degree 1 stacks the projectors Q = (1 + iJ)/2 and P = (1 - iJ)/2.
-    Degree k grows from degree k - 1 in one batched jet product over an
-    index plan (``_index_plan``): the (p,q) part of dx_I = dx_{I'} ^ dx_v
-    is (p-1,q)(dx_{I'}) ^ P dx_v + (p,q-1)(dx_{I'}) ^ Q dx_v, and the dx_J
-    coefficient of a (k-1)-form wedged with a 1-form sums, over the k ways
-    to write J as J' plus {w}, the dx_{J'} coefficient times the dx_w one
-    with the merge sign.
+    Degree k grows from degree k - 1 over an index plan (``_index_plan``):
+    the (p,q) part of dx_I = dx_{I'} ^ dx_v is (p-1,q)(dx_{I'}) ^ P dx_v +
+    (p,q-1)(dx_{I'}) ^ Q dx_v, and the dx_J coefficient of a (k-1)-form
+    wedged with a 1-form sums, over the k ways to write J as J' plus {w},
+    the dx_{J'} coefficient times the dx_w one with the merge sign.  Each
+    product of two stacked factors is the Leibniz rule: its value is a_0 b_0
+    and its d/dx_u is a_0 b_u + a_u b_0.
 
     Decomposing and projecting contract the table with the form's
-    coefficient vector, one matrix product per table monomial, and build
-    forms only for the result.  Its jets are valid to the lowest order of
-    the table and the form's coefficients and carry the union of their
-    masks.
-
-    ``at_order(o)`` gives the context read to order o: its tables hold the
-    monomials of degree <= o and equal the prefix of the full tables bit
-    for bit.  A projection there is the full projection truncated to order
-    o, for a fraction of the pairs; the contraction may associate its sums
-    differently, so the two agree to rounding.
+    coefficient vector and build forms only for the result.  A pointwise
+    form contracts with the values.  A jet form contracts the values with
+    its Taylor coefficients and adds the slopes times its value to each x_u
+    coefficient: on a structure with jet entries the result is valid to
+    min(form order, 1), the order every reader of such a projection needs,
+    and on a constant structure it keeps the form's order.  Its jets carry
+    the union of the form's and the structure's masks.
     """
 
     def __init__(self, acs: AlmostComplexStructure):
@@ -590,82 +587,40 @@ class TypeContext:
         self.chart = acs.chart
         n = self.chart.dim
         entries = [e for row in acs.mat for e in row if isinstance(e, Jet)]
-        self._values = None
         self._space, self._order, self._mask = None, None, 0
-        support = [0]
+        self._vars: list = []  # the variables u of the slope rows, in table order
         if entries:
             self._space = entries[0].space
-            self._order = min(e.order for e in entries)
+            self._order = min(1, *(e.order for e in entries))
             self._mask = reduce(or_, (e.mask for e in entries))
-            support = self._space.support(self._mask, self._order)
-        J = np.zeros((len(support), n, n), dtype=np.complex128)
+            if self._order == 1:
+                self._vars = [u for u in range(self._space.nvars) if self._mask >> u & 1]
+        rows = [0] + [self._space.first_order[u] for u in self._vars]
+        J = np.zeros((len(rows), n, n), dtype=np.complex128)
         for w, row in enumerate(acs.mat):
             for v, e in enumerate(row):
                 if isinstance(e, Jet):
-                    J[:, w, v] = e.c[support]
+                    J[:, w, v] = e.c[rows]
                 else:
                     J[0, w, v] = e
         eye = np.zeros_like(J)
         eye[0] = np.eye(n)
         # the type axis counts p: Q dx_v is the (0,1) part of dx_v, P dx_v the (1,0) part
         self._tables: dict = {1: np.stack([(eye + 1j * J) * 0.5, (eye - 1j * J) * 0.5], axis=1)}
-        self._lower: dict = {}  # order -> the context read to that order
-
-    def at_order(self, order: int) -> "TypeContext":
-        """The context of the structure's entries read to ``order``, built once per order.
-
-        Its table of each degree is the prefix of this context's table over
-        ``JetSpace.support(mask, order)``, bit for bit: ``mul_batch`` sums
-        the pairs of each output monomial in the same order at any
-        truncation.  A reader that needs only the first Taylor coefficients
-        of a projection projects here at order 1.  At or above this
-        context's order (and for a structure without jet entries) it is this
-        context.
-        """
-        if order < 0:
-            raise ValueError("a jet order is >= 0")
-        if self._space is None or order >= self._order:
-            return self
-        ctx = self._lower.get(order)
-        if ctx is None:
-            ctx = self._lower[order] = copy.copy(self)
-            ctx._order = order
-            ctx._tables = {1: self._tables[1][: len(self._space.support(self._mask, order))]}
-            ctx._lower = {}
-        return ctx
-
-    def values(self) -> "TypeContext":
-        """The context of the structure's pointwise values, built once.
-
-        A form read only at its value decomposes here with plain complex
-        tables instead of jet-valued ones; the result is the value of the
-        jet decomposition.  A structure without jet entries is its own
-        (returned, not stored, so the context holds no reference cycle).
-        """
-        if self._space is None:
-            return self
-        if self._values is None:
-            self._values = TypeContext(self.acs.values())
-        return self._values
 
     def projector_slopes(self):
         """(P, dP): the (1,0) projector at the point and its first partials.
 
         ``P[w, v]`` is the dx_w coefficient of the (1,0) part of dx_v and
-        ``dP[u] = d/dx_u P``, read from the degree-1 table of
-        ``at_order(1)``; a structure without jet entries has zero slopes.
+        ``dP[u] = d/dx_u P``, read from the rows of the degree-1 table; a
+        structure without jet entries has zero slopes.
         """
+        if self._order == 0:
+            raise InsufficientJetOrder("the projector slopes need a structure valid to order 1")
         n = self.chart.dim
-        low = self.at_order(1)
-        tab = low._tables[1][:, 1]
+        tab = self._tables[1][:, 1]
         dP = np.zeros((n, n, n), dtype=np.complex128)
-        if low._space is not None:
-            if low._order < 1:
-                raise InsufficientJetOrder("the projector slopes need a structure valid to order 1")
-            space = low._space
-            rows = np.zeros((space.prefix_sizes[1], n, n), dtype=np.complex128)
-            rows[space.support(low._mask, 1)] = tab
-            dP = rows[space.first_order]
+        dP[self._vars] = tab[1:]
         return tab[0], dP
 
     def _table(self, k: int) -> np.ndarray:
@@ -680,10 +635,9 @@ class TypeContext:
             live = np.flatnonzero(np.any(prev != 0, axis=(0, 1))[src] & np.any(pq != 0, axis=(0, 1))[pq_src])
             lhs = np.take(prev, src[live], axis=2)[:, None]  # [:, 1, p, live]
             rhs = (np.take(pq, pq_src[live], axis=2) * signs[live])[:, :, None]  # [:, s, 1, live]: Q, P
-            if self._space is None:
-                grown = lhs * rhs
-            else:
-                grown = mul_batch(self._space, lhs, rhs, self._order, self._mask)
+            # the Leibniz rule over the rows: value a_0 b_0, slope a_0 b_u + a_u b_0
+            grown = lhs[:1] * rhs
+            grown[1:] += lhs[1:] * rhs[:1]
             # the positions of one r have distinct (J, I), so each block adds without collisions
             size = len(rank) ** 2
             tab = np.zeros((mt, k + 1, size), dtype=np.complex128)
@@ -703,16 +657,19 @@ class TypeContext:
         rows = [rank[m] for m in form.terms]
         coeffs = list(form.terms.values())
         jets = [c for c in coeffs if isinstance(c, Jet)]
-        space = self._space or (jets[0].space if jets else None)
-        if space is None:
+        if not jets:
+            space = None
             vector = np.zeros(len(rank), dtype=np.complex128)
             vector[rows] = coeffs
             out = (tab[0] @ vector)[..., None]
         else:
+            space = self._space or jets[0].space
             if any(j.space is not space for j in jets):
                 raise ValueError("jets from different spaces cannot be combined")
-            order = min([j.order for j in jets] + ([] if self._space is None else [self._order]))
-            cmask = reduce(or_, (j.mask for j in jets), 0)
+            order = min(j.order for j in jets)
+            if self._order is not None:
+                order = min(order, self._order)
+            cmask = reduce(or_, (j.mask for j in jets))
             mask = cmask | self._mask
             cols = space.support(cmask, order)
             matrix = np.zeros((len(rank), len(cols)), dtype=np.complex128)
@@ -721,7 +678,10 @@ class TypeContext:
                     matrix[r] = c.c[cols]
                 else:
                     matrix[r, 0] = c
-            out = mul_contract(space, tab, self._mask, matrix, cmask, order)
+            out = np.zeros(tab.shape[1:-1] + (space.size,), dtype=np.complex128)
+            out[..., cols] = tab[0] @ matrix
+            if order and self._vars:
+                out[..., space.first_order[self._vars]] += np.moveaxis(tab[1:] @ matrix[:, 0], 0, -1)
         keep = ~np.all(np.abs(out) < PRUNE_EPS, axis=-1)  # NaN is kept, as in is_zero_scalar
         multis = list(rank)
         parts = []
@@ -763,7 +723,7 @@ def i_ddbar(ctx: TypeContext, f: Jet) -> FormValue:
 
 def d_part_at_point(ctx: TypeContext, form: FormValue, p: int, q: int) -> FormValue:
     """(p,q) part of d(form) at the point, for a result nothing differentiates."""
-    return ctx.values().project(d_at_point(form), p, q)
+    return ctx.project(d_at_point(form), p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -884,10 +844,13 @@ def _del_at_point(ctx: TypeContext, df: np.ndarray, ddf: np.ndarray):
 
 
 def _part_11_at_point(ctx: TypeContext, dX: np.ndarray) -> list:
-    """(1,1) parts of the 2-forms sum_{u,w} dX[i, j, u, w] dx_u ^ dx_w, as a matrix of pointwise forms."""
+    """(1,1) parts of the 2-forms sum_{u,w} dX[i, j, u, w] dx_u ^ dx_w, as a matrix of pointwise forms.
+
+    The parts come from the values of the degree-2 type table of ``ctx``.
+    """
     dim = ctx.chart.dim
     u, w = np.triu_indices(dim, 1)  # the pairs u < w in combinations order
-    coeffs = (dX[..., u, w] - dX[..., w, u]) @ ctx.values()._table(2)[0, 1].T
+    coeffs = (dX[..., u, w] - dX[..., w, u]) @ ctx._table(2)[0, 1].T
     multis = _ranks(dim, 2)
     return [[FormValue(ctx.chart, 2, dict(zip(multis, entry))) for entry in row] for row in coeffs.tolist()]
 
@@ -896,8 +859,8 @@ def gram_curvature(H, ctx: TypeContext):
     """R = dbar(Hbar^-1 del Hbar) at the point, for a matrix of jet entries.
 
     Entries of the result are pointwise 2-forms (complex coefficients):
-    R_ij is the (1,1) part of d X_ij with X = Hbar^-1 del Hbar, taken on
-    the pointwise type context; for a (1,0)-form X that is its dbar.  For
+    R_ij is the (1,1) part of d X_ij with X = Hbar^-1 del Hbar, taken with
+    the values of the type table; for a (1,0)-form X that is its dbar.  For
     an actual holomorphic-frame Gram the entries are pure (1,1).
 
     d X is read at the point only, so it is assembled for the whole matrix
@@ -905,9 +868,9 @@ def gram_curvature(H, ctx: TypeContext):
     d X_ij = sum_k d(Hbar^-1)_ik ^ del Hbar_kj + Hbar^-1_ik d(del Hbar_kj),
     where del Hbar_kj has dx_w coefficient sum_v P[w, v] d_v Hbar_kj with P
     the (1,0) projector (``_del_at_point``).  The slopes and second partials
-    of Hbar come from H read to order 2, P and its slopes from the projector
-    table at order 1 (``TypeContext.projector_slopes``), and one (1,1)
-    projection on the pointwise context serves every entry.
+    of Hbar come from H read to order 2, P and its slopes from the degree-1
+    table (``TypeContext.projector_slopes``), and one pointwise (1,1)
+    projection serves every entry.
 
     The value and the slopes of Hbar^-1 come from one ``mat_inv`` on the
     entries read to order 1, a jet elimination with value pivoting.  The
@@ -1031,8 +994,8 @@ def curvature_residual(F, forms, ctx: TypeContext) -> float:
     forms.  The entries are stacked into one coefficient array
     (``_stacked_coefficients``).  Each form is wedged with every entry in one
     product with the sign plan (``_wedge_signs``), and the (2,0) and (0,2)
-    parts of every entry come from one product with the degree-2 type table
-    of ``ctx.values()``.  The sup of the wedges and of those parts is
+    parts of every entry come from one product with the values of the
+    degree-2 type table of ``ctx``.  The sup of the wedges and of those parts is
     compared against sup|F| sup|form| and sup|F|.  Rounding is monotone, so
     sup|F| sup|form| is bit for bit the largest product of a coefficient of
     an entry and one of the form.  A NaN anywhere in F or in a form makes
@@ -1041,7 +1004,7 @@ def curvature_residual(F, forms, ctx: TypeContext) -> float:
     chart = F[0][0].chart
     f = _stacked_coefficients(F, 2).reshape(len(F) * len(F[0]), -1)
     sup_F = _array_sup(f)
-    sups = [_array_sup(f @ ctx.values()._table(2)[0, ::2].transpose(0, 2, 1))]
+    sups = [_array_sup(f @ ctx._table(2)[0, ::2].transpose(0, 2, 1))]
     scales = [sup_F]
     for form in forms:
         F[0][0]._check(form)
@@ -1062,11 +1025,11 @@ def identity_residual(lhs: FormValue, rhs: FormValue, *scales: float) -> float:
 def del_dbar_at_point(ctx: TypeContext, form: FormValue) -> FormValue:
     """del dbar of a (1,1)-form at the point.
 
-    Only the first derivatives of dbar(form) are read, so the (1,2)
-    projection runs on ``ctx.at_order(1)``; the (2,2) part of its d is
-    taken at the point.  The form's jets must be valid to order >= 2.
+    Only the first derivatives of dbar(form) are read, and the (1,2)
+    projection on ``ctx`` is valid to order 1 at most; the (2,2) part of its
+    d is taken at the point.  The form's jets must be valid to order >= 2.
     """
-    dbar = ctx.at_order(1).project(exterior_derivative(form), 1, 2)
+    dbar = ctx.project(exterior_derivative(form), 1, 2)
     return d_part_at_point(ctx, dbar, 2, 2)
 
 

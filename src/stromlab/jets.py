@@ -35,12 +35,6 @@ pairs whose output monomial lies in the union mask; these are all the pairs
 of those outputs, in the same order, so the result is bit-identical to the
 full product while a product of, say, two functions of 2 of 6 variables
 touches 70 instead of 1820 pairs at order 4.
-
-Arrays of jets that share a support are multiplied without building
-:class:`Jet` objects: :func:`mul_batch` takes coefficient arrays whose
-leading axis runs over ``JetSpace.support(mask, order)`` and
-:func:`mul_contract` sums products over a shared index, both on the pairs
-of ``JetSpace.mul_subset``.
 """
 
 from __future__ import annotations
@@ -104,7 +98,6 @@ class JetSpace:
         self._mul_table = None
         self._mul_starts = None
         self._mul_subsets = {}
-        self._factor_pairs = {}
         self._diff_tables = {}
 
     def _lookup(self, codes: np.ndarray) -> np.ndarray:
@@ -163,26 +156,6 @@ class JetSpace:
         """Indices of the monomials of degree <= order in the variables of ``mask``, ascending."""
         return self.mul_subset(mask, order)[3]
 
-    def factor_pairs(self, amask: int, bmask: int, order: int) -> list:
-        """The pairs of a product of a jet in ``amask`` and one in ``bmask``, by first factor.
-
-        One ``(jb, kk)`` per monomial of ``support(amask, order)``, in that
-        order: ``jb`` are the positions in ``support(bmask, order)`` of the
-        second factors it pairs with, and ``kk`` the product monomials.
-        """
-        key = (amask, bmask, order)
-        groups = self._factor_pairs.get(key)
-        if groups is None:
-            ii, jj, starts, outs = self.mul_subset(amask | bmask, order)
-            kk = np.repeat(outs, np.diff(np.r_[starts, len(ii)]))
-            inside = ((self._supports[ii] & ~amask) == 0) & ((self._supports[jj] & ~bmask) == 0)
-            ii, jj, kk = ii[inside], jj[inside], kk[inside]
-            bsupport = self.support(bmask, order)
-            groups = self._factor_pairs[key] = [
-                (np.searchsorted(bsupport, jj[ii == a]), kk[ii == a]) for a in self.support(amask, order)
-            ]
-        return groups
-
     def diff_table(self, v: int):
         """Index map realizing d/dx_v on Taylor coefficients."""
         tab = self._diff_tables.get(v)
@@ -215,50 +188,6 @@ def _mul_coeffs(space: JetSpace, a: np.ndarray, b: np.ndarray, order: int, mask:
     ii, jj, starts, outs = space.mul_subset(mask, order)
     out = np.zeros(space.size, dtype=np.complex128)
     out[outs] = np.add.reduceat(a[ii] * b[jj], starts)
-    return out
-
-
-def mul_batch(space: JetSpace, a: np.ndarray, b: np.ndarray, order: int, mask: int) -> np.ndarray:
-    """Products of stacked jets, with the monomial axis first.
-
-    ``a`` and ``b`` have the same number of axes.  Along axis 0 they hold
-    coefficients on ``space.support(mask, order)``; their other axes
-    broadcast, and the result has the same layout.  Each output monomial
-    sums the pairs that ``_mul_coeffs`` sums for it, one monomial at a time,
-    so no temporary holds more than one output's pairs of the batch; the
-    sums may associate differently, so results agree to rounding.
-    """
-    ii, jj, starts, outs = space.mul_subset(mask, order)
-    ia, jb = np.searchsorted(outs, ii), np.searchsorted(outs, jj)
-    bounds = np.r_[starts, len(ii)]
-    out = np.empty((len(outs),) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=np.complex128)
-    for o in range(len(outs)):
-        lo, hi = bounds[o], bounds[o + 1]
-        out[o] = (a[ia[lo:hi]] * b[jb[lo:hi]]).sum(axis=0)
-    return out
-
-
-# OpenBLAS starts threads for a complex matrix product of more than 2^16
-# multiplies; at these sizes a thread is slower even on an idle core, and
-# much slower when it must wait for a busy one
-_GEMM_SINGLE_THREAD = 1 << 16
-
-
-def mul_contract(space: JetSpace, a: np.ndarray, amask: int, b: np.ndarray, bmask: int, order: int) -> np.ndarray:
-    """The jets sum_i a[..., i] * b[i], as full coefficient arrays valid to ``order``.
-
-    ``a`` has its monomial axis first, on ``space.support(amask, o)`` for
-    some o >= order (only the prefix of degree <= order is read); ``b`` is
-    (i, monomial) on ``space.support(bmask, order)``.  For each monomial
-    x^alpha of ``a`` the sum over i is a stacked matrix product, whose
-    columns are then shifted by alpha; the columns go in blocks small enough
-    for one BLAS thread.  The result has shape ``a.shape[1:-1] + (space.size,)``.
-    """
-    out = np.zeros(a.shape[1:-1] + (space.size,), dtype=np.complex128)
-    step = max(1, _GEMM_SINGLE_THREAD // (a.shape[-2] * a.shape[-1]))
-    for x, (jb, kk) in zip(a, space.factor_pairs(amask, bmask, order)):
-        for lo in range(0, len(jb), step):
-            out[..., kk[lo : lo + step]] += x @ b[:, jb[lo : lo + step]]
     return out
 
 

@@ -136,12 +136,13 @@ class AnsatzCurvatureData:
         """W = dbar L^T Ubar^-1 del Lbar as a (1,1)-form with jet coefficients valid to order 2.
 
         Its readers take its value and the first derivatives of (A/B) W, so
-        Ubar^-1 is formed from U read to order 2 and dbar L from L read to
-        order 3.
+        Ubar^-1 is formed from U read to order 2 and dbar L_i = (dL_i + i J dL_i)/2
+        from L read to order 3, so its jet products sum to the order of dL, 2.
         """
         fr = self.fr
         Ubar_inv = mat_inv([[e.conjugate().to_order(2) for e in row] for row in self.U])
-        dbar_L = [fr.ctx.dbar_scalar(l.to_order(3)) for l in self.Lvec]
+        dL = [differential_of_scalar(l.to_order(3), fr.chart) for l in self.Lvec]
+        dbar_L = [(d + fr.acs.apply(d).scale(1j)).scale(0.5) for d in dL]
         out = FormValue.zero(fr.chart, 2)
         for i in range(2):
             for j in range(2):

@@ -73,16 +73,15 @@ def pairwise_curvature_terms(F, forms, ctx):
     Each entry is wedged with each form through ``FormValue.wedge``, the
     scale of that wedge is the largest product of a term of the entry and a
     term of the form, colliding pairs included, and the (2,0) and (0,2)
-    parts come from ``TypeContext.decompose`` on ``ctx.values()``.
+    parts come from ``TypeContext.decompose`` on ``ctx``.
     """
-    values = ctx.values()
     sups, scales = [], []
     for row in F:
         for entry in row:
             for form in forms:
                 sups.append(entry.wedge(form).sup())
                 scales.append(nan_max(smag(a) * smag(b) for a in entry.terms.values() for b in form.terms.values()))
-            parts = values.decompose(entry)
+            parts = ctx.decompose(entry)
             sups += [parts[key].sup() for key in ((2, 0), (0, 2)) if key in parts]
             scales.append(entry.sup())
     return nan_max(sups), nan_max(scales)

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from stromlab import calabi
-from stromlab.forms import Chart, FormValue, hermitian_form, point
+from stromlab.forms import Chart, FormValue, TypeContext, hermitian_form, point, standard_acs
 from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.calabi import (
     BaseKahlerModel,
@@ -29,7 +29,7 @@ from stromlab.calabi import (
     volume_norm,
 )
 
-from form_oracles import evaluate, frame_gram
+from form_oracles import evaluate
 
 FS = fubini_study_cp1()
 TORUS = flat_torus_chart()
@@ -279,24 +279,26 @@ def test_full_certificate_simultaneously():
     assert extremal_residual(FS, params, pts[0]) <= 1e-8
 
 
-@pytest.mark.slow
-def test_extremal_fails_on_nonzero_scalar_metric():
-    # the twistor ansatz with growing radial h has nonzero Chern scalar
+def conformally_flat_extremal_residual(coords, c: float) -> float:
+    """The extremal residual of omega = e^{c|x|^2} i sum_j dz_j ^ dzbar_j on C^3, from order-6 seeds."""
     from stromlab.calabi import chern_ricci_form, chern_scalar_of, extremal_residual_of
-    from stromlab.hyperkahler import flat_model
-    from stromlab.strominger import AnsatzCurvatureData
-    from stromlab.twistor import TWISTOR_FLAT, AnsatzParams
+    from stromlab.twistor import C3_CHART
 
-    p = point(TWISTOR_FLAT, 0.5, 0.3, 0.6, -0.4, 0.8, 0.2)
-    params = AnsatzParams(
-        g_fn=lambda zr, zi: zr * 0.0,
-        h_fn=lambda x1, x2, x3, x4: (x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4) * 0.2,
-    )
-    data = AnsatzCurvatureData(flat_model(), params, p, order=7)
-    omega = data.fr.metric()
-    rho = chern_ricci_form(frame_gram(data), data.fr.ctx)
-    res = extremal_residual_of(omega, rho, chern_scalar_of(omega, rho), data.fr.ctx)
-    assert res >= 1e-4
+    ctx = TypeContext(standard_acs(C3_CHART))
+    x = seed_jets(coords, 6)
+    f = (sum((xi * xi for xi in x[1:]), x[0] * x[0]) * c).exp()
+    H = [[f if i == j else 0.0 for j in range(3)] for i in range(3)]
+    omega = hermitian_form(C3_CHART, H)
+    rho = chern_ricci_form(H, ctx)
+    return extremal_residual_of(omega, rho, chern_scalar_of(omega, rho), ctx)
+
+
+def test_extremal_fails_on_nonzero_scalar_metric():
+    # e^{0.2|x|^2} times the flat metric has a nonzero Chern scalar; the flat metric itself passes
+    for coords in [(0.5, 0.3, 0.6, -0.4, 0.8, 0.2), (-0.7, 0.1, 0.2, 0.9, -0.3, 0.4)]:
+        res = conformally_flat_extremal_residual(coords, 0.2)
+        assert res >= 1e-4
+        assert conformally_flat_extremal_residual(coords, 0.0) <= 1e-12
 
 
 # -- the shared frame -----------------------------------------------------------

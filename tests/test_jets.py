@@ -9,8 +9,6 @@ from stromlab.jets import (
     JetOverflowError,
     _mul_coeffs,
     jet_space,
-    mul_batch,
-    mul_contract,
     seed_jets,
     wirtinger,
 )
@@ -389,40 +387,6 @@ def test_mask_bookkeeping():
     assert (x[0] * x[2] + 1.0).mask == 0b101
     assert (x[1].exp() * 3.0).derivative(0).mask == 0b10
     assert Jet(sp, np.zeros(sp.size, dtype=np.complex128)).mask == sp.full_mask
-
-
-def test_batched_products_match_jet_products():
-    space = jet_space(3, 3)
-    rng = np.random.default_rng(11)
-    x = seed_jets((0.3, -0.5, 0.8), 3, space)
-
-    def jet(mask):
-        out = Jet.constant(space, complex(*rng.normal(size=2)))
-        for v in range(3):
-            if mask >> v & 1:
-                out = out + x[v] * complex(*rng.normal(size=2)) + x[v] * x[v] * rng.normal()
-        return out
-
-    amask, bmask = 0b011, 0b110
-    a = [[jet(amask) for _ in range(4)] for _ in range(2)]
-    b = [jet(bmask) for _ in range(4)]
-    # stacked products on the union support, entry by entry against Jet.__mul__
-    mask = amask | bmask
-    sup = space.support(mask, 3)
-    stack_a = np.moveaxis(np.array([[j.c[sup] for j in row] for row in a]), -1, 0)
-    stack_b = np.moveaxis(np.array([j.c[sup] for j in b]), -1, 0)
-    got = mul_batch(space, stack_a, stack_b[:, None], 3, mask)
-    for r in range(2):
-        for i in range(4):
-            # the same pairs, summed in another association than reduceat's
-            assert np.max(np.abs(got[:, r, i] - (a[r][i] * b[i]).c[sup])) <= 1e-14
-    # sums of products over a shared index, each factor on its own support
-    a_sup, b_sup = space.support(amask, 3), space.support(bmask, 3)
-    stack_a = np.moveaxis(np.array([[j.c[a_sup] for j in row] for row in a]), -1, 0)
-    got = mul_contract(space, stack_a, amask, np.array([j.c[b_sup] for j in b]), bmask, 3)
-    for r in range(2):
-        want = a[r][0] * b[0] + a[r][1] * b[1] + a[r][2] * b[2] + a[r][3] * b[3]
-        assert np.max(np.abs(got[r] - want.c)) <= 1e-14
 
 
 # -- scalar operands -------------------------------------------------------------

@@ -155,40 +155,8 @@ def test_trace_equals_ddbar_log_det():
     assert (tr - expected).sup() <= 1e-10 * max(1.0, tr.sup())
 
 
-def random_jet_form(fr, degree, rng):
-    """Seeded form whose coefficients are random quadratics in the frame's jets."""
-    terms = {}
-    for multi in combinations(range(fr.chart.dim), degree):
-        i, j = rng.randrange(6), rng.randrange(6)
-        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        terms[multi] = fr.jets[i] * fr.jets[j] * c + rng.uniform(-1, 1)
-    return FormValue(fr.chart, degree, terms)
-
-
-def test_pointwise_decomposition_is_the_value_of_the_jet_decomposition():
-    rng = random.Random(17)
-    for p in twistor_points(FLAT, 3, seed=19):
-        fr = TwistorFrame(FLAT, p, 4)
-        ctx = fr.ctx
-        assert ctx.values() is ctx.values()
-        for degree in (1, 2, 3, 4):
-            f = random_jet_form(fr, degree, rng)
-            jet_parts = ctx.decompose(f)
-            value_parts = ctx.values().decompose(f.values())
-            assert set(value_parts) <= set(jet_parts)
-            for key, part in jet_parts.items():
-                want = part.values()
-                got = value_parts.get(key, FormValue.zero(fr.chart, degree))
-                assert (got - want).sup() <= 1e-14 * want.sup(), (degree, key)
-
-
-def test_constant_structure_is_its_own_pointwise_context():
-    ctx = TypeContext(standard_acs(C3_CHART))
-    assert ctx.values() is ctx
-
-
 def jet_path_curvature(H, ctx):
-    """dbar(Hbar^-1 del Hbar) through the jet-valued type tables, then evaluated.
+    """dbar(Hbar^-1 del Hbar) through jet projections on the type context (valid to order 1), then evaluated.
 
     Also returns the scale of the entering terms: the largest sup of the
     (1,1) part of one Leibniz term, d(Hbar^-1)_ik ^ del Hbar_kj or
@@ -203,14 +171,13 @@ def jet_path_curvature(H, ctx):
         for i in range(n)
     ]
     R = [[ctx.project(exterior_derivative(X[i][j]), 1, 1).values() for j in range(n)] for i in range(n)]
-    values = ctx.values()
     terms = []
     for i in range(n):
         for k in range(n):
             d_inv = d_at_point(FormValue.scalar(ctx.chart, Hbar_inv[i][k]))
             for j in range(n):
-                terms.append(values.project(d_inv.wedge(del_Hbar[k][j].values()), 1, 1))
-                terms.append(values.project(d_at_point(del_Hbar[k][j]).scale(svalue(Hbar_inv[i][k])), 1, 1))
+                terms.append(ctx.project(d_inv.wedge(del_Hbar[k][j].values()), 1, 1))
+                terms.append(ctx.project(d_at_point(del_Hbar[k][j]).scale(svalue(Hbar_inv[i][k])), 1, 1))
     return R, nan_max(t.sup() for t in terms)
 
 
@@ -319,7 +286,7 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
     params = AnsatzParams.coupling_solution()
     data = AnsatzCurvatureData(FLAT, params, p, order=4)
     H, f, ctx = frame_gram(data), data.B.log(), data.fr.ctx
-    to_order, at_order = Jet.to_order, TypeContext.at_order
+    to_order = Jet.to_order
     strominger._DATA_CACHE.clear()
     with monkeypatch.context() as m:
         m.setattr(Jet, "to_order", lambda self, o: to_order(self, max(o - 1, 0)))
@@ -330,23 +297,17 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
         with pytest.raises(InsufficientJetOrder):
             hym_residual(FLAT, params, p)
     strominger._DATA_CACHE.clear()
-    # the order-1 projections of the torsion and of dbar Y, alone: at_order is
-    # lowered only inside del_dbar_at_point, so R, F' and dbar del log B, whose
-    # projector slopes also read at_order(1), still get their order, and each
-    # operator raises where d at the point reads its order-0 projection
-    inside = []
+    # the form that del_dbar_at_point receives, alone, read to order 1, one
+    # below the order 2 it needs: the metric for the anomaly and (A/B) W for
+    # the identities.  R, F' and dbar del log B still get their order, and
+    # each operator raises where d at the point reads its order-0 projection
     del_dbar = strominger.del_dbar_at_point
 
     def del_dbar_lowered(ctx, form):
-        inside.append(True)
-        try:
-            return del_dbar(ctx, form)
-        finally:
-            inside.pop()
+        return del_dbar(ctx, form.map_coeffs(lambda c: to_order(c, 1) if isinstance(c, Jet) else c))
 
     with monkeypatch.context() as m:
         m.setattr(strominger, "del_dbar_at_point", del_dbar_lowered)
-        m.setattr(TypeContext, "at_order", lambda self, o: at_order(self, max(o - len(inside), 0)))
         for op in (anomaly_residual, curvature_identities):
             with pytest.raises(InsufficientJetOrder, match="order-0 jet"):
                 op(FLAT, params, p)
@@ -627,7 +588,7 @@ def test_hym_counterexample_random_curvature():
         2,
         {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in [(0, 2), (1, 3), (2, 3), (2, 4)]},
     )
-    fake_entry = ctx.values().project(base, 1, 1)
+    fake_entry = ctx.project(base, 1, 1)
     fake = CurvatureValue([[fake_entry, fake_entry.scale(0.3)], [fake_entry.scale(-0.2), fake_entry]])
     assert hym_residual(FLAT, AnsatzParams.constants(), p, curvature=fake) >= 1e-2
 
@@ -637,7 +598,7 @@ def test_hym_catches_a_pure_2_0_curvature_entry_by_purity_alone():
     p = twistor_points(FLAT, 1, seed=67)[0]
     params = AnsatzParams.coupling_solution()
     data = AnsatzCurvatureData(FLAT, params, p, order=4)
-    pure = data.fr.ctx.values().project(FormValue(p.chart, 2, {(0, 2): 0.6, (1, 3): 0.4j, (2, 4): -0.5}), 2, 0)
+    pure = data.fr.ctx.project(FormValue(p.chart, 2, {(0, 2): 0.6, (1, 3): 0.4j, (2, 4): -0.5}), 2, 0)
     omega = data.fr.metric().values()
     assert pure.sup() >= 0.1
     assert pure.wedge(omega.wedge(omega)).sup() <= 1e-13

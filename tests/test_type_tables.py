@@ -3,7 +3,9 @@
 The reference writes dx_I = dx_{i1} ^ ... ^ dx_{ik} with every factor split
 as P dx_v + Q dx_v, and sums the 2^k wedges of one P/Q choice each into the
 part of type (number of P factors, number of Q factors).  Every wedge is
-formed anew from its k one-forms, with no shared prefix and no table.
+formed anew from its k one-forms, with no shared prefix and no table.  On
+a structure with jet entries the reference is read for its value and first
+partials, the order to which a projection there is valid.
 """
 
 import random
@@ -14,7 +16,7 @@ import pytest
 
 from stromlab.forms import AlmostComplexStructure, Chart, FormValue, TypeContext, point, standard_acs
 from stromlab.hyperkahler import flat_model
-from stromlab.jets import Jet
+from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.twistor import TWISTOR_FLAT, TwistorFrame
 
 from form_oracles import square_residual
@@ -54,10 +56,11 @@ def coefficient_array(c, size):
     return out
 
 
-def assert_forms_close(got, want, tol, size=1):
+def assert_forms_close(got, want, tol, size=1, upto=None):
+    """Coefficients agree within ``tol``: all of them, or the first ``upto`` (monomials of degree <= 1 with 1 + nvars)."""
     for multi in set(got.terms) | set(want.terms):
-        a = coefficient_array(got.terms.get(multi, 0.0), size)
-        b = coefficient_array(want.terms.get(multi, 0.0), size)
+        a = coefficient_array(got.terms.get(multi, 0.0), size)[:upto]
+        b = coefficient_array(want.terms.get(multi, 0.0), size)[:upto]
         assert np.max(np.abs(a - b)) <= tol, (multi, np.max(np.abs(a - b)))
 
 
@@ -84,24 +87,52 @@ def test_constant_tables_match_the_expanded_wedges(degree):
             assert_forms_close(ctx.project(basis, *key), want[key], 1e-13)
 
 
+def test_a_constant_structure_keeps_the_order_of_a_jet_form():
+    acs = conjugated_structure()
+    ctx = TypeContext(acs)
+    space = jet_space(4, 3)
+    x = seed_jets((0.3, -0.2, 0.5, 0.1), 3, space)
+    pool = [x[0] * x[1], x[2].exp(), 0.5 - 0.25j, x[3] * x[3] * x[3]]
+    for i, multi in enumerate(combinations(range(4), 2)):
+        c = pool[i % 4]
+        got = ctx.decompose(FormValue(C2, 2, {multi: c}))
+        want = reference_parts(acs, multi)
+        assert set(got) == set(want)
+        for key in want:
+            assert_forms_close(got[key], want[key].scale(c), 1e-13, space.size)
+            if isinstance(c, Jet):
+                assert all((e.order, e.mask) == (3, c.mask) for e in got[key].terms.values())
+    assert ctx._table(2).shape == (1, 3, 6, 6)  # the values alone
+
+
 @pytest.fixture(scope="module")
 def twistor_frame():
     return TwistorFrame(flat_model(), point(TWISTOR_FLAT, 0.6, -0.4, 0.3, 0.8, -0.5, 0.2), 4)
+
+
+# the flat twistor structure depends on zeta alone: its union mask is 0b11
+TWISTOR_MASK = 0b11
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_jet_tables_match_the_expanded_wedges(twistor_frame, degree):
     acs = twistor_frame.acs
     ctx = TypeContext(acs)
-    size = twistor_frame.zr.space.size
+    space = twistor_frame.zr.space
+    one = Jet.constant(space, 1.0)
     for multi in combinations(range(6), degree):
-        got = ctx.decompose(FormValue(acs.chart, degree, {multi: 1.0 + 0.0j}))
+        got = ctx.decompose(FormValue(acs.chart, degree, {multi: one}))
+        values = ctx.decompose(FormValue(acs.chart, degree, {multi: 1.0 + 0.0j}))
         want = reference_parts(acs, multi)
         assert set(got) == set(want)
         for key in want:
-            assert_forms_close(got[key], want[key], 1e-13, size)
-            # the flat structure depends on zeta alone: its tables live on 15 of the 210 monomials
-            assert all((c.order, c.mask) == (4, 0b11) for c in got[key].terms.values())
+            # the value and the first partials, against the order-4 wedges
+            assert_forms_close(got[key], want[key], 1e-13, space.size, upto=space.prefix_sizes[1])
+            assert all((c.order, c.mask) == (1, TWISTOR_MASK) for c in got[key].terms.values())
+            assert_forms_close(values[key], want[key].values(), 1e-13)
+    # the value and the d/dx_u of the two variables of the mask, built once
+    assert ctx._table(degree).shape == (3, degree + 1) + (len(list(combinations(range(6), degree))),) * 2
+    assert ctx._table(degree) is ctx._table(degree)
 
 
 def random_jet_form(fr, degree, rng):
@@ -116,49 +147,27 @@ def random_jet_form(fr, degree, rng):
 def test_jet_parts_sum_back_project_idempotently_and_follow_the_order_rule(twistor_frame, degree):
     fr = twistor_frame
     ctx = TypeContext(fr.acs)
-    size = fr.zr.space.size
+    space = fr.zr.space
+    low = space.prefix_sizes[1]
     form = random_jet_form(fr, degree, random.Random(degree))
     parts = ctx.decompose(form)
     assert sorted(parts) == [(p, degree - p) for p in range(degree + 1)]
     total = FormValue.zero(fr.chart, degree)
     for part in parts.values():
         total = total + part
-    assert_forms_close(total, form, 1e-13, size)
-    jets = [c for c in form.terms.values() if isinstance(c, Jet)]
-    table_jets = [e for row in fr.acs.mat for e in row if isinstance(e, Jet)]
-    order = min(j.order for j in jets + table_jets)
-    mask = 0
-    for j in jets + table_jets:
-        mask |= j.mask
-    assert order < fr.order and mask != fr.zr.space.full_mask  # the rule is tested, not the default
+    assert_forms_close(total, form, 1e-13, space.size, upto=low)
+    mask = TWISTOR_MASK
+    for c in form.terms.values():
+        if isinstance(c, Jet):
+            mask |= c.mask
+    assert mask == 0b1111
+    # the values of the jet parts are the parts of the values
+    value_parts = ctx.decompose(form.values())
     for (p, q), part in parts.items():
         for c in part.terms.values():
-            assert (c.order, c.mask) == (order, mask)
+            assert (c.order, c.mask) == (1, mask)
         again = ctx.project(part, p, q)
-        assert_forms_close(again, part, 1e-13, size)
-        assert_forms_close(ctx.project(form, p, q), part, 0.0, size)
-
-
-def test_lower_order_contexts_hold_prefixes_of_the_full_tables(twistor_frame):
-    ctx = TypeContext(twistor_frame.acs)
-    space, mask, order = twistor_frame.zr.space, 0b11, twistor_frame.order
-    assert ctx.at_order(order) is ctx and ctx.at_order(order + 3) is ctx
-    lower = {o: ctx.at_order(o) for o in (1, 2, 3)}
-    for o, low in lower.items():
-        assert low is ctx.at_order(o) and low is not ctx
-        for k in (1, 2, 3):
-            assert low._table(k) is low._table(k)  # built once
-    assert set(ctx._tables) == {1}  # the lower tables are built without the full ones
-    for o, low in lower.items():
-        rows = len(space.support(mask, o))
-        for k in (1, 2, 3):
-            full = ctx._table(k)
-            assert low._table(k).shape == (rows,) + full.shape[1:]
-            assert low._table(k).tobytes() == full[:rows].tobytes(), (o, k)
-
-
-def test_a_constant_structure_is_its_own_context_at_every_order():
-    ctx = TypeContext(conjugated_structure())
-    assert all(ctx.at_order(o) is ctx for o in (0, 1, 4))
-    with pytest.raises(ValueError):
-        ctx.at_order(-1)
+        assert_forms_close(again, part, 1e-13, space.size)
+        assert_forms_close(ctx.project(form, p, q), part, 0.0, space.size)
+        want = part.values()
+        assert (value_parts[(p, q)] - want).sup() <= 1e-14 * want.sup()
