@@ -1,6 +1,5 @@
 import math
 import random
-from itertools import combinations
 
 import pytest
 

@@ -8,6 +8,7 @@ a structure with jet entries the reference is read for its value and first
 partials, the order to which a projection there is valid.
 """
 
+import math
 import random
 from itertools import combinations, product
 
@@ -57,7 +58,7 @@ def coefficient_array(c, size):
 
 
 def assert_forms_close(got, want, tol, size=1, upto=None):
-    """Coefficients agree within ``tol``: all of them, or the first ``upto`` (monomials of degree <= 1 with 1 + nvars)."""
+    """Coefficients agree within ``tol``: all of them, or the first ``upto`` (the value and first partials with 1 + nvars)."""
     for multi in set(got.terms) | set(want.terms):
         a = coefficient_array(got.terms.get(multi, 0.0), size)[:upto]
         b = coefficient_array(want.terms.get(multi, 0.0), size)[:upto]
@@ -131,7 +132,7 @@ def test_jet_tables_match_the_expanded_wedges(twistor_frame, degree):
             assert all((c.order, c.mask) == (1, TWISTOR_MASK) for c in got[key].terms.values())
             assert_forms_close(values[key], want[key].values(), 1e-13)
     # the value and the d/dx_u of the two variables of the mask, built once
-    assert ctx._table(degree).shape == (3, degree + 1) + (len(list(combinations(range(6), degree))),) * 2
+    assert ctx._table(degree).shape == (3, degree + 1, math.comb(6, degree), math.comb(6, degree))
     assert ctx._table(degree) is ctx._table(degree)
 
 
