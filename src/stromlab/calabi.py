@@ -14,14 +14,15 @@ fiber coordinate t are holomorphic); the zero section t = 0 is excluded.
 
 The operators share one :class:`CanonicalBundleFrame` per (base, params,
 point): it keeps its metric, Gram matrix, Chern-Ricci form and Chern scalar
-once built.  ``_frame`` hands out a kept frame of at least the order asked
-for, and keeps only the two frames used last (a point certifies the theorem
-metric and then a must-fail profile, and the theorem frame must survive the
-second); a frame whose jet space is no longer ``jet_space(dim, order)``
+once built.  A frame's order is the validity order of its metric.
+``_frame`` hands out a kept frame of at least the order asked for, and
+keeps only the two frames used last (a point certifies the theorem metric
+and then a must-fail profile, and the theorem frame must survive the
+second); a frame whose jet space is no longer ``jet_space(dim, order + 1)``
 (after ``jet_space.cache_clear()``) is rebuilt.  Each operator reads the
-frame only to the order it needs: ``extremal_residual`` at order 7,
-``chern_scalar`` at 3, ``km_balanced_residual`` at 2 and ``volume_norm`` at
-1.  The low coefficients of a truncated product or composition do not depend
+frame only to the order it needs: ``extremal_residual`` at order 6,
+``chern_scalar`` at 2, ``km_balanced_residual`` at 1 and ``volume_norm`` at
+0.  The low coefficients of a truncated product or composition do not depend
 on the truncation order, so a reader gets the same bits from any frame of at
 least its order.
 """
@@ -194,15 +195,15 @@ class CalabiParams:
 
 
 class CanonicalBundleFrame:
-    """Jets of the ansatz data at a point of the total-space chart, seeded at ``order``.
+    """Jets of the ansatz data at a point of the total-space chart, with a metric valid to ``order``.
 
     The metric, its Gram matrix, the Chern-Ricci form and the Chern scalar
     are each built on first use and kept, so every operator reading the
     frame pays for each once; do not mutate them.  The metric's fiber part
-    differentiates R, so the metric is valid to order - 1, the Ricci form to
-    order - 3 and the scalar to order - 3: the extremal equation (the
-    Hessian of the Laplacian of s, read at the point) needs order 7, the
-    Chern scalar 3, d(omega^n) 2 and the volume norm 1.
+    differentiates R, so the jets are seeded at order + 1; the metric is
+    valid to order, the Ricci form and the scalar to order - 2: the extremal
+    equation (the Hessian of the Laplacian of s, read at the point) needs
+    order 6, the Chern scalar 2, d(omega^n) 1 and the volume norm 0.
     """
 
     def __init__(self, base: BaseKahlerModel, params: CalabiParams | None, p: ChartPoint, order: int):
@@ -214,7 +215,7 @@ class CanonicalBundleFrame:
         self.base = base
         self.chart = base.total_chart
         self.order = order
-        self.jets = seed_jets(p.coords, order)
+        self.jets = seed_jets(p.coords, order + 1)
         self.zjets = self.jets[: 2 * base.n]
         self.t = self.jets[2 * base.n] + 1j * self.jets[2 * base.n + 1]
         self.hmat = base.metric(self.zjets)
@@ -240,15 +241,15 @@ class CanonicalBundleFrame:
         return del_R, dbar_R
 
     def metric(self) -> FormValue:
-        """e^{u+f} omega_B + i e^{v+g} del R ^ dbar R / R, valid to order - 1.
+        """e^{u+f} omega_B + i e^{v+g} del R ^ dbar R / R, valid to the frame's order.
 
-        The fiber part differentiates R, so the base part is read to
-        order - 1 before its product too.
+        The fiber part differentiates R, seeded one order higher, so the
+        base part is read to the frame's order before its product.
         """
         if self._metric is None:
             del_R, dbar_R = self.dR_split()
             fiber = del_R.wedge(dbar_R).scale(1j * self.R.reciprocal() * (self.v + self.g).exp())
-            top = self.order - 1
+            top = self.order
             base = hermitian_form(self.chart, [[e.to_order(top) for e in row] for row in self.hmat])
             self._metric = base.scale((self.u + self.f).to_order(top).exp()) + fiber
         return self._metric
@@ -291,7 +292,7 @@ def _frame(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint, order: in
     """
     key = (base, params, p)
     fr = _FRAMES.pop(key, None)
-    if fr is None or fr.order < order or fr.jets[0].space is not jet_space(p.chart.dim, fr.order):
+    if fr is None or fr.order < order or fr.jets[0].space is not jet_space(p.chart.dim, fr.order + 1):
         fr = CanonicalBundleFrame(base, params, p, order)
     _FRAMES[key] = fr
     if len(_FRAMES) > 2:
@@ -306,7 +307,7 @@ def _read_to(form: FormValue, order: int) -> FormValue:
 
 def omega0_d_residual(base: BaseKahlerModel, p: ChartPoint) -> float:
     """Relative sup of d(omega_0) for the undeformed induced metric."""
-    return closedness_residual(CanonicalBundleFrame(base, CalabiParams.plain(), p, 2).metric())
+    return closedness_residual(CanonicalBundleFrame(base, CalabiParams.plain(), p, 1).metric())
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +358,7 @@ def chern_scalar_of(omega: FormValue, rho: FormValue):
 
 def chern_scalar(base: BaseKahlerModel, params: CalabiParams | None, p: ChartPoint) -> float:
     """Chern scalar of the total-space ansatz metric (or of omega_0 if no params)."""
-    fr = _frame(base, params or CalabiParams.plain(), p, 3)
+    fr = _frame(base, params or CalabiParams.plain(), p, 2)
     return svalue(fr.scalar()).real
 
 
@@ -375,7 +376,7 @@ def base_chern_scalar(base: BaseKahlerModel, z_point) -> float:
 
 def volume_norm(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
     """sqrt(|Omega^Omega_bar| / (omega^m/m!)), Omega = dz_1^...^dz_m."""
-    fr = _frame(base, params, p, 1)
+    fr = _frame(base, params, p, 0)
     return volume_form_norm(fr.volume_form(), fr.metric().values())
 
 
@@ -388,7 +389,7 @@ def constant_norm_residual(base: BaseKahlerModel, params: CalabiParams, points) 
 
 def km_balanced_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
     """Relative sup of d(omega^n) on the (n+1)-dimensional total space."""
-    fr = _frame(base, params, p, 2)
+    fr = _frame(base, params, p, 1)
     return closedness_residual(form_power(_read_to(fr.metric(), 1), base.n))
 
 
@@ -412,7 +413,7 @@ def extremal_residual_of(omega: FormValue, rho: FormValue, s, ctx: TypeContext) 
 
 
 def extremal_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
-    fr = _frame(base, params, p, 7)
+    fr = _frame(base, params, p, 6)
     return extremal_residual_of(fr.metric(), fr.ricci(), fr.scalar(), fr.ctx)
 
 

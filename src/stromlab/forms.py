@@ -40,11 +40,15 @@ forms (``curvature_residual``), one side of an identity equals the other
 (``identity_residual``), del dbar of a (1,1)-form read at the point
 (``del_dbar_at_point``), and the norm of a holomorphic volume form
 (``volume_form_norm``).  A residual is a sup divided by the largest entering
-term (``relative_residual``), so it never passes on NaN or inf.  The
-curvature certificate works on the stacked coefficients of the whole
-matrix, like ``matrix_wedge_trace``: one product with the sign plan per form
-gives every wedge, and one product with the values of the degree-2 type
-table gives every (2,0) and (0,2) part.
+term (``relative_residual``), so it never passes on NaN or inf.
+
+A curvature stays the one array that ``gram_curvature`` computes, the
+stacked (1,1) coefficients of every entry of the matrix, from there to every
+reader: the curvature certificate takes one product with the sign plan per
+form for every wedge and one with the values of the degree-2 type table for
+every (2,0) and (0,2) part, and ``matrix_wedge_trace`` one contraction and
+one product with the sign plan.  Forms are built only for what the residual
+operators compare as forms, such as a trace.
 """
 
 from __future__ import annotations
@@ -191,6 +195,19 @@ class FormValue:
     @staticmethod
     def scalar(chart: Chart, value) -> "FormValue":
         return FormValue(chart, 0, {(): value})
+
+    @staticmethod
+    def from_vector(chart: Chart, degree: int, vector: np.ndarray) -> "FormValue":
+        """The pointwise form whose coefficients over the multi-indices, in combinations order, are ``vector``."""
+        return FormValue(chart, degree, dict(zip(_ranks(chart.dim, degree), vector.tolist())))
+
+    def to_vector(self) -> np.ndarray:
+        """The coefficients of a pointwise form over the multi-indices in combinations order."""
+        rank = _ranks(self.chart.dim, self.degree)
+        out = np.zeros(len(rank), dtype=np.complex128)
+        for m, c in self.terms.items():
+            out[rank[m]] = c
+        return out
 
     def _check(self, other: "FormValue"):
         if self.chart is not other.chart and self.chart != other.chart:
@@ -455,11 +472,6 @@ class AlmostComplexStructure:
                 add = entry * c
                 terms[(w,)] = terms[(w,)] + add if (w,) in terms else add
         return FormValue(self.chart, 1, terms)
-
-    def values(self) -> "AlmostComplexStructure":
-        return AlmostComplexStructure(
-            self.chart, [[svalue(e) for e in row] for row in self.mat]
-        )
 
 
 def standard_acs(chart: Chart) -> AlmostComplexStructure:
@@ -843,25 +855,26 @@ def _del_at_point(ctx: TypeContext, df: np.ndarray, ddf: np.ndarray):
     return df @ P.T, np.einsum("uwv,...v->...uw", dP, df) + ddf @ P.T
 
 
-def _part_11_at_point(ctx: TypeContext, dX: np.ndarray) -> list:
-    """(1,1) parts of the 2-forms sum_{u,w} dX[i, j, u, w] dx_u ^ dx_w, as a matrix of pointwise forms.
+def _part_11_at_point(ctx: TypeContext, dX: np.ndarray) -> np.ndarray:
+    """(1,1) parts of the 2-forms sum_{u,w} dX[..., u, w] dx_u ^ dx_w, as stacked coefficients.
 
-    The parts come from the values of the degree-2 type table of ``ctx``.
+    Entry ``[..., r]`` is the coefficient of the r-th pair u < w in
+    combinations order; the parts come from the values of the degree-2 type
+    table of ``ctx``.
     """
-    dim = ctx.chart.dim
-    u, w = np.triu_indices(dim, 1)  # the pairs u < w in combinations order
-    coeffs = (dX[..., u, w] - dX[..., w, u]) @ ctx._table(2)[0, 1].T
-    multis = _ranks(dim, 2)
-    return [[FormValue(ctx.chart, 2, dict(zip(multis, entry))) for entry in row] for row in coeffs.tolist()]
+    u, w = np.triu_indices(ctx.chart.dim, 1)  # the pairs u < w in combinations order
+    return (dX[..., u, w] - dX[..., w, u]) @ ctx._table(2)[0, 1].T
 
 
 def gram_curvature(H, ctx: TypeContext):
-    """R = dbar(Hbar^-1 del Hbar) at the point, for a matrix of jet entries.
+    """R = dbar(Hbar^-1 del Hbar) at the point, for an n x n matrix of jet entries.
 
-    Entries of the result are pointwise 2-forms (complex coefficients):
-    R_ij is the (1,1) part of d X_ij with X = Hbar^-1 del Hbar, taken with
-    the values of the type table; for a (1,0)-form X that is its dbar.  For
-    an actual holomorphic-frame Gram the entries are pure (1,1).
+    The result is one complex array of shape (n, n, C(dim, 2)): ``R[i, j, r]``
+    is the dx_u ^ dx_w coefficient of R_ij at the point, where (u, w) is the
+    r-th pair u < w in combinations order (``_ranks(dim, 2)``).  R_ij is the
+    (1,1) part of d X_ij with X = Hbar^-1 del Hbar, taken with the values of
+    the type table; for a (1,0)-form X that is its dbar.  For an actual
+    holomorphic-frame Gram the entries are pure (1,1).
 
     d X is read at the point only, so it is assembled for the whole matrix
     from stacked Taylor coefficients by the Leibniz rule,
@@ -896,14 +909,7 @@ def dbar_del_scalar(ctx: TypeContext, f: Jet) -> FormValue:
     second partials of f and the projector to order 1 (``_del_at_point``).
     """
     _, df, ddf = _taylor_stack([[f.to_order(2)]], 2)
-    return _part_11_at_point(ctx, _del_at_point(ctx, df, ddf)[1])[0][0]
-
-
-def matrix_trace_form(M) -> FormValue:
-    out = M[0][0]
-    for i in range(1, len(M)):
-        out = out + M[i][i]
-    return out
+    return FormValue.from_vector(ctx.chart, 2, _part_11_at_point(ctx, _del_at_point(ctx, df, ddf)[1])[0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -924,32 +930,16 @@ def _wedge_signs(n: int, ka: int, kb: int) -> np.ndarray:
     return signs.reshape(len(rows) * len(cols), len(out))
 
 
-def _stacked_coefficients(M, k: int) -> np.ndarray:
-    """Coefficients of a matrix of pointwise k-forms, shape (rows, cols, C(n, k))."""
-    rank = _ranks(M[0][0].chart.dim, k)
-    out = np.zeros((len(M), len(M[0]), len(rank)), dtype=np.complex128)
-    for i, row in enumerate(M):
-        for j, form in enumerate(row):
-            for m, c in form.terms.items():
-                out[i, j, rank[m]] = c
-    return out
-
-
-def matrix_wedge_trace(A, B) -> FormValue:
-    """tr(A wedge B) for square matrices of pointwise forms (complex coefficients).
+def matrix_wedge_trace(A: np.ndarray, B: np.ndarray, chart: Chart) -> FormValue:
+    """tr(A wedge B), a 4-form, for curvatures stacked as ``gram_curvature`` returns them.
 
     One contraction of the stacked coefficients gives sum_ij A_ij[I] B_ji[J]
-    for every pair of multi-indices (I, J), and one product with the sign
-    plan sends each pair to dx_I ^ dx_J.  A NaN coefficient anywhere makes
-    every coefficient of the result NaN.
+    for every pair of 2-indices (I, J), and one product with the sign plan
+    sends each pair to dx_I ^ dx_J.  A NaN coefficient anywhere makes every
+    coefficient of the result NaN.
     """
-    chart = A[0][0].chart
-    ka, kb = A[0][0].degree, B[0][0].degree
-    a = _stacked_coefficients(A, ka)
-    b = a if B is A else _stacked_coefficients(B, kb)
-    pairs = np.einsum("ijI,jiJ->IJ", a, b)
-    values = pairs.reshape(-1) @ _wedge_signs(chart.dim, ka, kb)
-    return FormValue(chart, ka + kb, dict(zip(_ranks(chart.dim, ka + kb), values.tolist())))
+    pairs = np.einsum("ijI,jiJ->IJ", A, B)
+    return FormValue.from_vector(chart, 4, pairs.reshape(-1) @ _wedge_signs(chart.dim, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -987,30 +977,34 @@ def _array_sup(a: np.ndarray) -> float:
     return float(np.max(np.hypot(a.real, a.imag), initial=0.0))
 
 
-def curvature_residual(F, forms, ctx: TypeContext) -> float:
+def curvature_residual(F: np.ndarray, forms, ctx: TypeContext) -> float:
     """F is (1,1) and F_ij ^ form = 0 for each form, relative to the entering terms.
 
-    ``F`` is a matrix of pointwise 2-forms and ``forms`` a list of pointwise
-    forms.  The entries are stacked into one coefficient array
-    (``_stacked_coefficients``).  Each form is wedged with every entry in one
-    product with the sign plan (``_wedge_signs``), and the (2,0) and (0,2)
-    parts of every entry come from one product with the values of the
-    degree-2 type table of ``ctx``.  The sup of the wedges and of those parts is
-    compared against sup|F| sup|form| and sup|F|.  Rounding is monotone, so
-    sup|F| sup|form| is bit for bit the largest product of a coefficient of
-    an entry and one of the form.  A NaN anywhere in F or in a form makes
-    the scale NaN and the residual inf.
+    ``F`` is a curvature stacked as ``gram_curvature`` returns it, on the
+    chart of ``ctx``, and ``forms`` a list of pointwise forms on that chart.
+    Each form is wedged with every entry in one product with the sign plan
+    (``_wedge_signs``), and the (2,0) and (0,2) parts of every entry come
+    from one product with the values of the degree-2 type table of ``ctx``.
+    The sup of the wedges and of those parts is compared against
+    sup|F| sup|form| and sup|F|.  Rounding is monotone, so sup|F| sup|form|
+    is bit for bit the largest product of a coefficient of an entry and one
+    of the form.  A NaN anywhere in F or in a form makes the scale NaN and
+    the residual inf.
     """
-    chart = F[0][0].chart
-    f = _stacked_coefficients(F, 2).reshape(len(F) * len(F[0]), -1)
+    chart = ctx.chart
+    pairs = math.comb(chart.dim, 2)
+    if F.shape[-1] != pairs:
+        raise ChartMismatch(f"a curvature on {chart.name!r} has {pairs} coefficients per entry, got {F.shape[-1]}")
+    f = F.reshape(-1, pairs)
     sup_F = _array_sup(f)
     sups = [_array_sup(f @ ctx._table(2)[0, ::2].transpose(0, 2, 1))]
     scales = [sup_F]
     for form in forms:
-        F[0][0]._check(form)
+        if form.chart != chart:
+            raise ChartMismatch(f"{form.chart.name!r} vs {chart.name!r}")
         if form.degree + 2 > chart.dim:
             raise DegreeError("wedge degree exceeds chart dimension")
-        b = _stacked_coefficients([[form]], form.degree)[0, 0]
+        b = form.to_vector()
         wedged = (f[:, :, None] * b).reshape(len(f), -1) @ _wedge_signs(chart.dim, 2, form.degree)
         sups.append(_array_sup(wedged))
         scales.append(sup_F * _array_sup(b))

@@ -15,16 +15,25 @@ by the curvature it traces, build their own.  Both sides of
 every identity come out of independent jet pipelines; in particular
 tr(R wedge R) is computed once from the frame Gram matrix and once from its
 reduction, never shared.
+
+The curvatures R (of the frame Gram) and F' (of the quotient Gram) are the
+stacked arrays that ``gram_curvature`` returns, read as they are by
+``curvature_residual`` and ``matrix_wedge_trace``; only their traces, which
+enter identities of forms, are built as forms (``_trace``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .forms import (
+    Chart,
     ChartPoint,
     DomainError,
     FormValue,
+    _array_sup,
     closedness_residual,
     curvature_residual,
     dbar_del_scalar,
@@ -35,7 +44,6 @@ from .forms import (
     mat_conj_transpose,
     mat_inv,
     mat_mul,
-    matrix_trace_form,
     matrix_wedge_trace,
     nan_max,
     relative_residual,
@@ -43,19 +51,6 @@ from .forms import (
 from .hyperkahler import HyperkahlerModel, flat_model, quaternion_operator
 from .jets import Jet, jet_space
 from .twistor import AnsatzParams, TwistorFrame, _FrameData
-
-
-@dataclass
-class CurvatureValue:
-    """Matrix-valued curvature 2-form in a holomorphic frame, with pointwise entries."""
-
-    entries: list
-
-    def trace(self) -> FormValue:
-        return matrix_trace_form(self.entries)
-
-    def sup(self) -> float:
-        return nan_max(e.sup() for row in self.entries for e in row)
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +81,8 @@ class AnsatzCurvatureData:
     so the operators reading both at one point pay for each once.
     """
 
-    def __init__(self, model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint, order: int = 4):
-        self.fr = TwistorFrame(model, p, order, params)
+    def __init__(self, model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint):
+        self.fr = TwistorFrame(model, p, 4, params)
         self.fd = _FrameData(self.fr)
         fr = self.fr
         self.A = fr.s * fr.s * (-2.0 * fr.g).exp() * 0.5
@@ -100,8 +95,8 @@ class AnsatzCurvatureData:
         self._frame_curvature = None
         self._tr_RR = None
 
-    def quotient_curvature(self) -> CurvatureValue:
-        """F' = dbar(Ubar^-1 del Ubar) at the point; memoised, do not mutate.
+    def quotient_curvature(self) -> np.ndarray:
+        """F' = dbar(Ubar^-1 del Ubar) at the point, stacked as ``gram_curvature`` returns it; memoised, do not mutate.
 
         On flat N, F' vanishes: over 40 seed-2 flat points its largest
         coefficient read at most 2e-15, against up to 5.2 for R.  So there the
@@ -109,11 +104,11 @@ class AnsatzCurvatureData:
         anomaly read rounding only; they get their teeth on a non-flat base.
         """
         if self._quotient_curvature is None:
-            self._quotient_curvature = CurvatureValue(gram_curvature(self.U, self.fr.ctx))
+            self._quotient_curvature = gram_curvature(self.U, self.fr.ctx)
         return self._quotient_curvature
 
-    def frame_curvature(self) -> CurvatureValue:
-        """R = dbar(Hbar^-1 del Hbar) of the frame Gram at the point; memoised, do not mutate.
+    def frame_curvature(self) -> np.ndarray:
+        """R = dbar(Hbar^-1 del Hbar) of the frame Gram at the point, stacked; memoised, do not mutate.
 
         ``gram_curvature`` reads H to order 2, so H is built from A, B, L
         and U read to order 2.
@@ -122,14 +117,14 @@ class AnsatzCurvatureData:
             A, B = self.A.to_order(2), self.B.to_order(2)
             L = [l.to_order(2) for l in self.Lvec]
             U = [[e.to_order(2) for e in row] for row in self.U]
-            self._frame_curvature = CurvatureValue(gram_curvature(_frame_gram(A, B, L, U), self.fr.ctx))
+            self._frame_curvature = gram_curvature(_frame_gram(A, B, L, U), self.fr.ctx)
         return self._frame_curvature
 
     def tr_RR(self) -> FormValue:
         """tr(R ^ R) of the frame curvature, read by the anomaly and the identities; memoised, do not mutate."""
         if self._tr_RR is None:
-            R = self.frame_curvature().entries
-            self._tr_RR = matrix_wedge_trace(R, R)
+            R = self.frame_curvature()
+            self._tr_RR = matrix_wedge_trace(R, R, self.fr.chart)
         return self._tr_RR
 
     def w_form(self) -> FormValue:
@@ -167,6 +162,14 @@ def _frame_gram(A, B, L, U):
     return H
 
 
+def _trace(F: np.ndarray, chart: Chart) -> FormValue:
+    """tr F of a stacked curvature: its diagonal entries added in index order."""
+    out = F[0, 0]
+    for i in range(1, len(F)):
+        out = out + F[i, i]
+    return FormValue.from_vector(chart, 2, out)
+
+
 _DATA_CACHE: dict = {}  # one entry: (model, params, point, jet space) -> AnsatzCurvatureData
 
 
@@ -180,7 +183,7 @@ def _curvature_data(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint
     data = _DATA_CACHE.get(key)
     if data is None:
         _DATA_CACHE.clear()
-        data = _DATA_CACHE[key] = AnsatzCurvatureData(model, params, p, order=4)
+        data = _DATA_CACHE[key] = AnsatzCurvatureData(model, params, p)
     return data
 
 
@@ -189,12 +192,13 @@ def _curvature_data(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint
 
 
 def hym_residual(
-    model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint, curvature: CurvatureValue | None = None
+    model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint, curvature: np.ndarray | None = None
 ) -> float:
     """F' wedge omega^2 plus the (2,0)/(0,2) purity of F', relative sup.
 
-    A replacement curvature can be passed to probe that the check has teeth.
-    On flat N the quotient curvature F' itself vanishes to rounding (see
+    A replacement curvature, stacked on the twistor chart as
+    ``gram_curvature`` returns it, can be passed to probe that the check has
+    teeth.  On flat N the quotient curvature F' itself vanishes to rounding (see
     ``AnsatzCurvatureData.quotient_curvature``), so there this residual
     reads rounding: only a replacement curvature or a non-flat base gives
     the HYM check teeth.
@@ -202,7 +206,7 @@ def hym_residual(
     data = _curvature_data(model, params, p)
     F = curvature if curvature is not None else data.quotient_curvature()
     omega = data.fr.metric().values()
-    return curvature_residual(F.entries, [omega.wedge(omega)], data.fr.ctx)
+    return curvature_residual(F, [omega.wedge(omega)], data.fr.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +223,9 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     fr = data.fr
     ctx = fr.ctx
 
-    R = data.frame_curvature()
     Fq = data.quotient_curvature()
-    tr_R = R.trace()
-    tr_Fq = Fq.trace()
+    tr_R = _trace(data.frame_curvature(), fr.chart)
+    tr_Fq = _trace(Fq, fr.chart)
 
     # dbar_del_scalar reads its argument to order 2, so the logs are taken there
     A2, B2 = data.A.to_order(2), data.B.to_order(2)
@@ -231,7 +234,7 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     c1_rhs = ddbar_logA + ddbar_logB.scale(2.0) + tr_Fq
     c1_res = identity_residual(tr_R, c1_rhs, ddbar_logB.sup())
 
-    trace_res = relative_residual(tr_Fq.sup(), nan_max([1.0, Fq.sup()]))
+    trace_res = relative_residual(tr_Fq.sup(), nan_max([1.0, _array_sup(Fq)]))
 
     # W = dbar L^T Ubar^-1 del Lbar evaluates in closed form to
     # (i/s)(alpha omega_I + beta omega_J + gamma omega_K); the prefactor is
@@ -247,7 +250,7 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     c2_rhs = (
         del_dbar_Y.scale(2.0)
         + ddbar_logB.wedge(ddbar_logB).scale(2.0)
-        + matrix_wedge_trace(Fq.entries, Fq.entries)
+        + matrix_wedge_trace(Fq, Fq, fr.chart)
     )
     c2_res = relative_residual(
         (tr_RR - c2_rhs).sup(),
@@ -261,20 +264,20 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
 
 
 def anomaly_residual(
-    model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint, curvature: CurvatureValue | None = None
+    model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint, curvature: np.ndarray | None = None
 ) -> float:
     """i del dbar omega - (alpha'/4)(tr R^R - tr F^F) with F the quotient curvature.
 
     Every term comes out of its own jet pipeline: the torsion term from the
     metric field, tr(R wedge R) from the frame Gram, tr(F wedge F) from the
-    quotient Gram.
+    quotient Gram.  A replacement F is stacked as for ``hym_residual``.
     """
     data = _curvature_data(model, params, p)
     torsion = del_dbar_at_point(data.fr.ctx, data.fr.metric()).scale(1j)
 
     tr_RR = data.tr_RR()
     F = curvature if curvature is not None else data.quotient_curvature()
-    tr_FF = matrix_wedge_trace(F.entries, F.entries)
+    tr_FF = matrix_wedge_trace(F, F, data.fr.chart)
 
     quarter = params.alpha_prime / 4.0
     diff = torsion - (tr_RR - tr_FF).scale(quarter)

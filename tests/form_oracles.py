@@ -6,7 +6,8 @@ tangent vectors by minors, J^2 = -1 entry by entry, metric
 skew-hermiticity of a curvature, the frame Gram of the twistor ansatz, the
 complex components of a 1-form through the basis change T^-1, the curvature
 certificate wedge by wedge and pair of terms by pair of terms, and the Chern
-curvature of a Gram matrix at the point in 50-digit arithmetic.
+curvature of a Gram matrix at the point and its tr(R wedge R) in 50-digit
+arithmetic.
 """
 
 from itertools import combinations
@@ -14,7 +15,15 @@ from itertools import combinations
 import mpmath
 import numpy as np
 
-from stromlab.forms import DegreeError, FormValue, _complex_basis_matrices, nan_max, smag, svalue
+from stromlab.forms import (
+    AlmostComplexStructure,
+    DegreeError,
+    FormValue,
+    _complex_basis_matrices,
+    nan_max,
+    smag,
+    svalue,
+)
 from stromlab.strominger import _frame_gram
 
 
@@ -24,6 +33,21 @@ def form_linear_combo(forms, coeffs) -> FormValue:
     for f, c in zip(forms, coeffs):
         out = out + f.scale(c)
     return out
+
+
+def acs_values(acs) -> AlmostComplexStructure:
+    """The structure with its jet entries replaced by their values at the point."""
+    return AlmostComplexStructure(acs.chart, [[svalue(e) for e in row] for row in acs.mat])
+
+
+def stacked(M) -> np.ndarray:
+    """A matrix of pointwise forms of one degree as stacked coefficients, as ``gram_curvature`` returns them."""
+    return np.array([[entry.to_vector() for entry in row] for row in M])
+
+
+def entry_forms(F, chart) -> list:
+    """A stacked curvature as a matrix of pointwise 2-forms."""
+    return [[FormValue.from_vector(chart, 2, entry) for entry in row] for row in F]
 
 
 def evaluate(form: FormValue, *vectors) -> complex:
@@ -130,7 +154,8 @@ def mp_gram_curvature(H, acs, dps: int = 50) -> list:
     mpmath: the inverse, d(Hbar^-1) = -Hbar^-1 dHbar Hbar^-1, the projector
     P = (1 - iJ)/2 and its slopes, the Leibniz sum and the (1,1) part of
     each dx_u ^ dx_w, (P dx_u) ^ (Q dx_w) + (Q dx_u) ^ (P dx_w).  Returns the
-    complex coefficients as nested lists [i][j][(a, b)] over a < b.
+    coefficients, as ``dps``-digit mpmath numbers, in nested lists
+    [i][j][(a, b)] over a < b.
     """
     dim, n = acs.chart.dim, len(H)
     with mpmath.workdps(dps):
@@ -173,9 +198,35 @@ def mp_gram_curvature(H, acs, dps: int = 50) -> list:
                 ]
                 row.append(
                     {
-                        ab: complex(mpmath.fsum(dX[u][w] * m[u][w] for u in range(dim) for w in range(dim)))
+                        ab: mpmath.fsum(dX[u][w] * m[u][w] for u in range(dim) for w in range(dim))
                         for ab, m in part11.items()
                     }
                 )
             R.append(row)
     return R
+
+
+def _parity(seq) -> int:
+    """+1 or -1: the sign of the permutation that sorts distinct ``seq``."""
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
+    return -1 if inversions % 2 else 1
+
+
+def mp_wedge_trace(R, dim, dps: int = 50) -> dict:
+    """tr(R wedge R) = sum_ij R_ij ^ R_ji in ``dps``-digit arithmetic, for ``mp_gram_curvature`` output.
+
+    dx_I ^ dx_J is sign(sort(I + J)) dx_sort(I + J), with the sign the
+    parity of the sorting permutation.  Returns the coefficients of the
+    4-form as mpmath numbers keyed by increasing 4-tuples.
+    """
+    n = len(R)
+    out = {}
+    with mpmath.workdps(dps):
+        for K in combinations(range(dim), 4):
+            terms = []
+            for I in combinations(K, 2):
+                J = tuple(v for v in K if v not in I)
+                sign = _parity(I + J)
+                terms += [sign * R[i][j][I] * R[j][i][J] for i in range(n) for j in range(n)]
+            out[K] = mpmath.fsum(terms)
+    return out

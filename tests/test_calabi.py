@@ -330,7 +330,7 @@ def test_shared_frame_reads_equal_fresh_frames():
             for op in SHARED:
                 calabi._FRAMES.clear()
                 fresh.append(op(base, params, p))
-            # after chern_scalar the order-3 frame serves all but extremal, which rebuilds at 7
+            # after chern_scalar the order-2 frame serves all but extremal, which rebuilds at 6
             for first in (extremal_residual, chern_scalar):
                 calabi._FRAMES.clear()
                 first(base, params, p)
@@ -346,7 +346,7 @@ def test_workload_point_builds_two_frames(frames_built):
     km_balanced_residual(FS, linear, p)
     chern_scalar(FS, params, p)
     volume_norm(FS, params, p)
-    assert [ref().order for ref in frames_built] == [7, 2]
+    assert [ref().order for ref in frames_built] == [6, 1]
 
 
 def test_cleared_jet_spaces_rebuild_the_frame(frames_built):

@@ -1,5 +1,7 @@
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,27 @@ def test_every_module_has_a_caller_outside_the_tests():
     for path in src:
         reached |= stromlab_imports(path) - {path.stem}
     assert {path.stem for path in src} - reached == set()
+
+
+def top_level_imports(path: Path) -> set:
+    """The top-level modules a source file imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_tests_and_benchmark_import_only_declared_dependencies():
+    # what `pip install .[test]` installs must be enough to collect them
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_") for r in requirements}
+    files = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    local = {"stromlab", "perfbench"} | {path.stem for path in files}
+    for path in files:
+        unknown = top_level_imports(path) - set(sys.stdlib_module_names) - local - declared
+        assert not unknown, f"{path.name} imports undeclared {sorted(unknown)}"
