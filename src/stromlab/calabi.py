@@ -206,7 +206,7 @@ class CanonicalBundleFrame:
     order 6, the Chern scalar 2, d(omega^n) 1 and the volume norm 0.
     """
 
-    def __init__(self, base: BaseKahlerModel, params: CalabiParams | None, p: ChartPoint, order: int):
+    def __init__(self, base: BaseKahlerModel, params: CalabiParams, p: ChartPoint, order: int):
         if p.chart != base.total_chart:
             raise ValueError(f"point lives on {p.chart.name!r}, expected {base.total_chart.name!r}")
         t = p.complex_coord(base.n)
@@ -222,11 +222,10 @@ class CanonicalBundleFrame:
         self.h = mat_det(self.hmat)
         self.R = self.t * self.t.conjugate() / self.h
         self.ctx = TypeContext(standard_acs(self.chart))
-        if params is not None:
-            self.u = params.u_fn(self.zjets)
-            self.v = params.v_fn(self.zjets)
-            self.f = params.f_profile(self.R)
-            self.g = params.g_profile(self.R)
+        self.u = params.u_fn(self.zjets)
+        self.v = params.v_fn(self.zjets)
+        self.f = params.f_profile(self.R)
+        self.g = params.g_profile(self.R)
         self._metric = self._gram = self._ricci = self._scalar = None
 
     def dR_split(self):
@@ -356,9 +355,9 @@ def chern_scalar_of(omega: FormValue, rho: FormValue):
     return float(m) * top_ratio(rho.wedge(form_power(omega, m - 1)), form_power(omega, m))
 
 
-def chern_scalar(base: BaseKahlerModel, params: CalabiParams | None, p: ChartPoint) -> float:
-    """Chern scalar of the total-space ansatz metric (or of omega_0 if no params)."""
-    fr = _frame(base, params or CalabiParams.plain(), p, 2)
+def chern_scalar(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
+    """Chern scalar of the total-space ansatz metric."""
+    fr = _frame(base, params, p, 2)
     return svalue(fr.scalar()).real
 
 

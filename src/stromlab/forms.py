@@ -930,6 +930,14 @@ def _wedge_signs(n: int, ka: int, kb: int) -> np.ndarray:
     return signs.reshape(len(rows) * len(cols), len(out))
 
 
+def _check_curvature_chart(F: np.ndarray, chart: Chart) -> int:
+    """C(dim, 2), the number of coefficients per entry of a curvature on ``chart``; ChartMismatch if ``F`` has another."""
+    pairs = math.comb(chart.dim, 2)
+    if F.shape[-1] != pairs:
+        raise ChartMismatch(f"a curvature on {chart.name!r} has {pairs} coefficients per entry, got {F.shape[-1]}")
+    return pairs
+
+
 def matrix_wedge_trace(A: np.ndarray, B: np.ndarray, chart: Chart) -> FormValue:
     """tr(A wedge B), a 4-form, for curvatures stacked as ``gram_curvature`` returns them.
 
@@ -938,6 +946,8 @@ def matrix_wedge_trace(A: np.ndarray, B: np.ndarray, chart: Chart) -> FormValue:
     sends each pair to dx_I ^ dx_J.  A NaN coefficient anywhere makes every
     coefficient of the result NaN.
     """
+    _check_curvature_chart(A, chart)
+    _check_curvature_chart(B, chart)
     pairs = np.einsum("ijI,jiJ->IJ", A, B)
     return FormValue.from_vector(chart, 4, pairs.reshape(-1) @ _wedge_signs(chart.dim, 2, 2))
 
@@ -992,10 +1002,7 @@ def curvature_residual(F: np.ndarray, forms, ctx: TypeContext) -> float:
     the residual inf.
     """
     chart = ctx.chart
-    pairs = math.comb(chart.dim, 2)
-    if F.shape[-1] != pairs:
-        raise ChartMismatch(f"a curvature on {chart.name!r} has {pairs} coefficients per entry, got {F.shape[-1]}")
-    f = F.reshape(-1, pairs)
+    f = F.reshape(-1, _check_curvature_chart(F, chart))
     sup_F = _array_sup(f)
     sups = [_array_sup(f @ ctx._table(2)[0, ::2].transpose(0, 2, 1))]
     scales = [sup_F]

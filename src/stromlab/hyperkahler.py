@@ -7,6 +7,14 @@ check; and the fact ``flat``, which promises the constant Hessian 1/2 and
 the global holomorphic coordinates w1, w2 on the twistor space.  A new
 base is one model class and its constructor.
 
+The data read from the potential is computed once each: the Hessian
+kappa_{i jbar} (:func:`kappa_hermitian_jets`), its dbar derivatives
+kappa_{i jbar kbar}, the triple (omega_I, omega_J, omega_K) and the action
+of alpha I + beta J + gamma K on 1-forms (:func:`quaternion_action`), which
+gives both I, J, K and the twistor structure.  On every chart the base
+coordinates are the last four real coordinates, z1 and z2 the last two
+complex ones, so no caller passes an offset.
+
 The hyperkahler condition pins the complex Monge-Ampere determinant of
 the potential to 1/4, which is the certification oracle: a candidate
 potential is only trusted once :func:`det_residual` vanishes on a sample.
@@ -138,11 +146,12 @@ def eguchi_hanson(a: float = 1.0) -> HyperkahlerModel:
 # jets of the potential
 
 
-def kappa_hermitian_jets(model: HyperkahlerModel, xjets, offset_pair: int = 0):
+def kappa_hermitian_jets(model: HyperkahlerModel, xjets):
     """[kappa_{i jbar}] with jet entries; exact constants on a flat model.
 
-    ``offset_pair`` gives the complex-coordinate offset of z1 inside the jet
-    variables (2 on twistor charts, 0 on the bare 4-manifold chart).
+    The base coordinates x1..x4 are the last four of ``xjets``: all of them
+    on the 4-manifold chart, the four after the sphere coordinate on a
+    twistor chart.
     """
     if model.flat:
         space = xjets[0].space
@@ -150,34 +159,30 @@ def kappa_hermitian_jets(model: HyperkahlerModel, xjets, offset_pair: int = 0):
         half = Jet.constant(space, 0.5, order)
         zero = Jet.constant(space, 0.0, order)
         return [[half, zero], [zero, half]]
-    k = model.kappa(xjets[2 * offset_pair : 2 * offset_pair + 4])
+    base = len(xjets) - 4
+    k = model.kappa(xjets[base:])
     out = []
     for i in range(2):
         row = []
-        di = wirtinger(k, 2 * (offset_pair + i), 2 * (offset_pair + i) + 1, bar=False)
+        di = wirtinger(k, base + 2 * i, base + 2 * i + 1, bar=False)
         for j in range(2):
-            row.append(wirtinger(di, 2 * (offset_pair + j), 2 * (offset_pair + j) + 1, bar=True))
+            row.append(wirtinger(di, base + 2 * j, base + 2 * j + 1, bar=True))
         out.append(row)
     return out
 
 
-def kappa_third_jets(model: HyperkahlerModel, xjets, offset_pair: int = 0):
-    """kappa_{i jbar kbar} indexed [i][j][k]; vanishes identically on flat."""
-    k = model.kappa(xjets[2 * offset_pair : 2 * offset_pair + 4])
-    out = []
-    for i in range(2):
-        di = wirtinger(k, 2 * (offset_pair + i), 2 * (offset_pair + i) + 1, bar=False)
-        plane = []
-        for j in range(2):
-            dij = wirtinger(di, 2 * (offset_pair + j), 2 * (offset_pair + j) + 1, bar=True)
-            plane.append(
-                [
-                    wirtinger(dij, 2 * (offset_pair + l), 2 * (offset_pair + l) + 1, bar=True)
-                    for l in range(2)
-                ]
-            )
-        out.append(plane)
-    return out
+def kappa_third_jets(kh):
+    """kappa_{i jbar kbar} indexed [i][j][k]: the dbar_k derivatives of the Hessian ``kh``.
+
+    ``kh`` is :func:`kappa_hermitian_jets`, whose base coordinates are the
+    last four variables of its jets; on a flat model it is constant, so
+    every entry is exactly 0.
+    """
+    base = kh[0][0].space.nvars - 4
+    return [
+        [[wirtinger(kij, base + 2 * k, base + 2 * k + 1, bar=True) for k in range(2)] for kij in row]
+        for row in kh
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +203,16 @@ class HyperkahlerTriple:
         )
 
 
-def triple_forms(chart: Chart, kh, offset_pair: int) -> HyperkahlerTriple:
-    """(omega_I, omega_J, omega_K) on ``chart``.
+def triple_forms(chart: Chart, kh) -> HyperkahlerTriple:
+    """(omega_I, omega_J, omega_K) on ``chart``, whose last two complex coordinates are z1, z2.
 
     omega_I = i ddbar kappa from the potential Hessian ``kh``, as returned
-    by :func:`kappa_hermitian_jets` with the same ``offset_pair`` (jet
-    coefficients) or its values (pointwise ones); omega_J + i omega_K =
-    dz1 wedge dz2.
+    by :func:`kappa_hermitian_jets` (jet coefficients) or its values
+    (pointwise ones); omega_J + i omega_K = dz1 wedge dz2.
     """
-    omega_I = hermitian_form(chart, kh, offset_pair)
-    holo2 = d_complex(chart, offset_pair).wedge(d_complex(chart, offset_pair + 1))
+    z1 = chart.ncomplex - 2
+    omega_I = hermitian_form(chart, kh, z1)
+    holo2 = d_complex(chart, z1).wedge(d_complex(chart, z1 + 1))
     omega_J = (holo2 + holo2.conj()).scale(0.5)
     omega_K = (holo2 - holo2.conj()).scale(-0.5j)
     return HyperkahlerTriple(omega_I, omega_J, omega_K)
@@ -217,53 +222,45 @@ def triple_forms(chart: Chart, kh, offset_pair: int) -> HyperkahlerTriple:
 # quaternionic action on 1-forms
 
 
-def quaternion_complex_action(which: str, kh):
-    """Action of I, J or K on [dz1, dz2, dzbar1, dzbar2]; columns are images."""
+def quaternion_action(kh, alpha, beta, gamma, chart: Chart):
+    """alpha I + beta J + gamma K on the complex basis [dz..., dzbar...] of ``chart``; columns are images.
+
+    z1, z2 are the last two complex coordinates of ``chart`` and ``kh`` is
+    the potential Hessian there (:func:`kappa_hermitian_jets`); every other
+    basis form is annihilated.  The coefficients may be jets: the twistor
+    structure passes the sphere point (alpha, beta, gamma) of zeta.
+    """
+    m = chart.ncomplex
+    a, b = m - 2, m - 1
+    ab, bb = a + m, b + m
+    ia = 1j * alpha
+    bp = -2.0 * (beta + 1j * gamma)
+    bm = -2.0 * (beta - 1j * gamma)
     k11, k12 = kh[0][0], kh[0][1]
     k21, k22 = kh[1][0], kh[1][1]
-    z = 0.0 + 0.0j
-    if which == "I":
-        return [
-            [1j, z, z, z],
-            [z, 1j, z, z],
-            [z, z, -1j, z],
-            [z, z, z, -1j],
-        ]
-    if which == "J":
-        return [
-            [z, z, -2 * k12, 2 * k11],
-            [z, z, -2 * k22, 2 * k21],
-            [-2 * k21, 2 * k11, z, z],
-            [-2 * k22, 2 * k12, z, z],
-        ]
-    if which == "K":
-        return [
-            [z, z, 2j * k12, -2j * k11],
-            [z, z, 2j * k22, -2j * k21],
-            [-2j * k21, 2j * k11, z, z],
-            [-2j * k22, 2j * k12, z, z],
-        ]
-    raise ValueError(f"unknown quaternion label {which!r}")
+    action = [[0.0 + 0.0j] * (2 * m) for _ in range(2 * m)]
+    action[a][a] = action[b][b] = ia
+    action[a][ab], action[a][bb] = bm * k12, -bm * k11
+    action[b][ab], action[b][bb] = bm * k22, -bm * k21
+    action[ab][a], action[ab][b] = bp * k21, -bp * k11
+    action[bb][a], action[bb][b] = bp * k22, -bp * k12
+    action[ab][ab] = action[bb][bb] = -ia
+    return action
 
 
-def quaternion_operator(kh, which: str, chart: Chart, offset_pair: int = 0) -> AlmostComplexStructure:
+_UNITS = {"I": (1, 0, 0), "J": (0, 1, 0), "K": (0, 0, 1)}
+
+
+def quaternion_operator(kh, which: str, chart: Chart) -> AlmostComplexStructure:
     """I, J or K as an operator on 1-forms of ``chart``, from the potential Hessian ``kh``.
 
-    ``kh`` is :func:`kappa_hermitian_jets` with the same ``offset_pair``.
     On a six-coordinate chart the fiber directions are annihilated, so the
     result is the quaternionic action on the 4-manifold factor only (no
     square -identity there).
     """
-    action4 = quaternion_complex_action(which, kh)
-    m = chart.ncomplex
-    n = chart.dim
-    action = [[0.0 + 0.0j for _ in range(n)] for _ in range(n)]
-    # complex basis ordering: [dz_0..dz_{m-1}, dzbar_0..dzbar_{m-1}]
-    slots = [offset_pair, offset_pair + 1, m + offset_pair, m + offset_pair + 1]
-    for r in range(4):
-        for c in range(4):
-            action[slots[r]][slots[c]] = action4[r][c]
-    return acs_from_complex_action(chart, action)
+    if which not in _UNITS:
+        raise ValueError(f"unknown quaternion label {which!r}")
+    return acs_from_complex_action(chart, quaternion_action(kh, *_UNITS[which], chart))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +299,7 @@ def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
     ctx = TypeContext(standard_acs(model.chart))
     kh = kappa_hermitian_jets(model, xjets)
     # the certificate reads the triple at the point only
-    triple = triple_forms(model.chart, [[svalue(e) for e in row] for row in kh], 0)
+    triple = triple_forms(model.chart, [[svalue(e) for e in row] for row in kh])
     if gram is None:
         gram = _dz_gram(kh)
     F = gram_curvature(gram, ctx)

@@ -8,7 +8,7 @@ thread scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np

@@ -50,7 +50,7 @@ from .forms import (
 )
 from .hyperkahler import HyperkahlerModel, flat_model, quaternion_operator
 from .jets import Jet, jet_space
-from .twistor import AnsatzParams, TwistorFrame, _FrameData
+from .twistor import AnsatzParams, TwistorFrame, frame_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +82,13 @@ class AnsatzCurvatureData:
     """
 
     def __init__(self, model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint):
-        self.fr = TwistorFrame(model, p, 4, params)
-        self.fd = _FrameData(self.fr)
-        fr = self.fr
+        self.fr = fr = TwistorFrame(model, p, 4, params)
+        L, C, D = frame_coefficients(fr)
         self.A = fr.s * fr.s * (-2.0 * fr.g).exp() * 0.5
         self.B = fr.s * fr.s * fr.s * (-2.0 * fr.h - fr.g).exp()
-        self.Lvec = [fr.zeta * self.fd.L[0], fr.zeta * self.fd.L[1]]
+        self.Lvec = [fr.zeta * L[0], fr.zeta * L[1]]
         K = mat_inv(fr.kh)
-        E = [[self.fd.C[0], self.fd.D[0]], [self.fd.C[1], self.fd.D[1]]]
+        E = [[C[0], D[0]], [C[1], D[1]]]
         self.U = mat_mul(mat_mul(E, K), mat_conj_transpose(E))
         self._quotient_curvature = None
         self._frame_curvature = None
@@ -331,9 +330,9 @@ def radial_h_residual(h_profile: RadialProfile, p: ChartPoint) -> float:
     d_rho = differential_of_scalar(rho, chart)
     h1, h2 = h_profile.derivatives(rho_val)
 
-    Id_rho = quaternion_operator(fr.kh, "I", chart, 1).apply(d_rho)
-    Jd_rho = quaternion_operator(fr.kh, "J", chart, 1).apply(d_rho)
-    Kd_rho = quaternion_operator(fr.kh, "K", chart, 1).apply(d_rho)
+    Id_rho = quaternion_operator(fr.kh, "I", chart).apply(d_rho)
+    Jd_rho = quaternion_operator(fr.kh, "J", chart).apply(d_rho)
+    Kd_rho = quaternion_operator(fr.kh, "K", chart).apply(d_rho)
     frak_d_rho = (
         Id_rho.scale(fr.alpha) + Jd_rho.scale(fr.beta) + Kd_rho.scale(fr.gamma)
     )

@@ -3,13 +3,17 @@
 The twistor space of N is CP^1 x N with the complex structure that acts as
 the standard structure along the sphere and as alpha I + beta J + gamma K
 along N, where (alpha, beta, gamma) is the unit vector of the sphere point.
-Removing the fiber at infinity leaves C x N, which carries a nowhere
-vanishing holomorphic volume form and the two-parameter family of
-Hermitian ansatz metrics studied here.
+The action along N is ``hyperkahler.quaternion_action``, the one place
+alpha I + beta J + gamma K is written; the twistor chart puts the sphere
+coordinate first, so N has its last four real coordinates.  Removing the
+fiber at infinity leaves C x N, which carries a nowhere vanishing
+holomorphic volume form and the two-parameter family of Hermitian ansatz
+metrics studied here.
 
 For flat N = R^4 the total space is biholomorphic to C^3, with an explicit
-chart map; its coordinate differentials decompose in the local coframe
-{dzeta, theta_1, theta_2}, which is where the quotient-bundle curvature
+chart map; the differentials of its coordinates w1, w2 decompose in the
+local coframe {dzeta, theta_1, theta_2} with the coefficients of
+``frame_coefficients``, which is where the quotient-bundle curvature
 computations start.
 """
 
@@ -27,9 +31,9 @@ from .forms import (
     TypeContext,
     acs_from_complex_action,
     d_complex,
+    d_at_point,
     d_complex_bar,
     d_part_at_point,
-    exterior_derivative,
     nan_max,
     svalue,
     volume_form_norm,
@@ -40,6 +44,7 @@ from .hyperkahler import (
     HyperkahlerModel,
     kappa_hermitian_jets,
     kappa_third_jets,
+    quaternion_action,
     triple_forms,
 )
 from .jets import Jet, seed_jets, wirtinger
@@ -166,10 +171,9 @@ class TwistorFrame:
         self.zr, self.zi = jets[0], jets[1]
         self.x = jets[2:]
         self.zeta = self.zr + 1j * self.zi
-        self.zeta_bar = self.zeta.conjugate()
         self.alpha, self.beta, self.gamma, self.s = sphere_jets(self.zr, self.zi)
-        self.kh = kappa_hermitian_jets(model, seeds, offset_pair=1)
-        self.triple = triple_forms(chart, self.kh, 1)
+        self.kh = kappa_hermitian_jets(model, seeds)
+        self.triple = triple_forms(chart, self.kh)
         self.dzeta = d_complex(chart, 0)
         self.dzeta_bar = d_complex_bar(chart, 0)
         self.dz = [d_complex(chart, 1), d_complex(chart, 2)]
@@ -225,20 +229,9 @@ class TwistorFrame:
 
 
 def _twistor_acs_from_frame(fr: TwistorFrame) -> AlmostComplexStructure:
-    z = 0.0 + 0.0j
-    ia = 1j * fr.alpha
-    bp = -2.0 * (fr.beta + 1j * fr.gamma)
-    bm = -2.0 * (fr.beta - 1j * fr.gamma)
-    k11, k12 = fr.kh[0][0], fr.kh[0][1]
-    k21, k22 = fr.kh[1][0], fr.kh[1][1]
-    action = [
-        [1j, z, z, z, z, z],
-        [z, ia, z, z, bm * k12, -bm * k11],
-        [z, z, ia, z, bm * k22, -bm * k21],
-        [z, z, z, -1j, z, z],
-        [z, bp * k21, -bp * k11, z, -ia, z],
-        [z, bp * k22, -bp * k12, z, z, -ia],
-    ]
+    """i on dzeta and alpha I + beta J + gamma K on the base, at the sphere point of zeta."""
+    action = quaternion_action(fr.kh, fr.alpha, fr.beta, fr.gamma, fr.chart)
+    action[0][0], action[3][3] = 1j, -1j  # dzeta, dzeta_bar
     return acs_from_complex_action(fr.chart, action)
 
 
@@ -333,24 +326,21 @@ class FrameDecomposition:
     reconstruction_residual: float
 
 
-class _FrameData:
-    """Jet-level frame decomposition, shared by the curvature operators."""
-
-    def __init__(self, fr: TwistorFrame):
-        # E carries 1/zeta and det E = |zeta|^2 on flat, so the curvatures lose
-        # digits as zeta -> 0: for coupling_solution() at (zeta, 0, 0.4, 0.8,
-        # -0.3, 0.5), anomaly_residual reads 3.3e-10 at zeta = 1e-3, 5.1e-9 at
-        # 3e-4, 8.5e-8 at 1e-4 and 1.6e-2 at 2e-7, and the curvature identities
-        # 9.4e-9 at 1e-4 and 6.0e-7 at 1e-5.  An exact solution would fail the
-        # 1e-8 gates below about 1e-4, so the domain stops at 1e-3.
-        if abs(svalue(fr.zeta)) < 1e-3:
-            raise DomainError("frame decomposition is singular at |zeta| < 1e-3")
-        w = w_field_jets(fr)
-        self.dw = [exterior_derivative(FormValue.scalar(fr.chart, wi)) for wi in w]
-        # the dzeta, dzbar_1 and dzbar_2 components of dw are the Wirtinger derivatives of w
-        self.L = [wirtinger(wi, 0, 1, bar=False) for wi in w]
-        self.C = [wirtinger(wi, 2, 3, bar=True) for wi in w]
-        self.D = [wirtinger(wi, 4, 5, bar=True) for wi in w]
+def frame_coefficients(fr: TwistorFrame):
+    """(L, C, D): the dzeta, dzbar_1 and dzbar_2 components of dw_1, dw_2, as Wirtinger derivatives of w."""
+    # E carries 1/zeta and det E = |zeta|^2 on flat, so the curvatures lose
+    # digits as zeta -> 0: for coupling_solution() at (zeta, 0, 0.4, 0.8,
+    # -0.3, 0.5), anomaly_residual reads 3.3e-10 at zeta = 1e-3, 5.1e-9 at
+    # 3e-4, 8.5e-8 at 1e-4 and 1.6e-2 at 2e-7, and the curvature identities
+    # 9.4e-9 at 1e-4 and 6.0e-7 at 1e-5.  An exact solution would fail the
+    # 1e-8 gates below about 1e-4, so the domain stops at 1e-3.
+    if abs(svalue(fr.zeta)) < 1e-3:
+        raise DomainError("frame decomposition is singular at |zeta| < 1e-3")
+    w = w_field_jets(fr)
+    L = [wirtinger(wi, 0, 1, bar=False) for wi in w]
+    C = [wirtinger(wi, 2, 3, bar=True) for wi in w]
+    D = [wirtinger(wi, 4, 5, bar=True) for wi in w]
+    return L, C, D
 
 
 def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecomposition:
@@ -362,13 +352,14 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     frame rebuilt from the Wirtinger derivatives L, C, D.
     """
     fr = TwistorFrame(model, p, 3)
-    data = _FrameData(fr)
+    L, C, D = frame_coefficients(fr)
+    dw = [d_at_point(FormValue.scalar(fr.chart, wi)) for wi in w_field_jets(fr)]
     chart, ctx = fr.chart, fr.ctx
     # every residual is read at its value: the dbar terms come from d at the
     # point, and the right-hand sides from the values of their factors
     theta1, theta2 = (t.values() for t in theta_coframe_jets(fr))
     theta1_bar, theta2_bar = theta1.conj(), theta2.conj()
-    third = [[[svalue(k) for k in row] for row in plane] for plane in kappa_third_jets(model, fr.jets, offset_pair=1)]
+    third = [[[svalue(k) for k in row] for row in plane] for plane in kappa_third_jets(fr.kh)]
     phase = svalue(1j * (fr.beta - 1j * fr.gamma))
     one_minus_alpha = svalue(1.0 - fr.alpha)
     two_zeta = svalue(2.0 * fr.zeta)
@@ -381,10 +372,8 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     locs = []
     rebuilds = []
     for i in range(2):
-        c, d, l = svalue(data.C[i]), svalue(data.D[i]), svalue(data.L[i])
-        dbar_C, dbar_D, dbar_L = (
-            d_part_at_point(ctx, FormValue.scalar(chart, f), 0, 1) for f in (data.C[i], data.D[i], data.L[i])
-        )
+        c, d, l = svalue(C[i]), svalue(D[i]), svalue(L[i])
+        dbar_C, dbar_D, dbar_L = (d_part_at_point(ctx, FormValue.scalar(chart, f), 0, 1) for f in (C[i], D[i], L[i]))
         rhs_C = (m112.scale(c) - m111.scale(d)).scale(phase)
         rhs_D = (m122.scale(c) - m112.scale(d)).scale(phase)
         simps.append((dbar_C - rhs_C).sup())
@@ -395,11 +384,11 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
         ).scale(d)
         locs.append((lhs_L - rhs_L).sup())
         rebuilt = fr.dzeta.scale(l) + theta1.scale(c) - theta2.scale(d)
-        rebuilds.append((data.dw[i].values() - rebuilt).sup())
+        rebuilds.append((dw[i] - rebuilt).sup())
 
     return FrameDecomposition(
-        L=tuple(svalue(l) for l in data.L),
-        E=tuple((svalue(data.C[i]), svalue(data.D[i])) for i in range(2)),
+        L=tuple(svalue(l) for l in L),
+        E=tuple((svalue(C[i]), svalue(D[i])) for i in range(2)),
         simp_residual=nan_max(simps),
         loc_residual=nan_max(locs),
         reconstruction_residual=nan_max(rebuilds),

@@ -3,8 +3,9 @@
 Each one computes by a route no operator of the package takes, so the
 tests can hold the package's closed forms against it: a form evaluated on
 tangent vectors by minors, J^2 = -1 entry by entry, metric
-skew-hermiticity of a curvature, the frame Gram of the twistor ansatz, the
-complex components of a 1-form through the basis change T^-1, the curvature
+skew-hermiticity of a curvature, the tables of I, J and K written out
+entry by entry, the frame Gram of the twistor ansatz, the complex
+components of a 1-form through the basis change T^-1, the curvature
 certificate wedge by wedge and pair of terms by pair of terms, and the Chern
 curvature of a Gram matrix at the point and its tr(R wedge R) in 50-digit
 arithmetic.
@@ -38,6 +39,33 @@ def form_linear_combo(forms, coeffs) -> FormValue:
 def acs_values(acs) -> AlmostComplexStructure:
     """The structure with its jet entries replaced by their values at the point."""
     return AlmostComplexStructure(acs.chart, [[svalue(e) for e in row] for row in acs.mat])
+
+
+def quaternion_table(which: str, kh) -> list:
+    """I, J or K on [dz1, dz2, dzbar1, dzbar2] of a 4-manifold chart, written out from the Hessian ``kh``; columns are images."""
+    k11, k12 = kh[0][0], kh[0][1]
+    k21, k22 = kh[1][0], kh[1][1]
+    z = 0.0 + 0.0j
+    if which == "I":
+        return [
+            [1j, z, z, z],
+            [z, 1j, z, z],
+            [z, z, -1j, z],
+            [z, z, z, -1j],
+        ]
+    if which == "J":
+        return [
+            [z, z, -2 * k12, 2 * k11],
+            [z, z, -2 * k22, 2 * k21],
+            [-2 * k21, 2 * k11, z, z],
+            [-2 * k22, 2 * k12, z, z],
+        ]
+    return [
+        [z, z, 2j * k12, -2j * k11],
+        [z, z, 2j * k22, -2j * k21],
+        [-2j * k21, 2j * k11, z, z],
+        [-2j * k22, 2j * k12, z, z],
+    ]
 
 
 def stacked(M) -> np.ndarray:

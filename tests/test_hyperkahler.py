@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from stromlab.forms import (
@@ -16,6 +17,7 @@ from stromlab.forms import (
 from stromlab.hyperkahler import (
     EH_CHART,
     FLAT_CHART,
+    TWISTOR_EH,
     DomainError,
     asd_residual,
     cotangent_gram,
@@ -24,13 +26,15 @@ from stromlab.hyperkahler import (
     flat_model,
     kappa_hermitian_jets,
     kappa_third_jets,
+    quaternion_action,
     quaternion_operator,
     triple_forms,
 )
-from stromlab.jets import seed_jets, wirtinger
+from stromlab.jets import Jet, seed_jets, wirtinger
+from stromlab.twistor import TwistorFrame
 
 from coframe_oracle import coframe_gram
-from form_oracles import acs_values
+from form_oracles import acs_values, quaternion_table
 
 
 def sample_points(chart, n, seed, lo=-1.4, hi=1.4, min_r2=0.4):
@@ -48,7 +52,7 @@ EH = eguchi_hanson(1.0)
 
 
 def triple_values(model, p):
-    t = triple_forms(model.chart, kappa_hermitian_jets(model, seed_jets(p.coords, 2)), 0)
+    t = triple_forms(model.chart, kappa_hermitian_jets(model, seed_jets(p.coords, 2)))
     return t.omega_I.values(), t.omega_J.values(), t.omega_K.values()
 
 
@@ -74,7 +78,41 @@ def test_flat_kappa_jet_values():
     assert d(d(kappa, 2, False), 2, True).value == pytest.approx(0.5)
     assert d(k1, 2, True).value == pytest.approx(0.0, abs=1e-15)
     assert d(d(k1, 1, False), 1, True).value == pytest.approx(0.0, abs=1e-15)
-    assert kappa_third_jets(FLAT, seed_jets(p.coords, 3))[0][0][1].value == pytest.approx(0.0, abs=1e-15)
+    third = kappa_third_jets(kappa_hermitian_jets(FLAT, seed_jets(p.coords, 3)))
+    assert all(not k.c.any() for plane in third for row in plane for k in row)
+
+
+def third_wirtinger_derivatives(model, xjets):
+    """kappa_{i jbar kbar} as three Wirtinger derivatives of the potential of the last four of ``xjets``."""
+    base = len(xjets) - 4
+    k = model.kappa(xjets[base:])
+
+    def d(jet, i, bar):
+        return wirtinger(jet, base + 2 * i, base + 2 * i + 1, bar=bar)
+
+    return [[[d(d(d(k, i, False), j, True), l, True) for l in range(2)] for j in range(2)] for i in range(2)]
+
+
+def test_kappa_third_jets_are_the_third_derivatives_of_the_potential():
+    # the Hessian route against kappa differentiated three times, on the base
+    # chart and on a twistor frame, whose Hessian is seeded two orders above
+    # its coordinate jets
+    cases = []
+    for p in sample_points(EH_CHART, 3, seed=71):
+        xj = seed_jets(p.coords, 4)
+        cases.append((kappa_hermitian_jets(EH, xj), xj))
+    tp = point(TWISTOR_EH, 0.5, 0.3, 0.6, -0.2, 0.8, 0.5)
+    fr = TwistorFrame(EH, tp, 3)
+    cases += [(fr.kh, fr.jets), (fr.kh, seed_jets(tp.coords, 5))]
+    for kh, xj in cases:
+        third = kappa_third_jets(kh)
+        oracle = third_wirtinger_derivatives(EH, xj)
+        n = kh[0][0].space.prefix_sizes[min(third[0][0][0].order, oracle[0][0][0].order)]
+        for i in range(2):
+            for j in range(2):
+                for l in range(2):
+                    assert np.array_equal(third[i][j][l].c[:n], oracle[i][j][l].c[:n])
+            np.testing.assert_allclose(third[i][0][1].c[:n], third[i][1][0].c[:n], rtol=1e-13, atol=1e-16)
 
 
 def test_flat_determinant_exact():
@@ -195,7 +233,7 @@ def test_triple_orthogonality_and_volume(model, chart):
 @pytest.mark.parametrize("model,chart", [(FLAT, FLAT_CHART), (EH, EH_CHART)])
 def test_triple_is_closed(model, chart):
     for p in sample_points(chart, 4, seed=31):
-        t = triple_forms(chart, kappa_hermitian_jets(model, seed_jets(p.coords, 3)), 0)
+        t = triple_forms(chart, kappa_hermitian_jets(model, seed_jets(p.coords, 3)))
         for omega in (t.omega_I, t.omega_J, t.omega_K):
             assert exterior_derivative(omega).values().sup() <= 1e-10
 
@@ -205,7 +243,7 @@ def test_two_zero_form_is_dbar_closed_type_20():
     from stromlab.forms import TypeContext, standard_acs
 
     for p in sample_points(EH_CHART, 3, seed=5):
-        t = triple_forms(EH_CHART, kappa_hermitian_jets(EH, seed_jets(p.coords, 3)), 0)
+        t = triple_forms(EH_CHART, kappa_hermitian_jets(EH, seed_jets(p.coords, 3)))
         form = t.omega_J + t.omega_K.scale(1j)
         ctx = TypeContext(standard_acs(EH_CHART))
         parts = ctx.decompose(form.values())
@@ -226,6 +264,23 @@ def test_flat_action_table_cases():
     assert (q["J"].apply(dz1) + dzb2).sup() < 1e-14
     assert (q["K"].apply(dz2) - dzb1.scale(1j)).sup() < 1e-14
     assert (q["I"].apply(dz1) - dz1.scale(1j)).sup() < 1e-14
+
+
+@pytest.mark.parametrize("model,chart", [(FLAT, FLAT_CHART), (EH, EH_CHART)])
+def test_quaternion_action_at_the_unit_vectors_is_the_written_out_table(model, chart):
+    p = point(chart, 0.6, -0.2, 0.8, 0.5)
+    kh = kappa_hermitian_jets(model, seed_jets(p.coords, 2))
+    space = kh[0][0].space
+
+    def coefficients(entry):
+        return entry.c if isinstance(entry, Jet) else Jet.constant(space, entry).c
+
+    for which, unit in (("I", (1, 0, 0)), ("J", (0, 1, 0)), ("K", (0, 0, 1))):
+        for got_row, want_row in zip(quaternion_action(kh, *unit, chart), quaternion_table(which, kh), strict=True):
+            for got, want in zip(got_row, want_row, strict=True):
+                assert np.array_equal(coefficients(got), coefficients(want))
+    with pytest.raises(ValueError):
+        quaternion_operator(kh, "L", chart)
 
 
 @pytest.mark.parametrize("model,chart", [(FLAT, FLAT_CHART), (EH, EH_CHART)])
@@ -266,8 +321,8 @@ def test_triple_of_the_hessian_values_is_the_value_of_the_jet_triple(model, char
     # asd_residual builds the triple from the values of the Hessian; it must equal the jet triple's values bit for bit
     for p in sample_points(chart, 4, seed=59):
         kh = kappa_hermitian_jets(model, seed_jets(p.coords, 4))
-        pointwise = triple_forms(chart, [[svalue(e) for e in row] for row in kh], 0)
-        jet_valued = triple_forms(chart, kh, 0)
+        pointwise = triple_forms(chart, [[svalue(e) for e in row] for row in kh])
+        jet_valued = triple_forms(chart, kh)
         for name in ("omega_I", "omega_J", "omega_K"):
             assert getattr(pointwise, name).terms == getattr(jet_valued, name).values().terms
 
@@ -279,7 +334,7 @@ def test_cotangent_gram_matches_the_generic_coframe_gram(model, chart):
     dz = [d_complex(chart, 0), d_complex(chart, 1)]
     for p in sample_points(chart, 3, seed=61):
         xj = seed_jets(p.coords, 4)
-        omega_I = triple_forms(chart, kappa_hermitian_jets(model, xj), 0).omega_I
+        omega_I = triple_forms(chart, kappa_hermitian_jets(model, xj)).omega_I
         oracle = coframe_gram(omega_I, standard_acs(chart), dz)
         gram = cotangent_gram(model, xj)
         scale = max(max(abs(c) for c in e.c) for row in oracle for e in row)

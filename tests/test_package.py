@@ -63,3 +63,40 @@ def test_tests_and_benchmark_import_only_declared_dependencies():
     for path in files:
         unknown = top_level_imports(path) - set(sys.stdlib_module_names) - local - declared
         assert not unknown, f"{path.name} imports undeclared {sorted(unknown)}"
+
+
+def python_files() -> dict:
+    """Every source file of the package, the tests and the benchmark, by the module name its importers use."""
+    files = {f"stromlab.{path.stem}": path for path in sorted((ROOT / "src" / "stromlab").glob("*.py"))}
+    for folder in ("tests", "perfbench"):
+        files.update({path.stem: path for path in sorted((ROOT / folder).glob("*.py"))})
+    return files
+
+
+def imported_names(module: str, tree: ast.Module):
+    """(bound name, source module, imported name) for each name an import statement binds."""
+    package = module.rpartition(".")[0]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0], a.name, None
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = f"{package}.{node.module or ''}".rstrip(".") if node.level else node.module
+            for a in node.names:
+                yield a.asname or a.name, source, a.name
+
+
+def test_no_unused_imports():
+    # a name no module references is unused, unless another file imports it from this one (a re-export)
+    files = python_files()
+    trees = {module: ast.parse(path.read_text()) for module, path in files.items()}
+    reexported = {
+        (source, name) for module, tree in trees.items() for _, source, name in imported_names(module, tree)
+    }
+    unused = []
+    for module, tree in trees.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for bound, _, name in imported_names(module, tree):
+            if bound not in used and (module, name) not in reexported:
+                unused.append(f"{files[module].relative_to(ROOT)}: {bound}")
+    assert not unused, f"imported and never used: {unused}"

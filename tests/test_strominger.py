@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stromlab.forms import (
+    ChartMismatch,
     DomainError,
     FormValue,
     TypeContext,
@@ -715,6 +716,16 @@ def test_hym_gate_fails_on_a_nan_curvature_coefficient():
     assert not hym_residual(FLAT, params, p, curvature=F) <= 1e-8
 
 
+def test_hym_and_anomaly_name_a_curvature_off_the_twistor_chart():
+    # a (2, 2, 6) array is a curvature on a 4-dimensional chart; the twistor chart has C(6, 2) = 15 pairs
+    p = twistor_points(FLAT, 1, seed=83)[0]
+    params = AnsatzParams.coupling_solution()
+    F = np.zeros((2, 2, 6), dtype=np.complex128)
+    for operator in (hym_residual, anomaly_residual):
+        with pytest.raises(ChartMismatch, match="twistor_flat"):
+            operator(FLAT, params, p, curvature=F)
+
+
 def test_curvature_sup_propagates_a_nan_that_is_not_first():
     C = TWISTOR_FLAT
     F = stacked([[FormValue(C, 2, {(0, 1): 1e-20}), FormValue(C, 2, {(0, 1): float("nan")})]])
@@ -764,9 +775,9 @@ def test_radial_expansion_matches_dolbeault_machinery():
     d_rho = differential_of_scalar(rho, fr.chart)
     prof_d1 = svalue((-1.5) * rho.reciprocal() + 0.2)
     prof_d2 = svalue(1.5 * (rho * rho).reciprocal())
-    Id_rho = quaternion_operator(fr.kh, "I", fr.chart, 1).apply(d_rho)
-    Jd_rho = quaternion_operator(fr.kh, "J", fr.chart, 1).apply(d_rho)
-    Kd_rho = quaternion_operator(fr.kh, "K", fr.chart, 1).apply(d_rho)
+    Id_rho = quaternion_operator(fr.kh, "I", fr.chart).apply(d_rho)
+    Jd_rho = quaternion_operator(fr.kh, "J", fr.chart).apply(d_rho)
+    Kd_rho = quaternion_operator(fr.kh, "K", fr.chart).apply(d_rho)
     frak = Id_rho.scale(fr.alpha) + Jd_rho.scale(fr.beta) + Kd_rho.scale(fr.gamma)
     sphere = (
         differential_of_scalar(fr.alpha, fr.chart).wedge(Id_rho)
@@ -791,9 +802,9 @@ def test_quaternion_identity_on_twistor_chart():
     fr = TwistorFrame(FLAT, p, 2)
     rho = fr.x[0] * fr.x[0] + fr.x[1] * fr.x[1] + fr.x[2] * fr.x[2] + fr.x[3] * fr.x[3]
     d_rho = differential_of_scalar(rho, fr.chart)
-    Id_rho = quaternion_operator(fr.kh, "I", fr.chart, 1).apply(d_rho)
-    Jd_rho = quaternion_operator(fr.kh, "J", fr.chart, 1).apply(d_rho)
-    Kd_rho = quaternion_operator(fr.kh, "K", fr.chart, 1).apply(d_rho)
+    Id_rho = quaternion_operator(fr.kh, "I", fr.chart).apply(d_rho)
+    Jd_rho = quaternion_operator(fr.kh, "J", fr.chart).apply(d_rho)
+    Kd_rho = quaternion_operator(fr.kh, "K", fr.chart).apply(d_rho)
     lhs = d_rho.wedge(Id_rho).values() + fr.triple.omega_I.values().scale(4.0 * svalue(rho))
     rhs = Jd_rho.wedge(Kd_rho).values()
     assert (lhs - rhs).sup() <= 1e-11 * max(1.0, rhs.sup())

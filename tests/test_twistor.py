@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 
@@ -8,7 +7,6 @@ import pytest
 from stromlab.forms import (
     DomainError,
     FormValue,
-    TypeContext,
     d_complex,
     d_complex_bar,
     exterior_derivative,
@@ -16,16 +14,14 @@ from stromlab.forms import (
     mat_inv,
     nan_max,
     point,
-    standard_acs,
     svalue,
     top_ratio,
 )
-from stromlab.hyperkahler import eguchi_hanson, flat_model, kappa_hermitian_jets
+from stromlab.hyperkahler import eguchi_hanson, flat_model
 from stromlab.jets import seed_jets
 from stromlab.sampling import box, random_ansatz_params, sample_points
 from stromlab.twistor import (
     C3_CHART,
-    TWISTOR_EH,
     TWISTOR_FLAT,
     AnsatzParams,
     TwistorFrame,
@@ -33,8 +29,8 @@ from stromlab.twistor import (
     frame_decompose,
     omega_norm,
     sphere_jets,
+    frame_coefficients,
     theta_coframe_jets,
-    _FrameData,
     w_field_jets,
 )
 
@@ -440,10 +436,11 @@ def test_frame_decompose_closed_form():
 def test_wirtinger_frame_coefficients_match_the_basis_change_of_dw():
     # L, C, D are the Wirtinger derivatives of w; T^-1 reads the same components off dw
     for p in twistor_points(FLAT, 3, seed=107):
-        data = _FrameData(TwistorFrame(FLAT, p, 3))
-        for i in range(2):
-            comps = to_complex_components(data.dw[i])
-            for got, want in ((data.L[i], comps[0]), (data.C[i], comps[4]), (data.D[i], comps[5])):
+        fr = TwistorFrame(FLAT, p, 3)
+        L, C, D = frame_coefficients(fr)
+        for i, w in enumerate(w_field_jets(fr)):
+            comps = to_complex_components(exterior_derivative(FormValue.scalar(fr.chart, w)))
+            for got, want in ((L[i], comps[0]), (C[i], comps[4]), (D[i], comps[5])):
                 assert got.order == want.order == 2
                 n = got.space.prefix_sizes[got.order]
                 np.testing.assert_allclose(got.c[:n], want.c[:n], rtol=0.0, atol=1e-15)
