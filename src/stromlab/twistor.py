@@ -30,8 +30,8 @@ from .forms import (
     FormValue,
     TypeContext,
     acs_from_complex_action,
-    d_complex,
     d_at_point,
+    d_complex,
     d_complex_bar,
     d_part_at_point,
     nan_max,

@@ -78,6 +78,7 @@ def test_flat_kappa_jet_values():
     assert d(d(kappa, 2, False), 2, True).value == pytest.approx(0.5)
     assert d(k1, 2, True).value == pytest.approx(0.0, abs=1e-15)
     assert d(d(k1, 1, False), 1, True).value == pytest.approx(0.0, abs=1e-15)
+    # the third derivatives come from the constant flat Hessian, so they are exactly 0
     third = kappa_third_jets(kappa_hermitian_jets(FLAT, seed_jets(p.coords, 3)))
     assert all(not k.c.any() for plane in third for row in plane for k in row)
 
