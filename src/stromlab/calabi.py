@@ -18,8 +18,9 @@ once built.  A frame's order is the validity order of its metric.
 ``_frame`` hands out a kept frame of at least the order asked for, and
 keeps only the two frames used last (a point certifies the theorem metric
 and then a must-fail profile, and the theorem frame must survive the
-second); a frame whose jet space is no longer ``jet_space(dim, order + 1)``
-(after ``jet_space.cache_clear()``) is rebuilt.  Each operator reads the
+second); a frame whose jets live in a stale jet space (after
+``jet_space.cache_clear()``) is rebuilt.  ``jets.kept_frame`` states that
+rule once for these frames and the twistor frames.  Each operator reads the
 frame only to the order it needs: ``extremal_residual`` at order 6,
 ``chern_scalar`` at 2, ``km_balanced_residual`` at 1 and ``volume_norm`` at
 0.  The low coefficients of a truncated product or composition do not depend
@@ -53,7 +54,7 @@ from .forms import (
     top_ratio,
     volume_form_norm,
 )
-from .jets import Jet, jet_space, seed_jets, wirtinger
+from .jets import Jet, jet_space, kept_frame, seed_jets, wirtinger
 
 
 class ZeroSectionError(DomainError):
@@ -282,21 +283,8 @@ _FRAMES: dict = {}  # (base, params, point) -> frame; the two used last, the old
 
 
 def _frame(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint, order: int) -> CanonicalBundleFrame:
-    """A frame of order >= ``order`` at the point, shared by the operators.
-
-    A kept frame serves if its order suffices and its jets still live in
-    the space ``jet_space`` returns for its order (a cleared cache makes new
-    spaces); otherwise one is built at ``order`` and replaces it.  Only the
-    two frames used last are kept.
-    """
-    key = (base, params, p)
-    fr = _FRAMES.pop(key, None)
-    if fr is None or fr.order < order or fr.jets[0].space is not jet_space(p.chart.dim, fr.order + 1):
-        fr = CanonicalBundleFrame(base, params, p, order)
-    _FRAMES[key] = fr
-    if len(_FRAMES) > 2:
-        del _FRAMES[next(iter(_FRAMES))]
-    return fr
+    """A frame of order >= ``order`` at the point, shared by the operators; one of the two kept (``kept_frame``)."""
+    return kept_frame(_FRAMES, (base, params, p), order, lambda: CanonicalBundleFrame(base, params, p, order), 2)
 
 
 def _read_to(form: FormValue, order: int) -> FormValue:

@@ -18,6 +18,7 @@ complex ones, so no caller passes an offset.
 The hyperkahler condition pins the complex Monge-Ampere determinant of
 the potential to 1/4, which is the certification oracle: a candidate
 potential is only trusted once :func:`det_residual` vanishes on a sample.
+It and :func:`asd_residual` read one kept order-4 Hessian per base point.
 
 The Eguchi-Hanson model lives on the punctured double cover C^2 minus the
 origin; the Z_2 quotient and the zero section are never represented, so
@@ -47,7 +48,7 @@ from .forms import (
     standard_acs,
     svalue,
 )
-from .jets import Jet, seed_jets, wirtinger
+from .jets import Jet, jet_space, seed_jets, wirtinger
 
 FLAT_CHART = Chart("flat_r4", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
 EH_CHART = Chart("eguchi_hanson_cover", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
@@ -268,12 +269,16 @@ def quaternion_operator(kh, which: str, chart: Chart) -> AlmostComplexStructure:
 
 
 def det_residual(model: HyperkahlerModel, p: ChartPoint) -> float:
-    """|kappa_{1 1bar} kappa_{2 2bar} - kappa_{1 2bar} kappa_{2 1bar} - 1/4|."""
+    """|kappa_{1 1bar} kappa_{2 2bar} - kappa_{1 2bar} kappa_{2 1bar} - 1/4|, from the values of the point's Hessian.
+
+    The Hessian is the order-4 one that :func:`asd_residual` reads at the
+    same point (see :func:`_base_geometry`), read to order 0: its values do
+    not depend on the order it is built to, and order-0 jet products round
+    as the products of a higher-order jet do at the point.
+    """
     model.check_domain(p.coords)
-    xjets = seed_jets(p.coords, 2)
-    kh = kappa_hermitian_jets(model, xjets)
-    det = kh[0][0] * kh[1][1] - kh[0][1] * kh[1][0]
-    return abs(svalue(det) - MONGE_AMPERE_TARGET)
+    (k11, k12), (k21, k22) = ([e.to_order(0) for e in row] for row in _base_geometry(model, p)[0])
+    return abs(svalue(k11 * k22 - k12 * k21) - MONGE_AMPERE_TARGET)
 
 
 def cotangent_gram(model: HyperkahlerModel, xjets):
@@ -292,15 +297,36 @@ def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
 
     Returns the sup over the coefficients of F wedge omega_{I,J,K} and of
     the (2,0)/(0,2) parts of F, relative to the size of the entering terms.
-    A perturbed, non-hyperkahler Gram can be passed to probe failure.
+    A perturbed, non-hyperkahler Gram can be passed to probe failure; either
+    way the Hessian, the triple and the type context are the point's kept
+    ones (:func:`_base_geometry`).
     """
     model.check_domain(p.coords)
-    xjets = seed_jets(p.coords, 4)
-    ctx = TypeContext(standard_acs(model.chart))
-    kh = kappa_hermitian_jets(model, xjets)
-    # the certificate reads the triple at the point only
-    triple = triple_forms(model.chart, [[svalue(e) for e in row] for row in kh])
+    kh, triple, ctx = _base_geometry(model, p)
     if gram is None:
         gram = _dz_gram(kh)
     F = gram_curvature(gram, ctx)
     return curvature_residual(F, [triple.omega_I, triple.omega_J, triple.omega_K], ctx)
+
+
+_BASE: dict = {}  # one entry: (model, point, jet space) -> (Hessian, triple, context)
+
+
+def _base_geometry(model: HyperkahlerModel, p: ChartPoint):
+    """The order-4 Hessian of the potential at a base point, its triple at the point, and the standard context.
+
+    ``asd_residual`` (plain and perturbed) and ``det_residual`` read them,
+    so a point pays for one Hessian and one context.  Only the point used
+    last is kept; keying on the jet space keeps a cleared ``jet_space``
+    cache from handing out jets of a stale space.
+    """
+    key = (model, p, jet_space(len(p.coords), 4))
+    got = _BASE.get(key)
+    if got is None:
+        kh = kappa_hermitian_jets(model, seed_jets(p.coords, 4))
+        # the certificate reads the triple at the point only
+        triple = triple_forms(model.chart, [[svalue(e) for e in row] for row in kh])
+        got = (kh, triple, TypeContext(standard_acs(model.chart)))
+        _BASE.clear()
+        _BASE[key] = got
+    return got

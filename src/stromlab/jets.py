@@ -176,6 +176,27 @@ def jet_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
 
 
+def kept_frame(memo: dict, key, order: int, build, keep: int):
+    """The frame kept in ``memo`` under ``key`` if it serves ``order``, else ``build()``, which replaces it.
+
+    A frame has an ``order`` and coordinate ``jets``.  A kept frame serves
+    if its order is at least ``order`` and its jets still live in the space
+    ``jet_space`` returns for them (a cleared cache makes new spaces).  Only
+    the ``keep`` frames used last are kept, the older first.
+    """
+    fr = memo.pop(key, None)
+    if fr is not None:
+        space = fr.jets[0].space
+        if fr.order < order or space is not jet_space(space.nvars, space.order):
+            fr = None
+    if fr is None:
+        fr = build()
+    memo[key] = fr
+    if len(memo) > keep:
+        del memo[next(iter(memo))]
+    return fr
+
+
 def _mul_coeffs(space: JetSpace, a: np.ndarray, b: np.ndarray, order: int, mask: int) -> np.ndarray:
     """Coefficients of a * b valid to degree ``order``, for factors supported in ``mask``.
 

@@ -20,6 +20,13 @@ The curvatures R (of the frame Gram) and F' (of the quotient Gram) are the
 stacked arrays that ``gram_curvature`` returns, read as they are by
 ``curvature_residual`` and ``matrix_wedge_trace``; only their traces, which
 enter identities of forms, are built as forms (``_trace``).
+
+The operators at one point share its geometry.  ``balanced_residual`` asks
+``twistor.twistor_frame`` for an order-1 frame; HYM, the anomaly and the
+identities share one :class:`AnsatzCurvatureData` on the order-4 frame,
+which ``twistor.frame_decompose`` then reads too.  The curvature data of
+the params used last is kept beside that frame, never on it, so neither is
+held by a reference cycle.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from .forms import (
 )
 from .hyperkahler import HyperkahlerModel, flat_model, quaternion_operator
 from .jets import Jet, jet_space
-from .twistor import AnsatzParams, TwistorFrame, frame_coefficients
+from .twistor import AnsatzMetric, AnsatzParams, TwistorFrame, twistor_frame
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +69,12 @@ def balanced_residual(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoi
 
     The norm profile s^4 e^{-2h-2g} is used for |Omega|; its agreement with
     the honest top-form ratio is certified separately, and the constant
-    factor is killed by d anyway.  d is read only at the point, so the
-    frame is built to order 1.
+    factor is killed by d anyway.  d is read only at the point, so it
+    asks the point's kept frame for order 1.
     """
-    fr = TwistorFrame(model, p, 1, params)
-    omega = fr.metric()
-    return closedness_residual(omega.wedge(omega).scale(fr.norm_profile()))
+    ansatz = AnsatzMetric(twistor_frame(model, p, 1), params)
+    omega = ansatz.metric()
+    return closedness_residual(omega.wedge(omega).scale(ansatz.norm_profile()))
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +84,20 @@ def balanced_residual(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoi
 class AnsatzCurvatureData:
     """Shared jet assembly for the curvature-level operators (flat models only: the frame needs w1, w2).
 
-    The frame and quotient curvatures are computed on first use and kept,
-    so the operators reading both at one point pay for each once.
+    It reads the point's kept order-4 frame (``twistor_frame``), with its
+    structure, type context and frame coefficients, which
+    ``frame_decompose`` then shares; the profiles of ``params`` and the
+    metric sit beside the frame in ``ansatz``.  The frame and quotient
+    curvatures are computed on first use and kept, so the operators reading
+    both at one point pay for each once.
     """
 
     def __init__(self, model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint):
-        self.fr = fr = TwistorFrame(model, p, 4, params)
-        L, C, D = frame_coefficients(fr)
-        self.A = fr.s * fr.s * (-2.0 * fr.g).exp() * 0.5
-        self.B = fr.s * fr.s * fr.s * (-2.0 * fr.h - fr.g).exp()
+        self.fr = fr = twistor_frame(model, p, 4)
+        self.ansatz = ansatz = AnsatzMetric(fr, params)
+        L, C, D = fr.coefficients
+        self.A = fr.s * fr.s * (-2.0 * ansatz.g).exp() * 0.5
+        self.B = fr.s * fr.s * fr.s * (-2.0 * ansatz.h - ansatz.g).exp()
         self.Lvec = [fr.zeta * L[0], fr.zeta * L[1]]
         K = mat_inv(fr.kh)
         E = [[C[0], D[0]], [C[1], D[1]]]
@@ -169,20 +181,21 @@ def _trace(F: np.ndarray, chart: Chart) -> FormValue:
     return FormValue.from_vector(chart, 2, out)
 
 
-_DATA_CACHE: dict = {}  # one entry: (model, params, point, jet space) -> AnsatzCurvatureData
+_DATA: dict = {}  # one entry: params -> AnsatzCurvatureData on the kept frame
 
 
 def _curvature_data(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> AnsatzCurvatureData:
     """The order-4 curvature data of the point, shared by HYM, the anomaly and the identities.
 
-    Keying on the jet space object keeps a cleared ``jet_space`` cache from
-    handing out jets of a stale space.
+    It sits beside the frame ``twistor_frame`` keeps, never on it, and
+    serves while that frame does: a new point, or a cleared ``jet_space``
+    cache, gives a new frame and so new data.
     """
-    key = (model, params, p, jet_space(p.chart.dim, 4))
-    data = _DATA_CACHE.get(key)
-    if data is None:
-        _DATA_CACHE.clear()
-        data = _DATA_CACHE[key] = AnsatzCurvatureData(model, params, p)
+    fr = twistor_frame(model, p, 4)
+    data = _DATA.get(params)
+    if data is None or data.fr is not fr:
+        _DATA.clear()
+        data = _DATA[params] = AnsatzCurvatureData(model, params, p)
     return data
 
 
@@ -204,7 +217,7 @@ def hym_residual(
     """
     data = _curvature_data(model, params, p)
     F = curvature if curvature is not None else data.quotient_curvature()
-    omega = data.fr.metric().values()
+    omega = data.ansatz.metric().values()
     return curvature_residual(F, [omega.wedge(omega)], data.fr.ctx)
 
 
@@ -272,7 +285,7 @@ def anomaly_residual(
     quotient Gram.  A replacement F is stacked as for ``hym_residual``.
     """
     data = _curvature_data(model, params, p)
-    torsion = del_dbar_at_point(data.fr.ctx, data.fr.metric()).scale(1j)
+    torsion = del_dbar_at_point(data.fr.ctx, data.ansatz.metric()).scale(1j)
 
     tr_RR = data.tr_RR()
     F = curvature if curvature is not None else data.quotient_curvature()

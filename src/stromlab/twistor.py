@@ -15,6 +15,15 @@ chart map; the differentials of its coordinates w1, w2 decompose in the
 local coframe {dzeta, theta_1, theta_2} with the coefficients of
 ``frame_coefficients``, which is where the quotient-bundle curvature
 computations start.
+
+The operators at one point share its :class:`TwistorFrame`:
+``twistor_frame`` keeps the frame used last and hands it out to any reader
+of at most its order, by the rule ``jets.kept_frame`` states.  The low
+coefficients of a truncated product or composition do not depend on the
+truncation order, so a reader gets the same bits from any frame of at least
+its order.  A frame holds no ansatz profiles; the profiles of one
+:class:`AnsatzParams` and the metric they make are an :class:`AnsatzMetric`
+beside it.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from .hyperkahler import (
     quaternion_action,
     triple_forms,
 )
-from .jets import Jet, seed_jets, wirtinger
+from .jets import Jet, kept_frame, seed_jets, wirtinger
 
 C3_CHART = Chart("c3", ("zr", "zi", "w1r", "w1i", "w2r", "w2i"), ("zeta", "w1", "w2"))
 
@@ -148,15 +157,19 @@ class AnsatzParams:
 # per-point assembly shared by the residual operators
 
 class TwistorFrame:
-    """Jets of every basic quantity of the ansatz at one twistor point, each valid to ``order``.
+    """Jets of every basic quantity of the twistor space at one point, each valid to ``order``.
 
     The kappa Hessian costs two orders on a model that is not flat, so
     there the coordinates are seeded two orders higher for kappa only; the
-    coordinate jets the frame holds, and so the sphere, g and h, are those
-    seeds read to ``order``.
+    coordinate jets the frame holds, and so the sphere, are those seeds read
+    to ``order``.  The twistor structure, its type context and the frame
+    coefficients are built on first use and kept; do not mutate them.  A
+    frame holds no ansatz profiles: those sit beside it, in an
+    :class:`AnsatzMetric` that refers to the frame, so a frame is freed as
+    soon as its last holder lets it go.
     """
 
-    def __init__(self, model: HyperkahlerModel, p: ChartPoint, order: int, params: AnsatzParams | None = None):
+    def __init__(self, model: HyperkahlerModel, p: ChartPoint, order: int):
         chart = model.twistor_chart
         if p.chart != chart:
             raise ValueError(f"point lives on {p.chart.name!r}, expected {chart.name!r}")
@@ -178,12 +191,9 @@ class TwistorFrame:
         self.dzeta_bar = d_complex_bar(chart, 0)
         self.dz = [d_complex(chart, 1), d_complex(chart, 2)]
         self.dzb = [d_complex_bar(chart, 1), d_complex_bar(chart, 2)]
-        if params is not None:
-            self.g = params.g_fn(self.zr, self.zi)
-            self.h = params.h_fn(*self.x)
         self._acs = None
         self._ctx = None
-        self._metric = None
+        self._coefficients = None
 
     @property
     def acs(self) -> AlmostComplexStructure:
@@ -198,6 +208,13 @@ class TwistorFrame:
             self._ctx = TypeContext(self.acs)
         return self._ctx
 
+    @property
+    def coefficients(self):
+        """(L, C, D) of :func:`frame_coefficients`, built once per frame."""
+        if self._coefficients is None:
+            self._coefficients = frame_coefficients(self)
+        return self._coefficients
+
     def fiber_form(self) -> FormValue:
         """alpha omega_I + beta omega_J + gamma omega_K."""
         return self.triple.combination(self.alpha, self.beta, self.gamma)
@@ -206,19 +223,6 @@ class TwistorFrame:
         """Round metric of radius 1 on the zeta-plane: 2i/s^2 dzeta^dzeta_bar."""
         s2inv = (self.s * self.s).reciprocal()
         return self.dzeta.wedge(self.dzeta_bar).scale(2j * s2inv)
-
-    def metric(self) -> FormValue:
-        """The Hermitian ansatz form, built once per frame; do not mutate."""
-        if self._metric is None:
-            s2inv = (self.s * self.s).reciprocal()
-            conf = (2.0 * self.h + self.g).exp() * s2inv
-            self._metric = self.fiber_form().scale(conf) + self.fubini_study().scale((2.0 * self.g).exp())
-        return self._metric
-
-    def norm_profile(self) -> Jet:
-        """s^4 e^{-2h-2g}: the volume-form norm up to a constant."""
-        s2 = self.s * self.s
-        return s2 * s2 * (-2.0 * self.h - 2.0 * self.g).exp()
 
     def volume_3form(self) -> FormValue:
         return (
@@ -235,6 +239,47 @@ def _twistor_acs_from_frame(fr: TwistorFrame) -> AlmostComplexStructure:
     return acs_from_complex_action(fr.chart, action)
 
 
+_FRAMES: dict = {}  # one entry: (model, point) -> the frame used last
+
+
+def twistor_frame(model: HyperkahlerModel, p: ChartPoint, order: int) -> TwistorFrame:
+    """A frame of order >= ``order`` at the point, shared by the operators there (``jets.kept_frame``).
+
+    Only the frame used last is kept.  A flat point builds one at order 1
+    for ``balanced_residual`` and one at order 4 for the curvature data,
+    which ``frame_decompose`` then reads too.
+    """
+    return kept_frame(_FRAMES, (model, p), order, lambda: TwistorFrame(model, p, order), 1)
+
+
+class AnsatzMetric:
+    """The profiles g, h of ``params`` on a frame and the Hermitian ansatz form they make.
+
+    It refers to its frame and the frame never to it, so no reference cycle
+    keeps either alive.
+    """
+
+    def __init__(self, fr: TwistorFrame, params: AnsatzParams):
+        self.fr = fr
+        self.g = params.g_fn(fr.zr, fr.zi)
+        self.h = params.h_fn(*fr.x)
+        self._metric = None
+
+    def metric(self) -> FormValue:
+        """The Hermitian ansatz form, built once per record; do not mutate."""
+        if self._metric is None:
+            fr = self.fr
+            s2inv = (fr.s * fr.s).reciprocal()
+            conf = (2.0 * self.h + self.g).exp() * s2inv
+            self._metric = fr.fiber_form().scale(conf) + fr.fubini_study().scale((2.0 * self.g).exp())
+        return self._metric
+
+    def norm_profile(self) -> Jet:
+        """s^4 e^{-2h-2g}: the volume-form norm up to a constant."""
+        s2 = self.fr.s * self.fr.s
+        return s2 * s2 * (-2.0 * self.h - 2.0 * self.g).exp()
+
+
 def omega_norm(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> float:
     """Norm of the holomorphic volume form against the ansatz metric.
 
@@ -243,8 +288,8 @@ def omega_norm(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> 
     omega^3 is positive.  Only ratios across points are meaningful since
     the overall constant is conventional.
     """
-    fr = TwistorFrame(model, p, 0, params)
-    return volume_form_norm(fr.volume_3form().values(), fr.metric().values())
+    fr = TwistorFrame(model, p, 0)
+    return volume_form_norm(fr.volume_3form().values(), AnsatzMetric(fr, params).metric().values())
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +394,12 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     ``simp_residual`` checks the dbar-compatibility system satisfied by the
     C, D coefficient fields; ``loc_residual`` the corresponding equation
     for 2 zeta dbar L; ``reconstruction_residual`` compares dw with the
-    frame rebuilt from the Wirtinger derivatives L, C, D.
+    frame rebuilt from the Wirtinger derivatives L, C, D.  It reads the
+    point's kept frame, with its context and coefficients: the order-4 one
+    of the curvature data when that was built first.
     """
-    fr = TwistorFrame(model, p, 3)
-    L, C, D = frame_coefficients(fr)
+    fr = twistor_frame(model, p, 3)
+    L, C, D = fr.coefficients
     dw = [d_at_point(FormValue.scalar(fr.chart, wi)) for wi in w_field_jets(fr)]
     chart, ctx = fr.chart, fr.ctx
     # every residual is read at its value: the dbar terms come from d at the

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from stromlab.twistor import (
     C3_CHART,
     TWISTOR_EH,
     TWISTOR_FLAT,
+    AnsatzMetric,
     AnsatzParams,
     TwistorFrame,
     frame_decompose,
@@ -90,19 +93,20 @@ def test_flat_balanced_order_one_frame_matches_order_three():
     # the flat kappa Hessian is constant, so the order-1 frame gives the same bits
     for k, p in enumerate(twistor_points(FLAT, 4, seed=61)):
         params = random_ansatz_params(seed=7, pair_index=k)
-        fr = TwistorFrame(FLAT, p, 3, params)
-        omega = fr.metric()
-        assert balanced_residual(FLAT, params, p) == closedness_residual(omega.wedge(omega).scale(fr.norm_profile()))
+        ansatz = AnsatzMetric(TwistorFrame(FLAT, p, 3), params)
+        omega = ansatz.metric()
+        assert balanced_residual(FLAT, params, p) == closedness_residual(omega.wedge(omega).scale(ansatz.norm_profile()))
 
 
 def test_balanced_counterexample_without_sphere_factor():
     # dropping the 1/s^2 factor on the fiber part breaks the equation
     p = twistor_points(FLAT, 1, seed=9)[0]
-    fr = TwistorFrame(FLAT, p, 3, AnsatzParams.constants())
-    broken = fr.fiber_form().scale((2.0 * fr.h + fr.g).exp()) + fr.fubini_study().scale(
-        (2.0 * fr.g).exp()
+    fr = TwistorFrame(FLAT, p, 3)
+    ansatz = AnsatzMetric(fr, AnsatzParams.constants())
+    broken = fr.fiber_form().scale((2.0 * ansatz.h + ansatz.g).exp()) + fr.fubini_study().scale(
+        (2.0 * ansatz.g).exp()
     )
-    assert closedness_residual(broken.wedge(broken).scale(fr.norm_profile())) >= 1e-3
+    assert closedness_residual(broken.wedge(broken).scale(ansatz.norm_profile())) >= 1e-3
 
 
 # -- generic Chern curvature -----------------------------------------------------
@@ -306,7 +310,7 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
     data = AnsatzCurvatureData(FLAT, params, p)
     H, f, ctx = frame_gram(data), data.B.log(), data.fr.ctx
     to_order = Jet.to_order
-    strominger._DATA_CACHE.clear()
+    clear_point_memos()
     with monkeypatch.context() as m:
         m.setattr(Jet, "to_order", lambda self, o: to_order(self, max(o - 1, 0)))
         with pytest.raises(InsufficientJetOrder):
@@ -315,7 +319,7 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
             dbar_del_scalar(ctx, f)
         with pytest.raises(InsufficientJetOrder):
             hym_residual(FLAT, params, p)
-    strominger._DATA_CACHE.clear()
+    clear_point_memos()
     # the form that del_dbar_at_point receives, alone, read to order 1, one
     # below the order 2 it needs: the metric for the anomaly and (A/B) W for
     # the identities.  R, F' and dbar del log B still get their order, and
@@ -330,7 +334,7 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
         for op in (anomaly_residual, curvature_identities):
             with pytest.raises(InsufficientJetOrder, match="order-0 jet"):
                 op(FLAT, params, p)
-    strominger._DATA_CACHE.clear()
+    clear_point_memos()
 
 
 def test_curvature_data_is_memoised_per_object():
@@ -341,9 +345,16 @@ def test_curvature_data_is_memoised_per_object():
     assert AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p) is not data
 
 
+def clear_point_memos():
+    """Empty the per-point memos: the kept twistor frame, the curvature data beside it, the Eguchi-Hanson base geometry."""
+    twistor._FRAMES.clear()
+    strominger._DATA.clear()
+    hyperkahler._BASE.clear()
+
+
 def cold(fn, *args, **kwargs):
-    """``fn`` on empty per-point caches."""
-    strominger._DATA_CACHE.clear()
+    """``fn`` on empty per-point memos."""
+    clear_point_memos()
     return fn(*args, **kwargs)
 
 
@@ -352,7 +363,7 @@ def test_shared_curvature_data_gives_the_cold_cache_values():
     params = random_ansatz_params(seed=151, pair_index=0)
     ops = (hym_residual, anomaly_residual, curvature_identities)
     want = [cold(op, FLAT, params, p) for op in ops]
-    strominger._DATA_CACHE.clear()
+    clear_point_memos()
     assert [op(FLAT, params, p) for op in ops] == want
 
 
@@ -375,8 +386,9 @@ def test_shared_curvature_data_survives_a_cleared_jet_space_cache():
     hym_residual(FLAT, params, p)
     jet_space.cache_clear()
     assert curvature_identities(FLAT, params, p) == want
-    data = strominger._DATA_CACHE[next(iter(strominger._DATA_CACHE))]
+    data = strominger._DATA[params]
     assert data.fr.zr.space is jet_space(6, 4)
+    assert twistor._FRAMES[FLAT, p] is data.fr
 
 
 def with_a_nan(F):
@@ -557,13 +569,14 @@ def test_one_kappa_hessian_per_eguchi_hanson_frame(monkeypatch):
 
 def test_one_kappa_hessian_per_flat_curvature_data(monkeypatch):
     p = twistor_points(FLAT, 1, seed=72)[0]
-    strominger._DATA_CACHE.clear()
+    clear_point_memos()
     calls = count_kappa_hessians(monkeypatch)
     strominger._curvature_data(FLAT, AnsatzParams.coupling_solution(), p)
     assert calls == [FLAT]
 
 
 def test_one_kappa_hessian_per_asd_residual(monkeypatch):
+    clear_point_memos()
     calls = count_kappa_hessians(monkeypatch)
     asd_residual(EH, point(EH_CHART, 0.6, -0.3, 0.5, 0.4))
     assert calls == [EH]
@@ -578,7 +591,7 @@ def test_one_kappa_hessian_per_radial_h_residual(monkeypatch):
 def test_one_metric_per_twistor_frame(monkeypatch):
     p = twistor_points(FLAT, 1, seed=73)[0]
     params = AnsatzParams.coupling_solution()
-    strominger._DATA_CACHE.clear()
+    clear_point_memos()
     calls = []
     orig = TwistorFrame.fiber_form
 
@@ -589,9 +602,108 @@ def test_one_metric_per_twistor_frame(monkeypatch):
     monkeypatch.setattr(TwistorFrame, "fiber_form", counted)
     hym_residual(FLAT, params, p)
     anomaly_residual(FLAT, params, p)
-    fr = strominger._curvature_data(FLAT, params, p).fr
-    assert calls == [fr]  # hym and the anomaly share one metric of the cached frame
-    assert fr.metric() is fr.metric()
+    data = strominger._curvature_data(FLAT, params, p)
+    assert calls == [data.fr]  # hym and the anomaly share one metric beside the kept frame
+    assert data.ansatz.metric() is data.ansatz.metric()
+
+
+# -- the geometry of a point, built once ---------------------------------------------
+
+
+def eh_perturbed_gram(p):
+    """The Eguchi-Hanson cotangent Gram at ``p`` with |z1|^2 |z2|^2 / 2 added to its 1 1bar entry: not hyperkahler."""
+    xj = seed_jets(p.coords, 4)
+    gram = cotangent_gram(EH, xj)
+    gram[0][0] = gram[0][0] + (xj[0] * xj[0] + xj[1] * xj[1]) * (xj[2] * xj[2] + xj[3] * xj[3]) * 0.5
+    return gram
+
+
+def test_frame_decompose_reads_the_same_bits_from_the_curvature_data_frame():
+    # cold it builds an order-3 frame; after hym_residual it reads the kept order-4 one
+    p = twistor_points(FLAT, 1, seed=171)[0]
+    want = cold(frame_decompose, FLAT, p)
+    clear_point_memos()
+    hym_residual(FLAT, random_ansatz_params(seed=173, pair_index=0), p)
+    assert twistor._FRAMES[FLAT, p].order == 4
+    assert frame_decompose(FLAT, p) == want
+
+
+def test_eguchi_hanson_base_residuals_read_the_same_bits_from_the_kept_geometry():
+    p = point(EH_CHART, 0.7, -0.2, 0.5, 0.6)
+    ops = (
+        lambda: asd_residual(EH, p),
+        lambda: det_residual(EH, p),
+        lambda: asd_residual(EH, p, eh_perturbed_gram(p)),
+    )
+    want = [cold(op) for op in ops]
+    assert want[0] <= 1e-8 and want[1] <= 1e-9 and want[2] > 1e-3
+    clear_point_memos()
+    assert [op() for op in ops] == want
+    # a cleared jet_space cache keys a new entry, whose jets live in the new space
+    jet_space.cache_clear()
+    assert [op() for op in ops] == want
+    assert next(iter(hyperkahler._BASE))[2] is jet_space(4, 4)
+
+
+def test_a_flat_workload_point_builds_two_frames_and_one_set_of_coefficients(monkeypatch):
+    p = twistor_points(FLAT, 1, seed=175)[0]
+    params = AnsatzParams.coupling_solution()
+    clear_point_memos()
+    orders, coefficients = [], []
+    init, frame_coefficients = TwistorFrame.__init__, twistor.frame_coefficients
+
+    def recording_init(self, *args):
+        init(self, *args)
+        orders.append(self.order)
+
+    def recording_coefficients(fr):
+        coefficients.append(fr)
+        return frame_coefficients(fr)
+
+    monkeypatch.setattr(TwistorFrame, "__init__", recording_init)
+    monkeypatch.setattr(twistor, "frame_coefficients", recording_coefficients)
+    for op in (balanced_residual, hym_residual, anomaly_residual, curvature_identities):
+        op(FLAT, params, p)
+    frame_decompose(FLAT, p)
+    # order 1 for balanced_residual, then order 4 for the curvature data, which frame_decompose shares
+    assert orders == [1, 4]
+    assert coefficients == [twistor._FRAMES[FLAT, p]]
+
+
+def test_an_eguchi_hanson_pool_entry_builds_three_kappa_hessians(monkeypatch):
+    p = point(EH_CHART, 0.7, -0.2, 0.5, 0.6)
+    q = twistor_points(EH, 1, seed=177)[0]
+    clear_point_memos()
+    calls = count_kappa_hessians(monkeypatch)
+    asd_residual(EH, p)
+    det_residual(EH, p)
+    asd_residual(EH, p, eh_perturbed_gram(p))
+    balanced_residual(EH, random_ansatz_params(seed=179, pair_index=0), q)
+    # the base point's, the perturbed Gram's and the twistor frame's
+    assert calls == [EH, EH, EH]
+
+
+def test_a_kept_frame_and_its_data_are_freed_without_the_cycle_collector():
+    # nothing on a frame refers back to the records beside it, so moving the
+    # memos to the next point frees both by reference counting
+    first, second = twistor_points(FLAT, 2, seed=181)
+    params = AnsatzParams.coupling_solution()
+    clear_point_memos()
+    for op in (balanced_residual, hym_residual, anomaly_residual, curvature_identities):
+        op(FLAT, params, first)
+    frame_decompose(FLAT, first)
+    data = strominger._curvature_data(FLAT, params, first)
+    refs = [weakref.ref(obj) for obj in (data, data.fr, data.ansatz, data.fr.ctx)]
+    del data
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        balanced_residual(FLAT, params, second)
+        hym_residual(FLAT, params, second)
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("zeta", [1e-3, 1e-2])
@@ -621,7 +733,7 @@ def test_hym_catches_a_pure_2_0_curvature_entry_by_purity_alone():
     params = AnsatzParams.coupling_solution()
     data = AnsatzCurvatureData(FLAT, params, p)
     pure = data.fr.ctx.project(FormValue(p.chart, 2, {(0, 2): 0.6, (1, 3): 0.4j, (2, 4): -0.5}), 2, 0)
-    omega = data.fr.metric().values()
+    omega = data.ansatz.metric().values()
     assert pure.sup() >= 0.1
     assert pure.wedge(omega.wedge(omega)).sup() <= 1e-13
     F = data.quotient_curvature().copy()

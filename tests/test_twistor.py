@@ -23,6 +23,7 @@ from stromlab.sampling import box, random_ansatz_params, sample_points
 from stromlab.twistor import (
     C3_CHART,
     TWISTOR_FLAT,
+    AnsatzMetric,
     AnsatzParams,
     TwistorFrame,
     c3_chart_map,
@@ -161,8 +162,8 @@ def test_volume_is_3_0_and_closed():
 
 def test_ansatz_simplest_case_closed_form():
     p = point(TWISTOR_FLAT, 0.0, 0.0, 0.4, 0.1, -0.7, 0.3)
-    omega = TwistorFrame(FLAT, p, 2, AnsatzParams.constants()).metric().values()
     fr = TwistorFrame(FLAT, p, 2)
+    omega = AnsatzMetric(fr, AnsatzParams.constants()).metric().values()
     expected = fr.triple.omega_I.values() + d_complex(TWISTOR_FLAT, 0).wedge(
         d_complex_bar(TWISTOR_FLAT, 0)
     ).scale(2j)
@@ -174,10 +175,11 @@ def test_ansatz_squared_closed_form():
     for k in range(20):
         params = random_ansatz_params(seed=7, pair_index=k)
         p = twistor_points(FLAT, 1, seed=100 + k)[0]
-        fr = TwistorFrame(FLAT, p, 2, params)
-        omega = fr.metric().values()
+        fr = TwistorFrame(FLAT, p, 2)
+        ansatz = AnsatzMetric(fr, params)
+        omega = ansatz.metric().values()
         lhs = omega.wedge(omega)
-        s, g, h = fr.s, fr.g, fr.h
+        s, g, h = fr.s, ansatz.g, ansatz.h
         vol = fr.triple.omega_I.wedge(fr.triple.omega_I).scale(0.5)
         t1 = vol.scale((4.0 * h + 2.0 * g).exp() * (s**4).reciprocal() * 2.0)
         t2 = (
@@ -193,8 +195,8 @@ def test_ansatz_is_1_1_for_random_profiles():
     for k in range(5):
         params = random_ansatz_params(seed=19, pair_index=k)
         p = twistor_points(FLAT, 1, seed=300 + k)[0]
-        fr = TwistorFrame(FLAT, p, 2, params)
-        omega = fr.metric().values()
+        fr = TwistorFrame(FLAT, p, 2)
+        omega = AnsatzMetric(fr, params).metric().values()
         parts = fr.ctx.decompose(omega)
         scale = max(1.0, omega.sup())
         assert parts.get((0, 2), FormValue.zero(fr.chart, 2)).sup() <= 1e-10 * scale
@@ -205,8 +207,9 @@ def test_ansatz_is_1_1_for_random_profiles():
 @pytest.mark.parametrize("order", [0, 1, 3])
 def test_frame_quantities_are_valid_to_the_frame_order(model, order):
     p = twistor_points(model, 1, seed=29)[0]
-    fr = TwistorFrame(model, p, order, random_ansatz_params(seed=37, pair_index=1))
-    held = [*fr.jets, fr.zeta, fr.alpha, fr.beta, fr.gamma, fr.s, fr.g, fr.h, *fr.kh[0], *fr.kh[1]]
+    fr = TwistorFrame(model, p, order)
+    ansatz = AnsatzMetric(fr, random_ansatz_params(seed=37, pair_index=1))
+    held = [*fr.jets, fr.zeta, fr.alpha, fr.beta, fr.gamma, fr.s, ansatz.g, ansatz.h, *fr.kh[0], *fr.kh[1]]
     assert {jet.order for jet in held} == {order}
     # the Hessian of a frame is the prefix of the Hessian of a higher-order frame
     top = TwistorFrame(model, p, order + 1)
@@ -220,8 +223,8 @@ def test_ansatz_positivity():
     rng = random.Random(5)
     for p in twistor_points(EH, 3, seed=23):
         params = random_ansatz_params(seed=31, pair_index=1)
-        fr = TwistorFrame(EH, p, 2, params)
-        omega = fr.metric().values()
+        fr = TwistorFrame(EH, p, 2)
+        omega = AnsatzMetric(fr, params).metric().values()
         acs = acs_values(fr.acs)
         for _ in range(10):
             v = [rng.uniform(-1, 1) for _ in range(6)]
@@ -242,10 +245,10 @@ def test_norm_ratio_profile():
     params = random_ansatz_params(seed=47, pair_index=2)
     vals = []
     for p in twistor_points(FLAT, 2, seed=53):
-        fr = TwistorFrame(FLAT, p, 2, params)
+        ansatz = AnsatzMetric(TwistorFrame(FLAT, p, 2), params)
         norm = omega_norm(FLAT, params, p)
-        ratio = norm * math.exp(2.0 * svalue(fr.h).real + 2.0 * svalue(fr.g).real)
-        ratio /= svalue(fr.s).real ** 4
+        ratio = norm * math.exp(2.0 * svalue(ansatz.h).real + 2.0 * svalue(ansatz.g).real)
+        ratio /= svalue(ansatz.fr.s).real ** 4
         vals.append(ratio)
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)
 
@@ -259,7 +262,7 @@ def test_norm_constant_on_branch():
 
 def test_norm_rejects_a_metric_that_is_not_positive():
     p = twistor_points(FLAT, 1, seed=67)[0]
-    omega = TwistorFrame(FLAT, p, 2, AnsatzParams.constants()).metric().values()
+    omega = AnsatzMetric(TwistorFrame(FLAT, p, 2), AnsatzParams.constants()).metric().values()
     assert top_ratio(form_power(omega, 3), form_power(omega, 3)) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         top_ratio(form_power(omega, 3), form_power(omega.scale(-1.0), 3))
@@ -388,16 +391,17 @@ def test_del_theta1_matches_closed_form():
 def test_gram_identities(model):
     params = random_ansatz_params(seed=3, pair_index=4)
     for p in twistor_points(model, 2, seed=101):
-        fr = TwistorFrame(model, p, 2, params)
+        fr = TwistorFrame(model, p, 2)
+        ansatz = AnsatzMetric(fr, params)
         t1, t2 = theta_coframe_jets(fr)
-        omega = fr.metric().values()
+        omega = ansatz.metric().values()
         acs = acs_values(fr.acs)
         gram = coframe_gram(
             omega, acs, [d_complex(fr.chart, 0), t1.values(), t2.values()]
         )
         s = svalue(fr.s).real
-        e2g = math.exp(2.0 * svalue(fr.g).real)
-        e2hg = math.exp(2.0 * svalue(fr.h).real + svalue(fr.g).real)
+        e2g = math.exp(2.0 * svalue(ansatz.g).real)
+        e2hg = math.exp(2.0 * svalue(ansatz.h).real + svalue(ansatz.g).real)
         zeta2 = abs(svalue(fr.zeta)) ** 2
         kh = [[svalue(e) for e in row] for row in fr.kh]
         kinv = [
