@@ -14,7 +14,12 @@ fiber coordinate t are holomorphic); the zero section t = 0 is excluded.
 
 The operators share one :class:`CanonicalBundleFrame` per (base, params,
 point): it keeps its metric, Gram matrix, Chern-Ricci form and Chern scalar
-once built.  A frame's order is the validity order of its metric.
+once built.  A frame's order is the validity order of its metric.  Only the
+fiber part of the metric differentiates anything, and only R, so only the
+seeds, the base metric, its determinant h and R are built to order + 1;
+u, v, f, g and the factor R^-1 e^{v+g} are built to the order.  Every frame
+on a chart reads the chart's one shared type context
+(``forms.standard_context``).
 ``_frame`` hands out a kept frame of at least the order asked for, and
 keeps only the two frames used last (a point certifies the theorem metric
 and then a must-fail profile, and the theorem frame must survive the
@@ -49,7 +54,7 @@ from .forms import (
     i_ddbar,
     identity_residual,
     mat_det,
-    standard_acs,
+    standard_context,
     svalue,
     top_ratio,
     volume_form_norm,
@@ -201,10 +206,12 @@ class CanonicalBundleFrame:
     The metric, its Gram matrix, the Chern-Ricci form and the Chern scalar
     are each built on first use and kept, so every operator reading the
     frame pays for each once; do not mutate them.  The metric's fiber part
-    differentiates R, so the jets are seeded at order + 1; the metric is
-    valid to order, the Ricci form and the scalar to order - 2: the extremal
-    equation (the Hessian of the Laplacian of s, read at the point) needs
-    order 6, the Chern scalar 2, d(omega^n) 1 and the volume norm 0.
+    is del R ^ dbar R, so the seeds, ``hmat``, ``h`` and ``R`` are valid to
+    order + 1; nothing differentiates u, v, f or g, so they are built from
+    the base jets and R read to order.  The metric is valid to order, the
+    Ricci form and the scalar to order - 2: the extremal equation (the
+    Hessian of the Laplacian of s, read at the point) needs order 6, the
+    Chern scalar 2, d(omega^n) 1 and the volume norm 0.
     """
 
     def __init__(self, base: BaseKahlerModel, params: CalabiParams, p: ChartPoint, order: int):
@@ -222,11 +229,14 @@ class CanonicalBundleFrame:
         self.hmat = base.metric(self.zjets)
         self.h = mat_det(self.hmat)
         self.R = self.t * self.t.conjugate() / self.h
-        self.ctx = TypeContext(standard_acs(self.chart))
-        self.u = params.u_fn(self.zjets)
-        self.v = params.v_fn(self.zjets)
-        self.f = params.f_profile(self.R)
-        self.g = params.g_profile(self.R)
+        self.ctx = standard_context(self.chart)
+        # nothing differentiates u, v, f or g: they are valid to order
+        zjets = [x.to_order(order) for x in self.zjets]
+        self.u = params.u_fn(zjets)
+        self.v = params.v_fn(zjets)
+        R = self.R.to_order(order)
+        self.f = params.f_profile(R)
+        self.g = params.g_profile(R)
         self._metric = self._gram = self._ricci = self._scalar = None
 
     def dR_split(self):
@@ -243,15 +253,16 @@ class CanonicalBundleFrame:
     def metric(self) -> FormValue:
         """e^{u+f} omega_B + i e^{v+g} del R ^ dbar R / R, valid to the frame's order.
 
-        The fiber part differentiates R, seeded one order higher, so the
-        base part is read to the frame's order before its product.
+        The fiber part differentiates R, seeded one order higher, so R is
+        read to the frame's order in the factor R^-1 e^{v+g}, and the base
+        metric before its product.
         """
         if self._metric is None:
-            del_R, dbar_R = self.dR_split()
-            fiber = del_R.wedge(dbar_R).scale(1j * self.R.reciprocal() * (self.v + self.g).exp())
             top = self.order
+            del_R, dbar_R = self.dR_split()
+            fiber = del_R.wedge(dbar_R).scale(1j * self.R.to_order(top).reciprocal() * (self.v + self.g).exp())
             base = hermitian_form(self.chart, [[e.to_order(top) for e in row] for row in self.hmat])
-            self._metric = base.scale((self.u + self.f).to_order(top).exp()) + fiber
+            self._metric = base.scale((self.u + self.f).exp()) + fiber
         return self._metric
 
     def gram(self):
@@ -353,7 +364,7 @@ def base_chern_scalar(base: BaseKahlerModel, z_point) -> float:
     """Chern scalar of the base metric on the base chart."""
     jets = seed_jets(z_point, 3)
     hmat = base.metric(jets)
-    ctx = TypeContext(standard_acs(base.chart))
+    ctx = standard_context(base.chart)
     return svalue(chern_scalar_of(hermitian_form(base.chart, hmat), chern_ricci_form(hmat, ctx))).real
 
 

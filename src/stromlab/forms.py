@@ -22,7 +22,10 @@ expansion as one dense array per degree, indexed by (row, p, output
 multi-index, input multi-index), where row 0 is the value at the point and
 the other rows its first partials; each degree grows from the one below by
 the Leibniz rule over a precomputed index plan, and a decomposition is a
-contraction of that array with the form's coefficients.
+contraction of that array with the form's coefficients.  The standard
+structure of a chart is constant, so ``standard_context(chart)`` builds its
+context once and every point on the chart shares it; a context's tables are
+read-only for that reason.
 
 So a projection on a structure with jet entries is valid to order 1 at
 most, which is what every reader of one needs: the curvature readers take
@@ -618,7 +621,9 @@ class TypeContext:
         eye = np.zeros_like(J)
         eye[0] = np.eye(n)
         # the type axis counts p: Q dx_v is the (0,1) part of dx_v, P dx_v the (1,0) part
-        self._tables: dict = {1: np.stack([(eye + 1j * J) * 0.5, (eye - 1j * J) * 0.5], axis=1)}
+        tab = np.stack([(eye + 1j * J) * 0.5, (eye - 1j * J) * 0.5], axis=1)
+        tab.flags.writeable = False  # a context is shared (standard_context), so its tables are too
+        self._tables: dict = {1: tab}
 
     def projector_slopes(self):
         """(P, dP): the (1,0) projector at the point and its first partials.
@@ -659,6 +664,7 @@ class TypeContext:
                 tab[:, :k, targets] += grown[:, 0, :, lo:hi]
                 tab[:, 1:, targets] += grown[:, 1, :, lo:hi]
             tab = self._tables[k] = tab.reshape(mt, k + 1, len(rank), len(rank))
+            tab.flags.writeable = False
         return tab
 
     def _parts(self, form: FormValue, types: slice) -> list:
@@ -724,6 +730,17 @@ class TypeContext:
 
     def dbar_scalar(self, f: Jet) -> FormValue:
         return self.project(differential_of_scalar(f, self.chart), 0, 1)
+
+
+@lru_cache(maxsize=None)
+def standard_context(chart: Chart) -> TypeContext:
+    """The type context of the chart's standard structure, built once per chart and shared.
+
+    The standard structure holds plain complex numbers, so its tables hold
+    no jets and depend only on the chart: a shared context never holds jets
+    of a stale ``jet_space``.
+    """
+    return TypeContext(standard_acs(chart))
 
 
 def i_ddbar(ctx: TypeContext, f: Jet) -> FormValue:

@@ -38,14 +38,13 @@ from .forms import (
     ChartPoint,
     DomainError,
     FormValue,
-    TypeContext,
     acs_from_complex_action,
     curvature_residual,
     d_complex,
     gram_curvature,
     hermitian_form,
     mat_inv,
-    standard_acs,
+    standard_context,
     svalue,
 )
 from .jets import Jet, jet_space, seed_jets, wirtinger
@@ -298,27 +297,28 @@ def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
     Returns the sup over the coefficients of F wedge omega_{I,J,K} and of
     the (2,0)/(0,2) parts of F, relative to the size of the entering terms.
     A perturbed, non-hyperkahler Gram can be passed to probe failure; either
-    way the Hessian, the triple and the type context are the point's kept
-    ones (:func:`_base_geometry`).
+    way the Hessian and the triple are the point's kept ones
+    (:func:`_base_geometry`), and the type context the chart's shared one.
     """
     model.check_domain(p.coords)
-    kh, triple, ctx = _base_geometry(model, p)
+    kh, triple = _base_geometry(model, p)
     if gram is None:
         gram = _dz_gram(kh)
+    ctx = standard_context(model.chart)
     F = gram_curvature(gram, ctx)
     return curvature_residual(F, [triple.omega_I, triple.omega_J, triple.omega_K], ctx)
 
 
-_BASE: dict = {}  # one entry: (model, point, jet space) -> (Hessian, triple, context)
+_BASE: dict = {}  # one entry: (model, point, jet space) -> (Hessian, triple)
 
 
 def _base_geometry(model: HyperkahlerModel, p: ChartPoint):
-    """The order-4 Hessian of the potential at a base point, its triple at the point, and the standard context.
+    """The order-4 Hessian of the potential at a base point and its triple at the point.
 
     ``asd_residual`` (plain and perturbed) and ``det_residual`` read them,
-    so a point pays for one Hessian and one context.  Only the point used
-    last is kept; keying on the jet space keeps a cleared ``jet_space``
-    cache from handing out jets of a stale space.
+    so a point pays for one Hessian.  Only the point used last is kept;
+    keying on the jet space keeps a cleared ``jet_space`` cache from
+    handing out jets of a stale space.
     """
     key = (model, p, jet_space(len(p.coords), 4))
     got = _BASE.get(key)
@@ -326,7 +326,7 @@ def _base_geometry(model: HyperkahlerModel, p: ChartPoint):
         kh = kappa_hermitian_jets(model, seed_jets(p.coords, 4))
         # the certificate reads the triple at the point only
         triple = triple_forms(model.chart, [[svalue(e) for e in row] for row in kh])
-        got = (kh, triple, TypeContext(standard_acs(model.chart)))
+        got = (kh, triple)
         _BASE.clear()
         _BASE[key] = got
     return got

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from stromlab import calabi
-from stromlab.forms import Chart, FormValue, TypeContext, hermitian_form, point, standard_acs
+from stromlab.forms import Chart, FormValue, TypeContext, hermitian_form, point, standard_acs, standard_context
 from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.calabi import (
     BaseKahlerModel,
@@ -359,6 +359,33 @@ def test_cleared_jet_spaces_rebuild_the_frame(frames_built):
     assert chern_scalar(FS, params, p) == first
     assert len(frames_built) == 2
     assert frames_built[1]().jets[0].space is jet_space(4, 3)
+
+
+def test_shared_context_and_cleared_caches_keep_every_value():
+    params = theorem_metric_params(FS)
+    p = total_points(FS, 1, seed=79)[0]
+    calabi._FRAMES.clear()
+    want = [op(FS, params, p) for op in SHARED]
+    for clear in (standard_context.cache_clear, jet_space.cache_clear):
+        clear()
+        calabi._FRAMES.clear()
+        assert [op(FS, params, p) for op in SHARED] == want
+        assert calabi._FRAMES[FS, params, p].ctx is standard_context(FS.total_chart)
+
+
+def test_frames_at_different_points_share_the_chart_context():
+    params = theorem_metric_params(FS)
+    p, q = total_points(FS, 2, seed=83)
+    a, b = CanonicalBundleFrame(FS, params, p, 2), CanonicalBundleFrame(FS, params, q, 6)
+    assert a.ctx is b.ctx is standard_context(FS.total_chart)
+
+
+def test_only_the_fiber_norm_is_seeded_one_order_higher():
+    # the metric differentiates R alone, so u, v, f and g are valid to the frame's order
+    fr = CanonicalBundleFrame(FS, theorem_metric_params(FS), total_points(FS, 1, seed=89)[0], 6)
+    assert [x.order for x in (fr.f, fr.g, fr.u, fr.v)] == [6, 6, 6, 6]
+    assert fr.R.order == 7
+    assert fr.metric().coefficient((0, 1)).order == 6
 
 
 def test_frame_cache_keeps_two_frames(frames_built):

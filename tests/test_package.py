@@ -100,3 +100,28 @@ def test_no_unused_imports():
             if bound not in used and (module, name) not in reexported:
                 unused.append(f"{files[module].relative_to(ROOT)}: {bound}")
     assert not unused, f"imported and never used: {unused}"
+
+
+def standard_context_builds(tree: ast.AST) -> set:
+    """The ``TypeContext(standard_acs(...))`` calls under a node."""
+
+    def calls(node, name):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+    return {
+        node for node in ast.walk(tree) if calls(node, "TypeContext") and node.args and calls(node.args[0], "standard_acs")
+    }
+
+
+def test_only_standard_context_builds_the_standard_type_context():
+    # a chart's standard context is built once and shared; another build would fill its own tables at every call
+    shared, stray = set(), []
+    for path in sorted((ROOT / "src" / "stromlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.stem == "forms":
+            (fn,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "standard_context")
+            allowed = shared = standard_context_builds(fn)
+        stray += [f"{path.name}:{node.lineno}" for node in standard_context_builds(tree) - allowed]
+    assert len(shared) == 1
+    assert not stray, f"TypeContext(standard_acs(...)) outside forms.standard_context: {stray}"

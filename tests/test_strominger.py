@@ -26,6 +26,7 @@ from stromlab.forms import (
     nan_max,
     point,
     standard_acs,
+    standard_context,
     svalue,
 )
 from stromlab.hyperkahler import EH_CHART, asd_residual, cotangent_gram, det_residual, eguchi_hanson, flat_model, quaternion_operator
@@ -645,6 +646,19 @@ def test_eguchi_hanson_base_residuals_read_the_same_bits_from_the_kept_geometry(
     assert next(iter(hyperkahler._BASE))[2] is jet_space(4, 4)
 
 
+def test_eguchi_hanson_base_points_share_the_chart_context(monkeypatch):
+    contexts = []
+
+    def recording(gram, ctx):
+        contexts.append(ctx)
+        return gram_curvature(gram, ctx)
+
+    monkeypatch.setattr(hyperkahler, "gram_curvature", recording)
+    for p in (point(EH_CHART, 0.7, -0.2, 0.5, 0.6), point(EH_CHART, -0.4, 0.8, 0.3, -0.5)):
+        asd_residual(EH, p)
+    assert contexts[0] is contexts[1] is standard_context(EH_CHART)
+
+
 def test_a_flat_workload_point_builds_two_frames_and_one_set_of_coefficients(monkeypatch):
     p = twistor_points(FLAT, 1, seed=175)[0]
     params = AnsatzParams.coupling_solution()
@@ -867,6 +881,11 @@ def test_radial_dichotomy():
         assert radial_h_residual(RadialProfile.constant(), p) <= 1e-9
         assert radial_h_residual(RadialProfile.inverse_three_halves(), p) <= 1e-9
         assert radial_h_residual(RadialProfile.log_slope(-1.0), p) >= 1e-3
+
+
+def test_log_slope_minus_three_halves_is_the_nonconstant_branch():
+    # bit for bit, so a slope that divides instead of multiplying shows (slope -1 hides it)
+    assert RadialProfile.log_slope(-1.5).derivatives(0.7) == RadialProfile.inverse_three_halves().derivatives(0.7)
 
 
 def test_radial_residual_raises_a_domain_error_at_rho_zero():

@@ -241,16 +241,18 @@ def test_ansatz_positivity():
 
 
 def test_norm_ratio_profile():
-    # |Omega| e^{2h+2g} / s^4 is the same at any two points
+    # |Omega| e^{2h+2g} / s^4 is the same at any two points, over flat R^4 and Eguchi-Hanson
     params = random_ansatz_params(seed=47, pair_index=2)
-    vals = []
-    for p in twistor_points(FLAT, 2, seed=53):
-        ansatz = AnsatzMetric(TwistorFrame(FLAT, p, 2), params)
-        norm = omega_norm(FLAT, params, p)
-        ratio = norm * math.exp(2.0 * svalue(ansatz.h).real + 2.0 * svalue(ansatz.g).real)
-        ratio /= svalue(ansatz.fr.s).real ** 4
-        vals.append(ratio)
-    assert vals[0] == pytest.approx(vals[1], rel=1e-9)
+    for model, count in ((FLAT, 2), (EH, 3)):
+        vals = []
+        for p in twistor_points(model, count, seed=53):
+            ansatz = AnsatzMetric(TwistorFrame(model, p, 2), params)
+            norm = omega_norm(model, params, p)
+            ratio = norm * math.exp(2.0 * svalue(ansatz.h).real + 2.0 * svalue(ansatz.g).real)
+            ratio /= svalue(ansatz.fr.s).real ** 4
+            vals.append(ratio)
+        for v in vals[1:]:
+            assert v == pytest.approx(vals[0], rel=1e-9)
 
 
 def test_norm_constant_on_branch():

@@ -15,7 +15,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from stromlab.forms import AlmostComplexStructure, Chart, FormValue, TypeContext, point, standard_acs
+from stromlab.forms import AlmostComplexStructure, Chart, FormValue, TypeContext, point, standard_acs, standard_context
 from stromlab.hyperkahler import flat_model
 from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.twistor import TWISTOR_FLAT, TwistorFrame
@@ -172,3 +172,12 @@ def test_jet_parts_sum_back_project_idempotently_and_follow_the_order_rule(twist
         assert_forms_close(ctx.project(form, p, q), part, 0.0, space.size)
         want = part.values()
         assert (value_parts[(p, q)] - want).sup() <= 1e-14 * want.sup()
+
+
+def test_the_standard_context_is_built_once_per_chart_and_read_only():
+    ctx = standard_context(C2)
+    assert standard_context(C2) is ctx
+    # every point on the chart shares the tables, so none may be written
+    for k in (1, 2):
+        with pytest.raises(ValueError):
+            ctx._table(k)[0, 0, 0, 0] = 1.0
