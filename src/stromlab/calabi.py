@@ -20,17 +20,12 @@ seeds, the base metric, its determinant h and R are built to order + 1;
 u, v, f, g and the factor R^-1 e^{v+g} are built to the order.  Every frame
 on a chart reads the chart's one shared type context
 (``forms.standard_context``).
-``_frame`` hands out a kept frame of at least the order asked for, and
-keeps only the two frames used last (a point certifies the theorem metric
-and then a must-fail profile, and the theorem frame must survive the
-second); a frame whose jets live in a stale jet space (after
-``jet_space.cache_clear()``) is rebuilt.  ``jets.kept_frame`` states that
-rule once for these frames and the twistor frames.  Each operator reads the
-frame only to the order it needs: ``extremal_residual`` at order 6,
+``_frame`` keeps frames by the rule of ``jets.kept``, which keeps two
+values: a point certifies the theorem metric and then a must-fail profile,
+and the theorem frame survives the second.  Each operator reads the frame
+only to the order it needs: ``extremal_residual`` at order 6,
 ``chern_scalar`` at 2, ``km_balanced_residual`` at 1 and ``volume_norm`` at
-0.  The low coefficients of a truncated product or composition do not depend
-on the truncation order, so a reader gets the same bits from any frame of at
-least its order.
+0.
 """
 
 from __future__ import annotations
@@ -59,7 +54,7 @@ from .forms import (
     top_ratio,
     volume_form_norm,
 )
-from .jets import Jet, jet_space, kept_frame, seed_jets, wirtinger
+from .jets import Jet, jet_space, kept, seed_jets, wirtinger
 
 
 class ZeroSectionError(DomainError):
@@ -290,12 +285,9 @@ class CanonicalBundleFrame:
         return out
 
 
-_FRAMES: dict = {}  # (base, params, point) -> frame; the two used last, the older first
-
-
 def _frame(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint, order: int) -> CanonicalBundleFrame:
-    """A frame of order >= ``order`` at the point, shared by the operators; one of the two kept (``kept_frame``)."""
-    return kept_frame(_FRAMES, (base, params, p), order, lambda: CanonicalBundleFrame(base, params, p, order), 2)
+    """A frame of order >= ``order`` at the point, shared by the operators (``jets.kept``)."""
+    return kept((CanonicalBundleFrame, base, params, p), order, lambda: CanonicalBundleFrame(base, params, p, order))
 
 
 def _read_to(form: FormValue, order: int) -> FormValue:
@@ -305,7 +297,7 @@ def _read_to(form: FormValue, order: int) -> FormValue:
 
 def omega0_d_residual(base: BaseKahlerModel, p: ChartPoint) -> float:
     """Relative sup of d(omega_0) for the undeformed induced metric."""
-    return closedness_residual(CanonicalBundleFrame(base, CalabiParams.plain(), p, 1).metric())
+    return closedness_residual(_frame(base, CalabiParams.plain(), p, 1).metric())
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .forms import (
     standard_context,
     svalue,
 )
-from .jets import Jet, jet_space, seed_jets, wirtinger
+from .jets import Jet, kept, seed_jets, wirtinger
 
 FLAT_CHART = Chart("flat_r4", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
 EH_CHART = Chart("eguchi_hanson_cover", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
@@ -309,24 +309,16 @@ def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
     return curvature_residual(F, [triple.omega_I, triple.omega_J, triple.omega_K], ctx)
 
 
-_BASE: dict = {}  # one entry: (model, point, jet space) -> (Hessian, triple)
-
-
 def _base_geometry(model: HyperkahlerModel, p: ChartPoint):
-    """The order-4 Hessian of the potential at a base point and its triple at the point.
+    """The order-4 Hessian of the potential at a base point and its triple at the point (``jets.kept``).
 
     ``asd_residual`` (plain and perturbed) and ``det_residual`` read them,
-    so a point pays for one Hessian.  Only the point used last is kept;
-    keying on the jet space keeps a cleared ``jet_space`` cache from
-    handing out jets of a stale space.
+    so a point pays for one Hessian.
     """
-    key = (model, p, jet_space(len(p.coords), 4))
-    got = _BASE.get(key)
-    if got is None:
+
+    def build():
         kh = kappa_hermitian_jets(model, seed_jets(p.coords, 4))
         # the certificate reads the triple at the point only
-        triple = triple_forms(model.chart, [[svalue(e) for e in row] for row in kh])
-        got = (kh, triple)
-        _BASE.clear()
-        _BASE[key] = got
-    return got
+        return kh, triple_forms(model.chart, [[svalue(e) for e in row] for row in kh])
+
+    return kept((_base_geometry, model, p), 4, build)

@@ -176,25 +176,28 @@ def jet_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
 
 
-def kept_frame(memo: dict, key, order: int, build, keep: int):
-    """The frame kept in ``memo`` under ``key`` if it serves ``order``, else ``build()``, which replaces it.
+_KEPT: dict = {}  # key -> (jet_space(1, 0) at the build, order, value); the two used last, the older first
 
-    A frame has an ``order`` and coordinate ``jets``.  A kept frame serves
-    if its order is at least ``order`` and its jets still live in the space
-    ``jet_space`` returns for them (a cleared cache makes new spaces).  Only
-    the ``keep`` frames used last are kept, the older first.
+
+def kept(key, order: int, build):
+    """The value kept under ``key`` if it was built for at least ``order``, else ``build()``, which replaces it.
+
+    This is the one memo of what the operators at a point share (a frame,
+    the data beside it, a base point's geometry); ``key`` starts with the
+    kind of value.  A value made before ``jet_space.cache_clear()`` is
+    rebuilt, so no reader gets jets of a stale space.  Only the two values
+    used last, of any kind, are kept.  The low coefficients of a truncated
+    product or composition do not depend on the truncation order, so a
+    reader gets the same bits from a value built for a higher order.
     """
-    fr = memo.pop(key, None)
-    if fr is not None:
-        space = fr.jets[0].space
-        if fr.order < order or space is not jet_space(space.nvars, space.order):
-            fr = None
-    if fr is None:
-        fr = build()
-    memo[key] = fr
-    if len(memo) > keep:
-        del memo[next(iter(memo))]
-    return fr
+    stamp = jet_space(1, 0)
+    got = _KEPT.pop(key, None)
+    if got is None or got[0] is not stamp or got[1] < order:
+        got = (stamp, order, build())
+    _KEPT[key] = got
+    if len(_KEPT) > 2:
+        del _KEPT[next(iter(_KEPT))]
+    return got[2]
 
 
 def _mul_coeffs(space: JetSpace, a: np.ndarray, b: np.ndarray, order: int, mask: int) -> np.ndarray:

@@ -24,9 +24,9 @@ enter identities of forms, are built as forms (``_trace``).
 The operators at one point share its geometry.  ``balanced_residual`` asks
 ``twistor.twistor_frame`` for an order-1 frame; HYM, the anomaly and the
 identities share one :class:`AnsatzCurvatureData` on the order-4 frame,
-which ``twistor.frame_decompose`` then reads too.  The curvature data of
-the params used last is kept beside that frame, never on it, so neither is
-held by a reference cycle.
+which ``twistor.frame_decompose`` then reads too.  Both are kept by the
+rule of ``jets.kept``; the data refers to its frame and never the frame to
+it, so neither is held by a reference cycle.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from .forms import (
     relative_residual,
 )
 from .hyperkahler import HyperkahlerModel, flat_model, quaternion_operator
-from .jets import Jet, jet_space
-from .twistor import AnsatzMetric, AnsatzParams, TwistorFrame, twistor_frame
+from .jets import Jet, jet_space, kept
+from .twistor import AnsatzMetric, AnsatzParams, twistor_frame
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +181,9 @@ def _trace(F: np.ndarray, chart: Chart) -> FormValue:
     return FormValue.from_vector(chart, 2, out)
 
 
-_DATA: dict = {}  # one entry: params -> AnsatzCurvatureData on the kept frame
-
-
 def _curvature_data(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> AnsatzCurvatureData:
-    """The order-4 curvature data of the point, shared by HYM, the anomaly and the identities.
-
-    It sits beside the frame ``twistor_frame`` keeps, never on it, and
-    serves while that frame does: a new point, or a cleared ``jet_space``
-    cache, gives a new frame and so new data.
-    """
-    fr = twistor_frame(model, p, 4)
-    data = _DATA.get(params)
-    if data is None or data.fr is not fr:
-        _DATA.clear()
-        data = _DATA[params] = AnsatzCurvatureData(model, params, p)
-    return data
+    """The order-4 curvature data of the point, shared by HYM, the anomaly and the identities (``jets.kept``)."""
+    return kept((AnsatzCurvatureData, model, params, p), 4, lambda: AnsatzCurvatureData(model, params, p))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +324,7 @@ def radial_h_residual(h_profile: RadialProfile, p: ChartPoint) -> float:
     rho_val = sum(x * x for x in p.coords[2:])
     if rho_val <= 0.0:
         raise DomainError("radial profile is singular at rho = 0")
-    fr = TwistorFrame(flat_model(), p, 2)
+    fr = twistor_frame(flat_model(), p, 2)
     chart = fr.chart
     rho = fr.x[0] * fr.x[0] + fr.x[1] * fr.x[1] + fr.x[2] * fr.x[2] + fr.x[3] * fr.x[3]
     d_rho = differential_of_scalar(rho, chart)

@@ -16,14 +16,10 @@ local coframe {dzeta, theta_1, theta_2} with the coefficients of
 ``frame_coefficients``, which is where the quotient-bundle curvature
 computations start.
 
-The operators at one point share its :class:`TwistorFrame`:
-``twistor_frame`` keeps the frame used last and hands it out to any reader
-of at most its order, by the rule ``jets.kept_frame`` states.  The low
-coefficients of a truncated product or composition do not depend on the
-truncation order, so a reader gets the same bits from any frame of at least
-its order.  A frame holds no ansatz profiles; the profiles of one
-:class:`AnsatzParams` and the metric they make are an :class:`AnsatzMetric`
-beside it.
+The operators at one point share its :class:`TwistorFrame` through
+``twistor_frame`` (``jets.kept``).  A frame holds no ansatz profiles; the
+profiles of one :class:`AnsatzParams` and the metric they make are an
+:class:`AnsatzMetric` beside it.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ from .hyperkahler import (
     quaternion_action,
     triple_forms,
 )
-from .jets import Jet, kept_frame, seed_jets, wirtinger
+from .jets import Jet, kept, seed_jets, wirtinger
 
 C3_CHART = Chart("c3", ("zr", "zi", "w1r", "w1i", "w2r", "w2i"), ("zeta", "w1", "w2"))
 
@@ -239,17 +235,9 @@ def _twistor_acs_from_frame(fr: TwistorFrame) -> AlmostComplexStructure:
     return acs_from_complex_action(fr.chart, action)
 
 
-_FRAMES: dict = {}  # one entry: (model, point) -> the frame used last
-
-
 def twistor_frame(model: HyperkahlerModel, p: ChartPoint, order: int) -> TwistorFrame:
-    """A frame of order >= ``order`` at the point, shared by the operators there (``jets.kept_frame``).
-
-    Only the frame used last is kept.  A flat point builds one at order 1
-    for ``balanced_residual`` and one at order 4 for the curvature data,
-    which ``frame_decompose`` then reads too.
-    """
-    return kept_frame(_FRAMES, (model, p), order, lambda: TwistorFrame(model, p, order), 1)
+    """A frame of order >= ``order`` at the point, shared by the operators there (``jets.kept``)."""
+    return kept((TwistorFrame, model, p), order, lambda: TwistorFrame(model, p, order))
 
 
 class AnsatzMetric:
@@ -288,7 +276,7 @@ def omega_norm(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> 
     omega^3 is positive.  Only ratios across points are meaningful since
     the overall constant is conventional.
     """
-    fr = TwistorFrame(model, p, 0)
+    fr = twistor_frame(model, p, 0)
     return volume_form_norm(fr.volume_3form().values(), AnsatzMetric(fr, params).metric().values())
 
 

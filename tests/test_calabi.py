@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from stromlab import calabi
+from stromlab import jets
 from stromlab.forms import Chart, FormValue, TypeContext, hermitian_form, point, standard_acs, standard_context
 from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.calabi import (
@@ -310,7 +310,7 @@ SHARED = (chern_scalar, km_balanced_residual, volume_norm, extremal_residual)
 @pytest.fixture
 def frames_built(monkeypatch):
     """Weak references to every frame built while the fixture is active, cache emptied first."""
-    calabi._FRAMES.clear()
+    jets._KEPT.clear()
     built = []
     init = CanonicalBundleFrame.__init__
 
@@ -328,11 +328,11 @@ def test_shared_frame_reads_equal_fresh_frames():
         for p in total_points(base, 4, seed):
             fresh = []
             for op in SHARED:
-                calabi._FRAMES.clear()
+                jets._KEPT.clear()
                 fresh.append(op(base, params, p))
             # after chern_scalar the order-2 frame serves all but extremal, which rebuilds at 6
             for first in (extremal_residual, chern_scalar):
-                calabi._FRAMES.clear()
+                jets._KEPT.clear()
                 first(base, params, p)
                 assert [op(base, params, p) for op in SHARED] == fresh
 
@@ -364,13 +364,13 @@ def test_cleared_jet_spaces_rebuild_the_frame(frames_built):
 def test_shared_context_and_cleared_caches_keep_every_value():
     params = theorem_metric_params(FS)
     p = total_points(FS, 1, seed=79)[0]
-    calabi._FRAMES.clear()
+    jets._KEPT.clear()
     want = [op(FS, params, p) for op in SHARED]
     for clear in (standard_context.cache_clear, jet_space.cache_clear):
         clear()
-        calabi._FRAMES.clear()
+        jets._KEPT.clear()
         assert [op(FS, params, p) for op in SHARED] == want
-        assert calabi._FRAMES[FS, params, p].ctx is standard_context(FS.total_chart)
+        assert jets._KEPT[CanonicalBundleFrame, FS, params, p][-1].ctx is standard_context(FS.total_chart)
 
 
 def test_frames_at_different_points_share_the_chart_context():

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from stromlab import jets
 from stromlab.jets import (
     InsufficientJetOrder,
     Jet,
     JetOverflowError,
     _mul_coeffs,
     jet_space,
+    kept,
     seed_jets,
     wirtinger,
 )
@@ -476,3 +478,29 @@ def test_to_order_is_a_view_valid_to_the_lower_order():
     n = f.space.prefix_sizes[2]
     assert prod.order == 2
     assert np.array_equal(prod.c[:n], full.c[:n]) and not prod.c[n:].any()
+
+
+def test_kept_serves_higher_orders_rebuilds_after_a_cleared_space_cache_and_keeps_two():
+    built = []
+
+    def get(key, order):
+        def build():
+            built.append((key, order))
+            return object()
+
+        return kept(key, order, build)
+
+    jets._KEPT.clear()
+    a = get("a", 2)
+    assert get("a", 1) is a and get("a", 2) is a
+    a3 = get("a", 3)  # a lower order does not serve
+    assert a3 is not a and get("a", 2) is a3
+    jet_space.cache_clear()  # values made before it are rebuilt
+    a3_new = get("a", 3)
+    assert a3_new is not a3
+    b = get("b", 0)
+    assert get("a", 0) is a3_new  # "a" is now used last, so "b" is the older one
+    get("c", 0)
+    assert list(jets._KEPT) == ["a", "c"]
+    assert get("b", 0) is not b
+    assert built == [("a", 2), ("a", 3), ("a", 3), ("b", 0), ("c", 0), ("b", 0)]

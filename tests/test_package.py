@@ -125,3 +125,41 @@ def test_only_standard_context_builds_the_standard_type_context():
         stray += [f"{path.name}:{node.lineno}" for node in standard_context_builds(tree) - allowed]
     assert len(shared) == 1
     assert not stray, f"TypeContext(standard_acs(...)) outside forms.standard_context: {stray}"
+
+
+def module_level_dicts(tree: ast.Module):
+    """The names a module binds at its top level to a dict display or ``dict(...)``."""
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(value, ast.Dict) or (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict"):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def frame_builds(tree: ast.AST) -> set:
+    """The ``TwistorFrame(...)`` and ``CanonicalBundleFrame(...)`` calls under a node."""
+    names = {"TwistorFrame", "CanonicalBundleFrame"}
+    return {
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+    }
+
+
+def test_point_state_is_kept_in_the_one_memo():
+    # what a point's operators share is kept by jets.kept alone: another
+    # module-level dict would be a second memo with a rule of its own, and a
+    # frame built outside the two frame functions would bypass the memo
+    tables = {"jets._KEPT", "forms._BASIS_INV_CACHE", "hyperkahler._UNITS"}
+    builders = {"twistor": "twistor_frame", "calabi": "_frame"}
+    dicts, stray = [], []
+    for path in sorted((ROOT / "src" / "stromlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        dicts += [f"{path.stem}.{name}" for name in module_level_dicts(tree)]
+        allowed = set()
+        if path.stem in builders:
+            (fn,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == builders[path.stem])
+            allowed = frame_builds(fn)
+        stray += [f"{path.name}:{node.lineno}" for node in frame_builds(tree) - allowed]
+    assert set(dicts) - tables == set(), "module-level dicts besides jets._KEPT"
+    assert not stray, f"frames built outside twistor_frame and calabi._frame: {stray}"

@@ -6,6 +6,15 @@ import weakref
 import numpy as np
 import pytest
 
+from stromlab.calabi import (
+    CalabiParams,
+    CanonicalBundleFrame,
+    Profile,
+    extremal_residual,
+    fubini_study_cp1,
+    km_balanced_residual,
+    theorem_metric_params,
+)
 from stromlab.forms import (
     ChartMismatch,
     DomainError,
@@ -30,7 +39,7 @@ from stromlab.forms import (
     svalue,
 )
 from stromlab.hyperkahler import EH_CHART, asd_residual, cotangent_gram, det_residual, eguchi_hanson, flat_model, quaternion_operator
-from stromlab import hyperkahler, strominger, twistor
+from stromlab import hyperkahler, jets, strominger, twistor
 from stromlab.jets import InsufficientJetOrder, Jet, jet_space, seed_jets
 from stromlab.sampling import box, random_ansatz_params, sample_points
 from stromlab.twistor import (
@@ -41,6 +50,7 @@ from stromlab.twistor import (
     AnsatzParams,
     TwistorFrame,
     frame_decompose,
+    omega_norm,
     w_field_jets,
 )
 from stromlab.strominger import (
@@ -311,7 +321,7 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
     data = AnsatzCurvatureData(FLAT, params, p)
     H, f, ctx = frame_gram(data), data.B.log(), data.fr.ctx
     to_order = Jet.to_order
-    clear_point_memos()
+    jets._KEPT.clear()
     with monkeypatch.context() as m:
         m.setattr(Jet, "to_order", lambda self, o: to_order(self, max(o - 1, 0)))
         with pytest.raises(InsufficientJetOrder):
@@ -320,7 +330,7 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
             dbar_del_scalar(ctx, f)
         with pytest.raises(InsufficientJetOrder):
             hym_residual(FLAT, params, p)
-    clear_point_memos()
+    jets._KEPT.clear()
     # the form that del_dbar_at_point receives, alone, read to order 1, one
     # below the order 2 it needs: the metric for the anomaly and (A/B) W for
     # the identities.  R, F' and dbar del log B still get their order, and
@@ -335,7 +345,7 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
         for op in (anomaly_residual, curvature_identities):
             with pytest.raises(InsufficientJetOrder, match="order-0 jet"):
                 op(FLAT, params, p)
-    clear_point_memos()
+    jets._KEPT.clear()
 
 
 def test_curvature_data_is_memoised_per_object():
@@ -346,16 +356,14 @@ def test_curvature_data_is_memoised_per_object():
     assert AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p) is not data
 
 
-def clear_point_memos():
-    """Empty the per-point memos: the kept twistor frame, the curvature data beside it, the Eguchi-Hanson base geometry."""
-    twistor._FRAMES.clear()
-    strominger._DATA.clear()
-    hyperkahler._BASE.clear()
+def kept_value(*key):
+    """The value ``jets.kept`` holds under ``key``."""
+    return jets._KEPT[key][-1]
 
 
 def cold(fn, *args, **kwargs):
-    """``fn`` on empty per-point memos."""
-    clear_point_memos()
+    """``fn`` on an empty ``jets.kept`` memo."""
+    jets._KEPT.clear()
     return fn(*args, **kwargs)
 
 
@@ -364,7 +372,7 @@ def test_shared_curvature_data_gives_the_cold_cache_values():
     params = random_ansatz_params(seed=151, pair_index=0)
     ops = (hym_residual, anomaly_residual, curvature_identities)
     want = [cold(op, FLAT, params, p) for op in ops]
-    clear_point_memos()
+    jets._KEPT.clear()
     assert [op(FLAT, params, p) for op in ops] == want
 
 
@@ -387,9 +395,9 @@ def test_shared_curvature_data_survives_a_cleared_jet_space_cache():
     hym_residual(FLAT, params, p)
     jet_space.cache_clear()
     assert curvature_identities(FLAT, params, p) == want
-    data = strominger._DATA[params]
+    data = kept_value(AnsatzCurvatureData, FLAT, params, p)
     assert data.fr.zr.space is jet_space(6, 4)
-    assert twistor._FRAMES[FLAT, p] is data.fr
+    assert kept_value(TwistorFrame, FLAT, p) is data.fr
 
 
 def with_a_nan(F):
@@ -570,20 +578,21 @@ def test_one_kappa_hessian_per_eguchi_hanson_frame(monkeypatch):
 
 def test_one_kappa_hessian_per_flat_curvature_data(monkeypatch):
     p = twistor_points(FLAT, 1, seed=72)[0]
-    clear_point_memos()
+    jets._KEPT.clear()
     calls = count_kappa_hessians(monkeypatch)
     strominger._curvature_data(FLAT, AnsatzParams.coupling_solution(), p)
     assert calls == [FLAT]
 
 
 def test_one_kappa_hessian_per_asd_residual(monkeypatch):
-    clear_point_memos()
+    jets._KEPT.clear()
     calls = count_kappa_hessians(monkeypatch)
     asd_residual(EH, point(EH_CHART, 0.6, -0.3, 0.5, 0.4))
     assert calls == [EH]
 
 
 def test_one_kappa_hessian_per_radial_h_residual(monkeypatch):
+    jets._KEPT.clear()
     calls = count_kappa_hessians(monkeypatch)
     radial_h_residual(RadialProfile.inverse_three_halves(), point(TWISTOR_FLAT, 0.5, 0.2, 0.4, 0.8, -0.3, 0.5))
     assert calls == [FLAT]
@@ -592,7 +601,7 @@ def test_one_kappa_hessian_per_radial_h_residual(monkeypatch):
 def test_one_metric_per_twistor_frame(monkeypatch):
     p = twistor_points(FLAT, 1, seed=73)[0]
     params = AnsatzParams.coupling_solution()
-    clear_point_memos()
+    jets._KEPT.clear()
     calls = []
     orig = TwistorFrame.fiber_form
 
@@ -623,9 +632,9 @@ def test_frame_decompose_reads_the_same_bits_from_the_curvature_data_frame():
     # cold it builds an order-3 frame; after hym_residual it reads the kept order-4 one
     p = twistor_points(FLAT, 1, seed=171)[0]
     want = cold(frame_decompose, FLAT, p)
-    clear_point_memos()
+    jets._KEPT.clear()
     hym_residual(FLAT, random_ansatz_params(seed=173, pair_index=0), p)
-    assert twistor._FRAMES[FLAT, p].order == 4
+    assert kept_value(TwistorFrame, FLAT, p).order == 4
     assert frame_decompose(FLAT, p) == want
 
 
@@ -638,12 +647,12 @@ def test_eguchi_hanson_base_residuals_read_the_same_bits_from_the_kept_geometry(
     )
     want = [cold(op) for op in ops]
     assert want[0] <= 1e-8 and want[1] <= 1e-9 and want[2] > 1e-3
-    clear_point_memos()
+    jets._KEPT.clear()
     assert [op() for op in ops] == want
-    # a cleared jet_space cache keys a new entry, whose jets live in the new space
+    # after a cleared jet_space cache the entry is rebuilt, its jets in the new space
     jet_space.cache_clear()
     assert [op() for op in ops] == want
-    assert next(iter(hyperkahler._BASE))[2] is jet_space(4, 4)
+    assert kept_value(hyperkahler._base_geometry, EH, p)[0][0][0].space is jet_space(4, 4)
 
 
 def test_eguchi_hanson_base_points_share_the_chart_context(monkeypatch):
@@ -662,7 +671,7 @@ def test_eguchi_hanson_base_points_share_the_chart_context(monkeypatch):
 def test_a_flat_workload_point_builds_two_frames_and_one_set_of_coefficients(monkeypatch):
     p = twistor_points(FLAT, 1, seed=175)[0]
     params = AnsatzParams.coupling_solution()
-    clear_point_memos()
+    jets._KEPT.clear()
     orders, coefficients = [], []
     init, frame_coefficients = TwistorFrame.__init__, twistor.frame_coefficients
 
@@ -681,13 +690,13 @@ def test_a_flat_workload_point_builds_two_frames_and_one_set_of_coefficients(mon
     frame_decompose(FLAT, p)
     # order 1 for balanced_residual, then order 4 for the curvature data, which frame_decompose shares
     assert orders == [1, 4]
-    assert coefficients == [twistor._FRAMES[FLAT, p]]
+    assert coefficients == [kept_value(TwistorFrame, FLAT, p)]
 
 
 def test_an_eguchi_hanson_pool_entry_builds_three_kappa_hessians(monkeypatch):
     p = point(EH_CHART, 0.7, -0.2, 0.5, 0.6)
     q = twistor_points(EH, 1, seed=177)[0]
-    clear_point_memos()
+    jets._KEPT.clear()
     calls = count_kappa_hessians(monkeypatch)
     asd_residual(EH, p)
     det_residual(EH, p)
@@ -698,26 +707,56 @@ def test_an_eguchi_hanson_pool_entry_builds_three_kappa_hessians(monkeypatch):
 
 
 def test_a_kept_frame_and_its_data_are_freed_without_the_cycle_collector():
-    # nothing on a frame refers back to the records beside it, so moving the
-    # memos to the next point frees both by reference counting
+    # nothing a kept value holds refers back to it, so once two newer values
+    # are kept, reference counting alone frees it: a flat frame and the data
+    # beside it, an Eguchi-Hanson base geometry and a Calabi frame
     first, second = twistor_points(FLAT, 2, seed=181)
     params = AnsatzParams.coupling_solution()
-    clear_point_memos()
-    for op in (balanced_residual, hym_residual, anomaly_residual, curvature_identities):
-        op(FLAT, params, first)
-    frame_decompose(FLAT, first)
-    data = strominger._curvature_data(FLAT, params, first)
-    refs = [weakref.ref(obj) for obj in (data, data.fr, data.ansatz, data.fr.ctx)]
-    del data
+    base = point(EH_CHART, 0.7, -0.2, 0.5, 0.6)
+    cp1 = fubini_study_cp1()
+    theorem, linear = theorem_metric_params(cp1), CalabiParams.constant_length(cp1, f_profile=Profile.linear(1.0))
+    total = point(cp1.total_chart, 0.3, -0.2, 0.6, 0.4)
+
+    def freed(refs):
+        return [ref() for ref in refs] == [None] * len(refs)
+
+    jets._KEPT.clear()
     enabled = gc.isenabled()
     gc.disable()
     try:
+        for op in (balanced_residual, hym_residual, anomaly_residual, curvature_identities):
+            op(FLAT, params, first)
+        frame_decompose(FLAT, first)
+        data = kept_value(AnsatzCurvatureData, FLAT, params, first)
+        flat = [weakref.ref(obj) for obj in (data, data.fr, data.ansatz, data.fr.ctx)]
+        asd_residual(EH, base)
+        kh, triple = kept_value(hyperkahler._base_geometry, EH, base)
+        eh = [weakref.ref(triple)] + [weakref.ref(e.c) for row in kh for e in row]
+        extremal_residual(cp1, theorem, total)
+        fr = kept_value(CanonicalBundleFrame, cp1, theorem, total)
+        calabi = [weakref.ref(obj) for obj in (fr, fr.R.c, fr.jets[0].c)]
+        del data, kh, triple, fr
+        assert freed(flat)  # two newer: the base geometry and the Calabi frame
+        km_balanced_residual(cp1, linear, total)
+        assert freed(eh)
         balanced_residual(FLAT, params, second)
-        hym_residual(FLAT, params, second)
-        assert [ref() for ref in refs] == [None] * len(refs)
+        assert freed(calabi)
     finally:
         if enabled:
             gc.enable()
+
+
+def test_omega_norm_and_radial_h_read_the_same_bits_from_the_curvature_data_frame():
+    # cold each builds a low-order frame; after hym_residual each reads the kept order-4 one
+    p = twistor_points(FLAT, 1, seed=183)[0]
+    params = random_ansatz_params(seed=185, pair_index=0)
+    ops = (lambda: omega_norm(FLAT, params, p), lambda: radial_h_residual(RadialProfile.inverse_three_halves(), p))
+    want = [cold(op) for op in ops]
+    for op, value in zip(ops, want):
+        jets._KEPT.clear()
+        hym_residual(FLAT, params, p)
+        assert op() == value
+        assert kept_value(TwistorFrame, FLAT, p).order == 4
 
 
 @pytest.mark.parametrize("zeta", [1e-3, 1e-2])
