@@ -13,14 +13,13 @@ Charts carry the standard complex structure (base coordinates plus the
 fiber coordinate t are holomorphic); the zero section t = 0 is excluded.
 
 The operators share one :class:`CanonicalBundleFrame` per (base, params,
-point): it keeps its metric, Gram matrix, Chern-Ricci form and Chern scalar
-once built.  A frame's order is the validity order of its metric.  Only the
-fiber part of the metric differentiates anything, and only R, so only the
-seeds, the base metric, its determinant h and R are built to order + 1;
-u, v, f, g and the factor R^-1 e^{v+g} are built to the order.  Every frame
-on a chart reads the chart's one shared type context
-(``forms.standard_context``).
-``_frame`` keeps frames by the rule of ``jets.kept``, which keeps two
+point): its metric, Chern-Ricci form and Chern scalar are cached
+properties, built on first use.  A frame's order is the validity order of
+its metric.  Only the fiber part of the metric differentiates anything, and
+only R, so only the seeds, the base metric, its determinant h and R are
+built to order + 1; u, v, f, g and the factor R^-1 e^{v+g} are built to
+the order.  Every frame on a chart reads the chart's one shared type
+context (``forms.standard_context``).  ``_frame`` keeps frames by the rule of ``jets.kept``, which keeps two
 values: a point certifies the theorem metric and then a must-fail profile,
 and the theorem frame survives the second.  Each operator reads the frame
 only to the order it needs: ``extremal_residual`` at order 6,
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .forms import (
     Chart,
@@ -198,15 +198,15 @@ class CalabiParams:
 class CanonicalBundleFrame:
     """Jets of the ansatz data at a point of the total-space chart, with a metric valid to ``order``.
 
-    The metric, its Gram matrix, the Chern-Ricci form and the Chern scalar
-    are each built on first use and kept, so every operator reading the
-    frame pays for each once; do not mutate them.  The metric's fiber part
-    is del R ^ dbar R, so the seeds, ``hmat``, ``h`` and ``R`` are valid to
-    order + 1; nothing differentiates u, v, f or g, so they are built from
-    the base jets and R read to order.  The metric is valid to order, the
-    Ricci form and the scalar to order - 2: the extremal equation (the
-    Hessian of the Laplacian of s, read at the point) needs order 6, the
-    Chern scalar 2, d(omega^n) 1 and the volume norm 0.
+    The metric, the Chern-Ricci form and the Chern scalar are cached
+    properties, so every operator reading the frame pays for each once; do
+    not mutate them.  The metric's fiber part is del R ^ dbar R, so the
+    seeds, ``hmat``, ``h`` and ``R`` are valid to order + 1; nothing
+    differentiates u, v, f or g, so they are built from the base jets and R
+    read to order.  The metric is valid to order, the Ricci form and the
+    scalar to order - 2: the extremal equation (the Hessian of the
+    Laplacian of s, read at the point) needs order 6, the Chern scalar 2,
+    d(omega^n) 1 and the volume norm 0.
     """
 
     def __init__(self, base: BaseKahlerModel, params: CalabiParams, p: ChartPoint, order: int):
@@ -232,7 +232,6 @@ class CanonicalBundleFrame:
         R = self.R.to_order(order)
         self.f = params.f_profile(R)
         self.g = params.g_profile(R)
-        self._metric = self._gram = self._ricci = self._scalar = None
 
     def dR_split(self):
         m = self.chart.ncomplex
@@ -245,6 +244,7 @@ class CanonicalBundleFrame:
             )
         return del_R, dbar_R
 
+    @cached_property
     def metric(self) -> FormValue:
         """e^{u+f} omega_B + i e^{v+g} del R ^ dbar R / R, valid to the frame's order.
 
@@ -252,31 +252,21 @@ class CanonicalBundleFrame:
         read to the frame's order in the factor R^-1 e^{v+g}, and the base
         metric before its product.
         """
-        if self._metric is None:
-            top = self.order
-            del_R, dbar_R = self.dR_split()
-            fiber = del_R.wedge(dbar_R).scale(1j * self.R.to_order(top).reciprocal() * (self.v + self.g).exp())
-            base = hermitian_form(self.chart, [[e.to_order(top) for e in row] for row in self.hmat])
-            self._metric = base.scale((self.u + self.f).exp()) + fiber
-        return self._metric
+        top = self.order
+        del_R, dbar_R = self.dR_split()
+        fiber = del_R.wedge(dbar_R).scale(1j * self.R.to_order(top).reciprocal() * (self.v + self.g).exp())
+        base = hermitian_form(self.chart, [[e.to_order(top) for e in row] for row in self.hmat])
+        return base.scale((self.u + self.f).exp()) + fiber
 
-    def gram(self):
-        """g_{a bbar} of the metric."""
-        if self._gram is None:
-            self._gram = hermitian_matrix_of(self.metric(), self.chart)
-        return self._gram
-
+    @cached_property
     def ricci(self) -> FormValue:
-        """rho = -i del dbar log det g."""
-        if self._ricci is None:
-            self._ricci = chern_ricci_form(self.gram(), self.ctx)
-        return self._ricci
+        """rho = -i del dbar log det g, from the Gram matrix g_{a bbar} of the metric."""
+        return chern_ricci_form(hermitian_matrix_of(self.metric, self.chart), self.ctx)
 
+    @cached_property
     def scalar(self):
         """The Chern scalar s, as a jet."""
-        if self._scalar is None:
-            self._scalar = chern_scalar_of(self.metric(), self.ricci())
-        return self._scalar
+        return chern_scalar_of(self.metric, self.ricci)
 
     def volume_form(self) -> FormValue:
         out = d_complex(self.chart, 0)
@@ -297,7 +287,7 @@ def _read_to(form: FormValue, order: int) -> FormValue:
 
 def omega0_d_residual(base: BaseKahlerModel, p: ChartPoint) -> float:
     """Relative sup of d(omega_0) for the undeformed induced metric."""
-    return closedness_residual(_frame(base, CalabiParams.plain(), p, 1).metric())
+    return closedness_residual(_frame(base, CalabiParams.plain(), p, 1).metric)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +339,7 @@ def chern_scalar_of(omega: FormValue, rho: FormValue):
 def chern_scalar(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
     """Chern scalar of the total-space ansatz metric."""
     fr = _frame(base, params, p, 2)
-    return svalue(fr.scalar()).real
+    return svalue(fr.scalar).real
 
 
 def base_chern_scalar(base: BaseKahlerModel, z_point) -> float:
@@ -367,7 +357,7 @@ def base_chern_scalar(base: BaseKahlerModel, z_point) -> float:
 def volume_norm(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
     """sqrt(|Omega^Omega_bar| / (omega^m/m!)), Omega = dz_1^...^dz_m."""
     fr = _frame(base, params, p, 0)
-    return volume_form_norm(fr.volume_form(), fr.metric().values())
+    return volume_form_norm(fr.volume_form(), fr.metric.values())
 
 
 def constant_norm_residual(base: BaseKahlerModel, params: CalabiParams, points) -> float:
@@ -380,7 +370,7 @@ def constant_norm_residual(base: BaseKahlerModel, params: CalabiParams, points) 
 def km_balanced_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
     """Relative sup of d(omega^n) on the (n+1)-dimensional total space."""
     fr = _frame(base, params, p, 1)
-    return closedness_residual(form_power(_read_to(fr.metric(), 1), base.n))
+    return closedness_residual(form_power(_read_to(fr.metric, 1), base.n))
 
 
 def extremal_residual_of(omega: FormValue, rho: FormValue, s, ctx: TypeContext) -> float:
@@ -404,7 +394,7 @@ def extremal_residual_of(omega: FormValue, rho: FormValue, s, ctx: TypeContext) 
 
 def extremal_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
     fr = _frame(base, params, p, 6)
-    return extremal_residual_of(fr.metric(), fr.ricci(), fr.scalar(), fr.ctx)
+    return extremal_residual_of(fr.metric, fr.ricci, fr.scalar, fr.ctx)
 
 
 def theorem_metric_params(base: BaseKahlerModel, c: float = 0.0, c0: float = 1.0) -> CalabiParams:

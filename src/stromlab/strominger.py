@@ -32,6 +32,7 @@ it, so neither is held by a reference cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +74,7 @@ def balanced_residual(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoi
     asks the point's kept frame for order 1.
     """
     ansatz = AnsatzMetric(twistor_frame(model, p, 1), params)
-    omega = ansatz.metric()
+    omega = ansatz.metric
     return closedness_residual(omega.wedge(omega).scale(ansatz.norm_profile()))
 
 
@@ -85,11 +86,11 @@ class AnsatzCurvatureData:
     """Shared jet assembly for the curvature-level operators (flat models only: the frame needs w1, w2).
 
     It reads the point's kept order-4 frame (``twistor_frame``), with its
-    structure, type context and frame coefficients, which
-    ``frame_decompose`` then shares; the profiles of ``params`` and the
-    metric sit beside the frame in ``ansatz``.  The frame and quotient
-    curvatures are computed on first use and kept, so the operators reading
-    both at one point pay for each once.
+    type context and frame coefficients, which ``frame_decompose`` then
+    shares; the profiles of ``params`` and the metric sit beside the frame
+    in ``ansatz``.  The frame and quotient curvatures and tr(R ^ R) are
+    cached properties, so the operators reading them at one point pay for
+    each once.
     """
 
     def __init__(self, model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint):
@@ -102,41 +103,35 @@ class AnsatzCurvatureData:
         K = mat_inv(fr.kh)
         E = [[C[0], D[0]], [C[1], D[1]]]
         self.U = mat_mul(mat_mul(E, K), mat_conj_transpose(E))
-        self._quotient_curvature = None
-        self._frame_curvature = None
-        self._tr_RR = None
 
+    @cached_property
     def quotient_curvature(self) -> np.ndarray:
-        """F' = dbar(Ubar^-1 del Ubar) at the point, stacked as ``gram_curvature`` returns it; memoised, do not mutate.
+        """F' = dbar(Ubar^-1 del Ubar) at the point, stacked as ``gram_curvature`` returns it; do not mutate.
 
         On flat N, F' vanishes: over 40 seed-2 flat points its largest
         coefficient read at most 2e-15, against up to 5.2 for R.  So there the
         HYM residual, the quotient trace and the tr(F' ^ F') term of the
         anomaly read rounding only; they get their teeth on a non-flat base.
         """
-        if self._quotient_curvature is None:
-            self._quotient_curvature = gram_curvature(self.U, self.fr.ctx)
-        return self._quotient_curvature
+        return gram_curvature(self.U, self.fr.ctx)
 
+    @cached_property
     def frame_curvature(self) -> np.ndarray:
-        """R = dbar(Hbar^-1 del Hbar) of the frame Gram at the point, stacked; memoised, do not mutate.
+        """R = dbar(Hbar^-1 del Hbar) of the frame Gram at the point, stacked; do not mutate.
 
         ``gram_curvature`` reads H to order 2, so H is built from A, B, L
         and U read to order 2.
         """
-        if self._frame_curvature is None:
-            A, B = self.A.to_order(2), self.B.to_order(2)
-            L = [l.to_order(2) for l in self.Lvec]
-            U = [[e.to_order(2) for e in row] for row in self.U]
-            self._frame_curvature = gram_curvature(_frame_gram(A, B, L, U), self.fr.ctx)
-        return self._frame_curvature
+        A, B = self.A.to_order(2), self.B.to_order(2)
+        L = [l.to_order(2) for l in self.Lvec]
+        U = [[e.to_order(2) for e in row] for row in self.U]
+        return gram_curvature(_frame_gram(A, B, L, U), self.fr.ctx)
 
+    @cached_property
     def tr_RR(self) -> FormValue:
-        """tr(R ^ R) of the frame curvature, read by the anomaly and the identities; memoised, do not mutate."""
-        if self._tr_RR is None:
-            R = self.frame_curvature()
-            self._tr_RR = matrix_wedge_trace(R, R, self.fr.chart)
-        return self._tr_RR
+        """tr(R ^ R) of the frame curvature, read by the anomaly and the identities; do not mutate."""
+        R = self.frame_curvature
+        return matrix_wedge_trace(R, R, self.fr.chart)
 
     def w_form(self) -> FormValue:
         """W = dbar L^T Ubar^-1 del Lbar as a (1,1)-form with jet coefficients valid to order 2.
@@ -148,7 +143,7 @@ class AnsatzCurvatureData:
         fr = self.fr
         Ubar_inv = mat_inv([[e.conjugate().to_order(2) for e in row] for row in self.U])
         dL = [differential_of_scalar(l.to_order(3), fr.chart) for l in self.Lvec]
-        dbar_L = [(d + fr.acs.apply(d).scale(1j)).scale(0.5) for d in dL]
+        dbar_L = [(d + fr.ctx.acs.apply(d).scale(1j)).scale(0.5) for d in dL]
         out = FormValue.zero(fr.chart, 2)
         for i in range(2):
             for j in range(2):
@@ -203,8 +198,8 @@ def hym_residual(
     the HYM check teeth.
     """
     data = _curvature_data(model, params, p)
-    F = curvature if curvature is not None else data.quotient_curvature()
-    omega = data.ansatz.metric().values()
+    F = curvature if curvature is not None else data.quotient_curvature
+    omega = data.ansatz.metric.values()
     return curvature_residual(F, [omega.wedge(omega)], data.fr.ctx)
 
 
@@ -222,8 +217,8 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     fr = data.fr
     ctx = fr.ctx
 
-    Fq = data.quotient_curvature()
-    tr_R = _trace(data.frame_curvature(), fr.chart)
+    Fq = data.quotient_curvature
+    tr_R = _trace(data.frame_curvature, fr.chart)
     tr_Fq = _trace(Fq, fr.chart)
 
     # dbar_del_scalar reads its argument to order 2, so the logs are taken there
@@ -244,7 +239,7 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     w_res = identity_residual(W.values(), w_target.values())
 
     # tr(R^R) against 2 del dbar((A/B) W) + 2 (dbar del log B)^2 + tr(F'^F')
-    tr_RR = data.tr_RR()
+    tr_RR = data.tr_RR
     del_dbar_Y = del_dbar_at_point(ctx, W.scale(A2 / B2))
     c2_rhs = (
         del_dbar_Y.scale(2.0)
@@ -272,10 +267,10 @@ def anomaly_residual(
     quotient Gram.  A replacement F is stacked as for ``hym_residual``.
     """
     data = _curvature_data(model, params, p)
-    torsion = del_dbar_at_point(data.fr.ctx, data.ansatz.metric()).scale(1j)
+    torsion = del_dbar_at_point(data.fr.ctx, data.ansatz.metric).scale(1j)
 
-    tr_RR = data.tr_RR()
-    F = curvature if curvature is not None else data.quotient_curvature()
+    tr_RR = data.tr_RR
+    F = curvature if curvature is not None else data.quotient_curvature
     tr_FF = matrix_wedge_trace(F, F, data.fr.chart)
 
     quarter = params.alpha_prime / 4.0
@@ -304,12 +299,8 @@ class RadialProfile:
         return RadialProfile(lambda r: r * 0.0)
 
     @staticmethod
-    def inverse_three_halves() -> "RadialProfile":
-        """h' = -3/(2 rho), the nonconstant branch of the dichotomy."""
-        return RadialProfile(lambda r: r.log() * (-1.5))
-
-    @staticmethod
     def log_slope(slope: float) -> "RadialProfile":
+        """h = slope log rho; slope -3/2 (h' = -3/(2 rho)) is the nonconstant branch of the dichotomy."""
         return RadialProfile(lambda r: r.log() * slope)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .forms import (
     AlmostComplexStructure,
@@ -158,9 +159,9 @@ class TwistorFrame:
     The kappa Hessian costs two orders on a model that is not flat, so
     there the coordinates are seeded two orders higher for kappa only; the
     coordinate jets the frame holds, and so the sphere, are those seeds read
-    to ``order``.  The twistor structure, its type context and the frame
-    coefficients are built on first use and kept; do not mutate them.  A
-    frame holds no ansatz profiles: those sit beside it, in an
+    to ``order``.  The type context of the twistor structure and the frame
+    coefficients are cached properties, built on first use; do not mutate
+    them.  A frame holds no ansatz profiles: those sit beside it, in an
     :class:`AnsatzMetric` that refers to the frame, so a frame is freed as
     soon as its last holder lets it go.
     """
@@ -172,7 +173,6 @@ class TwistorFrame:
         model.check_domain(p.coords[2:])
         self.model = model
         self.chart = chart
-        self.point = p
         self.order = order
         seeds = seed_jets(p.coords, order if model.flat else order + 2)
         jets = [x.to_order(order) for x in seeds]
@@ -187,29 +187,16 @@ class TwistorFrame:
         self.dzeta_bar = d_complex_bar(chart, 0)
         self.dz = [d_complex(chart, 1), d_complex(chart, 2)]
         self.dzb = [d_complex_bar(chart, 1), d_complex_bar(chart, 2)]
-        self._acs = None
-        self._ctx = None
-        self._coefficients = None
 
-    @property
-    def acs(self) -> AlmostComplexStructure:
-        if self._acs is None:
-            self._acs = _twistor_acs_from_frame(self)
-        return self._acs
-
-    @property
+    @cached_property
     def ctx(self) -> TypeContext:
-        """The type context of the twistor structure, built once per frame."""
-        if self._ctx is None:
-            self._ctx = TypeContext(self.acs)
-        return self._ctx
+        """The type context of the twistor structure (``ctx.acs``)."""
+        return TypeContext(_twistor_acs_from_frame(self))
 
-    @property
+    @cached_property
     def coefficients(self):
-        """(L, C, D) of :func:`frame_coefficients`, built once per frame."""
-        if self._coefficients is None:
-            self._coefficients = frame_coefficients(self)
-        return self._coefficients
+        """(L, C, D) of :func:`frame_coefficients`."""
+        return frame_coefficients(self)
 
     def fiber_form(self) -> FormValue:
         """alpha omega_I + beta omega_J + gamma omega_K."""
@@ -251,16 +238,14 @@ class AnsatzMetric:
         self.fr = fr
         self.g = params.g_fn(fr.zr, fr.zi)
         self.h = params.h_fn(*fr.x)
-        self._metric = None
 
+    @cached_property
     def metric(self) -> FormValue:
-        """The Hermitian ansatz form, built once per record; do not mutate."""
-        if self._metric is None:
-            fr = self.fr
-            s2inv = (fr.s * fr.s).reciprocal()
-            conf = (2.0 * self.h + self.g).exp() * s2inv
-            self._metric = fr.fiber_form().scale(conf) + fr.fubini_study().scale((2.0 * self.g).exp())
-        return self._metric
+        """The Hermitian ansatz form; do not mutate."""
+        fr = self.fr
+        s2inv = (fr.s * fr.s).reciprocal()
+        conf = (2.0 * self.h + self.g).exp() * s2inv
+        return fr.fiber_form().scale(conf) + fr.fubini_study().scale((2.0 * self.g).exp())
 
     def norm_profile(self) -> Jet:
         """s^4 e^{-2h-2g}: the volume-form norm up to a constant."""
@@ -277,7 +262,7 @@ def omega_norm(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> 
     the overall constant is conventional.
     """
     fr = twistor_frame(model, p, 0)
-    return volume_form_norm(fr.volume_3form().values(), AnsatzMetric(fr, params).metric().values())
+    return volume_form_norm(fr.volume_3form().values(), AnsatzMetric(fr, params).metric.values())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from stromlab import jets
+from stromlab import calabi, jets
 from stromlab.forms import Chart, FormValue, TypeContext, hermitian_form, point, standard_acs, standard_context
 from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.calabi import (
@@ -120,7 +120,7 @@ def test_cp2_theorem_profile_is_balanced():
 
 def test_metric_reduces_to_induced_form():
     p = total_points(TORUS, 1, seed=1)[0]
-    omega = CanonicalBundleFrame(TORUS, CalabiParams.plain(), p, 1).metric().values()
+    omega = CanonicalBundleFrame(TORUS, CalabiParams.plain(), p, 1).metric.values()
     # flat base, R = |t|^2: fiber part is i dt ^ dtbar
     from stromlab.forms import d_complex, d_complex_bar
 
@@ -147,7 +147,7 @@ def test_metric_is_positive_1_1():
     p = total_points(FS, 1, seed=7)[0]
     params = theorem_metric_params(FS)
     fr = CanonicalBundleFrame(FS, params, p, 1)
-    omega = fr.metric().values()
+    omega = fr.metric.values()
     from stromlab.forms import TypeContext, standard_acs, svalue
 
     ctx = TypeContext(standard_acs(FS.total_chart))
@@ -349,6 +349,21 @@ def test_workload_point_builds_two_frames(frames_built):
     assert [ref().order for ref in frames_built] == [6, 1]
 
 
+def test_each_frame_builds_its_chern_ricci_form_once(frames_built, monkeypatch):
+    # extremal_residual and chern_scalar read the one Ricci form of the frame they share
+    params = theorem_metric_params(FS)
+    p = total_points(FS, 1, seed=97)[0]
+    ricci_forms, build = [], calabi.chern_ricci_form
+    monkeypatch.setattr(calabi, "chern_ricci_form", lambda gram, ctx: ricci_forms.append(ctx) or build(gram, ctx))
+    for ops in ((extremal_residual, chern_scalar), (chern_scalar, extremal_residual)):
+        jets._KEPT.clear()
+        for op in ops:
+            op(FS, params, p)
+            op(FS, params, p)
+    # the order-6 frame serves chern_scalar; an order-2 frame does not serve extremal_residual
+    assert len(frames_built) == len(ricci_forms) == 3
+
+
 def test_cleared_jet_spaces_rebuild_the_frame(frames_built):
     params = theorem_metric_params(FS)
     p = total_points(FS, 1, seed=71)[0]
@@ -385,7 +400,7 @@ def test_only_the_fiber_norm_is_seeded_one_order_higher():
     fr = CanonicalBundleFrame(FS, theorem_metric_params(FS), total_points(FS, 1, seed=89)[0], 6)
     assert [x.order for x in (fr.f, fr.g, fr.u, fr.v)] == [6, 6, 6, 6]
     assert fr.R.order == 7
-    assert fr.metric().coefficient((0, 1)).order == 6
+    assert fr.metric.coefficient((0, 1)).order == 6
 
 
 def test_frame_cache_keeps_two_frames(frames_built):

@@ -48,7 +48,7 @@ from stromlab.calabi import (
 )
 from stromlab.hyperkahler import EH_CHART, asd_residual, cotangent_gram, det_residual, eguchi_hanson, flat_model
 from stromlab.jets import seed_jets
-from stromlab.sampling import Region, box, random_ansatz_params, sample_points
+from stromlab.sampling import random_ansatz_params, sample_points
 from stromlab.strominger import (
     RadialProfile,
     anomaly_residual,
@@ -69,15 +69,17 @@ FS = fubini_study_cp1()
 TORUS = flat_torus_chart()
 
 
+def _twistor_ok(c):
+    return c[0] ** 2 + c[1] ** 2 >= 0.3**2 and sum(x * x for x in c[2:]) >= 0.4
+
+
 def _twistor_points(chart, count, seed, salt):
-    region = box(chart, -1.2, 1.2, zeta_exclusion=0.3, min_base_radius2=0.4)
-    return sample_points(chart, region, count, seed, salt)
+    return sample_points(chart, seed, salt, count, -1.2, 1.2, _twistor_ok)
 
 
 def _total_points(base, count, seed, salt):
     # tr >= 0.45 keeps every point off the zero section t = 0
-    region = Region(bounds=((-1.1, 1.1), (-1.1, 1.1), (0.45, 1.1), (-1.1, 1.1)))
-    return sample_points(base.total_chart, region, count, seed, salt)
+    return sample_points(base.total_chart, seed, salt, count, (-1.1, -1.1, 0.45, -1.1), 1.1)
 
 
 def _flat_params(seed, i):
@@ -106,14 +108,14 @@ def flat_strominger(seed):
             out[f"{i}/frame_decompose/coefficient{k}/im"] = value.imag
         out[f"{i}/omega_norm"] = omega_norm(FLAT, params, p)
         out[f"{i}/radial_h_residual/constant"] = radial_h_residual(RadialProfile.constant(), p)
-        out[f"{i}/radial_h_residual/inverse_three_halves"] = radial_h_residual(RadialProfile.inverse_three_halves(), p)
+        out[f"{i}/radial_h_residual/inverse_three_halves"] = radial_h_residual(RadialProfile.log_slope(-1.5), p)
         out[f"{i}/radial_h_residual/log_slope"] = radial_h_residual(RadialProfile.log_slope(-1.0), p)
     return out
 
 
 def eh_hyperkahler(seed):
     out = {}
-    base_points = sample_points(EH_CHART, box(EH_CHART, -1.4, 1.4, min_base_radius2=0.4), 16, seed, 21)
+    base_points = sample_points(EH_CHART, seed, 21, 16, -1.4, 1.4, lambda c: sum(x * x for x in c) >= 0.4)
     twistor_points = _twistor_points(TWISTOR_EH, 16, seed, 22)
     for i, (p, q) in enumerate(zip(base_points, twistor_points)):
         params = random_ansatz_params(seed, i)
@@ -143,7 +145,7 @@ def calabi_canonical(seed):
     for name, base in (("fubini_study_cp1", FS), ("flat_torus_chart", TORUS)):
         for i, p in enumerate(_total_points(base, 4, seed, 32)):
             out[f"{name}/{i}/omega0_d_residual"] = omega0_d_residual(base, p)
-        for i, p in enumerate(sample_points(base.chart, box(base.chart, -1.2, 1.2), 4, seed, 33)):
+        for i, p in enumerate(sample_points(base.chart, seed, 33, 4, -1.2, 1.2)):
             out[f"{name}/{i}/base_chern_scalar"] = base_chern_scalar(base, p.coords)
     return out
 

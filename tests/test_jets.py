@@ -504,3 +504,18 @@ def test_kept_serves_higher_orders_rebuilds_after_a_cleared_space_cache_and_keep
     assert list(jets._KEPT) == ["a", "c"]
     assert get("b", 0) is not b
     assert built == [("a", 2), ("a", 3), ("a", 3), ("b", 0), ("c", 0), ("b", 0)]
+
+
+def test_kept_lets_the_oldest_value_go_before_a_build():
+    seen = []
+
+    def build():
+        seen.append(list(jets._KEPT))
+        return object()
+
+    jets._KEPT.clear()
+    kept("a", 0, build)
+    kept("b", 0, build)
+    kept("c", 0, build)
+    assert seen == [[], ["a"], ["b"]]
+    assert list(jets._KEPT) == ["b", "c"]

@@ -163,3 +163,29 @@ def test_point_state_is_kept_in_the_one_memo():
         stray += [f"{path.name}:{node.lineno}" for node in frame_builds(tree) - allowed]
     assert set(dicts) - tables == set(), "module-level dicts besides jets._KEPT"
     assert not stray, f"frames built outside twistor_frame and calabi._frame: {stray}"
+
+
+def self_none_tests(tree: ast.Module):
+    """``Class.method`` of each ``if self.<name> is None`` in a method."""
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+            for node in ast.walk(fn):
+                test = node.test if isinstance(node, ast.If) else None
+                if (
+                    isinstance(test, ast.Compare)
+                    and isinstance(test.left, ast.Attribute)
+                    and getattr(test.left.value, "id", None) == "self"
+                    and isinstance(test.ops[0], ast.Is)
+                    and isinstance(test.comparators[0], ast.Constant)
+                    and test.comparators[0].value is None
+                ):
+                    yield f"{cls.name}.{fn.name}"
+
+
+def test_members_built_on_first_use_are_cached_properties():
+    # "build on first use, then keep" is functools.cached_property; JetSpace.mul_table keeps its
+    # hand-written slot because the benchmark's tracer reads _mul_table to tell a table build
+    slots = []
+    for path in sorted((ROOT / "src" / "stromlab").glob("*.py")):
+        slots += [f"{path.stem}.{name}" for name in self_none_tests(ast.parse(path.read_text()))]
+    assert set(slots) - {"jets.JetSpace.mul_table"} == set(), f"hand-written memo slots: {slots}"

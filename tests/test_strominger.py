@@ -41,7 +41,7 @@ from stromlab.forms import (
 from stromlab.hyperkahler import EH_CHART, asd_residual, cotangent_gram, det_residual, eguchi_hanson, flat_model, quaternion_operator
 from stromlab import hyperkahler, jets, strominger, twistor
 from stromlab.jets import InsufficientJetOrder, Jet, jet_space, seed_jets
-from stromlab.sampling import box, random_ansatz_params, sample_points
+from stromlab.sampling import random_ansatz_params, sample_points
 from stromlab.twistor import (
     C3_CHART,
     TWISTOR_EH,
@@ -79,9 +79,10 @@ EH = eguchi_hanson(1.0)
 
 
 def twistor_points(model, n, seed, min_zeta=0.3):
-    chart = model.twistor_chart
-    region = box(chart, -1.2, 1.2, zeta_exclusion=min_zeta, min_base_radius2=0.4)
-    return sample_points(chart, region, n, seed)
+    def accept(c):
+        return c[0] ** 2 + c[1] ** 2 >= min_zeta**2 and sum(x * x for x in c[2:]) >= 0.4
+
+    return sample_points(model.twistor_chart, seed, 0, n, -1.2, 1.2, accept)
 
 
 # -- conformally balanced ------------------------------------------------------
@@ -105,7 +106,7 @@ def test_flat_balanced_order_one_frame_matches_order_three():
     for k, p in enumerate(twistor_points(FLAT, 4, seed=61)):
         params = random_ansatz_params(seed=7, pair_index=k)
         ansatz = AnsatzMetric(TwistorFrame(FLAT, p, 3), params)
-        omega = ansatz.metric()
+        omega = ansatz.metric
         assert balanced_residual(FLAT, params, p) == closedness_residual(omega.wedge(omega).scale(ansatz.norm_profile()))
 
 
@@ -179,7 +180,7 @@ def test_trace_equals_ddbar_log_det():
         + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0])
     )
     expected = dbar_del_scalar(data.fr.ctx, det.conjugate().log())
-    tr = _trace(data.frame_curvature(), data.fr.chart)
+    tr = _trace(data.frame_curvature, data.fr.chart)
     assert (tr - expected).sup() <= 1e-10 * max(1.0, tr.sup())
 
 
@@ -220,7 +221,7 @@ def test_pointwise_gram_curvature_matches_the_jet_path():
     for k, p in enumerate(twistor_points(FLAT, 2, seed=131)):
         data = AnsatzCurvatureData(FLAT, random_ansatz_params(seed=137, pair_index=k), p)
         cases.append((frame_gram(data), data.fr.ctx))
-    cases += [eh_cotangent_gram(p) for p in sample_points(EH_CHART, box(EH_CHART, -1.5, 1.5), 2, seed=133)]
+    cases += [eh_cotangent_gram(p) for p in sample_points(EH_CHART, 133, 0, 2, -1.5, 1.5)]
     for H, ctx in cases:
         want, _ = jet_path_curvature(H, ctx)
         got = gram_curvature(H, ctx)
@@ -238,7 +239,7 @@ def test_dbar_del_scalar_matches_the_jet_path():
     for k, p in enumerate(twistor_points(FLAT, 2, seed=157)):
         data = AnsatzCurvatureData(FLAT, random_ansatz_params(seed=159, pair_index=k), p)
         cases += [(data.B.log(), data.fr.ctx), (data.A * data.Lvec[0].conjugate(), data.fr.ctx)]
-    for H, ctx in (eh_cotangent_gram(p) for p in sample_points(EH_CHART, box(EH_CHART, -1.5, 1.5), 2, seed=161)):
+    for H, ctx in (eh_cotangent_gram(p) for p in sample_points(EH_CHART, 161, 0, 2, -1.5, 1.5)):
         cases.append((H[0][1] * H[1][1], ctx))
     for f, ctx in cases:
         want = d_part_at_point(ctx, ctx.project(differential_of_scalar(f, ctx.chart), 1, 0), 1, 1)
@@ -351,9 +352,20 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
 def test_curvature_data_is_memoised_per_object():
     p = twistor_points(FLAT, 1, seed=139)[0]
     data = AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p)
-    assert data.frame_curvature() is data.frame_curvature()
-    assert data.quotient_curvature() is data.quotient_curvature()
+    assert data.frame_curvature is data.frame_curvature
+    assert data.quotient_curvature is data.quotient_curvature
     assert AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p) is not data
+
+
+def test_one_point_builds_the_quotient_and_frame_curvatures_once(monkeypatch):
+    # HYM, the anomaly and the identities share the cached curvatures of one curvature data
+    p, params = twistor_points(FLAT, 1, seed=187)[0], AnsatzParams.coupling_solution()
+    sizes, build = [], strominger.gram_curvature
+    monkeypatch.setattr(strominger, "gram_curvature", lambda H, ctx: sizes.append(len(H)) or build(H, ctx))
+    jets._KEPT.clear()
+    for op in (hym_residual, anomaly_residual, curvature_identities):
+        op(FLAT, params, p)
+    assert sizes == [2, 3]  # U, then the frame Gram
 
 
 def kept_value(*key):
@@ -412,7 +424,7 @@ def test_a_nan_injected_call_leaves_the_shared_data_clean():
     params = AnsatzParams.coupling_solution(alpha_prime=2.0)
     want_anomaly = cold(anomaly_residual, FLAT, params, p)
     want_hym = cold(hym_residual, FLAT, params, p)
-    F = with_a_nan(AnsatzCurvatureData(FLAT, params, p).quotient_curvature())
+    F = with_a_nan(AnsatzCurvatureData(FLAT, params, p).quotient_curvature)
     assert not anomaly_residual(FLAT, params, p, curvature=F) <= 1e-8
     assert anomaly_residual(FLAT, params, p) == want_anomaly
     assert not hym_residual(FLAT, params, p, curvature=F) <= 1e-8
@@ -423,7 +435,7 @@ def test_curvature_entries_are_1_1_and_metric_skew():
     params = random_ansatz_params(seed=29, pair_index=1)
     p = twistor_points(FLAT, 1, seed=37)[0]
     data = AnsatzCurvatureData(FLAT, params, p)
-    R = data.frame_curvature()
+    R = data.frame_curvature
     scale = max(1.0, _array_sup(R))
     # with no forms to wedge, curvature_residual is the (2,0)/(0,2) purity against max(1, |R|)
     assert curvature_residual(R, [], data.fr.ctx) <= 1e-10
@@ -450,7 +462,7 @@ def test_quotient_gram_flat_closed_form():
     p = twistor_points(FLAT, 1, seed=43)[0]
     data = AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p)
     U = [[svalue(e) for e in row] for row in data.U]
-    F = data.quotient_curvature()
+    F = data.quotient_curvature
     zeta2 = p.coords[0] ** 2 + p.coords[1] ** 2
     assert U[0][0] == pytest.approx(2.0 * zeta2, rel=1e-12)
     assert U[1][1] == pytest.approx(2.0 * zeta2, rel=1e-12)
@@ -460,7 +472,7 @@ def test_quotient_gram_flat_closed_form():
 
 def test_quotient_curvature_no_sphere_volume_component():
     p = twistor_points(FLAT, 1, seed=47)[0]
-    F = AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p).quotient_curvature()
+    F = AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p).quotient_curvature
     assert _array_sup(F[..., _ranks(6, 2)[(0, 1)]]) <= 1e-12
 
 
@@ -482,8 +494,8 @@ def test_quotient_curvature_vanishes_on_flat():
     profiles += [random_ansatz_params(seed=2, pair_index=k) for k in range(2)]
     for params, p in zip(profiles * 2, twistor_points(FLAT, 8, seed=2)):
         data = AnsatzCurvatureData(FLAT, params, p)
-        assert _array_sup(data.quotient_curvature()) <= 1e-13
-        assert _array_sup(data.frame_curvature()) >= 0.1
+        assert _array_sup(data.quotient_curvature) <= 1e-13
+        assert _array_sup(data.frame_curvature) >= 0.1
 
 
 def test_hym_raises_a_domain_error_at_the_frame_cutoff():
@@ -594,7 +606,7 @@ def test_one_kappa_hessian_per_asd_residual(monkeypatch):
 def test_one_kappa_hessian_per_radial_h_residual(monkeypatch):
     jets._KEPT.clear()
     calls = count_kappa_hessians(monkeypatch)
-    radial_h_residual(RadialProfile.inverse_three_halves(), point(TWISTOR_FLAT, 0.5, 0.2, 0.4, 0.8, -0.3, 0.5))
+    radial_h_residual(RadialProfile.log_slope(-1.5), point(TWISTOR_FLAT, 0.5, 0.2, 0.4, 0.8, -0.3, 0.5))
     assert calls == [FLAT]
 
 
@@ -614,7 +626,7 @@ def test_one_metric_per_twistor_frame(monkeypatch):
     anomaly_residual(FLAT, params, p)
     data = strominger._curvature_data(FLAT, params, p)
     assert calls == [data.fr]  # hym and the anomaly share one metric beside the kept frame
-    assert data.ansatz.metric() is data.ansatz.metric()
+    assert data.ansatz.metric is data.ansatz.metric
 
 
 # -- the geometry of a point, built once ---------------------------------------------
@@ -750,7 +762,7 @@ def test_omega_norm_and_radial_h_read_the_same_bits_from_the_curvature_data_fram
     # cold each builds a low-order frame; after hym_residual each reads the kept order-4 one
     p = twistor_points(FLAT, 1, seed=183)[0]
     params = random_ansatz_params(seed=185, pair_index=0)
-    ops = (lambda: omega_norm(FLAT, params, p), lambda: radial_h_residual(RadialProfile.inverse_three_halves(), p))
+    ops = (lambda: omega_norm(FLAT, params, p), lambda: radial_h_residual(RadialProfile.log_slope(-1.5), p))
     want = [cold(op) for op in ops]
     for op, value in zip(ops, want):
         jets._KEPT.clear()
@@ -786,10 +798,10 @@ def test_hym_catches_a_pure_2_0_curvature_entry_by_purity_alone():
     params = AnsatzParams.coupling_solution()
     data = AnsatzCurvatureData(FLAT, params, p)
     pure = data.fr.ctx.project(FormValue(p.chart, 2, {(0, 2): 0.6, (1, 3): 0.4j, (2, 4): -0.5}), 2, 0)
-    omega = data.ansatz.metric().values()
+    omega = data.ansatz.metric.values()
     assert pure.sup() >= 0.1
     assert pure.wedge(omega.wedge(omega)).sup() <= 1e-13
-    F = data.quotient_curvature().copy()
+    F = data.quotient_curvature.copy()
     F[0, 1] += pure.to_vector()
     assert hym_residual(FLAT, params, p) <= 1e-8
     assert hym_residual(FLAT, params, p, curvature=F) >= 1e-2
@@ -870,14 +882,14 @@ def test_anomaly_gate_fails_on_a_nan_curvature_coefficient():
     params = AnsatzParams.coupling_solution(alpha_prime=2.0)
     # F has only dzeta^dzetabar parts, so a NaN on dx4^dx5 survives in tr(F^F);
     # it is not the first term of the difference, where a plain max() drops it
-    F = with_a_nan(AnsatzCurvatureData(FLAT, params, p).quotient_curvature())
+    F = with_a_nan(AnsatzCurvatureData(FLAT, params, p).quotient_curvature)
     assert not anomaly_residual(FLAT, params, p, curvature=F) <= 1e-8
 
 
 def test_hym_gate_fails_on_a_nan_curvature_coefficient():
     p = twistor_points(FLAT, 1, seed=83)[0]
     params = AnsatzParams.coupling_solution(alpha_prime=2.0)
-    F = with_a_nan(AnsatzCurvatureData(FLAT, params, p).quotient_curvature())
+    F = with_a_nan(AnsatzCurvatureData(FLAT, params, p).quotient_curvature)
     assert not hym_residual(FLAT, params, p, curvature=F) <= 1e-8
 
 
@@ -914,17 +926,19 @@ def test_type_context_survives_a_cleared_jet_space_cache():
 
 
 def test_radial_dichotomy():
-    region = box(TWISTOR_FLAT, -1.4, 1.4, zeta_exclusion=0.3, min_base_radius2=0.5, max_base_radius2=5.0)
-    pts = sample_points(TWISTOR_FLAT, region, 6, seed=107)
+    def accept(c):
+        return c[0] ** 2 + c[1] ** 2 >= 0.3**2 and 0.5 <= sum(x * x for x in c[2:]) <= 5.0
+
+    pts = sample_points(TWISTOR_FLAT, 107, 0, 6, -1.4, 1.4, accept)
     for p in pts:
         assert radial_h_residual(RadialProfile.constant(), p) <= 1e-9
-        assert radial_h_residual(RadialProfile.inverse_three_halves(), p) <= 1e-9
+        assert radial_h_residual(RadialProfile.log_slope(-1.5), p) <= 1e-9
         assert radial_h_residual(RadialProfile.log_slope(-1.0), p) >= 1e-3
 
 
 def test_log_slope_minus_three_halves_is_the_nonconstant_branch():
     # bit for bit, so a slope that divides instead of multiplying shows (slope -1 hides it)
-    assert RadialProfile.log_slope(-1.5).derivatives(0.7) == RadialProfile.inverse_three_halves().derivatives(0.7)
+    assert RadialProfile.log_slope(-1.5).derivatives(0.7) == RadialProfile(lambda r: r.log() * -1.5).derivatives(0.7)
 
 
 def test_radial_residual_raises_a_domain_error_at_rho_zero():

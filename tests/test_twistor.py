@@ -19,7 +19,7 @@ from stromlab.forms import (
 )
 from stromlab.hyperkahler import eguchi_hanson, flat_model
 from stromlab.jets import seed_jets
-from stromlab.sampling import box, random_ansatz_params, sample_points
+from stromlab.sampling import random_ansatz_params, sample_points
 from stromlab.twistor import (
     C3_CHART,
     TWISTOR_FLAT,
@@ -43,9 +43,10 @@ EH = eguchi_hanson(1.0)
 
 
 def twistor_points(model, n, seed, min_zeta=0.25):
-    chart = model.twistor_chart
-    region = box(chart, -1.3, 1.3, zeta_exclusion=min_zeta, min_base_radius2=0.35)
-    return sample_points(chart, region, n, seed)
+    def accept(c):
+        return c[0] ** 2 + c[1] ** 2 >= min_zeta**2 and sum(x * x for x in c[2:]) >= 0.35
+
+    return sample_points(model.twistor_chart, seed, 0, n, -1.3, 1.3, accept)
 
 
 # -- sphere map ---------------------------------------------------------------
@@ -79,12 +80,12 @@ def test_sphere_map_unit_norm_bulk():
 def test_acs_squares_to_minus_identity():
     for model in (FLAT, EH):
         for p in twistor_points(model, 4, seed=3):
-            assert square_residual(acs_values(TwistorFrame(model, p, 2).acs)) <= 1e-12
+            assert square_residual(acs_values(TwistorFrame(model, p, 2).ctx.acs)) <= 1e-12
 
 
 def test_acs_at_zeta_zero_restricts_to_I():
     p = point(TWISTOR_FLAT, 0.0, 0.0, 0.7, -0.2, 0.4, 0.9)
-    acs = acs_values(TwistorFrame(FLAT, p, 2).acs)
+    acs = acs_values(TwistorFrame(FLAT, p, 2).ctx.acs)
     dz1 = d_complex(TWISTOR_FLAT, 1)
     dz2 = d_complex(TWISTOR_FLAT, 2)
     assert (acs.apply(dz1) - dz1.scale(1j)).sup() <= 1e-14
@@ -93,7 +94,7 @@ def test_acs_at_zeta_zero_restricts_to_I():
 
 def test_acs_dzeta_eigenform():
     p = point(TWISTOR_FLAT, 0.4, -0.8, 0.3, 0.2, -0.5, 0.7)
-    acs = acs_values(TwistorFrame(FLAT, p, 2).acs)
+    acs = acs_values(TwistorFrame(FLAT, p, 2).ctx.acs)
     dzeta = d_complex(TWISTOR_FLAT, 0)
     assert (acs.apply(dzeta) - dzeta.scale(1j)).sup() <= 1e-14
 
@@ -101,7 +102,7 @@ def test_acs_dzeta_eigenform():
 def test_acs_flat_beta_one_table_row():
     # at zeta = 1 the structure acts as J: du1 -> -du2_bar
     p = point(TWISTOR_FLAT, 1.0, 0.0, 0.3, -0.6, 0.8, 0.1)
-    acs = acs_values(TwistorFrame(FLAT, p, 2).acs)
+    acs = acs_values(TwistorFrame(FLAT, p, 2).ctx.acs)
     du1 = d_complex(TWISTOR_FLAT, 1)
     dub2 = d_complex_bar(TWISTOR_FLAT, 2)
     assert (acs.apply(du1) + dub2).sup() <= 1e-14
@@ -163,7 +164,7 @@ def test_volume_is_3_0_and_closed():
 def test_ansatz_simplest_case_closed_form():
     p = point(TWISTOR_FLAT, 0.0, 0.0, 0.4, 0.1, -0.7, 0.3)
     fr = TwistorFrame(FLAT, p, 2)
-    omega = AnsatzMetric(fr, AnsatzParams.constants()).metric().values()
+    omega = AnsatzMetric(fr, AnsatzParams.constants()).metric.values()
     expected = fr.triple.omega_I.values() + d_complex(TWISTOR_FLAT, 0).wedge(
         d_complex_bar(TWISTOR_FLAT, 0)
     ).scale(2j)
@@ -177,7 +178,7 @@ def test_ansatz_squared_closed_form():
         p = twistor_points(FLAT, 1, seed=100 + k)[0]
         fr = TwistorFrame(FLAT, p, 2)
         ansatz = AnsatzMetric(fr, params)
-        omega = ansatz.metric().values()
+        omega = ansatz.metric.values()
         lhs = omega.wedge(omega)
         s, g, h = fr.s, ansatz.g, ansatz.h
         vol = fr.triple.omega_I.wedge(fr.triple.omega_I).scale(0.5)
@@ -196,7 +197,7 @@ def test_ansatz_is_1_1_for_random_profiles():
         params = random_ansatz_params(seed=19, pair_index=k)
         p = twistor_points(FLAT, 1, seed=300 + k)[0]
         fr = TwistorFrame(FLAT, p, 2)
-        omega = AnsatzMetric(fr, params).metric().values()
+        omega = AnsatzMetric(fr, params).metric.values()
         parts = fr.ctx.decompose(omega)
         scale = max(1.0, omega.sup())
         assert parts.get((0, 2), FormValue.zero(fr.chart, 2)).sup() <= 1e-10 * scale
@@ -224,8 +225,8 @@ def test_ansatz_positivity():
     for p in twistor_points(EH, 3, seed=23):
         params = random_ansatz_params(seed=31, pair_index=1)
         fr = TwistorFrame(EH, p, 2)
-        omega = AnsatzMetric(fr, params).metric().values()
-        acs = acs_values(fr.acs)
+        omega = AnsatzMetric(fr, params).metric.values()
+        acs = acs_values(fr.ctx.acs)
         for _ in range(10):
             v = [rng.uniform(-1, 1) for _ in range(6)]
             # vector action is the transpose of the 1-form action
@@ -264,7 +265,7 @@ def test_norm_constant_on_branch():
 
 def test_norm_rejects_a_metric_that_is_not_positive():
     p = twistor_points(FLAT, 1, seed=67)[0]
-    omega = AnsatzMetric(TwistorFrame(FLAT, p, 2), AnsatzParams.constants()).metric().values()
+    omega = AnsatzMetric(TwistorFrame(FLAT, p, 2), AnsatzParams.constants()).metric.values()
     assert top_ratio(form_power(omega, 3), form_power(omega, 3)) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         top_ratio(form_power(omega, 3), form_power(omega.scale(-1.0), 3))
@@ -359,7 +360,7 @@ def test_theta_are_1_0_forms():
         for p in twistor_points(model, 3, seed=83):
             fr = TwistorFrame(model, p, 2)
             t1, t2 = theta_coframe_jets(fr)
-            acs = fr.acs
+            acs = fr.ctx.acs
             for t in (t1, t2):
                 tv = t.values()
                 jt = acs_values(acs).apply(tv)
@@ -396,8 +397,8 @@ def test_gram_identities(model):
         fr = TwistorFrame(model, p, 2)
         ansatz = AnsatzMetric(fr, params)
         t1, t2 = theta_coframe_jets(fr)
-        omega = ansatz.metric().values()
-        acs = acs_values(fr.acs)
+        omega = ansatz.metric.values()
+        acs = acs_values(fr.ctx.acs)
         gram = coframe_gram(
             omega, acs, [d_complex(fr.chart, 0), t1.values(), t2.values()]
         )

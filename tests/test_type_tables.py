@@ -117,7 +117,7 @@ TWISTOR_MASK = 0b11
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_jet_tables_match_the_expanded_wedges(twistor_frame, degree):
-    acs = twistor_frame.acs
+    acs = twistor_frame.ctx.acs
     ctx = TypeContext(acs)
     space = twistor_frame.zr.space
     one = Jet.constant(space, 1.0)
@@ -147,7 +147,7 @@ def random_jet_form(fr, degree, rng):
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_jet_parts_sum_back_project_idempotently_and_follow_the_order_rule(twistor_frame, degree):
     fr = twistor_frame
-    ctx = TypeContext(fr.acs)
+    ctx = TypeContext(fr.ctx.acs)
     space = fr.zr.space
     low = space.prefix_sizes[1]
     form = random_jet_form(fr, degree, random.Random(degree))
