@@ -11,6 +11,8 @@ satisfies.
 
 Charts carry the standard complex structure (base coordinates plus the
 fiber coordinate t are holomorphic); the zero section t = 0 is excluded.
+The profiles f, g are ``jets.Profile`` values; :class:`CalabiParams` hold
+closures, so they compare by identity and a caller builds them once.
 
 The operators share one :class:`CanonicalBundleFrame` per (base, params,
 point): its metric, Chern-Ricci form and Chern scalar are cached
@@ -54,7 +56,7 @@ from .forms import (
     top_ratio,
     volume_form_norm,
 )
-from .jets import Jet, jet_space, kept, seed_jets, wirtinger
+from .jets import Jet, Profile, jet_space, kept, seed_jets, wirtinger
 
 
 class ZeroSectionError(DomainError):
@@ -106,24 +108,6 @@ def flat_torus_chart() -> BaseKahlerModel:
 # profiles of the fiber norm
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Smooth function of the fiber-norm variable, jet-capable."""
-
-    fn: object
-
-    def __call__(self, R):
-        return self.fn(R)
-
-    @staticmethod
-    def zero() -> "Profile":
-        return Profile(lambda R: R * 0.0)
-
-    @staticmethod
-    def linear(slope: float) -> "Profile":
-        return Profile(lambda R: R * slope)
-
-
 def solve_profile_f(s_const: float, c: float, c0: float, n: int) -> Profile:
     """Closed-form profile with e^{(n+1)f} = (n+1) (s/n) e^c R + C0.
 
@@ -159,7 +143,7 @@ def profile_ode_residual(profile: Profile, s_const: float, c: float, n: int, R_v
 
 @dataclass(frozen=True)
 class CalabiParams:
-    """Conformal data (u, v on the base; f, g of the fiber norm; constant c).
+    """Conformal data (u, v on the base; f, g of the fiber norm).
 
     On the constant-length branch v = -n u and g = -n f + c are enforced
     at construction, which is exactly the condition for the holomorphic
@@ -170,29 +154,24 @@ class CalabiParams:
     v_fn: object
     f_profile: Profile
     g_profile: Profile
-    c: float = 0.0
 
     @staticmethod
     def constant_length(base: BaseKahlerModel, u_fn=None, f_profile: Profile | None = None, c: float = 0.0):
         n = base.n
         u = u_fn or (lambda zjets: zjets[0] * 0.0)
-        f = f_profile or Profile.zero()
+        f = f_profile or Profile.linear(0.0)
         return CalabiParams(
             u_fn=u,
             v_fn=lambda zjets: u(zjets) * (-float(n)),
             f_profile=f,
             g_profile=Profile(lambda R: f(R) * (-float(n)) + c),
-            c=c,
         )
 
     @staticmethod
-    def plain(u=0.0, v=0.0, f_profile: Profile | None = None, g_profile: Profile | None = None):
-        return CalabiParams(
-            u_fn=lambda zjets: zjets[0] * 0.0 + u,
-            v_fn=lambda zjets: zjets[0] * 0.0 + v,
-            f_profile=f_profile or Profile.zero(),
-            g_profile=g_profile or Profile.zero(),
-        )
+    def plain():
+        """u = v = f = g = 0: the metric omega_0 induced from the base."""
+        zero = Profile.linear(0.0)
+        return CalabiParams(lambda zjets: zjets[0] * 0.0, lambda zjets: zjets[0] * 0.0, zero, zero)
 
 
 class CanonicalBundleFrame:

@@ -137,10 +137,6 @@ def svalue(x) -> complex:
     return x.value if isinstance(x, Jet) else complex(x)
 
 
-def sconj(x):
-    return x.conjugate()
-
-
 def smag(x) -> float:
     return abs(svalue(x))
 
@@ -234,11 +230,6 @@ class FormValue:
     def scale(self, s) -> "FormValue":
         return FormValue(self.chart, self.degree, {m: s * c for m, c in self.terms.items()})
 
-    def __mul__(self, s):
-        return self.scale(s)
-
-    __rmul__ = __mul__
-
     def wedge(self, other: "FormValue") -> "FormValue":
         self._check(other)
         deg = self.degree + other.degree
@@ -266,7 +257,7 @@ class FormValue:
         return FormValue(self.chart, deg, terms)
 
     def conj(self) -> "FormValue":
-        return FormValue(self.chart, self.degree, {m: sconj(c) for m, c in self.terms.items()})
+        return FormValue(self.chart, self.degree, {m: c.conjugate() for m, c in self.terms.items()})
 
     def map_coeffs(self, fn) -> "FormValue":
         return FormValue(self.chart, self.degree, {m: fn(c) for m, c in self.terms.items()})
@@ -728,9 +719,6 @@ class TypeContext:
             return FormValue.zero(self.chart, k)
         return self._parts(form, slice(p, p + 1))[0]
 
-    def dbar_scalar(self, f: Jet) -> FormValue:
-        return self.project(differential_of_scalar(f, self.chart), 0, 1)
-
 
 @lru_cache(maxsize=None)
 def standard_context(chart: Chart) -> TypeContext:
@@ -745,37 +733,13 @@ def standard_context(chart: Chart) -> TypeContext:
 
 def i_ddbar(ctx: TypeContext, f: Jet) -> FormValue:
     """i del dbar f with jet coefficients; real-valued (1,1) for real f."""
-    dbar_f = ctx.dbar_scalar(f)
+    dbar_f = ctx.project(differential_of_scalar(f, ctx.chart), 0, 1)
     dd = exterior_derivative(dbar_f)
     return ctx.project(dd, 1, 1).scale(1j)
 
 
-def d_part_at_point(ctx: TypeContext, form: FormValue, p: int, q: int) -> FormValue:
-    """(p,q) part of d(form) at the point, for a result nothing differentiates."""
-    return ctx.project(d_at_point(form), p, q)
-
-
 # ---------------------------------------------------------------------------
 # generic small linear algebra over scalars-or-jets
-
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_conj_transpose(A):
-    n, m = len(A), len(A[0])
-    return [[sconj(A[j][i]) for j in range(n)] for i in range(m)]
 
 
 def mat_det(A):
@@ -1048,7 +1012,7 @@ def del_dbar_at_point(ctx: TypeContext, form: FormValue) -> FormValue:
     d is taken at the point.  The form's jets must be valid to order >= 2.
     """
     dbar = ctx.project(exterior_derivative(form), 1, 2)
-    return d_part_at_point(ctx, dbar, 2, 2)
+    return ctx.project(d_at_point(dbar), 2, 2)
 
 
 def volume_form_norm(vol: FormValue, omega: FormValue) -> float:

@@ -18,7 +18,8 @@ complex ones, so no caller passes an offset.
 The hyperkahler condition pins the complex Monge-Ampere determinant of
 the potential to 1/4, which is the certification oracle: a candidate
 potential is only trusted once :func:`det_residual` vanishes on a sample.
-It and :func:`asd_residual` read one kept order-4 Hessian per base point.
+It and :func:`asd_residual` read one kept Hessian per base point, valid
+to order 2.
 
 The Eguchi-Hanson model lives on the punctured double cover C^2 minus the
 origin; the Z_2 quotient and the zero section are never represented, so
@@ -270,7 +271,7 @@ def quaternion_operator(kh, which: str, chart: Chart) -> AlmostComplexStructure:
 def det_residual(model: HyperkahlerModel, p: ChartPoint) -> float:
     """|kappa_{1 1bar} kappa_{2 2bar} - kappa_{1 2bar} kappa_{2 1bar} - 1/4|, from the values of the point's Hessian.
 
-    The Hessian is the order-4 one that :func:`asd_residual` reads at the
+    The Hessian is the order-2 one that :func:`asd_residual` reads at the
     same point (see :func:`_base_geometry`), read to order 0: its values do
     not depend on the order it is built to, and order-0 jet products round
     as the products of a higher-order jet do at the point.
@@ -310,10 +311,11 @@ def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
 
 
 def _base_geometry(model: HyperkahlerModel, p: ChartPoint):
-    """The order-4 Hessian of the potential at a base point and its triple at the point (``jets.kept``).
+    """The Hessian of the potential at a base point and its triple at the point (``jets.kept``).
 
-    ``asd_residual`` (plain and perturbed) and ``det_residual`` read them,
-    so a point pays for one Hessian.
+    Seeded at order 4, the Hessian is valid to order 2 (4 on flat, where it
+    is constant).  ``asd_residual`` (plain and perturbed) and
+    ``det_residual`` read them, so a point pays for one Hessian.
     """
 
     def build():
@@ -321,4 +323,4 @@ def _base_geometry(model: HyperkahlerModel, p: ChartPoint):
         # the certificate reads the triple at the point only
         return kh, triple_forms(model.chart, [[svalue(e) for e in row] for row in kh])
 
-    return kept((_base_geometry, model, p), 4, build)
+    return kept((_base_geometry, model, p), 2, build)

@@ -35,12 +35,16 @@ pairs whose output monomial lies in the union mask; these are all the pairs
 of those outputs, in the same order, so the result is bit-identical to the
 full product while a product of, say, two functions of 2 of 6 variables
 touches 70 instead of 1820 pairs at order 4.
+
+A :class:`Profile` is a jet-capable function of one real variable, such as
+f, g of the Calabi fibre norm and h(rho) of the radial dichotomy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -192,7 +196,10 @@ def kept(key, order: int, build):
     older entry; no benchmark workload and no golden group does that.  The
     low coefficients of a truncated product or composition do not depend
     on the truncation order, so a reader gets the same bits from a value
-    built for a higher order.
+    built for a higher order.  Keys compare by value: the ``AnsatzParams``
+    constructors and ``random_ansatz_params`` give equal params for equal
+    arguments, while Calabi params hold closures and are keyed by identity
+    (each caller builds them once).
     """
     stamp = jet_space(1, 0)
     got = _KEPT.pop(key, None)
@@ -496,3 +503,26 @@ def wirtinger(jet: Jet, re_idx: int, im_idx: int, bar: bool) -> Jet:
     if bar:
         return (dre + dim * 1j) * 0.5
     return (dre - dim * 1j) * 0.5
+
+
+@dataclass(frozen=True)
+class Profile:
+    """A function of one real variable given by a jet-capable callable ``fn``."""
+
+    fn: object
+
+    def __call__(self, x):
+        return self.fn(x)
+
+    def derivatives(self, x: float):
+        jet = self.fn(Jet.variable(jet_space(1, 2), 0, x))
+        return jet.partial((1,)), jet.partial((2,))
+
+    @staticmethod
+    def linear(slope: float) -> "Profile":
+        return Profile(lambda x: x * slope)
+
+    @staticmethod
+    def log_slope(slope: float) -> "Profile":
+        """slope log x; for h(rho), slope -3/2 (h' = -3/(2 rho)) is the nonconstant branch of the dichotomy."""
+        return Profile(lambda x: x.log() * slope)

@@ -87,14 +87,11 @@ def random_polynomial(gen: np.random.Generator, nvars: int, degree: int, scale: 
     return Polynomial(nvars, tuple(entries))
 
 
-def random_ansatz_params(seed: int, pair_index: int, alpha_prime: float = 2.0, scale: float = 0.2):
-    """A random cubic (g, h) pair for the ansatz metric."""
+def random_ansatz_params(seed: int, pair_index: int):
+    """A random cubic (g, h) pair of :class:`Polynomial` values; equal arguments give equal params."""
     from .twistor import AnsatzParams
 
-    g_poly = random_polynomial(stream(seed, 101, pair_index), 2, 3, scale)
-    h_poly = random_polynomial(stream(seed, 202, pair_index), 4, 3, scale)
     return AnsatzParams(
-        g_fn=lambda zr, zi: g_poly(zr, zi),
-        h_fn=lambda x1, x2, x3, x4: h_poly(x1, x2, x3, x4),
-        alpha_prime=alpha_prime,
+        g_fn=random_polynomial(stream(seed, 101, pair_index), 2, 3, 0.2),
+        h_fn=random_polynomial(stream(seed, 202, pair_index), 4, 3, 0.2),
     )

@@ -27,11 +27,14 @@ identities share one :class:`AnsatzCurvatureData` on the order-4 frame,
 which ``twistor.frame_decompose`` then reads too.  Both are kept by the
 rule of ``jets.kept``; the data refers to its frame and never the frame to
 it, so neither is held by a reference cycle.
+
+The radial dichotomy (``radial_h_residual``) takes h(rho), rho = |x|^2, as
+a ``jets.Profile``; both branches, ``Profile.linear(0.0)`` and
+``Profile.log_slope(-1.5)``, pass it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -49,15 +52,13 @@ from .forms import (
     differential_of_scalar,
     gram_curvature,
     identity_residual,
-    mat_conj_transpose,
     mat_inv,
-    mat_mul,
     matrix_wedge_trace,
     nan_max,
     relative_residual,
 )
 from .hyperkahler import HyperkahlerModel, flat_model, quaternion_operator
-from .jets import Jet, jet_space, kept
+from .jets import Profile, kept
 from .twistor import AnsatzMetric, AnsatzParams, twistor_frame
 
 
@@ -100,9 +101,11 @@ class AnsatzCurvatureData:
         self.A = fr.s * fr.s * (-2.0 * ansatz.g).exp() * 0.5
         self.B = fr.s * fr.s * fr.s * (-2.0 * ansatz.h - ansatz.g).exp()
         self.Lvec = [fr.zeta * L[0], fr.zeta * L[1]]
-        K = mat_inv(fr.kh)
+        K = mat_inv(fr.kh)  # U = E K E^H
         E = [[C[0], D[0]], [C[1], D[1]]]
-        self.U = mat_mul(mat_mul(E, K), mat_conj_transpose(E))
+        EK = [[E[i][0] * K[0][j] + E[i][1] * K[1][j] for j in range(2)] for i in range(2)]
+        Ebar = [[e.conjugate() for e in row] for row in E]
+        self.U = [[EK[i][0] * Ebar[j][0] + EK[i][1] * Ebar[j][1] for j in range(2)] for i in range(2)]
 
     @cached_property
     def quotient_curvature(self) -> np.ndarray:
@@ -283,29 +286,8 @@ def anomaly_residual(
 # the radial reduction of the anomaly obstruction
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """h = h(rho) given by a jet-capable callable of rho."""
-
-    fn: object
-
-    def derivatives(self, rho: float):
-        space = jet_space(1, 2)
-        jet = self.fn(Jet.variable(space, 0, rho))
-        return jet.partial((1,)), jet.partial((2,))
-
-    @staticmethod
-    def constant() -> "RadialProfile":
-        return RadialProfile(lambda r: r * 0.0)
-
-    @staticmethod
-    def log_slope(slope: float) -> "RadialProfile":
-        """h = slope log rho; slope -3/2 (h' = -3/(2 rho)) is the nonconstant branch of the dichotomy."""
-        return RadialProfile(lambda r: r.log() * slope)
-
-
-def radial_h_residual(h_profile: RadialProfile, p: ChartPoint) -> float:
-    """Residual of (del dbar h)^2 = del dbar h wedge (3 del dbar log s), g constant.
+def radial_h_residual(h_profile: Profile, p: ChartPoint) -> float:
+    """Residual of (del dbar h)^2 = del dbar h wedge (3 del dbar log s), g constant, for h = h_profile(rho).
 
     The left side is assembled from the radial expansion
     2i dbar del h = h'' drho ^ Jdrho + h' (dalpha ^ I drho + ...) - 4 h' (fiber form)

@@ -19,14 +19,15 @@ computations start.
 The operators at one point share its :class:`TwistorFrame` through
 ``twistor_frame`` (``jets.kept``).  A frame holds no ansatz profiles; the
 profiles of one :class:`AnsatzParams` and the metric they make are an
-:class:`AnsatzMetric` beside it.
+:class:`AnsatzMetric` beside it.  Params made twice from the same
+arguments compare equal (see :class:`AnsatzParams`), so the memo hits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .forms import (
     AlmostComplexStructure,
@@ -39,7 +40,6 @@ from .forms import (
     d_at_point,
     d_complex,
     d_complex_bar,
-    d_part_at_point,
     nan_max,
     svalue,
     volume_form_norm,
@@ -109,6 +109,9 @@ class AnsatzParams:
     ``g_fn(zr, zi)`` and ``h_fn(x1, x2, x3, x4)`` take jets and return a
     jet; both must be real-valued.  ``alpha_prime`` is the coupling
     constant of the anomaly equation.
+    Its constructors are cached: a repeated call returns one object, but a
+    different spelling of the same arguments (keyword vs positional) is a
+    different cache entry and an unequal object.
     """
 
     g_fn: object
@@ -116,6 +119,7 @@ class AnsatzParams:
     alpha_prime: float = 2.0
 
     @staticmethod
+    @cache
     def constants(g: float = 0.0, h: float = 0.0, alpha_prime: float = 2.0) -> "AnsatzParams":
         return AnsatzParams(
             g_fn=lambda zr, zi: const_like(zr, g),
@@ -124,6 +128,7 @@ class AnsatzParams:
         )
 
     @staticmethod
+    @cache
     def coupling_solution(alpha_prime: float = 2.0, radial_h: bool = False) -> "AnsatzParams":
         """The constant conformal factor solving the anomaly equation.
 
@@ -133,15 +138,11 @@ class AnsatzParams:
         nonconstant branch of the radial dichotomy.
         """
         gval = 0.5 * math.log(alpha_prime / 4.0)
-        if radial_h:
-            h_fn = _radial_h
-        else:
-            h_fn = lambda x1, x2, x3, x4: const_like(x1, 0.0)
-        return AnsatzParams(
-            g_fn=lambda zr, zi: const_like(zr, gval), h_fn=h_fn, alpha_prime=alpha_prime
-        )
+        h_fn = _radial_h if radial_h else (lambda x1, x2, x3, x4: const_like(x1, 0.0))
+        return AnsatzParams(lambda zr, zi: const_like(zr, gval), h_fn, alpha_prime)
 
     @staticmethod
+    @cache
     def constant_norm_branch() -> "AnsatzParams":
         """h = 0 and g = 2 log s, the branch where the volume form has constant norm."""
         return AnsatzParams(
@@ -393,7 +394,7 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     rebuilds = []
     for i in range(2):
         c, d, l = svalue(C[i]), svalue(D[i]), svalue(L[i])
-        dbar_C, dbar_D, dbar_L = (d_part_at_point(ctx, FormValue.scalar(chart, f), 0, 1) for f in (C[i], D[i], L[i]))
+        dbar_C, dbar_D, dbar_L = (ctx.project(d_at_point(FormValue.scalar(chart, f)), 0, 1) for f in (C[i], D[i], L[i]))
         rhs_C = (m112.scale(c) - m111.scale(d)).scale(phase)
         rhs_D = (m122.scale(c) - m112.scale(d)).scale(phase)
         simps.append((dbar_C - rhs_C).sup())

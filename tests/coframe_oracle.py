@@ -6,7 +6,7 @@ code path of the package computes a Gram this way, so the tests use it as
 an oracle for the closed forms the package uses instead.
 """
 
-from stromlab.forms import AlmostComplexStructure, FormValue, is_zero_scalar, mat_inv, sconj
+from stromlab.forms import AlmostComplexStructure, FormValue, is_zero_scalar, mat_inv
 
 
 def cotangent_dual_metric(omega: FormValue, J: AlmostComplexStructure):
@@ -35,7 +35,7 @@ def hermitian_pairing(dual, f1: FormValue, f2: FormValue):
     acc = None
     for (v,), c1 in f1.terms.items():
         for (w,), c2 in f2.terms.items():
-            term = c1 * sconj(c2) * dual[v][w]
+            term = c1 * c2.conjugate() * dual[v][w]
             acc = term if acc is None else acc + term
     return 0.0 + 0.0j if acc is None else acc
 

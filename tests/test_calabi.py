@@ -219,7 +219,7 @@ def test_constant_norm_trivial_params():
 
 def test_norm_variance_detects_violation():
     pts = total_points(FS, 8, seed=23)
-    f = Profile.zero()
+    f = Profile.linear(0.0)
     broken = CalabiParams(
         u_fn=lambda zjets: zjets[0] * 0.0,
         v_fn=lambda zjets: zjets[0] * 0.0,
@@ -260,6 +260,18 @@ def test_extremal_theorem_metric():
     params = theorem_metric_params(FS)
     for p in total_points(FS, 2, seed=43):
         assert extremal_residual(FS, params, p) <= 1e-8
+
+
+@pytest.mark.parametrize("c, c0", [(0.5, 2.0), (-0.7, 0.3)])
+def test_theorem_family_away_from_its_default_constants(c, c0):
+    # every other test builds c = 0 and C0 = 1, where the sign of c in g = -n f + c never shows
+    params = theorem_metric_params(FS, c=c, c0=c0)
+    pts = total_points(FS, 6, seed=59)
+    for p in pts:
+        assert km_balanced_residual(FS, params, p) <= 1e-8
+        assert extremal_residual(FS, params, p) <= 1e-8
+        assert abs(chern_scalar(FS, params, p)) <= 1e-8
+    assert constant_norm_residual(FS, params, pts) <= 1e-9
 
 
 def test_extremal_vanishes_pointwise_when_ricci_flat():

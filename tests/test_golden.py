@@ -50,7 +50,6 @@ from stromlab.hyperkahler import EH_CHART, asd_residual, cotangent_gram, det_res
 from stromlab.jets import seed_jets
 from stromlab.sampling import random_ansatz_params, sample_points
 from stromlab.strominger import (
-    RadialProfile,
     anomaly_residual,
     balanced_residual,
     curvature_identities,
@@ -107,9 +106,9 @@ def flat_strominger(seed):
             out[f"{i}/frame_decompose/coefficient{k}/re"] = value.real
             out[f"{i}/frame_decompose/coefficient{k}/im"] = value.imag
         out[f"{i}/omega_norm"] = omega_norm(FLAT, params, p)
-        out[f"{i}/radial_h_residual/constant"] = radial_h_residual(RadialProfile.constant(), p)
-        out[f"{i}/radial_h_residual/inverse_three_halves"] = radial_h_residual(RadialProfile.log_slope(-1.5), p)
-        out[f"{i}/radial_h_residual/log_slope"] = radial_h_residual(RadialProfile.log_slope(-1.0), p)
+        out[f"{i}/radial_h_residual/constant"] = radial_h_residual(Profile.linear(0.0), p)
+        out[f"{i}/radial_h_residual/inverse_three_halves"] = radial_h_residual(Profile.log_slope(-1.5), p)
+        out[f"{i}/radial_h_residual/log_slope"] = radial_h_residual(Profile.log_slope(-1.0), p)
     return out
 
 

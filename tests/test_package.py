@@ -189,3 +189,50 @@ def test_members_built_on_first_use_are_cached_properties():
     for path in sorted((ROOT / "src" / "stromlab").glob("*.py")):
         slots += [f"{path.stem}.{name}" for name in self_none_tests(ast.parse(path.read_text()))]
     assert set(slots) - {"jets.JetSpace.mul_table"} == set(), f"hand-written memo slots: {slots}"
+
+
+def references(tree: ast.AST, skip: ast.AST | None = None) -> set:
+    """Every name, attribute and imported name under ``tree``, outside the node ``skip``."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+# public names only the tests call; a program caller (such as a CLI) takes a name off this list
+TEST_ONLY_PUBLIC_NAMES = {
+    "calabi.flat_torus_chart",
+    "calabi.omega0_d_residual",
+    "calabi.profile_ode_residual",
+    "forms.point",
+    "sampling.sample_points",
+    "strominger.radial_h_residual",
+    "twistor.c3_chart_map",
+    "twistor.omega_norm",
+}
+
+
+def test_public_names_without_a_program_caller_are_listed():
+    # a public module-level function or class that no source module (outside its own body) and no
+    # benchmark workload refers to is either listed here or has no reason to exist
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "stromlab").glob("*.py"))}
+    benchmark = references(ast.parse((ROOT / "perfbench" / "workloads.py").read_text()))
+    refs = {module: references(tree) for module, tree in trees.items()}
+    uncalled = set()
+    for module, tree in trees.items():
+        others = benchmark.union(*(found for m, found in refs.items() if m != module))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if node.name not in others | references(tree, node):
+                    uncalled.add(f"{module}.{node.name}")
+    assert not uncalled - TEST_ONLY_PUBLIC_NAMES, f"no program caller: {sorted(uncalled - TEST_ONLY_PUBLIC_NAMES)}"
+    assert not TEST_ONLY_PUBLIC_NAMES - uncalled, f"listed, but called or gone: {sorted(TEST_ONLY_PUBLIC_NAMES - uncalled)}"

@@ -25,7 +25,6 @@ from stromlab.forms import (
     closedness_residual,
     curvature_residual,
     d_at_point,
-    d_part_at_point,
     dbar_del_scalar,
     differential_of_scalar,
     exterior_derivative,
@@ -55,7 +54,6 @@ from stromlab.twistor import (
 )
 from stromlab.strominger import (
     AnsatzCurvatureData,
-    RadialProfile,
     _trace,
     anomaly_residual,
     balanced_residual,
@@ -242,7 +240,7 @@ def test_dbar_del_scalar_matches_the_jet_path():
     for H, ctx in (eh_cotangent_gram(p) for p in sample_points(EH_CHART, 161, 0, 2, -1.5, 1.5)):
         cases.append((H[0][1] * H[1][1], ctx))
     for f, ctx in cases:
-        want = d_part_at_point(ctx, ctx.project(differential_of_scalar(f, ctx.chart), 1, 0), 1, 1)
+        want = ctx.project(d_at_point(ctx.project(differential_of_scalar(f, ctx.chart), 1, 0)), 1, 1)
         got = dbar_del_scalar(ctx, f)
         assert want.sup() >= 0.01
         assert (got - want).sup() <= 1e-13 * want.sup()
@@ -366,6 +364,27 @@ def test_one_point_builds_the_quotient_and_frame_curvatures_once(monkeypatch):
     for op in (hym_residual, anomaly_residual, curvature_identities):
         op(FLAT, params, p)
     assert sizes == [2, 3]  # U, then the frame Gram
+
+
+def test_params_named_per_operator_share_one_curvature_data(monkeypatch):
+    # each operator names the coupling solution itself; the constructor's cache makes them one
+    # key, so the point builds U and the frame Gram once (5 gram_curvature calls and three
+    # order-4 frames when every call made new, unequal params)
+    p = twistor_points(FLAT, 1, seed=187)[0]
+    sizes, build = [], strominger.gram_curvature
+    monkeypatch.setattr(strominger, "gram_curvature", lambda H, ctx: sizes.append(len(H)) or build(H, ctx))
+    orders, init = [], TwistorFrame.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        orders.append(self.order)
+
+    monkeypatch.setattr(TwistorFrame, "__init__", recording_init)
+    jets._KEPT.clear()
+    for op in (hym_residual, anomaly_residual, curvature_identities):
+        op(FLAT, AnsatzParams.coupling_solution(), p)
+    assert len(sizes) == 2
+    assert orders == [4]
 
 
 def kept_value(*key):
@@ -606,7 +625,7 @@ def test_one_kappa_hessian_per_asd_residual(monkeypatch):
 def test_one_kappa_hessian_per_radial_h_residual(monkeypatch):
     jets._KEPT.clear()
     calls = count_kappa_hessians(monkeypatch)
-    radial_h_residual(RadialProfile.log_slope(-1.5), point(TWISTOR_FLAT, 0.5, 0.2, 0.4, 0.8, -0.3, 0.5))
+    radial_h_residual(Profile.log_slope(-1.5), point(TWISTOR_FLAT, 0.5, 0.2, 0.4, 0.8, -0.3, 0.5))
     assert calls == [FLAT]
 
 
@@ -762,7 +781,7 @@ def test_omega_norm_and_radial_h_read_the_same_bits_from_the_curvature_data_fram
     # cold each builds a low-order frame; after hym_residual each reads the kept order-4 one
     p = twistor_points(FLAT, 1, seed=183)[0]
     params = random_ansatz_params(seed=185, pair_index=0)
-    ops = (lambda: omega_norm(FLAT, params, p), lambda: radial_h_residual(RadialProfile.log_slope(-1.5), p))
+    ops = (lambda: omega_norm(FLAT, params, p), lambda: radial_h_residual(Profile.log_slope(-1.5), p))
     want = [cold(op) for op in ops]
     for op, value in zip(ops, want):
         jets._KEPT.clear()
@@ -931,19 +950,19 @@ def test_radial_dichotomy():
 
     pts = sample_points(TWISTOR_FLAT, 107, 0, 6, -1.4, 1.4, accept)
     for p in pts:
-        assert radial_h_residual(RadialProfile.constant(), p) <= 1e-9
-        assert radial_h_residual(RadialProfile.log_slope(-1.5), p) <= 1e-9
-        assert radial_h_residual(RadialProfile.log_slope(-1.0), p) >= 1e-3
+        assert radial_h_residual(Profile.linear(0.0), p) <= 1e-9
+        assert radial_h_residual(Profile.log_slope(-1.5), p) <= 1e-9
+        assert radial_h_residual(Profile.log_slope(-1.0), p) >= 1e-3
 
 
 def test_log_slope_minus_three_halves_is_the_nonconstant_branch():
     # bit for bit, so a slope that divides instead of multiplying shows (slope -1 hides it)
-    assert RadialProfile.log_slope(-1.5).derivatives(0.7) == RadialProfile(lambda r: r.log() * -1.5).derivatives(0.7)
+    assert Profile.log_slope(-1.5).derivatives(0.7) == Profile(lambda r: r.log() * -1.5).derivatives(0.7)
 
 
 def test_radial_residual_raises_a_domain_error_at_rho_zero():
     with pytest.raises(DomainError):
-        radial_h_residual(RadialProfile.constant(), point(TWISTOR_FLAT, 0.5, 0.3, 0.0, 0.0, 0.0, 0.0))
+        radial_h_residual(Profile.linear(0.0), point(TWISTOR_FLAT, 0.5, 0.3, 0.0, 0.0, 0.0, 0.0))
 
 
 def test_radial_expansion_matches_dolbeault_machinery():

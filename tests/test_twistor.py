@@ -263,6 +263,22 @@ def test_norm_constant_on_branch():
         assert n == pytest.approx(norms[0], rel=1e-10)
 
 
+def test_ansatz_constructors_return_one_object_per_argument_list():
+    # the point memo keys on params, so a constructor called twice must give an equal key
+    assert AnsatzParams.coupling_solution() is AnsatzParams.coupling_solution()
+    assert AnsatzParams.coupling_solution(radial_h=True) is AnsatzParams.coupling_solution(radial_h=True)
+    assert AnsatzParams.constants() is AnsatzParams.constants()
+    assert AnsatzParams.constant_norm_branch() is AnsatzParams.constant_norm_branch()
+    assert AnsatzParams.coupling_solution() != AnsatzParams.coupling_solution(radial_h=True)
+
+
+def test_random_ansatz_params_compare_and_hash_by_value():
+    first, second = random_ansatz_params(3, 5), random_ansatz_params(3, 5)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != random_ansatz_params(3, 6)
+
+
 def test_norm_rejects_a_metric_that_is_not_positive():
     p = twistor_points(FLAT, 1, seed=67)[0]
     omega = AnsatzMetric(TwistorFrame(FLAT, p, 2), AnsatzParams.constants()).metric.values()
