@@ -231,27 +231,29 @@ class FormValue:
         return FormValue(self.chart, self.degree, {m: s * c for m, c in self.terms.items()})
 
     def wedge(self, other: "FormValue") -> "FormValue":
+        """self ^ other, each output coefficient summed in an operand-symmetric order.
+
+        The contributions dx_I ^ dx_J = s dx_K of a term of each operand are
+        summed per K in pairs {(I, J), (J, I)} sorted by that unordered pair,
+        so that a ^ b and b ^ a agree exactly, not just up to rounding.  The
+        index merges, their signs and that order depend only on the two
+        operands' multi-indices, so they come from one plan per pair of term
+        patterns (``_wedge_plan``), and a wedge does only the coefficient
+        products and sums.
+        """
         self._check(other)
         deg = self.degree + other.degree
         if deg > self.chart.dim:
             raise DegreeError("wedge degree exceeds chart dimension")
-        # contributions are summed per output index in an operand-symmetric
-        # order so that a^b and b^a agree exactly, not just up to rounding
-        buckets: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                merged, sign = _merge_indices(ma, mb)
-                if merged is None:
-                    continue
-                c = ca * cb if sign > 0 else -(ca * cb)
-                key = (ma, mb) if ma <= mb else (mb, ma)
-                buckets.setdefault(merged, {}).setdefault(key, []).append(c)
+        ca, cb = list(self.terms.values()), list(other.terms.values())
         terms: dict = {}
-        for merged, groups in buckets.items():
+        for merged, groups in _wedge_plan(tuple(self.terms), tuple(other.terms)):
             acc = None
-            for key in sorted(groups):
-                cs = groups[key]
-                part = cs[0] + cs[1] if len(cs) == 2 else cs[0]
+            for group in groups:
+                part = None
+                for i, j, sign in group:
+                    c = ca[i] * cb[j] if sign > 0 else -(ca[i] * cb[j])
+                    part = c if part is None else part + c
                 acc = part if acc is None else acc + part
             terms[merged] = acc
         return FormValue(self.chart, deg, terms)
@@ -309,6 +311,26 @@ def _merge_indices(ma: tuple, mb: tuple):
     merged.extend(ma[i:])
     merged.extend(mb[j:])
     return tuple(merged), sign
+
+
+@lru_cache(maxsize=4096)
+def _wedge_plan(multis_a: tuple, multis_b: tuple) -> tuple:
+    """How ``FormValue.wedge`` sums the terms with these multi-indices, in this order.
+
+    One (K, groups) per output multi-index K, in the order its first
+    contribution appears in the loop over (term of a, term of b); each group
+    holds the (i, j, sign) with dx_I ^ dx_J = sign dx_K of one unordered
+    pair {I, J}, for terms ``multis_a[i]`` = I and ``multis_b[j]`` = J, and
+    the groups come sorted by that pair.
+    """
+    buckets: dict = {}
+    for i, ma in enumerate(multis_a):
+        for j, mb in enumerate(multis_b):
+            merged, sign = _merge_indices(ma, mb)
+            if merged is not None:
+                key = (ma, mb) if ma <= mb else (mb, ma)
+                buckets.setdefault(merged, {}).setdefault(key, []).append((i, j, sign))
+    return tuple((merged, tuple(tuple(groups[key]) for key in sorted(groups))) for merged, groups in buckets.items())
 
 
 def d_complex(chart: Chart, j: int) -> FormValue:
@@ -377,8 +399,14 @@ def d_at_point(form: FormValue) -> FormValue:
     of ``exterior_derivative``, so the result equals
     ``exterior_derivative(form).values()`` bit for bit on finite coefficients.
     """
+    return _d_at_point_with_scale(form)[0]
+
+
+def _d_at_point_with_scale(form: FormValue):
+    """``d_at_point`` plus the sup of the contributions' magnitudes, as ``exterior_derivative_with_scale`` gives it."""
     chart = form.chart
     terms: dict = {}
+    mags = []
     for multi, c in form.terms.items():
         if not isinstance(c, Jet):
             continue
@@ -392,11 +420,12 @@ def d_at_point(form: FormValue) -> FormValue:
             # exterior_derivative drops a derivative only if every coefficient is below PRUNE_EPS
             if abs(dc) < PRUNE_EPS and is_zero_scalar(c.derivative(v)):
                 continue
+            mags.append(abs(dc))
             pos = bisect_left(multi, v)
             merged = multi[:pos] + (v,) + multi[pos:]
             contrib = dc if pos % 2 == 0 else -dc
             terms[merged] = terms[merged] + contrib if merged in terms else contrib
-    return FormValue(chart, form.degree + 1, terms)
+    return FormValue(chart, form.degree + 1, terms), nan_max(mags)
 
 
 def differential_of_scalar(f: Jet, chart: Chart) -> FormValue:
@@ -952,10 +981,11 @@ def relative_residual(diff_sup: float, scale: float) -> float:
 def closedness_residual(form: FormValue) -> float:
     """d(form) = 0 at the point: the sup of d(form) relative to its cancellation scale and |form|.
 
-    The form's jet coefficients must be valid to order >= 1.
+    d is read at the point (``d_at_point``), so no derivative jet is built;
+    the form's jet coefficients must be valid to order >= 1.
     """
-    d, scale = exterior_derivative_with_scale(form)
-    return relative_residual(d.values().sup(), nan_max([scale, form.sup()]))
+    d, scale = _d_at_point_with_scale(form)
+    return relative_residual(d.sup(), nan_max([scale, form.sup()]))
 
 
 def _array_sup(a: np.ndarray) -> float:

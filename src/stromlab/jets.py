@@ -36,6 +36,18 @@ of those outputs, in the same order, so the result is bit-identical to the
 full product while a product of, say, two functions of 2 of 6 variables
 touches 70 instead of 1820 pairs at order 4.
 
+An analytic primitive f(g) is a Horner scheme in hat = g - g(0): from
+acc = f^(k)(g0)/k!, each step j = k-1 .. 0 sets acc = acc * hat +
+f^(j)(g0)/j!.  The acc of step j reaches the result only multiplied by
+hat**j, whose terms have degree >= j, so step j multiplies only to order
+k - j (Griewank and Walther, *Evaluating Derivatives*, ch. 13).  Every
+coefficient a step keeps sums the same pairs in the same order as a
+full-order step, so the result does not change, while an order-7
+composition in 4 variables sums 11,439 instead of 45,045 pairs.  The pair
+list of a mask is built once, at the space's order, and is read-only:
+outputs come in graded order, so the pairs of the outputs of degree <= o
+are a prefix of it, which every lower order reads as views.
+
 A :class:`Profile` is a jet-capable function of one real variable, such as
 f, g of the Calabi fibre norm and h(rho) of the radial dichotomy.
 """
@@ -100,7 +112,6 @@ class JetSpace:
             self._lookup(self._digits[:, None] + self._digits[None, :]) if order >= 2 else np.zeros((0, 0), dtype=np.intp)
         )
         self._mul_table = None
-        self._mul_starts = None
         self._mul_subsets = {}
         self._diff_tables = {}
 
@@ -112,8 +123,8 @@ class JetSpace:
         """(ii, jj, kk): every pair with deg ii + deg jj <= order, kk the product.
 
         Pairs are sorted stably by kk, so the pairs of one output monomial
-        are contiguous and start at ``_mul_starts[kk]``; the pairs of all
-        outputs of degree <= o form the prefix ``[:_mul_starts[prefix_sizes[o]]]``.
+        are contiguous, and the pairs of all outputs of degree <= o form a
+        prefix.
         """
         if self._mul_table is None:
             ii, jj = [], []
@@ -129,9 +140,7 @@ class JetSpace:
             jj = np.concatenate(jj)
             kk = self._lookup(self._codes[ii] + self._codes[jj])
             perm = np.argsort(kk, kind="stable")
-            ii, jj, kk = ii[perm], jj[perm], kk[perm]
-            self._mul_starts = np.searchsorted(kk, np.arange(self.size + 1))
-            self._mul_table = (ii, jj, kk)
+            self._mul_table = (ii[perm], jj[perm], kk[perm])
         return self._mul_table
 
     def mul_subset(self, mask: int, order: int):
@@ -140,24 +149,32 @@ class JetSpace:
         A stable subset of the sorted table's prefix for ``order``: the
         outputs are the monomials of degree <= order in the variables of
         ``mask``, each keeps all of its pairs in table order, and
-        ``starts`` indexes the first pair of each output.
+        ``starts`` indexes the first pair of each output.  One list is built
+        per mask, at the space's order, and made read-only; outputs come in
+        graded order, so the list for a lower order is a prefix of it and is
+        served as views.
         """
         key = (mask, order)
         sub = self._mul_subsets.get(key)
         if sub is None:
-            ii, jj, kk = self.mul_table()
-            n = self.prefix_sizes[order]
-            end = self._mul_starts[n]
-            ii, jj, kk = ii[:end], jj[:end], kk[:end]
-            inside = (self._supports[kk] & ~mask) == 0
-            ii, jj, kk = ii[inside], jj[inside], kk[inside]
-            # every output has at least the pair (itself, 1)
-            starts = np.flatnonzero(np.r_[True, kk[1:] != kk[:-1]])
-            sub = self._mul_subsets[key] = (ii, jj, starts, kk[starts])
+            full = self._mul_subsets.get((mask, self.order))
+            if full is None:
+                ii, jj, kk = self.mul_table()
+                inside = (self._supports[kk] & ~mask) == 0
+                ii, jj, kk = ii[inside], jj[inside], kk[inside]
+                # every output has at least the pair (itself, 1)
+                starts = np.flatnonzero(np.r_[True, kk[1:] != kk[:-1]])
+                full = self._mul_subsets[(mask, self.order)] = (ii, jj, starts, kk[starts])
+                for a in full:
+                    a.flags.writeable = False
+            ii, jj, starts, outs = full
+            m = int(np.searchsorted(outs, self.prefix_sizes[order]))
+            end = starts[m] if m < len(starts) else len(ii)
+            sub = self._mul_subsets[key] = (ii[:end], jj[:end], starts[:m], outs[:m])
         return sub
 
     def support(self, mask: int, order: int) -> np.ndarray:
-        """Indices of the monomials of degree <= order in the variables of ``mask``, ascending."""
+        """Indices of the monomials of degree <= order in the variables of ``mask``, ascending; read-only."""
         return self.mul_subset(mask, order)[3]
 
     def diff_table(self, v: int):
@@ -419,7 +436,8 @@ class Jet:
         acc = np.zeros(self.space.size, dtype=np.complex128)
         acc[0] = derivs[k]
         for j in range(k - 1, -1, -1):
-            acc = _mul_coeffs(self.space, acc, hat, k, self.mask)
+            # acc reaches the result only times hat**j, of degree >= j
+            acc = _mul_coeffs(self.space, acc, hat, k - j, self.mask)
             acc[0] += derivs[j]
         return Jet(self.space, acc, self.order, self.mask)
 

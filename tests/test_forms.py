@@ -39,8 +39,10 @@ from stromlab.forms import (
 )
 from stromlab.jets import InsufficientJetOrder, Jet, jet_space, seed_jets
 from stromlab import forms as forms_module
-from stromlab.hyperkahler import flat_model
-from stromlab.twistor import TWISTOR_FLAT, TwistorFrame
+from stromlab.calabi import CalabiParams, CanonicalBundleFrame, flat_torus_chart, fubini_study_cp1, theorem_metric_params
+from stromlab.hyperkahler import eguchi_hanson, flat_model
+from stromlab.sampling import random_ansatz_params, sample_points
+from stromlab.twistor import TWISTOR_EH, TWISTOR_FLAT, AnsatzMetric, AnsatzParams, TwistorFrame
 
 from form_oracles import pairwise_curvature_terms, square_residual, stacked, to_complex_components
 
@@ -131,6 +133,91 @@ def test_wedge_associative():
     right = forms[0].wedge(forms[1].wedge(forms[2]))
     for m in set(left.terms) | set(right.terms):
         assert left.coefficient(m) == pytest.approx(right.coefficient(m), abs=1e-15)
+
+
+def bucket_wedge(a, b):
+    """a ^ b with the index merges and the summation order worked out on every call."""
+    buckets: dict = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            merged, sign = forms_module._merge_indices(ma, mb)
+            if merged is None:
+                continue
+            c = ca * cb if sign > 0 else -(ca * cb)
+            key = (ma, mb) if ma <= mb else (mb, ma)
+            buckets.setdefault(merged, {}).setdefault(key, []).append(c)
+    terms: dict = {}
+    for merged, groups in buckets.items():
+        acc = None
+        for key in sorted(groups):
+            cs = groups[key]
+            part = cs[0] + cs[1] if len(cs) == 2 else cs[0]
+            acc = part if acc is None else acc + part
+        terms[merged] = acc
+    return FormValue(a.chart, a.degree + b.degree, terms)
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.complex128).reshape(-1).view(np.uint64)
+
+
+def assert_same_terms(got, want):
+    """The same multi-indices in the same order, each coefficient the same bits."""
+    assert got.degree == want.degree and list(got.terms) == list(want.terms)
+    for g, w in zip(got.terms.values(), want.terms.values()):
+        if isinstance(w, Jet):
+            assert isinstance(g, Jet) and (g.order, g.mask) == (w.order, w.mask)
+            g, w = g.c, w.c
+        assert np.array_equal(bits(g), bits(w))
+
+
+def random_wedge_operand(degree, rng, jets):
+    """A form on the 6-dimensional flat twistor chart with some terms left out.
+
+    Jet coefficients carry random masks and orders; one of them has an
+    exactly zero value and one a NaN value.  Pointwise coefficients
+    include a NaN.
+    """
+    space = jet_space(TWISTOR_FLAT.dim, 4)
+    multis = list(combinations(range(TWISTOR_FLAT.dim), degree))
+    chosen = rng.sample(multis, rng.randint(max(1, len(multis) // 2), len(multis)))
+    terms = {}
+    for i, m in enumerate(chosen):
+        if jets:
+            c = random_masked_jet(space, rng)
+            if i == 0:
+                c.c[0] = 0.0
+            elif i == 1:
+                c.c[0] = complex(math.nan, 0.0)
+        else:
+            c = complex(math.nan, 1.0) if i == 1 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        terms[m] = c
+    return FormValue(TWISTOR_FLAT, degree, terms)
+
+
+@pytest.mark.parametrize("jets", [False, True], ids=["complex", "jet"])
+@pytest.mark.parametrize("da,db", [(1, 1), (1, 2), (2, 2), (2, 3)])
+def test_wedge_plan_equals_the_bucket_wedge_term_for_term(da, db, jets):
+    rng = random.Random(10 * da + db + 100 * jets)
+    with np.errstate(invalid="ignore"):
+        for _ in range(4):
+            a = random_wedge_operand(da, rng, jets)
+            b = random_wedge_operand(db, rng, jets)
+            for x, y in ((a, b), (b, a), (a, a), (b, b)):
+                if x.degree + y.degree <= TWISTOR_FLAT.dim:
+                    assert_same_terms(x.wedge(y), bucket_wedge(x, y))
+    # a ^ a of a 1-form sums every coefficient to an exact zero, which is dropped
+    one = FormValue(TWISTOR_FLAT, 1, {(v,): complex(rng.uniform(-1, 1), 0.5) for v in range(6)})
+    assert not one.wedge(one).terms and not bucket_wedge(one, one).terms
+
+
+def test_wedge_plan_is_built_once_per_term_pattern():
+    b = FormValue(TWISTOR_FLAT, 2, {(1, 2): 0.5, (0, 4): -1.0 + 0.5j, (3, 5): 2.0})
+    FormValue(TWISTOR_FLAT, 1, {(0,): 1.0, (3,): 2j}).wedge(b)
+    before = forms_module._wedge_plan.cache_info()
+    FormValue(TWISTOR_FLAT, 1, {(0,): -3.0, (3,): 0.25}).wedge(b)
+    after = forms_module._wedge_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 # -- exterior derivative ----------------------------------------------------
@@ -238,6 +325,43 @@ def test_d_at_point_raises_on_an_order_zero_jet():
     constant = seed_jets((0.1, 0.2, 0.3, 0.4), 0)[0]
     with pytest.raises(InsufficientJetOrder):
         d_at_point(FormValue(C2, 1, {(1,): constant}))
+
+
+def closedness_forms():
+    """The forms the closedness residuals read: omega^2 |Omega| on flat and Eguchi-Hanson
+    twistor space, and on Calabi total spaces omega_0 and omega^n of the theorem metric."""
+    ok = lambda c: c[0] ** 2 + c[1] ** 2 >= 0.09 and sum(x * x for x in c[2:]) >= 0.4
+    for model, chart in ((flat_model(), TWISTOR_FLAT), (eguchi_hanson(1.0), TWISTOR_EH)):
+        for i, p in enumerate(sample_points(chart, 4, 31, 3, -1.2, 1.2, ok)):
+            params = AnsatzParams.coupling_solution() if i == 0 else random_ansatz_params(4, i)
+            ansatz = AnsatzMetric(TwistorFrame(model, p, 1), params)
+            yield ansatz.metric.wedge(ansatz.metric).scale(ansatz.norm_profile())
+    for base in (fubini_study_cp1(), flat_torus_chart()):
+        for p in sample_points(base.total_chart, 4, 32, 3, (-1.1, -1.1, 0.45, -1.1), 1.1):
+            yield CanonicalBundleFrame(base, CalabiParams.plain(), p, 1).metric
+            yield form_power(CanonicalBundleFrame(base, theorem_metric_params(base), p, 1).metric, base.n)
+
+
+def test_closedness_reads_d_at_the_point_as_d_with_scale_reads_it():
+    forms = list(closedness_forms())
+    rng = random.Random(8)
+    space = jet_space(TWISTOR_FLAT.dim, 4)
+    for degree in range(5):
+        multis = list(combinations(range(TWISTOR_FLAT.dim), degree))
+        terms = {m: random_masked_jet(space, rng) for m in rng.sample(multis, rng.randint(1, min(8, len(multis))))}
+        forms.append(FormValue(TWISTOR_FLAT, degree, terms))
+    for form in forms:
+        d, scale = forms_module._d_at_point_with_scale(form)
+        want, want_scale = exterior_derivative_with_scale(form)
+        assert_same_terms(d, want.values())
+        assert np.array_equal(bits(scale), bits(want_scale))
+        residual = relative_residual(want.values().sup(), nan_max([want_scale, form.sup()]))
+        assert np.array_equal(bits(closedness_residual(form)), bits(residual))
+    order_zero = forms[0].map_coeffs(lambda c: c.to_order(0))
+    with pytest.raises(InsufficientJetOrder):
+        exterior_derivative_with_scale(order_zero)
+    with pytest.raises(InsufficientJetOrder):
+        closedness_residual(order_zero)
 
 
 # -- almost complex structures ----------------------------------------------

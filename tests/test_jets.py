@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -267,6 +268,185 @@ def test_primitives_of_lower_order_jets_match_full_products(nvars, order):
                 acc[0] += derivs[j]
             assert got.order == validity
             assert_truncated_match(sp, got.c, acc, validity)
+
+
+# -- truncated Horner steps and prefix pair lists against the full-order kernels -----
+
+PREFIX_SPACES = [(4, 7), (6, 4), (3, 5)]
+
+
+def per_order_subset(space, mask, order):
+    """(ii, jj, starts, outs) filtered from the table for this mask and order alone."""
+    ii, jj, kk = space.mul_table()
+    supports = np.array([sum(1 << v for v, e in enumerate(m) if e) for m in space.monomials])
+    keep = (space.degrees[kk] <= order) & ((supports[kk] & ~mask) == 0)
+    ii, jj, kk = ii[keep], jj[keep], kk[keep]
+    starts = np.flatnonzero(np.r_[True, kk[1:] != kk[:-1]])
+    return ii, jj, starts, kk[starts]
+
+
+def full_order_compose(jet, derivs):
+    """f(jet) by Horner with every step summed to the jet's order."""
+    sp, k = jet.space, jet.order
+    ii, jj, starts, outs = per_order_subset(sp, jet.mask, k)
+    hat = jet.c.copy()
+    hat[0] = 0.0
+    acc = np.zeros(sp.size, dtype=np.complex128)
+    acc[0] = derivs[k]
+    for j in range(k - 1, -1, -1):
+        prod = np.zeros(sp.size, dtype=np.complex128)
+        prod[outs] = np.add.reduceat(acc[ii] * hat[jj], starts)
+        acc = prod
+        acc[0] += derivs[j]
+    return acc
+
+
+def kernel_masks(rng, space):
+    """Constant, single-variable, partial and full support masks."""
+    return [0, 1 << int(rng.integers(space.nvars)), int(rng.integers(1, space.full_mask)), space.full_mask]
+
+
+def assert_same_bits(got, want):
+    """Equal arrays, down to the sign of zero."""
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("nvars,order", PREFIX_SPACES)
+def test_truncated_horner_equals_the_full_order_horner_bit_for_bit(nvars, order, monkeypatch):
+    sp = jet_space(nvars, order)
+    rng = np.random.default_rng(17 * nvars + order)
+    composed = []
+    compose = Jet._compose
+
+    def recording(jet, derivs):
+        out = compose(jet, derivs)
+        composed.append((jet, derivs, out))
+        return out
+
+    monkeypatch.setattr(Jet, "_compose", recording)
+    masks = kernel_masks(rng, sp)
+    for mask in masks:
+        for validity in range(order + 1):
+            c = 0.3 * random_masked_coeffs(rng, sp, mask)
+            c[0] = 1.5 + 0.25j
+            g = Jet(sp, c, validity, mask)
+            for primitive in (Jet.exp, Jet.log, Jet.reciprocal, Jet.sqrt, Jet.sin, Jet.cos):
+                primitive(g)
+    assert len(composed) == 6 * len(masks) * (order + 1)
+    for jet, derivs, out in composed:
+        assert (out.order, out.mask) == (jet.order, jet.mask)
+        assert_same_bits(out.c, full_order_compose(jet, derivs))
+
+
+@pytest.mark.parametrize("nvars,order", PREFIX_SPACES)
+def test_pair_lists_are_read_only_prefixes_of_one_list_per_mask(nvars, order):
+    sp = jet_space(nvars, order)
+    for mask in kernel_masks(np.random.default_rng(19 * nvars + order), sp):
+        whole = sp.mul_subset(mask, order)
+        for validity in range(order + 1):
+            sub = sp.mul_subset(mask, validity)
+            for got, want, full in zip(sub, per_order_subset(sp, mask, validity), whole):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert np.shares_memory(got, full)
+                assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                sp.support(mask, validity)[0] = 0
+
+
+# -- composition kernels against symbolic derivatives ---------------------------------
+
+
+def symbolic_taylor(nvars, order, value, terms, primitives):
+    """Taylor coefficients at 0 of f(p) for each sympy function f in ``primitives``.
+
+    p = value + sum of c x^e over ``terms`` (exponent tuple -> Fraction).
+    The partials of f(p) are taken by the chain rule in sympy's polynomial
+    ring over x and symbols g_j that stand for f^(j)(p), with
+    d g_j / dx_v = g_{j+1} dp/dx_v; every monomial's partial is set to
+    x = 0 once, and then the g_j to sympy's j-th derivative of f at
+    p(0), to 30 digits.  Returns {name: {monomial: complex}}.
+    """
+    import mpmath
+    import sympy
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    _, *gens = ring([f"x{v}" for v in range(nvars)] + [f"g{j}" for j in range(order + 2)], QQ)
+    xs, gs = gens[:nvars], gens[nvars:]
+    p = QQ(value.numerator, value.denominator)
+    for expo, c in terms.items():
+        mono = QQ(c.numerator, c.denominator)
+        for v, e in enumerate(expo):
+            mono *= xs[v] ** e
+        p += mono
+    slopes = [p.diff(x) for x in xs]
+
+    def partial(e, v):
+        out = e.diff(xs[v])
+        for j in range(order + 1):
+            out += e.diff(gs[j]) * gs[j + 1] * slopes[v]
+        return out
+
+    partials = {(0,) * nvars: gs[0]}
+    for mono in jet_space(nvars, order).monomials[1:]:
+        v = max(i for i, e in enumerate(mono) if e)
+        lower = list(mono)
+        lower[v] -= 1
+        partials[mono] = partial(partials[tuple(lower)], v)
+    at_zero = {m: e.evaluate([(x, 0) for x in xs]).terms() for m, e in partials.items()}
+    u = sympy.Symbol("u")
+    out = {}
+    with mpmath.workdps(30):
+        for name, f in primitives.items():
+            g = [mpmath.mpf(sympy.N(sympy.diff(f(u), u, j).subs(u, value), 35)) for j in range(order + 2)]
+            out[name] = {
+                m: complex(
+                    sum(mpmath.mpf(int(c.numerator)) / int(c.denominator) * mpmath.fprod(gj**k for gj, k in zip(g, expo)) for expo, c in poly)
+                    / math.prod(math.factorial(e) for e in m)
+                )
+                for m, poly in at_zero.items()
+            }
+    return out
+
+
+@pytest.mark.parametrize("nvars,order", [(2, 7), (4, 4)])
+def test_primitives_match_symbolic_partial_derivatives(nvars, order):
+    import sympy
+
+    rng = np.random.default_rng(23 * nvars + order)
+    terms = {}
+    for v in range(nvars):
+        terms[tuple(int(w == v) for w in range(nvars))] = Fraction(int(rng.integers(-9, 10)), 10)
+    for _ in range(3):
+        expo = [0] * nvars
+        expo[int(rng.integers(nvars))] += 1
+        expo[int(rng.integers(nvars))] += 1
+        terms[tuple(expo)] = Fraction(int(rng.integers(-9, 10)), 10)
+    value = Fraction(3, 2)
+    primitives = {
+        "exp": sympy.exp,
+        "log": sympy.log,
+        "sqrt": sympy.sqrt,
+        "reciprocal": lambda z: 1 / z,
+        "sin": sympy.sin,
+        "cos": sympy.cos,
+    }
+    want = symbolic_taylor(nvars, order, value, terms, primitives)
+    sp = jet_space(nvars, order)
+    x = seed_jets((0.0,) * nvars, order, sp)
+    p = Jet.constant(sp, float(value))
+    for expo, c in terms.items():
+        mono = Jet.constant(sp, float(c))
+        for v, e in enumerate(expo):
+            for _ in range(e):
+                mono = mono * x[v]
+        p = p + mono
+    for name in primitives:
+        got = getattr(p, name)()
+        ref = want[name]
+        scale = max(abs(w) for w in ref.values())
+        for mono, w in ref.items():
+            assert abs(got.coefficient(mono) - w) <= 1e-12 * max(abs(w), 1e-3 * scale), (name, mono)
 
 
 # -- overflow --------------------------------------------------------------------
