@@ -11,7 +11,9 @@ Chern curvature ``dbar(Hbar^-1 del Hbar)`` of a Gram matrix
 (``gram_curvature``) and ``dbar del f`` (``dbar_del_scalar``) are a few
 array contractions of first and second partials, the slopes of Hbar^-1
 and of the (1,0) projector, and one pointwise (1,1) projection for the
-whole matrix.
+whole matrix; del dbar of a 2-form (``del_dbar_of_taylor``) is products of
+its stacked first and second partials with two sign plans and the value
+and slope rows of the type tables.
 
 The Dolbeault operators make no holomorphic-coordinate assumption: del
 and dbar are assembled from real partials through the (1,0)/(0,1)
@@ -20,30 +22,33 @@ of k-forms expands the projected basis differentials, which is exact (the
 sum of the parts reproduces the input).  :class:`TypeContext` holds that
 expansion as one dense array per degree, indexed by (row, p, output
 multi-index, input multi-index), where row 0 is the value at the point and
-the other rows its first partials; each degree grows from the one below by
-the Leibniz rule over a precomputed index plan, and a decomposition is a
-contraction of that array with the form's coefficients.  The standard
+the other rows its first partials; each degree up to dim/2 grows from the
+one below by the Leibniz rule over a precomputed index plan, each degree k
+above it is the signed-complement transpose of degree dim - k, and a
+decomposition is a contraction of that array with the form's coefficients.
+A context reads only forms on its own chart.  The standard
 structure of a chart is constant, so ``standard_context(chart)`` builds its
 context once and every point on the chart shares it; a context's tables are
 read-only for that reason.
 
 So a projection on a structure with jet entries is valid to order 1 at
 most, which is what every reader of one needs: the curvature readers take
-what d at the point reads and no more.  The (1,2) projection in
-``del_dbar_at_point`` is read for its first derivatives, ``gram_curvature``
-reads its matrix to order 2 (its inverse, a jet elimination, to order 1)
-and the projector slopes, and ``dbar_del_scalar`` its function to order 2.
-On a structure of plain complex numbers a projection keeps the order of
-the form.
+what d at the point reads and no more.  ``del_dbar_of_taylor`` reads its
+2-form to order 2 and the value and slope rows of the degree-3 table,
+``gram_curvature`` reads its matrix to order 2 (its inverse, a jet
+elimination, to order 1) and the projector slopes, and ``dbar_del_scalar``
+its function to order 2.  On a structure of plain complex numbers a
+projection keeps the order of the form.
 
 The certificates of the package share five shapes, each written once at
 the end of this module with its normalisation: a form is closed
 (``closedness_residual``), a curvature is (1,1) and annihilated by some
 forms (``curvature_residual``), one side of an identity equals the other
-(``identity_residual``), del dbar of a (1,1)-form read at the point
-(``del_dbar_at_point``), and the norm of a holomorphic volume form
-(``volume_form_norm``).  A residual is a sup divided by the largest entering
-term (``relative_residual``), so it never passes on NaN or inf.
+(``identity_residual``), del dbar of a (1,1)-form read at the point from
+its Taylor coefficients (``del_dbar_at_point``), and the norm of a
+holomorphic volume form (``volume_form_norm``).  A residual is a sup
+divided by the largest entering term (``relative_residual``), so it never
+passes on NaN or inf.
 
 A curvature stays the one array that ``gram_curvature`` computes, the
 stacked (1,1) coefficients of every entry of the matrix, from there to every
@@ -65,7 +70,7 @@ from operator import or_
 
 import numpy as np
 
-from .jets import InsufficientJetOrder, Jet
+from .jets import InsufficientJetOrder, Jet, JetSpace
 
 PRUNE_EPS = 1e-300  # only exact-zero scale pruning; tolerances live in comparisons
 
@@ -587,6 +592,26 @@ def _index_plan(n: int, k: int):
     return rank, grow
 
 
+@lru_cache(maxsize=None)
+def _complement(n: int, k: int):
+    """The complement map of k-forms on n coordinates: ``(comp, signs)``, read-only.
+
+    For the L-th increasing k-tuple, ``comp[L]`` is the row of its
+    complement L^c among the (n-k)-tuples and ``signs[L]`` the sign e_L with
+    dx_L ^ dx_{L^c} = e_L dx_0 ^ ... ^ dx_{n-1}; rows are in combinations
+    order.
+    """
+    rest = _ranks(n, n - k)
+    comp, signs = [], []
+    for multi in _ranks(n, k):
+        other = tuple(v for v in range(n) if v not in multi)
+        comp.append(rest[other])
+        signs.append(_merge_indices(multi, other)[1])
+    comp, signs = np.array(comp, dtype=np.intp), np.array(signs, dtype=np.float64)
+    comp.flags.writeable = signs.flags.writeable = False
+    return comp, signs
+
+
 class TypeContext:
     """Pointwise (p,q) machinery for one almost complex structure, to order 1.
 
@@ -599,15 +624,18 @@ class TypeContext:
     order 0, has m = 0.
 
     Degree 1 stacks the projectors Q = (1 + iJ)/2 and P = (1 - iJ)/2.
-    Degree k grows from degree k - 1 over an index plan (``_index_plan``):
+    Degree k <= dim/2 grows from degree k - 1 over an index plan (``_index_plan``):
     the (p,q) part of dx_I = dx_{I'} ^ dx_v is (p-1,q)(dx_{I'}) ^ P dx_v +
     (p,q-1)(dx_{I'}) ^ Q dx_v, and the dx_J coefficient of a (k-1)-form
     wedged with a 1-form sums, over the k ways to write J as J' plus {w},
     the dx_{J'} coefficient times the dx_w one with the merge sign.  Each
     product of two stacked factors is the Leibniz rule: its value is a_0 b_0
-    and its d/dx_u is a_0 b_u + a_u b_0.
+    and its d/dx_u is a_0 b_u + a_u b_0.  A degree k with dim/2 < k < dim
+    is one signed permutation of degree dim - k (``_dual_table``), so on
+    the 6-dimensional twistor chart degrees 4 and 5 come from 2 and 1.
 
-    Decomposing and projecting contract the table with the form's
+    Decomposing and projecting raise ChartMismatch for a form on another
+    chart, and contract the table with the form's
     coefficient vector and build forms only for the result.  A pointwise
     form contracts with the values.  A jet form contracts the values with
     its Taylor coefficients and adds the slopes times its value to each x_u
@@ -661,7 +689,14 @@ class TypeContext:
         return tab[0], dP
 
     def _table(self, k: int) -> np.ndarray:
+        """The degree-k type table, built on first use and kept read-only in ``_tables``.
+
+        Up to dim/2 and at dim it grows from degree k - 1; between, it is
+        the dual of degree dim - k (``_dual_table``).
+        """
         tab = self._tables.get(k)
+        if tab is None and self.chart.dim < 2 * k < 2 * self.chart.dim:
+            tab = self._tables[k] = self._dual_table(k)
         if tab is None:
             prev = self._table(k - 1)
             pq = self._tables[1]
@@ -686,6 +721,31 @@ class TypeContext:
             tab = self._tables[k] = tab.reshape(mt, k + 1, len(rank), len(rank))
             tab.flags.writeable = False
         return tab
+
+    def _dual_table(self, k: int) -> np.ndarray:
+        """The degree-k table, for dim/2 < k < dim, as the signed-complement transpose of degree dim - k.
+
+        The wedge pairing makes the (p, q) projection on k-forms the adjoint
+        of the (m-p, m-q) projection on (dim-k)-forms, m = dim/2, so
+        T_k[:, p] = C T_{dim-k}[:, m-p]^T C^T with C the signed permutation
+        of ``_complement``, and 0 where m - p is not a type of degree
+        dim - k.  Each entry is one entry of the lower table times +-1, and
+        the value and slope rows transform alike.
+        """
+        n, m = self.chart.dim, self.chart.ncomplex
+        low = self._table(n - k)
+        comp, signs = _complement(n, k)
+        lo, hi = max(0, m - (n - k)), min(k, m)  # the p with 0 <= m - p <= n - k
+        # the types m - p for p = lo .. hi, then [.., L, L'] = T_{n-k}[.., L'^c, L^c] e_L e_L'
+        dual = low[:, m - hi : m - lo + 1][:, ::-1][:, :, comp[:, None], comp[None, :]].swapaxes(-1, -2)
+        tab = np.zeros((low.shape[0], k + 1) + dual.shape[2:], dtype=np.complex128)
+        tab[:, lo : hi + 1] = dual * np.outer(signs, signs)
+        tab.flags.writeable = False
+        return tab
+
+    def _check_chart(self, form: FormValue):
+        if form.chart is not self.chart and form.chart != self.chart:
+            raise ChartMismatch(f"a form on {form.chart.name!r} read by the context of {self.chart.name!r}")
 
     def _parts(self, form: FormValue, types: slice) -> list:
         """The (p, k-p) parts of a k-form, for p in ``range(k + 1)[types]``."""
@@ -733,6 +793,7 @@ class TypeContext:
 
     def decompose(self, form: FormValue) -> dict:
         """Partition into pure (p,q) parts; the parts sum back to the input."""
+        self._check_chart(form)
         k = form.degree
         if k == 0:
             return {(0, 0): form}
@@ -741,6 +802,7 @@ class TypeContext:
         return {(p, k - p): part for p, part in enumerate(self._parts(form, slice(None)))}
 
     def project(self, form: FormValue, p: int, q: int) -> FormValue:
+        self._check_chart(form)
         k = form.degree
         if k == 0:
             return form if (p, q) == (0, 0) else FormValue.zero(self.chart, 0)
@@ -1034,15 +1096,67 @@ def identity_residual(lhs: FormValue, rhs: FormValue, *scales: float) -> float:
     return relative_residual((lhs - rhs).sup(), nan_max([lhs.sup(), rhs.sup(), *scales]))
 
 
-def del_dbar_at_point(ctx: TypeContext, form: FormValue) -> FormValue:
-    """del dbar of a (1,1)-form at the point.
+def del_dbar_of_taylor(ctx: TypeContext, space: JetSpace, coeffs: np.ndarray, order: int) -> FormValue:
+    """del dbar at the point of the 2-form whose Taylor coefficients are stacked in ``coeffs``.
 
-    Only the first derivatives of dbar(form) are read, and the (1,2)
-    projection on ``ctx`` is valid to order 1 at most; the (2,2) part of its
-    d is taken at the point.  The form's jets must be valid to order >= 2.
+    ``coeffs[i, I]`` is the coefficient of the i-th monomial of ``space``
+    (those of degree <= 2 at least) in the dx_I coefficient of the form,
+    2-indices in combinations order, valid to ``order`` >= 2.  The result
+    is (2,2) of d of (1,2) of d(form), as array products without a
+    derivative jet: the first and second partials give d(form) at the point
+    and its slopes through the sign plan of a 1-form and a 2-form
+    (``_wedge_signs``); the value and slope rows of the degree-3 table give
+    the (1,2) part and its slopes by the Leibniz rule of
+    ``TypeContext._parts``; the sign plan of a 1-form and a 3-form gives d
+    of that part, and the values of the degree-4 table its (2,2) part.  So
+    the structure is read to order 1: one with jet entries valid only to
+    order 0 raises InsufficientJetOrder.  A NaN among the partials makes
+    every coefficient of the result NaN.
     """
-    dbar = ctx.project(exterior_derivative(form), 1, 2)
-    return ctx.project(d_at_point(dbar), 2, 2)
+    if order < 2:
+        raise InsufficientJetOrder(f"del dbar at the point needs the 2-form's coefficients to order 2; they are valid to order {order}")
+    if ctx._order == 0:
+        raise InsufficientJetOrder("del dbar at the point needs a structure valid to order 1")
+    if ctx._space is not None and space is not ctx._space:
+        raise ValueError("jets from different spaces cannot be combined")
+    n = ctx.chart.dim
+    first = coeffs[space.first_order]  # [v, I] = d_v of the dx_I coefficient
+    # [u, v, I] = d_u d_v; the coefficient of x_u^2 is half of d2/dx_u^2, and doubling is exact
+    second = coeffs[space.second_order] * (1.0 + np.eye(n))[:, :, None]
+    d_form = first.reshape(-1) @ _wedge_signs(n, 1, 2)
+    d_slopes = second.reshape(n, -1) @ _wedge_signs(n, 1, 2)  # [u, K] = d_u of the dx_K coefficient of d(form)
+    tab = ctx._table(3)[:, 1]
+    # the (1,2) part: value T_0 a_0, slope T_0 a_u + T_u a_0
+    dbar_slopes = d_slopes @ tab[0].T
+    dbar_slopes[ctx._vars] += tab[1:] @ d_form
+    return FormValue.from_vector(ctx.chart, 4, ctx._table(4)[0, 2] @ (dbar_slopes.reshape(-1) @ _wedge_signs(n, 1, 3)))
+
+
+def del_dbar_at_point(ctx: TypeContext, form: FormValue) -> FormValue:
+    """del dbar of a (1,1)-form at the point, read from its Taylor coefficients (``del_dbar_of_taylor``).
+
+    The form must be a 2-form on the chart of ``ctx`` (ChartMismatch,
+    DegreeError), and its jet coefficients valid to order >= 2; its
+    coefficients of degree <= 2 are read.  Constant coefficients have no
+    partials, so a form without jets has del dbar 0.
+    """
+    ctx._check_chart(form)
+    if form.degree != 2:
+        raise DegreeError(f"del dbar at the point reads a 2-form, got degree {form.degree}")
+    jets = [c for c in form.terms.values() if isinstance(c, Jet)]
+    if not jets:
+        return FormValue.zero(ctx.chart, 4)
+    space = jets[0].space
+    if any(c.space is not space for c in jets):
+        raise ValueError("jets from different spaces cannot be combined")
+    order = min(c.order for c in jets)
+    rank = _ranks(ctx.chart.dim, 2)
+    rows = space.prefix_sizes[min(order, 2)]
+    coeffs = np.zeros((rows, len(rank)), dtype=np.complex128)
+    for multi, c in form.terms.items():
+        if isinstance(c, Jet):
+            coeffs[:, rank[multi]] = c.c[:rows]
+    return del_dbar_of_taylor(ctx, space, coeffs, order)
 
 
 def volume_form_norm(vol: FormValue, omega: FormValue) -> float:

@@ -12,6 +12,10 @@ Coefficients are stored densely over the graded-lexicographic monomial
 list of a :class:`JetSpace`; multiplication runs through a precomputed
 pair table sorted by output monomial, so that a product is one gather and
 multiply plus one ``np.add.reduceat`` over the pairs the result can keep.
+The coefficient kernel ``_mul_coeffs`` takes arrays whose first axis is the
+monomial one and broadcasts their trailing axes, so a matrix or a form of
+jets stacked into one array is multiplied in one call, bit for bit as its
+entries would be one by one.
 Each jet carries its own validity ``order``: differentiating lowers it by
 one, reading a coefficient beyond it raises :class:`InsufficientJetOrder`,
 and a product is summed only up to the lower validity order of its factors.
@@ -239,10 +243,20 @@ def _mul_coeffs(space: JetSpace, a: np.ndarray, b: np.ndarray, order: int, mask:
     partial sums of invalid coefficients that a full product would leave
     there; so are those outside ``mask``, which a full product would sum
     from zero factors.
+
+    The monomial axis comes first.  ``a`` and ``b`` have the same number of
+    axes, and the trailing ones broadcast against each other as numpy
+    broadcasts, so one call multiplies whole arrays of jets entry by entry
+    (a single jet scales an array of them as ``c[:, None]``).  Each entry
+    sums the pairs of the 1-D product in the same order, so it equals that
+    product bit for bit.  The operands may hold only the first monomials,
+    as far as those of degree <= ``order``; the result has as many rows as
+    ``a``.
     """
     ii, jj, starts, outs = space.mul_subset(mask, order)
-    out = np.zeros(space.size, dtype=np.complex128)
-    out[outs] = np.add.reduceat(a[ii] * b[jj], starts)
+    sums = np.add.reduceat(a[ii] * b[jj], starts)
+    out = np.zeros((len(a),) + sums.shape[1:], dtype=np.complex128)
+    out[outs] = sums
     return out
 
 

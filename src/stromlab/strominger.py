@@ -45,10 +45,12 @@ from .forms import (
     DomainError,
     FormValue,
     _array_sup,
+    _wedge_signs,
     closedness_residual,
     curvature_residual,
     dbar_del_scalar,
     del_dbar_at_point,
+    del_dbar_of_taylor,
     differential_of_scalar,
     gram_curvature,
     identity_residual,
@@ -58,7 +60,7 @@ from .forms import (
     relative_residual,
 )
 from .hyperkahler import HyperkahlerModel, flat_model, quaternion_operator
-from .jets import Profile, kept
+from .jets import Jet, Profile, _mul_coeffs, kept
 from .twistor import AnsatzMetric, AnsatzParams, twistor_frame
 
 
@@ -136,22 +138,45 @@ class AnsatzCurvatureData:
         R = self.frame_curvature
         return matrix_wedge_trace(R, R, self.fr.chart)
 
-    def w_form(self) -> FormValue:
-        """W = dbar L^T Ubar^-1 del Lbar as a (1,1)-form with jet coefficients valid to order 2.
+    def w_form(self) -> np.ndarray:
+        """W = dbar L^T Ubar^-1 del Lbar: its Taylor coefficients to order 2, stacked.
 
-        Its readers take its value and the first derivatives of (A/B) W, so
-        Ubar^-1 is formed from U read to order 2 and dbar L_i = (dL_i + i J dL_i)/2
-        from L read to order 3, so its jet products sum to the order of dL, 2.
+        Entry ``[i, r]`` is the coefficient of the i-th monomial of the
+        frame's jet space in the coefficient of the r-th 2-index, in
+        combinations order, of the (1,1)-form W.  The rows are the
+        monomials of degree <= 2, which come first, so row 0 is W at the
+        point and the array multiplies with ``jets._mul_coeffs`` at order
+        2.  Its readers take its value and del dbar of (A/B) W, so L is
+        read to order 3 and its partials to 2, and Ubar^-1 is formed from U
+        read to order 2.  With the Taylor coefficients of J and Ubar^-1
+        stacked the same way, dbar L = (dL + i J dL)/2, Ubar^-1 dbar L and
+        the wedge are three products of ``jets._mul_coeffs`` over whole
+        arrays, at order 2.
         """
         fr = self.fr
-        Ubar_inv = mat_inv([[e.conjugate().to_order(2) for e in row] for row in self.U])
-        dL = [differential_of_scalar(l.to_order(3), fr.chart) for l in self.Lvec]
-        dbar_L = [(d + fr.ctx.acs.apply(d).scale(1j)).scale(0.5) for d in dL]
-        out = FormValue.zero(fr.chart, 2)
-        for i in range(2):
-            for j in range(2):
-                out = out + dbar_L[i].scale(Ubar_inv[i][j]).wedge(dbar_L[j].conj())
-        return out
+        space, n = fr.zr.space, fr.chart.dim
+        mask, rows = space.full_mask, space.prefix_sizes[2]
+        # dL[:, i, v]: d/dx_v of L_i
+        dL = np.stack([np.stack([l.to_order(3).derivative(v).c[:rows] for v in range(n)], axis=-1) for l in self.Lvec], axis=1)
+        J = _stacked(fr.ctx.acs.mat, rows)
+        dbar_L = (dL + 1j * _mul_coeffs(space, J[:, None], dL[:, :, None], 2, mask).sum(axis=-1)) * 0.5
+        Ubar_inv = _stacked(mat_inv([[e.conjugate().to_order(2) for e in row] for row in self.U]), rows)
+        # V[:, j, w] = sum_i dbar L_i Ubar^-1_ij, then W = sum_j V_j ^ conj(dbar L_j)
+        V = _mul_coeffs(space, Ubar_inv[..., None], dbar_L[:, :, None], 2, mask).sum(axis=1)
+        pairs = _mul_coeffs(space, V[..., None], np.conj(dbar_L)[:, :, None], 2, mask).sum(axis=1)
+        return pairs.reshape(rows, n * n) @ _wedge_signs(n, 1, 1)
+
+
+def _stacked(M, rows: int) -> np.ndarray:
+    """The first ``rows`` Taylor coefficients of a matrix of jets and numbers as one array, the monomial axis first."""
+    out = np.zeros((rows, len(M), len(M[0])), dtype=np.complex128)
+    for i, row in enumerate(M):
+        for j, e in enumerate(row):
+            if isinstance(e, Jet):
+                out[:, i, j] = e.c[:rows]
+            else:
+                out[0, i, j] = e
+    return out
 
 
 def _frame_gram(A, B, L, U):
@@ -239,11 +264,14 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     # reduction holding at machine precision.
     W = data.w_form()
     w_target = fr.fiber_form().scale(1j * fr.s.reciprocal())
-    w_res = identity_residual(W.values(), w_target.values())
+    w_res = identity_residual(FormValue.from_vector(fr.chart, 2, W[0]), w_target.values())
 
     # tr(R^R) against 2 del dbar((A/B) W) + 2 (dbar del log B)^2 + tr(F'^F')
     tr_RR = data.tr_RR
-    del_dbar_Y = del_dbar_at_point(ctx, W.scale(A2 / B2))
+    ratio = A2 / B2
+    space = ratio.space
+    Y = _mul_coeffs(space, ratio.c[: len(W), None], W, 2, space.full_mask)
+    del_dbar_Y = del_dbar_of_taylor(ctx, space, Y, min(ratio.order, 2))
     c2_rhs = (
         del_dbar_Y.scale(2.0)
         + ddbar_logB.wedge(ddbar_logB).scale(2.0)

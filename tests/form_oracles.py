@@ -6,7 +6,8 @@ tangent vectors by minors, J^2 = -1 entry by entry, metric
 skew-hermiticity of a curvature, the tables of I, J and K written out
 entry by entry, the frame Gram of the twistor ansatz, the complex
 components of a 1-form through the basis change T^-1, the curvature
-certificate wedge by wedge and pair of terms by pair of terms, and the Chern
+certificate wedge by wedge and pair of terms by pair of terms, del dbar of a
+2-form through derivative jets and jet-valued projections, and the Chern
 curvature of a Gram matrix at the point and its tr(R wedge R) in 50-digit
 arithmetic.
 """
@@ -21,6 +22,8 @@ from stromlab.forms import (
     DegreeError,
     FormValue,
     _complex_basis_matrices,
+    d_at_point,
+    exterior_derivative,
     nan_max,
     smag,
     svalue,
@@ -137,6 +140,18 @@ def pairwise_curvature_terms(F, forms, ctx):
             sups += [parts[key].sup() for key in ((2, 0), (0, 2)) if key in parts]
             scales.append(entry.sup())
     return nan_max(sups), nan_max(scales)
+
+
+def jet_del_dbar(ctx, form: FormValue) -> FormValue:
+    """del dbar of a 2-form at the point through derivative jets and jet-valued projections.
+
+    d of the form as a form of derivative jets, its (1,2) part on ``ctx``
+    (valid to order 1 on a structure with jet entries), d of that at the
+    point, and its (2,2) part: the route ``forms.del_dbar_at_point`` took
+    before it read the Taylor coefficients as arrays.
+    """
+    dbar = ctx.project(exterior_derivative(form), 1, 2)
+    return ctx.project(d_at_point(dbar), 2, 2)
 
 
 def frame_gram(data):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stromlab.forms import (
+    AlmostComplexStructure,
     Chart,
     ChartMismatch,
     ChartPoint,
@@ -22,6 +23,7 @@ from stromlab.forms import (
     d_at_point,
     d_complex,
     d_complex_bar,
+    del_dbar_at_point,
     exterior_derivative,
     exterior_derivative_with_scale,
     form_power,
@@ -40,11 +42,11 @@ from stromlab.forms import (
 from stromlab.jets import InsufficientJetOrder, Jet, jet_space, seed_jets
 from stromlab import forms as forms_module
 from stromlab.calabi import CalabiParams, CanonicalBundleFrame, flat_torus_chart, fubini_study_cp1, theorem_metric_params
-from stromlab.hyperkahler import eguchi_hanson, flat_model
+from stromlab.hyperkahler import FLAT_CHART, eguchi_hanson, flat_model
 from stromlab.sampling import random_ansatz_params, sample_points
 from stromlab.twistor import TWISTOR_EH, TWISTOR_FLAT, AnsatzMetric, AnsatzParams, TwistorFrame
 
-from form_oracles import pairwise_curvature_terms, square_residual, stacked, to_complex_components
+from form_oracles import jet_del_dbar, pairwise_curvature_terms, square_residual, stacked, to_complex_components
 
 LINE = Chart("complex_line", ("zr", "zi"), ("zeta",))
 C2 = Chart("c2", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
@@ -764,6 +766,118 @@ def test_matrix_wedge_trace_propagates_a_nan_from_any_entry():
     assert wedge_trace_oracle(one, one).sup() == 0.0
     with_nan = [[FormValue(TWISTOR_FLAT, 2, {(0, 1): nan})]]
     assert math.isnan(matrix_wedge_trace(stacked(with_nan), stacked(one), TWISTOR_FLAT).sup())
+
+
+# -- del dbar at the point -------------------------------------------------------
+
+
+def random_two_form(chart, space, order, rng):
+    """A 2-form of jets valid to ``order``, each supported on a random mask of variables.
+
+    One coefficient is an exactly zero jet (which the form drops), one a
+    constant jet and one a plain complex number; the rest are random on the
+    monomials of their mask, drawn as the union of two random masks.
+    """
+    multis = list(combinations(range(chart.dim), 2))
+    zero, constant, number = rng.sample(range(len(multis)), 3)
+    terms = {}
+    for r, multi in enumerate(multis):
+        if r == zero:
+            terms[multi] = Jet.constant(space, 0.0, order)
+        elif r == constant:
+            terms[multi] = Jet.constant(space, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), order)
+        elif r == number:
+            terms[multi] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        else:
+            mask = rng.randrange(1 << space.nvars) | rng.randrange(1 << space.nvars)
+            c = np.zeros(space.size, dtype=np.complex128)
+            for i, mono in enumerate(space.monomials):
+                if all(not e or mask >> v & 1 for v, e in enumerate(mono)):
+                    c[i] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            terms[multi] = Jet(space, c, order, mask)
+    return FormValue(chart, 2, terms)
+
+
+def twistor_structure_frame():
+    return TwistorFrame(flat_model(), point(TWISTOR_FLAT, 0.6, -0.4, 0.3, 0.8, -0.5, 0.2), 4)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_del_dbar_at_point_matches_the_jet_route(order):
+    rng = random.Random(300 + order)
+    fr = twistor_structure_frame()
+    total = fubini_study_cp1().total_chart
+    cases = [(fr.ctx, TWISTOR_FLAT, fr.zr.space), (forms_module.standard_context(total), total, jet_space(4, 4))]
+    for ctx, chart, space in cases:
+        sups = []
+        for trial in range(4):
+            form = random_two_form(chart, space, order, rng)
+            assert len(form.terms) == (14 if chart is TWISTOR_FLAT else 5)
+            got, want = del_dbar_at_point(ctx, form), jet_del_dbar(ctx, form)
+            assert got.degree == 4
+            # a zero del dbar (three random coefficients on the 4-dimensional chart) must be read as zero
+            assert (got - want).sup() <= 1e-14 * want.sup()
+            sups.append(want.sup())
+        assert sum(s > 0.1 for s in sups) >= 3, sups
+
+
+def test_del_dbar_at_point_raises_below_the_orders_it_reads():
+    fr = twistor_structure_frame()
+    space = fr.zr.space
+    form = random_two_form(TWISTOR_FLAT, space, 4, random.Random(310))
+    low = dict(form.terms)
+    low[(0, 3)] = Jet(space, low[(0, 3)].c, 1)
+    with pytest.raises(InsufficientJetOrder, match="to order 2; they are valid to order 1"):
+        del_dbar_at_point(fr.ctx, FormValue(TWISTOR_FLAT, 2, low))
+    # a structure whose jets are valid to order 0 has no slopes for the (1,2) projection
+    flat_acs = AlmostComplexStructure(
+        TWISTOR_FLAT, [[e.to_order(0) if isinstance(e, Jet) else e for e in row] for row in fr.ctx.acs.mat]
+    )
+    with pytest.raises(InsufficientJetOrder, match="structure valid to order 1"):
+        del_dbar_at_point(TypeContext(flat_acs), form)
+    with pytest.raises(InsufficientJetOrder):
+        jet_del_dbar(TypeContext(flat_acs), form)
+
+
+def test_del_dbar_at_point_propagates_a_nan_second_partial():
+    fr = twistor_structure_frame()
+    space = fr.zr.space
+    form = random_two_form(TWISTOR_FLAT, space, 2, random.Random(311))
+    multi = next(m for m, c in form.terms.items() if isinstance(c, Jet) and c.mask & 0b101 == 0b101)
+    c = form.terms[multi].c.copy()
+    c[space.second_order[0, 2]] = math.nan
+    poisoned = FormValue(TWISTOR_FLAT, 2, {**form.terms, multi: Jet(space, c, 2, form.terms[multi].mask)})
+    got = del_dbar_at_point(fr.ctx, poisoned)
+    assert got.terms and all(math.isnan(abs(v)) for v in got.terms.values())
+    assert math.isnan(got.sup())
+
+
+def test_del_dbar_at_point_refuses_another_chart_or_degree():
+    fr = twistor_structure_frame()
+    space = fr.zr.space
+    x = fr.jets
+    with pytest.raises(ChartMismatch):
+        del_dbar_at_point(fr.ctx, FormValue(C2, 2, {(0, 1): x[2] * x[3]}))
+    # the jet route read a 1-form as a silent zero 3-form
+    with pytest.raises(DegreeError):
+        del_dbar_at_point(fr.ctx, FormValue(TWISTOR_FLAT, 1, {(2,): x[2] * x[3]}))
+    with pytest.raises(DegreeError):
+        del_dbar_at_point(fr.ctx, random_two_form(TWISTOR_FLAT, space, 4, random.Random(312)).wedge(d_real(TWISTOR_FLAT, 0)))
+
+
+def test_type_context_refuses_a_form_off_its_chart():
+    # dx0..dx3 of a form on flat R^4 are not the first four coordinates of the twistor chart
+    form = FormValue(FLAT_CHART, 2, {(0, 1): 1.0 + 0.0j, (2, 3): 1.0 + 0.0j})
+    ctx = forms_module.standard_context(TWISTOR_FLAT)
+    with pytest.raises(ChartMismatch):
+        ctx.project(form, 1, 1)
+    with pytest.raises(ChartMismatch):
+        ctx.decompose(form)
+    with pytest.raises(ChartMismatch):
+        ctx.decompose(FormValue.scalar(FLAT_CHART, 1.0))
+    # a chart equal by value is the same chart
+    same = Chart(TWISTOR_FLAT.name, TWISTOR_FLAT.coords, TWISTOR_FLAT.complex_names)
+    assert ctx.project(FormValue(same, 2, {(0, 1): 1.0 + 0.0j}), 1, 1).chart == TWISTOR_FLAT
 
 
 # -- top forms -----------------------------------------------------------------

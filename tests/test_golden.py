@@ -11,8 +11,10 @@ recorded alongside.
 
 A value matches when |new - old| <= 1e-12 max(1, |old|); NaN and inf never
 match.  The calabi extremal residuals are rounding noise (6e-13 to 1.2e-10
-here), so a reordered sum moves them past that tolerance: a change must leave the
-``calabi_canonical`` group bit-identical.
+here), so a reordered sum can move them past that tolerance: a change that
+reorders a sum on the calabi path reports the drift of the
+``calabi_canonical`` group with ``--against``, and any drift there must stay at
+rounding level.
 
 ``PYTHONPATH=src python tests/test_golden.py`` records the file again; with
 ``--drift`` it prints, per group, how many values differ from the file, the

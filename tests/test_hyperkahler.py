@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,6 +164,58 @@ def test_eh_mixed_partials_chain_rule_oracle():
         for j in (1, 2):
             expected = k1 * (i == j) + k2 * z[i - 1].conjugate() * z[j - 1]
             assert kh[i - 1][j - 1].value == pytest.approx(expected, rel=1e-10)
+
+
+@functools.cache
+def symbolic_eh_kappa_series(order):
+    """(t, a, [kappa^(j)(t) / j! for j = 0..order]) of the Eguchi-Hanson potential in sympy."""
+    import sympy
+
+    t, a = sympy.symbols("t a", positive=True)
+    kappa = (sympy.sqrt(t**2 + a**4) - a**2 * sympy.log((a**2 + sympy.sqrt(t**2 + a**4)) / t)) / 2
+    return t, a, [sympy.diff(kappa, t, j) / sympy.factorial(j) for j in range(order + 1)]
+
+
+def symbolic_eh_kappa_taylor(a, base, order):
+    """Taylor coefficients at ``base`` of the Eguchi-Hanson potential, from sympy, keyed by exponent tuples.
+
+    kappa(t) = (sqrt(t^2 + a^4) - a^2 log((a^2 + sqrt(t^2 + a^4)) / t)) / 2 is
+    expanded in one variable, k_j = kappa^(j)(t0) / j! by sympy to 30
+    digits, and composed with the exact polynomial t(x) = t0 + 2 base.y +
+    |y|^2 of the offset y: the coefficient of y^m is sum_j k_j [y^m] (t - t0)^j.
+    ``a`` and ``base`` must be exact binary fractions, so the rationals
+    below are the floats the jets see.
+    """
+    import mpmath
+    import sympy
+
+    t, a_, series = symbolic_eh_kappa_series(order)
+    ys = sympy.symbols("y0:4")
+    xs = [sympy.Rational(Fraction(x)) for x in base]
+    t0 = sum(x * x for x in xs)
+    step = sympy.Poly(sum(2 * x * y + y * y for x, y in zip(xs, ys)), *ys)
+    out = {}
+    with mpmath.workdps(30):
+        power = sympy.Poly(1, *ys)
+        for k in series:
+            k_j = mpmath.mpf(str(sympy.N(k.subs({t: t0, a_: sympy.Rational(Fraction(a))}), 35)))
+            for expo, c in power.terms():
+                if sum(expo) <= order:
+                    out[expo] = out.get(expo, mpmath.mpf(0)) + k_j * mpmath.mpf(c.p) / c.q
+            power = power * step
+    return {expo: float(v) for expo, v in out.items()}
+
+
+@pytest.mark.parametrize("a, base", [(1.0, (0.75, -0.5, 0.625, 0.375)), (0.5, (-0.25, 0.875, 0.125, -0.5)), (2.0, (1.5, 0.25, -1.25, 0.75))])
+def test_eh_kappa_taylor_coefficients_match_sympy(a, base):
+    # every coefficient to order 4, against a route that shares nothing with Jet._compose
+    want = symbolic_eh_kappa_taylor(a, base, 4)
+    jet = eguchi_hanson(a).kappa(seed_jets(base, 4))
+    space = jet.space
+    assert len(want) == space.size == 70
+    for expo, w in want.items():
+        got = complex(jet.c[space.index[expo]])
+        assert abs(got - w) <= 1e-12 * abs(w), (expo, got, w)
 
 
 def test_eh_determinant_certification():

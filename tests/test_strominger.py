@@ -330,20 +330,29 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
         with pytest.raises(InsufficientJetOrder):
             hym_residual(FLAT, params, p)
     jets._KEPT.clear()
-    # the form that del_dbar_at_point receives, alone, read to order 1, one
-    # below the order 2 it needs: the metric for the anomaly and (A/B) W for
-    # the identities.  R, F' and dbar del log B still get their order, and
-    # each operator raises where d at the point reads its order-0 projection
-    del_dbar = strominger.del_dbar_at_point
+    # the input of del dbar at the point, alone, read to order 1, one below
+    # the order 2 it needs: the metric form for the anomaly, and the stacked
+    # Taylor coefficients of (A/B) W for the identities.  R, F' and dbar del
+    # log B still get their order, and each operator raises where del dbar
+    # reads its input
+    del_dbar, del_dbar_stacked = strominger.del_dbar_at_point, strominger.del_dbar_of_taylor
+    lowered = []
 
     def del_dbar_lowered(ctx, form):
+        lowered.append("anomaly")
         return del_dbar(ctx, form.map_coeffs(lambda c: to_order(c, 1) if isinstance(c, Jet) else c))
+
+    def del_dbar_stacked_lowered(ctx, space, coeffs, order):
+        lowered.append("identities")
+        return del_dbar_stacked(ctx, space, coeffs, min(order, 1))
 
     with monkeypatch.context() as m:
         m.setattr(strominger, "del_dbar_at_point", del_dbar_lowered)
+        m.setattr(strominger, "del_dbar_of_taylor", del_dbar_stacked_lowered)
         for op in (anomaly_residual, curvature_identities):
-            with pytest.raises(InsufficientJetOrder, match="order-0 jet"):
+            with pytest.raises(InsufficientJetOrder, match="coefficients to order 2; they are valid to order 1"):
                 op(FLAT, params, p)
+    assert lowered == ["anomaly", "identities"]
     jets._KEPT.clear()
 
 
@@ -858,7 +867,7 @@ def test_w_perturbation_linear_response():
     p = twistor_points(FLAT, 1, seed=79)[0]
     data = AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p)
     fr = data.fr
-    W = data.w_form().values() + fr.triple.omega_I.values().scale(1e-3)
+    W = FormValue.from_vector(fr.chart, 2, data.w_form()[0]) + fr.triple.omega_I.values().scale(1e-3)
     target = fr.fiber_form().scale(1j * fr.s.reciprocal()).values()
     diff = (W - target).sup()
     scale = max(W.sup(), target.sup())

@@ -136,6 +136,39 @@ def test_jet_tables_match_the_expanded_wedges(twistor_frame, degree):
     assert ctx._table(degree) is ctx._table(degree)
 
 
+def reference_table(ctx, degree):
+    """The type table of ``ctx`` in one degree, row by row and type by type, from ``reference_parts``.
+
+    Row 0 holds the values and row 1 + i the d/dx_u of the i-th variable u
+    of the structure's mask, as in ``TypeContext``.
+    """
+    acs, n = ctx.acs, ctx.chart.dim
+    multis = list(combinations(range(n), degree))
+    rows = [0] + ([ctx._space.first_order[u] for u in ctx._vars] if ctx._vars else [])
+    out = np.zeros((len(rows), degree + 1, len(multis), len(multis)), dtype=np.complex128)
+    for I, multi in enumerate(multis):
+        for (p, _), part in reference_parts(acs, multi).items():
+            for J, target in enumerate(multis):
+                c = part.coefficient(target)
+                out[:, p, J, I] = c.c[rows] if isinstance(c, Jet) else [c] + [0.0] * (len(rows) - 1)
+    return out
+
+
+@pytest.mark.parametrize("structure", ["twistor", "conjugated"])
+def test_tables_above_half_the_dimension_match_the_expanded_wedges(twistor_frame, structure):
+    # degree k > dim/2 is read from degree dim - k through the wedge pairing; the types p with
+    # m - p out of range, (4,0) and (0,4) on a 3-fold, are zero
+    ctx = TypeContext(twistor_frame.ctx.acs if structure == "twistor" else conjugated_structure())
+    n = ctx.chart.dim
+    degrees = [k for k in range(1, n) if 2 * k > n]
+    assert degrees == ([4, 5] if structure == "twistor" else [3])
+    for k in degrees:
+        got, want = ctx._table(k), reference_table(ctx, k)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert not got.flags.writeable
+
+
 def random_jet_form(fr, degree, rng):
     """Coefficients of mixed validity order and support: a derivative, products and constants."""
     x = fr.jets
