@@ -5,15 +5,7 @@ real coordinate differentials.  Coefficients may be plain complex numbers
 (pointwise values) or :class:`~stromlab.jets.Jet` objects (local Taylor
 data), and every operation here is generic over the two: the exterior
 derivative simply differentiates jet coefficients, so nested expressions
-come out exact.  Where only the value at the point of such an expression
-is read, it is assembled from the low Taylor coefficients instead: the
-Chern curvature ``dbar(Hbar^-1 del Hbar)`` of a Gram matrix
-(``gram_curvature``) and ``dbar del f`` (``dbar_del_scalar``) are a few
-array contractions of first and second partials, the slopes of Hbar^-1
-and of the (1,0) projector, and one pointwise (1,1) projection for the
-whole matrix; del dbar of a 2-form (``del_dbar_of_taylor``) is products of
-its stacked first and second partials with two sign plans and the value
-and slope rows of the type tables.
+come out exact.
 
 The Dolbeault operators make no holomorphic-coordinate assumption: del
 and dbar are assembled from real partials through the (1,0)/(0,1)
@@ -31,21 +23,42 @@ structure of a chart is constant, so ``standard_context(chart)`` builds its
 context once and every point on the chart shares it; a context's tables are
 read-only for that reason.
 
+Where only the value at the point of such an expression is read, no
+derivative jet is built: three kernels share one layout, Taylor rows, an
+array whose first axis runs over the monomials of degree <= o of a jet
+space (the value first, then the x_u) and whose last axis runs over the
+multi-indices of the stacked forms.  ``_taylor_rows`` stacks jets and
+numbers so, and raises for jets of different spaces or valid below o.
+``_d_point`` takes d at the point of stacked k-forms: its value is the
+first partials and its slopes the second partials, each times the sign
+plan ``_wedge_signs(n, 1, k)``, returned as Taylor rows one order lower.
+``_type_part`` takes the (p, k-p) part, whose value is T_0 a_0 and whose
+slopes are T_0 a_u + T_u a_0 over the value and slope rows of the
+degree-k type table.  Every read at the point is built on them:
+``closedness_residual``, ``gram_curvature`` (the Chern curvature
+dbar(Hbar^-1 del Hbar) of a Gram matrix), ``del_dbar_of_taylor`` and
+``del_dbar_at_point`` (del dbar of a form of even degree; degree 0 gives
+del dbar f), and in the other modules ``w_form`` and
+``curvature_identities`` and the dbar reads of ``frame_decompose``.  The
+jet-valued route (``exterior_derivative``, ``TypeContext._parts``,
+``i_ddbar``) stays for the Calabi Ricci form, which is differentiated
+again, and as the oracle of the tests.
+
 So a projection on a structure with jet entries is valid to order 1 at
-most, which is what every reader of one needs: the curvature readers take
-what d at the point reads and no more.  ``del_dbar_of_taylor`` reads its
-2-form to order 2 and the value and slope rows of the degree-3 table,
-``gram_curvature`` reads its matrix to order 2 (its inverse, a jet
-elimination, to order 1) and the projector slopes, and ``dbar_del_scalar``
-its function to order 2.  On a structure of plain complex numbers a
-projection keeps the order of the form.
+most, which is what every reader of one needs: d at the point of a part
+needs its slopes and no more.  ``del_dbar_at_point`` reads its form to
+order 2 and the value and slope rows of the type table of one degree
+higher, and ``gram_curvature`` its matrix to order 2 (its inverse, a jet
+elimination, to order 1) and the slope rows of the degree-1 table.  On a
+structure of plain complex numbers a projection keeps the order of the
+form.
 
 The certificates of the package share five shapes, each written once at
 the end of this module with its normalisation: a form is closed
 (``closedness_residual``), a curvature is (1,1) and annihilated by some
 forms (``curvature_residual``), one side of an identity equals the other
-(``identity_residual``), del dbar of a (1,1)-form read at the point from
-its Taylor coefficients (``del_dbar_at_point``), and the norm of a
+(``identity_residual``), del dbar at the point of a form of even degree,
+read from its Taylor rows (``del_dbar_at_point``), and the norm of a
 holomorphic volume form (``volume_form_norm``).  A residual is a sup
 divided by the largest entering term (``relative_residual``), so it never
 passes on NaN or inf.
@@ -396,47 +409,6 @@ def exterior_derivative_with_scale(form: FormValue):
     return FormValue(chart, form.degree + 1, terms), nan_max(mags)
 
 
-def d_at_point(form: FormValue) -> FormValue:
-    """The value of d(form) at the point, read from first-order Taylor coefficients.
-
-    The value of d/dx_v of a jet is its x_v coefficient, so no derivative
-    jet is built.  Contributions are added in the order and with the pruning
-    of ``exterior_derivative``, so the result equals
-    ``exterior_derivative(form).values()`` bit for bit on finite coefficients.
-    """
-    return _d_at_point_with_scale(form)[0]
-
-
-def _d_at_point_with_scale(form: FormValue):
-    """``d_at_point`` plus the sup of the contributions' magnitudes, as ``exterior_derivative_with_scale`` gives it."""
-    chart = form.chart
-    terms: dict = {}
-    mags = []
-    for multi, c in form.terms.items():
-        if not isinstance(c, Jet):
-            continue
-        if c.order < 1:
-            raise InsufficientJetOrder("cannot differentiate an order-0 jet")
-        first = c.c[c.space.first_order].tolist()
-        for v in range(chart.dim):
-            if v in multi or not c.mask >> v & 1:
-                continue  # a jet free of x_v has an exactly zero d/dx_v
-            dc = first[v]
-            # exterior_derivative drops a derivative only if every coefficient is below PRUNE_EPS
-            if abs(dc) < PRUNE_EPS and is_zero_scalar(c.derivative(v)):
-                continue
-            mags.append(abs(dc))
-            pos = bisect_left(multi, v)
-            merged = multi[:pos] + (v,) + multi[pos:]
-            contrib = dc if pos % 2 == 0 else -dc
-            terms[merged] = terms[merged] + contrib if merged in terms else contrib
-    return FormValue(chart, form.degree + 1, terms), nan_max(mags)
-
-
-def differential_of_scalar(f: Jet, chart: Chart) -> FormValue:
-    return exterior_derivative(FormValue.scalar(chart, f))
-
-
 # ---------------------------------------------------------------------------
 # Hermitian forms and their top powers
 
@@ -673,21 +645,6 @@ class TypeContext:
         tab.flags.writeable = False  # a context is shared (standard_context), so its tables are too
         self._tables: dict = {1: tab}
 
-    def projector_slopes(self):
-        """(P, dP): the (1,0) projector at the point and its first partials.
-
-        ``P[w, v]`` is the dx_w coefficient of the (1,0) part of dx_v and
-        ``dP[u] = d/dx_u P``, read from the rows of the degree-1 table; a
-        structure without jet entries has zero slopes.
-        """
-        if self._order == 0:
-            raise InsufficientJetOrder("the projector slopes need a structure valid to order 1")
-        n = self.chart.dim
-        tab = self._tables[1][:, 1]
-        dP = np.zeros((n, n, n), dtype=np.complex128)
-        dP[self._vars] = tab[1:]
-        return tab[0], dP
-
     def _table(self, k: int) -> np.ndarray:
         """The degree-k type table, built on first use and kept read-only in ``_tables``.
 
@@ -824,7 +781,7 @@ def standard_context(chart: Chart) -> TypeContext:
 
 def i_ddbar(ctx: TypeContext, f: Jet) -> FormValue:
     """i del dbar f with jet coefficients; real-valued (1,1) for real f."""
-    dbar_f = ctx.project(differential_of_scalar(f, ctx.chart), 0, 1)
+    dbar_f = ctx.project(exterior_derivative(FormValue.scalar(ctx.chart, f)), 0, 1)
     dd = exterior_derivative(dbar_f)
     return ctx.project(dd, 1, 1).scale(1j)
 
@@ -890,98 +847,8 @@ def mat_inv(A):
 
 
 # ---------------------------------------------------------------------------
-# second-order reads at the point from stacked Taylor coefficients: the Chern
-# curvature of a Hermitian Gram matrix in a holomorphic frame, and dbar del f
-
-
-def _taylor_stack(M, order: int):
-    """Taylor data of a matrix of jets at the point, read to ``order`` (1 or 2), as arrays.
-
-    Returns the values (n, m), the first partials (n, m, dim) and, at order
-    2, the second partials (n, m, dim, dim).  Raises InsufficientJetOrder
-    for an entry valid below ``order``, so no coefficient beyond an entry's
-    validity is read.
-    """
-    if any(e.order < order for row in M for e in row):
-        raise InsufficientJetOrder(f"a matrix read to order {order} has an entry valid to a lower order")
-    space = M[0][0].space
-    dim = space.nvars
-    index = np.concatenate([[0], space.first_order] + ([space.second_order.reshape(-1)] if order == 2 else []))
-    coeffs = np.array([[e.c[index] for e in row] for row in M])
-    out = (coeffs[..., 0], coeffs[..., 1 : dim + 1])
-    if order == 2:
-        # the coefficient of x_u^2 is half of d2/dx_u^2; doubling is exact
-        out += (coeffs[..., dim + 1 :].reshape(coeffs.shape[:2] + (dim, dim)) * (1.0 + np.eye(dim)),)
-    return out
-
-
-def _del_at_point(ctx: TypeContext, df: np.ndarray, ddf: np.ndarray):
-    """del f at the point and its slopes, for stacked partials of functions f.
-
-    ``df[..., v]`` and ``ddf[..., u, v]`` are the first and second partials.
-    Returns ``Y`` and ``dY``: ``Y[..., w]`` is the dx_w coefficient of del f,
-    sum_v P[w, v] d_v f with P the (1,0) projector, and ``dY[..., u, w]`` its
-    d/dx_u.
-    """
-    P, dP = ctx.projector_slopes()
-    return df @ P.T, np.einsum("uwv,...v->...uw", dP, df) + ddf @ P.T
-
-
-def _part_11_at_point(ctx: TypeContext, dX: np.ndarray) -> np.ndarray:
-    """(1,1) parts of the 2-forms sum_{u,w} dX[..., u, w] dx_u ^ dx_w, as stacked coefficients.
-
-    Entry ``[..., r]`` is the coefficient of the r-th pair u < w in
-    combinations order; the parts come from the values of the degree-2 type
-    table of ``ctx``.
-    """
-    u, w = np.triu_indices(ctx.chart.dim, 1)  # the pairs u < w in combinations order
-    return (dX[..., u, w] - dX[..., w, u]) @ ctx._table(2)[0, 1].T
-
-
-def gram_curvature(H, ctx: TypeContext):
-    """R = dbar(Hbar^-1 del Hbar) at the point, for an n x n matrix of jet entries.
-
-    The result is one complex array of shape (n, n, C(dim, 2)): ``R[i, j, r]``
-    is the dx_u ^ dx_w coefficient of R_ij at the point, where (u, w) is the
-    r-th pair u < w in combinations order (``_ranks(dim, 2)``).  R_ij is the
-    (1,1) part of d X_ij with X = Hbar^-1 del Hbar, taken with the values of
-    the type table; for a (1,0)-form X that is its dbar.  For an actual
-    holomorphic-frame Gram the entries are pure (1,1).
-
-    d X is read at the point only, so it is assembled for the whole matrix
-    from stacked Taylor coefficients by the Leibniz rule,
-    d X_ij = sum_k d(Hbar^-1)_ik ^ del Hbar_kj + Hbar^-1_ik d(del Hbar_kj),
-    where del Hbar_kj has dx_w coefficient sum_v P[w, v] d_v Hbar_kj with P
-    the (1,0) projector (``_del_at_point``).  The slopes and second partials
-    of Hbar come from H read to order 2, P and its slopes from the degree-1
-    table (``TypeContext.projector_slopes``), and one pointwise (1,1)
-    projection serves every entry.
-
-    The value and the slopes of Hbar^-1 come from one ``mat_inv`` on the
-    entries read to order 1, a jet elimination with value pivoting.  The
-    pointwise alternatives, d(Hbar^-1) = -Hbar^-1 dHbar Hbar^-1 from an
-    explicit inverse or from LU solves, lose more digits at the domain edges
-    where Hbar is ill-conditioned (the Eguchi-Hanson cutoff |x| = 0.05a and
-    the radial-h cutoff at base radius 0.03) and fail the asd and the
-    anomaly gates there.
-    """
-    Ginv, dGinv = _taylor_stack(mat_inv([[e.to_order(1).conjugate() for e in row] for row in H]), 1)
-    _, dG, ddG = (np.conj(a) for a in _taylor_stack([[e.to_order(2) for e in row] for row in H], 2))
-    Y, dY = _del_at_point(ctx, dG, ddG)
-    # dX[i, j, u, w] = d/dx_u of the dx_w coefficient of X_ij
-    dX = np.einsum("iku,kjw->ijuw", dGinv, Y) + np.einsum("ik,kjuw->ijuw", Ginv, dY)
-    return _part_11_at_point(ctx, dX)
-
-
-def dbar_del_scalar(ctx: TypeContext, f: Jet) -> FormValue:
-    """dbar del f (= -del dbar f) at the point; kept separate to mirror curvature formulas.
-
-    Only the value is returned, so f is read to order 2: the (1,1) part of
-    d(del f) at the point needs the slopes of del f, that is the first and
-    second partials of f and the projector to order 1 (``_del_at_point``).
-    """
-    _, df, ddf = _taylor_stack([[f.to_order(2)]], 2)
-    return FormValue.from_vector(ctx.chart, 2, _part_11_at_point(ctx, _del_at_point(ctx, df, ddf)[1])[0, 0])
+# reads at the point from stacked Taylor coefficients: three kernels, and the
+# Chern curvature of a Hermitian Gram matrix in a holomorphic frame
 
 
 @lru_cache(maxsize=None)
@@ -1000,6 +867,118 @@ def _wedge_signs(n: int, ka: int, kb: int) -> np.ndarray:
             if merged is not None:
                 signs[i, j, out[merged]] = sign
     return signs.reshape(len(rows) * len(cols), len(out))
+
+
+def _taylor_rows(entries, order: int):
+    """``(space, rows)``: the Taylor coefficients to ``order`` of a nested list of jets and numbers.
+
+    ``rows[i, ...]`` holds the coefficient of the i-th monomial of
+    ``space`` in each entry, for the monomials of degree <= ``order``, which
+    come first: the monomial axis comes first and the list's shape follows.
+    A number fills row 0.  ``space`` is that of the jets, or None if there
+    are none, and then ``rows`` is the one row of values.  Raises
+    ValueError for jets of different spaces and InsufficientJetOrder for a
+    jet valid below ``order``, so no coefficient beyond a jet's validity is
+    read.
+    """
+    cells = np.array(entries, dtype=object)
+    jets = [e for e in cells.flat if isinstance(e, Jet)]
+    space = jets[0].space if jets else None
+    if any(e.space is not space for e in jets):
+        raise ValueError("jets from different spaces cannot be combined")
+    low = min((e.order for e in jets), default=order)
+    if low < order:
+        raise InsufficientJetOrder(f"a read at the point needs coefficients to order {order}; they are valid to order {low}")
+    size = space.prefix_sizes[order] if jets else 1
+    rows = np.zeros((size, cells.size), dtype=np.complex128)
+    for i, e in enumerate(cells.flat):
+        if isinstance(e, Jet):
+            rows[:, i] = e.c[:size]
+        else:
+            rows[0, i] = e
+    return space, rows.reshape((size,) + cells.shape)
+
+
+def _d_point(space: JetSpace, rows: np.ndarray, k: int) -> np.ndarray:
+    """d at the point of stacked k-forms, as Taylor rows one order lower.
+
+    ``rows[i, ..., I]`` is the coefficient of the i-th monomial of ``space``
+    in the dx_I coefficient of a form, multi-indices in combinations order,
+    to order 1 or 2 (``_taylor_rows``).  Since d(f dx_I) = sum_v d_v f
+    dx_v ^ dx_I, the value of d(form) is the first partials times the sign
+    plan of a 1-form and a k-form (``_wedge_signs``); from rows to order 2
+    its slopes are the second partials times the same plan, in the rows of
+    the monomials x_u.  So d of rows to order 2 can be read by d again.  A
+    NaN among the partials makes every coefficient of the result NaN.
+    """
+    n = space.nvars
+    first = rows[space.first_order]  # [v, ..., I] = d_v
+    if len(rows) <= 1 + n:
+        partials = first[:, None]
+    else:
+        # [v, u, ..., I] = d_v d_u; the coefficient of x_u^2 is half of d2/dx_u^2, and doubling is exact
+        second = rows[space.second_order] * (1.0 + np.eye(n)).reshape((n, n) + (1,) * (rows.ndim - 1))
+        partials = np.empty((n, 1 + n) + rows.shape[1:], dtype=np.complex128)
+        partials[:, 0] = first
+        partials[:, space.first_order] = second
+    moved = np.moveaxis(partials, 0, -2)  # [row, ..., v, I]
+    return moved.reshape(moved.shape[:-2] + (-1,)) @ _wedge_signs(n, 1, k)
+
+
+def _type_part(ctx: TypeContext, space: JetSpace | None, rows: np.ndarray, k: int, p: int) -> np.ndarray:
+    """The (p, k-p) part at the point of stacked k-forms, as Taylor rows to the same order, 0 or 1.
+
+    ``rows`` are laid out as ``_d_point`` returns them.  The part follows
+    the Leibniz rule over the value and slope rows of ``ctx._table(k)``:
+    its value is T_0 a_0 and its d/dx_u is T_0 a_u + T_u a_0.  Slopes need
+    a structure valid to order 1 (InsufficientJetOrder) whose jets, if it
+    has any, are of ``space`` (ValueError).
+    """
+    tab = ctx._table(k)[:, p]
+    out = rows @ tab[0].T
+    if len(rows) > 1:
+        if ctx._order == 0:
+            raise InsufficientJetOrder("the slopes of a type part need a structure valid to order 1")
+        if ctx._space is not None and space is not ctx._space:
+            raise ValueError("jets from different spaces cannot be combined")
+        if ctx._vars:
+            out[space.first_order[ctx._vars]] += np.einsum("uJI,...I->u...J", tab[1:], rows[0])
+    return out
+
+
+def gram_curvature(H, ctx: TypeContext):
+    """R = dbar(Hbar^-1 del Hbar) at the point, for an n x n matrix of jet entries.
+
+    The result is one complex array of shape (n, n, C(dim, 2)): ``R[i, j, r]``
+    is the dx_u ^ dx_w coefficient of R_ij at the point, where (u, w) is the
+    r-th pair u < w in combinations order (``_ranks(dim, 2)``).  R_ij is the
+    (1,1) part of d X_ij with X = Hbar^-1 del Hbar, taken with the values of
+    the type table; for a (1,0)-form X that is its dbar.  For an actual
+    holomorphic-frame Gram the entries are pure (1,1).
+
+    d X is read at the point only, so the whole matrix goes through the
+    three kernels: Hbar read to order 2 (``_taylor_rows``) gives d Hbar with
+    its slopes (``_d_point``) and its (1,0) part del Hbar with its slopes
+    (``_type_part``); the Leibniz rule gives X to order 1, whose slopes are
+    d(Hbar^-1)_ik del Hbar_kj + Hbar^-1_ik d(del Hbar_kj); and d X at the
+    point takes one pointwise (1,1) projection for every entry.
+
+    The value and the slopes of Hbar^-1 come from one ``mat_inv`` on the
+    entries read to order 1, a jet elimination with value pivoting.  The
+    pointwise alternatives, d(Hbar^-1) = -Hbar^-1 dHbar Hbar^-1 from an
+    explicit inverse or from LU solves, lose more digits at the domain edges
+    where Hbar is ill-conditioned (the Eguchi-Hanson cutoff |x| = 0.05a and
+    the radial-h cutoff at base radius 0.03) and fail the asd and the
+    anomaly gates there.
+    """
+    space, G = _taylor_rows([[e.to_order(2) for e in row] for row in H], 2)
+    _, Ginv = _taylor_rows(mat_inv([[e.to_order(1).conjugate() for e in row] for row in H]), 1)
+    # the entries of Hbar as 0-forms, then del Hbar with its slopes
+    Y = _type_part(ctx, space, _d_point(space, np.conj(G)[..., None], 0), 1, 1)
+    # X = Hbar^-1 del Hbar to order 1: value G_0 Y_0, slope G_0 Y_u + G_u Y_0
+    X = np.einsum("ik,rkjw->rijw", Ginv[0], Y)
+    X[1:] += np.einsum("rik,kjw->rijw", Ginv[1:], Y[0])
+    return _type_part(ctx, space, _d_point(space, X, 1), 2, 1)[0]
 
 
 def _check_curvature_chart(F: np.ndarray, chart: Chart) -> int:
@@ -1043,11 +1022,18 @@ def relative_residual(diff_sup: float, scale: float) -> float:
 def closedness_residual(form: FormValue) -> float:
     """d(form) = 0 at the point: the sup of d(form) relative to its cancellation scale and |form|.
 
-    d is read at the point (``d_at_point``), so no derivative jet is built;
-    the form's jet coefficients must be valid to order >= 1.
+    d is read at the point from the form's Taylor rows to order 1
+    (``_d_point``), so its jet coefficients must be valid to order >= 1 and
+    of one space.  The cancellation scale is the largest first partial that
+    enters d, as ``exterior_derivative_with_scale`` gives it.
     """
-    d, scale = _d_at_point_with_scale(form)
-    return relative_residual(d.sup(), nan_max([scale, form.sup()]))
+    n, k = form.chart.dim, form.degree
+    space, rows = _taylor_rows([form.coefficient(m) for m in _ranks(n, k)], 1)
+    if space is None:  # constant coefficients: d is 0
+        return relative_residual(0.0, form.sup())
+    # d_v of the dx_I coefficient enters d unless v is in I
+    scale = _array_sup(rows[space.first_order].reshape(-1)[_wedge_signs(n, 1, k).any(axis=1)])
+    return relative_residual(_array_sup(_d_point(space, rows, k)), nan_max([scale, form.sup()]))
 
 
 def _array_sup(a: np.ndarray) -> float:
@@ -1096,67 +1082,46 @@ def identity_residual(lhs: FormValue, rhs: FormValue, *scales: float) -> float:
     return relative_residual((lhs - rhs).sup(), nan_max([lhs.sup(), rhs.sup(), *scales]))
 
 
-def del_dbar_of_taylor(ctx: TypeContext, space: JetSpace, coeffs: np.ndarray, order: int) -> FormValue:
-    """del dbar at the point of the 2-form whose Taylor coefficients are stacked in ``coeffs``.
+def del_dbar_of_taylor(ctx: TypeContext, space: JetSpace, coeffs: np.ndarray, degree: int, order: int) -> FormValue:
+    """del dbar at the point of the form of even ``degree`` whose Taylor rows are ``coeffs``.
 
     ``coeffs[i, I]`` is the coefficient of the i-th monomial of ``space``
     (those of degree <= 2 at least) in the dx_I coefficient of the form,
-    2-indices in combinations order, valid to ``order`` >= 2.  The result
-    is (2,2) of d of (1,2) of d(form), as array products without a
-    derivative jet: the first and second partials give d(form) at the point
-    and its slopes through the sign plan of a 1-form and a 2-form
-    (``_wedge_signs``); the value and slope rows of the degree-3 table give
-    the (1,2) part and its slopes by the Leibniz rule of
-    ``TypeContext._parts``; the sign plan of a 1-form and a 3-form gives d
-    of that part, and the values of the degree-4 table its (2,2) part.  So
-    the structure is read to order 1: one with jet entries valid only to
-    order 0 raises InsufficientJetOrder.  A NaN among the partials makes
-    every coefficient of the result NaN.
+    multi-indices in combinations order, valid to ``order`` >= 2; the
+    degree is even and at most dim - 2, as ``del_dbar_at_point`` checks.  For
+    degree 2q the result is the (q+1, q+1) part of d of the (q, q+1) part of
+    d(form), read by the kernels without a derivative jet: d with its slopes
+    (``_d_point``), the part with its slopes (``_type_part``), then d and
+    the part at the value.  So the structure is read to order 1: one with
+    jet entries valid only to order 0 raises InsufficientJetOrder.  A NaN
+    among the partials makes every coefficient of the result NaN.
     """
     if order < 2:
-        raise InsufficientJetOrder(f"del dbar at the point needs the 2-form's coefficients to order 2; they are valid to order {order}")
-    if ctx._order == 0:
-        raise InsufficientJetOrder("del dbar at the point needs a structure valid to order 1")
-    if ctx._space is not None and space is not ctx._space:
-        raise ValueError("jets from different spaces cannot be combined")
-    n = ctx.chart.dim
-    first = coeffs[space.first_order]  # [v, I] = d_v of the dx_I coefficient
-    # [u, v, I] = d_u d_v; the coefficient of x_u^2 is half of d2/dx_u^2, and doubling is exact
-    second = coeffs[space.second_order] * (1.0 + np.eye(n))[:, :, None]
-    d_form = first.reshape(-1) @ _wedge_signs(n, 1, 2)
-    d_slopes = second.reshape(n, -1) @ _wedge_signs(n, 1, 2)  # [u, K] = d_u of the dx_K coefficient of d(form)
-    tab = ctx._table(3)[:, 1]
-    # the (1,2) part: value T_0 a_0, slope T_0 a_u + T_u a_0
-    dbar_slopes = d_slopes @ tab[0].T
-    dbar_slopes[ctx._vars] += tab[1:] @ d_form
-    return FormValue.from_vector(ctx.chart, 4, ctx._table(4)[0, 2] @ (dbar_slopes.reshape(-1) @ _wedge_signs(n, 1, 3)))
+        raise InsufficientJetOrder(f"del dbar at the point needs coefficients to order 2; they are valid to order {order}")
+    q = degree // 2
+    dbar = _type_part(ctx, space, _d_point(space, coeffs, degree), degree + 1, q)
+    dd = _type_part(ctx, space, _d_point(space, dbar, degree + 1), degree + 2, q + 1)
+    return FormValue.from_vector(ctx.chart, degree + 2, dd[0])
 
 
 def del_dbar_at_point(ctx: TypeContext, form: FormValue) -> FormValue:
-    """del dbar of a (1,1)-form at the point, read from its Taylor coefficients (``del_dbar_of_taylor``).
+    """del dbar of a form of even degree at the point, read from its Taylor rows (``del_dbar_of_taylor``).
 
-    The form must be a 2-form on the chart of ``ctx`` (ChartMismatch,
-    DegreeError), and its jet coefficients valid to order >= 2; its
+    Degree 0 gives del dbar f = -dbar del f of a function, and degree 2 del
+    dbar of a (1,1)-form such as a metric.  The form must be on the chart of
+    ``ctx`` (ChartMismatch) and of even degree at most dim - 2
+    (DegreeError), and its jet coefficients valid to order >= 2; its
     coefficients of degree <= 2 are read.  Constant coefficients have no
     partials, so a form without jets has del dbar 0.
     """
     ctx._check_chart(form)
-    if form.degree != 2:
-        raise DegreeError(f"del dbar at the point reads a 2-form, got degree {form.degree}")
-    jets = [c for c in form.terms.values() if isinstance(c, Jet)]
-    if not jets:
-        return FormValue.zero(ctx.chart, 4)
-    space = jets[0].space
-    if any(c.space is not space for c in jets):
-        raise ValueError("jets from different spaces cannot be combined")
-    order = min(c.order for c in jets)
-    rank = _ranks(ctx.chart.dim, 2)
-    rows = space.prefix_sizes[min(order, 2)]
-    coeffs = np.zeros((rows, len(rank)), dtype=np.complex128)
-    for multi, c in form.terms.items():
-        if isinstance(c, Jet):
-            coeffs[:, rank[multi]] = c.c[:rows]
-    return del_dbar_of_taylor(ctx, space, coeffs, order)
+    n, k = ctx.chart.dim, form.degree
+    if k % 2 or k > n - 2:
+        raise DegreeError(f"del dbar at the point reads a form of even degree up to {n - 2}, got degree {k}")
+    space, rows = _taylor_rows([form.coefficient(m) for m in _ranks(n, k)], 2)
+    if space is None:
+        return FormValue.zero(ctx.chart, k + 2)
+    return del_dbar_of_taylor(ctx, space, rows, k, 2)
 
 
 def volume_form_norm(vol: FormValue, omega: FormValue) -> float:

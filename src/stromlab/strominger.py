@@ -21,6 +21,15 @@ stacked arrays that ``gram_curvature`` returns, read as they are by
 ``curvature_residual`` and ``matrix_wedge_trace``; only their traces, which
 enter identities of forms, are built as forms (``_trace``).
 
+Every second-order read at the point goes through the kernels of
+:mod:`stromlab.forms` and their one layout, Taylor rows with the monomial
+axis first: W's Taylor coefficients are products of stacked rows
+(``_taylor_rows``, ``jets._mul_coeffs``), del dbar of (A/B) W reads them
+(``del_dbar_of_taylor``), dbar del log A, log B and log s are -del dbar at
+degree 0 (``del_dbar_at_point``), and the radial reduction reads d rho and
+d of the sphere coordinates at the point (``_d_point``).  No module but
+``jets`` and ``forms`` reads a jet's Taylor coefficients.
+
 The operators at one point share its geometry.  ``balanced_residual`` asks
 ``twistor.twistor_frame`` for an order-1 frame; HYM, the anomaly and the
 identities share one :class:`AnsatzCurvatureData` on the order-4 frame,
@@ -45,13 +54,13 @@ from .forms import (
     DomainError,
     FormValue,
     _array_sup,
+    _d_point,
+    _taylor_rows,
     _wedge_signs,
     closedness_residual,
     curvature_residual,
-    dbar_del_scalar,
     del_dbar_at_point,
     del_dbar_of_taylor,
-    differential_of_scalar,
     gram_curvature,
     identity_residual,
     mat_inv,
@@ -60,7 +69,7 @@ from .forms import (
     relative_residual,
 )
 from .hyperkahler import HyperkahlerModel, flat_model, quaternion_operator
-from .jets import Jet, Profile, _mul_coeffs, kept
+from .jets import Profile, _mul_coeffs, kept
 from .twistor import AnsatzMetric, AnsatzParams, twistor_frame
 
 
@@ -154,29 +163,17 @@ class AnsatzCurvatureData:
         arrays, at order 2.
         """
         fr = self.fr
-        space, n = fr.zr.space, fr.chart.dim
-        mask, rows = space.full_mask, space.prefix_sizes[2]
+        n = fr.chart.dim
         # dL[:, i, v]: d/dx_v of L_i
-        dL = np.stack([np.stack([l.to_order(3).derivative(v).c[:rows] for v in range(n)], axis=-1) for l in self.Lvec], axis=1)
-        J = _stacked(fr.ctx.acs.mat, rows)
+        space, dL = _taylor_rows([[l.to_order(3).derivative(v) for v in range(n)] for l in self.Lvec], 2)
+        mask = space.full_mask
+        J = _taylor_rows(fr.ctx.acs.mat, 2)[1]
         dbar_L = (dL + 1j * _mul_coeffs(space, J[:, None], dL[:, :, None], 2, mask).sum(axis=-1)) * 0.5
-        Ubar_inv = _stacked(mat_inv([[e.conjugate().to_order(2) for e in row] for row in self.U]), rows)
+        Ubar_inv = _taylor_rows(mat_inv([[e.conjugate().to_order(2) for e in row] for row in self.U]), 2)[1]
         # V[:, j, w] = sum_i dbar L_i Ubar^-1_ij, then W = sum_j V_j ^ conj(dbar L_j)
         V = _mul_coeffs(space, Ubar_inv[..., None], dbar_L[:, :, None], 2, mask).sum(axis=1)
         pairs = _mul_coeffs(space, V[..., None], np.conj(dbar_L)[:, :, None], 2, mask).sum(axis=1)
-        return pairs.reshape(rows, n * n) @ _wedge_signs(n, 1, 1)
-
-
-def _stacked(M, rows: int) -> np.ndarray:
-    """The first ``rows`` Taylor coefficients of a matrix of jets and numbers as one array, the monomial axis first."""
-    out = np.zeros((rows, len(M), len(M[0])), dtype=np.complex128)
-    for i, row in enumerate(M):
-        for j, e in enumerate(row):
-            if isinstance(e, Jet):
-                out[:, i, j] = e.c[:rows]
-            else:
-                out[0, i, j] = e
-    return out
+        return pairs.reshape(len(pairs), n * n) @ _wedge_signs(n, 1, 1)
 
 
 def _frame_gram(A, B, L, U):
@@ -249,10 +246,10 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     tr_R = _trace(data.frame_curvature, fr.chart)
     tr_Fq = _trace(Fq, fr.chart)
 
-    # dbar_del_scalar reads its argument to order 2, so the logs are taken there
+    # del dbar reads its argument to order 2, so the logs are taken there; dbar del = -del dbar
     A2, B2 = data.A.to_order(2), data.B.to_order(2)
-    ddbar_logA = dbar_del_scalar(ctx, A2.log())
-    ddbar_logB = dbar_del_scalar(ctx, B2.log())
+    ddbar_logA = del_dbar_at_point(ctx, FormValue.scalar(fr.chart, A2.log())).scale(-1.0)
+    ddbar_logB = del_dbar_at_point(ctx, FormValue.scalar(fr.chart, B2.log())).scale(-1.0)
     c1_rhs = ddbar_logA + ddbar_logB.scale(2.0) + tr_Fq
     c1_res = identity_residual(tr_R, c1_rhs, ddbar_logB.sup())
 
@@ -268,10 +265,9 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
 
     # tr(R^R) against 2 del dbar((A/B) W) + 2 (dbar del log B)^2 + tr(F'^F')
     tr_RR = data.tr_RR
-    ratio = A2 / B2
-    space = ratio.space
-    Y = _mul_coeffs(space, ratio.c[: len(W), None], W, 2, space.full_mask)
-    del_dbar_Y = del_dbar_of_taylor(ctx, space, Y, min(ratio.order, 2))
+    space, ratio = _taylor_rows([A2 / B2], 2)
+    Y = _mul_coeffs(space, ratio, W, 2, space.full_mask)
+    del_dbar_Y = del_dbar_of_taylor(ctx, space, Y, degree=2, order=2)
     c2_rhs = (
         del_dbar_Y.scale(2.0)
         + ddbar_logB.wedge(ddbar_logB).scale(2.0)
@@ -328,7 +324,8 @@ def radial_h_residual(h_profile: Profile, p: ChartPoint) -> float:
     fr = twistor_frame(flat_model(), p, 2)
     chart = fr.chart
     rho = fr.x[0] * fr.x[0] + fr.x[1] * fr.x[1] + fr.x[2] * fr.x[2] + fr.x[3] * fr.x[3]
-    d_rho = differential_of_scalar(rho, chart)
+    space, rows = _taylor_rows([[rho], [fr.alpha], [fr.beta], [fr.gamma]], 1)
+    d_rho, d_alpha, d_beta, d_gamma = (FormValue.from_vector(chart, 1, v) for v in _d_point(space, rows, 0)[0])
     h1, h2 = h_profile.derivatives(rho_val)
 
     Id_rho = quaternion_operator(fr.kh, "I", chart).apply(d_rho)
@@ -337,9 +334,6 @@ def radial_h_residual(h_profile: Profile, p: ChartPoint) -> float:
     frak_d_rho = (
         Id_rho.scale(fr.alpha) + Jd_rho.scale(fr.beta) + Kd_rho.scale(fr.gamma)
     )
-    d_alpha = differential_of_scalar(fr.alpha, chart)
-    d_beta = differential_of_scalar(fr.beta, chart)
-    d_gamma = differential_of_scalar(fr.gamma, chart)
     sphere_term = (
         d_alpha.wedge(Id_rho) + d_beta.wedge(Jd_rho) + d_gamma.wedge(Kd_rho)
     )
@@ -350,7 +344,7 @@ def radial_h_residual(h_profile: Profile, p: ChartPoint) -> float:
     ).values()
     P = X.scale(1.0 / 2j)  # dbar del h per the expansion
 
-    log_s_hessian = dbar_del_scalar(fr.ctx, fr.s.log())
+    log_s_hessian = del_dbar_at_point(fr.ctx, FormValue.scalar(chart, fr.s.log())).scale(-1.0)
     lhs = P.wedge(P)
     rhs = P.wedge(log_s_hessian.scale(3.0))
     return identity_residual(lhs, rhs, P.sup() ** 2, P.sup() * log_s_hessian.sup() * 3.0)

@@ -36,8 +36,10 @@ from .forms import (
     DomainError,
     FormValue,
     TypeContext,
+    _d_point,
+    _taylor_rows,
+    _type_part,
     acs_from_complex_action,
-    d_at_point,
     d_complex,
     d_complex_bar,
     nan_max,
@@ -374,10 +376,14 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     """
     fr = twistor_frame(model, p, 3)
     L, C, D = fr.coefficients
-    dw = [d_at_point(FormValue.scalar(fr.chart, wi)) for wi in w_field_jets(fr)]
     chart, ctx = fr.chart, fr.ctx
-    # every residual is read at its value: the dbar terms come from d at the
-    # point, and the right-hand sides from the values of their factors
+    # every residual is read at its value: d w and the dbar terms come from d
+    # at the point of w, C, D and L as 0-forms, and the right-hand sides from
+    # the values of their factors
+    space, rows = _taylor_rows([[f] for f in (*w_field_jets(fr), *C, *D, *L)], 1)
+    d_fields = _d_point(space, rows, 0)
+    dw = [FormValue.from_vector(chart, 1, v) for v in d_fields[0, :2]]
+    dbar = [FormValue.from_vector(chart, 1, v) for v in _type_part(ctx, space, d_fields[:, 2:], 1, 0)[0]]
     theta1, theta2 = (t.values() for t in theta_coframe_jets(fr))
     theta1_bar, theta2_bar = theta1.conj(), theta2.conj()
     third = [[[svalue(k) for k in row] for row in plane] for plane in kappa_third_jets(fr.kh)]
@@ -394,7 +400,7 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     rebuilds = []
     for i in range(2):
         c, d, l = svalue(C[i]), svalue(D[i]), svalue(L[i])
-        dbar_C, dbar_D, dbar_L = (ctx.project(d_at_point(FormValue.scalar(chart, f)), 0, 1) for f in (C[i], D[i], L[i]))
+        dbar_C, dbar_D, dbar_L = dbar[i], dbar[2 + i], dbar[4 + i]
         rhs_C = (m112.scale(c) - m111.scale(d)).scale(phase)
         rhs_D = (m122.scale(c) - m112.scale(d)).scale(phase)
         simps.append((dbar_C - rhs_C).sup())

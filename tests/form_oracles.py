@@ -22,7 +22,6 @@ from stromlab.forms import (
     DegreeError,
     FormValue,
     _complex_basis_matrices,
-    d_at_point,
     exterior_derivative,
     nan_max,
     smag,
@@ -143,15 +142,17 @@ def pairwise_curvature_terms(F, forms, ctx):
 
 
 def jet_del_dbar(ctx, form: FormValue) -> FormValue:
-    """del dbar of a 2-form at the point through derivative jets and jet-valued projections.
+    """del dbar of a (q,q)-form at the point through derivative jets and jet-valued projections.
 
-    d of the form as a form of derivative jets, its (1,2) part on ``ctx``
-    (valid to order 1 on a structure with jet entries), d of that at the
-    point, and its (2,2) part: the route ``forms.del_dbar_at_point`` took
-    before it read the Taylor coefficients as arrays.
+    d of the form as a form of derivative jets, its (q,q+1) part on ``ctx``
+    (valid to order 1 on a structure with jet entries), d of that as
+    derivative jets again, read at its value, and its (q+1,q+1) part: the
+    route ``forms.del_dbar_at_point`` took before it read the Taylor
+    coefficients as arrays.
     """
-    dbar = ctx.project(exterior_derivative(form), 1, 2)
-    return ctx.project(d_at_point(dbar), 2, 2)
+    q = form.degree // 2
+    dbar = ctx.project(exterior_derivative(form), q, q + 1)
+    return ctx.project(exterior_derivative(dbar).values(), q + 1, q + 1)
 
 
 def frame_gram(data):

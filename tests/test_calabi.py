@@ -313,6 +313,79 @@ def test_extremal_fails_on_nonzero_scalar_metric():
         assert conformally_flat_extremal_residual(coords, 0.0) <= 1e-12
 
 
+def sympy_i_ddbar_times_omega0(u, xs, coords, dps: int = 30) -> dict:
+    """i del dbar(u omega_0) on C^3, omega_0 = i sum_j dz_j ^ dzbar_j, at ``coords`` in ``dps``-digit arithmetic.
+
+    omega_0 has constant coefficients, so the form is (i del dbar u) ^ omega_0,
+    with i del dbar u = sum_jk i u_{j kbar} dz_j ^ dzbar_k and
+    u_{j kbar} = (d_x2j - i d_x2j+1)(d_x2k + i d_x2k+1) u / 4.  The wedges
+    are expanded here in the real differentials, by sorting multi-indices.
+    Returns the coefficients as mpmath numbers keyed by increasing 4-tuples.
+    """
+    import mpmath
+    import sympy
+
+    with mpmath.workdps(dps):
+        hess = sympy.lambdify(xs, sympy.hessian(u, xs), "mpmath")(*(mpmath.mpf(x) for x in coords))
+        i = mpmath.mpc(0, 1)
+
+        def wedge(a, b):
+            out = {}
+            for ma, ca in a.items():
+                for mb, cb in b.items():
+                    if not set(ma) & set(mb):
+                        merged = ma + mb
+                        sign = -1 if sum(x > y for k, x in enumerate(merged) for y in merged[k + 1 :]) % 2 else 1
+                        key = tuple(sorted(merged))
+                        out[key] = out.get(key, 0) + sign * ca * cb
+            return out
+
+        dz = [{(2 * j,): 1, (2 * j + 1,): i} for j in range(3)]
+        dzbar = [{(2 * j,): 1, (2 * j + 1,): -i} for j in range(3)]
+        two_forms = {}
+        for j in range(3):
+            for k in range(3):
+                a, b = 2 * j, 2 * k
+                ujk = (hess[a, b] + i * hess[a, b + 1] - i * hess[a + 1, b] + hess[a + 1, b + 1]) / 4
+                for key, c in wedge(dz[j], dzbar[k]).items():
+                    two_forms[key] = two_forms.get(key, 0) + i * ujk * c
+        omega0 = {}
+        for j in range(3):
+            for key, c in wedge(dz[j], dzbar[j]).items():
+                omega0[key] = omega0.get(key, 0) + i * c
+        return wedge(two_forms, omega0)
+
+
+def test_extremal_right_side_matches_sympy_at_30_digits(monkeypatch):
+    # For omega = e^{c|x|^2} omega_0 on C^3, log det g = 3c|x|^2, so
+    # rho = -3c i del dbar |x|^2 = -3c omega_0 and s = tr_omega rho =
+    # -3 e^{-c|x|^2} sum_j d_j d_jbar (c|x|^2) = -9c e^{-c|x|^2}; sympy takes
+    # s from that trace.  The right side that extremal_residual_of compares is
+    # i del dbar((2 Lap s + s^2) omega) with Lap s = tr_omega(i del dbar s) =
+    # e^{-c|x|^2} sum_j d_j d_jbar s, held here against sympy: it checks
+    # del_dbar_at_point on the calabi path against code it does not share
+    import sympy
+
+    c = sympy.Rational(1, 5)
+    xs = sympy.symbols("x0:6", real=True)
+    phi = c * sum(x * x for x in xs)
+    laplace = lambda f: sum(sympy.diff(f, xs[2 * j], 2) + sympy.diff(f, xs[2 * j + 1], 2) for j in range(3)) / 4
+    s = -3 * sympy.exp(-phi) * laplace(phi)
+    assert sympy.simplify(s + 9 * c * sympy.exp(-phi)) == 0
+    # u = (2 Lap s + s^2) e^{c|x|^2}, collected into one exponential times a polynomial
+    u = sympy.factor_terms(sympy.powsimp(sympy.expand((2 * sympy.exp(-phi) * laplace(s) + s**2) * sympy.exp(phi))))
+    seen, compare = [], calabi.identity_residual
+    monkeypatch.setattr(calabi, "identity_residual", lambda lhs, rhs, *scales: seen.append(rhs) or compare(lhs, rhs, *scales))
+    for coords in [(0.5, 0.3, 0.6, -0.4, 0.8, 0.2), (-0.7, 0.1, 0.2, 0.9, -0.3, 0.4)]:
+        conformally_flat_extremal_residual(coords, 0.2)
+        want = sympy_i_ddbar_times_omega0(u, xs, coords)
+        got = seen[-1]
+        assert got.degree == 4 and set(got.terms) <= set(want)
+        sup = max(abs(w) for w in want.values())
+        assert sup >= 0.1
+        assert max(abs(complex(w) - got.coefficient(K)) for K, w in want.items()) <= 1e-10 * float(sup)
+
+
 # -- the shared frame -----------------------------------------------------------
 
 

@@ -20,7 +20,6 @@ from stromlab.forms import (
     acs_from_complex_action,
     closedness_residual,
     curvature_residual,
-    d_at_point,
     d_complex,
     d_complex_bar,
     del_dbar_at_point,
@@ -45,6 +44,7 @@ from stromlab.calabi import CalabiParams, CanonicalBundleFrame, flat_torus_chart
 from stromlab.hyperkahler import FLAT_CHART, eguchi_hanson, flat_model
 from stromlab.sampling import random_ansatz_params, sample_points
 from stromlab.twistor import TWISTOR_EH, TWISTOR_FLAT, AnsatzMetric, AnsatzParams, TwistorFrame
+from stromlab import twistor as twistor_module
 
 from form_oracles import jet_del_dbar, pairwise_curvature_terms, square_residual, stacked, to_complex_components
 
@@ -287,46 +287,36 @@ def random_masked_jet(space, rng):
     return Jet(space, c, rng.randint(1, 4), mask)
 
 
-def test_d_at_point_equals_the_value_of_d_bit_for_bit():
-    rng = random.Random(5)
-    space = jet_space(TWISTOR_FLAT.dim, 4)
-    for trial in range(200):
-        degree = trial % 5
-        multis = list(combinations(range(TWISTOR_FLAT.dim), degree))
-        terms = {
-            m: random_masked_jet(space, rng) if rng.random() < 0.9 else complex(rng.uniform(-1, 1), 0.5)
-            for m in rng.sample(multis, rng.randint(1, min(8, len(multis))))
-        }
-        form = FormValue(TWISTOR_FLAT, degree, terms)
-        assert d_at_point(form).terms == exterior_derivative(form).values().terms
-
-
-def test_d_at_point_keeps_and_drops_tiny_slopes_as_d_does():
-    # d of f dx2 + g dx1 on dx1^dx2 is f_x1 - g_x2: a slope of 1e-305 in g
-    # moves 1e-295 by a few ulps, and d drops it only if g has nothing else in x2
-    space = jet_space(4, 2)
-    f = Jet(space, np.zeros(space.size, dtype=np.complex128), 2, 0b0001)
-    f.c[space.first_order[0]] = 1e-295
-    sums = set()
-    for higher in (0.0, 1.0):
-        g = Jet(space, np.zeros(space.size, dtype=np.complex128), 2, 0b0010)
-        g.c[0], g.c[space.first_order[1]] = 1.0, 1e-305
-        g.c[space.index[(0, 2, 0, 0)]] = higher
-        form = FormValue(C2, 1, {(1,): f, (0,): g})
-        got = d_at_point(form).terms
-        assert got == exterior_derivative(form).values().terms
-        sums.add(got[(0, 1)])
-    assert len(sums) == 2
-
-
-def test_d_at_point_raises_on_an_order_zero_jet():
+def test_d_at_point_raises_on_an_order_zero_jet(monkeypatch):
+    # the reads of d at the point need first partials: closedness, and d w and the dbar terms of the frame decomposition
     space = jet_space(TWISTOR_FLAT.dim, 4)
     flat = Jet(space, random_masked_jet(space, random.Random(2)).c, 0)
     with pytest.raises(InsufficientJetOrder):
-        d_at_point(FormValue(TWISTOR_FLAT, 1, {(0,): flat}))
+        closedness_residual(FormValue(TWISTOR_FLAT, 1, {(0,): flat}))
     constant = seed_jets((0.1, 0.2, 0.3, 0.4), 0)[0]
     with pytest.raises(InsufficientJetOrder):
-        d_at_point(FormValue(C2, 1, {(1,): constant}))
+        closedness_residual(FormValue(C2, 1, {(1,): constant}))
+    p = point(TWISTOR_FLAT, 0.6, -0.4, 0.3, 0.8, -0.5, 0.2)
+    frame = TwistorFrame(flat_model(), p, 3)
+    frame.coefficients  # L, C and D are kept from the unchanged w, so only the read of d w sees the change
+    w = twistor_module.w_field_jets(frame)
+    for bad, expected in ((lambda x: x.to_order(0), InsufficientJetOrder), (poisoned_slope, None)):
+        with monkeypatch.context() as m:
+            m.setattr(twistor_module, "twistor_frame", lambda model, q, order: frame)
+            m.setattr(twistor_module, "w_field_jets", lambda fr: [bad(x) for x in w])
+            if expected is not None:
+                with pytest.raises(expected):
+                    twistor_module.frame_decompose(flat_model(), p)
+            else:
+                # a NaN slope of w reaches d w, and so the reconstruction residual
+                assert math.isnan(twistor_module.frame_decompose(flat_model(), p).reconstruction_residual)
+
+
+def poisoned_slope(x):
+    """x with its d/dx_2 at the point set to NaN."""
+    c = x.c.copy()
+    c[x.space.first_order[2]] = math.nan
+    return Jet(x.space, c, x.order, x.mask)
 
 
 def closedness_forms():
@@ -344,7 +334,7 @@ def closedness_forms():
             yield form_power(CanonicalBundleFrame(base, theorem_metric_params(base), p, 1).metric, base.n)
 
 
-def test_closedness_reads_d_at_the_point_as_d_with_scale_reads_it():
+def test_closedness_reads_d_at_the_point_as_d_with_scale_reads_it(monkeypatch):
     forms = list(closedness_forms())
     rng = random.Random(8)
     space = jet_space(TWISTOR_FLAT.dim, 4)
@@ -352,18 +342,31 @@ def test_closedness_reads_d_at_the_point_as_d_with_scale_reads_it():
         multis = list(combinations(range(TWISTOR_FLAT.dim), degree))
         terms = {m: random_masked_jet(space, rng) for m in rng.sample(multis, rng.randint(1, min(8, len(multis))))}
         forms.append(FormValue(TWISTOR_FLAT, degree, terms))
+    seen = []
+    monkeypatch.setattr(forms_module, "relative_residual", lambda diff, scale: seen.append((diff, scale)) or relative_residual(diff, scale))
     for form in forms:
-        d, scale = forms_module._d_at_point_with_scale(form)
         want, want_scale = exterior_derivative_with_scale(form)
-        assert_same_terms(d, want.values())
-        assert np.array_equal(bits(scale), bits(want_scale))
-        residual = relative_residual(want.values().sup(), nan_max([want_scale, form.sup()]))
-        assert np.array_equal(bits(closedness_residual(form)), bits(residual))
+        closedness_residual(form)
+        diff, scale = seen[-1]
+        # the cancellation scale is a largest magnitude, the same bits in any order
+        assert np.array_equal(bits(scale), bits(nan_max([want_scale, form.sup()])))
+        # each coefficient of d sums its k + 1 contributions in another order, which
+        # moves it by at most k (k + 1) ulps of the largest of them
+        k = form.degree
+        assert abs(diff - want.values().sup()) <= (k + 1) ** 2 * np.finfo(float).eps * want_scale
     order_zero = forms[0].map_coeffs(lambda c: c.to_order(0))
     with pytest.raises(InsufficientJetOrder):
         exterior_derivative_with_scale(order_zero)
     with pytest.raises(InsufficientJetOrder):
         closedness_residual(order_zero)
+
+
+def test_closedness_refuses_jets_of_different_spaces():
+    # a 1-form on flat R^4 whose coefficients come from two jet spaces read 0.5 before the one stacker
+    a = Jet.variable(jet_space(4, 4), 1, 0.3) * 0.5
+    b = Jet.variable(jet_space(6, 4), 0, 0.5)
+    with pytest.raises(ValueError, match="different spaces"):
+        closedness_residual(FormValue(FLAT_CHART, 1, {(0,): a, (1,): b}))
 
 
 # -- almost complex structures ----------------------------------------------
@@ -789,13 +792,18 @@ def random_two_form(chart, space, order, rng):
         elif r == number:
             terms[multi] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         else:
-            mask = rng.randrange(1 << space.nvars) | rng.randrange(1 << space.nvars)
-            c = np.zeros(space.size, dtype=np.complex128)
-            for i, mono in enumerate(space.monomials):
-                if all(not e or mask >> v & 1 for v, e in enumerate(mono)):
-                    c[i] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            terms[multi] = Jet(space, c, order, mask)
+            terms[multi] = random_supported_jet(space, order, rng)
     return FormValue(chart, 2, terms)
+
+
+def random_supported_jet(space, order, rng):
+    """A jet valid to ``order``, random on the monomials of a mask drawn as the union of two random masks."""
+    mask = rng.randrange(1 << space.nvars) | rng.randrange(1 << space.nvars)
+    c = np.zeros(space.size, dtype=np.complex128)
+    for i, mono in enumerate(space.monomials):
+        if all(not e or mask >> v & 1 for v, e in enumerate(mono)):
+            c[i] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return Jet(space, c, order, mask)
 
 
 def twistor_structure_frame():
@@ -819,6 +827,14 @@ def test_del_dbar_at_point_matches_the_jet_route(order):
             assert (got - want).sup() <= 1e-14 * want.sup()
             sups.append(want.sup())
         assert sum(s > 0.1 for s in sups) >= 3, sups
+        # degree 0, del dbar f of functions, and on the 6-dimensional chart degree 4
+        forms = [FormValue.scalar(chart, random_supported_jet(space, order, rng)) for _ in range(4)]
+        if chart is TWISTOR_FLAT:
+            forms.append(FormValue(chart, 4, {m: random_supported_jet(space, order, rng) for m in combinations(range(6), 4)}))
+        for form in forms:
+            got, want = del_dbar_at_point(ctx, form), jet_del_dbar(ctx, form)
+            assert got.degree == form.degree + 2 and want.sup() >= 0.01
+            assert (got - want).sup() <= 1e-14 * want.sup()
 
 
 def test_del_dbar_at_point_raises_below_the_orders_it_reads():

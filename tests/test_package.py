@@ -236,3 +236,23 @@ def test_public_names_without_a_program_caller_are_listed():
                     uncalled.add(f"{module}.{node.name}")
     assert not uncalled - TEST_ONLY_PUBLIC_NAMES, f"no program caller: {sorted(uncalled - TEST_ONLY_PUBLIC_NAMES)}"
     assert not TEST_ONLY_PUBLIC_NAMES - uncalled, f"listed, but called or gone: {sorted(TEST_ONLY_PUBLIC_NAMES - uncalled)}"
+
+
+def taylor_coefficient_reads(tree: ast.AST) -> list:
+    """Line numbers of the reads of a jet's Taylor coefficients: ``x.c[...]``, ``first_order``, ``second_order``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "c")
+        or (isinstance(node, ast.Attribute) and node.attr in {"first_order", "second_order"})
+    )
+
+
+def test_only_jets_and_forms_read_taylor_coefficients():
+    # the monomial layout of a jet is known to jets.py, and to the reads at the point in forms.py
+    # (forms._taylor_rows stacks it); every other module goes through them
+    stray = []
+    for path in sorted((ROOT / "src" / "stromlab").glob("*.py")):
+        if path.stem not in {"jets", "forms"}:
+            stray += [f"{path.name}:{line}" for line in taylor_coefficient_reads(ast.parse(path.read_text()))]
+    assert not stray, f"Taylor coefficients read outside jets.py and forms.py: {stray}"

@@ -24,9 +24,7 @@ from stromlab.forms import (
     _ranks,
     closedness_residual,
     curvature_residual,
-    d_at_point,
-    dbar_del_scalar,
-    differential_of_scalar,
+    del_dbar_at_point,
     exterior_derivative,
     gram_curvature,
     mat_inv,
@@ -155,7 +153,7 @@ def test_conformal_gram_trace():
     ctx = TypeContext(standard_acs(C3_CHART))
     R = gram_curvature(h_field(p, 3), ctx)
     jets = seed_jets(p.coords, 3)
-    expected = dbar_del_scalar(ctx, 2.0 * phi_of(jets))
+    expected = del_dbar_at_point(ctx, FormValue.scalar(C3_CHART, 2.0 * phi_of(jets))).scale(-1.0)
     diff = (_trace(R, C3_CHART) - expected.scale(3.0)).sup()
     assert diff <= 1e-10 * max(1.0, expected.sup())
     # conformal shift against the constant-Gram baseline
@@ -177,7 +175,7 @@ def test_trace_equals_ddbar_log_det():
         - H[0][1] * (H[1][0] * H[2][2] - H[1][2] * H[2][0])
         + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0])
     )
-    expected = dbar_del_scalar(data.fr.ctx, det.conjugate().log())
+    expected = del_dbar_at_point(data.fr.ctx, FormValue.scalar(data.fr.chart, det.conjugate().log())).scale(-1.0)
     tr = _trace(data.frame_curvature, data.fr.chart)
     assert (tr - expected).sup() <= 1e-10 * max(1.0, tr.sup())
 
@@ -192,7 +190,7 @@ def jet_path_curvature(H, ctx):
     n = len(H)
     Hbar = [[e.conjugate() for e in row] for row in H]
     Hbar_inv = mat_inv(Hbar)
-    del_Hbar = [[ctx.project(differential_of_scalar(e, ctx.chart), 1, 0) for e in row] for row in Hbar]
+    del_Hbar = [[ctx.project(exterior_derivative(FormValue.scalar(ctx.chart, e)), 1, 0) for e in row] for row in Hbar]
     X = [
         [form_linear_combo([del_Hbar[k][j] for k in range(n)], [Hbar_inv[i][k] for k in range(n)]) for j in range(n)]
         for i in range(n)
@@ -201,10 +199,10 @@ def jet_path_curvature(H, ctx):
     terms = []
     for i in range(n):
         for k in range(n):
-            d_inv = d_at_point(FormValue.scalar(ctx.chart, Hbar_inv[i][k]))
+            d_inv = exterior_derivative(FormValue.scalar(ctx.chart, Hbar_inv[i][k])).values()
             for j in range(n):
                 terms.append(ctx.project(d_inv.wedge(del_Hbar[k][j].values()), 1, 1))
-                terms.append(ctx.project(d_at_point(del_Hbar[k][j]).scale(svalue(Hbar_inv[i][k])), 1, 1))
+                terms.append(ctx.project(exterior_derivative(del_Hbar[k][j]).values().scale(svalue(Hbar_inv[i][k])), 1, 1))
     return R, nan_max(t.sup() for t in terms)
 
 
@@ -229,21 +227,6 @@ def test_pointwise_gram_curvature_matches_the_jet_path():
         for row_got, row_want in zip(entry_forms(got, ctx.chart), want):
             for g, w in zip(row_got, row_want):
                 assert (g - w).sup() <= 1e-13 * scale
-
-
-def test_dbar_del_scalar_matches_the_jet_path():
-    # d at the point of the jet-valued (1,0) projection, on both kinds of context
-    cases = []
-    for k, p in enumerate(twistor_points(FLAT, 2, seed=157)):
-        data = AnsatzCurvatureData(FLAT, random_ansatz_params(seed=159, pair_index=k), p)
-        cases += [(data.B.log(), data.fr.ctx), (data.A * data.Lvec[0].conjugate(), data.fr.ctx)]
-    for H, ctx in (eh_cotangent_gram(p) for p in sample_points(EH_CHART, 161, 0, 2, -1.5, 1.5)):
-        cases.append((H[0][1] * H[1][1], ctx))
-    for f, ctx in cases:
-        want = ctx.project(d_at_point(ctx.project(differential_of_scalar(f, ctx.chart), 1, 0)), 1, 1)
-        got = dbar_del_scalar(ctx, f)
-        assert want.sup() >= 0.01
-        assert (got - want).sup() <= 1e-13 * want.sup()
 
 
 def test_quotient_gram_curvature_is_zero_on_flat_within_rounding():
@@ -310,8 +293,9 @@ def test_gram_curvature_and_dbar_del_read_their_inputs_to_order_two():
         assert math.isnan(_array_sup(seen))
     f = data.B.log()
     assert f.order == 4
-    assert same_form(dbar_del_scalar(ctx, poisoned_above(f, 2)), dbar_del_scalar(ctx, f))
-    assert math.isnan(dbar_del_scalar(ctx, poisoned_above(f, 1)).sup())
+    del_dbar = lambda g: del_dbar_at_point(ctx, FormValue.scalar(ctx.chart, g))
+    assert same_form(del_dbar(poisoned_above(f, 2)), del_dbar(f))
+    assert math.isnan(del_dbar(poisoned_above(f, 1)).sup())
 
 
 def test_readers_lowered_one_order_too_far_raise(monkeypatch):
@@ -326,33 +310,36 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
         with pytest.raises(InsufficientJetOrder):
             gram_curvature(H, ctx)
         with pytest.raises(InsufficientJetOrder):
-            dbar_del_scalar(ctx, f)
+            del_dbar_at_point(ctx, FormValue.scalar(ctx.chart, f.to_order(2)))
         with pytest.raises(InsufficientJetOrder):
             hym_residual(FLAT, params, p)
     jets._KEPT.clear()
     # the input of del dbar at the point, alone, read to order 1, one below
-    # the order 2 it needs: the metric form for the anomaly, and the stacked
-    # Taylor coefficients of (A/B) W for the identities.  R, F' and dbar del
-    # log B still get their order, and each operator raises where del dbar
-    # reads its input
+    # the order 2 it needs: the metric form for the anomaly, log A (the first
+    # of the two logs) for the identities, and then, with the logs at their
+    # order, the stacked Taylor coefficients of (A/B) W.  R and F' still get
+    # their order, and each operator raises where del dbar reads its input
     del_dbar, del_dbar_stacked = strominger.del_dbar_at_point, strominger.del_dbar_of_taylor
     lowered = []
 
     def del_dbar_lowered(ctx, form):
-        lowered.append("anomaly")
+        lowered.append(form.degree)
         return del_dbar(ctx, form.map_coeffs(lambda c: to_order(c, 1) if isinstance(c, Jet) else c))
 
-    def del_dbar_stacked_lowered(ctx, space, coeffs, order):
-        lowered.append("identities")
-        return del_dbar_stacked(ctx, space, coeffs, min(order, 1))
+    def del_dbar_stacked_lowered(ctx, space, coeffs, degree, order):
+        lowered.append("stacked")
+        return del_dbar_stacked(ctx, space, coeffs, degree, min(order, 1))
 
-    with monkeypatch.context() as m:
-        m.setattr(strominger, "del_dbar_at_point", del_dbar_lowered)
-        m.setattr(strominger, "del_dbar_of_taylor", del_dbar_stacked_lowered)
-        for op in (anomaly_residual, curvature_identities):
-            with pytest.raises(InsufficientJetOrder, match="coefficients to order 2; they are valid to order 1"):
-                op(FLAT, params, p)
-    assert lowered == ["anomaly", "identities"]
+    for name, lowering, ops in (
+        ("del_dbar_at_point", del_dbar_lowered, (anomaly_residual, curvature_identities)),
+        ("del_dbar_of_taylor", del_dbar_stacked_lowered, (curvature_identities,)),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(strominger, name, lowering)
+            for op in ops:
+                with pytest.raises(InsufficientJetOrder, match="coefficients to order 2; they are valid to order 1"):
+                    op(FLAT, params, p)
+    assert lowered == [2, 0, "stacked"]
     jets._KEPT.clear()
 
 
@@ -976,7 +963,7 @@ def test_radial_residual_raises_a_domain_error_at_rho_zero():
 
 def test_radial_expansion_matches_dolbeault_machinery():
     # the quaternionic expansion of 2i dbar del h against i del dbar h from jets
-    from stromlab.forms import differential_of_scalar, i_ddbar
+    from stromlab.forms import i_ddbar
 
     p = twistor_points(FLAT, 1, seed=109)[0]
     fr = TwistorFrame(FLAT, p, 3)
@@ -984,7 +971,7 @@ def test_radial_expansion_matches_dolbeault_machinery():
     h = rho.log() * (-1.5) + rho * 0.2  # generic radial profile
     direct = i_ddbar(fr.ctx, h).values()
 
-    d_rho = differential_of_scalar(rho, fr.chart)
+    d_rho = exterior_derivative(FormValue.scalar(fr.chart, rho))
     prof_d1 = svalue((-1.5) * rho.reciprocal() + 0.2)
     prof_d2 = svalue(1.5 * (rho * rho).reciprocal())
     Id_rho = quaternion_operator(fr.kh, "I", fr.chart).apply(d_rho)
@@ -992,9 +979,9 @@ def test_radial_expansion_matches_dolbeault_machinery():
     Kd_rho = quaternion_operator(fr.kh, "K", fr.chart).apply(d_rho)
     frak = Id_rho.scale(fr.alpha) + Jd_rho.scale(fr.beta) + Kd_rho.scale(fr.gamma)
     sphere = (
-        differential_of_scalar(fr.alpha, fr.chart).wedge(Id_rho)
-        + differential_of_scalar(fr.beta, fr.chart).wedge(Jd_rho)
-        + differential_of_scalar(fr.gamma, fr.chart).wedge(Kd_rho)
+        exterior_derivative(FormValue.scalar(fr.chart, fr.alpha)).wedge(Id_rho)
+        + exterior_derivative(FormValue.scalar(fr.chart, fr.beta)).wedge(Jd_rho)
+        + exterior_derivative(FormValue.scalar(fr.chart, fr.gamma)).wedge(Kd_rho)
     )
     X = (
         d_rho.wedge(frak).scale(prof_d2)
@@ -1008,12 +995,10 @@ def test_radial_expansion_matches_dolbeault_machinery():
 
 def test_quaternion_identity_on_twistor_chart():
     # drho ^ I drho + 4 rho omega_I = J drho ^ K drho
-    from stromlab.forms import differential_of_scalar
-
     p = twistor_points(FLAT, 1, seed=113)[0]
     fr = TwistorFrame(FLAT, p, 2)
     rho = fr.x[0] * fr.x[0] + fr.x[1] * fr.x[1] + fr.x[2] * fr.x[2] + fr.x[3] * fr.x[3]
-    d_rho = differential_of_scalar(rho, fr.chart)
+    d_rho = exterior_derivative(FormValue.scalar(fr.chart, rho))
     Id_rho = quaternion_operator(fr.kh, "I", fr.chart).apply(d_rho)
     Jd_rho = quaternion_operator(fr.kh, "J", fr.chart).apply(d_rho)
     Kd_rho = quaternion_operator(fr.kh, "K", fr.chart).apply(d_rho)
