@@ -48,7 +48,7 @@ from .forms import (
     standard_context,
     svalue,
 )
-from .jets import Jet, kept, seed_jets, wirtinger
+from .jets import Jet, kept, seed_jets, wirtinger, wirtinger_hessian
 
 FLAT_CHART = Chart("flat_r4", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
 EH_CHART = Chart("eguchi_hanson_cover", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
@@ -148,11 +148,12 @@ def eguchi_hanson(a: float = 1.0) -> HyperkahlerModel:
 
 
 def kappa_hermitian_jets(model: HyperkahlerModel, xjets):
-    """[kappa_{i jbar}] with jet entries; exact constants on a flat model.
+    """[kappa_{i jbar}] with jet entries valid two orders below ``xjets``; exact constants on a flat model.
 
     The base coordinates x1..x4 are the last four of ``xjets``: all of them
     on the 4-manifold chart, the four after the sphere coordinate on a
-    twistor chart.
+    twistor chart.  On other models the potential is evaluated once and
+    :func:`jets.wirtinger_hessian` takes all four entries in two gathers.
     """
     if model.flat:
         space = xjets[0].space
@@ -161,15 +162,7 @@ def kappa_hermitian_jets(model: HyperkahlerModel, xjets):
         zero = Jet.constant(space, 0.0, order)
         return [[half, zero], [zero, half]]
     base = len(xjets) - 4
-    k = model.kappa(xjets[base:])
-    out = []
-    for i in range(2):
-        row = []
-        di = wirtinger(k, base + 2 * i, base + 2 * i + 1, bar=False)
-        for j in range(2):
-            row.append(wirtinger(di, base + 2 * j, base + 2 * j + 1, bar=True))
-        out.append(row)
-    return out
+    return wirtinger_hessian(model.kappa(xjets[base:]), ((base, base + 1), (base + 2, base + 3)))
 
 
 def kappa_third_jets(kh):

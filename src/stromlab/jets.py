@@ -52,6 +52,16 @@ list of a mask is built once, at the space's order, and is read-only:
 outputs come in graded order, so the pairs of the outputs of degree <= o
 are a prefix of it, which every lower order reads as views.
 
+Two kernels evaluate whole families of jets as stacked Taylor rows, where a
+jet-by-jet loop would run tens of tiny operations (Neidinger, SIAM Review
+52, 2010).  :func:`polynomial` builds all monomials of one degree in one
+stacked product, each as its quotient by its last variable times that
+variable, and sums the terms by ``np.add.accumulate`` in their given order,
+from a plan cached per exponent tuple.  :func:`wirtinger_hessian` takes
+[[d_i dbar_j f]] in two gathers over the concatenated diff tables of its
+variables (``JetSpace.diff_tables``).  Both equal their jet-by-jet loops bit
+for bit in every coefficient the result is valid for.
+
 A :class:`Profile` is a jet-capable function of one real variable, such as
 f, g of the Calabi fibre norm and h(rho) of the radial dichotomy.
 """
@@ -190,6 +200,17 @@ class JetSpace:
             fac = self._exponents[src, v].astype(np.float64)
             tab = (src, dst, fac)
             self._diff_tables[v] = tab
+        return tab
+
+    def diff_tables(self, vs: tuple):
+        """The diff tables of the variables ``vs`` concatenated: row t of a (len(vs), size) array is d/dx_vs[t]."""
+        tab = self._diff_tables.get(vs)
+        if tab is None:
+            parts = [self.diff_table(v) for v in vs]
+            src = np.concatenate([p[0] for p in parts])
+            dst = np.concatenate([p[1] + t * self.size for t, p in enumerate(parts)])
+            fac = np.concatenate([p[2] for p in parts])
+            tab = self._diff_tables[vs] = (src, dst, fac)
         return tab
 
     def __repr__(self):  # pragma: no cover
@@ -535,6 +556,108 @@ def wirtinger(jet: Jet, re_idx: int, im_idx: int, bar: bool) -> Jet:
     if bar:
         return (dre + dim * 1j) * 0.5
     return (dre - dim * 1j) * 0.5
+
+
+def wirtinger_hessian(f: Jet, pairs) -> list:
+    """[[d_i dbar_j f]] for the complex variables x[re] + i x[im] of ``pairs`` = ((re, im), ...).
+
+    Entry (i, j) equals ``wirtinger(wirtinger(f, *pairs[i], bar=False),
+    *pairs[j], bar=True)`` bit for bit: the same element operations on
+    whole arrays, each level of d/dx one gather over the concatenated diff
+    tables of the pairs' variables.  Valid to order ``f.order - 2``.
+    """
+    if f.order < 2:
+        raise InsufficientJetOrder(f"a Wirtinger Hessian needs an order-2 jet, not order {f.order}")
+    space, n = f.space, len(pairs)
+    vs = tuple(v for pair in pairs for v in pair)
+    src, dst, fac = space.diff_tables(vs)
+    first = np.zeros(len(vs) * space.size, dtype=np.complex128)
+    first[dst] = f.c[src] * fac
+    first = first.reshape(len(vs), space.size)
+    d = (first[0::2] - first[1::2] * 1j) * 0.5
+    second = np.zeros((n, len(vs) * space.size), dtype=np.complex128)
+    second[:, dst] = d[:, src] * fac
+    second = second.reshape(n, len(vs), space.size)
+    h = (second[:, 0::2] + second[:, 1::2] * 1j) * 0.5
+    return [[Jet(space, h[i, j], f.order - 2, f.mask) for j in range(n)] for i in range(n)]
+
+
+def _last_quotient(expo: tuple):
+    """(x^expo / x_v, v) for the last variable x_v of the monomial x^expo."""
+    v = max(i for i, e in enumerate(expo) if e)
+    return expo[:v] + (expo[v] - 1,) + expo[v + 1 :], v
+
+
+@lru_cache(maxsize=None)
+def _polynomial_plan(exponents: tuple):
+    """How :func:`polynomial` builds the monomials of ``exponents`` and reads its terms.
+
+    Columns 0 .. nvars-1 are the variables; every other monomial a term
+    needs, its quotients included, gets a column, by degree.  Returns
+    (steps, column count, term columns, constant terms), a step being
+    (first column, end column, quotient columns, variables) of one degree.
+    """
+    nvars = len(exponents[0]) if exponents else 0
+    needed = set()
+    for expo in exponents:
+        while sum(expo) >= 2 and expo not in needed:
+            needed.add(expo)
+            expo = _last_quotient(expo)[0]
+    cols = {tuple(int(i == v) for i in range(nvars)): v for v in range(nvars)}
+    steps = []
+    for deg in sorted({sum(e) for e in needed}):
+        batch = sorted(e for e in needed if sum(e) == deg)
+        quotients, variables = zip(*(_last_quotient(e) for e in batch))
+        lo = len(cols)
+        steps.append((lo, lo + len(batch), np.array([cols[q] for q in quotients]), np.array(variables)))
+        cols.update((e, lo + k) for k, e in enumerate(batch))
+    constants = np.array([t for t, e in enumerate(exponents) if not any(e)], dtype=np.intp)
+    terms = np.array([cols.get(e, 0) for e in exponents], dtype=np.intp)
+    return steps, len(cols), terms, constants
+
+
+_NEG_ZERO = complex(-0.0, -0.0)  # x + _NEG_ZERO is x for every x, a zero of either sign included
+
+
+def polynomial(coeffs, xs) -> Jet:
+    """sum c_alpha x^alpha over ``coeffs`` = ((alpha, c_alpha), ...), of the jets ``xs``.
+
+    All monomials of one degree are one stacked product, each its quotient
+    by its last variable times that variable, and the terms are summed in
+    the order of ``coeffs`` from ``xs[0] * 0.0`` by ``np.add.accumulate``.
+    The result is valid to the lowest order of ``xs`` and has the union of
+    their masks.  Each coefficient it is valid for equals that of the
+    jet-by-jet sum (each monomial one product, scaled by its coefficient as
+    a number, a constant added to the value) bit for bit: a stacked product
+    sums all pairs of an output as the 1-D one does, and a monomial's
+    outputs outside its own variables are set to the zeros its own product
+    leaves there.  The plan is cached per exponent tuple, so polynomials of
+    one shape share it.
+    """
+    space = xs[0].space
+    if any(x.space is not space for x in xs):
+        raise ValueError("jets from different spaces cannot be combined")
+    steps, ncols, terms, constants = _polynomial_plan(tuple(e for e, _ in coeffs))
+    order = min(x.order for x in xs)
+    mask = 0
+    for x in xs:
+        mask |= x.mask
+    mono = np.empty((space.size, ncols), dtype=np.complex128)
+    mono[:, : len(xs)] = np.stack([x.c for x in xs], axis=1)
+    masks = np.zeros(ncols, dtype=np.int64)
+    masks[: len(xs)] = [x.mask for x in xs]
+    for lo, hi, quotients, variables in steps:
+        masks[lo:hi] = masks[quotients] | masks[variables]
+        mono[:, lo:hi] = _mul_coeffs(space, mono[:, quotients], mono[:, variables], order, mask)
+        # a monomial is exactly 0 outside its own variables, as its own product leaves it, NaN factors or not
+        mono[:, lo:hi][(space._supports[:, None] & ~masks[lo:hi]) != 0] = 0.0
+    values = np.array([c for _, c in coeffs], dtype=np.complex128)
+    rows = np.empty((len(coeffs) + 1, space.size), dtype=np.complex128)
+    rows[0] = xs[0].c * 0.0
+    rows[1:] = mono[:, terms].T * values[:, None]
+    rows[constants + 1] = _NEG_ZERO
+    rows[constants + 1, 0] = values[constants]
+    return Jet(space, np.add.accumulate(rows)[-1].copy(), order, mask)
 
 
 @dataclass(frozen=True)

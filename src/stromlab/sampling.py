@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .forms import Chart, ChartPoint
+from .jets import polynomial
 
 
 def stream(seed: int, salt: int, index: int) -> np.random.Generator:
@@ -47,12 +48,12 @@ def sample_points(chart: Chart, seed: int, salt: int, count: int, lo, hi, accept
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real polynomial over named jet variables, evaluated by Horner-free sums.
+    """Real polynomial over named jet variables, evaluated by :func:`jets.polynomial`.
 
-    Each monomial is built once, as its quotient by its last variable times
-    that variable, so a monomial of degree d >= 2 costs one jet product; the
-    graded order of ``random_polynomial`` builds every quotient first.  The
-    coefficient scales the monomial as a number.
+    That kernel builds all monomials of one degree in one stacked product,
+    each as its quotient by its last variable times that variable, and sums
+    the terms in the order of ``coeffs``; every cubic in as many variables
+    shares its plan.
     """
 
     nvars: int
@@ -61,19 +62,7 @@ class Polynomial:
     def __call__(self, *jets):
         if len(jets) != self.nvars:
             raise ValueError("wrong variable count")
-        monomials: dict = {}  # exponent tuple -> jet, for degree >= 1
-
-        def monomial(expo):
-            if expo not in monomials:
-                v = max(i for i, e in enumerate(expo) if e)
-                quotient = expo[:v] + (expo[v] - 1,) + expo[v + 1 :]
-                monomials[expo] = monomial(quotient) * jets[v] if any(quotient) else jets[v]
-            return monomials[expo]
-
-        acc = jets[0] * 0.0
-        for expo, c in self.coeffs:
-            acc = acc + (monomial(expo) * c if any(expo) else c)
-        return acc
+        return polynomial(self.coeffs, jets)
 
 
 def random_polynomial(gen: np.random.Generator, nvars: int, degree: int, scale: float) -> Polynomial:

@@ -356,6 +356,46 @@ def sympy_i_ddbar_times_omega0(u, xs, coords, dps: int = 30) -> dict:
         return wedge(two_forms, omega0)
 
 
+EXTREMAL_POINTS = [(0.5, 0.3, 0.6, -0.4, 0.8, 0.2), (-0.7, 0.1, 0.2, 0.9, -0.3, 0.4)]
+
+
+def conformally_flat_extremal_sides(monkeypatch) -> list:
+    """The (lhs, rhs) that extremal_residual_of compares, at each of EXTREMAL_POINTS, for c = 0.2."""
+    seen, compare = [], calabi.identity_residual
+    monkeypatch.setattr(
+        calabi, "identity_residual", lambda lhs, rhs, *scales: seen.append((lhs, rhs)) or compare(lhs, rhs, *scales)
+    )
+    for coords in EXTREMAL_POINTS:
+        conformally_flat_extremal_residual(coords, 0.2)
+    return seen
+
+
+def assert_matches_sympy_4_form(got, want: dict):
+    assert got.degree == 4 and set(got.terms) <= set(want)
+    sup = max(abs(w) for w in want.values())
+    assert sup >= 0.1
+    assert max(abs(complex(w) - got.coefficient(K)) for K, w in want.items()) <= 1e-10 * float(sup)
+
+
+def conformally_flat_scalar():
+    """(c, xs, phi, s) for omega = e^{c|x|^2} omega_0 on C^3, c = 1/5: s = tr_omega rho = -9c e^{-c|x|^2}."""
+    import sympy
+
+    c = sympy.Rational(1, 5)
+    xs = sympy.symbols("x0:6", real=True)
+    phi = c * sum(x * x for x in xs)
+    s = -3 * sympy.exp(-phi) * flat_laplacian(phi, xs)
+    assert sympy.simplify(s + 9 * c * sympy.exp(-phi)) == 0
+    return c, xs, phi, s
+
+
+def flat_laplacian(f, xs):
+    """sum_j d_j d_jbar f on C^3."""
+    import sympy
+
+    return sum(sympy.diff(f, xs[2 * j], 2) + sympy.diff(f, xs[2 * j + 1], 2) for j in range(3)) / 4
+
+
 def test_extremal_right_side_matches_sympy_at_30_digits(monkeypatch):
     # For omega = e^{c|x|^2} omega_0 on C^3, log det g = 3c|x|^2, so
     # rho = -3c i del dbar |x|^2 = -3c omega_0 and s = tr_omega rho =
@@ -366,24 +406,19 @@ def test_extremal_right_side_matches_sympy_at_30_digits(monkeypatch):
     # del_dbar_at_point on the calabi path against code it does not share
     import sympy
 
-    c = sympy.Rational(1, 5)
-    xs = sympy.symbols("x0:6", real=True)
-    phi = c * sum(x * x for x in xs)
-    laplace = lambda f: sum(sympy.diff(f, xs[2 * j], 2) + sympy.diff(f, xs[2 * j + 1], 2) for j in range(3)) / 4
-    s = -3 * sympy.exp(-phi) * laplace(phi)
-    assert sympy.simplify(s + 9 * c * sympy.exp(-phi)) == 0
+    c, xs, phi, s = conformally_flat_scalar()
     # u = (2 Lap s + s^2) e^{c|x|^2}, collected into one exponential times a polynomial
-    u = sympy.factor_terms(sympy.powsimp(sympy.expand((2 * sympy.exp(-phi) * laplace(s) + s**2) * sympy.exp(phi))))
-    seen, compare = [], calabi.identity_residual
-    monkeypatch.setattr(calabi, "identity_residual", lambda lhs, rhs, *scales: seen.append(rhs) or compare(lhs, rhs, *scales))
-    for coords in [(0.5, 0.3, 0.6, -0.4, 0.8, 0.2), (-0.7, 0.1, 0.2, 0.9, -0.3, 0.4)]:
-        conformally_flat_extremal_residual(coords, 0.2)
-        want = sympy_i_ddbar_times_omega0(u, xs, coords)
-        got = seen[-1]
-        assert got.degree == 4 and set(got.terms) <= set(want)
-        sup = max(abs(w) for w in want.values())
-        assert sup >= 0.1
-        assert max(abs(complex(w) - got.coefficient(K)) for K, w in want.items()) <= 1e-10 * float(sup)
+    u = sympy.factor_terms(sympy.powsimp(sympy.expand((2 * sympy.exp(-phi) * flat_laplacian(s, xs) + s**2) * sympy.exp(phi))))
+    for coords, (_, rhs) in zip(EXTREMAL_POINTS, conformally_flat_extremal_sides(monkeypatch)):
+        assert_matches_sympy_4_form(rhs, sympy_i_ddbar_times_omega0(u, xs, coords))
+
+
+def test_extremal_left_side_matches_sympy_at_30_digits(monkeypatch):
+    # The left side is 2(n-1) i del dbar s ^ rho with n = 3 and rho = -3c omega_0
+    # (see the right side's test), so it is i del dbar(-12c s) ^ omega_0
+    c, xs, _, s = conformally_flat_scalar()
+    for coords, (lhs, _) in zip(EXTREMAL_POINTS, conformally_flat_extremal_sides(monkeypatch)):
+        assert_matches_sympy_4_form(lhs, sympy_i_ddbar_times_omega0(-12 * c * s, xs, coords))
 
 
 # -- the shared frame -----------------------------------------------------------

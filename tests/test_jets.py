@@ -12,9 +12,13 @@ from stromlab.jets import (
     _mul_coeffs,
     jet_space,
     kept,
+    polynomial,
     seed_jets,
     wirtinger,
+    wirtinger_hessian,
 )
+from stromlab.hyperkahler import EguchiHanson
+from stromlab.sampling import random_polynomial, stream
 
 
 def fd_partial(f, coords, v, h=1e-4):
@@ -699,3 +703,129 @@ def test_kept_lets_the_oldest_value_go_before_a_build():
     kept("c", 0, build)
     assert seen == [[], ["a"], ["b"]]
     assert list(jets._KEPT) == ["b", "c"]
+
+
+# -- the stacked polynomial and Wirtinger Hessian kernels --------------------------
+
+
+def reference_polynomial(coeffs, xs):
+    """The jet-by-jet sum: each monomial one product, its quotient by its last variable times that variable."""
+    monomials = {}
+
+    def monomial(expo):
+        if expo not in monomials:
+            v = max(i for i, e in enumerate(expo) if e)
+            quotient = expo[:v] + (expo[v] - 1,) + expo[v + 1 :]
+            monomials[expo] = monomial(quotient) * xs[v] if any(quotient) else xs[v]
+        return monomials[expo]
+
+    acc = xs[0] * 0.0
+    for expo, c in coeffs:
+        acc = acc + (monomial(expo) * c if any(expo) else c)
+    return acc
+
+
+def reference_wirtinger_hessian(f, pairs):
+    return [[wirtinger(wirtinger(f, *pi, bar=False), *pj, bar=True) for pj in pairs] for pi in pairs]
+
+
+def assert_same_jet_bits(got, want):
+    """Same space, order and mask, and the same bits in every coefficient the jets are valid for, NaN included."""
+    assert got.space is want.space and (got.order, got.mask) == (want.order, want.mask)
+    n = got.space.prefix_sizes[got.order]
+    assert np.array_equal(got.c[:n].view(np.uint64), want.c[:n].view(np.uint64))
+
+
+def with_coefficient(x, index, value):
+    c = x.c.copy()
+    c[index] = value
+    return Jet(x.space, c, x.order, x.mask)
+
+
+def kernel_variables(nvars, order, rng):
+    """Variable lists the kernels see: seeds, non-seed jets, mixed orders and NaN coefficients."""
+    seeds = seed_jets(rng.uniform(-1.0, 1.0, nvars), order)
+    cases = {
+        "seeds": seeds,
+        "exp of seeds": [(x * 0.7).exp() if v % 2 else x for v, x in enumerate(seeds)],
+        "mixed orders": [x.to_order(max(order - v, 0)) for v, x in enumerate(seeds)],
+        "NaN value": [with_coefficient(x, 0, np.nan) if v == 1 else x for v, x in enumerate(seeds)],
+    }
+    if order >= 1:
+        slope = seeds[0].space.first_order[1]
+        cases["NaN slope"] = [with_coefficient(x, slope, np.nan) if v == 1 else x for v, x in enumerate(seeds)]
+    return cases
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("nvars", [2, 4])
+def test_polynomial_kernel_matches_the_jet_by_jet_sum_bit_for_bit(nvars, order):
+    rng = np.random.default_rng(10 * nvars + order)
+    cubic = random_polynomial(stream(order, nvars, 0), nvars, 3, 0.2).coeffs
+    # terms out of graded order, so quotients are built before the terms that name them
+    sparse = tuple(cubic[k] for k in rng.permutation(len(cubic))[: len(cubic) // 2])
+    for name, xs in kernel_variables(nvars, order, rng).items():
+        for coeffs in (cubic, sparse):
+            got, want = polynomial(coeffs, xs), reference_polynomial(coeffs, xs)
+            if coeffs is cubic:  # every variable appears, so the masks and orders of the two agree
+                assert_same_jet_bits(got, want)
+            else:
+                n = got.space.prefix_sizes[got.order]
+                assert np.array_equal(got.c[:n].view(np.uint64), want.c[:n].view(np.uint64)), name
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_wirtinger_hessian_matches_nested_wirtinger_bit_for_bit(order):
+    rng = np.random.default_rng(40 + order)
+    for base in (0, 2):
+        for name, xs in kernel_variables(base + 4, order, rng).items():
+            fs = [EguchiHanson(1.3).kappa(xs[base:]) if name != "NaN value" else xs[base] * xs[base + 3]]
+            fs.append((xs[base] * xs[-1] * 0.4).exp() + xs[base + 1] * xs[base + 2])
+            pairs = ((base, base + 1), (base + 2, base + 3))
+            for f in fs:
+                if f.order < 2:
+                    with pytest.raises(InsufficientJetOrder):
+                        wirtinger_hessian(f, pairs)
+                    continue
+                got, want = wirtinger_hessian(f, pairs), reference_wirtinger_hessian(f, pairs)
+                for got_row, want_row in zip(got, want):
+                    for g, w in zip(got_row, want_row):
+                        assert g.order == f.order - 2 and g.mask == f.mask
+                        assert_same_jet_bits(g, w)
+
+
+def test_polynomial_refuses_jets_of_different_spaces_and_a_wrong_variable_count():
+    cubic = random_polynomial(stream(1, 2, 0), 2, 3, 0.2)
+    first = seed_jets((0.3, -0.4), 3)
+    other = seed_jets((0.3, -0.4, 0.1), 3)
+    jet_space.cache_clear()
+    second = seed_jets((0.3, -0.4), 3)  # a space of the same size, made after the cache was cleared
+    assert second[0].space is not first[0].space and second[0].space.size == first[0].space.size
+    for xs in ((first[0], second[1]), (second[0], first[1]), (first[0], other[1])):
+        with pytest.raises(ValueError, match="jets from different spaces cannot be combined"):
+            cubic(*xs)
+    with pytest.raises(ValueError, match="wrong variable count"):
+        cubic(first[0])
+    with pytest.raises(ValueError, match="wrong variable count"):
+        cubic(*second, second[0])
+
+
+def test_polynomial_taylor_coefficients_match_sympy():
+    import sympy
+
+    cubic = random_polynomial(stream(5, 4, 0), 4, 3, 0.2)
+    point = (0.3, -0.7, 1.1, 0.45)
+    ts = sympy.symbols("t0:4")
+    exact = sympy.Poly(
+        sum(
+            sympy.Rational(c) * sympy.prod((sympy.Rational(x) + t) ** e for x, t, e in zip(point, ts, expo))
+            for expo, c in cubic.coeffs
+        ),
+        *ts,
+    )
+    got = cubic(*seed_jets(point, 4))
+    want = {m: complex(exact.coeff_monomial(sympy.prod(t**e for t, e in zip(ts, m)))) for m in got.space.monomials}
+    scale = max(abs(w) for w in want.values())
+    assert scale > 0.1 and all(want[m] == 0 for m in got.space.monomials if sum(m) == 4)
+    for m, w in want.items():
+        assert abs(got.coefficient(m) - w) <= 1e-15 * scale, m

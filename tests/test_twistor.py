@@ -18,6 +18,7 @@ from stromlab.forms import (
     top_ratio,
 )
 from stromlab.hyperkahler import eguchi_hanson, flat_model
+from stromlab import jets
 from stromlab.jets import seed_jets
 from stromlab.sampling import random_ansatz_params, sample_points
 from stromlab.twistor import (
@@ -277,6 +278,18 @@ def test_random_ansatz_params_compare_and_hash_by_value():
     assert first is not second
     assert first == second and hash(first) == hash(second)
     assert first != random_ansatz_params(3, 6)
+
+
+def test_every_random_cubic_pair_shares_two_polynomial_plans():
+    # the plans are keyed by exponent tuples, not coefficients: one for the cubic in (zr, zi), one for h
+    jets._polynomial_plan.cache_clear()
+    for order in (1, 4):
+        xs = seed_jets((0.4, -0.3, 0.8, -1.1, 0.2, 0.6), order)
+        for i in range(64):
+            params = random_ansatz_params(11, i)
+            params.g_fn(*xs[:2])
+            params.h_fn(*xs[2:])
+    assert jets._polynomial_plan.cache_info().currsize == 2
 
 
 def test_norm_rejects_a_metric_that_is_not_positive():
