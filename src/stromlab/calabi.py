@@ -15,13 +15,26 @@ The profiles f, g are ``jets.Profile`` values; :class:`CalabiParams` hold
 closures, so they compare by identity and a caller builds them once.
 
 The operators share one :class:`CanonicalBundleFrame` per (base, params,
-point): its metric, Chern-Ricci form and Chern scalar are cached
-properties, built on first use.  A frame's order is the validity order of
-its metric.  Only the fiber part of the metric differentiates anything, and
-only R, so only the seeds, the base metric, its determinant h and R are
-built to order + 1; u, v, f, g and the factor R^-1 e^{v+g} are built to
-the order.  Every frame on a chart reads the chart's one shared type
-context (``forms.standard_context``).  ``_frame`` keeps frames by the rule of ``jets.kept``, which keeps two
+point).  A frame caches, each built on first use:
+
+- ``metric``, the jet-valued (1,1)-form, valid to the frame's order;
+- ``gram``, its Gram matrix G = [g_{a bbar}] (``hermitian_matrix_of``);
+- ``det``, det G, computed once;
+- ``ricci``, the Chern-Ricci matrix P = -[d_a dbar_b log det G], a
+  Wirtinger Hessian valid to order - 2 (``ricci_matrix``);
+- ``scalar``, the Chern scalar s = tr(G^-1 P), a cofactor sum over G
+  (``metric_trace``), valid to order - 2.
+
+The Laplacian of s in the extremal equation is the same trace of the
+Hessian of s; the Ricci form is read only at its value, and no jet-valued
+Ricci form is built.  A frame's order is the validity order of its metric.
+Only the fiber part of the metric differentiates anything, and only R, so
+only the seeds, the base metric, its determinant h and R are built to
+order + 1; u, v, f, g and the factor R^-1 e^{v+g} are built to the order.
+The metric is built product by product: stacked into one array product its
+order-6 jets cost more (see ``jets._mul_coeffs``).  Every frame on a chart
+reads the chart's one shared type context (``forms.standard_context``).
+``_frame`` keeps frames by the rule of ``jets.kept``, which keeps two
 values: a point certifies the theorem metric and then a must-fail profile,
 and the theorem frame survives the second.  Each operator reads the frame
 only to the order it needs: ``extremal_residual`` at order 6,
@@ -48,15 +61,14 @@ from .forms import (
     del_dbar_at_point,
     form_power,
     hermitian_form,
-    i_ddbar,
+    hermitian_wedge,
     identity_residual,
     mat_det,
     standard_context,
     svalue,
-    top_ratio,
     volume_form_norm,
 )
-from .jets import Jet, Profile, jet_space, kept, seed_jets, wirtinger
+from .jets import Jet, Profile, jet_space, kept, seed_jets, wirtinger, wirtinger_hessian
 
 
 class ZeroSectionError(DomainError):
@@ -177,15 +189,16 @@ class CalabiParams:
 class CanonicalBundleFrame:
     """Jets of the ansatz data at a point of the total-space chart, with a metric valid to ``order``.
 
-    The metric, the Chern-Ricci form and the Chern scalar are cached
-    properties, so every operator reading the frame pays for each once; do
-    not mutate them.  The metric's fiber part is del R ^ dbar R, so the
-    seeds, ``hmat``, ``h`` and ``R`` are valid to order + 1; nothing
-    differentiates u, v, f or g, so they are built from the base jets and R
-    read to order.  The metric is valid to order, the Ricci form and the
-    scalar to order - 2: the extremal equation (the Hessian of the
-    Laplacian of s, read at the point) needs order 6, the Chern scalar 2,
-    d(omega^n) 1 and the volume norm 0.
+    The metric, its Gram matrix and determinant, the Chern-Ricci matrix and
+    the Chern scalar are cached properties, so every operator reading the
+    frame pays for each once; do not mutate them.  The metric's fiber part
+    is del R ^ dbar R, so the seeds, ``hmat``, ``h`` and ``R`` are valid to
+    order + 1; nothing differentiates u, v, f or g, so they are built from
+    the base jets and R read to order.  The metric, the Gram matrix and its
+    determinant are valid to order, the Ricci matrix and the scalar to
+    order - 2: the extremal equation (the Hessian of the Laplacian of s,
+    read at the point) needs order 6, the Chern scalar 2, d(omega^n) 1 and
+    the volume norm 0.
     """
 
     def __init__(self, base: BaseKahlerModel, params: CalabiParams, p: ChartPoint, order: int):
@@ -238,14 +251,24 @@ class CanonicalBundleFrame:
         return base.scale((self.u + self.f).exp()) + fiber
 
     @cached_property
-    def ricci(self) -> FormValue:
-        """rho = -i del dbar log det g, from the Gram matrix g_{a bbar} of the metric."""
-        return chern_ricci_form(hermitian_matrix_of(self.metric, self.chart), self.ctx)
+    def gram(self) -> list:
+        """[g_{a bbar}] of the metric (``hermitian_matrix_of``); an entry without a metric term is 0j."""
+        return hermitian_matrix_of(self.metric, self.chart)
+
+    @cached_property
+    def det(self):
+        """det [g_{a bbar}], as a jet."""
+        return mat_det(self.gram)
+
+    @cached_property
+    def ricci(self) -> list:
+        """The Chern-Ricci matrix P of the metric (``ricci_matrix``), valid to order - 2."""
+        return ricci_matrix(self.det, self.chart)
 
     @cached_property
     def scalar(self):
-        """The Chern scalar s, as a jet."""
-        return chern_scalar_of(self.metric, self.ricci)
+        """The Chern scalar s = tr(G^-1 P), as a jet valid to order - 2."""
+        return metric_trace(self.gram, self.det, self.ricci)
 
     def volume_form(self) -> FormValue:
         out = d_complex(self.chart, 0)
@@ -295,24 +318,41 @@ def hermitian_matrix_of(omega: FormValue, chart: Chart):
     return G
 
 
-def chern_ricci_form(gram, ctx: TypeContext) -> FormValue:
-    """rho = -i del dbar log det(Gram)."""
-    det = mat_det(gram)
-    return i_ddbar(ctx, det.log()).scale(-1.0)
+def _complex_pairs(chart: Chart) -> tuple:
+    return tuple((2 * j, 2 * j + 1) for j in range(chart.ncomplex))
 
 
-def chern_scalar_of(omega: FormValue, rho: FormValue):
-    """s = trace of the Chern-Ricci form rho against the metric omega.
+def ricci_matrix(det: Jet, chart: Chart) -> list:
+    """P = -[d_a dbar_b log det G] over the chart's complex coordinates: rho = i P_{a bbar} dz^a ^ dzbar^b.
 
-    Uses dim * (rho ^ omega^{dim-1}) / omega^dim, which avoids any frame
-    choice; omega is read to the order of rho's jets.  Returns a jet when
-    the inputs carry jets.
+    The Chern-Ricci form rho = -i del dbar log det G of a metric with Gram
+    determinant ``det``, as the Wirtinger Hessian (``jets.wirtinger_hessian``)
+    of -log det G; its entries are jets valid to ``det.order - 2``.
     """
-    orders = [c.order for c in rho.terms.values() if isinstance(c, Jet)]
-    if orders:
-        omega = _read_to(omega, min(orders))
-    m = omega.chart.ncomplex
-    return float(m) * top_ratio(rho.wedge(form_power(omega, m - 1)), form_power(omega, m))
+    return wirtinger_hessian(det.log() * -1.0, _complex_pairs(chart))
+
+
+def metric_trace(gram: list, det, A: list):
+    """tr(G^-1 A) for a Gram matrix G with determinant ``det`` and a matrix A of jets.
+
+    This is m (i A ^ omega^{m-1}) / omega^m for omega = i G_{a bbar} dz^a ^
+    dzbar^b and the (1,1)-form of A.  By cofactors, it is sum_a det(G with
+    column a taken from A) / det G, the derivative of det(G + tA) at t = 0
+    over det G, so no inverse and no form is built.  G and det G are read
+    to the lowest order of A's jets, and entries of G may be plain numbers.
+    Raises DomainError unless det G has a positive real part (NaN
+    included), so a Gram matrix that is not positive yields no trace.
+    """
+    if not svalue(det).real > 0.0:
+        raise DomainError(f"Gram determinant {svalue(det):.3g} is not positive: the form is not a metric here")
+    order = min(e.order for row in A for e in row if isinstance(e, Jet))
+    G = [[e.to_order(order) if isinstance(e, Jet) else e for e in row] for row in gram]
+    m = len(G)
+    num = None
+    for a in range(m):
+        term = mat_det([[A[i][b] if b == a else G[i][b] for b in range(m)] for i in range(m)])
+        num = term if num is None else num + term
+    return num / det.to_order(order)
 
 
 def chern_scalar(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
@@ -323,10 +363,9 @@ def chern_scalar(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> 
 
 def base_chern_scalar(base: BaseKahlerModel, z_point) -> float:
     """Chern scalar of the base metric on the base chart."""
-    jets = seed_jets(z_point, 3)
-    hmat = base.metric(jets)
-    ctx = standard_context(base.chart)
-    return svalue(chern_scalar_of(hermitian_form(base.chart, hmat), chern_ricci_form(hmat, ctx))).real
+    hmat = base.metric(seed_jets(z_point, 2))
+    det = mat_det(hmat)
+    return svalue(metric_trace(hmat, det, ricci_matrix(det, base.chart))).real
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +391,30 @@ def km_balanced_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPo
     return closedness_residual(form_power(_read_to(fr.metric, 1), base.n))
 
 
-def extremal_residual_of(omega: FormValue, rho: FormValue, s, ctx: TypeContext) -> float:
+def extremal_residual_of(omega: FormValue, gram: list, det, ricci: list, s, ctx: TypeContext) -> float:
     """Euler-Lagrange residual 2(n-1) i del dbar s ^ rho - i del dbar((2 Lap s + s^2) omega).
 
-    Takes the metric omega, its Chern-Ricci form rho and its Chern scalar s
-    (a jet, as ``chern_scalar_of`` returns it).  Only values at the point
-    are compared: s must be valid to order >= 4 (its Hessian feeds the
-    Laplacian, which the outer del dbar differentiates twice), omega and
-    the Laplacian are read to order 2, and rho at its value.
+    Takes the metric omega, its Gram matrix G and det G, its Chern-Ricci
+    matrix P (``ricci_matrix``) and its Chern scalar s (a jet, as
+    ``metric_trace`` returns it).  Only values at the point are compared:
+    s must be valid to order >= 4, since its Hessian H_s =
+    [d_a dbar_b s] gives Lap s = tr(G^-1 H_s) (``metric_trace``), which the
+    outer del dbar differentiates twice; omega is read to order 2, and P
+    and H_s at their values.
     """
     m = omega.chart.ncomplex
-    omega2 = _read_to(omega, 2)
-    i_ddbar_s = i_ddbar(ctx, s)
-    lap_s = float(m) * top_ratio(i_ddbar_s.wedge(form_power(omega2, m - 1)), form_power(omega2, m))
-    lhs = i_ddbar_s.values().wedge(rho.values()).scale(2.0 * (m - 1))
+    hess_s = wirtinger_hessian(s, _complex_pairs(omega.chart))
+    lap_s = metric_trace(gram, det, hess_s)
+    values = [[[svalue(e) for e in row] for row in M] for M in (hess_s, ricci)]
+    lhs = hermitian_wedge(omega.chart, *values).scale(2.0 * (m - 1))
     s2 = s.to_order(2)
-    rhs = del_dbar_at_point(ctx, omega2.scale(lap_s * 2.0 + s2 * s2)).scale(1j)
+    rhs = del_dbar_at_point(ctx, _read_to(omega, 2).scale(lap_s * 2.0 + s2 * s2)).scale(1j)
     return identity_residual(lhs, rhs)
 
 
 def extremal_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
     fr = _frame(base, params, p, 6)
-    return extremal_residual_of(fr.metric, fr.ricci, fr.scalar, fr.ctx)
+    return extremal_residual_of(fr.metric, fr.gram, fr.det, fr.ricci, fr.scalar, fr.ctx)
 
 
 def theorem_metric_params(base: BaseKahlerModel, c: float = 0.0, c0: float = 1.0) -> CalabiParams:

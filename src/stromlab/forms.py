@@ -39,10 +39,14 @@ degree-k type table.  Every read at the point is built on them:
 dbar(Hbar^-1 del Hbar) of a Gram matrix), ``del_dbar_of_taylor`` and
 ``del_dbar_at_point`` (del dbar of a form of even degree; degree 0 gives
 del dbar f), and in the other modules ``w_form`` and
-``curvature_identities`` and the dbar reads of ``frame_decompose``.  The
-jet-valued route (``exterior_derivative``, ``TypeContext._parts``,
-``i_ddbar``) stays for the Calabi Ricci form, which is differentiated
-again, and as the oracle of the tests.
+``curvature_identities`` and the dbar reads of ``frame_decompose``.  No
+operator of the package takes the jet-valued route (``exterior_derivative``,
+``TypeContext.decompose`` and ``project`` on forms with jet coefficients):
+the Calabi Ricci form, which is differentiated again, is a Wirtinger
+Hessian of log det G on the standard structure (``jets.wirtinger_hessian``),
+and its traces are cofactor sums over the Gram matrix.  The route stays as
+the oracle of the tests, and ``exterior_derivative_with_scale`` and the
+type tables are where the benchmark's tracer counts d and decompositions.
 
 So a projection on a structure with jet entries is valid to order 1 at
 most, which is what every reader of one needs: d at the point of a part
@@ -422,6 +426,29 @@ def hermitian_form(chart: Chart, H, offset: int = 0) -> FormValue:
     return out
 
 
+@lru_cache(maxsize=None)
+def _hermitian_basis(chart: Chart) -> np.ndarray:
+    """Row j * m + k: the coefficients of i dz_j ^ dzbar_k over the 2-indices in combinations order; read-only."""
+    m = chart.ncomplex
+    rows = [d_complex(chart, j).wedge(d_complex_bar(chart, k)).scale(1j).to_vector() for j in range(m) for k in range(m)]
+    basis = np.array(rows)
+    basis.flags.writeable = False
+    return basis
+
+
+def hermitian_wedge(chart: Chart, A, B) -> FormValue:
+    """(i A_jk dz_j ^ dzbar_k) ^ (i B_jk dz_j ^ dzbar_k), a 4-form, for two m x m matrices of numbers.
+
+    Each (1,1)-form is its matrix times the coefficients of the i dz_j ^
+    dzbar_k (``_hermitian_basis``), and the wedge is one product with the
+    sign plan, as in ``matrix_wedge_trace``.  A NaN entry makes every
+    coefficient of the result NaN.
+    """
+    basis = _hermitian_basis(chart)
+    a, b = (np.asarray(M, dtype=np.complex128).reshape(-1) @ basis for M in (A, B))
+    return FormValue.from_vector(chart, 4, np.outer(a, b).reshape(-1) @ _wedge_signs(chart.dim, 2, 2))
+
+
 def form_power(omega: FormValue, k: int) -> FormValue:
     """omega^k, wedged from the left; omega^0 is the constant 1."""
     if k == 0:
@@ -777,13 +804,6 @@ def standard_context(chart: Chart) -> TypeContext:
     of a stale ``jet_space``.
     """
     return TypeContext(standard_acs(chart))
-
-
-def i_ddbar(ctx: TypeContext, f: Jet) -> FormValue:
-    """i del dbar f with jet coefficients; real-valued (1,1) for real f."""
-    dbar_f = ctx.project(exterior_derivative(FormValue.scalar(ctx.chart, f)), 0, 1)
-    dd = exterior_derivative(dbar_f)
-    return ctx.project(dd, 1, 1).scale(1j)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,14 @@ def _mul_coeffs(space: JetSpace, a: np.ndarray, b: np.ndarray, order: int, mask:
     product bit for bit.  The operands may hold only the first monomials,
     as far as those of degree <= ``order``; the result has as many rows as
     ``a``.
+
+    Stacking pays at low order, where a call is mostly overhead, and loses
+    at high order, where the gathered (pairs, k) operands and their
+    reduction over the first axis cost more than k contiguous products.
+    Measured with timeit (best of 7, 2-core host, numpy 2.4): six products
+    in ``jet_space(4, 7)`` take 19 us one by one and 10 us stacked at order
+    2 (45 pairs), but 97 us one by one and 275 us stacked at order 6 (3003
+    pairs).  So the order-6 Calabi metric is built product by product.
     """
     ii, jj, starts, outs = space.mul_subset(mask, order)
     sums = np.add.reduceat(a[ii] * b[jj], starts)

@@ -7,9 +7,11 @@ skew-hermiticity of a curvature, the tables of I, J and K written out
 entry by entry, the frame Gram of the twistor ansatz, the complex
 components of a 1-form through the basis change T^-1, the curvature
 certificate wedge by wedge and pair of terms by pair of terms, del dbar of a
-2-form through derivative jets and jet-valued projections, and the Chern
-curvature of a Gram matrix at the point and its tr(R wedge R) in 50-digit
-arithmetic.
+2-form and i del dbar of a function through derivative jets and jet-valued
+projections, the Chern-Ricci form, the Chern scalar and the extremal
+residual of a Calabi metric through jet-valued forms and wedges, and the
+Chern curvature of a Gram matrix at the point and its tr(R wedge R) in
+50-digit arithmetic.
 """
 
 from itertools import combinations
@@ -22,11 +24,17 @@ from stromlab.forms import (
     DegreeError,
     FormValue,
     _complex_basis_matrices,
+    del_dbar_at_point,
     exterior_derivative,
+    form_power,
+    identity_residual,
+    mat_det,
     nan_max,
     smag,
     svalue,
+    top_ratio,
 )
+from stromlab.jets import Jet
 from stromlab.strominger import _frame_gram
 
 
@@ -153,6 +161,49 @@ def jet_del_dbar(ctx, form: FormValue) -> FormValue:
     q = form.degree // 2
     dbar = ctx.project(exterior_derivative(form), q, q + 1)
     return ctx.project(exterior_derivative(dbar).values(), q + 1, q + 1)
+
+
+def i_ddbar(ctx, f):
+    """i del dbar f with jet coefficients, through derivative jets and jet-valued projections; real (1,1) for real f."""
+    dbar_f = ctx.project(exterior_derivative(FormValue.scalar(ctx.chart, f)), 0, 1)
+    return ctx.project(exterior_derivative(dbar_f), 1, 1).scale(1j)
+
+
+def read_to(form: FormValue, order: int) -> FormValue:
+    """The form with each jet coefficient read to ``order``."""
+    return form.map_coeffs(lambda c: c.to_order(order) if isinstance(c, Jet) else c)
+
+
+def wedge_trace(omega: FormValue, rho: FormValue):
+    """m (rho ^ omega^{m-1}) / omega^m, with omega read to the order of rho's jets: tr_omega rho by wedges."""
+    orders = [c.order for c in rho.terms.values() if isinstance(c, Jet)]
+    if orders:
+        omega = read_to(omega, min(orders))
+    m = omega.chart.ncomplex
+    return float(m) * top_ratio(rho.wedge(form_power(omega, m - 1)), form_power(omega, m))
+
+
+def ricci_form(gram, ctx) -> FormValue:
+    """-i del dbar log det of a Gram matrix, by ``i_ddbar``: the Chern-Ricci form as a jet-valued form."""
+    return i_ddbar(ctx, mat_det(gram).log()).scale(-1.0)
+
+
+def wedge_extremal_residual(omega: FormValue, rho: FormValue, s, ctx) -> float:
+    """The extremal residual of ``calabi.extremal_residual_of`` through jet-valued forms and wedges.
+
+    rho is the Chern-Ricci form (``ricci_form``) and s the Chern scalar as
+    a jet valid to order >= 4; i del dbar s comes from ``i_ddbar`` and Lap s
+    from ``wedge_trace``.  The right side is the package's, through
+    ``del_dbar_at_point``.
+    """
+    m = omega.chart.ncomplex
+    omega2 = read_to(omega, 2)
+    i_ddbar_s = i_ddbar(ctx, s)
+    lap_s = wedge_trace(omega2, i_ddbar_s)
+    lhs = i_ddbar_s.values().wedge(rho.values()).scale(2.0 * (m - 1))
+    s2 = s.to_order(2)
+    rhs = del_dbar_at_point(ctx, omega2.scale(lap_s * 2.0 + s2 * s2)).scale(1j)
+    return identity_residual(lhs, rhs)
 
 
 def frame_gram(data):

@@ -3,10 +3,21 @@ import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from stromlab import calabi, jets
-from stromlab.forms import Chart, FormValue, TypeContext, hermitian_form, point, standard_acs, standard_context
+from stromlab.forms import (
+    Chart,
+    DomainError,
+    FormValue,
+    TypeContext,
+    hermitian_form,
+    mat_det,
+    point,
+    standard_acs,
+    standard_context,
+)
 from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.calabi import (
     BaseKahlerModel,
@@ -22,14 +33,16 @@ from stromlab.calabi import (
     fubini_study_cp1,
     hermitian_matrix_of,
     km_balanced_residual,
+    metric_trace,
     omega0_d_residual,
     profile_ode_residual,
+    ricci_matrix,
     solve_profile_f,
     theorem_metric_params,
     volume_norm,
 )
 
-from form_oracles import evaluate
+from form_oracles import evaluate, ricci_form, wedge_extremal_residual, wedge_trace
 
 FS = fubini_study_cp1()
 TORUS = flat_torus_chart()
@@ -113,6 +126,132 @@ def test_cp2_theorem_profile_is_balanced():
         assert km_balanced_residual(base, params, p) <= 1e-8
         assert abs(chern_scalar(base, params, p)) <= 1e-8
         assert km_balanced_residual(base, old, p) >= 1e-3
+
+
+def test_cp2_chern_scalar_matches_the_wedge_route():
+    # m = 3: the cofactor trace of the frame against m rho ^ omega^2 / omega^3 with rho from i_ddbar
+    params = theorem_metric_params(CP2)
+    for coords in ((0.3, -0.2, 0.5, 0.1, 0.7, 0.4), (-0.6, 0.4, 0.2, -0.5, 0.5, -0.6)):
+        fr = CanonicalBundleFrame(CP2, params, point(CP2.total_chart, *coords), 4)
+        assert_jets_match(fr.scalar, wedge_trace(fr.metric, ricci_form(fr.gram, fr.ctx)), 1e-12)
+        assert abs(fr.scalar.value) <= 1e-8
+
+
+# -- the Gram-matrix reads against jet-valued forms ------------------------------
+
+
+def assert_jets_match(got, want, rel: float):
+    """Every coefficient of ``got`` to its order equals ``want``'s within ``rel`` times its largest coefficient."""
+    assert got.order == want.order
+    size = got.space.prefix_sizes[got.order]
+    assert float(np.max(np.abs(got.c[:size] - want.c[:size]))) <= rel * float(np.max(np.abs(want.c[:size])))
+
+
+def assert_forms_match(got, want, rel: float):
+    """The jet coefficients of two forms agree as ``assert_jets_match`` has it, a missing term read as 0."""
+    assert got.degree == want.degree
+    for multi in set(got.terms) | set(want.terms):
+        pair = got.coefficient(multi), want.coefficient(multi)
+        zero = next(c for c in pair if isinstance(c, Jet)) * 0.0
+        assert_jets_match(*(c if isinstance(c, Jet) else zero + c for c in pair), rel)
+
+
+def complex_chart(m: int) -> Chart:
+    return Chart(f"c{m}", tuple(f"x{i}" for i in range(2 * m)), tuple(f"z{j}" for j in range(m)))
+
+
+def random_hermitian(m: int, x, rng, diagonal: float, constant: bool) -> list:
+    """An m x m Hermitian matrix of jets in the seeds ``x``, diagonally dominant by ``diagonal``.
+
+    With ``constant`` the entry (0, m-1) and its mirror are plain numbers
+    (0j for m = 2), as a Gram matrix has where the metric has no term.
+    """
+    def poly():
+        return sum((x[v] * complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for v in range(len(x))), x[0] * 0.0)
+
+    M = [[None] * m for _ in range(m)]
+    for j in range(m):
+        p = poly()
+        M[j][j] = (p + p.conjugate()) * 0.5 + x[j] * x[j] * 0.2 + diagonal
+        for k in range(j + 1, m):
+            M[j][k] = poly() * poly() + complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+            M[k][j] = M[j][k].conjugate()
+    if constant and m > 1:
+        M[0][m - 1] = 0j if m == 2 else complex(0.15, -0.1)
+        M[m - 1][0] = M[0][m - 1].conjugate()
+    return M
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("constant", [False, True])
+def test_metric_trace_matches_the_wedge_formula(m, constant):
+    # tr(G^-1 A) by cofactors against m (i A ^ omega^{m-1}) / omega^m, in every Taylor coefficient
+    rng = random.Random(100 * m + constant)
+    chart = complex_chart(m)
+    for _ in range(3):
+        x = seed_jets([rng.uniform(-0.8, 0.8) for _ in range(2 * m)], 4)
+        G = random_hermitian(m, x, rng, 2.0, constant)
+        A = random_hermitian(m, [e.to_order(2) for e in x], rng, 0.5, constant)
+        got = metric_trace(G, mat_det(G), A)
+        assert_jets_match(got, wedge_trace(hermitian_form(chart, G), hermitian_form(chart, A)), 1e-13)
+        assert got.order == 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_ricci_matrix_matches_the_i_ddbar_route(m):
+    # P = -[d_a dbar_b log det G] as a (1,1)-form against -i del dbar log det G through jet-valued forms
+    rng = random.Random(200 + m)
+    chart = complex_chart(m)
+    for constant in (False, True):
+        x = seed_jets([rng.uniform(-0.8, 0.8) for _ in range(2 * m)], 5)
+        G = random_hermitian(m, x, rng, 2.0, constant)
+        P = ricci_matrix(mat_det(G), chart)
+        assert all(e.order == 3 for row in P for e in row)
+        assert_forms_match(hermitian_form(chart, P), ricci_form(G, standard_context(chart)), 1e-13)
+
+
+def test_metric_trace_refuses_a_gram_matrix_that_is_not_positive():
+    x = seed_jets((0.2, 0.3), 2)
+    A = [[x[0] * x[1]]]
+    for G in ([[x[0] * 0.0 - 1.0]], [[x[0] * 0.0 + complex(math.nan, 0.0)]]):
+        with pytest.raises(DomainError):
+            metric_trace(G, mat_det(G), A)
+
+
+def off_branch_params() -> CalabiParams:
+    """u = 0.3 y1, v = 0, f = 0.2 R and g = 0.1 R: off the constant-length branch, so rho and s are not 0."""
+    return CalabiParams(
+        u_fn=lambda zjets: zjets[0] * 0.3,
+        v_fn=lambda zjets: zjets[0] * 0.0,
+        f_profile=Profile.linear(0.2),
+        g_profile=Profile.linear(0.1),
+    )
+
+
+GRAM_CASES = {
+    "torus-plain": (TORUS, CalabiParams.plain),
+    "torus-theorem": (TORUS, lambda: theorem_metric_params(TORUS)),
+    "fs-plain": (FS, CalabiParams.plain),
+    "fs-off-branch": (FS, off_branch_params),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAM_CASES))
+def test_gram_reads_match_the_oracle_route_with_constant_entries(case):
+    # the flat torus has Gram entries 0j off the diagonal, FS none; off the branch rho and s are not 0
+    base, make_params = GRAM_CASES[case]
+    params = make_params()
+    for p in total_points(base, 2, seed=101):
+        fr = CanonicalBundleFrame(base, params, p, 6)
+        constants = [e for row in fr.gram for e in row if not isinstance(e, Jet)]
+        assert (len(constants) == 2) == (base is TORUS)
+        rho = ricci_form(fr.gram, fr.ctx)
+        assert_forms_match(hermitian_form(fr.chart, fr.ricci), rho, 1e-13)
+        s = wedge_trace(fr.metric, rho)
+        assert_jets_match(fr.scalar, s, 1e-12)
+        want = wedge_extremal_residual(fr.metric, rho, s, fr.ctx)
+        assert extremal_residual(base, params, p) == pytest.approx(want, rel=1e-9)
+        assert chern_scalar(base, params, p) == pytest.approx(s.value.real, rel=1e-12)
 
 
 # -- the ansatz ---------------------------------------------------------------
@@ -293,16 +432,16 @@ def test_full_certificate_simultaneously():
 
 def conformally_flat_extremal_residual(coords, c: float) -> float:
     """The extremal residual of omega = e^{c|x|^2} i sum_j dz_j ^ dzbar_j on C^3, from order-6 seeds."""
-    from stromlab.calabi import chern_ricci_form, chern_scalar_of, extremal_residual_of
+    from stromlab.calabi import extremal_residual_of
     from stromlab.twistor import C3_CHART
 
     ctx = TypeContext(standard_acs(C3_CHART))
     x = seed_jets(coords, 6)
     f = (sum((xi * xi for xi in x[1:]), x[0] * x[0]) * c).exp()
     H = [[f if i == j else 0.0 for j in range(3)] for i in range(3)]
-    omega = hermitian_form(C3_CHART, H)
-    rho = chern_ricci_form(H, ctx)
-    return extremal_residual_of(omega, rho, chern_scalar_of(omega, rho), ctx)
+    det = mat_det(H)
+    rho = ricci_matrix(det, C3_CHART)
+    return extremal_residual_of(hermitian_form(C3_CHART, H), H, det, rho, metric_trace(H, det, rho), ctx)
 
 
 def test_extremal_fails_on_nonzero_scalar_metric():
@@ -470,18 +609,18 @@ def test_workload_point_builds_two_frames(frames_built):
 
 
 def test_each_frame_builds_its_chern_ricci_form_once(frames_built, monkeypatch):
-    # extremal_residual and chern_scalar read the one Ricci form of the frame they share
+    # extremal_residual and chern_scalar read the one Ricci matrix of the frame they share
     params = theorem_metric_params(FS)
     p = total_points(FS, 1, seed=97)[0]
-    ricci_forms, build = [], calabi.chern_ricci_form
-    monkeypatch.setattr(calabi, "chern_ricci_form", lambda gram, ctx: ricci_forms.append(ctx) or build(gram, ctx))
+    ricci_builds, build = [], calabi.ricci_matrix
+    monkeypatch.setattr(calabi, "ricci_matrix", lambda det, chart: ricci_builds.append(chart) or build(det, chart))
     for ops in ((extremal_residual, chern_scalar), (chern_scalar, extremal_residual)):
         jets._KEPT.clear()
         for op in ops:
             op(FS, params, p)
             op(FS, params, p)
     # the order-6 frame serves chern_scalar; an order-2 frame does not serve extremal_residual
-    assert len(frames_built) == len(ricci_forms) == 3
+    assert len(frames_built) == len(ricci_builds) == 3
 
 
 def test_cleared_jet_spaces_rebuild_the_frame(frames_built):

@@ -27,7 +27,7 @@ from stromlab.forms import (
     exterior_derivative_with_scale,
     form_power,
     hermitian_form,
-    i_ddbar,
+    hermitian_wedge,
     identity_residual,
     is_zero_scalar,
     mat_inv,
@@ -43,10 +43,10 @@ from stromlab import forms as forms_module
 from stromlab.calabi import CalabiParams, CanonicalBundleFrame, flat_torus_chart, fubini_study_cp1, theorem_metric_params
 from stromlab.hyperkahler import FLAT_CHART, eguchi_hanson, flat_model
 from stromlab.sampling import random_ansatz_params, sample_points
-from stromlab.twistor import TWISTOR_EH, TWISTOR_FLAT, AnsatzMetric, AnsatzParams, TwistorFrame
+from stromlab.twistor import C3_CHART, TWISTOR_EH, TWISTOR_FLAT, AnsatzMetric, AnsatzParams, TwistorFrame
 from stromlab import twistor as twistor_module
 
-from form_oracles import jet_del_dbar, pairwise_curvature_terms, square_residual, stacked, to_complex_components
+from form_oracles import i_ddbar, jet_del_dbar, pairwise_curvature_terms, square_residual, stacked, to_complex_components
 
 LINE = Chart("complex_line", ("zr", "zi"), ("zeta",))
 C2 = Chart("c2", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
@@ -906,6 +906,19 @@ def test_form_power_and_top_ratio_of_a_hermitian_form():
     # omega^2 / 2! = det(H) (i dz1^dzb1)^(i dz2^dzb2) = 4 det(H) dx1^dy1^dx2^dy2
     assert form_power(omega, 2).coefficient((0, 1, 2, 3)) == pytest.approx(2.0 * 4.0 * 1.75)
     assert top_ratio(form_power(omega, 2).scale(3.0), form_power(omega, 2)) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("chart", [C2, C3_CHART], ids=["c2", "c3"])
+def test_hermitian_wedge_matches_the_wedge_of_hermitian_forms(chart):
+    rng = np.random.default_rng(chart.dim)
+    m = chart.ncomplex
+    for _ in range(3):
+        A, B = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(2))
+        want = hermitian_form(chart, A.tolist()).wedge(hermitian_form(chart, B.tolist()))
+        got = hermitian_wedge(chart, A.tolist(), B.tolist())
+        assert got.degree == 4 and (got - want).sup() <= 1e-14 * want.sup()
+    A[0, 0] = math.nan
+    assert all(math.isnan(abs(c)) for c in hermitian_wedge(chart, A, B).to_vector())
 
 
 def test_top_ratio_rejects_a_form_that_is_not_positive():

@@ -213,6 +213,7 @@ TEST_ONLY_PUBLIC_NAMES = {
     "calabi.flat_torus_chart",
     "calabi.omega0_d_residual",
     "calabi.profile_ode_residual",
+    "forms.exterior_derivative",
     "forms.point",
     "sampling.sample_points",
     "strominger.radial_h_residual",

@@ -65,6 +65,7 @@ from form_oracles import (
     entry_forms,
     form_linear_combo,
     frame_gram,
+    i_ddbar,
     mp_gram_curvature,
     mp_wedge_trace,
     stacked,
@@ -963,8 +964,6 @@ def test_radial_residual_raises_a_domain_error_at_rho_zero():
 
 def test_radial_expansion_matches_dolbeault_machinery():
     # the quaternionic expansion of 2i dbar del h against i del dbar h from jets
-    from stromlab.forms import i_ddbar
-
     p = twistor_points(FLAT, 1, seed=109)[0]
     fr = TwistorFrame(FLAT, p, 3)
     rho = fr.x[0] * fr.x[0] + fr.x[1] * fr.x[1] + fr.x[2] * fr.x[2] + fr.x[3] * fr.x[3]
