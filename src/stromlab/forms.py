@@ -9,7 +9,12 @@ come out exact.
 
 The Dolbeault operators make no holomorphic-coordinate assumption: del
 and dbar are assembled from real partials through the (1,0)/(0,1)
-projectors of a pointwise almost complex structure.  Type decomposition
+projectors of an almost complex structure.  A structure
+(:class:`AlmostComplexStructure`) is one read-only complex array of
+Taylor rows, ``coeffs[i, w, v]`` the coefficient of the i-th monomial in
+the dx_w component of J dx_v, with one validity order and one support
+mask for all of it; it is built from its action on the complex basis in
+one array product (``acs_from_complex_action``).  Type decomposition
 of k-forms expands the projected basis differentials, which is exact (the
 sum of the parts reproduces the input).  :class:`TypeContext` holds that
 expansion as one dense array per degree, indexed by (row, p, output
@@ -478,89 +483,64 @@ def top_ratio(a: FormValue, b: FormValue):
 
 
 class AlmostComplexStructure:
-    """Endomorphism of the complexified cotangent space with square -identity.
+    """Endomorphism of the complexified cotangent space with square -identity, as one Taylor array.
 
-    ``mat[w][v]`` is the dx_w component of J dx_v; entries may be jets.
+    ``coeffs[i, w, v]`` is the coefficient of the i-th monomial of ``space``
+    in the dx_w component of J dx_v, for the monomials of degree <= ``order``,
+    which come first: row 0 holds J at the point and the rows of the x_u its
+    slopes, the layout of ``_taylor_rows``.  Every entry is valid to the one
+    ``order`` and supported on the variables of the one ``mask``.  A
+    constant structure has ``space`` and ``order`` None, mask 0 and the one
+    row of values.  The array is read-only, since a structure is shared
+    (``standard_context``).
     """
 
-    def __init__(self, chart: Chart, mat):
-        self.chart = chart
-        self.mat = mat
+    def __init__(self, chart: Chart, coeffs, space: JetSpace | None = None, order: int | None = None, mask: int = 0):
+        self.chart, self.space, self.order, self.mask = chart, space, order, mask
+        self.coeffs = np.array(coeffs, dtype=np.complex128).reshape(-1, chart.dim, chart.dim)
+        self.coeffs.flags.writeable = False
+
+    def taylor(self, order: int) -> np.ndarray:
+        """The rows of the monomials of degree <= ``order``; InsufficientJetOrder if J is valid below it."""
+        if self.space is not None:
+            _check_order(self.order, order)
+            return self.coeffs[: self.space.prefix_sizes[order]]
+        return self.coeffs
 
     def apply(self, form: FormValue) -> FormValue:
+        """J of a pointwise 1-form, with the values of the structure."""
         if form.degree != 1:
             raise DegreeError("almost complex structures act on 1-forms here")
-        terms: dict = {}
-        for (v,), c in form.terms.items():
-            for w in range(self.chart.dim):
-                entry = self.mat[w][v]
-                if is_zero_scalar(entry):
-                    continue
-                add = entry * c
-                terms[(w,)] = terms[(w,)] + add if (w,) in terms else add
-        return FormValue(self.chart, 1, terms)
+        return FormValue.from_vector(self.chart, 1, self.coeffs[0] @ form.to_vector())
 
 
 def standard_acs(chart: Chart) -> AlmostComplexStructure:
-    """The integrable structure making the chart's complex pairs holomorphic."""
-    n = chart.dim
-    mat = [[0.0 + 0.0j for _ in range(n)] for _ in range(n)]
+    """The integrable structure making the chart's complex pairs holomorphic: one row of values."""
+    J = np.zeros((chart.dim, chart.dim), dtype=np.complex128)
     for j in range(chart.ncomplex):
-        re, im = 2 * j, 2 * j + 1
         # J dz = i dz  <=>  J dx_re = -dx_im, J dx_im = dx_re
-        mat[im][re] = -1.0 + 0.0j
-        mat[re][im] = 1.0 + 0.0j
-    return AlmostComplexStructure(chart, mat)
+        J[2 * j + 1, 2 * j], J[2 * j, 2 * j + 1] = -1.0, 1.0
+    return AlmostComplexStructure(chart, J)
 
 
 def acs_from_complex_action(chart: Chart, action) -> AlmostComplexStructure:
     """Build the real matrix M = T action T^-1 from the action on [dz..., dzbar...].
 
-    ``action[l][k]`` is the phi_l component of J phi_k.  The Taylor
-    coefficients of the action are stacked into one (monomials, n^2) array
-    and sent to M in one product with the (n^2, n^2) matrix of
+    ``action[l][k]`` is the phi_l component of J phi_k, jets or numbers.
+    Their Taylor rows, to the lowest order of the jets (``_taylor_rows``),
+    are sent to M in one product with the (n^2, n^2) matrix of
     T[w, l] T^-1[k, v]; its entries are 0, +-1/2 and +-i/2, so every term
-    is exact and each entry of M sums its terms in (l, k) order.  An entry
-    of M is a jet valid to the lowest order, and supported on the union of
-    the masks, of the jet entries it combines, leaving out entries that are
-    zero within PRUNE_EPS; an entry that combines none is the complex 0.
+    is exact and each entry of M sums its terms in (l, k) order.  M is valid
+    to that order and supported on the union of the jets' masks.
     """
     n = chart.dim
     T, Tinv = _complex_basis_matrices(chart)
-    flat = [a for row in action for a in row]
-    jets = [a for a in flat if isinstance(a, Jet)]
-    space = jets[0].space if jets else None
-    top = max((a.order for a in jets), default=0)
-    rows = space.support(reduce(or_, (a.mask for a in jets)), top) if jets else np.zeros(1, dtype=np.intp)
-    stacked = np.zeros((len(rows), n * n), dtype=np.complex128)
-    is_jet = np.zeros(n * n, dtype=bool)
-    orders = np.full(n * n, top, dtype=np.int64)
-    masks = np.zeros(n * n, dtype=np.int64)
-    for i, a in enumerate(flat):
-        if isinstance(a, Jet):
-            if a.space is not space:
-                raise ValueError("jets from different spaces cannot be combined")
-            valid = np.searchsorted(space.degrees[rows], a.order, side="right")
-            stacked[:valid, i] = a.c[rows[:valid]]
-            is_jet[i], orders[i], masks[i] = True, a.order, a.mask
-        else:
-            stacked[0, i] = a
+    jets = [a for row in action for a in row if isinstance(a, Jet)]
+    order = min((a.order for a in jets), default=None)
+    space, rows = _taylor_rows(action, order or 0)
     coupling = np.einsum("wl,kv->lkwv", T, Tinv).reshape(n * n, n * n)
-    out = stacked @ coupling
-    # reach[i, j]: action entry i is not zero (NaN is not, as in is_zero_scalar) and enters M entry j
-    reach = (coupling != 0) & ~np.all(np.abs(stacked) < PRUNE_EPS, axis=0)[:, None]
-    jet_reach = reach & is_jet[:, None]
-    out_order = np.min(np.where(jet_reach, orders[:, None], top), axis=0)
-    out_mask = np.bitwise_or.reduce(np.where(reach, masks[:, None], 0), axis=0)
-    entries = []
-    for i, (jet, live) in enumerate(zip(jet_reach.any(axis=0), reach.any(axis=0))):
-        if jet:
-            c = np.zeros(space.size, dtype=np.complex128)
-            c[rows] = out[:, i]
-            entries.append(Jet(space, c, int(out_order[i]), int(out_mask[i])))
-        else:
-            entries.append(complex(out[0, i]) if live else 0.0 + 0.0j)
-    return AlmostComplexStructure(chart, [entries[w * n : (w + 1) * n] for w in range(n)])
+    coeffs = rows.reshape(len(rows), n * n) @ coupling
+    return AlmostComplexStructure(chart, coeffs, space, order, reduce(or_, (a.mask for a in jets), 0))
 
 
 @lru_cache(maxsize=None)
@@ -618,11 +598,12 @@ class TypeContext:
     C(n,k), C(n,k)): entry ``[0, p, J, I]`` is the dx_J coefficient of the
     (p, k-p) part of dx_I at the point, with multi-indices as rows in
     combinations order, and entry ``[1 + i, p, J, I]`` its d/dx_u for the
-    i-th variable u of the union mask of the structure's jet entries.  A
-    structure of plain complex numbers, or one whose jets are valid only to
-    order 0, has m = 0.
+    i-th variable u of the structure's mask.  A constant structure, or one
+    valid only to order 0, has m = 0.
 
-    Degree 1 stacks the projectors Q = (1 + iJ)/2 and P = (1 - iJ)/2.
+    Degree 1 stacks the projectors Q = (1 + iJ)/2 and P = (1 - iJ)/2 over
+    the rows of the structure's Taylor array (``AlmostComplexStructure.coeffs``)
+    that hold J at the point and its d/dx_u.
     Degree k <= dim/2 grows from degree k - 1 over an index plan (``_index_plan``):
     the (p,q) part of dx_I = dx_{I'} ^ dx_v is (p-1,q)(dx_{I'}) ^ P dx_v +
     (p,q-1)(dx_{I'}) ^ Q dx_v, and the dx_J coefficient of a (k-1)-form
@@ -648,23 +629,9 @@ class TypeContext:
         self.acs = acs
         self.chart = acs.chart
         n = self.chart.dim
-        entries = [e for row in acs.mat for e in row if isinstance(e, Jet)]
-        self._space, self._order, self._mask = None, None, 0
-        self._vars: list = []  # the variables u of the slope rows, in table order
-        if entries:
-            self._space = entries[0].space
-            self._order = min(1, *(e.order for e in entries))
-            self._mask = reduce(or_, (e.mask for e in entries))
-            if self._order == 1:
-                self._vars = [u for u in range(self._space.nvars) if self._mask >> u & 1]
-        rows = [0] + [self._space.first_order[u] for u in self._vars]
-        J = np.zeros((len(rows), n, n), dtype=np.complex128)
-        for w, row in enumerate(acs.mat):
-            for v, e in enumerate(row):
-                if isinstance(e, Jet):
-                    J[:, w, v] = e.c[rows]
-                else:
-                    J[0, w, v] = e
+        # the variables u of the slope rows, in table order: none on a structure valid to order 0 or constant
+        self._vars = [u for u in range(acs.mask.bit_length()) if acs.mask >> u & 1] if acs.order else []
+        J = acs.coeffs[[0] + [acs.space.first_order[u] for u in self._vars]]
         eye = np.zeros_like(J)
         eye[0] = np.eye(n)
         # the type axis counts p: Q dx_v is the (0,1) part of dx_v, P dx_v the (1,0) part
@@ -745,14 +712,14 @@ class TypeContext:
             vector[rows] = coeffs
             out = (tab[0] @ vector)[..., None]
         else:
-            space = self._space or jets[0].space
+            space = self.acs.space or jets[0].space
             if any(j.space is not space for j in jets):
                 raise ValueError("jets from different spaces cannot be combined")
             order = min(j.order for j in jets)
-            if self._order is not None:
-                order = min(order, self._order)
+            if self.acs.space is not None:
+                order = min(order, 1, self.acs.order)
             cmask = reduce(or_, (j.mask for j in jets))
-            mask = cmask | self._mask
+            mask = cmask | self.acs.mask
             cols = space.support(cmask, order)
             matrix = np.zeros((len(rank), len(cols)), dtype=np.complex128)
             for r, c in zip(rows, coeffs):
@@ -906,9 +873,7 @@ def _taylor_rows(entries, order: int):
     space = jets[0].space if jets else None
     if any(e.space is not space for e in jets):
         raise ValueError("jets from different spaces cannot be combined")
-    low = min((e.order for e in jets), default=order)
-    if low < order:
-        raise InsufficientJetOrder(f"a read at the point needs coefficients to order {order}; they are valid to order {low}")
+    _check_order(min((e.order for e in jets), default=order), order)
     size = space.prefix_sizes[order] if jets else 1
     rows = np.zeros((size, cells.size), dtype=np.complex128)
     for i, e in enumerate(cells.flat):
@@ -917,6 +882,12 @@ def _taylor_rows(entries, order: int):
         else:
             rows[0, i] = e
     return space, rows.reshape((size,) + cells.shape)
+
+
+def _check_order(valid: int, order: int) -> None:
+    """InsufficientJetOrder unless coefficients valid to ``valid`` reach ``order``."""
+    if valid < order:
+        raise InsufficientJetOrder(f"a read at the point needs coefficients to order {order}; they are valid to order {valid}")
 
 
 def _d_point(space: JetSpace, rows: np.ndarray, k: int) -> np.ndarray:
@@ -957,9 +928,9 @@ def _type_part(ctx: TypeContext, space: JetSpace | None, rows: np.ndarray, k: in
     tab = ctx._table(k)[:, p]
     out = rows @ tab[0].T
     if len(rows) > 1:
-        if ctx._order == 0:
+        if ctx.acs.order == 0:
             raise InsufficientJetOrder("the slopes of a type part need a structure valid to order 1")
-        if ctx._space is not None and space is not ctx._space:
+        if ctx.acs.space is not None and space is not ctx.acs.space:
             raise ValueError("jets from different spaces cannot be combined")
         if ctx._vars:
             out[space.first_order[ctx._vars]] += np.einsum("uJI,...I->u...J", tab[1:], rows[0])

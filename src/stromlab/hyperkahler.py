@@ -170,7 +170,9 @@ def kappa_third_jets(kh):
 
     ``kh`` is :func:`kappa_hermitian_jets`, whose base coordinates are the
     last four variables of its jets; on a flat model it is constant, so
-    every entry is exactly 0.
+    every entry is exactly 0.  These are the coefficients of the
+    dbar-system of ``twistor.frame_decompose``, which states the system
+    and, accepting flat models only, checks it with them at 0.
     """
     base = kh[0][0].space.nvars - 4
     return [

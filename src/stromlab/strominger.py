@@ -167,7 +167,7 @@ class AnsatzCurvatureData:
         # dL[:, i, v]: d/dx_v of L_i
         space, dL = _taylor_rows([[l.to_order(3).derivative(v) for v in range(n)] for l in self.Lvec], 2)
         mask = space.full_mask
-        J = _taylor_rows(fr.ctx.acs.mat, 2)[1]
+        J = fr.ctx.acs.taylor(2)
         dbar_L = (dL + 1j * _mul_coeffs(space, J[:, None], dL[:, :, None], 2, mask).sum(axis=-1)) * 0.5
         Ubar_inv = _taylor_rows(mat_inv([[e.conjugate().to_order(2) for e in row] for row in self.U]), 2)[1]
         # V[:, j, w] = sum_i dbar L_i Ubar^-1_ij, then W = sum_j V_j ^ conj(dbar L_j)

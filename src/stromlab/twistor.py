@@ -51,7 +51,6 @@ from .hyperkahler import (
     TWISTOR_FLAT,
     HyperkahlerModel,
     kappa_hermitian_jets,
-    kappa_third_jets,
     quaternion_action,
     triple_forms,
 )
@@ -136,8 +135,11 @@ class AnsatzParams:
 
         e^{2g} = alpha'/4 makes the torsion term match the curvature term
         exactly (certified numerically at machine precision for both the
-        constant and the radial h branch); h = -(3/2) log rho is the
-        nonconstant branch of the radial dichotomy.
+        constant and the radial h branch, on flat R^4 only); h = -(3/2) log
+        rho is the nonconstant branch of the radial dichotomy.  That h
+        comes from the radial reduction on flat R^4, and nothing certifies
+        the radial branch on another base: the anomaly is checked on flat
+        models alone.
         """
         gval = 0.5 * math.log(alpha_prime / 4.0)
         h_fn = _radial_h if radial_h else (lambda x1, x2, x3, x4: const_like(x1, 0.0))
@@ -368,11 +370,21 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     """Decompose {dw_1, dw_2} in {dzeta, theta_1, theta_2} and certify it.
 
     ``simp_residual`` checks the dbar-compatibility system satisfied by the
-    C, D coefficient fields; ``loc_residual`` the corresponding equation
-    for 2 zeta dbar L; ``reconstruction_residual`` compares dw with the
-    frame rebuilt from the Wirtinger derivatives L, C, D.  It reads the
-    point's kept frame, with its context and coefficients: the order-4 one
-    of the curvature data when that was built first.
+    C, D coefficient fields.  Over a general hyperkahler base it reads
+
+        dbar C_i = i (beta - i gamma) (C_i m_12 - D_i m_11),
+        dbar D_i = i (beta - i gamma) (C_i m_22 - D_i m_12),
+
+    with m_jk = kappa_{1 jbar kbar} thetabar_1 - kappa_{2 jbar kbar}
+    thetabar_2 (``hyperkahler.kappa_third_jets``).  The decomposition needs
+    the global coordinates w1, w2, so only flat models are accepted
+    (``w_field_jets``); there the Hessian is constant, every kappa_{i jbar
+    kbar} is exactly 0, and the system checked is dbar C_i = dbar D_i = 0.
+    ``loc_residual`` checks the corresponding equation for 2 zeta dbar L;
+    ``reconstruction_residual`` compares dw with the frame rebuilt from the
+    Wirtinger derivatives L, C, D.  It reads the point's kept frame, with
+    its context and coefficients: the order-4 one of the curvature data
+    when that was built first.
     """
     fr = twistor_frame(model, p, 3)
     L, C, D = fr.coefficients
@@ -385,27 +397,14 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     dw = [FormValue.from_vector(chart, 1, v) for v in d_fields[0, :2]]
     dbar = [FormValue.from_vector(chart, 1, v) for v in _type_part(ctx, space, d_fields[:, 2:], 1, 0)[0]]
     theta1, theta2 = (t.values() for t in theta_coframe_jets(fr))
-    theta1_bar, theta2_bar = theta1.conj(), theta2.conj()
-    third = [[[svalue(k) for k in row] for row in plane] for plane in kappa_third_jets(fr.kh)]
-    phase = svalue(1j * (fr.beta - 1j * fr.gamma))
     one_minus_alpha = svalue(1.0 - fr.alpha)
     two_zeta = svalue(2.0 * fr.zeta)
-    # kappa_{1 bar1 bar2} theta_bar1 - kappa_{2 bar1 bar2} theta_bar2 and friends
-    m112 = theta1_bar.scale(third[0][0][1]) - theta2_bar.scale(third[1][0][1])
-    m111 = theta1_bar.scale(third[0][0][0]) - theta2_bar.scale(third[1][0][0])
-    m122 = theta1_bar.scale(third[0][1][1]) - theta2_bar.scale(third[1][1][1])
 
-    simps = []
     locs = []
     rebuilds = []
     for i in range(2):
         c, d, l = svalue(C[i]), svalue(D[i]), svalue(L[i])
-        dbar_C, dbar_D, dbar_L = dbar[i], dbar[2 + i], dbar[4 + i]
-        rhs_C = (m112.scale(c) - m111.scale(d)).scale(phase)
-        rhs_D = (m122.scale(c) - m112.scale(d)).scale(phase)
-        simps.append((dbar_C - rhs_C).sup())
-        simps.append((dbar_D - rhs_D).sup())
-        lhs_L = dbar_L.scale(two_zeta)
+        lhs_L = dbar[4 + i].scale(two_zeta)
         rhs_L = -(theta1.scale(one_minus_alpha) - fr.dzb[0].scale(2.0)).scale(c) + (
             theta2.scale(one_minus_alpha) + fr.dzb[1].scale(2.0)
         ).scale(d)
@@ -416,7 +415,7 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     return FrameDecomposition(
         L=tuple(svalue(l) for l in L),
         E=tuple((svalue(C[i]), svalue(D[i])) for i in range(2)),
-        simp_residual=nan_max(simps),
+        simp_residual=nan_max(form.sup() for form in dbar[:4]),  # dbar C_i and dbar D_i
         loc_residual=nan_max(locs),
         reconstruction_residual=nan_max(rebuilds),
     )

@@ -10,7 +10,7 @@ from stromlab.forms import AlmostComplexStructure, FormValue, is_zero_scalar, ma
 
 
 def cotangent_dual_metric(omega: FormValue, J: AlmostComplexStructure):
-    """Inverse of g(X, Y) = omega(X, J Y): the induced metric on 1-forms."""
+    """Inverse of g(X, Y) = omega(X, J Y), with J at the point: the induced metric on 1-forms."""
     n = omega.chart.dim
     om = [[0.0 + 0.0j for _ in range(n)] for _ in range(n)]
     for (a, b), c in omega.terms.items():
@@ -21,7 +21,7 @@ def cotangent_dual_metric(omega: FormValue, J: AlmostComplexStructure):
         for w in range(n):
             acc = None
             for u in range(n):
-                jm = J.mat[w][u]  # (J_vec)_{u w} = mat[w][u]
+                jm = complex(J.coeffs[0, w, u])  # (J_vec)_{u w} = coeffs[0, w, u]
                 if is_zero_scalar(jm) or is_zero_scalar(om[v][u]):
                     continue
                 term = om[v][u] * jm

@@ -20,7 +20,6 @@ import mpmath
 import numpy as np
 
 from stromlab.forms import (
-    AlmostComplexStructure,
     DegreeError,
     FormValue,
     _complex_basis_matrices,
@@ -46,9 +45,14 @@ def form_linear_combo(forms, coeffs) -> FormValue:
     return out
 
 
-def acs_values(acs) -> AlmostComplexStructure:
-    """The structure with its jet entries replaced by their values at the point."""
-    return AlmostComplexStructure(acs.chart, [[svalue(e) for e in row] for row in acs.mat])
+def acs_entries(acs) -> list:
+    """The entries of a structure as jets, or as numbers on a constant one: ``[w][v]`` is the dx_w component of J dx_v."""
+    n = acs.chart.dim
+    if acs.space is None:
+        return [[complex(acs.coeffs[0, w, v]) for v in range(n)] for w in range(n)]
+    c = np.zeros((acs.space.size, n, n), dtype=np.complex128)
+    c[: len(acs.coeffs)] = acs.coeffs
+    return [[Jet(acs.space, c[:, w, v].copy(), acs.order, acs.mask) for v in range(n)] for w in range(n)]
 
 
 def quaternion_table(which: str, kh) -> list:
@@ -107,7 +111,7 @@ def square_residual(acs) -> float:
         for j in range(n):
             acc = 0.0 + 0.0j
             for k in range(n):
-                acc += svalue(acs.mat[i][k]) * svalue(acs.mat[k][j])
+                acc += complex(acs.coeffs[0, i, k]) * complex(acs.coeffs[0, k, j])
             target = -1.0 if i == j else 0.0
             residuals.append(abs(acc - target))
     return nan_max(residuals)
@@ -260,7 +264,7 @@ def mp_gram_curvature(H, acs, dps: int = 50) -> list:
         ddG = [[[[taylor[k][j][2][u][v].conjugate() for v in range(dim)] for u in range(dim)] for j in range(n)] for k in range(n)]
         Ginv = G**-1
         dGinv = [-Ginv * dG[u] * Ginv for u in range(dim)]
-        J = [[_mp_partials(e, dim, 1) for e in row] for row in acs.mat]
+        J = [[_mp_partials(e, dim, 1) for e in row] for row in acs_entries(acs)]
         P = [[((1 if w == v else 0) - 1j * J[w][v][0]) / 2 for v in range(dim)] for w in range(dim)]
         Q = [[(1 if w == v else 0) - P[w][v] for v in range(dim)] for w in range(dim)]
         dP = [[[-1j * J[w][v][1][u] / 2 for v in range(dim)] for w in range(dim)] for u in range(dim)]

@@ -287,7 +287,7 @@ def test_metric_is_positive_1_1():
     params = theorem_metric_params(FS)
     fr = CanonicalBundleFrame(FS, params, p, 1)
     omega = fr.metric.values()
-    from stromlab.forms import TypeContext, standard_acs, svalue
+    from stromlab.forms import TypeContext, standard_acs
 
     ctx = TypeContext(standard_acs(FS.total_chart))
     parts = ctx.decompose(omega)
@@ -297,7 +297,7 @@ def test_metric_is_positive_1_1():
     acs = standard_acs(FS.total_chart)
     for _ in range(8):
         v = [rng.uniform(-1, 1) for _ in range(4)]
-        jv = [sum(svalue(acs.mat[u][w]) * v[u] for u in range(4)).real for w in range(4)]
+        jv = [sum(complex(acs.coeffs[0, u, w]) * v[u] for u in range(4)).real for w in range(4)]
         assert evaluate(omega, v, jv).real > 0.0
 
 

@@ -1,6 +1,8 @@
 import math
 import random
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 import numpy as np
 import pytest
@@ -386,6 +388,30 @@ def test_standard_acs_eigenforms():
     assert (twice + eta).sup() <= 1e-15
 
 
+def test_the_shared_standard_structure_is_read_only():
+    # standard_context shares one structure across every point of a chart
+    acs = forms_module.standard_context(C2).acs
+    assert acs.coeffs.shape == (1, 4, 4) and (acs.space, acs.order, acs.mask) == (None, None, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        acs.coeffs[0, 0, 1] = 2.0
+    assert acs.coeffs[0, 0, 1] == 1.0
+
+
+def test_structure_rows_are_read_to_their_validity_order():
+    fr = twistor_structure_frame()
+    acs = fr.ctx.acs
+    space = fr.zr.space
+    assert acs.order == 4 and acs.taylor(2).shape == (space.prefix_sizes[2], 6, 6)
+    assert np.array_equal(acs.taylor(4), acs.coeffs)
+    with pytest.raises(InsufficientJetOrder, match="to order 5; they are valid to order 4"):
+        acs.taylor(5)
+    # a 1-form is mapped with the values at the point, and only a 1-form
+    eta = FormValue(TWISTOR_FLAT, 1, {(v,): complex(v + 1, -v) for v in range(6)})
+    assert np.array_equal(acs.apply(eta).to_vector(), acs.coeffs[0] @ eta.to_vector())
+    with pytest.raises(DegreeError):
+        acs.apply(eta.wedge(d_complex(TWISTOR_FLAT, 0)))
+
+
 def test_type_decompose_partition_and_projector_idempotence():
     import random
 
@@ -661,18 +687,26 @@ def test_acs_from_complex_action_matches_the_entrywise_sum():
         lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
         lambda: 0.0 + 0.0j,
     ]
-    for trial in range(4):
+    for trial in range(5):
         action = [[rng.choice(pool)() for _ in range(6)] for _ in range(6)]
-        got = acs_from_complex_action(TWISTOR_FLAT, action).mat
+        if trial == 4:  # numbers only: a constant structure
+            action = [[pool[3]() for _ in range(6)] for _ in range(6)]
+        acs = acs_from_complex_action(TWISTOR_FLAT, action)
+        jets = [a for a in sum(action, []) if isinstance(a, Jet)]
+        # one validity order, the lowest, and one mask, the union, for the whole structure
+        assert acs.order == min((a.order for a in jets), default=None)
+        assert acs.mask == reduce(or_, (a.mask for a in jets), 0)
+        assert len(acs.coeffs) == (x[0].space.prefix_sizes[acs.order] if jets else 1)
+        assert not acs.coeffs.flags.writeable
         want = acs_oracle(TWISTOR_FLAT, action)
-        for g, e in zip(sum(got, []), sum(want, [])):
-            assert isinstance(g, Jet) == isinstance(e, Jet)
+        for w, v in product(range(6), repeat=2):
+            e = want[w][v]
+            expect = np.zeros(len(acs.coeffs), dtype=np.complex128)
             if isinstance(e, Jet):
-                assert (g.order, g.mask) == (e.order, e.mask)
-                n = e.space.prefix_sizes[e.order]
-                assert np.array_equal(g.c[:n], e.c[:n])
+                expect[:] = e.c[: len(expect)]
             else:
-                assert g == e
+                expect[0] = e
+            assert np.array_equal(acs.coeffs[:, w, v], expect)
 
 
 def test_complex_components_cache_is_per_chart():
@@ -846,9 +880,8 @@ def test_del_dbar_at_point_raises_below_the_orders_it_reads():
     with pytest.raises(InsufficientJetOrder, match="to order 2; they are valid to order 1"):
         del_dbar_at_point(fr.ctx, FormValue(TWISTOR_FLAT, 2, low))
     # a structure whose jets are valid to order 0 has no slopes for the (1,2) projection
-    flat_acs = AlmostComplexStructure(
-        TWISTOR_FLAT, [[e.to_order(0) if isinstance(e, Jet) else e for e in row] for row in fr.ctx.acs.mat]
-    )
+    acs = fr.ctx.acs
+    flat_acs = AlmostComplexStructure(TWISTOR_FLAT, acs.coeffs[:1], acs.space, 0, acs.mask)
     with pytest.raises(InsufficientJetOrder, match="structure valid to order 1"):
         del_dbar_at_point(TypeContext(flat_acs), form)
     with pytest.raises(InsufficientJetOrder):

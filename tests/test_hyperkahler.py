@@ -36,7 +36,7 @@ from stromlab.jets import Jet, seed_jets, wirtinger
 from stromlab.twistor import TwistorFrame
 
 from coframe_oracle import coframe_gram
-from form_oracles import acs_values, quaternion_table
+from form_oracles import quaternion_table
 
 
 def sample_points(chart, n, seed, lo=-1.4, hi=1.4, min_r2=0.4):
@@ -61,7 +61,7 @@ def triple_values(model, p):
 def quaternion_at(model, p):
     """I, J and K on the 1-forms of the 4-manifold chart, at the point's values."""
     kh = kappa_hermitian_jets(model, seed_jets(p.coords, 2))
-    return {which: acs_values(quaternion_operator(kh, which, model.chart)) for which in "IJK"}
+    return {which: quaternion_operator(kh, which, model.chart) for which in "IJK"}
 
 
 # -- potential jets ----------------------------------------------------------

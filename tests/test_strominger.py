@@ -970,7 +970,7 @@ def test_radial_expansion_matches_dolbeault_machinery():
     h = rho.log() * (-1.5) + rho * 0.2  # generic radial profile
     direct = i_ddbar(fr.ctx, h).values()
 
-    d_rho = exterior_derivative(FormValue.scalar(fr.chart, rho))
+    d_rho = exterior_derivative(FormValue.scalar(fr.chart, rho)).values()
     prof_d1 = svalue((-1.5) * rho.reciprocal() + 0.2)
     prof_d2 = svalue(1.5 * (rho * rho).reciprocal())
     Id_rho = quaternion_operator(fr.kh, "I", fr.chart).apply(d_rho)
@@ -997,7 +997,7 @@ def test_quaternion_identity_on_twistor_chart():
     p = twistor_points(FLAT, 1, seed=113)[0]
     fr = TwistorFrame(FLAT, p, 2)
     rho = fr.x[0] * fr.x[0] + fr.x[1] * fr.x[1] + fr.x[2] * fr.x[2] + fr.x[3] * fr.x[3]
-    d_rho = exterior_derivative(FormValue.scalar(fr.chart, rho))
+    d_rho = exterior_derivative(FormValue.scalar(fr.chart, rho)).values()
     Id_rho = quaternion_operator(fr.kh, "I", fr.chart).apply(d_rho)
     Jd_rho = quaternion_operator(fr.kh, "J", fr.chart).apply(d_rho)
     Kd_rho = quaternion_operator(fr.kh, "K", fr.chart).apply(d_rho)

@@ -20,7 +20,7 @@ from stromlab.hyperkahler import flat_model
 from stromlab.jets import Jet, jet_space, seed_jets
 from stromlab.twistor import TWISTOR_FLAT, TwistorFrame
 
-from form_oracles import square_residual
+from form_oracles import acs_entries, square_residual
 
 C2 = Chart("c2", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
 
@@ -28,10 +28,11 @@ C2 = Chart("c2", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
 def projector_images(acs):
     """[Q dx_v, P dx_v] for each v: the (0,1) and (1,0) parts of dx_v."""
     n = acs.chart.dim
+    J = acs_entries(acs)
     images = []
     for v in range(n):
-        q = {(w,): ((1.0 if w == v else 0.0) + 1j * acs.mat[w][v]) * 0.5 for w in range(n)}
-        p = {(w,): ((1.0 if w == v else 0.0) - 1j * acs.mat[w][v]) * 0.5 for w in range(n)}
+        q = {(w,): ((1.0 if w == v else 0.0) + 1j * J[w][v]) * 0.5 for w in range(n)}
+        p = {(w,): ((1.0 if w == v else 0.0) - 1j * J[w][v]) * 0.5 for w in range(n)}
         images.append((FormValue(acs.chart, 1, q), FormValue(acs.chart, 1, p)))
     return images
 
@@ -68,9 +69,7 @@ def assert_forms_close(got, want, tol, size=1, upto=None):
 def conjugated_structure():
     """The standard structure of C^2 conjugated by a fixed random real matrix."""
     A = np.random.default_rng(7).normal(size=(4, 4))
-    J0 = np.array(standard_acs(C2).mat, dtype=np.complex128)
-    J = A @ J0 @ np.linalg.inv(A)
-    return AlmostComplexStructure(C2, [[complex(e) for e in row] for row in J])
+    return AlmostComplexStructure(C2, A @ standard_acs(C2).coeffs[0] @ np.linalg.inv(A))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
@@ -144,7 +143,7 @@ def reference_table(ctx, degree):
     """
     acs, n = ctx.acs, ctx.chart.dim
     multis = list(combinations(range(n), degree))
-    rows = [0] + ([ctx._space.first_order[u] for u in ctx._vars] if ctx._vars else [])
+    rows = [0] + [ctx.acs.space.first_order[u] for u in ctx._vars]
     out = np.zeros((len(rows), degree + 1, len(multis), len(multis)), dtype=np.complex128)
     for I, multi in enumerate(multis):
         for (p, _), part in reference_parts(acs, multi).items():
