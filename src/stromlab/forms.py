@@ -5,7 +5,9 @@ real coordinate differentials.  Coefficients may be plain complex numbers
 (pointwise values) or :class:`~stromlab.jets.Jet` objects (local Taylor
 data), and every operation here is generic over the two: the exterior
 derivative simply differentiates jet coefficients, so nested expressions
-come out exact.
+come out exact.  A term is dropped only when its coefficient is exactly
+zero (``is_zero_scalar``; a jet to its validity order), and no tolerance
+decides what a form holds.
 
 The Dolbeault operators make no holomorphic-coordinate assumption: del
 and dbar are assembled from real partials through the (1,0)/(0,1)
@@ -58,9 +60,9 @@ most, which is what every reader of one needs: d at the point of a part
 needs its slopes and no more.  ``del_dbar_at_point`` reads its form to
 order 2 and the value and slope rows of the type table of one degree
 higher, and ``gram_curvature`` its matrix to order 2 (its inverse, a jet
-elimination, to order 1) and the slope rows of the degree-1 table.  On a
-structure of plain complex numbers a projection keeps the order of the
-form.
+elimination without pivoting, ``mat_inv``, to order 1) and the slope rows
+of the degree-1 table.  On a structure of plain complex numbers a
+projection keeps the order of the form.
 
 The certificates of the package share five shapes, each written once at
 the end of this module with its normalisation: a form is closed
@@ -93,8 +95,6 @@ from operator import or_
 import numpy as np
 
 from .jets import InsufficientJetOrder, Jet, JetSpace
-
-PRUNE_EPS = 1e-300  # only exact-zero scale pruning; tolerances live in comparisons
 
 
 class ChartMismatch(Exception):
@@ -184,12 +184,12 @@ def nan_max(values) -> float:
 
 
 def is_zero_scalar(x) -> bool:
-    """Whether x is zero to within PRUNE_EPS; a jet is read to its validity order, NaN is never zero."""
+    """Whether x is exactly zero; a jet is read to its validity order, NaN is never zero."""
     if isinstance(x, Jet):
-        if abs(x.c[0]) >= PRUNE_EPS:  # the common case; NaN falls through
+        if x.c[0] != 0:  # the common case; NaN is not 0 either
             return False
-        return bool(np.all(np.abs(x.c[: x.space.prefix_sizes[x.order]]) < PRUNE_EPS))
-    return abs(x) < PRUNE_EPS
+        return not np.any(x.c[: x.space.prefix_sizes[x.order]])
+    return x == 0
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +229,8 @@ class FormValue:
 
     def to_vector(self) -> np.ndarray:
         """The coefficients of a pointwise form over the multi-indices in combinations order."""
+        if any(isinstance(c, Jet) for c in self.terms.values()):
+            raise TypeError("the form has jet coefficients; take .values() first")
         rank = _ranks(self.chart.dim, self.degree)
         out = np.zeros(len(rank), dtype=np.complex128)
         for m, c in self.terms.items():
@@ -369,23 +371,18 @@ def d_complex_bar(chart: Chart, j: int) -> FormValue:
     return FormValue(chart, 1, {(2 * j,): 1.0 + 0.0j, (2 * j + 1,): -1j})
 
 
-def complex_basis(chart: Chart) -> list:
-    """[dz_0 .. dz_{m-1}, dzbar_0 .. dzbar_{m-1}]."""
-    m = chart.ncomplex
-    return [d_complex(chart, j) for j in range(m)] + [d_complex_bar(chart, j) for j in range(m)]
-
-
 _BASIS_INV_CACHE: dict = {}  # chart -> (T, T^-1)
 
 
 def _complex_basis_matrices(chart: Chart):
-    """(T, T^-1): T sends complex-basis coefficients to real-basis ones; built once per chart."""
+    """(T, T^-1): T sends coefficients over [dz..., dzbar...] to real-basis ones; built once per chart."""
     pair = _BASIS_INV_CACHE.get(chart)
     if pair is None:
+        m = chart.ncomplex
         T = np.zeros((chart.dim, chart.dim), dtype=np.complex128)
-        for k, form in enumerate(complex_basis(chart)):
-            for (v,), c in form.terms.items():
-                T[v, k] = c
+        for j in range(m):  # dz_j = dx_2j + i dx_2j+1, dzbar_j = dx_2j - i dx_2j+1
+            T[2 * j, j] = T[2 * j, m + j] = 1.0
+            T[2 * j + 1, j], T[2 * j + 1, m + j] = 1j, -1j
         pair = _BASIS_INV_CACHE[chart] = (T, np.linalg.inv(T))
     return pair
 
@@ -731,7 +728,7 @@ class TypeContext:
             out[..., cols] = tab[0] @ matrix
             if order and self._vars:
                 out[..., space.first_order[self._vars]] += np.moveaxis(tab[1:] @ matrix[:, 0], 0, -1)
-        keep = ~np.all(np.abs(out) < PRUNE_EPS, axis=-1)  # NaN is kept, as in is_zero_scalar
+        keep = np.any(out != 0, axis=-1)  # NaN is kept, as in is_zero_scalar
         multis = list(rank)
         parts = []
         for part, kept in zip(out, keep):
@@ -795,37 +792,31 @@ def mat_det(A):
 
 
 def mat_inv(A):
-    """Gauss-Jordan with value-magnitude pivoting, generic over jets.
+    """The inverse of a Hermitian positive-definite matrix of jets or numbers, by Gauss-Jordan without pivoting.
 
-    A jet pivot is inverted once and multiplied by, which is exactly how a
-    jet division computes; a pointwise pivot divides, since x / s and
-    x * (1 / s) round differently.  Columns of ``work`` up to the pivot's
-    are never read again, so they are not updated.
+    Every matrix the package inverts is one (the kappa Hessian, a cotangent
+    Gram, Hbar, Ubar), and on those elimination without pivoting is stable
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 10),
+    so no step depends on the values of the entries: no row is swapped and
+    no zero multiplier is skipped.  Each pivot is inverted once and
+    multiplied by, which is how a jet division computes.  A pivot whose
+    value is 0 raises DomainError; on a matrix outside the contract a small
+    pivot loses digits silently.  Columns of ``work`` up to the pivot's are
+    never read again, so they are not updated.
     """
     n = len(A)
     work = [list(row) for row in A]
     inv = [[1.0 + 0.0j if i == j else 0.0 + 0.0j for j in range(n)] for i in range(n)]
     for col in range(n):
-        pivot = max(range(col, n), key=lambda r: smag(work[r][col]))
-        if smag(work[pivot][col]) == 0.0:
-            raise DomainError("singular matrix")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = work[col][col]
-        if isinstance(scale, Jet):
-            rs = scale.reciprocal()
-            work[col][col + 1 :] = [x * rs for x in work[col][col + 1 :]]
-            inv[col] = [x * rs for x in inv[col]]
-        else:
-            work[col][col + 1 :] = [x / scale for x in work[col][col + 1 :]]
-            inv[col] = [x / scale for x in inv[col]]
+        if svalue(work[col][col]) == 0:
+            raise DomainError("a pivot is 0: the matrix is singular or not positive definite")
+        rs = 1.0 / work[col][col]
+        work[col][col + 1 :] = [x * rs for x in work[col][col + 1 :]]
+        inv[col] = [x * rs for x in inv[col]]
         for r in range(n):
             if r == col:
                 continue
             f = work[r][col]
-            if is_zero_scalar(f):
-                continue
             for j in range(col + 1, n):
                 work[r][j] = work[r][j] - f * work[col][j]
             for j in range(n):
@@ -955,9 +946,10 @@ def gram_curvature(H, ctx: TypeContext):
     point takes one pointwise (1,1) projection for every entry.
 
     The value and the slopes of Hbar^-1 come from one ``mat_inv`` on the
-    entries read to order 1, a jet elimination with value pivoting.  The
-    pointwise alternatives, d(Hbar^-1) = -Hbar^-1 dHbar Hbar^-1 from an
-    explicit inverse or from LU solves, lose more digits at the domain edges
+    entries read to order 1, a jet elimination without pivoting, which is
+    stable since Hbar is Hermitian positive definite.  The pointwise
+    alternatives, d(Hbar^-1) = -Hbar^-1 dHbar Hbar^-1 from an explicit
+    inverse or from LU solves, lose more digits at the domain edges
     where Hbar is ill-conditioned (the Eguchi-Hanson cutoff |x| = 0.05a and
     the radial-h cutoff at base radius 0.03) and fail the asd and the
     anomaly gates there.

@@ -95,28 +95,51 @@ def balanced_residual(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoi
 
 
 class AnsatzCurvatureData:
-    """Shared jet assembly for the curvature-level operators (flat models only: the frame needs w1, w2).
+    """Shared jet assembly for the curvature-level operators on the point's kept order-4 frame.
 
     It reads the point's kept order-4 frame (``twistor_frame``), with its
     type context and frame coefficients, which ``frame_decompose`` then
     shares; the profiles of ``params`` and the metric sit beside the frame
-    in ``ansatz``.  The frame and quotient curvatures and tr(R ^ R) are
-    cached properties, so the operators reading them at one point pay for
-    each once.
+    in ``ansatz``.  The pieces of the frame Gram (the weights A and B, L and
+    the quotient Gram U), the frame and quotient curvatures and tr(R ^ R)
+    are cached properties, so the operators reading them at one point pay
+    for each once, and an operator that reads none of them, such as
+    ``hym_residual`` with a replacement curvature, builds only the frame
+    and the metric.  L and U need the global coordinates w1, w2, so only
+    flat models have them (``twistor.w_field_jets``).
     """
 
     def __init__(self, model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint):
-        self.fr = fr = twistor_frame(model, p, 4)
-        self.ansatz = ansatz = AnsatzMetric(fr, params)
-        L, C, D = fr.coefficients
-        self.A = fr.s * fr.s * (-2.0 * ansatz.g).exp() * 0.5
-        self.B = fr.s * fr.s * fr.s * (-2.0 * ansatz.h - ansatz.g).exp()
-        self.Lvec = [fr.zeta * L[0], fr.zeta * L[1]]
-        K = mat_inv(fr.kh)  # U = E K E^H
+        self.fr = twistor_frame(model, p, 4)
+        self.ansatz = AnsatzMetric(self.fr, params)
+
+    @cached_property
+    def A(self):
+        """s^2 / (2 e^{2g}), the weight of dzeta in the frame Gram."""
+        fr = self.fr
+        return fr.s * fr.s * (-2.0 * self.ansatz.g).exp() * 0.5
+
+    @cached_property
+    def B(self):
+        """s^3 / e^{2h+g}, the weight of the quotient Gram U in the frame Gram."""
+        fr = self.fr
+        return fr.s * fr.s * fr.s * (-2.0 * self.ansatz.h - self.ansatz.g).exp()
+
+    @cached_property
+    def Lvec(self) -> list:
+        """zeta L_i, with L_i the dzeta component of dw_i (``twistor.frame_coefficients``)."""
+        L = self.fr.coefficients[0]
+        return [self.fr.zeta * L[0], self.fr.zeta * L[1]]
+
+    @cached_property
+    def U(self) -> list:
+        """The quotient Gram E K E^H, with E the rows (C_i, D_i) and K the inverse of the kappa Hessian."""
+        _, C, D = self.fr.coefficients
+        K = mat_inv(self.fr.kh)
         E = [[C[0], D[0]], [C[1], D[1]]]
         EK = [[E[i][0] * K[0][j] + E[i][1] * K[1][j] for j in range(2)] for i in range(2)]
         Ebar = [[e.conjugate() for e in row] for row in E]
-        self.U = [[EK[i][0] * Ebar[j][0] + EK[i][1] * Ebar[j][1] for j in range(2)] for i in range(2)]
+        return [[EK[i][0] * Ebar[j][0] + EK[i][1] * Ebar[j][1] for j in range(2)] for i in range(2)]
 
     @cached_property
     def quotient_curvature(self) -> np.ndarray:

@@ -386,7 +386,7 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     its context and coefficients: the order-4 one of the curvature data
     when that was built first.
     """
-    fr = twistor_frame(model, p, 3)
+    fr = twistor_frame(model, p, 2)
     L, C, D = fr.coefficients
     chart, ctx = fr.chart, fr.ctx
     # every residual is read at its value: d w and the dbar terms come from d

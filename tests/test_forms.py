@@ -271,8 +271,8 @@ def random_masked_jet(space, rng):
     """A jet of validity order 1 to 4 whose coefficients vanish outside a random mask.
 
     Some slopes are exactly zero, with or without higher coefficients in their
-    variable, and some are tiny with nothing above them, so both ways that d
-    keeps or drops a derivative below PRUNE_EPS occur.
+    variable, and some are tiny with nothing above them, so d drops exactly
+    zero derivatives and keeps tiny ones.
     """
     mask = rng.randrange(1 << space.nvars)
     c = np.zeros(space.size, dtype=np.complex128)
@@ -581,6 +581,16 @@ def test_shape_residuals_fail_on_a_nan_that_is_not_first():
     assert not curvature_residual(stacked([[tiny, tiny]]), [omega, poisoned], ctx) <= 1e-8
 
 
+def test_pointwise_readers_refuse_a_form_with_jet_coefficients_by_name():
+    x = seed_jets((0.3, -0.2, 0.5, 0.1), 1)
+    form = FormValue(C2, 1, {(0,): x[0], (2,): 2.0 + 0.0j})
+    ctx = TypeContext(standard_acs(C2))
+    for read in (lambda: ctx.acs.apply(form), lambda: curvature_residual(np.zeros((1, 1, 6)), [form], ctx)):
+        with pytest.raises(TypeError, match=r"jet coefficients; take \.values\(\) first"):
+            read()
+    assert ctx.acs.apply(form.values()).to_vector().tolist() == [0.0, -0.3, 0.0, -2.0]
+
+
 def test_is_zero_scalar_reads_every_jet_coefficient():
     slope = seed_jets((0.0, 1.0), 2)[0]
     assert not is_zero_scalar(slope)
@@ -606,10 +616,12 @@ def test_mat_inv_raises_a_domain_error_on_a_singular_matrix():
         mat_inv([[x, y], [x * 2.0, y * 2.0]])
 
 
-def random_jet_matrix(n, rng, zero_leading):
-    """A seeded n x n matrix of order-3 jets in 6 variables, well conditioned in value.
+def random_jet_matrix(n, rng, zero_leading=False, hermitian=False):
+    """A seeded n x n matrix of order-3 jets in 6 variables, diagonally dominant in value.
 
-    With ``zero_leading`` the first two rows of a diagonally dominant matrix
+    With ``hermitian`` the entries below the diagonal are the conjugates of
+    those above and the diagonal is real, so the matrix is Hermitian
+    positive definite for n <= 3.  With ``zero_leading`` the first two rows
     are swapped and the leading entry's value is set to 0.
     """
     space = jet_space(6, 3)
@@ -619,7 +631,9 @@ def random_jet_matrix(n, rng, zero_leading):
         for j in range(n):
             c = 0.3 * (rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size))
             c[0] = (3.0 + rng.uniform()) if i == j else complex(*rng.uniform(-1.0, 1.0, 2))
-            row.append(Jet(space, c))
+            if hermitian and i == j:
+                c = c.real.astype(np.complex128)
+            row.append(rows[j][i].conjugate() if hermitian and j < i else Jet(space, c))
         rows.append(row)
     if zero_leading:
         rows[0], rows[1] = rows[1], rows[0]
@@ -627,13 +641,23 @@ def random_jet_matrix(n, rng, zero_leading):
     return rows
 
 
-@pytest.mark.parametrize("n,zero_leading", [(2, False), (3, True), (4, False)])
-def test_mat_inv_of_jet_matrices_against_the_identity(n, zero_leading, monkeypatch):
+def test_mat_inv_raises_a_domain_error_on_a_zero_pivot():
+    # elimination without pivoting: an invertible matrix with a zero leading value is refused, not permuted
+    A = random_jet_matrix(3, np.random.default_rng(43), zero_leading=True)
+    with pytest.raises(DomainError):
+        mat_inv(A)
+    with pytest.raises(DomainError):
+        mat_inv([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("n,hermitian", [(2, False), (3, True), (4, False)])
+def test_mat_inv_of_jet_matrices_against_the_identity(n, hermitian, monkeypatch):
     # oracle: A A^-1 = A^-1 A = I on every coefficient up to the validity
     # order, from plain jet products; one reciprocal per pivot
-    A = random_jet_matrix(n, np.random.default_rng(40 + n), zero_leading)
-    if zero_leading:
-        assert max(range(n), key=lambda r: abs(A[r][0].value)) != 0
+    A = random_jet_matrix(n, np.random.default_rng(40 + n), hermitian=hermitian)
+    if hermitian:
+        values = np.array([[e.value for e in row] for row in A])
+        assert np.array_equal(values, values.conj().T) and np.linalg.eigvalsh(values).min() > 0
     calls = []
     reciprocal = Jet.reciprocal
 
@@ -683,7 +707,7 @@ def test_acs_from_complex_action_matches_the_entrywise_sum():
     pool = [
         lambda: x[0] * x[1] * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
         lambda: (x[2] + 0.5).exp().to_order(2),
-        lambda: x[3] * 0.0,  # zero to within PRUNE_EPS: combines nothing
+        lambda: x[3] * 0.0,  # exactly zero: combines nothing
         lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
         lambda: 0.0 + 0.0j,
     ]

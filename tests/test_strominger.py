@@ -24,6 +24,7 @@ from stromlab.forms import (
     _ranks,
     closedness_residual,
     curvature_residual,
+    d_complex,
     del_dbar_at_point,
     exterior_derivative,
     gram_curvature,
@@ -558,6 +559,16 @@ def test_operators_that_need_w1_w2_refuse_eguchi_hanson_with_one_domain_error():
             op(EH, params, p)
 
 
+def test_hym_with_a_replacement_curvature_runs_on_eguchi_hanson():
+    # a replacement curvature needs only the frame and the metric, not the Gram pieces that need w1, w2
+    p = twistor_points(EH, 1, seed=74)[0]
+    chart = TWISTOR_EH
+    dz12 = d_complex(chart, 1).wedge(d_complex(chart, 2)).to_vector()
+    for params in (AnsatzParams.coupling_solution(), random_ansatz_params(seed=75, pair_index=0)):
+        assert hym_residual(EH, params, p, curvature=np.zeros((2, 2, 15), dtype=np.complex128)) == 0.0
+        assert not hym_residual(EH, params, p, curvature=np.broadcast_to(dz12, (2, 2, 15))) <= 1e-8
+
+
 def radial_points(radius):
     # zeta = 0.5 or 0.4 + 0.3i, the base along x1 or (1, 1, -1, 1)/2
     bases = [(radius, 0.0, 0.0, 0.0), (radius / 2, radius / 2, -radius / 2, radius / 2)]
@@ -657,7 +668,7 @@ def eh_perturbed_gram(p):
 
 
 def test_frame_decompose_reads_the_same_bits_from_the_curvature_data_frame():
-    # cold it builds an order-3 frame; after hym_residual it reads the kept order-4 one
+    # cold it builds an order-2 frame; after hym_residual it reads the kept order-4 one
     p = twistor_points(FLAT, 1, seed=171)[0]
     want = cold(frame_decompose, FLAT, p)
     jets._KEPT.clear()
