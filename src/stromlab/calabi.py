@@ -127,14 +127,15 @@ def solve_profile_f(s_const: float, c: float, c0: float, n: int) -> Profile:
     balanced condition over a base of constant Chern scalar s and complex
     dimension n: d(omega^n) = n [f' e^{nf} - (s/n) e^{c-f}] dR ^ omega_B^n,
     from rho_B ^ omega_B^{n-1} = (s/n) omega_B^n.  The returned profile is
-    self-certifying through :func:`profile_ode_residual`.
+    self-certifying through :func:`profile_ode_residual`, and raises
+    DomainError at an R where the argument of its log is not positive.
     """
     k = (n + 1) * (s_const / n) * math.exp(c)
 
     def fn(R):
         arg = R * k + c0
         if svalue(arg).real <= 0.0:
-            raise ValueError("profile argument must stay positive on the sampled range")
+            raise DomainError("profile argument must stay positive on the sampled range")
         return arg.log() * (1.0 / (n + 1))
 
     return Profile(fn)

@@ -47,13 +47,16 @@ dbar(Hbar^-1 del Hbar) of a Gram matrix), ``del_dbar_of_taylor`` and
 ``del_dbar_at_point`` (del dbar of a form of even degree; degree 0 gives
 del dbar f), and in the other modules ``w_form`` and
 ``curvature_identities`` and the dbar reads of ``frame_decompose``.  No
-operator of the package takes the jet-valued route (``exterior_derivative``,
-``TypeContext.decompose`` and ``project`` on forms with jet coefficients):
-the Calabi Ricci form, which is differentiated again, is a Wirtinger
-Hessian of log det G on the standard structure (``jets.wirtinger_hessian``),
-and its traces are cofactor sums over the Gram matrix.  The route stays as
-the oracle of the tests, and ``exterior_derivative_with_scale`` and the
-type tables are where the benchmark's tracer counts d and decompositions.
+operator of the package takes the jet-valued route, d of derivative jets
+(``exterior_derivative_with_scale``) and the contraction of the type table
+with jet coefficients (``TypeContext.decompose``): the Calabi Ricci form,
+which is differentiated again, is a Wirtinger Hessian of log det G on the
+standard structure (``jets.wirtinger_hessian``), and its traces are
+cofactor sums over the Gram matrix.  The route stays as the oracle of the
+tests, since it shares neither ``_d_point`` nor ``_type_part``, and the
+benchmark's tracer counts d and decompositions on it.  Its d inserts each
+index with a sign of its own, so it also checks the one parity rule that
+signs every wedge (``_merge_indices``).
 
 So a projection on a structure with jet entries is valid to order 1 at
 most, which is what every reader of one needs: d at the point of a part
@@ -317,29 +320,16 @@ class FormValue:
 
 
 def _merge_indices(ma: tuple, mb: tuple):
-    """Merge increasing index tuples; None if they collide, else (merged, sign)."""
-    if not ma:
-        return mb, 1
-    if not mb:
-        return ma, 1
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(ma) and j < len(mb):
-        a, b = ma[i], mb[j]
-        if a == b:
-            return None, 0
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            merged.append(b)
-            j += 1
-            if (len(ma) - i) % 2:
-                sign = -sign
-    merged.extend(ma[i:])
-    merged.extend(mb[j:])
-    return tuple(merged), sign
+    """(merged, sign) with dx_ma ^ dx_mb = sign dx_merged, for increasing index tuples.
+
+    Sorting ma + mb takes one transposition for each pair a in ma, b in mb
+    with a > b, so the sign is -1 to the number of such pairs.  Tuples that
+    share an index give (None, 0).
+    """
+    if not set(ma).isdisjoint(mb):
+        return None, 0
+    inversions = sum(a > b for a in ma for b in mb)
+    return tuple(sorted(ma + mb)), -1 if inversions % 2 else 1
 
 
 @lru_cache(maxsize=4096)
@@ -387,14 +377,12 @@ def _complex_basis_matrices(chart: Chart):
     return pair
 
 
-def exterior_derivative(form: FormValue) -> FormValue:
-    """d, coefficient-wise from exact jet partials; degree + 1."""
-    out, _ = exterior_derivative_with_scale(form)
-    return out
-
-
 def exterior_derivative_with_scale(form: FormValue):
-    """d plus the sup of individual partial contributions (cancellation scale)."""
+    """d of a form with jet coefficients, and the sup of the partials that enter it (cancellation scale).
+
+    Each d_v c dx_v ^ dx_I is inserted at its bisect position, with the sign
+    of that many transpositions, not through ``_merge_indices``.
+    """
     chart = form.chart
     terms: dict = {}
     mags = []
@@ -611,15 +599,15 @@ class TypeContext:
     is one signed permutation of degree dim - k (``_dual_table``), so on
     the 6-dimensional twistor chart degrees 4 and 5 come from 2 and 1.
 
-    Decomposing and projecting raise ChartMismatch for a form on another
-    chart, and contract the table with the form's
-    coefficient vector and build forms only for the result.  A pointwise
-    form contracts with the values.  A jet form contracts the values with
-    its Taylor coefficients and adds the slopes times its value to each x_u
-    coefficient: on a structure with jet entries the result is valid to
-    min(form order, 1), the order every reader of such a projection needs,
-    and on a constant structure it keeps the form's order.  Its jets carry
-    the union of the form's and the structure's masks.
+    Decomposing raises ChartMismatch for a form on another chart, and
+    contracts the table with the form's coefficient vector and builds forms
+    only for the result.  A pointwise form contracts with the values.  A
+    jet form contracts the values with its Taylor coefficients and adds the
+    slopes times its value to each x_u coefficient: on a structure with jet
+    entries the result is valid to min(form order, 1), the order every
+    reader of such a projection needs, and on a constant structure it keeps
+    the form's order.  Its jets carry the union of the form's and the
+    structure's masks.
     """
 
     def __init__(self, acs: AlmostComplexStructure):
@@ -695,11 +683,11 @@ class TypeContext:
         if form.chart is not self.chart and form.chart != self.chart:
             raise ChartMismatch(f"a form on {form.chart.name!r} read by the context of {self.chart.name!r}")
 
-    def _parts(self, form: FormValue, types: slice) -> list:
-        """The (p, k-p) parts of a k-form, for p in ``range(k + 1)[types]``."""
+    def _parts(self, form: FormValue) -> list:
+        """The (p, k-p) parts of a k-form, for p = 0 .. k."""
         k = form.degree
         rank = _index_plan(self.chart.dim, k)[0]
-        tab = self._table(k)[:, types]
+        tab = self._table(k)
         rows = [rank[m] for m in form.terms]
         coeffs = list(form.terms.values())
         jets = [c for c in coeffs if isinstance(c, Jet)]
@@ -747,16 +735,7 @@ class TypeContext:
             return {(0, 0): form}
         if not form.terms:
             return {}
-        return {(p, k - p): part for p, part in enumerate(self._parts(form, slice(None)))}
-
-    def project(self, form: FormValue, p: int, q: int) -> FormValue:
-        self._check_chart(form)
-        k = form.degree
-        if k == 0:
-            return form if (p, q) == (0, 0) else FormValue.zero(self.chart, 0)
-        if p + q != k or p < 0 or q < 0 or not form.terms:
-            return FormValue.zero(self.chart, k)
-        return self._parts(form, slice(p, p + 1))[0]
+        return {(p, k - p): part for p, part in enumerate(self._parts(form))}
 
 
 @lru_cache(maxsize=None)

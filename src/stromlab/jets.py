@@ -239,9 +239,10 @@ def kept(key, order: int, build):
     low coefficients of a truncated product or composition do not depend
     on the truncation order, so a reader gets the same bits from a value
     built for a higher order.  Keys compare by value: the ``AnsatzParams``
-    constructors and ``random_ansatz_params`` give equal params for equal
-    arguments, while Calabi params hold closures and are keyed by identity
-    (each caller builds them once).
+    constructors (whose profiles are constants held by value and module
+    functions) and ``random_ansatz_params`` give equal params for equal
+    arguments, however they are spelled, while Calabi params hold closures
+    and are keyed by identity (each caller builds them once).
     """
     stamp = jet_space(1, 0)
     got = _KEPT.pop(key, None)
@@ -317,7 +318,7 @@ class Jet:
         return Jet(space, c, order, 0)
 
     @staticmethod
-    def variable(space: JetSpace, v: int, value, order: int | None = None) -> "Jet":
+    def variable(space: JetSpace, v: int, value) -> "Jet":
         """Coordinate seed: value + (x_v - p_v)."""
         c = np.zeros(space.size, dtype=np.complex128)
         c[0] = value
@@ -325,7 +326,7 @@ class Jet:
             unit = [0] * space.nvars
             unit[v] = 1
             c[space.index[tuple(unit)]] = 1.0
-        return Jet(space, c, order, 1 << v)
+        return Jet(space, c, mask=1 << v)
 
     # -- queries ------------------------------------------------------
 

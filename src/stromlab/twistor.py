@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 from .forms import (
     AlmostComplexStructure,
@@ -57,10 +57,6 @@ from .hyperkahler import (
 from .jets import Jet, kept, seed_jets, wirtinger
 
 C3_CHART = Chart("c3", ("zr", "zi", "w1r", "w1i", "w2r", "w2i"), ("zeta", "w1", "w2"))
-
-
-def const_like(jet: Jet, value) -> Jet:
-    return Jet.constant(jet.space, value, jet.order)
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +100,30 @@ def _radial_h(x1: Jet, x2: Jet, x3: Jet, x4: Jet) -> Jet:
 
 
 @dataclass(frozen=True)
+class _Constant:
+    """The profile of constant ``value``: a constant jet in the space and at the order of its first argument."""
+
+    value: float
+
+    def __call__(self, first: Jet, *_: Jet) -> Jet:
+        return Jet.constant(first.space, self.value, first.order)
+
+
+def _log_s_squared(zr: Jet, zi: Jet) -> Jet:
+    """g = 2 log s with s = 1 + |zeta|^2, the profile of the constant-norm branch."""
+    return (zr * zr + zi * zi + 1.0).log() * 2.0
+
+
+@dataclass(frozen=True)
 class AnsatzParams:
     """Conformal profiles of the ansatz metric.
 
     ``g_fn(zr, zi)`` and ``h_fn(x1, x2, x3, x4)`` take jets and return a
     jet; both must be real-valued.  ``alpha_prime`` is the coupling
     constant of the anomaly equation.
-    Its constructors are cached: a repeated call returns one object, but a
-    different spelling of the same arguments (keyword vs positional) is a
-    different cache entry and an unequal object.
+    Params compare by value: the constructors build their profiles from
+    ``_Constant`` values and module functions, so equal arguments, however
+    they are spelled, give equal params with equal hashes.
     """
 
     g_fn: object
@@ -120,16 +131,10 @@ class AnsatzParams:
     alpha_prime: float = 2.0
 
     @staticmethod
-    @cache
     def constants(g: float = 0.0, h: float = 0.0, alpha_prime: float = 2.0) -> "AnsatzParams":
-        return AnsatzParams(
-            g_fn=lambda zr, zi: const_like(zr, g),
-            h_fn=lambda x1, x2, x3, x4: const_like(x1, h),
-            alpha_prime=alpha_prime,
-        )
+        return AnsatzParams(_Constant(g), _Constant(h), alpha_prime)
 
     @staticmethod
-    @cache
     def coupling_solution(alpha_prime: float = 2.0, radial_h: bool = False) -> "AnsatzParams":
         """The constant conformal factor solving the anomaly equation.
 
@@ -142,17 +147,12 @@ class AnsatzParams:
         models alone.
         """
         gval = 0.5 * math.log(alpha_prime / 4.0)
-        h_fn = _radial_h if radial_h else (lambda x1, x2, x3, x4: const_like(x1, 0.0))
-        return AnsatzParams(lambda zr, zi: const_like(zr, gval), h_fn, alpha_prime)
+        return AnsatzParams(_Constant(gval), _radial_h if radial_h else _Constant(0.0), alpha_prime)
 
     @staticmethod
-    @cache
     def constant_norm_branch() -> "AnsatzParams":
         """h = 0 and g = 2 log s, the branch where the volume form has constant norm."""
-        return AnsatzParams(
-            g_fn=lambda zr, zi: (zr * zr + zi * zi + 1.0).log() * 2.0,
-            h_fn=lambda x1, x2, x3, x4: const_like(x1, 0.0),
-        )
+        return AnsatzParams(_log_s_squared, _Constant(0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Checks and generic routes that only the tests use.
 
 Each one computes by a route no operator of the package takes, so the
-tests can hold the package's closed forms against it: a form evaluated on
+tests can hold the package's closed forms against it: d of a form of
+derivative jets and its type parts through the jet-valued contraction of
+the type table (``exterior_derivative`` and ``project``), a form evaluated on
 tangent vectors by minors, J^2 = -1 entry by entry, metric
 skew-hermiticity of a curvature, the tables of I, J and K written out
 entry by entry, the frame Gram of the twistor ansatz, the complex
@@ -24,7 +26,7 @@ from stromlab.forms import (
     FormValue,
     _complex_basis_matrices,
     del_dbar_at_point,
-    exterior_derivative,
+    exterior_derivative_with_scale,
     form_power,
     identity_residual,
     mat_det,
@@ -153,6 +155,16 @@ def pairwise_curvature_terms(F, forms, ctx):
     return nan_max(sups), nan_max(scales)
 
 
+def exterior_derivative(form: FormValue) -> FormValue:
+    """d of a form with jet coefficients through derivative jets: ``exterior_derivative_with_scale`` without its scale."""
+    return exterior_derivative_with_scale(form)[0]
+
+
+def project(ctx, form: FormValue, p: int, q: int) -> FormValue:
+    """The (p, q) part of a form on ``ctx`` through the jet-valued ``TypeContext.decompose``; 0 if it has none."""
+    return ctx.decompose(form).get((p, q), FormValue.zero(ctx.chart, form.degree))
+
+
 def jet_del_dbar(ctx, form: FormValue) -> FormValue:
     """del dbar of a (q,q)-form at the point through derivative jets and jet-valued projections.
 
@@ -163,14 +175,14 @@ def jet_del_dbar(ctx, form: FormValue) -> FormValue:
     coefficients as arrays.
     """
     q = form.degree // 2
-    dbar = ctx.project(exterior_derivative(form), q, q + 1)
-    return ctx.project(exterior_derivative(dbar).values(), q + 1, q + 1)
+    dbar = project(ctx, exterior_derivative(form), q, q + 1)
+    return project(ctx, exterior_derivative(dbar).values(), q + 1, q + 1)
 
 
 def i_ddbar(ctx, f):
     """i del dbar f with jet coefficients, through derivative jets and jet-valued projections; real (1,1) for real f."""
-    dbar_f = ctx.project(exterior_derivative(FormValue.scalar(ctx.chart, f)), 0, 1)
-    return ctx.project(exterior_derivative(dbar_f), 1, 1).scale(1j)
+    dbar_f = project(ctx, exterior_derivative(FormValue.scalar(ctx.chart, f)), 0, 1)
+    return project(ctx, exterior_derivative(dbar_f), 1, 1).scale(1j)
 
 
 def read_to(form: FormValue, order: int) -> FormValue:

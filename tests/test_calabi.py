@@ -329,7 +329,7 @@ def test_profile_zero_scalar_is_constant():
 def test_profile_domain_error():
     prof = solve_profile_f(-1.0, 0.0, 0.5, 1)  # argument crosses zero
     space = jet_space(1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         prof(Jet.variable(space, 0, 5.0))
 
 

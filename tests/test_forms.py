@@ -25,7 +25,6 @@ from stromlab.forms import (
     d_complex,
     d_complex_bar,
     del_dbar_at_point,
-    exterior_derivative,
     exterior_derivative_with_scale,
     form_power,
     hermitian_form,
@@ -48,7 +47,16 @@ from stromlab.sampling import random_ansatz_params, sample_points
 from stromlab.twistor import C3_CHART, TWISTOR_EH, TWISTOR_FLAT, AnsatzMetric, AnsatzParams, TwistorFrame
 from stromlab import twistor as twistor_module
 
-from form_oracles import i_ddbar, jet_del_dbar, pairwise_curvature_terms, square_residual, stacked, to_complex_components
+from form_oracles import (
+    exterior_derivative,
+    i_ddbar,
+    jet_del_dbar,
+    pairwise_curvature_terms,
+    project,
+    square_residual,
+    stacked,
+    to_complex_components,
+)
 
 LINE = Chart("complex_line", ("zr", "zi"), ("zeta",))
 C2 = Chart("c2", ("x1", "x2", "x3", "x4"), ("z1", "z2"))
@@ -222,6 +230,32 @@ def test_wedge_plan_is_built_once_per_term_pattern():
     FormValue(TWISTOR_FLAT, 1, {(0,): -3.0, (3,): 0.25}).wedge(b)
     after = forms_module._wedge_plan.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def sequence_dets(seqs, targets) -> np.ndarray:
+    """``[s, t]``: det of the 0/1 matrix sending sequence ``seqs[s]`` onto ``targets[t]``, rounded.
+
+    That is the sign of the permutation when the sequence is one of the
+    target, and 0 when an index repeats or misses the target.
+    """
+    seqs, targets = np.array(seqs).reshape(len(seqs), -1), np.array(targets).reshape(len(targets), -1)
+    return np.rint(np.linalg.det(1.0 * (seqs[:, None, :, None] == targets[None, :, None, :])))
+
+
+def test_sign_plans_against_determinants():
+    # every wedge sign and complement sign as a determinant, not by counting transpositions
+    for n in range(1, 7):
+        for ka in range(n + 1):
+            for kb in range(n + 1 - ka):
+                seqs = [I + J for I in combinations(range(n), ka) for J in combinations(range(n), kb)]
+                want = sequence_dets(seqs, list(combinations(range(n), ka + kb)))
+                assert np.array_equal(forms_module._wedge_signs(n, ka, kb), want), (n, ka, kb)
+        for k in range(n + 1):
+            comp, signs = forms_module._complement(n, k)
+            rest = list(combinations(range(n), n - k))
+            seqs = [L + rest[c] for L, c in zip(combinations(range(n), k), comp)]
+            assert all(set(seq) == set(range(n)) for seq in seqs), (n, k)
+            assert np.array_equal(signs, sequence_dets(seqs, [tuple(range(n))])[:, 0]), (n, k)
 
 
 # -- exterior derivative ----------------------------------------------------
@@ -428,7 +462,7 @@ def test_type_decompose_partition_and_projector_idempotence():
         total = total + f
     assert (total - eta).sup() <= 1e-14
     for (p, q), f in parts.items():
-        again = ctx.project(f, p, q)
+        again = project(ctx, f, p, q)
         assert (again - f).sup() <= 1e-12
 
 
@@ -448,7 +482,7 @@ def test_dbar_kills_holomorphic_monomial():
     z2 = jets[2] + 1j * jets[3]
     f = z1 * z1 * z2
     acs = standard_acs(C2)
-    dbar = TypeContext(acs).project(exterior_derivative(FormValue.scalar(C2, f)), 0, 1)
+    dbar = project(TypeContext(acs), exterior_derivative(FormValue.scalar(C2, f)), 0, 1)
     assert dbar.values().sup() <= 1e-13
 
 
@@ -943,14 +977,14 @@ def test_type_context_refuses_a_form_off_its_chart():
     form = FormValue(FLAT_CHART, 2, {(0, 1): 1.0 + 0.0j, (2, 3): 1.0 + 0.0j})
     ctx = forms_module.standard_context(TWISTOR_FLAT)
     with pytest.raises(ChartMismatch):
-        ctx.project(form, 1, 1)
+        project(ctx, form, 1, 1)
     with pytest.raises(ChartMismatch):
         ctx.decompose(form)
     with pytest.raises(ChartMismatch):
         ctx.decompose(FormValue.scalar(FLAT_CHART, 1.0))
     # a chart equal by value is the same chart
     same = Chart(TWISTOR_FLAT.name, TWISTOR_FLAT.coords, TWISTOR_FLAT.complex_names)
-    assert ctx.project(FormValue(same, 2, {(0, 1): 1.0 + 0.0j}), 1, 1).chart == TWISTOR_FLAT
+    assert project(ctx, FormValue(same, 2, {(0, 1): 1.0 + 0.0j}), 1, 1).chart == TWISTOR_FLAT
 
 
 # -- top forms -----------------------------------------------------------------

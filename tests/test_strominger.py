@@ -26,7 +26,6 @@ from stromlab.forms import (
     curvature_residual,
     d_complex,
     del_dbar_at_point,
-    exterior_derivative,
     gram_curvature,
     mat_inv,
     matrix_wedge_trace,
@@ -64,11 +63,13 @@ from stromlab.strominger import (
 from form_oracles import (
     conjugation_residual,
     entry_forms,
+    exterior_derivative,
     form_linear_combo,
     frame_gram,
     i_ddbar,
     mp_gram_curvature,
     mp_wedge_trace,
+    project,
     stacked,
 )
 
@@ -192,19 +193,19 @@ def jet_path_curvature(H, ctx):
     n = len(H)
     Hbar = [[e.conjugate() for e in row] for row in H]
     Hbar_inv = mat_inv(Hbar)
-    del_Hbar = [[ctx.project(exterior_derivative(FormValue.scalar(ctx.chart, e)), 1, 0) for e in row] for row in Hbar]
+    del_Hbar = [[project(ctx, exterior_derivative(FormValue.scalar(ctx.chart, e)), 1, 0) for e in row] for row in Hbar]
     X = [
         [form_linear_combo([del_Hbar[k][j] for k in range(n)], [Hbar_inv[i][k] for k in range(n)]) for j in range(n)]
         for i in range(n)
     ]
-    R = [[ctx.project(exterior_derivative(X[i][j]), 1, 1).values() for j in range(n)] for i in range(n)]
+    R = [[project(ctx, exterior_derivative(X[i][j]), 1, 1).values() for j in range(n)] for i in range(n)]
     terms = []
     for i in range(n):
         for k in range(n):
             d_inv = exterior_derivative(FormValue.scalar(ctx.chart, Hbar_inv[i][k])).values()
             for j in range(n):
-                terms.append(ctx.project(d_inv.wedge(del_Hbar[k][j].values()), 1, 1))
-                terms.append(ctx.project(exterior_derivative(del_Hbar[k][j]).values().scale(svalue(Hbar_inv[i][k])), 1, 1))
+                terms.append(project(ctx, d_inv.wedge(del_Hbar[k][j].values()), 1, 1))
+                terms.append(project(ctx, exterior_derivative(del_Hbar[k][j]).values().scale(svalue(Hbar_inv[i][k])), 1, 1))
     return R, nan_max(t.sup() for t in terms)
 
 
@@ -365,7 +366,7 @@ def test_one_point_builds_the_quotient_and_frame_curvatures_once(monkeypatch):
 
 
 def test_params_named_per_operator_share_one_curvature_data(monkeypatch):
-    # each operator names the coupling solution itself; the constructor's cache makes them one
+    # each operator names the coupling solution itself; equal params make them one
     # key, so the point builds U and the frame Gram once (5 gram_curvature calls and three
     # order-4 frames when every call made new, unequal params)
     p = twistor_points(FLAT, 1, seed=187)[0]
@@ -814,7 +815,7 @@ def test_hym_counterexample_random_curvature():
         2,
         {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in [(0, 2), (1, 3), (2, 3), (2, 4)]},
     )
-    fake_entry = ctx.project(base, 1, 1)
+    fake_entry = project(ctx, base, 1, 1)
     fake = stacked([[fake_entry, fake_entry.scale(0.3)], [fake_entry.scale(-0.2), fake_entry]])
     assert hym_residual(FLAT, AnsatzParams.constants(), p, curvature=fake) >= 1e-2
 
@@ -824,7 +825,7 @@ def test_hym_catches_a_pure_2_0_curvature_entry_by_purity_alone():
     p = twistor_points(FLAT, 1, seed=67)[0]
     params = AnsatzParams.coupling_solution()
     data = AnsatzCurvatureData(FLAT, params, p)
-    pure = data.fr.ctx.project(FormValue(p.chart, 2, {(0, 2): 0.6, (1, 3): 0.4j, (2, 4): -0.5}), 2, 0)
+    pure = project(data.fr.ctx, FormValue(p.chart, 2, {(0, 2): 0.6, (1, 3): 0.4j, (2, 4): -0.5}), 2, 0)
     omega = data.ansatz.metric.values()
     assert pure.sup() >= 0.1
     assert pure.wedge(omega.wedge(omega)).sup() <= 1e-13

@@ -9,7 +9,6 @@ from stromlab.forms import (
     FormValue,
     d_complex,
     d_complex_bar,
-    exterior_derivative,
     form_power,
     mat_inv,
     nan_max,
@@ -37,7 +36,7 @@ from stromlab.twistor import (
 )
 
 from coframe_oracle import coframe_gram
-from form_oracles import evaluate, square_residual, to_complex_components
+from form_oracles import evaluate, exterior_derivative, project, square_residual, to_complex_components
 
 FLAT = flat_model()
 EH = eguchi_hanson(1.0)
@@ -264,12 +263,18 @@ def test_norm_constant_on_branch():
         assert n == pytest.approx(norms[0], rel=1e-10)
 
 
-def test_ansatz_constructors_return_one_object_per_argument_list():
-    # the point memo keys on params, so a constructor called twice must give an equal key
-    assert AnsatzParams.coupling_solution() is AnsatzParams.coupling_solution()
-    assert AnsatzParams.coupling_solution(radial_h=True) is AnsatzParams.coupling_solution(radial_h=True)
-    assert AnsatzParams.constants() is AnsatzParams.constants()
-    assert AnsatzParams.constant_norm_branch() is AnsatzParams.constant_norm_branch()
+def test_ansatz_constructors_give_equal_params_for_equal_arguments():
+    # the point memo keys on params, so equal arguments, however spelled, must give an equal key
+    spellings = [AnsatzParams.coupling_solution(), AnsatzParams.coupling_solution(2.0), AnsatzParams.coupling_solution(alpha_prime=2.0)]
+    for params in spellings[1:]:
+        assert params == spellings[0] and hash(params) == hash(spellings[0])
+    for build in (
+        lambda: AnsatzParams.coupling_solution(radial_h=True),
+        AnsatzParams.constants,
+        AnsatzParams.constant_norm_branch,
+    ):
+        assert build() == build() and hash(build()) == hash(build())
+    assert AnsatzParams.constants(0.5, 0.25) == AnsatzParams.constants(h=0.25, g=0.5)
     assert AnsatzParams.coupling_solution() != AnsatzParams.coupling_solution(radial_h=True)
 
 
@@ -339,7 +344,7 @@ def test_w_differentials_are_holomorphic():
             parts = fr.ctx.decompose(dw.values())
             scale = max(1.0, dw.values().sup())
             assert parts.get((0, 1), FormValue.zero(fr.chart, 1)).sup() <= 1e-10 * scale
-            dbar_dw = fr.ctx.project(exterior_derivative(dw), 1, 1)
+            dbar_dw = project(fr.ctx, exterior_derivative(dw), 1, 1)
             assert dbar_dw.values().sup() <= 1e-10 * scale
 
 
@@ -409,7 +414,7 @@ def test_del_theta1_matches_closed_form():
     for p in twistor_points(FLAT, 3, seed=97):
         fr = TwistorFrame(FLAT, p, 3)
         t1, _ = theta_coframe_jets(fr)
-        del_t1 = fr.ctx.project(exterior_derivative(t1), 2, 0)
+        del_t1 = project(fr.ctx, exterior_derivative(t1), 2, 0)
         zeta = svalue(fr.zeta)
         alpha = svalue(fr.alpha)
         expected = fr.dzeta.wedge(t1.values()).scale(-(1.0 + alpha) / (2.0 * zeta))
