@@ -17,8 +17,8 @@ closures, so they compare by identity and a caller builds them once.
 The operators share one :class:`CanonicalBundleFrame` per (base, params,
 point).  A frame caches, each built on first use:
 
-- ``metric``, the jet-valued (1,1)-form, valid to the frame's order;
-- ``gram``, its Gram matrix G = [g_{a bbar}] (``hermitian_matrix_of``);
+- ``metric``, the (1,1)-form, one read-only Taylor array valid to the order;
+- ``gram``, its Gram matrix G = [g_{a bbar}] (``forms.hermitian_matrix_of``);
 - ``det``, det G, computed once;
 - ``ricci``, the Chern-Ricci matrix P = -[d_a dbar_b log det G], a
   Wirtinger Hessian valid to order - 2 (``ricci_matrix``);
@@ -31,9 +31,8 @@ Ricci form is built.  A frame's order is the validity order of its metric.
 Only the fiber part of the metric differentiates anything, and only R, so
 only the seeds, the base metric, its determinant h and R are built to
 order + 1; u, v, f, g and the factor R^-1 e^{v+g} are built to the order.
-The metric is built product by product: stacked into one array product its
-order-6 jets cost more (see ``jets._mul_coeffs``).  Every frame on a chart
-reads the chart's one shared type context (``forms.standard_context``).
+At order 6 the metric's products go column by column (``forms._products``).
+Every frame on a chart reads the chart's shared ``forms.standard_context``.
 ``_frame`` keeps frames by the rule of ``jets.kept``, which keeps two
 values: a point certifies the theorem metric and then a must-fail profile,
 and the theorem frame survives the second.  Each operator reads the frame
@@ -54,13 +53,12 @@ from .forms import (
     DomainError,
     FormValue,
     TypeContext,
-    _complex_basis_matrices,
     closedness_residual,
     d_complex,
-    d_complex_bar,
     del_dbar_at_point,
     form_power,
     hermitian_form,
+    hermitian_matrix_of,
     hermitian_wedge,
     identity_residual,
     mat_det,
@@ -192,7 +190,8 @@ class CanonicalBundleFrame:
 
     The metric, its Gram matrix and determinant, the Chern-Ricci matrix and
     the Chern scalar are cached properties, so every operator reading the
-    frame pays for each once; do not mutate them.  The metric's fiber part
+    frame pays for each once.  The metric is read-only (``FormValue``); do
+    not mutate the jets of the others.  The metric's fiber part
     is del R ^ dbar R, so the seeds, ``hmat``, ``h`` and ``R`` are valid to
     order + 1; nothing differentiates u, v, f or g, so they are built from
     the base jets and R read to order.  The metric, the Gram matrix and its
@@ -227,15 +226,15 @@ class CanonicalBundleFrame:
         self.g = params.g_profile(R)
 
     def dR_split(self):
-        m = self.chart.ncomplex
-        del_R = FormValue.zero(self.chart, 1)
-        dbar_R = FormValue.zero(self.chart, 1)
-        for j in range(m):
-            del_R = del_R + d_complex(self.chart, j).scale(wirtinger(self.R, 2 * j, 2 * j + 1, bar=False))
-            dbar_R = dbar_R + d_complex_bar(self.chart, j).scale(
-                wirtinger(self.R, 2 * j, 2 * j + 1, bar=True)
-            )
-        return del_R, dbar_R
+        """del R = sum_j (dR/dz_j) dz_j and dbar R = sum_j (dR/dzbar_j) dzbar_j, built from their terms (dz_j = dx_2j + i dx_2j+1)."""
+        forms = []
+        for bar, i in ((False, 1j), (True, -1j)):
+            terms = {}
+            for re, im in _complex_pairs(self.chart):
+                terms[(re,)] = wirtinger(self.R, re, im, bar=bar)
+                terms[(im,)] = terms[(re,)] * i
+            forms.append(FormValue.of_terms(self.chart, 1, terms))
+        return tuple(forms)
 
     @cached_property
     def metric(self) -> FormValue:
@@ -253,8 +252,8 @@ class CanonicalBundleFrame:
 
     @cached_property
     def gram(self) -> list:
-        """[g_{a bbar}] of the metric (``hermitian_matrix_of``); an entry without a metric term is 0j."""
-        return hermitian_matrix_of(self.metric, self.chart)
+        """[g_{a bbar}] of the metric (``forms.hermitian_matrix_of``), as jets valid to the frame's order."""
+        return hermitian_matrix_of(self.metric)
 
     @cached_property
     def det(self):
@@ -283,11 +282,6 @@ def _frame(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint, order: in
     return kept((CanonicalBundleFrame, base, params, p), order, lambda: CanonicalBundleFrame(base, params, p, order))
 
 
-def _read_to(form: FormValue, order: int) -> FormValue:
-    """The form with each jet coefficient read to ``order``."""
-    return form.map_coeffs(lambda c: c.to_order(order) if isinstance(c, Jet) else c)
-
-
 def omega0_d_residual(base: BaseKahlerModel, p: ChartPoint) -> float:
     """Relative sup of d(omega_0) for the undeformed induced metric."""
     return closedness_residual(_frame(base, CalabiParams.plain(), p, 1).metric)
@@ -295,28 +289,6 @@ def omega0_d_residual(base: BaseKahlerModel, p: ChartPoint) -> float:
 
 # ---------------------------------------------------------------------------
 # Chern scalar curvature
-
-
-def hermitian_matrix_of(omega: FormValue, chart: Chart):
-    """Coefficients g_{a bbar} of a (1,1)-form i g_{a bbar} dz^a ^ dzbar^b.
-
-    Each dx_v ^ dx_w is expanded in the complex basis through T^-1.
-    """
-    m = chart.ncomplex
-    Tinv = _complex_basis_matrices(chart)[1]
-    G = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            # omega(d/dz_a, d/dzbar_b) = i g_{a bbar}
-            acc = None
-            for (v, w), cf in omega.terms.items():
-                xa = Tinv[a, v] * Tinv[m + b, w] - Tinv[a, w] * Tinv[m + b, v]
-                if xa == 0.0:
-                    continue
-                term = cf * xa
-                acc = term if acc is None else acc + term
-            G[a][b] = (0.0 + 0.0j if acc is None else acc) * (-1j)
-    return G
 
 
 def _complex_pairs(chart: Chart) -> tuple:
@@ -389,7 +361,7 @@ def constant_norm_residual(base: BaseKahlerModel, params: CalabiParams, points) 
 def km_balanced_residual(base: BaseKahlerModel, params: CalabiParams, p: ChartPoint) -> float:
     """Relative sup of d(omega^n) on the (n+1)-dimensional total space."""
     fr = _frame(base, params, p, 1)
-    return closedness_residual(form_power(_read_to(fr.metric, 1), base.n))
+    return closedness_residual(form_power(fr.metric.to_order(1), base.n))
 
 
 def extremal_residual_of(omega: FormValue, gram: list, det, ricci: list, s, ctx: TypeContext) -> float:
@@ -409,7 +381,7 @@ def extremal_residual_of(omega: FormValue, gram: list, det, ricci: list, s, ctx:
     values = [[[svalue(e) for e in row] for row in M] for M in (hess_s, ricci)]
     lhs = hermitian_wedge(omega.chart, *values).scale(2.0 * (m - 1))
     s2 = s.to_order(2)
-    rhs = del_dbar_at_point(ctx, _read_to(omega, 2).scale(lap_s * 2.0 + s2 * s2)).scale(1j)
+    rhs = del_dbar_at_point(ctx, omega.to_order(2).scale(lap_s * 2.0 + s2 * s2)).scale(1j)
     return identity_residual(lhs, rhs)
 
 

@@ -1,89 +1,61 @@
 """Complex-valued exterior calculus over real coordinate charts.
 
-Forms are stored sparsely over strictly increasing multi-indices of the
-real coordinate differentials.  Coefficients may be plain complex numbers
-(pointwise values) or :class:`~stromlab.jets.Jet` objects (local Taylor
-data), and every operation here is generic over the two: the exterior
-derivative simply differentiates jet coefficients, so nested expressions
-come out exact.  A term is dropped only when its coefficient is exactly
-zero (``is_zero_scalar``; a jet to its validity order), and no tolerance
-decides what a form holds.
+Forms (:class:`FormValue`) and almost complex structures
+(:class:`AlmostComplexStructure`) share one layout, Taylor rows: a
+read-only complex array whose first axis runs over the monomials of degree
+<= o of a jet space (the value first, then the x_u) and whose other axes
+over multi-indices in combinations order, with one validity order and one
+support mask for all of it; a pointwise form or a constant structure has the
+one row of values.  ``_taylor_rows`` stacks jets and numbers so
+(``FormValue.of_terms``).  Sums, scalings and wedges of forms are whole-array
+operations whose products round as the jets and numbers they stack would
+(``_products``), so nested expressions come out exact.  A column is a term
+of a form unless every coefficient of it is exactly 0 to the form's order
+(NaN counts as a term); products and wedges multiply only terms, and no
+tolerance decides what a form holds.
 
-The Dolbeault operators make no holomorphic-coordinate assumption: del
-and dbar are assembled from real partials through the (1,0)/(0,1)
-projectors of an almost complex structure.  A structure
-(:class:`AlmostComplexStructure`) is one read-only complex array of
-Taylor rows, ``coeffs[i, w, v]`` the coefficient of the i-th monomial in
-the dx_w component of J dx_v, with one validity order and one support
-mask for all of it; it is built from its action on the complex basis in
-one array product (``acs_from_complex_action``).  Type decomposition
-of k-forms expands the projected basis differentials, which is exact (the
-sum of the parts reproduces the input).  :class:`TypeContext` holds that
-expansion as one dense array per degree, indexed by (row, p, output
-multi-index, input multi-index), where row 0 is the value at the point and
-the other rows its first partials; each degree up to dim/2 grows from the
-one below by the Leibniz rule over a precomputed index plan, each degree k
-above it is the signed-complement transpose of degree dim - k, and a
-decomposition is a contraction of that array with the form's coefficients.
-A context reads only forms on its own chart.  The standard
-structure of a chart is constant, so ``standard_context(chart)`` builds its
-context once and every point on the chart shares it; a context's tables are
-read-only for that reason.
+The Dolbeault operators make no holomorphic-coordinate assumption: del and
+dbar are assembled from real partials through the (1,0)/(0,1) projectors of
+an almost complex structure, which is built from its action on the complex
+basis in one array product (``acs_from_complex_action``).
+:class:`TypeContext` holds the type decomposition of k-forms as one dense
+array per degree, indexed by (row, p, output multi-index, input
+multi-index), row 0 the value at the point and the others its first
+partials; each degree up to dim/2 grows from the one below by the Leibniz
+rule over an index plan, each degree above is the signed-complement
+transpose of degree dim - k, and a decomposition contracts it with a form's
+rows.  A context reads only forms on its own chart; ``standard_context``
+builds the constant standard one once per chart, read-only since shared.
 
-Where only the value at the point of such an expression is read, no
-derivative jet is built: three kernels share one layout, Taylor rows, an
-array whose first axis runs over the monomials of degree <= o of a jet
-space (the value first, then the x_u) and whose last axis runs over the
-multi-indices of the stacked forms.  ``_taylor_rows`` stacks jets and
-numbers so, and raises for jets of different spaces or valid below o.
-``_d_point`` takes d at the point of stacked k-forms: its value is the
-first partials and its slopes the second partials, each times the sign
-plan ``_wedge_signs(n, 1, k)``, returned as Taylor rows one order lower.
-``_type_part`` takes the (p, k-p) part, whose value is T_0 a_0 and whose
-slopes are T_0 a_u + T_u a_0 over the value and slope rows of the
-degree-k type table.  Every read at the point is built on them:
-``closedness_residual``, ``gram_curvature`` (the Chern curvature
-dbar(Hbar^-1 del Hbar) of a Gram matrix), ``del_dbar_of_taylor`` and
-``del_dbar_at_point`` (del dbar of a form of even degree; degree 0 gives
-del dbar f), and in the other modules ``w_form`` and
-``curvature_identities`` and the dbar reads of ``frame_decompose``.  No
-operator of the package takes the jet-valued route, d of derivative jets
-(``exterior_derivative_with_scale``) and the contraction of the type table
-with jet coefficients (``TypeContext.decompose``): the Calabi Ricci form,
-which is differentiated again, is a Wirtinger Hessian of log det G on the
-standard structure (``jets.wirtinger_hessian``), and its traces are
-cofactor sums over the Gram matrix.  The route stays as the oracle of the
-tests, since it shares neither ``_d_point`` nor ``_type_part``, and the
-benchmark's tracer counts d and decompositions on it.  Its d inserts each
-index with a sign of its own, so it also checks the one parity rule that
-signs every wedge (``_merge_indices``).
+Every read at the point goes through two kernels on Taylor rows: ``_d_point``
+takes d of stacked k-forms (its value the first partials, its slopes the
+second partials, times the sign plan ``_wedge_signs(n, 1, k)``) and
+``_type_part`` the (p, k-p) part (value T_0 a_0, slopes T_0 a_u + T_u a_0).
+On them are built ``closedness_residual``, ``gram_curvature`` (the Chern
+curvature dbar(Hbar^-1 del Hbar) of a Gram matrix, its inverse a jet
+elimination without pivoting, ``mat_inv``), ``del_dbar_of_taylor`` and
+``del_dbar_at_point`` (degree 0 gives del dbar f), and in the other modules
+``w_form``, ``curvature_identities`` and the dbar reads of
+``frame_decompose``.  A projection on a structure with jet entries is valid
+to order 1, all that d at the point of a part needs; on a constant
+structure it keeps the form's order.  No operator takes the jet-valued
+route, d of derivative jets (``exterior_derivative_with_scale``) and the
+contraction with a jet form's rows (``TypeContext.decompose``); it stays as
+the oracle of the tests, since it shares neither kernel, and the benchmark's
+tracer counts d and decompositions on it.  Its d inserts each index with a
+sign of its own, so it also checks the parity rule that signs every wedge
+(``_merge_indices``).
 
-So a projection on a structure with jet entries is valid to order 1 at
-most, which is what every reader of one needs: d at the point of a part
-needs its slopes and no more.  ``del_dbar_at_point`` reads its form to
-order 2 and the value and slope rows of the type table of one degree
-higher, and ``gram_curvature`` its matrix to order 2 (its inverse, a jet
-elimination without pivoting, ``mat_inv``, to order 1) and the slope rows
-of the degree-1 table.  On a structure of plain complex numbers a
-projection keeps the order of the form.
-
-The certificates of the package share five shapes, each written once at
-the end of this module with its normalisation: a form is closed
-(``closedness_residual``), a curvature is (1,1) and annihilated by some
-forms (``curvature_residual``), one side of an identity equals the other
-(``identity_residual``), del dbar at the point of a form of even degree,
-read from its Taylor rows (``del_dbar_at_point``), and the norm of a
-holomorphic volume form (``volume_form_norm``).  A residual is a sup
+The certificates share five shapes, each written once at the end of this
+module with its normalisation: a form is closed (``closedness_residual``), a
+curvature is (1,1) and annihilated by some forms (``curvature_residual``),
+one side of an identity equals the other (``identity_residual``), del dbar
+at the point of a form of even degree (``del_dbar_at_point``), and the norm
+of a holomorphic volume form (``volume_form_norm``).  A residual is a sup
 divided by the largest entering term (``relative_residual``), so it never
-passes on NaN or inf.
-
-A curvature stays the one array that ``gram_curvature`` computes, the
-stacked (1,1) coefficients of every entry of the matrix, from there to every
-reader: the curvature certificate takes one product with the sign plan per
-form for every wedge and one with the values of the degree-2 type table for
-every (2,0) and (0,2) part, and ``matrix_wedge_trace`` one contraction and
-one product with the sign plan.  Forms are built only for what the residual
-operators compare as forms, such as a trace.
+passes on NaN or inf.  A curvature stays the one array that
+``gram_curvature`` computes, the stacked (1,1) coefficients of every entry,
+up to every reader (``curvature_residual``, ``matrix_wedge_trace``).
 """
 
 from __future__ import annotations
@@ -91,13 +63,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import or_
 
 import numpy as np
 
-from .jets import InsufficientJetOrder, Jet, JetSpace
+from .jets import InsufficientJetOrder, Jet, JetSpace, _mul_coeffs
 
 
 class ChartMismatch(Exception):
@@ -186,13 +158,42 @@ def nan_max(values) -> float:
     return worst
 
 
-def is_zero_scalar(x) -> bool:
-    """Whether x is exactly zero; a jet is read to its validity order, NaN is never zero."""
-    if isinstance(x, Jet):
-        if x.c[0] != 0:  # the common case; NaN is not 0 either
-            return False
-        return not np.any(x.c[: x.space.prefix_sizes[x.order]])
-    return x == 0
+# Jet columns are multiplied one by one above this many pairs, or for at most
+# two columns: timeit, 2-core host, 4 variables, 12 columns take 39 us stacked
+# against 65 us one by one at order 4 (495 pairs) but 492 against 182 us at
+# order 6 (3003 pairs), where the gathered operands outgrow the allocator's
+# reuse; 2 columns take 22 against 11 us at order 4.
+_STACKED_PAIRS = 1000
+
+
+def _products(space, a: np.ndarray, a_jets: bool, b: np.ndarray, b_jets: bool, order, mask: int) -> np.ndarray:
+    """The products a * b of the columns of two arrays of Taylor rows, rounded as the jets and numbers they hold multiply.
+
+    Two jets make one stacked ``jets._mul_coeffs``, ``a`` the left factor,
+    or one product per column (``_STACKED_PAIRS``), to the same bits; a jet
+    and a number scale the jet's coefficients by the number, the jet's
+    array first, as ``Jet`` does (numpy's complex multiply is not symmetric
+    in its operands); two numbers, in arrays of one shape, multiply as
+    Python does, since numpy fuses one product of each part into its sum and
+    rounds about a quarter of the products differently.  A column of one
+    broadcasts.
+    """
+    if a_jets and b_jets:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        if shape[1] > 2 and len(space.mul_subset(mask, order)[0]) <= _STACKED_PAIRS:
+            return _mul_coeffs(space, a, b, order, mask)
+        if shape[1] == 1:
+            return _mul_coeffs(space, a[:, 0], b[:, 0], order, mask)[:, None]
+        a, b = (np.ascontiguousarray(np.broadcast_to(x, shape).T) for x in (a, b))  # contiguous columns gather fastest
+        out = np.empty(shape[::-1], dtype=np.complex128)
+        for t in range(len(out)):
+            out[t] = _mul_coeffs(space, a[t], b[t], order, mask)
+        return out.T
+    if a_jets:
+        return a * b[0]
+    if b_jets:
+        return b * a[0]
+    return np.array([x * y for x, y in zip(a.ravel().tolist(), b.ravel().tolist())], dtype=np.complex128).reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -200,58 +201,77 @@ def is_zero_scalar(x) -> bool:
 
 
 class FormValue:
-    """Exterior-algebra element at a point, graded by degree."""
+    """A k-form at a point, as one read-only complex array of Taylor rows.
 
-    __slots__ = ("chart", "degree", "terms")
+    ``coeffs[i, I]`` is the coefficient of the i-th monomial of ``space`` in
+    the dx_I coefficient, multi-indices in combinations order (``_ranks``),
+    for the monomials of degree <= ``order``: row 0 holds the values.  Every
+    coefficient is valid to the one ``order`` and supported on the variables
+    of the one ``mask``; a pointwise form has ``space`` and ``order`` None,
+    mask 0 and one row.  Read-only, so a form can be shared.
+    """
 
-    def __init__(self, chart: Chart, degree: int, terms: dict | None = None):
-        if degree < 0 or degree > chart.dim:
+    def __init__(self, chart: Chart, degree: int, coeffs, space: JetSpace | None = None, order: int | None = None, mask: int = 0):
+        n = len(chart.coords)
+        if degree < 0 or degree > n:
             raise DegreeError(f"degree {degree} out of range on {chart.name!r}")
-        self.chart = chart
-        self.degree = degree
-        self.terms = {}
-        if terms:
-            for multi, c in terms.items():
-                if len(multi) != degree:
-                    raise DegreeError("multi-index length disagrees with degree")
-                if not is_zero_scalar(c):
-                    self.terms[multi] = c
+        self.chart, self.degree, self.space, self.order, self.mask = chart, degree, space, order, mask
+        coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, math.comb(n, degree))
+        self.coeffs = coeffs[: space.prefix_sizes[order]] if space is not None else coeffs
+        self.coeffs.flags.writeable = False
+
+    @staticmethod
+    def of_terms(chart: Chart, degree: int, terms: dict) -> "FormValue":
+        """sum c dx_multi over ``terms`` = {multi: c}, jets or numbers, valid to their lowest order on the union of their masks.
+
+        DegreeError for a multi-index that is no strictly increasing
+        ``degree``-tuple of the chart's coordinates.
+        """
+        rank = _ranks(chart.dim, degree)
+        entries = [0.0] * len(rank)
+        for multi, c in terms.items():
+            if multi not in rank:
+                raise DegreeError(f"{multi} is no increasing {degree}-tuple of the {chart.dim} coordinates of {chart.name!r}")
+            entries[rank[multi]] = c
+        return FormValue(chart, degree, *_stacked(entries))
 
     @staticmethod
     def zero(chart: Chart, degree: int) -> "FormValue":
-        return FormValue(chart, degree)
+        return FormValue(chart, degree, np.zeros(math.comb(chart.dim, degree)))
 
     @staticmethod
     def scalar(chart: Chart, value) -> "FormValue":
-        return FormValue(chart, 0, {(): value})
+        return FormValue.of_terms(chart, 0, {(): value})
 
-    @staticmethod
-    def from_vector(chart: Chart, degree: int, vector: np.ndarray) -> "FormValue":
-        """The pointwise form whose coefficients over the multi-indices, in combinations order, are ``vector``."""
-        return FormValue(chart, degree, dict(zip(_ranks(chart.dim, degree), vector.tolist())))
+    def _join(self, other):
+        """(space, order, mask) of what this form and ``other``, a form or a jet, make; ChartMismatch or ValueError for two jet spaces."""
+        if isinstance(other, FormValue) and self.chart is not other.chart and self.chart != other.chart:
+            raise ChartMismatch(f"{self.chart.name!r} vs {other.chart.name!r}")
+        if self.space is None or other.space is None:
+            return self.space or other.space, self.order if other.space is None else other.order, self.mask | other.mask
+        if self.space is not other.space:
+            raise ValueError("jets from different spaces cannot be combined")
+        return self.space, min(self.order, other.order), self.mask | other.mask
 
-    def to_vector(self) -> np.ndarray:
-        """The coefficients of a pointwise form over the multi-indices in combinations order."""
-        if any(isinstance(c, Jet) for c in self.terms.values()):
-            raise TypeError("the form has jet coefficients; take .values() first")
-        rank = _ranks(self.chart.dim, self.degree)
-        out = np.zeros(len(rank), dtype=np.complex128)
-        for m, c in self.terms.items():
-            out[rank[m]] = c
+    def _rows(self, size: int) -> np.ndarray:
+        """The first ``size`` rows of ``coeffs``, a pointwise form's padded with zero slopes."""
+        if len(self.coeffs) >= size:
+            return self.coeffs[:size]
+        out = np.zeros((size, self.coeffs.shape[1]), dtype=np.complex128)
+        out[0] = self.coeffs[0]
         return out
 
-    def _check(self, other: "FormValue"):
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatch(f"{self.chart.name!r} vs {other.chart.name!r}")
+    @cached_property
+    def _live(self) -> np.ndarray:
+        """The columns that hold a term: a coefficient other than 0 to the form's order, NaN included."""
+        return (self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs.any(axis=0)).nonzero()[0]
 
     def __add__(self, other: "FormValue") -> "FormValue":
-        self._check(other)
+        space, order, mask = self._join(other)
         if self.degree != other.degree:
             raise DegreeError("cannot add forms of different degree")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms[m] + c if m in terms else c
-        return FormValue(self.chart, self.degree, terms)
+        size = space.prefix_sizes[order] if space is not None else 1
+        return FormValue(self.chart, self.degree, self._rows(size) + other._rows(size), space, order, mask)
 
     def __sub__(self, other: "FormValue") -> "FormValue":
         return self + other.scale(-1.0)
@@ -260,63 +280,78 @@ class FormValue:
         return self.scale(-1.0)
 
     def scale(self, s) -> "FormValue":
-        return FormValue(self.chart, self.degree, {m: s * c for m, c in self.terms.items()})
+        """s times the form, for a number or a jet s as the left factor of each term (``_products``)."""
+        if self.space is None and not isinstance(s, Jet):  # numbers, multiplied as Python does; an absent term stays 0
+            s = complex(s)
+            return FormValue(self.chart, self.degree, [s * c if c else c for c in self.coeffs[0].tolist()])
+        live = self._live
+        if isinstance(s, Jet):
+            space, order, mask = self._join(s)
+            size = space.prefix_sizes[order]
+            rows = _products(space, s.c[:size, None], True, self.coeffs[:size, live], self.space is not None, order, mask)
+        else:
+            space, order, mask = self.space, self.order, self.mask
+            rows = self.coeffs[:, live] * complex(s)
+        out = np.zeros((len(rows), self.coeffs.shape[1]), dtype=np.complex128)
+        out[:, live] = rows
+        return FormValue(self.chart, self.degree, out, space, order, mask)
 
     def wedge(self, other: "FormValue") -> "FormValue":
         """self ^ other, each output coefficient summed in an operand-symmetric order.
 
         The contributions dx_I ^ dx_J = s dx_K of a term of each operand are
         summed per K in pairs {(I, J), (J, I)} sorted by that unordered pair,
-        so that a ^ b and b ^ a agree exactly, not just up to rounding.  The
-        index merges, their signs and that order depend only on the two
-        operands' multi-indices, so they come from one plan per pair of term
-        patterns (``_wedge_plan``), and a wedge does only the coefficient
-        products and sums.
+        so that a ^ b and b ^ a agree exactly.  The merges, signs and order
+        come from one plan per pair of term patterns (``_wedge_plan``), and a
+        wedge is one product of the pairs of terms (``_products``) and the
+        sums.
         """
-        self._check(other)
-        deg = self.degree + other.degree
-        if deg > self.chart.dim:
+        space, order, mask = self._join(other)
+        n, deg = self.chart.dim, self.degree + other.degree
+        if deg > n:
             raise DegreeError("wedge degree exceeds chart dimension")
-        ca, cb = list(self.terms.values()), list(other.terms.values())
-        terms: dict = {}
-        for merged, groups in _wedge_plan(tuple(self.terms), tuple(other.terms)):
-            acc = None
-            for group in groups:
-                part = None
-                for i, j, sign in group:
-                    c = ca[i] * cb[j] if sign > 0 else -(ca[i] * cb[j])
-                    part = c if part is None else part + c
-                acc = part if acc is None else acc + part
-            terms[merged] = acc
-        return FormValue(self.chart, deg, terms)
+        size = space.prefix_sizes[order] if space is not None else 1
+        ia, ib, signs, first, second = _wedge_plan(n, self.degree, other.degree, self._live.tobytes(), other._live.tobytes())
+        # the sign goes on both parts of the left factor, which negates the product bit for bit
+        a = (np.take(self.coeffs[:size], ia, axis=1).view(np.float64) * signs).view(np.complex128)
+        terms = _products(space, a, self.space is not None, np.take(other.coeffs[:size], ib, axis=1), other.space is not None, order, mask)
+        # the last column is a zero, added for a missing pair or group
+        terms = np.concatenate((terms, np.zeros((len(terms), 1), dtype=np.complex128)), axis=1)
+        groups = np.take(terms, first, axis=1) + np.take(terms, second, axis=1)  # [row, level, K]
+        return FormValue(self.chart, deg, np.add.accumulate(groups, axis=1)[:, -1], space, order, mask)
 
     def conj(self) -> "FormValue":
-        return FormValue(self.chart, self.degree, {m: c.conjugate() for m, c in self.terms.items()})
-
-    def map_coeffs(self, fn) -> "FormValue":
-        return FormValue(self.chart, self.degree, {m: fn(c) for m, c in self.terms.items()})
+        return FormValue(self.chart, self.degree, np.conj(self.coeffs), self.space, self.order, self.mask)
 
     def values(self) -> "FormValue":
-        """Drop jet data, keeping pointwise coefficient values."""
-        return self.map_coeffs(svalue)
+        """The pointwise form of the values: row 0."""
+        return FormValue(self.chart, self.degree, self.coeffs[:1])
+
+    def to_order(self, order: int) -> "FormValue":
+        """The form read to ``order``: its rows of degree <= order, valid to min(order, self.order), sharing ``coeffs``."""
+        if self.space is None or order >= self.order:
+            return self
+        return FormValue(self.chart, self.degree, self.coeffs, self.space, order, self.mask)
 
     def coefficient(self, multi: tuple):
-        return self.terms.get(tuple(multi), 0.0)
+        """The dx_multi coefficient: a number on a pointwise form, else a jet valid to the form's order."""
+        return _jet(self.space, self.coeffs[:, _ranks(self.chart.dim, self.degree)[tuple(multi)]], self.order, self.mask)
 
     def sup(self) -> float:
         """Sup of coefficient magnitudes in chart coordinates (residual norm).
 
         NaN if any magnitude is NaN, so that no residual gate can pass on it.
         """
-        return nan_max(smag(c) for c in self.terms.values())
+        return nan_max(map(abs, self.coeffs[0].tolist()))
 
-    def __repr__(self):  # pragma: no cover
-        names = self.chart.coords
-        bits = []
-        for m, c in sorted(self.terms.items()):
-            label = "^".join(f"d{names[i]}" for i in m) or "1"
-            bits.append(f"({svalue(c):.4g}) {label}")
-        return " + ".join(bits) if bits else f"0 (degree {self.degree})"
+
+def _jet(space: JetSpace | None, rows: np.ndarray, order: int | None, mask: int):
+    """The Taylor rows of one coefficient as a jet valid to ``order``, zero above them; its value without a space."""
+    if space is None:
+        return complex(rows[0])
+    c = np.zeros(space.size, dtype=np.complex128)
+    c[: len(rows)] = rows
+    return Jet(space, c, order, mask)
 
 
 def _merge_indices(ma: tuple, mb: tuple):
@@ -333,32 +368,47 @@ def _merge_indices(ma: tuple, mb: tuple):
 
 
 @lru_cache(maxsize=4096)
-def _wedge_plan(multis_a: tuple, multis_b: tuple) -> tuple:
-    """How ``FormValue.wedge`` sums the terms with these multi-indices, in this order.
+def _wedge_plan(n: int, ka: int, kb: int, live_a: bytes, live_b: bytes) -> tuple:
+    """How ``FormValue.wedge`` multiplies and sums a ka-form and a kb-form with the live columns ``live_a`` and ``live_b``.
 
-    One (K, groups) per output multi-index K, in the order its first
-    contribution appears in the loop over (term of a, term of b); each group
-    holds the (i, j, sign) with dx_I ^ dx_J = sign dx_K of one unordered
-    pair {I, J}, for terms ``multis_a[i]`` = I and ``multis_b[j]`` = J, and
-    the groups come sorted by that pair.
+    The columns come as the bytes of their index arrays.  Returns ``(ia,
+    ib, signs, first, second)``.  Product t is column ``ia[t]`` of a times
+    column ``ib[t]`` of b, for each I, J of those columns with dx_I ^ dx_J =
+    s dx_K, and ``signs[2t]`` = ``signs[2t + 1]`` = s multiply the real and
+    imaginary part of a's column.  The products of one K are grouped by the
+    unordered pair {I, J}, and the groups of one K come sorted by that pair:
+    level l of K sums products ``first[l, K]`` and ``second[l, K]`` of its
+    l-th group, index T (a zero) where the group has one product or K has
+    no l-th group, and K adds its levels from left to right.
     """
+    multis_a, multis_b, out = list(_ranks(n, ka)), list(_ranks(n, kb)), _ranks(n, ka + kb)
     buckets: dict = {}
-    for i, ma in enumerate(multis_a):
-        for j, mb in enumerate(multis_b):
-            merged, sign = _merge_indices(ma, mb)
+    for i in np.frombuffer(live_a, dtype=np.intp).tolist():
+        for j in np.frombuffer(live_b, dtype=np.intp).tolist():
+            merged, sign = _merge_indices(multis_a[i], multis_b[j])
             if merged is not None:
-                key = (ma, mb) if ma <= mb else (mb, ma)
-                buckets.setdefault(merged, {}).setdefault(key, []).append((i, j, sign))
-    return tuple((merged, tuple(tuple(groups[key]) for key in sorted(groups))) for merged, groups in buckets.items())
+                key = tuple(sorted((multis_a[i], multis_b[j])))
+                buckets.setdefault(out[merged], {}).setdefault(key, []).append((i, j, sign))
+    groups = [(level, target, pairs) for target, b in buckets.items() for level, (_, pairs) in enumerate(sorted(b.items()))]
+    products = [pair for _, _, pairs in groups for pair in pairs]
+    first, second = np.full((2, max((g[0] + 1 for g in groups), default=1), len(out)), len(products), dtype=np.intp)
+    t = 0
+    for level, target, pairs in groups:
+        first[level, target], second[level, target] = t, t + 1 if len(pairs) == 2 else len(products)
+        t += len(pairs)
+    ia, ib, signs = np.array(products, dtype=np.intp).reshape(-1, 3).T
+    return ia, ib, np.repeat(signs, 2).astype(np.float64), first, second
 
 
+@lru_cache(maxsize=None)
 def d_complex(chart: Chart, j: int) -> FormValue:
     """dz_j = dx_{2j} + i dx_{2j+1}."""
-    return FormValue(chart, 1, {(2 * j,): 1.0 + 0.0j, (2 * j + 1,): 1j})
+    return FormValue.of_terms(chart, 1, {(2 * j,): 1.0 + 0.0j, (2 * j + 1,): 1j})
 
 
+@lru_cache(maxsize=None)
 def d_complex_bar(chart: Chart, j: int) -> FormValue:
-    return FormValue(chart, 1, {(2 * j,): 1.0 + 0.0j, (2 * j + 1,): -1j})
+    return FormValue.of_terms(chart, 1, {(2 * j,): 1.0 + 0.0j, (2 * j + 1,): -1j})
 
 
 _BASIS_INV_CACHE: dict = {}  # chart -> (T, T^-1)
@@ -380,27 +430,28 @@ def _complex_basis_matrices(chart: Chart):
 def exterior_derivative_with_scale(form: FormValue):
     """d of a form with jet coefficients, and the sup of the partials that enter it (cancellation scale).
 
-    Each d_v c dx_v ^ dx_I is inserted at its bisect position, with the sign
-    of that many transpositions, not through ``_merge_indices``.
+    Each term is read as a jet and differentiated, and each d_v c dx_v ^
+    dx_I is inserted at its bisect position, with the sign of that many
+    transpositions, not through ``_merge_indices``; a derivative exactly 0
+    to its order enters neither.
     """
     chart = form.chart
     terms: dict = {}
     mags = []
-    for multi, c in form.terms.items():
-        if not isinstance(c, Jet):
-            continue  # bare complex coefficients are constants, d kills them
-        for v in range(chart.dim):
-            if v in multi:
-                continue
+    multis = list(_ranks(chart.dim, form.degree))
+    live = form._live if form.space is not None else []  # constant coefficients: d kills them
+    for multi in (multis[i] for i in live):
+        c = form.coefficient(multi)
+        for v in (v for v in range(chart.dim) if v not in multi):
             dc = c.derivative(v)
-            if is_zero_scalar(dc):
+            if not np.any(dc.c[: dc.space.prefix_sizes[dc.order]]):
                 continue
             mags.append(smag(dc))
             pos = bisect_left(multi, v)
             merged = multi[:pos] + (v,) + multi[pos:]
             contrib = dc if pos % 2 == 0 else -dc
             terms[merged] = terms[merged] + contrib if merged in terms else contrib
-    return FormValue(chart, form.degree + 1, terms), nan_max(mags)
+    return FormValue.of_terms(chart, form.degree + 1, terms), nan_max(mags)
 
 
 # ---------------------------------------------------------------------------
@@ -408,35 +459,57 @@ def exterior_derivative_with_scale(form: FormValue):
 
 
 def hermitian_form(chart: Chart, H, offset: int = 0) -> FormValue:
-    """sum_jk i H_jk dz_{offset+j} ^ dzbar_{offset+k}: the (1,1)-form of a Hermitian matrix."""
-    out = FormValue.zero(chart, 2)
-    for j, row in enumerate(H):
-        for k, h in enumerate(row):
-            out = out + d_complex(chart, offset + j).wedge(d_complex_bar(chart, offset + k)).scale(1j * h)
-    return out
+    """sum_jk i H_jk dz_{offset+j} ^ dzbar_{offset+k}: the (1,1)-form of a Hermitian matrix of jets or numbers.
+
+    It sums the rows of ``_hermitian_basis`` times the entries.  Those rows
+    hold 0, +-1, +-i and +-2i, so every product is exact and a coefficient
+    sums at most two, in any order to the same bits; a NaN entry reaches
+    only the nonzero entries of its row.
+    """
+    m, at = chart.ncomplex, offset + np.arange(len(H))
+    rows, space, order, mask = _stacked(H)
+    basis = _hermitian_basis(chart).reshape(m, m, -1)[at[:, None], at[None, :]]
+    coeffs = np.where(basis != 0, rows[..., None] * basis, 0.0).sum(axis=(1, 2))
+    return FormValue(chart, 2, coeffs, space, order, mask)
 
 
 @lru_cache(maxsize=None)
 def _hermitian_basis(chart: Chart) -> np.ndarray:
     """Row j * m + k: the coefficients of i dz_j ^ dzbar_k over the 2-indices in combinations order; read-only."""
     m = chart.ncomplex
-    rows = [d_complex(chart, j).wedge(d_complex_bar(chart, k)).scale(1j).to_vector() for j in range(m) for k in range(m)]
+    rows = [d_complex(chart, j).wedge(d_complex_bar(chart, k)).scale(1j).coeffs[0] for j in range(m) for k in range(m)]
     basis = np.array(rows)
     basis.flags.writeable = False
     return basis
 
 
+def hermitian_matrix_of(omega: FormValue) -> list:
+    """[g_ab] of a (1,1)-form omega = i g_ab dz_a ^ dzbar_b, jets valid to its order: the inverse of ``hermitian_form``.
+
+    Each dx_v ^ dx_w is expanded through T^-1 (``_complex_basis_matrices``),
+    whose entries 0, +-1/2 and +-i/2 make every term exact; g_ab sums them
+    over the 2-index columns in ascending order, a zero factor left out,
+    and is then multiplied by -i.
+    """
+    chart = omega.chart
+    m = chart.ncomplex
+    Tinv = _complex_basis_matrices(chart)[1]
+    v, w = np.array(list(_ranks(chart.dim, 2))).T  # factor[a, b, r]: the dz_a ^ dzbar_b part of the r-th dx_v ^ dx_w
+    factor = Tinv[:m, None, v] * Tinv[None, m:, w] - Tinv[:m, None, w] * Tinv[None, m:, v]
+    terms = np.where(factor != 0, omega.coeffs[:, None, None, :] * factor, 0.0)
+    G = np.add.accumulate(terms, axis=-1)[..., -1] * (-1j)
+    return [[_jet(omega.space, G[:, a, b], omega.order, omega.mask) for b in range(m)] for a in range(m)]
+
+
 def hermitian_wedge(chart: Chart, A, B) -> FormValue:
     """(i A_jk dz_j ^ dzbar_k) ^ (i B_jk dz_j ^ dzbar_k), a 4-form, for two m x m matrices of numbers.
 
-    Each (1,1)-form is its matrix times the coefficients of the i dz_j ^
-    dzbar_k (``_hermitian_basis``), and the wedge is one product with the
-    sign plan, as in ``matrix_wedge_trace``.  A NaN entry makes every
-    coefficient of the result NaN.
+    Each (1,1)-form is its matrix times ``_hermitian_basis``, and the wedge
+    one product with the sign plan.  A NaN entry makes every coefficient NaN.
     """
     basis = _hermitian_basis(chart)
     a, b = (np.asarray(M, dtype=np.complex128).reshape(-1) @ basis for M in (A, B))
-    return FormValue.from_vector(chart, 4, np.outer(a, b).reshape(-1) @ _wedge_signs(chart.dim, 2, 2))
+    return FormValue(chart, 4, np.outer(a, b).reshape(-1) @ _wedge_signs(chart.dim, 2, 2))
 
 
 def form_power(omega: FormValue, k: int) -> FormValue:
@@ -471,13 +544,9 @@ class AlmostComplexStructure:
     """Endomorphism of the complexified cotangent space with square -identity, as one Taylor array.
 
     ``coeffs[i, w, v]`` is the coefficient of the i-th monomial of ``space``
-    in the dx_w component of J dx_v, for the monomials of degree <= ``order``,
-    which come first: row 0 holds J at the point and the rows of the x_u its
-    slopes, the layout of ``_taylor_rows``.  Every entry is valid to the one
-    ``order`` and supported on the variables of the one ``mask``.  A
-    constant structure has ``space`` and ``order`` None, mask 0 and the one
-    row of values.  The array is read-only, since a structure is shared
-    (``standard_context``).
+    in the dx_w component of J dx_v, the layout of ``FormValue``: valid to
+    one ``order`` on one ``mask``, a constant structure one row of values.
+    Read-only, since a structure is shared (``standard_context``).
     """
 
     def __init__(self, chart: Chart, coeffs, space: JetSpace | None = None, order: int | None = None, mask: int = 0):
@@ -496,7 +565,7 @@ class AlmostComplexStructure:
         """J of a pointwise 1-form, with the values of the structure."""
         if form.degree != 1:
             raise DegreeError("almost complex structures act on 1-forms here")
-        return FormValue.from_vector(self.chart, 1, self.coeffs[0] @ form.to_vector())
+        return FormValue(self.chart, 1, self.coeffs[0] @ _pointwise(form))
 
 
 def standard_acs(chart: Chart) -> AlmostComplexStructure:
@@ -520,12 +589,9 @@ def acs_from_complex_action(chart: Chart, action) -> AlmostComplexStructure:
     """
     n = chart.dim
     T, Tinv = _complex_basis_matrices(chart)
-    jets = [a for row in action for a in row if isinstance(a, Jet)]
-    order = min((a.order for a in jets), default=None)
-    space, rows = _taylor_rows(action, order or 0)
+    rows, space, order, mask = _stacked(action)
     coupling = np.einsum("wl,kv->lkwv", T, Tinv).reshape(n * n, n * n)
-    coeffs = rows.reshape(len(rows), n * n) @ coupling
-    return AlmostComplexStructure(chart, coeffs, space, order, reduce(or_, (a.mask for a in jets), 0))
+    return AlmostComplexStructure(chart, rows.reshape(len(rows), n * n) @ coupling, space, order, mask)
 
 
 @lru_cache(maxsize=None)
@@ -538,15 +604,12 @@ def _ranks(n: int, k: int) -> dict:
 def _index_plan(n: int, k: int):
     """The degree-k multi-indices on n coordinates, and how each grows from degree k - 1.
 
-    Returns ``(rank, grow)``.  ``rank`` maps each increasing k-tuple to its
-    row, in combinations order.  ``grow`` holds three arrays over the
-    positions (r, J, I), flattened in that order, of the product that grows
-    the degree-k table: the flat (J', I') index into the degree-(k-1) table
-    of the dx_{J'} coefficient of a part of dx_{I'}, the flat (w, v) index
-    into the degree-1 table of the dx_w coefficient of a projector image of
-    dx_v, and the sign (-1)^(k-1-r) that turns dx_{J'} ^ dx_w into dx_J.
-    Here w is the r-th index of J and J' the rest, v the last index of I
-    and I' the rest.
+    Returns ``(rank, grow)``: ``rank`` maps each increasing k-tuple to its
+    row, and ``grow`` holds three arrays over the positions (r, J, I),
+    flattened: the flat (J', I') index into the degree-(k-1) table, the flat
+    (w, v) index into the degree-1 table, and the sign (-1)^(k-1-r) turning
+    dx_{J'} ^ dx_w into dx_J, with w the r-th index of J, J' the rest, v the
+    last index of I and I' the rest.
     """
     rank, prev = _ranks(n, k), _ranks(n, k - 1)
     multis = np.array(list(rank), dtype=np.intp).reshape(len(rank), k)
@@ -560,10 +623,9 @@ def _index_plan(n: int, k: int):
 def _complement(n: int, k: int):
     """The complement map of k-forms on n coordinates: ``(comp, signs)``, read-only.
 
-    For the L-th increasing k-tuple, ``comp[L]`` is the row of its
-    complement L^c among the (n-k)-tuples and ``signs[L]`` the sign e_L with
-    dx_L ^ dx_{L^c} = e_L dx_0 ^ ... ^ dx_{n-1}; rows are in combinations
-    order.
+    ``comp[L]`` is the row of the complement L^c of the L-th k-tuple among
+    the (n-k)-tuples and ``signs[L]`` the e_L with dx_L ^ dx_{L^c} = e_L dx_0
+    ^ ... ^ dx_{n-1}.
     """
     rest = _ranks(n, n - k)
     comp, signs = [], []
@@ -587,27 +649,20 @@ class TypeContext:
     valid only to order 0, has m = 0.
 
     Degree 1 stacks the projectors Q = (1 + iJ)/2 and P = (1 - iJ)/2 over
-    the rows of the structure's Taylor array (``AlmostComplexStructure.coeffs``)
-    that hold J at the point and its d/dx_u.
-    Degree k <= dim/2 grows from degree k - 1 over an index plan (``_index_plan``):
-    the (p,q) part of dx_I = dx_{I'} ^ dx_v is (p-1,q)(dx_{I'}) ^ P dx_v +
-    (p,q-1)(dx_{I'}) ^ Q dx_v, and the dx_J coefficient of a (k-1)-form
-    wedged with a 1-form sums, over the k ways to write J as J' plus {w},
-    the dx_{J'} coefficient times the dx_w one with the merge sign.  Each
-    product of two stacked factors is the Leibniz rule: its value is a_0 b_0
-    and its d/dx_u is a_0 b_u + a_u b_0.  A degree k with dim/2 < k < dim
-    is one signed permutation of degree dim - k (``_dual_table``), so on
-    the 6-dimensional twistor chart degrees 4 and 5 come from 2 and 1.
+    the rows of ``AlmostComplexStructure.coeffs`` that hold J at the point
+    and its d/dx_u.  Degree k <= dim/2 grows from degree k - 1 over an index
+    plan (``_index_plan``): the (p,q) part of dx_{I'} ^ dx_v is
+    (p-1,q)(dx_{I'}) ^ P dx_v + (p,q-1)(dx_{I'}) ^ Q dx_v, each product by
+    the Leibniz rule (value a_0 b_0, d/dx_u a_0 b_u + a_u b_0).  A degree
+    dim/2 < k < dim is a signed permutation of degree dim - k
+    (``_dual_table``).
 
-    Decomposing raises ChartMismatch for a form on another chart, and
-    contracts the table with the form's coefficient vector and builds forms
-    only for the result.  A pointwise form contracts with the values.  A
-    jet form contracts the values with its Taylor coefficients and adds the
-    slopes times its value to each x_u coefficient: on a structure with jet
-    entries the result is valid to min(form order, 1), the order every
-    reader of such a projection needs, and on a constant structure it keeps
-    the form's order.  Its jets carry the union of the form's and the
-    structure's masks.
+    Decomposing raises ChartMismatch for a form on another chart and
+    contracts the table with the form's Taylor rows: the values with its
+    rows in its mask, plus the slopes times its value in each x_u row.  On
+    a structure with jet entries the parts are valid to min(form order, 1),
+    all any reader of them needs, and on a constant one they keep the
+    form's order; they carry the union of the two masks.
     """
 
     def __init__(self, acs: AlmostComplexStructure):
@@ -662,11 +717,9 @@ class TypeContext:
         """The degree-k table, for dim/2 < k < dim, as the signed-complement transpose of degree dim - k.
 
         The wedge pairing makes the (p, q) projection on k-forms the adjoint
-        of the (m-p, m-q) projection on (dim-k)-forms, m = dim/2, so
-        T_k[:, p] = C T_{dim-k}[:, m-p]^T C^T with C the signed permutation
-        of ``_complement``, and 0 where m - p is not a type of degree
-        dim - k.  Each entry is one entry of the lower table times +-1, and
-        the value and slope rows transform alike.
+        of the (m-p, m-q) one on (dim-k)-forms, m = dim/2, so T_k[:, p] =
+        C T_{dim-k}[:, m-p]^T C^T with C the signed permutation of
+        ``_complement`` (0 where m - p is no type of degree dim - k).
         """
         n, m = self.chart.dim, self.chart.ncomplex
         low = self._table(n - k)
@@ -686,46 +739,22 @@ class TypeContext:
     def _parts(self, form: FormValue) -> list:
         """The (p, k-p) parts of a k-form, for p = 0 .. k."""
         k = form.degree
-        rank = _index_plan(self.chart.dim, k)[0]
         tab = self._table(k)
-        rows = [rank[m] for m in form.terms]
-        coeffs = list(form.terms.values())
-        jets = [c for c in coeffs if isinstance(c, Jet)]
-        if not jets:
-            space = None
-            vector = np.zeros(len(rank), dtype=np.complex128)
-            vector[rows] = coeffs
-            out = (tab[0] @ vector)[..., None]
+        space, order, mask = form.space, form.order, form.mask | self.acs.mask
+        if space is None:
+            out = (tab[0] @ form.coeffs[0])[..., None]
         else:
-            space = self.acs.space or jets[0].space
-            if any(j.space is not space for j in jets):
-                raise ValueError("jets from different spaces cannot be combined")
-            order = min(j.order for j in jets)
             if self.acs.space is not None:
+                if self.acs.space is not space:
+                    raise ValueError("jets from different spaces cannot be combined")
                 order = min(order, 1, self.acs.order)
-            cmask = reduce(or_, (j.mask for j in jets))
-            mask = cmask | self.acs.mask
-            cols = space.support(cmask, order)
-            matrix = np.zeros((len(rank), len(cols)), dtype=np.complex128)
-            for r, c in zip(rows, coeffs):
-                if isinstance(c, Jet):
-                    matrix[r] = c.c[cols]
-                else:
-                    matrix[r, 0] = c
-            out = np.zeros(tab.shape[1:-1] + (space.size,), dtype=np.complex128)
+            cols = space.support(form.mask, order)
+            matrix = form.coeffs[cols].T
+            out = np.zeros(tab.shape[1:-1] + (space.prefix_sizes[order],), dtype=np.complex128)
             out[..., cols] = tab[0] @ matrix
             if order and self._vars:
                 out[..., space.first_order[self._vars]] += np.moveaxis(tab[1:] @ matrix[:, 0], 0, -1)
-        keep = np.any(out != 0, axis=-1)  # NaN is kept, as in is_zero_scalar
-        multis = list(rank)
-        parts = []
-        for part, kept in zip(out, keep):
-            if space is None:
-                terms = {multis[J]: complex(part[J, 0]) for J in np.flatnonzero(kept)}
-            else:
-                terms = {multis[J]: Jet(space, part[J], order, mask) for J in np.flatnonzero(kept)}
-            parts.append(FormValue(self.chart, k, terms))
-        return parts
+        return [FormValue(self.chart, k, part.T, space, order, mask if space is not None else 0) for part in out]
 
     def decompose(self, form: FormValue) -> dict:
         """Partition into pure (p,q) parts; the parts sum back to the input."""
@@ -733,7 +762,7 @@ class TypeContext:
         k = form.degree
         if k == 0:
             return {(0, 0): form}
-        if not form.terms:
+        if not len(form._live):
             return {}
         return {(p, k - p): part for p, part in enumerate(self._parts(form))}
 
@@ -774,14 +803,11 @@ def mat_inv(A):
     """The inverse of a Hermitian positive-definite matrix of jets or numbers, by Gauss-Jordan without pivoting.
 
     Every matrix the package inverts is one (the kappa Hessian, a cotangent
-    Gram, Hbar, Ubar), and on those elimination without pivoting is stable
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 10),
-    so no step depends on the values of the entries: no row is swapped and
-    no zero multiplier is skipped.  Each pivot is inverted once and
-    multiplied by, which is how a jet division computes.  A pivot whose
-    value is 0 raises DomainError; on a matrix outside the contract a small
-    pivot loses digits silently.  Columns of ``work`` up to the pivot's are
-    never read again, so they are not updated.
+    Gram, Hbar, Ubar), where elimination without pivoting is stable (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 10), so no row
+    is swapped and no zero multiplier skipped.  Each pivot is inverted once
+    and multiplied by, as a jet division computes; a pivot of value 0 raises
+    DomainError.  Columns of ``work`` up to the pivot's are not updated.
     """
     n = len(A)
     work = [list(row) for row in A]
@@ -829,14 +855,11 @@ def _wedge_signs(n: int, ka: int, kb: int) -> np.ndarray:
 def _taylor_rows(entries, order: int):
     """``(space, rows)``: the Taylor coefficients to ``order`` of a nested list of jets and numbers.
 
-    ``rows[i, ...]`` holds the coefficient of the i-th monomial of
-    ``space`` in each entry, for the monomials of degree <= ``order``, which
-    come first: the monomial axis comes first and the list's shape follows.
-    A number fills row 0.  ``space`` is that of the jets, or None if there
-    are none, and then ``rows`` is the one row of values.  Raises
-    ValueError for jets of different spaces and InsufficientJetOrder for a
-    jet valid below ``order``, so no coefficient beyond a jet's validity is
-    read.
+    ``rows[i, ...]`` is the coefficient of the i-th monomial of ``space`` in
+    each entry, the list's shape after the monomial axis; a number fills row
+    0, and without jets ``space`` is None and ``rows`` the one row of values.
+    ValueError for jets of different spaces, InsufficientJetOrder for a jet
+    valid below ``order``.
     """
     cells = np.array(entries, dtype=object)
     jets = [e for e in cells.flat if isinstance(e, Jet)]
@@ -854,6 +877,13 @@ def _taylor_rows(entries, order: int):
     return space, rows.reshape((size,) + cells.shape)
 
 
+def _stacked(entries):
+    """``(rows, space, order, mask)``: ``_taylor_rows`` of jets and numbers to the lowest order of the jets, on the union of their masks."""
+    jets = [e for e in np.array(entries, dtype=object).flat if isinstance(e, Jet)]
+    order = min((e.order for e in jets), default=None)
+    return _taylor_rows(entries, order or 0)[::-1] + (order, reduce(or_, (e.mask for e in jets), 0))
+
+
 def _check_order(valid: int, order: int) -> None:
     """InsufficientJetOrder unless coefficients valid to ``valid`` reach ``order``."""
     if valid < order:
@@ -863,14 +893,12 @@ def _check_order(valid: int, order: int) -> None:
 def _d_point(space: JetSpace, rows: np.ndarray, k: int) -> np.ndarray:
     """d at the point of stacked k-forms, as Taylor rows one order lower.
 
-    ``rows[i, ..., I]`` is the coefficient of the i-th monomial of ``space``
-    in the dx_I coefficient of a form, multi-indices in combinations order,
-    to order 1 or 2 (``_taylor_rows``).  Since d(f dx_I) = sum_v d_v f
-    dx_v ^ dx_I, the value of d(form) is the first partials times the sign
-    plan of a 1-form and a k-form (``_wedge_signs``); from rows to order 2
-    its slopes are the second partials times the same plan, in the rows of
-    the monomials x_u.  So d of rows to order 2 can be read by d again.  A
-    NaN among the partials makes every coefficient of the result NaN.
+    ``rows[i, ..., I]`` are Taylor rows to order 1 or 2 of stacked forms.
+    Since d(f dx_I) = sum_v d_v f dx_v ^ dx_I, the value of d(form) is the
+    first partials times the sign plan ``_wedge_signs(n, 1, k)``, and from
+    rows to order 2 its slopes are the second partials times the same plan,
+    so d can read them again.  A NaN among the partials makes every
+    coefficient of the result NaN.
     """
     n = space.nvars
     first = rows[space.first_order]  # [v, ..., I] = d_v
@@ -925,13 +953,10 @@ def gram_curvature(H, ctx: TypeContext):
     point takes one pointwise (1,1) projection for every entry.
 
     The value and the slopes of Hbar^-1 come from one ``mat_inv`` on the
-    entries read to order 1, a jet elimination without pivoting, which is
-    stable since Hbar is Hermitian positive definite.  The pointwise
-    alternatives, d(Hbar^-1) = -Hbar^-1 dHbar Hbar^-1 from an explicit
-    inverse or from LU solves, lose more digits at the domain edges
-    where Hbar is ill-conditioned (the Eguchi-Hanson cutoff |x| = 0.05a and
-    the radial-h cutoff at base radius 0.03) and fail the asd and the
-    anomaly gates there.
+    entries read to order 1; the pointwise d(Hbar^-1) = -Hbar^-1 dHbar
+    Hbar^-1, by an explicit inverse or LU solves, loses more digits where
+    Hbar is ill-conditioned and fails the asd and anomaly gates at the
+    domain edges (|x| = 0.05a on Eguchi-Hanson, base radius 0.03 for h).
     """
     space, G = _taylor_rows([[e.to_order(2) for e in row] for row in H], 2)
     _, Ginv = _taylor_rows(mat_inv([[e.to_order(1).conjugate() for e in row] for row in H]), 1)
@@ -962,7 +987,7 @@ def matrix_wedge_trace(A: np.ndarray, B: np.ndarray, chart: Chart) -> FormValue:
     _check_curvature_chart(A, chart)
     _check_curvature_chart(B, chart)
     pairs = np.einsum("ijI,jiJ->IJ", A, B)
-    return FormValue.from_vector(chart, 4, pairs.reshape(-1) @ _wedge_signs(chart.dim, 2, 2))
+    return FormValue(chart, 4, pairs.reshape(-1) @ _wedge_signs(chart.dim, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -984,15 +1009,15 @@ def relative_residual(diff_sup: float, scale: float) -> float:
 def closedness_residual(form: FormValue) -> float:
     """d(form) = 0 at the point: the sup of d(form) relative to its cancellation scale and |form|.
 
-    d is read at the point from the form's Taylor rows to order 1
-    (``_d_point``), so its jet coefficients must be valid to order >= 1 and
-    of one space.  The cancellation scale is the largest first partial that
-    enters d, as ``exterior_derivative_with_scale`` gives it.
+    d is read from the form's Taylor rows to order 1 (``_d_point``), so a
+    form with jets must be valid to order >= 1.  The cancellation scale is
+    the largest first partial that enters d.
     """
-    n, k = form.chart.dim, form.degree
-    space, rows = _taylor_rows([form.coefficient(m) for m in _ranks(n, k)], 1)
+    n, k, space = form.chart.dim, form.degree, form.space
     if space is None:  # constant coefficients: d is 0
         return relative_residual(0.0, form.sup())
+    _check_order(form.order, 1)
+    rows = form.to_order(1).coeffs
     # d_v of the dx_I coefficient enters d unless v is in I
     scale = _array_sup(rows[space.first_order].reshape(-1)[_wedge_signs(n, 1, k).any(axis=1)])
     return relative_residual(_array_sup(_d_point(space, rows, k)), nan_max([scale, form.sup()]))
@@ -1008,19 +1033,23 @@ def _array_sup(a: np.ndarray) -> float:
     return float(np.max(np.hypot(a.real, a.imag), initial=0.0))
 
 
+def _pointwise(form: FormValue) -> np.ndarray:
+    """The values of a pointwise form, multi-indices in combinations order; TypeError for a form with jets."""
+    if form.space is not None:
+        raise TypeError("the form has jet coefficients; take .values() first")
+    return form.coeffs[0]
+
+
 def curvature_residual(F: np.ndarray, forms, ctx: TypeContext) -> float:
     """F is (1,1) and F_ij ^ form = 0 for each form, relative to the entering terms.
 
-    ``F`` is a curvature stacked as ``gram_curvature`` returns it, on the
-    chart of ``ctx``, and ``forms`` a list of pointwise forms on that chart.
-    Each form is wedged with every entry in one product with the sign plan
-    (``_wedge_signs``), and the (2,0) and (0,2) parts of every entry come
-    from one product with the values of the degree-2 type table of ``ctx``.
-    The sup of the wedges and of those parts is compared against
-    sup|F| sup|form| and sup|F|.  Rounding is monotone, so sup|F| sup|form|
-    is bit for bit the largest product of a coefficient of an entry and one
-    of the form.  A NaN anywhere in F or in a form makes the scale NaN and
-    the residual inf.
+    ``F`` is stacked as ``gram_curvature`` returns it and ``forms`` are
+    pointwise forms, on the chart of ``ctx``.  Each form is wedged with
+    every entry in one product with the sign plan (``_wedge_signs``), and
+    the (2,0) and (0,2) parts come from one product with the values of the
+    degree-2 type table; their sups are compared against sup|F| sup|form|
+    (rounding is monotone, so that is bit for bit the largest product of
+    coefficients) and sup|F|.  A NaN anywhere makes the residual inf.
     """
     chart = ctx.chart
     f = F.reshape(-1, _check_curvature_chart(F, chart))
@@ -1032,7 +1061,7 @@ def curvature_residual(F: np.ndarray, forms, ctx: TypeContext) -> float:
             raise ChartMismatch(f"{form.chart.name!r} vs {chart.name!r}")
         if form.degree + 2 > chart.dim:
             raise DegreeError("wedge degree exceeds chart dimension")
-        b = form.to_vector()
+        b = _pointwise(form)
         wedged = (f[:, :, None] * b).reshape(len(f), -1) @ _wedge_signs(chart.dim, 2, form.degree)
         sups.append(_array_sup(wedged))
         scales.append(sup_F * _array_sup(b))
@@ -1049,12 +1078,10 @@ def del_dbar_of_taylor(ctx: TypeContext, space: JetSpace, coeffs: np.ndarray, de
 
     ``coeffs[i, I]`` is the coefficient of the i-th monomial of ``space``
     (those of degree <= 2 at least) in the dx_I coefficient of the form,
-    multi-indices in combinations order, valid to ``order`` >= 2; the
-    degree is even and at most dim - 2, as ``del_dbar_at_point`` checks.  For
-    degree 2q the result is the (q+1, q+1) part of d of the (q, q+1) part of
-    d(form), read by the kernels without a derivative jet: d with its slopes
-    (``_d_point``), the part with its slopes (``_type_part``), then d and
-    the part at the value.  So the structure is read to order 1: one with
+    multi-indices in combinations order, valid to ``order`` >= 2, of even
+    degree at most dim - 2.  For degree 2q the result is the (q+1, q+1) part
+    of d of the (q, q+1) part of d(form): d and the part with their slopes
+    (``_d_point``, ``_type_part``), then at the value, so a structure with
     jet entries valid only to order 0 raises InsufficientJetOrder.  A NaN
     among the partials makes every coefficient of the result NaN.
     """
@@ -1063,27 +1090,25 @@ def del_dbar_of_taylor(ctx: TypeContext, space: JetSpace, coeffs: np.ndarray, de
     q = degree // 2
     dbar = _type_part(ctx, space, _d_point(space, coeffs, degree), degree + 1, q)
     dd = _type_part(ctx, space, _d_point(space, dbar, degree + 1), degree + 2, q + 1)
-    return FormValue.from_vector(ctx.chart, degree + 2, dd[0])
+    return FormValue(ctx.chart, degree + 2, dd[0])
 
 
 def del_dbar_at_point(ctx: TypeContext, form: FormValue) -> FormValue:
     """del dbar of a form of even degree at the point, read from its Taylor rows (``del_dbar_of_taylor``).
 
-    Degree 0 gives del dbar f = -dbar del f of a function, and degree 2 del
-    dbar of a (1,1)-form such as a metric.  The form must be on the chart of
-    ``ctx`` (ChartMismatch) and of even degree at most dim - 2
-    (DegreeError), and its jet coefficients valid to order >= 2; its
-    coefficients of degree <= 2 are read.  Constant coefficients have no
-    partials, so a form without jets has del dbar 0.
+    Degree 0 gives del dbar f = -dbar del f, degree 2 del dbar of a metric.
+    The form must be on the chart of ``ctx`` (ChartMismatch), of even degree
+    at most dim - 2 (DegreeError) and, with jets, valid to order >= 2; a
+    pointwise form has del dbar 0.
     """
     ctx._check_chart(form)
     n, k = ctx.chart.dim, form.degree
     if k % 2 or k > n - 2:
         raise DegreeError(f"del dbar at the point reads a form of even degree up to {n - 2}, got degree {k}")
-    space, rows = _taylor_rows([form.coefficient(m) for m in _ranks(n, k)], 2)
-    if space is None:
+    if form.space is None:
         return FormValue.zero(ctx.chart, k + 2)
-    return del_dbar_of_taylor(ctx, space, rows, k, 2)
+    _check_order(form.order, 2)
+    return del_dbar_of_taylor(ctx, form.space, form.to_order(2).coeffs, k, 2)
 
 
 def volume_form_norm(vol: FormValue, omega: FormValue) -> float:
@@ -1093,5 +1118,6 @@ def volume_form_norm(vol: FormValue, omega: FormValue) -> float:
     DomainError unless omega^m is positive.
     """
     m = omega.chart.ncomplex
-    numer = vol.wedge(vol.conj()).map_coeffs(abs)
+    top = vol.wedge(vol.conj()).coeffs
+    numer = FormValue(vol.chart, 2 * vol.degree, np.hypot(top.real, top.imag))  # abs, bit for bit
     return math.sqrt(math.factorial(m) * top_ratio(numer, form_power(omega, m)).real)

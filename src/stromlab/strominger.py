@@ -166,7 +166,7 @@ class AnsatzCurvatureData:
 
     @cached_property
     def tr_RR(self) -> FormValue:
-        """tr(R ^ R) of the frame curvature, read by the anomaly and the identities; do not mutate."""
+        """tr(R ^ R) of the frame curvature, read by the anomaly and the identities."""
         R = self.frame_curvature
         return matrix_wedge_trace(R, R, self.fr.chart)
 
@@ -218,10 +218,7 @@ def _frame_gram(A, B, L, U):
 
 def _trace(F: np.ndarray, chart: Chart) -> FormValue:
     """tr F of a stacked curvature: its diagonal entries added in index order."""
-    out = F[0, 0]
-    for i in range(1, len(F)):
-        out = out + F[i, i]
-    return FormValue.from_vector(chart, 2, out)
+    return FormValue(chart, 2, np.add.accumulate(np.diagonal(F).T)[-1])
 
 
 def _curvature_data(model: HyperkahlerModel, params: AnsatzParams, p: ChartPoint) -> AnsatzCurvatureData:
@@ -284,7 +281,7 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     # reduction holding at machine precision.
     W = data.w_form()
     w_target = fr.fiber_form().scale(1j * fr.s.reciprocal())
-    w_res = identity_residual(FormValue.from_vector(fr.chart, 2, W[0]), w_target.values())
+    w_res = identity_residual(FormValue(fr.chart, 2, W[0]), w_target.values())
 
     # tr(R^R) against 2 del dbar((A/B) W) + 2 (dbar del log B)^2 + tr(F'^F')
     tr_RR = data.tr_RR
@@ -348,7 +345,7 @@ def radial_h_residual(h_profile: Profile, p: ChartPoint) -> float:
     chart = fr.chart
     rho = fr.x[0] * fr.x[0] + fr.x[1] * fr.x[1] + fr.x[2] * fr.x[2] + fr.x[3] * fr.x[3]
     space, rows = _taylor_rows([[rho], [fr.alpha], [fr.beta], [fr.gamma]], 1)
-    d_rho, d_alpha, d_beta, d_gamma = (FormValue.from_vector(chart, 1, v) for v in _d_point(space, rows, 0)[0])
+    d_rho, d_alpha, d_beta, d_gamma = (FormValue(chart, 1, v) for v in _d_point(space, rows, 0)[0])
     h1, h2 = h_profile.derivatives(rho_val)
 
     Id_rho = quaternion_operator(fr.kh, "I", chart).apply(d_rho)

@@ -119,8 +119,8 @@ class AnsatzParams:
     """Conformal profiles of the ansatz metric.
 
     ``g_fn(zr, zi)`` and ``h_fn(x1, x2, x3, x4)`` take jets and return a
-    jet; both must be real-valued.  ``alpha_prime`` is the coupling
-    constant of the anomaly equation.
+    jet; both must be real-valued.  ``alpha_prime``, the coupling constant
+    of the anomaly equation, is positive (ValueError otherwise).
     Params compare by value: the constructors build their profiles from
     ``_Constant`` values and module functions, so equal arguments, however
     they are spelled, give equal params with equal hashes.
@@ -129,6 +129,10 @@ class AnsatzParams:
     g_fn: object
     h_fn: object
     alpha_prime: float = 2.0
+
+    def __post_init__(self):
+        if not self.alpha_prime > 0.0:
+            raise ValueError(f"alpha' (alpha_prime) must be positive, got {self.alpha_prime}")
 
     @staticmethod
     def constants(g: float = 0.0, h: float = 0.0, alpha_prime: float = 2.0) -> "AnsatzParams":
@@ -146,7 +150,7 @@ class AnsatzParams:
         the radial branch on another base: the anomaly is checked on flat
         models alone.
         """
-        gval = 0.5 * math.log(alpha_prime / 4.0)
+        gval = 0.5 * math.log(alpha_prime / 4.0) if alpha_prime > 0.0 else 0.0  # the constructor refuses alpha' <= 0
         return AnsatzParams(_Constant(gval), _radial_h if radial_h else _Constant(0.0), alpha_prime)
 
     @staticmethod
@@ -246,7 +250,7 @@ class AnsatzMetric:
 
     @cached_property
     def metric(self) -> FormValue:
-        """The Hermitian ansatz form; do not mutate."""
+        """The Hermitian ansatz form."""
         fr = self.fr
         s2inv = (fr.s * fr.s).reciprocal()
         conf = (2.0 * self.h + self.g).exp() * s2inv
@@ -394,8 +398,8 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     # the values of their factors
     space, rows = _taylor_rows([[f] for f in (*w_field_jets(fr), *C, *D, *L)], 1)
     d_fields = _d_point(space, rows, 0)
-    dw = [FormValue.from_vector(chart, 1, v) for v in d_fields[0, :2]]
-    dbar = [FormValue.from_vector(chart, 1, v) for v in _type_part(ctx, space, d_fields[:, 2:], 1, 0)[0]]
+    dw = [FormValue(chart, 1, v) for v in d_fields[0, :2]]
+    dbar = [FormValue(chart, 1, v) for v in _type_part(ctx, space, d_fields[:, 2:], 1, 0)[0]]
     theta1, theta2 = (t.values() for t in theta_coframe_jets(fr))
     one_minus_alpha = svalue(1.0 - fr.alpha)
     two_zeta = svalue(2.0 * fr.zeta)

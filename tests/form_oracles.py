@@ -39,6 +39,12 @@ from stromlab.jets import Jet
 from stromlab.strominger import _frame_gram
 
 
+def terms_of(form: FormValue) -> dict:
+    """{multi: coefficient} of the terms a form has, in combinations order: a number each, or a jet valid to the form's order."""
+    multis = list(combinations(range(form.chart.dim), form.degree))
+    return {multis[i]: form.coefficient(multis[i]) for i in form._live}
+
+
 def form_linear_combo(forms, coeffs) -> FormValue:
     """sum_k coeffs[k] forms[k], for forms of one degree and scalar or jet coefficients."""
     out = FormValue.zero(forms[0].chart, forms[0].degree)
@@ -86,12 +92,12 @@ def quaternion_table(which: str, kh) -> list:
 
 def stacked(M) -> np.ndarray:
     """A matrix of pointwise forms of one degree as stacked coefficients, as ``gram_curvature`` returns them."""
-    return np.array([[entry.to_vector() for entry in row] for row in M])
+    return np.array([[entry.coeffs[0] for entry in row] for row in M])
 
 
 def entry_forms(F, chart) -> list:
     """A stacked curvature as a matrix of pointwise 2-forms."""
-    return [[FormValue.from_vector(chart, 2, entry) for entry in row] for row in F]
+    return [[FormValue(chart, 2, entry) for entry in row] for row in F]
 
 
 def evaluate(form: FormValue, *vectors) -> complex:
@@ -99,7 +105,7 @@ def evaluate(form: FormValue, *vectors) -> complex:
     if len(vectors) != form.degree:
         raise DegreeError("wrong number of vectors")
     total = 0.0 + 0.0j
-    for multi, c in form.terms.items():
+    for multi, c in terms_of(form).items():
         minor = np.array([[vec[i] for i in multi] for vec in vectors], dtype=np.complex128)
         total += svalue(c) * np.linalg.det(minor)
     return total
@@ -148,7 +154,7 @@ def pairwise_curvature_terms(F, forms, ctx):
         for entry in row:
             for form in forms:
                 sups.append(entry.wedge(form).sup())
-                scales.append(nan_max(smag(a) * smag(b) for a in entry.terms.values() for b in form.terms.values()))
+                scales.append(nan_max(smag(a) * smag(b) for a in terms_of(entry).values() for b in terms_of(form).values()))
             parts = ctx.decompose(entry)
             sups += [parts[key].sup() for key in ((2, 0), (0, 2)) if key in parts]
             scales.append(entry.sup())
@@ -185,16 +191,10 @@ def i_ddbar(ctx, f):
     return project(ctx, exterior_derivative(dbar_f), 1, 1).scale(1j)
 
 
-def read_to(form: FormValue, order: int) -> FormValue:
-    """The form with each jet coefficient read to ``order``."""
-    return form.map_coeffs(lambda c: c.to_order(order) if isinstance(c, Jet) else c)
-
-
 def wedge_trace(omega: FormValue, rho: FormValue):
     """m (rho ^ omega^{m-1}) / omega^m, with omega read to the order of rho's jets: tr_omega rho by wedges."""
-    orders = [c.order for c in rho.terms.values() if isinstance(c, Jet)]
-    if orders:
-        omega = read_to(omega, min(orders))
+    if rho.space is not None:
+        omega = omega.to_order(rho.order)
     m = omega.chart.ncomplex
     return float(m) * top_ratio(rho.wedge(form_power(omega, m - 1)), form_power(omega, m))
 
@@ -213,7 +213,7 @@ def wedge_extremal_residual(omega: FormValue, rho: FormValue, s, ctx) -> float:
     ``del_dbar_at_point``.
     """
     m = omega.chart.ncomplex
-    omega2 = read_to(omega, 2)
+    omega2 = omega.to_order(2)
     i_ddbar_s = i_ddbar(ctx, s)
     lap_s = wedge_trace(omega2, i_ddbar_s)
     lhs = i_ddbar_s.values().wedge(rho.values()).scale(2.0 * (m - 1))
@@ -236,10 +236,8 @@ def to_complex_components(form: FormValue) -> list:
     comps = []
     for k in range(chart.dim):
         acc = 0.0 + 0.0j
-        for v in range(chart.dim):
-            c = form.terms.get((v,))
-            if c is not None:
-                acc = acc + Tinv[k, v] * c
+        for (v,), c in terms_of(form).items():
+            acc = acc + Tinv[k, v] * c
         comps.append(acc)
     return comps
 

@@ -191,31 +191,47 @@ def test_members_built_on_first_use_are_cached_properties():
     assert set(slots) - {"jets.JetSpace.mul_table"} == set(), f"hand-written memo slots: {slots}"
 
 
-def references(tree: ast.AST, skip: ast.AST | None = None, attributes_only: bool = False) -> set:
-    """Every name, attribute and imported name under ``tree`` (only the attributes with ``attributes_only``), outside the node ``skip``.
+def references(tree: ast.AST) -> dict:
+    """{name: [(attribute, owners), ...]}: every name, attribute and imported name under ``tree``, in one walk.
 
-    An attribute of a module bound by ``import`` (``np.abs``, ``cmath.sin``) is no reference, since
-    it names no function of the package.  Nor is ``x.real`` or ``x.imag`` unless it is called
-    (``x.real()``): numbers and arrays read them as attributes, and only ``Jet`` calls them.
+    Each reference records whether it is an attribute (``x.name``) and the
+    function and class definitions it sits in, so one walk of a module
+    answers for each of its definitions what refers to a name outside it.
+    An attribute of a module bound by ``import`` (``np.abs``, ``cmath.sin``)
+    is no reference, since it names no function of the package.  Nor is
+    ``x.real`` or ``x.imag`` unless it is called (``x.real()``): numbers and
+    arrays read them as attributes, and only ``Jet`` calls them.
     """
-    modules = {a.asname or a.name.split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
-    found, called, stack = set(), set(), [tree]
+    modules, found, called, stack = set(), [], set(), [(tree, ())]
     while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+        node, owners = stack.pop()
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name.split(".")[0] for a in node.names)
         if isinstance(node, ast.Call):
             called.add(node.func)  # a call is visited before its function
         elif isinstance(node, ast.Attribute):
-            of_module = isinstance(node.value, ast.Name) and node.value.id in modules
-            if not of_module and (node.attr not in {"real", "imag"} or node in called):
-                found.add(node.attr)
-        elif isinstance(node, ast.Name) and not attributes_only:
-            found.add(node.id)
-        elif isinstance(node, ast.alias) and not attributes_only:
-            found.add(node.name)
-        stack.extend(ast.iter_child_nodes(node))
-    return found
+            if node.attr not in {"real", "imag"} or node in called:
+                found.append((node.attr, True, owners, getattr(node.value, "id", None)))
+        elif isinstance(node, ast.Name):
+            found.append((node.id, False, owners, None))
+        elif isinstance(node, ast.alias):
+            found.append((node.name, False, owners, None))
+        inner = owners + (node,) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else owners
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+    refs: dict = {}
+    for name, attribute, owners, of in found:
+        if of not in modules:
+            refs.setdefault(name, []).append((attribute, owners))
+    return refs
+
+
+def referred(refs: dict, outside: ast.AST | None = None, attributes_only: bool = False) -> set:
+    """The names ``refs`` holds a reference to outside the definition ``outside`` (only attributes with ``attributes_only``)."""
+    return {
+        name
+        for name, seen in refs.items()
+        if any((attribute or not attributes_only) and outside not in owners for attribute, owners in seen)
+    }
 
 
 # public names only the tests call; a program caller (such as a CLI) takes a name off this list
@@ -284,38 +300,39 @@ def test_public_names_without_a_program_caller_are_listed():
     # benchmark workload refers to is either listed here or has no reason to exist; so is a public
     # method whose name appears there as no attribute (``x.name``) outside its own body
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "stromlab").glob("*.py"))}
-    workloads = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
-    benchmark, benchmark_attributes = references(workloads), references(workloads, attributes_only=True)
+    workloads = references(ast.parse((ROOT / "perfbench" / "workloads.py").read_text()))
+    benchmark, benchmark_attributes = referred(workloads), referred(workloads, attributes_only=True)
     refs = {module: references(tree) for module, tree in trees.items()}
-    attributes = {module: references(tree, attributes_only=True) for module, tree in trees.items()}
     uncalled = set()
     for module, tree in trees.items():
-        others = benchmark.union(*(found for m, found in refs.items() if m != module))
+        others = benchmark.union(*(referred(found) for m, found in refs.items() if m != module))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                if node.name not in others | references(tree, node):
+                if node.name not in others | referred(refs[module], node):
                     uncalled.add(f"{module}.{node.name}")
-        other_attributes = benchmark_attributes.union(*(found for m, found in attributes.items() if m != module))
+        other_attributes = benchmark_attributes.union(
+            *(referred(found, attributes_only=True) for m, found in refs.items() if m != module)
+        )
         for qualified, fn in public_methods(tree):
-            if fn.name not in other_attributes | references(tree, fn, attributes_only=True):
+            if fn.name not in other_attributes | referred(refs[module], fn, attributes_only=True):
                 uncalled.add(f"{module}.{qualified}")
     assert not uncalled - TEST_ONLY_PUBLIC_NAMES, f"no program caller: {sorted(uncalled - TEST_ONLY_PUBLIC_NAMES)}"
     assert not TEST_ONLY_PUBLIC_NAMES - uncalled, f"listed, but called or gone: {sorted(TEST_ONLY_PUBLIC_NAMES - uncalled)}"
 
 
 def taylor_coefficient_reads(tree: ast.AST) -> list:
-    """Line numbers of the reads of a jet's Taylor coefficients: ``x.c[...]``, ``first_order``, ``second_order``."""
+    """Line numbers of the reads of Taylor coefficients: ``x.c[...]`` of a jet, ``x.coeffs[...]`` of a form or a structure, ``first_order``, ``second_order``."""
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "c")
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr in {"c", "coeffs"})
         or (isinstance(node, ast.Attribute) and node.attr in {"first_order", "second_order"})
     )
 
 
 def test_only_jets_and_forms_read_taylor_coefficients():
-    # the monomial layout of a jet is known to jets.py, and to the reads at the point in forms.py
-    # (forms._taylor_rows stacks it); every other module goes through them
+    # the monomial layout of a jet is known to jets.py, and to forms.py, whose forms and structures
+    # hold it as Taylor rows (forms._taylor_rows stacks it); every other module goes through them
     stray = []
     for path in sorted((ROOT / "src" / "stromlab").glob("*.py")):
         if path.stem not in {"jets", "forms"}:

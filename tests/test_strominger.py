@@ -71,6 +71,7 @@ from form_oracles import (
     mp_wedge_trace,
     project,
     stacked,
+    terms_of,
 )
 
 FLAT = flat_model()
@@ -280,7 +281,7 @@ def poisoned_above(x, order):
 
 
 def same_form(a, b) -> bool:
-    return a.degree == b.degree and a.terms.keys() == b.terms.keys() and all(a.terms[m] == b.terms[m] for m in a.terms)
+    return a.degree == b.degree and terms_of(a) == terms_of(b)
 
 
 def test_gram_curvature_and_dbar_del_read_their_inputs_to_order_two():
@@ -327,7 +328,7 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
 
     def del_dbar_lowered(ctx, form):
         lowered.append(form.degree)
-        return del_dbar(ctx, form.map_coeffs(lambda c: to_order(c, 1) if isinstance(c, Jet) else c))
+        return del_dbar(ctx, form.to_order(1))
 
     def del_dbar_stacked_lowered(ctx, space, coeffs, degree, order):
         lowered.append("stacked")
@@ -564,7 +565,7 @@ def test_hym_with_a_replacement_curvature_runs_on_eguchi_hanson():
     # a replacement curvature needs only the frame and the metric, not the Gram pieces that need w1, w2
     p = twistor_points(EH, 1, seed=74)[0]
     chart = TWISTOR_EH
-    dz12 = d_complex(chart, 1).wedge(d_complex(chart, 2)).to_vector()
+    dz12 = d_complex(chart, 1).wedge(d_complex(chart, 2)).coeffs[0]
     for params in (AnsatzParams.coupling_solution(), random_ansatz_params(seed=75, pair_index=0)):
         assert hym_residual(EH, params, p, curvature=np.zeros((2, 2, 15), dtype=np.complex128)) == 0.0
         assert not hym_residual(EH, params, p, curvature=np.broadcast_to(dz12, (2, 2, 15))) <= 1e-8
@@ -810,10 +811,8 @@ def test_hym_counterexample_random_curvature():
     rng = random.Random(3)
     fr = TwistorFrame(FLAT, p, 2)
     ctx = fr.ctx
-    base = FormValue(
-        fr.chart,
-        2,
-        {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in [(0, 2), (1, 3), (2, 3), (2, 4)]},
+    base = FormValue.of_terms(
+        fr.chart, 2, {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in [(0, 2), (1, 3), (2, 3), (2, 4)]}
     )
     fake_entry = project(ctx, base, 1, 1)
     fake = stacked([[fake_entry, fake_entry.scale(0.3)], [fake_entry.scale(-0.2), fake_entry]])
@@ -825,12 +824,12 @@ def test_hym_catches_a_pure_2_0_curvature_entry_by_purity_alone():
     p = twistor_points(FLAT, 1, seed=67)[0]
     params = AnsatzParams.coupling_solution()
     data = AnsatzCurvatureData(FLAT, params, p)
-    pure = project(data.fr.ctx, FormValue(p.chart, 2, {(0, 2): 0.6, (1, 3): 0.4j, (2, 4): -0.5}), 2, 0)
+    pure = project(data.fr.ctx, FormValue.of_terms(p.chart, 2, {(0, 2): 0.6, (1, 3): 0.4j, (2, 4): -0.5}), 2, 0)
     omega = data.ansatz.metric.values()
     assert pure.sup() >= 0.1
     assert pure.wedge(omega.wedge(omega)).sup() <= 1e-13
     F = data.quotient_curvature.copy()
-    F[0, 1] += pure.to_vector()
+    F[0, 1] += pure.coeffs[0]
     assert hym_residual(FLAT, params, p) <= 1e-8
     assert hym_residual(FLAT, params, p, curvature=F) >= 1e-2
 
@@ -867,7 +866,7 @@ def test_w_perturbation_linear_response():
     p = twistor_points(FLAT, 1, seed=79)[0]
     data = AnsatzCurvatureData(FLAT, AnsatzParams.constants(), p)
     fr = data.fr
-    W = FormValue.from_vector(fr.chart, 2, data.w_form()[0]) + fr.triple.omega_I.values().scale(1e-3)
+    W = FormValue(fr.chart, 2, data.w_form()[0]) + fr.triple.omega_I.values().scale(1e-3)
     target = fr.fiber_form().scale(1j * fr.s.reciprocal()).values()
     diff = (W - target).sup()
     scale = max(W.sup(), target.sup())
@@ -933,7 +932,7 @@ def test_hym_and_anomaly_name_a_curvature_off_the_twistor_chart():
 
 def test_curvature_sup_propagates_a_nan_that_is_not_first():
     C = TWISTOR_FLAT
-    F = stacked([[FormValue(C, 2, {(0, 1): 1e-20}), FormValue(C, 2, {(0, 1): float("nan")})]])
+    F = stacked([[FormValue.of_terms(C, 2, {(0, 1): 1e-20}), FormValue.of_terms(C, 2, {(0, 1): float("nan")})]])
     assert math.isnan(_array_sup(F))
 
 

@@ -116,7 +116,7 @@ def test_integrability_no_offtype_residue():
         f = fr.jets[0] * 0.0
         for v in range(6):
             f = f + rng.uniform(-1, 1) * fr.jets[v] * fr.jets[(v + 1) % 6]
-        form = FormValue(fr.chart, 1, {(v,): f * rng.uniform(-1, 1) for v in range(6)})
+        form = FormValue.of_terms(fr.chart, 1, {(v,): f * rng.uniform(-1, 1) for v in range(6)})
         d = exterior_derivative(form)
         del_plus_dbar = FormValue.zero(fr.chart, 2)
         offs = []
@@ -498,3 +498,16 @@ def test_frame_residuals_random_points():
         assert res.simp_residual <= 1e-9
         assert res.loc_residual <= 1e-9
         assert res.reconstruction_residual <= 1e-11
+
+
+def test_alpha_prime_must_be_positive_by_name():
+    # the paper's alpha' is a positive coupling constant; a negative one would scale the anomaly by a negative quarter
+    for bad in (0.0, -2.0, math.nan):
+        with pytest.raises(ValueError, match="alpha' .* must be positive"):
+            AnsatzParams.coupling_solution(bad)
+        with pytest.raises(ValueError, match="alpha' .* must be positive"):
+            AnsatzParams.constants(alpha_prime=bad)
+    g, h = AnsatzParams.constants().g_fn, AnsatzParams.constants().h_fn
+    with pytest.raises(ValueError, match="alpha' .* must be positive"):
+        AnsatzParams(g, h, alpha_prime=-1.0)
+    assert AnsatzParams(g, h, alpha_prime=0.5).alpha_prime == 0.5
