@@ -31,7 +31,6 @@ Ricci form is built.  A frame's order is the validity order of its metric.
 Only the fiber part of the metric differentiates anything, and only R, so
 only the seeds, the base metric, its determinant h and R are built to
 order + 1; u, v, f, g and the factor R^-1 e^{v+g} are built to the order.
-At order 6 the metric's products go column by column (``forms._products``).
 Every frame on a chart reads the chart's shared ``forms.standard_context``.
 ``_frame`` keeps frames by the rule of ``jets.kept``, which keeps two
 values: a point certifies the theorem metric and then a must-fail profile,

@@ -7,12 +7,13 @@ read-only complex array whose first axis runs over the monomials of degree
 over multi-indices in combinations order, with one validity order and one
 support mask for all of it; a pointwise form or a constant structure has the
 one row of values.  ``_taylor_rows`` stacks jets and numbers so
-(``FormValue.of_terms``).  Sums, scalings and wedges of forms are whole-array
-operations whose products round as the jets and numbers they stack would
-(``_products``), so nested expressions come out exact.  A column is a term
-of a form unless every coefficient of it is exactly 0 to the form's order
-(NaN counts as a term); products and wedges multiply only terms, and no
-tolerance decides what a form holds.
+(``FormValue.of_terms``).  Sums and differences of forms are whole-array
+operations; scalings and wedges multiply one column by another, each
+product rounded as the jets and numbers the columns stand for would round
+it (``_product``), so nested expressions come out exact.  A column is a
+term of a form unless every coefficient of it is exactly 0 to the form's
+order (NaN counts as a term); products and wedges multiply only terms, and
+no tolerance decides what a form holds.
 
 The Dolbeault operators make no holomorphic-coordinate assumption: del and
 dbar are assembled from real partials through the (1,0)/(0,1) projectors of
@@ -65,7 +66,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from operator import or_
+from operator import add, mul, or_
 
 import numpy as np
 
@@ -158,42 +159,17 @@ def nan_max(values) -> float:
     return worst
 
 
-# Jet columns are multiplied one by one above this many pairs, or for at most
-# two columns: timeit, 2-core host, 4 variables, 12 columns take 39 us stacked
-# against 65 us one by one at order 4 (495 pairs) but 492 against 182 us at
-# order 6 (3003 pairs), where the gathered operands outgrow the allocator's
-# reuse; 2 columns take 22 against 11 us at order 4.
-_STACKED_PAIRS = 1000
+def _product(space, order: int | None, mask: int, x_jets: bool, y_jets: bool):
+    """x * y for columns of forms, each a number or the 1-D Taylor rows of a jet, rounded as ``Jet`` and numbers multiply.
 
-
-def _products(space, a: np.ndarray, a_jets: bool, b: np.ndarray, b_jets: bool, order, mask: int) -> np.ndarray:
-    """The products a * b of the columns of two arrays of Taylor rows, rounded as the jets and numbers they hold multiply.
-
-    Two jets make one stacked ``jets._mul_coeffs``, ``a`` the left factor,
-    or one product per column (``_STACKED_PAIRS``), to the same bits; a jet
-    and a number scale the jet's coefficients by the number, the jet's
-    array first, as ``Jet`` does (numpy's complex multiply is not symmetric
-    in its operands); two numbers, in arrays of one shape, multiply as
-    Python does, since numpy fuses one product of each part into its sum and
-    rounds about a quarter of the products differently.  A column of one
-    broadcasts.
+    Two jets make one ``jets._mul_coeffs``, ``x`` the left factor; a jet and
+    a number scale the jet's coefficients by the number, the jet's array
+    first, as ``Jet`` does (numpy's complex multiply is not symmetric in its
+    operands); two numbers multiply as Python does.
     """
-    if a_jets and b_jets:
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        if shape[1] > 2 and len(space.mul_subset(mask, order)[0]) <= _STACKED_PAIRS:
-            return _mul_coeffs(space, a, b, order, mask)
-        if shape[1] == 1:
-            return _mul_coeffs(space, a[:, 0], b[:, 0], order, mask)[:, None]
-        a, b = (np.ascontiguousarray(np.broadcast_to(x, shape).T) for x in (a, b))  # contiguous columns gather fastest
-        out = np.empty(shape[::-1], dtype=np.complex128)
-        for t in range(len(out)):
-            out[t] = _mul_coeffs(space, a[t], b[t], order, mask)
-        return out.T
-    if a_jets:
-        return a * b[0]
-    if b_jets:
-        return b * a[0]
-    return np.array([x * y for x, y in zip(a.ravel().tolist(), b.ravel().tolist())], dtype=np.complex128).reshape(a.shape)
+    if x_jets and y_jets:
+        return lambda x, y: _mul_coeffs(space, x, y, order, mask)
+    return (lambda x, y: y * x) if y_jets else mul
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +192,9 @@ class FormValue:
         if degree < 0 or degree > n:
             raise DegreeError(f"degree {degree} out of range on {chart.name!r}")
         self.chart, self.degree, self.space, self.order, self.mask = chart, degree, space, order, mask
-        coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, math.comb(n, degree))
+        coeffs = np.array(coeffs, dtype=np.complex128, ndmin=2, copy=None)
         self.coeffs = coeffs[: space.prefix_sizes[order]] if space is not None else coeffs
-        self.coeffs.flags.writeable = False
+        self.coeffs.setflags(write=False)
 
     @staticmethod
     def of_terms(chart: Chart, degree: int, terms: dict) -> "FormValue":
@@ -244,14 +220,16 @@ class FormValue:
         return FormValue.of_terms(chart, 0, {(): value})
 
     def _join(self, other):
-        """(space, order, mask) of what this form and ``other``, a form or a jet, make; ChartMismatch or ValueError for two jet spaces."""
+        """(space, order, mask, rows) of what this form and ``other``, a form or a jet, make; ChartMismatch or ValueError for two jet spaces."""
         if isinstance(other, FormValue) and self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatch(f"{self.chart.name!r} vs {other.chart.name!r}")
         if self.space is None or other.space is None:
-            return self.space or other.space, self.order if other.space is None else other.order, self.mask | other.mask
-        if self.space is not other.space:
+            space, order = (self.space, self.order) if other.space is None else (other.space, other.order)
+        elif self.space is not other.space:
             raise ValueError("jets from different spaces cannot be combined")
-        return self.space, min(self.order, other.order), self.mask | other.mask
+        else:
+            space, order = self.space, min(self.order, other.order)
+        return space, order, self.mask | other.mask, space.prefix_sizes[order] if space is not None else 1
 
     def _rows(self, size: int) -> np.ndarray:
         """The first ``size`` rows of ``coeffs``, a pointwise form's padded with zero slopes."""
@@ -262,39 +240,45 @@ class FormValue:
         return out
 
     @cached_property
-    def _live(self) -> np.ndarray:
+    def _live(self) -> tuple:
         """The columns that hold a term: a coefficient other than 0 to the form's order, NaN included."""
-        return (self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs.any(axis=0)).nonzero()[0]
+        return tuple(self.coeffs.any(axis=0).nonzero()[0].tolist())
+
+    def _columns(self, size: int) -> dict:
+        """{column: coefficient} of the terms: a number on a pointwise form, else the first ``size`` Taylor rows."""
+        if self.space is not None:
+            live = self._live
+            return dict(zip(live, self.coeffs[:size].T[list(live)]))  # contiguous columns gather fastest
+        return {t: v for t, v in enumerate(self.coeffs[0].tolist()) if v}
+
+    def _elementwise(self, other: "FormValue", op) -> "FormValue":
+        space, order, mask, size = self._join(other)
+        if self.degree != other.degree:
+            raise DegreeError("cannot add or subtract forms of different degree")
+        return FormValue(self.chart, self.degree, op(self._rows(size), other._rows(size)), space, order, mask)
 
     def __add__(self, other: "FormValue") -> "FormValue":
-        space, order, mask = self._join(other)
-        if self.degree != other.degree:
-            raise DegreeError("cannot add forms of different degree")
-        size = space.prefix_sizes[order] if space is not None else 1
-        return FormValue(self.chart, self.degree, self._rows(size) + other._rows(size), space, order, mask)
+        return self._elementwise(other, np.add)
 
     def __sub__(self, other: "FormValue") -> "FormValue":
-        return self + other.scale(-1.0)
+        return self._elementwise(other, np.subtract)
 
     def __neg__(self) -> "FormValue":
-        return self.scale(-1.0)
+        return FormValue(self.chart, self.degree, -self.coeffs, self.space, self.order, self.mask)
 
     def scale(self, s) -> "FormValue":
-        """s times the form, for a number or a jet s as the left factor of each term (``_products``)."""
-        if self.space is None and not isinstance(s, Jet):  # numbers, multiplied as Python does; an absent term stays 0
+        """s times the form, for a number or a jet s as the left factor of each term (``_product``); an absent term stays 0."""
+        if isinstance(s, Jet):
+            space, order, mask, size = self._join(s)
+            s = s.c[:size]
+        elif self.space is not None:
+            space, order, mask, size, s = self.space, self.order, self.mask, len(self.coeffs), complex(s)
+        else:  # numbers, multiplied as Python does
             s = complex(s)
             return FormValue(self.chart, self.degree, [s * c if c else c for c in self.coeffs[0].tolist()])
-        live = self._live
-        if isinstance(s, Jet):
-            space, order, mask = self._join(s)
-            size = space.prefix_sizes[order]
-            rows = _products(space, s.c[:size, None], True, self.coeffs[:size, live], self.space is not None, order, mask)
-        else:
-            space, order, mask = self.space, self.order, self.mask
-            rows = self.coeffs[:, live] * complex(s)
-        out = np.zeros((len(rows), self.coeffs.shape[1]), dtype=np.complex128)
-        out[:, live] = rows
-        return FormValue(self.chart, self.degree, out, space, order, mask)
+        times = _product(space, order, mask, not isinstance(s, complex), self.space is not None)
+        columns = {t: times(s, c) for t, c in self._columns(size).items()}
+        return _of_columns(self.chart, self.degree, columns, size, space, order, mask)
 
     def wedge(self, other: "FormValue") -> "FormValue":
         """self ^ other, each output coefficient summed in an operand-symmetric order.
@@ -303,22 +287,26 @@ class FormValue:
         summed per K in pairs {(I, J), (J, I)} sorted by that unordered pair,
         so that a ^ b and b ^ a agree exactly.  The merges, signs and order
         come from one plan per pair of term patterns (``_wedge_plan``), and a
-        wedge is one product of the pairs of terms (``_products``) and the
-        sums.
+        wedge does only the products of terms (``_product``) and the sums.
         """
-        space, order, mask = self._join(other)
-        n, deg = self.chart.dim, self.degree + other.degree
-        if deg > n:
+        space, order, mask, size = self._join(other)
+        deg = self.degree + other.degree
+        if deg > self.chart.dim:
             raise DegreeError("wedge degree exceeds chart dimension")
-        size = space.prefix_sizes[order] if space is not None else 1
-        ia, ib, signs, first, second = _wedge_plan(n, self.degree, other.degree, self._live.tobytes(), other._live.tobytes())
-        # the sign goes on both parts of the left factor, which negates the product bit for bit
-        a = (np.take(self.coeffs[:size], ia, axis=1).view(np.float64) * signs).view(np.complex128)
-        terms = _products(space, a, self.space is not None, np.take(other.coeffs[:size], ib, axis=1), other.space is not None, order, mask)
-        # the last column is a zero, added for a missing pair or group
-        terms = np.concatenate((terms, np.zeros((len(terms), 1), dtype=np.complex128)), axis=1)
-        groups = np.take(terms, first, axis=1) + np.take(terms, second, axis=1)  # [row, level, K]
-        return FormValue(self.chart, deg, np.add.accumulate(groups, axis=1)[:, -1], space, order, mask)
+        ca, cb = self._columns(size), other._columns(size)
+        times = _product(space, order, mask, self.space is not None, other.space is not None)
+        columns = {}
+        for target, groups in _wedge_plan(self.chart.dim, self.degree, other.degree, tuple(ca), tuple(cb)):
+            acc = None
+            for group in groups:
+                part = None
+                for i, j, sign in group:
+                    c = times(ca[i], cb[j])
+                    c = c if sign > 0 else -c
+                    part = c if part is None else part + c
+                acc = part if acc is None else acc + part
+            columns[target] = acc
+        return _of_columns(self.chart, deg, columns, size, space, order, mask)
 
     def conj(self) -> "FormValue":
         return FormValue(self.chart, self.degree, np.conj(self.coeffs), self.space, self.order, self.mask)
@@ -354,6 +342,22 @@ def _jet(space: JetSpace | None, rows: np.ndarray, order: int | None, mask: int)
     return Jet(space, c, order, mask)
 
 
+def _of_columns(chart: Chart, degree: int, columns: dict, size: int, space, order, mask: int) -> FormValue:
+    """The form with the coefficients ``columns`` = {column: a number or ``size`` Taylor rows}, the others 0.
+
+    A jet form's terms (``FormValue._live``) are read from ``columns``
+    alone, values first, since every other column is 0.
+    """
+    n = math.comb(chart.dim, degree)
+    out = [0j] * n if space is None else np.zeros((n, size), dtype=np.complex128)
+    for t, c in columns.items():
+        out[t] = c
+    form = FormValue(chart, degree, out if space is None else out.T, space, order, mask)
+    if space is not None:
+        form._live = tuple(sorted(t for t, c in columns.items() if c[0] != 0 or c.any()))
+    return form
+
+
 def _merge_indices(ma: tuple, mb: tuple):
     """(merged, sign) with dx_ma ^ dx_mb = sign dx_merged, for increasing index tuples.
 
@@ -368,36 +372,23 @@ def _merge_indices(ma: tuple, mb: tuple):
 
 
 @lru_cache(maxsize=4096)
-def _wedge_plan(n: int, ka: int, kb: int, live_a: bytes, live_b: bytes) -> tuple:
-    """How ``FormValue.wedge`` multiplies and sums a ka-form and a kb-form with the live columns ``live_a`` and ``live_b``.
+def _wedge_plan(n: int, ka: int, kb: int, live_a: tuple, live_b: tuple) -> tuple:
+    """How ``FormValue.wedge`` sums a ka-form and a kb-form with terms in the columns ``live_a`` and ``live_b``.
 
-    The columns come as the bytes of their index arrays.  Returns ``(ia,
-    ib, signs, first, second)``.  Product t is column ``ia[t]`` of a times
-    column ``ib[t]`` of b, for each I, J of those columns with dx_I ^ dx_J =
-    s dx_K, and ``signs[2t]`` = ``signs[2t + 1]`` = s multiply the real and
-    imaginary part of a's column.  The products of one K are grouped by the
-    unordered pair {I, J}, and the groups of one K come sorted by that pair:
-    level l of K sums products ``first[l, K]`` and ``second[l, K]`` of its
-    l-th group, index T (a zero) where the group has one product or K has
-    no l-th group, and K adds its levels from left to right.
+    One (K, groups) per output column K; each group holds the (i, j, sign)
+    with dx_I ^ dx_J = sign dx_K of one unordered pair {I, J}, for I the
+    multi-index of column i of a and J that of column j of b, and the groups
+    come sorted by that pair.
     """
     multis_a, multis_b, out = list(_ranks(n, ka)), list(_ranks(n, kb)), _ranks(n, ka + kb)
     buckets: dict = {}
-    for i in np.frombuffer(live_a, dtype=np.intp).tolist():
-        for j in np.frombuffer(live_b, dtype=np.intp).tolist():
+    for i in live_a:
+        for j in live_b:
             merged, sign = _merge_indices(multis_a[i], multis_b[j])
             if merged is not None:
                 key = tuple(sorted((multis_a[i], multis_b[j])))
                 buckets.setdefault(out[merged], {}).setdefault(key, []).append((i, j, sign))
-    groups = [(level, target, pairs) for target, b in buckets.items() for level, (_, pairs) in enumerate(sorted(b.items()))]
-    products = [pair for _, _, pairs in groups for pair in pairs]
-    first, second = np.full((2, max((g[0] + 1 for g in groups), default=1), len(out)), len(products), dtype=np.intp)
-    t = 0
-    for level, target, pairs in groups:
-        first[level, target], second[level, target] = t, t + 1 if len(pairs) == 2 else len(products)
-        t += len(pairs)
-    ia, ib, signs = np.array(products, dtype=np.intp).reshape(-1, 3).T
-    return ia, ib, np.repeat(signs, 2).astype(np.float64), first, second
+    return tuple((target, tuple(tuple(groups[key]) for key in sorted(groups))) for target, groups in buckets.items())
 
 
 @lru_cache(maxsize=None)
@@ -461,16 +452,21 @@ def exterior_derivative_with_scale(form: FormValue):
 def hermitian_form(chart: Chart, H, offset: int = 0) -> FormValue:
     """sum_jk i H_jk dz_{offset+j} ^ dzbar_{offset+k}: the (1,1)-form of a Hermitian matrix of jets or numbers.
 
-    It sums the rows of ``_hermitian_basis`` times the entries.  Those rows
-    hold 0, +-1, +-i and +-2i, so every product is exact and a coefficient
-    sums at most two, in any order to the same bits; a NaN entry reaches
-    only the nonzero entries of its row.
+    Each entry adds its Taylor rows times the nonzero coefficients of its
+    row of ``_hermitian_basis``.  Those are +-1, +-i and 2, so every product
+    is exact and a coefficient sums at most two, in any order to the same
+    bits; a NaN entry reaches only its own coefficients.
     """
-    m, at = chart.ncomplex, offset + np.arange(len(H))
+    m = chart.ncomplex
     rows, space, order, mask = _stacked(H)
-    basis = _hermitian_basis(chart).reshape(m, m, -1)[at[:, None], at[None, :]]
-    coeffs = np.where(basis != 0, rows[..., None] * basis, 0.0).sum(axis=(1, 2))
-    return FormValue(chart, 2, coeffs, space, order, mask)
+    entries = rows.transpose(1, 2, 0) if space is not None else rows[0].tolist()
+    columns: dict = {}
+    for j, k in np.ndindex(len(H), len(H)):
+        b = _hermitian_basis(chart)[(offset + j) * m + offset + k].tolist()
+        for r in (r for r, x in enumerate(b) if x):
+            term = entries[j][k] * b[r]
+            columns[r] = columns[r] + term if r in columns else term
+    return _of_columns(chart, 2, columns, len(rows), space, order, mask)
 
 
 @lru_cache(maxsize=None)
@@ -483,22 +479,25 @@ def _hermitian_basis(chart: Chart) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=None)
+def _gram_factors(chart: Chart) -> tuple:
+    """Per (a, b) in row-major order, the (r, x) with x != 0 the dz_a ^ dzbar_b part of the r-th dx_v ^ dx_w through T^-1, r ascending."""
+    m, Tinv = chart.ncomplex, _complex_basis_matrices(chart)[1]
+    x = [[Tinv[a, v] * Tinv[m + b, w] - Tinv[a, w] * Tinv[m + b, v] for v, w in _ranks(chart.dim, 2)] for a, b in np.ndindex(m, m)]
+    return tuple(tuple((r, complex(f)) for r, f in enumerate(row) if f != 0) for row in x)
+
+
 def hermitian_matrix_of(omega: FormValue) -> list:
     """[g_ab] of a (1,1)-form omega = i g_ab dz_a ^ dzbar_b, jets valid to its order: the inverse of ``hermitian_form``.
 
     Each dx_v ^ dx_w is expanded through T^-1 (``_complex_basis_matrices``),
-    whose entries 0, +-1/2 and +-i/2 make every term exact; g_ab sums them
-    over the 2-index columns in ascending order, a zero factor left out,
-    and is then multiplied by -i.
+    whose entries 0, +-1/2 and +-i/2 make every term exact; g_ab sums the
+    terms of its nonzero factors (``_gram_factors``) in ascending column
+    order, and is then multiplied by -i.
     """
-    chart = omega.chart
-    m = chart.ncomplex
-    Tinv = _complex_basis_matrices(chart)[1]
-    v, w = np.array(list(_ranks(chart.dim, 2))).T  # factor[a, b, r]: the dz_a ^ dzbar_b part of the r-th dx_v ^ dx_w
-    factor = Tinv[:m, None, v] * Tinv[None, m:, w] - Tinv[:m, None, w] * Tinv[None, m:, v]
-    terms = np.where(factor != 0, omega.coeffs[:, None, None, :] * factor, 0.0)
-    G = np.add.accumulate(terms, axis=-1)[..., -1] * (-1j)
-    return [[_jet(omega.space, G[:, a, b], omega.order, omega.mask) for b in range(m)] for a in range(m)]
+    m, columns = omega.chart.ncomplex, omega.coeffs.T
+    G = [reduce(add, (columns[r] * x for r, x in factors)) * (-1j) for factors in _gram_factors(omega.chart)]
+    return [[_jet(omega.space, g, omega.order, omega.mask) for g in G[a * m : (a + 1) * m]] for a in range(m)]
 
 
 def hermitian_wedge(chart: Chart, A, B) -> FormValue:
