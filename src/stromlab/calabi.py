@@ -17,8 +17,12 @@ closures, so they compare by identity and a caller builds them once.
 The operators share one :class:`CanonicalBundleFrame` per (base, params,
 point).  A frame caches, each built on first use:
 
-- ``metric``, the (1,1)-form, one read-only Taylor array valid to the order;
-- ``gram``, its Gram matrix G = [g_{a bbar}] (``forms.hermitian_matrix_of``);
+- ``gram``, the Gram matrix G = [g_{a bbar}] as jets, built from the
+  ansatz: G = e^{u+f} diag(h, 0) + (e^{v+g} / R) [R_a R_bbar], the scaled
+  base block plus the fiber's rank-one block, R_a and R_bbar the Wirtinger
+  derivatives of R;
+- ``metric``, the (1,1)-form of G (``forms.hermitian_form``, exact
+  products), one read-only Taylor array valid to the order;
 - ``det``, det G, computed once;
 - ``ricci``, the Chern-Ricci matrix P = -[d_a dbar_b log det G], a
   Wirtinger Hessian valid to order - 2 (``ricci_matrix``);
@@ -27,10 +31,12 @@ point).  A frame caches, each built on first use:
 
 The Laplacian of s in the extremal equation is the same trace of the
 Hessian of s; the Ricci form is read only at its value, and no jet-valued
-Ricci form is built.  A frame's order is the validity order of its metric.
-Only the fiber part of the metric differentiates anything, and only R, so
+Ricci form is built.  A frame's order is the validity order of G and its
+metric.  Only the rank-one block differentiates anything, and only R, so
 only the seeds, the base metric, its determinant h and R are built to
 order + 1; u, v, f, g and the factor R^-1 e^{v+g} are built to the order.
+A frame refuses, with :class:`ZeroSectionError`, a point so near the zero
+section that R^-1 is not finite to its order.
 Every frame on a chart reads the chart's shared ``forms.standard_context``.
 ``_frame`` keeps frames by the rule of ``jets.kept``, which keeps two
 values: a point certifies the theorem metric and then a must-fail profile,
@@ -57,7 +63,6 @@ from .forms import (
     del_dbar_at_point,
     form_power,
     hermitian_form,
-    hermitian_matrix_of,
     hermitian_wedge,
     identity_residual,
     mat_det,
@@ -185,27 +190,26 @@ class CalabiParams:
 
 
 class CanonicalBundleFrame:
-    """Jets of the ansatz data at a point of the total-space chart, with a metric valid to ``order``.
+    """Jets of the ansatz data at a point of the total-space chart, with a Gram matrix valid to ``order``.
 
-    The metric, its Gram matrix and determinant, the Chern-Ricci matrix and
-    the Chern scalar are cached properties, so every operator reading the
-    frame pays for each once.  The metric is read-only (``FormValue``); do
-    not mutate the jets of the others.  The metric's fiber part
-    is del R ^ dbar R, so the seeds, ``hmat``, ``h`` and ``R`` are valid to
-    order + 1; nothing differentiates u, v, f or g, so they are built from
-    the base jets and R read to order.  The metric, the Gram matrix and its
-    determinant are valid to order, the Ricci matrix and the scalar to
-    order - 2: the extremal equation (the Hessian of the Laplacian of s,
-    read at the point) needs order 6, the Chern scalar 2, d(omega^n) 1 and
-    the volume norm 0.
+    The Gram matrix, its (1,1)-form (the metric) and determinant, the
+    Chern-Ricci matrix and the Chern scalar are cached properties, so every
+    operator reading the frame pays for each once; G is built first, as
+    jets, and the metric is read-only (``FormValue``); do not mutate the
+    jets of the others.  The rank-one block of G is R_a R_bbar, so the
+    seeds, ``hmat``, ``h`` and ``R`` are valid to order + 1; nothing
+    differentiates u, v, f or g, so they are built from the base jets and R
+    read to order.  G, the metric and det G are valid to order, the Ricci
+    matrix and the scalar to order - 2: the extremal equation (the Hessian
+    of the Laplacian of s, read at the point) needs order 6, the Chern
+    scalar 2, d(omega^n) 1 and the volume norm 0.  ZeroSectionError where
+    R^-1 is not finite to the order: R(0) = 0, or |R(0)|^-(order + 1)
+    overflows.
     """
 
     def __init__(self, base: BaseKahlerModel, params: CalabiParams, p: ChartPoint, order: int):
         if p.chart != base.total_chart:
             raise ValueError(f"point lives on {p.chart.name!r}, expected {base.total_chart.name!r}")
-        t = p.complex_coord(base.n)
-        if abs(t) == 0.0:
-            raise ZeroSectionError("the fiber-norm ansatz is singular on the zero section")
         self.base = base
         self.chart = base.total_chart
         self.order = order
@@ -215,6 +219,10 @@ class CanonicalBundleFrame:
         self.hmat = base.metric(self.zjets)
         self.h = mat_det(self.hmat)
         self.R = self.t * self.t.conjugate() / self.h
+        try:  # the Taylor factors of R^-1 to the order are R(0)^-(j+1), j <= order
+            abs(svalue(self.R)) ** -(order + 1)
+        except (ZeroDivisionError, OverflowError):
+            raise ZeroSectionError(f"R = {svalue(self.R).real:.3g} is too near the zero section for R^-1 to order {order}") from None
         self.ctx = standard_context(self.chart)
         # nothing differentiates u, v, f or g: they are valid to order
         zjets = [x.to_order(order) for x in self.zjets]
@@ -224,35 +232,32 @@ class CanonicalBundleFrame:
         self.f = params.f_profile(R)
         self.g = params.g_profile(R)
 
-    def dR_split(self):
-        """del R = sum_j (dR/dz_j) dz_j and dbar R = sum_j (dR/dzbar_j) dzbar_j, built from their terms (dz_j = dx_2j + i dx_2j+1)."""
-        forms = []
-        for bar, i in ((False, 1j), (True, -1j)):
-            terms = {}
-            for re, im in _complex_pairs(self.chart):
-                terms[(re,)] = wirtinger(self.R, re, im, bar=bar)
-                terms[(im,)] = terms[(re,)] * i
-            forms.append(FormValue.of_terms(self.chart, 1, terms))
-        return tuple(forms)
-
     @cached_property
     def metric(self) -> FormValue:
-        """e^{u+f} omega_B + i e^{v+g} del R ^ dbar R / R, valid to the frame's order.
-
-        The fiber part differentiates R, seeded one order higher, so R is
-        read to the frame's order in the factor R^-1 e^{v+g}, and the base
-        metric before its product.
-        """
-        top = self.order
-        del_R, dbar_R = self.dR_split()
-        fiber = del_R.wedge(dbar_R).scale(1j * self.R.to_order(top).reciprocal() * (self.v + self.g).exp())
-        base = hermitian_form(self.chart, [[e.to_order(top) for e in row] for row in self.hmat])
-        return base.scale((self.u + self.f).exp()) + fiber
+        """e^{u+f} omega_B + i e^{v+g} del R ^ dbar R / R, the (1,1)-form of ``gram``, valid to the frame's order."""
+        return hermitian_form(self.chart, self.gram)
 
     @cached_property
     def gram(self) -> list:
-        """[g_{a bbar}] of the metric (``forms.hermitian_matrix_of``), as jets valid to the frame's order."""
-        return hermitian_matrix_of(self.metric)
+        """G = e^{u+f} diag(h, 0) + (e^{v+g} / R) [R_a R_bbar], as jets valid to the frame's order.
+
+        R_a = dR/dz_a and R_bbar = dR/dzbar_b are read from R, seeded one
+        order higher; R is read to the frame's order in the factor
+        c = R^-1 e^{v+g}, formed once, and the base block h before its
+        product.  The rank-one block takes m products for c R_a and m^2 for
+        the entries, the base block n^2.
+        """
+        top = self.order
+        c = self.R.to_order(top).reciprocal() * (self.v + self.g).exp()
+        pairs = _complex_pairs(self.chart)
+        c_del = [c * wirtinger(self.R, re, im, bar=False) for re, im in pairs]
+        dbar = [wirtinger(self.R, re, im, bar=True) for re, im in pairs]
+        G = [[a * b for b in dbar] for a in c_del]
+        scale = (self.u + self.f).exp()
+        for j, row in enumerate(self.hmat):
+            for k, h in enumerate(row):
+                G[j][k] = scale * h.to_order(top) + G[j][k]
+        return G
 
     @cached_property
     def det(self):

@@ -66,7 +66,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from operator import add, mul, or_
+from operator import mul, or_
 
 import numpy as np
 
@@ -477,27 +477,6 @@ def _hermitian_basis(chart: Chart) -> np.ndarray:
     basis = np.array(rows)
     basis.flags.writeable = False
     return basis
-
-
-@lru_cache(maxsize=None)
-def _gram_factors(chart: Chart) -> tuple:
-    """Per (a, b) in row-major order, the (r, x) with x != 0 the dz_a ^ dzbar_b part of the r-th dx_v ^ dx_w through T^-1, r ascending."""
-    m, Tinv = chart.ncomplex, _complex_basis_matrices(chart)[1]
-    x = [[Tinv[a, v] * Tinv[m + b, w] - Tinv[a, w] * Tinv[m + b, v] for v, w in _ranks(chart.dim, 2)] for a, b in np.ndindex(m, m)]
-    return tuple(tuple((r, complex(f)) for r, f in enumerate(row) if f != 0) for row in x)
-
-
-def hermitian_matrix_of(omega: FormValue) -> list:
-    """[g_ab] of a (1,1)-form omega = i g_ab dz_a ^ dzbar_b, jets valid to its order: the inverse of ``hermitian_form``.
-
-    Each dx_v ^ dx_w is expanded through T^-1 (``_complex_basis_matrices``),
-    whose entries 0, +-1/2 and +-i/2 make every term exact; g_ab sums the
-    terms of its nonzero factors (``_gram_factors``) in ascending column
-    order, and is then multiplied by -i.
-    """
-    m, columns = omega.chart.ncomplex, omega.coeffs.T
-    G = [reduce(add, (columns[r] * x for r, x in factors)) * (-1j) for factors in _gram_factors(omega.chart)]
-    return [[_jet(omega.space, g, omega.order, omega.mask) for g in G[a * m : (a + 1) * m]] for a in range(m)]
 
 
 def hermitian_wedge(chart: Chart, A, B) -> FormValue:

@@ -11,23 +11,30 @@ components of a 1-form through the basis change T^-1, the curvature
 certificate wedge by wedge and pair of terms by pair of terms, del dbar of a
 2-form and i del dbar of a function through derivative jets and jet-valued
 projections, the Chern-Ricci form, the Chern scalar and the extremal
-residual of a Calabi metric through jet-valued forms and wedges, and the
-Chern curvature of a Gram matrix at the point and its tr(R wedge R) in
-50-digit arithmetic.
+residual of a Calabi metric through jet-valued forms and wedges, the
+Calabi metric itself from d R, its type parts and a wedge, a Gram matrix
+read back from its (1,1)-form through T^-1, and the Chern curvature of a
+Gram matrix at the point and its tr(R wedge R) in 50-digit arithmetic.
 """
 
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import add
 
 import mpmath
 import numpy as np
 
 from stromlab.forms import (
+    Chart,
     DegreeError,
     FormValue,
     _complex_basis_matrices,
+    _jet,
+    _ranks,
     del_dbar_at_point,
     exterior_derivative_with_scale,
     form_power,
+    hermitian_form,
     identity_residual,
     mat_det,
     nan_max,
@@ -222,9 +229,51 @@ def wedge_extremal_residual(omega: FormValue, rho: FormValue, s, ctx) -> float:
     return identity_residual(lhs, rhs)
 
 
+def calabi_metric_by_wedges(fr, dbar_from_del: bool = False) -> FormValue:
+    """e^{u+f} omega_B + i e^{v+g} del R ^ dbar R / R of a ``CanonicalBundleFrame``, from forms and one wedge.
+
+    del R and dbar R are the (1,0) and (0,1) parts (``project``) of d R
+    through derivative jets (``exterior_derivative``), R the frame's, seeded
+    one order higher; R^-1 e^{v+g} scales their wedge and e^{u+f} the base
+    metric as a form.  With ``dbar_from_del`` the dbar R slot holds
+    sum_b R_b dzbar_b, R_b where the ansatz has R_bbar: a must-fail oracle.
+    """
+    chart, top = fr.chart, fr.order
+    dR = exterior_derivative(FormValue.scalar(chart, fr.R))
+    del_R, dbar_R = project(fr.ctx, dR, 1, 0), project(fr.ctx, dR, 0, 1)
+    if dbar_from_del:  # dz_b = dx_2b + i dx_2b+1 carries R_b on dx_2b
+        dbar_R = FormValue.of_terms(
+            chart, 1, {(v,): del_R.coefficient((v - v % 2,)) * (-1j if v % 2 else 1.0) for v in range(chart.dim)}
+        )
+    fiber = del_R.wedge(dbar_R).scale(1j * fr.R.to_order(top).reciprocal() * (fr.v + fr.g).exp())
+    base = hermitian_form(chart, [[e.to_order(top) for e in row] for row in fr.hmat])
+    return base.scale((fr.u + fr.f).exp()) + fiber
+
+
 def frame_gram(data):
     """Gram matrix of the holomorphic frame {dzeta, zeta dw_1, zeta dw_2} of curvature data, at its order."""
     return _frame_gram(data.A, data.B, data.Lvec, data.U)
+
+
+@lru_cache(maxsize=None)
+def _gram_factors(chart: Chart) -> tuple:
+    """Per (a, b) in row-major order, the (r, x) with x != 0 the dz_a ^ dzbar_b part of the r-th dx_v ^ dx_w through T^-1, r ascending."""
+    m, Tinv = chart.ncomplex, _complex_basis_matrices(chart)[1]
+    x = [[Tinv[a, v] * Tinv[m + b, w] - Tinv[a, w] * Tinv[m + b, v] for v, w in _ranks(chart.dim, 2)] for a, b in np.ndindex(m, m)]
+    return tuple(tuple((r, complex(f)) for r, f in enumerate(row) if f != 0) for row in x)
+
+
+def hermitian_matrix_of(omega: FormValue) -> list:
+    """[g_ab] of a (1,1)-form omega = i g_ab dz_a ^ dzbar_b, jets valid to its order: the inverse of ``hermitian_form``.
+
+    Each dx_v ^ dx_w is expanded through T^-1 (``_complex_basis_matrices``),
+    whose entries 0, +-1/2 and +-i/2 make every term exact; g_ab sums the
+    terms of its nonzero factors (``_gram_factors``) in ascending column
+    order, and is then multiplied by -i.
+    """
+    m, columns = omega.chart.ncomplex, omega.coeffs.T
+    G = [reduce(add, (columns[r] * x for r, x in factors)) * (-1j) for factors in _gram_factors(omega.chart)]
+    return [[_jet(omega.space, g, omega.order, omega.mask) for g in G[a * m : (a + 1) * m]] for a in range(m)]
 
 
 def to_complex_components(form: FormValue) -> list:

@@ -13,7 +13,6 @@ from stromlab.forms import (
     FormValue,
     TypeContext,
     hermitian_form,
-    hermitian_matrix_of,
     mat_det,
     point,
     standard_acs,
@@ -42,7 +41,15 @@ from stromlab.calabi import (
     volume_norm,
 )
 
-from form_oracles import evaluate, ricci_form, terms_of, wedge_extremal_residual, wedge_trace
+from form_oracles import (
+    calabi_metric_by_wedges,
+    evaluate,
+    hermitian_matrix_of,
+    ricci_form,
+    terms_of,
+    wedge_extremal_residual,
+    wedge_trace,
+)
 
 FS = fubini_study_cp1()
 TORUS = flat_torus_chart()
@@ -252,6 +259,103 @@ def test_gram_reads_match_the_oracle_route_with_constant_entries(case):
         want = wedge_extremal_residual(fr.metric, rho, s, fr.ctx)
         assert extremal_residual(base, params, p) == pytest.approx(want, rel=1e-9)
         assert chern_scalar(base, params, p) == pytest.approx(s.value.real, rel=1e-12)
+
+
+# -- the Gram matrix built from the ansatz --------------------------------------
+
+
+def relative_miss(got: np.ndarray, want: np.ndarray) -> float:
+    """max |got - want| over the arrays, relative to the largest |want| (0 when both are 0)."""
+    sup = float(np.max(np.abs(want)))
+    gap = float(np.max(np.abs(got - want)))
+    return gap / sup if sup else gap
+
+
+def metric_rows(omega, order: int) -> np.ndarray:
+    """The Taylor rows of degree <= ``order`` of a jet form."""
+    return omega.coeffs[: omega.space.prefix_sizes[order]]
+
+
+ANSATZ_PARAMS = {
+    "theorem": theorem_metric_params,
+    "linear": lambda base: CalabiParams.constant_length(base, f_profile=Profile.linear(1.0)),
+    "plain": lambda base: CalabiParams.plain(),
+}
+
+
+def assert_gram_matches_the_wedge_route(base, params, p, order):
+    """The frame's metric against ``calabi_metric_by_wedges``, and its Gram matrix against the metric read back.
+
+    The two routes associate the order-6 products differently, (c R_a) R_bbar
+    against c (R_a R_bbar), so their degree-6 coefficients differ by up to
+    about 2e-13 on magnitudes near 5 (5e-14 of the array's sup over 40
+    Fubini-Study points of the theorem metric); the read-back adds and
+    halves exact terms and stays within 2e-16.
+    """
+    fr = CanonicalBundleFrame(base, params, p, order)
+    want = calabi_metric_by_wedges(fr)
+    assert (fr.metric.order, want.order) == (order, order)
+    assert relative_miss(metric_rows(fr.metric, order), metric_rows(want, order)) <= 1e-13
+    for row, read_back in zip(fr.gram, hermitian_matrix_of(fr.metric)):
+        for got, want in zip(row, read_back):
+            assert_jets_match(got, want, 1e-14)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 6])
+@pytest.mark.parametrize("params", sorted(ANSATZ_PARAMS))
+@pytest.mark.parametrize("base", [FS, TORUS], ids=["fs", "torus"])
+def test_gram_and_metric_match_the_wedge_route(base, params, order):
+    # G built from the ansatz, its (1,1)-form, and that form read back through T^-1, against d R, type parts and a wedge
+    for p in total_points(base, 2, seed=107):
+        assert_gram_matches_the_wedge_route(base, ANSATZ_PARAMS[params](base), p, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_cp2_gram_and_metric_match_the_wedge_route(order):
+    # m = 3: a 2 x 2 base block beside the rank-one fiber block
+    for make in ANSATZ_PARAMS.values():
+        assert_gram_matches_the_wedge_route(CP2, make(CP2), point(CP2.total_chart, 0.3, -0.2, 0.5, 0.1, 0.7, 0.4), order)
+
+
+def test_the_wedge_route_with_r_b_for_r_bbar_misses():
+    # must fail: sum_b R_b dzbar_b in the dbar R slot, at points with Im t != 0
+    params = theorem_metric_params(FS)
+    for p in total_points(FS, 2, seed=109):
+        fr = CanonicalBundleFrame(FS, params, p, 6)
+        wrong = calabi_metric_by_wedges(fr, dbar_from_del=True)
+        assert relative_miss(metric_rows(wrong, 6), metric_rows(fr.metric, 6)) >= 1e-3
+
+
+def test_the_gram_reads_scale_and_wedge_no_form(monkeypatch):
+    # G, det G, P and s of a fresh order-6 frame come from jets alone; the wedge route would raise here
+    def refuse(*args):
+        raise AssertionError("a Gram read went through a form")
+
+    fr = CanonicalBundleFrame(FS, theorem_metric_params(FS), total_points(FS, 1, seed=113)[0], 6)
+    monkeypatch.setattr(FormValue, "wedge", refuse)
+    monkeypatch.setattr(FormValue, "scale", refuse)
+    assert [len(fr.gram), len(fr.ricci)] == [2, 2]
+    assert fr.det.value.real > 0.0 and abs(fr.scalar.value) <= 1e-8
+    with pytest.raises(AssertionError, match="went through a form"):
+        calabi_metric_by_wedges(fr)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1e-100, 1e-170])
+def test_near_the_zero_section_the_error_is_zero_section_error(t):
+    # R ~ |t|^2: at 1e-200 its reciprocal is finite to order 0 only, at 1e-340 R underflows to 0
+    params = theorem_metric_params(FS)
+    p = point(FS.total_chart, 0.1, 0.2, t, 0.0)
+    for op in (extremal_residual, km_balanced_residual):
+        jets._KEPT.clear()
+        with pytest.raises(ZeroSectionError):
+            op(FS, params, p)
+    jets._KEPT.clear()
+    if t == 1e-100:
+        assert volume_norm(FS, params, p) == pytest.approx(volume_norm(FS, params, point(FS.total_chart, 0.1, 0.2, 0.7, 0.0)), rel=1e-12)
+    else:
+        with pytest.raises(ZeroSectionError):
+            volume_norm(FS, params, p)
 
 
 # -- the ansatz ---------------------------------------------------------------
