@@ -215,7 +215,8 @@ class CanonicalBundleFrame:
         self.order = order
         self.jets = seed_jets(p.coords, order + 1)
         self.zjets = self.jets[: 2 * base.n]
-        self.t = self.jets[2 * base.n] + 1j * self.jets[2 * base.n + 1]
+        re, im = self.chart.pairs[base.n]
+        self.t = self.jets[re] + 1j * self.jets[im]
         self.hmat = base.metric(self.zjets)
         self.h = mat_det(self.hmat)
         self.R = self.t * self.t.conjugate() / self.h
@@ -249,7 +250,7 @@ class CanonicalBundleFrame:
         """
         top = self.order
         c = self.R.to_order(top).reciprocal() * (self.v + self.g).exp()
-        pairs = _complex_pairs(self.chart)
+        pairs = self.chart.pairs
         c_del = [c * wirtinger(self.R, re, im, bar=False) for re, im in pairs]
         dbar = [wirtinger(self.R, re, im, bar=True) for re, im in pairs]
         G = [[a * b for b in dbar] for a in c_del]
@@ -295,10 +296,6 @@ def omega0_d_residual(base: BaseKahlerModel, p: ChartPoint) -> float:
 # Chern scalar curvature
 
 
-def _complex_pairs(chart: Chart) -> tuple:
-    return tuple((2 * j, 2 * j + 1) for j in range(chart.ncomplex))
-
-
 def ricci_matrix(det: Jet, chart: Chart) -> list:
     """P = -[d_a dbar_b log det G] over the chart's complex coordinates: rho = i P_{a bbar} dz^a ^ dzbar^b.
 
@@ -306,7 +303,7 @@ def ricci_matrix(det: Jet, chart: Chart) -> list:
     determinant ``det``, as the Wirtinger Hessian (``jets.wirtinger_hessian``)
     of -log det G; its entries are jets valid to ``det.order - 2``.
     """
-    return wirtinger_hessian(det.log() * -1.0, _complex_pairs(chart))
+    return wirtinger_hessian(det.log() * -1.0, chart.pairs)
 
 
 def metric_trace(gram: list, det, A: list):
@@ -380,7 +377,7 @@ def extremal_residual_of(omega: FormValue, gram: list, det, ricci: list, s, ctx:
     and H_s at their values.
     """
     m = omega.chart.ncomplex
-    hess_s = wirtinger_hessian(s, _complex_pairs(omega.chart))
+    hess_s = wirtinger_hessian(s, omega.chart.pairs)
     lap_s = metric_trace(gram, det, hess_s)
     values = [[[svalue(e) for e in row] for row in M] for M in (hess_s, ricci)]
     lhs = hermitian_wedge(omega.chart, *values).scale(2.0 * (m - 1))

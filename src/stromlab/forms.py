@@ -15,10 +15,13 @@ term of a form unless every coefficient of it is exactly 0 to the form's
 order (NaN counts as a term); products and wedges multiply only terms, and
 no tolerance decides what a form holds.
 
-The Dolbeault operators make no holomorphic-coordinate assumption: del and
-dbar are assembled from real partials through the (1,0)/(0,1) projectors of
-an almost complex structure, which is built from its action on the complex
-basis in one array product (``acs_from_complex_action``).
+``Chart.pairs`` is the one pairing of real coordinates into complex ones:
+the complex basis T (its columns dz_j, dzbar_j), the standard structure
+and ``complex_coord`` read it.  The Dolbeault operators make no
+holomorphic-coordinate assumption: del and dbar are assembled from real
+partials through the (1,0)/(0,1) projectors of an almost complex structure,
+which is built from its action on the complex basis in one array product
+(``acs_from_complex_action``).
 :class:`TypeContext` holds the type decomposition of k-forms as one dense
 array per degree, indexed by (row, p, output multi-index, input
 multi-index), row 0 the value at the point and the others its first
@@ -54,7 +57,9 @@ one side of an identity equals the other (``identity_residual``), del dbar
 at the point of a form of even degree (``del_dbar_at_point``), and the norm
 of a holomorphic volume form (``volume_form_norm``).  A residual is a sup
 divided by the largest entering term (``relative_residual``), so it never
-passes on NaN or inf.  A curvature stays the one array that
+passes on NaN or inf.  Every relative residual of the package is one of
+these shapes; an operator names at most further terms of the scale
+(``identity_residual``).  A curvature stays the one array that
 ``gram_curvature`` computes, the stacked (1,1) coefficients of every entry,
 up to every reader (``curvature_residual``, ``matrix_wedge_trace``).
 """
@@ -62,7 +67,7 @@ up to every reader (``curvature_residual``, ``matrix_wedge_trace``).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
@@ -89,8 +94,9 @@ class DomainError(Exception):
 class Chart:
     """A real coordinate chart whose coordinates pair into complex ones.
 
-    Coordinate 2j + i*(2j+1) is the j-th complex coordinate, named
-    ``complex_names[j]``.
+    The j-th complex coordinate, named ``complex_names[j]``, is z_j = x_re
+    + i x_im for (re, im) = ``pairs[j]``, the one spelling of the pairing
+    that every reader takes.
     """
 
     name: str
@@ -104,6 +110,11 @@ class Chart:
     @property
     def ncomplex(self) -> int:
         return len(self.complex_names)
+
+    @property
+    def pairs(self) -> tuple:
+        """((0, 1), (2, 3), ...): the (re, im) coordinates of each complex coordinate."""
+        return tuple((2 * j, 2 * j + 1) for j in range(self.ncomplex))
 
     def __post_init__(self):
         if len(self.coords) != 2 * len(self.complex_names):
@@ -125,7 +136,8 @@ class ChartPoint:
             raise ValueError("chart point has non-finite coordinates")
 
     def complex_coord(self, j: int) -> complex:
-        return complex(self.coords[2 * j], self.coords[2 * j + 1])
+        re, im = self.chart.pairs[j]
+        return complex(self.coords[re], self.coords[im])
 
 
 def point(chart: Chart, *coords) -> ChartPoint:
@@ -393,28 +405,29 @@ def _wedge_plan(n: int, ka: int, kb: int, live_a: tuple, live_b: tuple) -> tuple
 
 @lru_cache(maxsize=None)
 def d_complex(chart: Chart, j: int) -> FormValue:
-    """dz_j = dx_{2j} + i dx_{2j+1}."""
-    return FormValue.of_terms(chart, 1, {(2 * j,): 1.0 + 0.0j, (2 * j + 1,): 1j})
+    """dz_j = dx_re + i dx_im, column j of T."""
+    return FormValue(chart, 1, _complex_basis_matrices(chart)[0][:, j].copy())
 
 
 @lru_cache(maxsize=None)
 def d_complex_bar(chart: Chart, j: int) -> FormValue:
-    return FormValue.of_terms(chart, 1, {(2 * j,): 1.0 + 0.0j, (2 * j + 1,): -1j})
+    """dzbar_j = dx_re - i dx_im, column m + j of T."""
+    return FormValue(chart, 1, _complex_basis_matrices(chart)[0][:, chart.ncomplex + j].copy())
 
 
 _BASIS_INV_CACHE: dict = {}  # chart -> (T, T^-1)
 
 
 def _complex_basis_matrices(chart: Chart):
-    """(T, T^-1): T sends coefficients over [dz..., dzbar...] to real-basis ones; built once per chart."""
+    """(T, T^-1): T sends coefficients over [dz..., dzbar...] to real-basis ones, T^-1 = T^H / 2 exactly; built once per chart."""
     pair = _BASIS_INV_CACHE.get(chart)
     if pair is None:
         m = chart.ncomplex
         T = np.zeros((chart.dim, chart.dim), dtype=np.complex128)
-        for j in range(m):  # dz_j = dx_2j + i dx_2j+1, dzbar_j = dx_2j - i dx_2j+1
-            T[2 * j, j] = T[2 * j, m + j] = 1.0
-            T[2 * j + 1, j], T[2 * j + 1, m + j] = 1j, -1j
-        pair = _BASIS_INV_CACHE[chart] = (T, np.linalg.inv(T))
+        for j, (re, im) in enumerate(chart.pairs):
+            T[re, j] = T[re, m + j] = 1.0
+            T[im, j], T[im, m + j] = 1j, -1j
+        pair = _BASIS_INV_CACHE[chart] = (T, T.conj().T * 0.5)
     return pair
 
 
@@ -547,12 +560,9 @@ class AlmostComplexStructure:
 
 
 def standard_acs(chart: Chart) -> AlmostComplexStructure:
-    """The integrable structure making the chart's complex pairs holomorphic: one row of values."""
-    J = np.zeros((chart.dim, chart.dim), dtype=np.complex128)
-    for j in range(chart.ncomplex):
-        # J dz = i dz  <=>  J dx_re = -dx_im, J dx_im = dx_re
-        J[2 * j + 1, 2 * j], J[2 * j, 2 * j + 1] = -1.0, 1.0
-    return AlmostComplexStructure(chart, J)
+    """The integrable structure making the chart's complex pairs holomorphic, J dz = i dz: one row of values."""
+    m = chart.ncomplex
+    return acs_from_complex_action(chart, np.diag([1j] * m + [-1j] * m))
 
 
 def acs_from_complex_action(chart: Chart, action) -> AlmostComplexStructure:
@@ -1051,20 +1061,20 @@ def identity_residual(lhs: FormValue, rhs: FormValue, *scales: float) -> float:
     return relative_residual((lhs - rhs).sup(), nan_max([lhs.sup(), rhs.sup(), *scales]))
 
 
-def del_dbar_of_taylor(ctx: TypeContext, space: JetSpace, coeffs: np.ndarray, degree: int, order: int) -> FormValue:
+def del_dbar_of_taylor(ctx: TypeContext, space: JetSpace, coeffs: np.ndarray, degree: int) -> FormValue:
     """del dbar at the point of the form of even ``degree`` whose Taylor rows are ``coeffs``.
 
-    ``coeffs[i, I]`` is the coefficient of the i-th monomial of ``space``
-    (those of degree <= 2 at least) in the dx_I coefficient of the form,
-    multi-indices in combinations order, valid to ``order`` >= 2, of even
-    degree at most dim - 2.  For degree 2q the result is the (q+1, q+1) part
-    of d of the (q, q+1) part of d(form): d and the part with their slopes
-    (``_d_point``, ``_type_part``), then at the value, so a structure with
-    jet entries valid only to order 0 raises InsufficientJetOrder.  A NaN
-    among the partials makes every coefficient of the result NaN.
+    ``coeffs[i, I]`` is the coefficient of the i-th monomial of ``space`` in
+    the dx_I coefficient of the form, multi-indices in combinations order,
+    for the monomials of degree <= 2 (fewer rows raise InsufficientJetOrder),
+    of even degree at most dim - 2.  For degree 2q the result is the
+    (q+1, q+1) part of d of the (q, q+1) part of d(form): d and the part with
+    their slopes (``_d_point``, ``_type_part``), then at the value, so a
+    structure with jet entries valid only to order 0 raises
+    InsufficientJetOrder.  A NaN among the partials makes every coefficient
+    of the result NaN.
     """
-    if order < 2:
-        raise InsufficientJetOrder(f"del dbar at the point needs coefficients to order 2; they are valid to order {order}")
+    _check_order(bisect_right(space.prefix_sizes, len(coeffs)) - 1, 2)
     q = degree // 2
     dbar = _type_part(ctx, space, _d_point(space, coeffs, degree), degree + 1, q)
     dd = _type_part(ctx, space, _d_point(space, dbar, degree + 1), degree + 2, q + 1)
@@ -1085,8 +1095,7 @@ def del_dbar_at_point(ctx: TypeContext, form: FormValue) -> FormValue:
         raise DegreeError(f"del dbar at the point reads a form of even degree up to {n - 2}, got degree {k}")
     if form.space is None:
         return FormValue.zero(ctx.chart, k + 2)
-    _check_order(form.order, 2)
-    return del_dbar_of_taylor(ctx, form.space, form.to_order(2).coeffs, k, 2)
+    return del_dbar_of_taylor(ctx, form.space, form.to_order(2).coeffs, k)
 
 
 def volume_form_norm(vol: FormValue, omega: FormValue) -> float:

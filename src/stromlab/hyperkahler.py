@@ -86,6 +86,7 @@ class HyperkahlerModel:
 
 
 def _radius2(xjets):
+    """rho = |x|^2 = x1^2 + x2^2 + x3^2 + x4^2, for jets or numbers."""
     return xjets[0] * xjets[0] + xjets[1] * xjets[1] + xjets[2] * xjets[2] + xjets[3] * xjets[3]
 
 
@@ -128,7 +129,7 @@ class EguchiHanson(HyperkahlerModel):
         # (0.01, 0, 0, 0) with a = 1 they read 2.8e-9 and 2.0e-7, and at
         # |x| = 1e-5 det reads 2.4e3.  At |x| = 0.05a they read 1.6e-11
         # and 4.5e-10, so the domain stops there.
-        t = sum(x * x for x in coords)
+        t = _radius2(coords)
         if t < (0.05 * self.a) ** 2:
             raise DomainError(
                 f"|x| = {math.sqrt(t):.3g} < 0.05 a: the Eguchi-Hanson potential loses its gates near the origin"

@@ -551,10 +551,9 @@ class Jet:
         return f"Jet(order={self.order}, value={self.value:.6g})"
 
 
-def seed_jets(values, order: int, space: JetSpace | None = None) -> list[Jet]:
-    """Coordinate jets for a point: one first-order seed per variable."""
-    if space is None:
-        space = jet_space(len(values), order)
+def seed_jets(values, order: int) -> list[Jet]:
+    """Coordinate jets for a point: one first-order seed per variable, in ``jet_space(len(values), order)``."""
+    space = jet_space(len(values), order)
     return [Jet.variable(space, v, float(x)) for v, x in enumerate(values)]
 
 

@@ -9,12 +9,10 @@ All residuals are sup norms over stored coefficients in chart
 coordinates, divided by the magnitude of the largest term entering the
 identity; the normalisation lives in the shared helpers of
 :mod:`stromlab.forms` (``closedness_residual``, ``curvature_residual``,
-``identity_residual``).  Only the anomaly and the tr(R wedge R)
-reduction, whose scales are term by term, and the quotient trace, scaled
-by the curvature it traces, build their own.  Both sides of
-every identity come out of independent jet pipelines; in particular
-tr(R wedge R) is computed once from the frame Gram matrix and once from its
-reduction, never shared.
+``identity_residual``), and an operator only names the further terms whose
+size enters the scale.  Both sides of every identity come out of
+independent jet pipelines; in particular tr(R wedge R) is computed once
+from the frame Gram matrix and once from its reduction, never shared.
 
 The curvatures R (of the frame Gram) and F' (of the quotient Gram) are the
 stacked arrays that ``gram_curvature`` returns, read as they are by
@@ -65,10 +63,8 @@ from .forms import (
     identity_residual,
     mat_inv,
     matrix_wedge_trace,
-    nan_max,
-    relative_residual,
 )
-from .hyperkahler import HyperkahlerModel, flat_model, quaternion_operator
+from .hyperkahler import HyperkahlerModel, _radius2, flat_model, quaternion_operator
 from .jets import Profile, _mul_coeffs, kept
 from .twistor import AnsatzMetric, AnsatzParams, twistor_frame
 
@@ -273,7 +269,7 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     c1_rhs = ddbar_logA + ddbar_logB.scale(2.0) + tr_Fq
     c1_res = identity_residual(tr_R, c1_rhs, ddbar_logB.sup())
 
-    trace_res = relative_residual(tr_Fq.sup(), nan_max([1.0, _array_sup(Fq)]))
+    trace_res = identity_residual(tr_Fq, FormValue.zero(fr.chart, 2), _array_sup(Fq))
 
     # W = dbar L^T Ubar^-1 del Lbar evaluates in closed form to
     # (i/s)(alpha omega_I + beta omega_J + gamma omega_K); the prefactor is
@@ -287,16 +283,13 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
     tr_RR = data.tr_RR
     space, ratio = _taylor_rows([A2 / B2], 2)
     Y = _mul_coeffs(space, ratio, W, 2, space.full_mask)
-    del_dbar_Y = del_dbar_of_taylor(ctx, space, Y, degree=2, order=2)
+    del_dbar_Y = del_dbar_of_taylor(ctx, space, Y, degree=2)
     c2_rhs = (
         del_dbar_Y.scale(2.0)
         + ddbar_logB.wedge(ddbar_logB).scale(2.0)
         + matrix_wedge_trace(Fq, Fq, fr.chart)
     )
-    c2_res = relative_residual(
-        (tr_RR - c2_rhs).sup(),
-        nan_max([tr_RR.sup(), del_dbar_Y.sup() * 2.0, ddbar_logB.sup() ** 2, 1.0]),
-    )
+    c2_res = identity_residual(tr_RR, c2_rhs, del_dbar_Y.sup() * 2.0, ddbar_logB.sup() ** 2)
     return {"c1_res": c1_res, "trace_res": trace_res, "c2_res": c2_res, "w_res": w_res}
 
 
@@ -321,9 +314,7 @@ def anomaly_residual(
     tr_FF = matrix_wedge_trace(F, F, data.fr.chart)
 
     quarter = params.alpha_prime / 4.0
-    diff = torsion - (tr_RR - tr_FF).scale(quarter)
-    scale = nan_max([torsion.sup(), quarter * tr_RR.sup(), quarter * tr_FF.sup()])
-    return relative_residual(diff.sup(), scale)
+    return identity_residual(torsion, (tr_RR - tr_FF).scale(quarter), quarter * tr_RR.sup(), quarter * tr_FF.sup())
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +329,12 @@ def radial_h_residual(h_profile: Profile, p: ChartPoint) -> float:
     with J the pointwise twistor structure; the right side uses the
     independent Dolbeault machinery for log s.
     """
-    rho_val = sum(x * x for x in p.coords[2:])
+    rho_val = _radius2(p.coords[2:])
     if rho_val <= 0.0:
         raise DomainError("radial profile is singular at rho = 0")
     fr = twistor_frame(flat_model(), p, 2)
     chart = fr.chart
-    rho = fr.x[0] * fr.x[0] + fr.x[1] * fr.x[1] + fr.x[2] * fr.x[2] + fr.x[3] * fr.x[3]
+    rho = _radius2(fr.x)
     space, rows = _taylor_rows([[rho], [fr.alpha], [fr.beta], [fr.gamma]], 1)
     d_rho, d_alpha, d_beta, d_gamma = (FormValue(chart, 1, v) for v in _d_point(space, rows, 0)[0])
     h1, h2 = h_profile.derivatives(rho_val)

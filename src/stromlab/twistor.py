@@ -50,6 +50,7 @@ from .hyperkahler import (
     TWISTOR_EH,
     TWISTOR_FLAT,
     HyperkahlerModel,
+    _radius2,
     kappa_hermitian_jets,
     quaternion_action,
     triple_forms,
@@ -91,7 +92,7 @@ def _radial_h(x1: Jet, x2: Jet, x3: Jet, x4: Jet) -> Jet:
 
     so the domain stops at base radius 0.03.
     """
-    rho = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
+    rho = _radius2((x1, x2, x3, x4))
     if rho.value.real < 0.03**2:
         raise DomainError(
             f"base radius {math.sqrt(rho.value.real):.3g} < 0.03: h = -(3/2) log rho loses its gates near the origin"
@@ -282,8 +283,7 @@ def c3_chart_map(direction: str, p: ChartPoint) -> ChartPoint:
     """Biholomorphism between C^3 and the flat twistor space.
 
     ``to_twistor``: (zeta, w1, w2) -> (zeta, u1, u2) with u1 = (w1 - i zeta
-    w2_bar)/s; ``to_c3`` is its inverse w1 = u1 + i zeta u2_bar,
-    w2 = u2 - i zeta u1_bar.
+    w2_bar)/s; ``to_c3`` is its inverse (``_to_c3``).
     """
     if direction == "to_twistor":
         if p.chart != C3_CHART:
@@ -299,23 +299,23 @@ def c3_chart_map(direction: str, p: ChartPoint) -> ChartPoint:
         if p.chart != TWISTOR_FLAT:
             raise ValueError("to_c3 expects a flat twistor chart point")
         zeta, u1, u2 = (p.complex_coord(j) for j in range(3))
-        w1 = u1 + 1j * zeta * u2.conjugate()
-        w2 = u2 - 1j * zeta * u1.conjugate()
+        w1, w2 = _to_c3(zeta, u1, u2)
         return ChartPoint(
             C3_CHART, (zeta.real, zeta.imag, w1.real, w1.imag, w2.real, w2.imag)
         )
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def _to_c3(zeta, u1, u2):
+    """(w1, w2) = (u1 + i zeta u2_bar, u2 - i zeta u1_bar), the C^3 coordinates of a flat twistor point, for numbers or jets."""
+    return u1 + 1j * zeta * u2.conjugate(), u2 - 1j * zeta * u1.conjugate()
+
+
 def w_field_jets(fr: TwistorFrame):
     """The global holomorphic coordinates w1, w2 as scalar jets on the twistor chart."""
     if not fr.model.flat:
         raise DomainError("global holomorphic coordinates exist only on a flat model")
-    u1 = fr.x[0] + 1j * fr.x[1]
-    u2 = fr.x[2] + 1j * fr.x[3]
-    w1 = u1 + 1j * fr.zeta * u2.conjugate()
-    w2 = u2 - 1j * fr.zeta * u1.conjugate()
-    return w1, w2
+    return _to_c3(fr.zeta, *(fr.jets[re] + 1j * fr.jets[im] for re, im in fr.chart.pairs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +364,10 @@ def frame_coefficients(fr: TwistorFrame):
     if abs(svalue(fr.zeta)) < 1e-3:
         raise DomainError("frame decomposition is singular at |zeta| < 1e-3")
     w = w_field_jets(fr)
-    L = [wirtinger(wi, 0, 1, bar=False) for wi in w]
-    C = [wirtinger(wi, 2, 3, bar=True) for wi in w]
-    D = [wirtinger(wi, 4, 5, bar=True) for wi in w]
+    zeta, z1, z2 = fr.chart.pairs
+    L = [wirtinger(wi, *zeta, bar=False) for wi in w]
+    C = [wirtinger(wi, *z1, bar=True) for wi in w]
+    D = [wirtinger(wi, *z2, bar=True) for wi in w]
     return L, C, D
 
 

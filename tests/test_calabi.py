@@ -18,7 +18,7 @@ from stromlab.forms import (
     standard_acs,
     standard_context,
 )
-from stromlab.jets import Jet, jet_space, seed_jets
+from stromlab.jets import Jet, jet_space, seed_jets, wirtinger_hessian
 from stromlab.calabi import (
     BaseKahlerModel,
     CalabiParams,
@@ -338,6 +338,68 @@ def test_the_gram_reads_scale_and_wedge_no_form(monkeypatch):
     assert fr.det.value.real > 0.0 and abs(fr.scalar.value) <= 1e-8
     with pytest.raises(AssertionError, match="went through a form"):
         calabi_metric_by_wedges(fr)
+
+
+# -- det G in closed form -------------------------------------------------------
+
+
+def cp2_points(count: int, seed: int) -> list:
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < count:
+        coords = [rng.uniform(-0.9, 0.9) for _ in range(6)]
+        if coords[4] ** 2 + coords[5] ** 2 >= 0.35:
+            pts.append(point(CP2.total_chart, *coords))
+    return pts
+
+
+CLOSED_FORM_PARAMS = {**ANSATZ_PARAMS, "off-branch": lambda base: off_branch_params()}
+
+# (base, order, points, det bound relative to the largest coefficient, Ricci bound absolute); measured at
+# these points: det <= 5.7e-12 and Ricci <= 2.0e-11 on the CP^1 bases, 4.0e-9 and 5.2e-9 on CP^2, both
+# largest for the linear profile, where e^{n(u+f)} grows with R and e^{v+g} is its reciprocal
+CLOSED_FORM_CASES = {
+    "fs": (FS, 6, lambda: total_points(FS, 4, seed=211), 1e-10, 1e-9),
+    "torus": (TORUS, 6, lambda: total_points(TORUS, 4, seed=211), 1e-10, 1e-9),
+    "cp2": (CP2, 4, lambda: cp2_points(4, seed=7), 1e-7, 1e-7),
+}
+
+
+def log_det_closed_form(fr: CanonicalBundleFrame, n: int):
+    """n(u + f) + v + g: log det G of the ansatz, by the determinant lemma on the rank-one fiber block."""
+    return (fr.u + fr.f) * n + fr.v + fr.g
+
+
+@pytest.mark.parametrize("params", sorted(CLOSED_FORM_PARAMS))
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+def test_det_and_ricci_match_the_closed_form(case, params):
+    # det G = e^{n(u+f)} det h (e^{v+g}/R) R_t R_tbar = e^{n(u+f)+v+g}, since R_t R_tbar / R = 1/det h
+    base, order, points, det_bound, ricci_bound = CLOSED_FORM_CASES[case]
+    for p in points():
+        fr = CanonicalBundleFrame(base, CLOSED_FORM_PARAMS[params](base), p, order)
+        log_det = log_det_closed_form(fr, base.n)
+        assert_jets_match(fr.det, log_det.exp(), det_bound)
+        for row, want_row in zip(fr.ricci, wirtinger_hessian(log_det * -1.0, fr.chart.pairs)):
+            for got, want in zip(row, want_row):
+                assert got.order == want.order == order - 2
+                size = got.space.prefix_sizes[got.order]
+                assert float(np.max(np.abs(got.c[:size] - want.c[:size]))) <= ricci_bound
+
+
+# over the flat torus, whose Chern scalar is 0, the theorem f is constant, so n + 1 changes nothing there
+MUST_MISS = [(case, params) for case in sorted(CLOSED_FORM_CASES) for params in ("theorem", "linear", "off-branch")]
+MUST_MISS.remove(("torus", "theorem"))
+
+
+@pytest.mark.parametrize("case, params", MUST_MISS)
+def test_the_closed_form_with_n_plus_one_misses(case, params):
+    # must fail: (n + 1)(u + f) + v + g, on params whose u + f is not constant
+    base, order, points, _, _ = CLOSED_FORM_CASES[case]
+    for p in points():
+        fr = CanonicalBundleFrame(base, CLOSED_FORM_PARAMS[params](base), p, order)
+        wrong = log_det_closed_form(fr, base.n + 1).exp()
+        size = wrong.space.prefix_sizes[order]
+        assert relative_miss(fr.det.c[:size], wrong.c[:size]) >= 1e-3
 
 
 @pytest.mark.filterwarnings("error")

@@ -434,6 +434,12 @@ def test_closedness_reads_d_at_the_point_as_d_with_scale_reads_it(monkeypatch):
         closedness_residual(order_zero)
 
 
+def test_closedness_of_a_pointwise_form_reads_zero_unless_it_holds_nan():
+    form = FormValue.of_terms(C2, 2, {(0, 1): 3.0 - 1.0j, (2, 3): 0.5})
+    assert closedness_residual(form) == 0.0
+    assert closedness_residual(form + FormValue.of_terms(C2, 2, {(1, 2): complex(math.nan, 0.0)})) == math.inf
+
+
 def test_closedness_refuses_jets_of_different_spaces():
     # a 1-form on flat R^4 whose coefficients come from two jet spaces read 0.5 before the one stacker
     a = Jet.variable(jet_space(4, 4), 1, 0.3) * 0.5
@@ -489,6 +495,12 @@ def test_the_shared_standard_structure_is_read_only():
     assert acs.coeffs[0, 0, 1] == 1.0
 
 
+def test_a_constant_structure_is_its_one_row_at_every_order():
+    acs = standard_acs(C2)
+    for order in (0, 2, 7):
+        assert acs.taylor(order) is acs.coeffs and acs.coeffs.shape == (1, 4, 4)
+
+
 def test_structure_rows_are_read_to_their_validity_order():
     fr = twistor_structure_frame()
     acs = fr.ctx.acs
@@ -522,6 +534,13 @@ def test_type_decompose_partition_and_projector_idempotence():
     for (p, q), f in parts.items():
         again = project(ctx, f, p, q)
         assert (again - f).sup() <= 1e-12
+
+
+def test_type_decompose_of_a_zero_form_is_its_own_00_part():
+    ctx = forms_module.standard_context(C2)
+    for value in (2.5 - 1.0j, seed_jets((0.1, 0.2, 0.3, 0.4), 2)[1].exp()):
+        f = FormValue.scalar(C2, value)
+        assert ctx.decompose(f) == {(0, 0): f}
 
 
 def test_type_decompose_dz_is_10():
@@ -1013,6 +1032,13 @@ def test_del_dbar_at_point_raises_below_the_orders_it_reads():
         del_dbar_at_point(TypeContext(flat_acs), form)
     with pytest.raises(InsufficientJetOrder):
         jet_del_dbar(TypeContext(flat_acs), form)
+
+
+def test_del_dbar_at_point_of_a_pointwise_form_is_zero():
+    ctx = forms_module.standard_context(TWISTOR_FLAT)
+    for form in (FormValue.scalar(TWISTOR_FLAT, 1.5 + 0.5j), FormValue.of_terms(TWISTOR_FLAT, 2, {(0, 1): 2.0, (2, 5): -1j})):
+        got = del_dbar_at_point(ctx, form)
+        assert got.degree == form.degree + 2 and got.space is None and not np.any(got.coeffs)
 
 
 def test_del_dbar_at_point_propagates_a_nan_second_partial():

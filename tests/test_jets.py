@@ -437,7 +437,7 @@ def test_primitives_match_symbolic_partial_derivatives(nvars, order):
     }
     want = symbolic_taylor(nvars, order, value, terms, primitives)
     sp = jet_space(nvars, order)
-    x = seed_jets((0.0,) * nvars, order, sp)
+    x = seed_jets((0.0,) * nvars, order)
     p = Jet.constant(sp, float(value))
     for expo, c in terms.items():
         mono = Jet.constant(sp, float(c))
@@ -567,7 +567,7 @@ def test_support_mask_is_sound(nvars, order):
 
 def test_mask_bookkeeping():
     sp = jet_space(4, 3)
-    x = seed_jets((0.1, 0.2, 0.3, 0.4), 3, sp)
+    x = seed_jets((0.1, 0.2, 0.3, 0.4), 3)
     assert Jet.constant(sp, 2.0).mask == 0
     assert [v.mask for v in x] == [1, 2, 4, 8]
     assert (x[0] * x[2] + 1.0).mask == 0b101
@@ -582,7 +582,7 @@ SCALARS = [3, -2, 0.75, -1.5 + 0.25j, np.int64(4), np.float64(-0.625), np.comple
 
 def scalar_operand_jets():
     sp = jet_space(4, 3)
-    x = seed_jets((0.4, -0.7, 1.1, 0.2), 3, sp)
+    x = seed_jets((0.4, -0.7, 1.1, 0.2), 3)
     full = (x[0] * x[1]).exp() + x[2] * (0.3 - 0.2j)
     narrow = (x[1] * x[3] + 2.0).log().derivative(3)  # order 2, mask 0b1010
     assert (narrow.order, narrow.mask) == (2, 0b1010)

@@ -4,6 +4,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -338,3 +339,60 @@ def test_only_jets_and_forms_read_taylor_coefficients():
         if path.stem not in {"jets", "forms"}:
             stray += [f"{path.name}:{line}" for line in taylor_coefficient_reads(ast.parse(path.read_text()))]
     assert not stray, f"Taylor coefficients read outside jets.py and forms.py: {stray}"
+
+
+def calls_to(tree: ast.AST, name: str) -> list:
+    """Line numbers of the calls of ``name``, as a bare name or an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    )
+
+
+def test_only_the_certificate_shapes_call_relative_residual():
+    # every residual is one of the five shapes written at the end of forms.py; an operator names at
+    # most the further terms whose size enters the scale (identity_residual), and builds no scale itself
+    stray = []
+    for path in sorted((ROOT / "src" / "stromlab").glob("*.py")):
+        if path.stem != "forms":
+            stray += [f"{path.name}:{line}" for line in calls_to(ast.parse(path.read_text()), "relative_residual")]
+    assert not stray, f"relative_residual called outside forms.py: {stray}"
+
+
+def package_charts() -> dict:
+    """Every chart the package defines, by name: the module-level ones and those of the Calabi bases."""
+    from stromlab import calabi, forms
+
+    charts = {}
+    for path in sorted((ROOT / "src" / "stromlab").glob("*.py")):
+        module = importlib.import_module(f"stromlab.{path.stem}")
+        charts.update({c.name: c for c in vars(module).values() if isinstance(c, forms.Chart)})
+    for base in (calabi.fubini_study_cp1(), calabi.flat_torus_chart()):
+        charts.update({c.name: c for c in (base.chart, base.total_chart)})
+    return charts
+
+
+def test_every_chart_reads_its_complex_frame_from_its_pairs():
+    # Chart.pairs is the one pairing: T (and T^-1 = T^H / 2), dz, dzbar, the standard structure and complex_coord read it
+    from stromlab.forms import ChartPoint, _complex_basis_matrices, d_complex, d_complex_bar, standard_acs
+
+    charts = package_charts()
+    assert set(charts) >= {
+        "flat_r4", "eguchi_hanson_cover", "twistor_flat", "twistor_eguchi_hanson", "c3",
+        "fubini_study_cp1_base", "fubini_study_cp1_total", "flat_torus_chart_base", "flat_torus_chart_total",
+    }
+    for chart in charts.values():
+        m = chart.ncomplex
+        assert chart.pairs == tuple((2 * j, 2 * j + 1) for j in range(m))
+        T, T_inv = _complex_basis_matrices(chart)
+        assert np.array_equal(T_inv, np.linalg.inv(T)) and np.array_equal(T @ T_inv, np.eye(chart.dim))
+        acs = standard_acs(chart)
+        p = ChartPoint(chart, tuple(float(v + 1) for v in range(chart.dim)))
+        for j, (re, im) in enumerate(chart.pairs):
+            dz, dzb = d_complex(chart, j), d_complex_bar(chart, j)
+            assert (T[re, j], T[im, j], T[re, m + j], T[im, m + j]) == (1.0, 1j, 1.0, -1j)
+            assert np.array_equal(dz.coeffs, T[None, :, j]) and np.array_equal(dzb.coeffs, T[None, :, m + j])
+            assert np.array_equal(acs.apply(dz).coeffs, dz.scale(1j).coeffs)
+            assert np.array_equal(acs.apply(dzb).coeffs, dzb.scale(-1j).coeffs)
+            assert p.complex_coord(j) == complex(re + 1, im + 1)

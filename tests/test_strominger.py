@@ -330,9 +330,9 @@ def test_readers_lowered_one_order_too_far_raise(monkeypatch):
         lowered.append(form.degree)
         return del_dbar(ctx, form.to_order(1))
 
-    def del_dbar_stacked_lowered(ctx, space, coeffs, degree, order):
+    def del_dbar_stacked_lowered(ctx, space, coeffs, degree):
         lowered.append("stacked")
-        return del_dbar_stacked(ctx, space, coeffs, degree, min(order, 1))
+        return del_dbar_stacked(ctx, space, coeffs[: space.prefix_sizes[1]], degree)
 
     for name, lowering, ops in (
         ("del_dbar_at_point", del_dbar_lowered, (anomaly_residual, curvature_identities)),

@@ -92,7 +92,7 @@ def test_a_constant_structure_keeps_the_order_of_a_jet_form():
     acs = conjugated_structure()
     ctx = TypeContext(acs)
     space = jet_space(4, 3)
-    x = seed_jets((0.3, -0.2, 0.5, 0.1), 3, space)
+    x = seed_jets((0.3, -0.2, 0.5, 0.1), 3)
     pool = [x[0] * x[1], x[2].exp(), 0.5 - 0.25j, x[3] * x[3] * x[3]]
     for i, multi in enumerate(combinations(range(4), 2)):
         c = pool[i % 4]
