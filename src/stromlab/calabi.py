@@ -83,16 +83,19 @@ class ZeroSectionError(DomainError):
 
 @dataclass(frozen=True)
 class BaseKahlerModel:
-    """A Kahler base of complex dimension ``n``, given by its metric on one chart.
+    """A Kahler base of complex dimension ``n`` = ``chart.ncomplex``, given by its metric on one chart.
 
-    ``metric(zjets)`` returns [h_{j kbar}] with jet entries from the 2n base
-    real-coordinate jets; ``total_chart`` adds the fiber coordinate t.
+    ``metric(zjets)`` returns [h_{j kbar}] from the real jets of ``chart.pairs``;
+    ``total_chart`` pairs the base's complex coordinates first and the fiber t last.
     """
 
-    n: int
     chart: Chart
     total_chart: Chart
     metric: object
+
+    @property
+    def n(self) -> int:
+        return self.chart.ncomplex
 
 
 def _charts(name: str):
@@ -111,11 +114,11 @@ def _flat_metric(zjets):
 
 
 def fubini_study_cp1() -> BaseKahlerModel:
-    return BaseKahlerModel(1, *_charts("fubini_study_cp1"), _fubini_study_cp1_metric)
+    return BaseKahlerModel(*_charts("fubini_study_cp1"), _fubini_study_cp1_metric)
 
 
 def flat_torus_chart() -> BaseKahlerModel:
-    return BaseKahlerModel(1, *_charts("flat_torus_chart"), _flat_metric)
+    return BaseKahlerModel(*_charts("flat_torus_chart"), _flat_metric)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ class CanonicalBundleFrame:
     of the Laplacian of s, read at the point) needs order 6, the Chern
     scalar 2, d(omega^n) 1 and the volume norm 0.  ZeroSectionError where
     R^-1 is not finite to the order: R(0) = 0, or |R(0)|^-(order + 1)
-    overflows.
+    overflows.  t is the chart's last pair and ``zjets`` the pairs before it.
     """
 
     def __init__(self, base: BaseKahlerModel, params: CalabiParams, p: ChartPoint, order: int):
@@ -214,8 +217,8 @@ class CanonicalBundleFrame:
         self.chart = base.total_chart
         self.order = order
         self.jets = seed_jets(p.coords, order + 1)
-        self.zjets = self.jets[: 2 * base.n]
-        re, im = self.chart.pairs[base.n]
+        *z, (re, im) = self.chart.pairs
+        self.zjets = [self.jets[i] for pair in z for i in pair]
         self.t = self.jets[re] + 1j * self.jets[im]
         self.hmat = base.metric(self.zjets)
         self.h = mat_det(self.hmat)
@@ -397,6 +400,6 @@ def theorem_metric_params(base: BaseKahlerModel, c: float = 0.0, c0: float = 1.0
     The base must have constant Chern scalar; the scalar is sampled at the
     chart origin and trusted to the constancy checks elsewhere.
     """
-    s0 = base_chern_scalar(base, (0.0,) * (2 * base.n))
+    s0 = base_chern_scalar(base, (0.0,) * base.chart.dim)
     f = solve_profile_f(s0, c, c0, base.n)
     return CalabiParams.constant_length(base, f_profile=f, c=c)

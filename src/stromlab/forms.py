@@ -6,12 +6,14 @@ read-only complex array whose first axis runs over the monomials of degree
 <= o of a jet space (the value first, then the x_u) and whose other axes
 over multi-indices in combinations order, with one validity order and one
 support mask for all of it; a pointwise form or a constant structure has the
-one row of values.  ``_taylor_rows`` stacks jets and numbers so
-(``FormValue.of_terms``).  Sums and differences of forms are whole-array
-operations; scalings and wedges multiply one column by another, each
-product rounded as the jets and numbers the columns stand for would round
-it (``_product``), so nested expressions come out exact.  A column is a
-term of a form unless every coefficient of it is exactly 0 to the form's
+one row of values.  ``_stacked`` stacks jets and numbers so
+(``FormValue.of_terms``).  Sums and differences of forms, and the
+(1,1)-form of a matrix (``hermitian_form``, one exact product with the
+chart's basis, through which a NaN entry reaches every coefficient), are
+whole-array operations; scalings and wedges multiply one column by another,
+each product rounded as the jets and numbers the columns stand for would
+round it (``_product``), so nested expressions come out exact.  A column is
+a term of a form unless every coefficient of it is exactly 0 to the form's
 order (NaN counts as a term); products and wedges multiply only terms, and
 no tolerance decides what a form holds.
 
@@ -221,7 +223,7 @@ class FormValue:
             if multi not in rank:
                 raise DegreeError(f"{multi} is no increasing {degree}-tuple of the {chart.dim} coordinates of {chart.name!r}")
             entries[rank[multi]] = c
-        return FormValue(chart, degree, *_stacked(entries))
+        return FormValue(chart, degree, *_stacked(entries, None))
 
     @staticmethod
     def zero(chart: Chart, degree: int) -> "FormValue":
@@ -463,23 +465,22 @@ def exterior_derivative_with_scale(form: FormValue):
 
 
 def hermitian_form(chart: Chart, H, offset: int = 0) -> FormValue:
-    """sum_jk i H_jk dz_{offset+j} ^ dzbar_{offset+k}: the (1,1)-form of a Hermitian matrix of jets or numbers.
+    """sum_jk i H_jk dz_{offset+j} ^ dzbar_{offset+k}: the (1,1)-form of a square matrix of jets or numbers.
 
-    Each entry adds its Taylor rows times the nonzero coefficients of its
-    row of ``_hermitian_basis``.  Those are +-1, +-i and 2, so every product
-    is exact and a coefficient sums at most two, in any order to the same
-    bits; a NaN entry reaches only its own coefficients.
+    One product of the entries' Taylor rows (``_stacked``) with the
+    ``_hermitian_basis`` rows of the block at ``offset``: their entries 0,
+    +-1, +-i and 2 make every term exact, so a coefficient has the bits of
+    its at most two nonzero terms up to the sign of a zero, and a NaN entry
+    reaches every coefficient.  ChartMismatch for a matrix that is not
+    square or a block past the chart's complex coordinates.
     """
-    m = chart.ncomplex
-    rows, space, order, mask = _stacked(H)
-    entries = rows.transpose(1, 2, 0) if space is not None else rows[0].tolist()
-    columns: dict = {}
-    for j, k in np.ndindex(len(H), len(H)):
-        b = _hermitian_basis(chart)[(offset + j) * m + offset + k].tolist()
-        for r in (r for r, x in enumerate(b) if x):
-            term = entries[j][k] * b[r]
-            columns[r] = columns[r] + term if r in columns else term
-    return _of_columns(chart, 2, columns, len(rows), space, order, mask)
+    m, size = chart.ncomplex, len(H)
+    if any(len(row) != size for row in H) or not 0 <= offset <= m - size:
+        shape = f"{size} rows of lengths {[len(row) for row in H]}"
+        raise ChartMismatch(f"{chart.name!r} has {m} complex coordinates: no square block of {shape} at offset {offset}")
+    rows, space, order, mask = _stacked(H, None)
+    basis = _hermitian_basis(chart).reshape(m, m, -1)[offset : offset + size, offset : offset + size]
+    return FormValue(chart, 2, rows.reshape(len(rows), -1) @ basis.reshape(size * size, -1), space, order, mask)
 
 
 @lru_cache(maxsize=None)
@@ -495,11 +496,10 @@ def _hermitian_basis(chart: Chart) -> np.ndarray:
 def hermitian_wedge(chart: Chart, A, B) -> FormValue:
     """(i A_jk dz_j ^ dzbar_k) ^ (i B_jk dz_j ^ dzbar_k), a 4-form, for two m x m matrices of numbers.
 
-    Each (1,1)-form is its matrix times ``_hermitian_basis``, and the wedge
-    one product with the sign plan.  A NaN entry makes every coefficient NaN.
+    Each (1,1)-form is ``hermitian_form``, and the wedge one product with
+    the sign plan.  A NaN entry makes every coefficient NaN.
     """
-    basis = _hermitian_basis(chart)
-    a, b = (np.asarray(M, dtype=np.complex128).reshape(-1) @ basis for M in (A, B))
+    a, b = (hermitian_form(chart, M).coeffs[0] for M in (A, B))
     return FormValue(chart, 4, np.outer(a, b).reshape(-1) @ _wedge_signs(chart.dim, 2, 2))
 
 
@@ -569,7 +569,7 @@ def acs_from_complex_action(chart: Chart, action) -> AlmostComplexStructure:
     """Build the real matrix M = T action T^-1 from the action on [dz..., dzbar...].
 
     ``action[l][k]`` is the phi_l component of J phi_k, jets or numbers.
-    Their Taylor rows, to the lowest order of the jets (``_taylor_rows``),
+    Their Taylor rows, to the lowest order of the jets (``_stacked``),
     are sent to M in one product with the (n^2, n^2) matrix of
     T[w, l] T^-1[k, v]; its entries are 0, +-1/2 and +-i/2, so every term
     is exact and each entry of M sums its terms in (l, k) order.  M is valid
@@ -577,7 +577,7 @@ def acs_from_complex_action(chart: Chart, action) -> AlmostComplexStructure:
     """
     n = chart.dim
     T, Tinv = _complex_basis_matrices(chart)
-    rows, space, order, mask = _stacked(action)
+    rows, space, order, mask = _stacked(action, None)
     coupling = np.einsum("wl,kv->lkwv", T, Tinv).reshape(n * n, n * n)
     return AlmostComplexStructure(chart, rows.reshape(len(rows), n * n) @ coupling, space, order, mask)
 
@@ -840,36 +840,34 @@ def _wedge_signs(n: int, ka: int, kb: int) -> np.ndarray:
     return signs.reshape(len(rows) * len(cols), len(out))
 
 
-def _taylor_rows(entries, order: int):
-    """``(space, rows)``: the Taylor coefficients to ``order`` of a nested list of jets and numbers.
+def _stacked(entries, order: int | None):
+    """``(rows, space, order, mask)``: the Taylor rows of a nested list of jets and numbers, to ``order``.
 
     ``rows[i, ...]`` is the coefficient of the i-th monomial of ``space`` in
-    each entry, the list's shape after the monomial axis; a number fills row
-    0, and without jets ``space`` is None and ``rows`` the one row of values.
-    ValueError for jets of different spaces, InsufficientJetOrder for a jet
-    valid below ``order``.
+    each entry, the list's shape after the monomial axis.  ``order`` None
+    reads to the lowest order of the jets; ``mask`` is the union of their
+    masks.  Without jets ``rows`` is the one row of values and the rest None
+    or 0.  ValueError for jets of different spaces, InsufficientJetOrder for
+    a jet valid below ``order``.
     """
     cells = np.array(entries, dtype=object)
     jets = [e for e in cells.flat if isinstance(e, Jet)]
-    space = jets[0].space if jets else None
+    if not jets:
+        return cells.astype(np.complex128)[None], None, None, 0
+    space = jets[0].space
     if any(e.space is not space for e in jets):
         raise ValueError("jets from different spaces cannot be combined")
-    _check_order(min((e.order for e in jets), default=order), order)
-    size = space.prefix_sizes[order] if jets else 1
+    valid = min(e.order for e in jets)
+    order = valid if order is None else order
+    _check_order(valid, order)
+    size = space.prefix_sizes[order]
     rows = np.zeros((size, cells.size), dtype=np.complex128)
     for i, e in enumerate(cells.flat):
         if isinstance(e, Jet):
             rows[:, i] = e.c[:size]
         else:
             rows[0, i] = e
-    return space, rows.reshape((size,) + cells.shape)
-
-
-def _stacked(entries):
-    """``(rows, space, order, mask)``: ``_taylor_rows`` of jets and numbers to the lowest order of the jets, on the union of their masks."""
-    jets = [e for e in np.array(entries, dtype=object).flat if isinstance(e, Jet)]
-    order = min((e.order for e in jets), default=None)
-    return _taylor_rows(entries, order or 0)[::-1] + (order, reduce(or_, (e.mask for e in jets), 0))
+    return rows.reshape((size,) + cells.shape), space, order, reduce(or_, (e.mask for e in jets), 0)
 
 
 def _check_order(valid: int, order: int) -> None:
@@ -934,7 +932,7 @@ def gram_curvature(H, ctx: TypeContext):
     holomorphic-frame Gram the entries are pure (1,1).
 
     d X is read at the point only, so the whole matrix goes through the
-    three kernels: Hbar read to order 2 (``_taylor_rows``) gives d Hbar with
+    three kernels: Hbar read to order 2 (``_stacked``) gives d Hbar with
     its slopes (``_d_point``) and its (1,0) part del Hbar with its slopes
     (``_type_part``); the Leibniz rule gives X to order 1, whose slopes are
     d(Hbar^-1)_ik del Hbar_kj + Hbar^-1_ik d(del Hbar_kj); and d X at the
@@ -946,8 +944,8 @@ def gram_curvature(H, ctx: TypeContext):
     Hbar is ill-conditioned and fails the asd and anomaly gates at the
     domain edges (|x| = 0.05a on Eguchi-Hanson, base radius 0.03 for h).
     """
-    space, G = _taylor_rows([[e.to_order(2) for e in row] for row in H], 2)
-    _, Ginv = _taylor_rows(mat_inv([[e.to_order(1).conjugate() for e in row] for row in H]), 1)
+    G, space, _, _ = _stacked([[e.to_order(2) for e in row] for row in H], 2)
+    Ginv = _stacked(mat_inv([[e.to_order(1).conjugate() for e in row] for row in H]), 1)[0]
     # the entries of Hbar as 0-forms, then del Hbar with its slopes
     Y = _type_part(ctx, space, _d_point(space, np.conj(G)[..., None], 0), 1, 1)
     # X = Hbar^-1 del Hbar to order 1: value G_0 Y_0, slope G_0 Y_u + G_u Y_0

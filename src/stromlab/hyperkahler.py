@@ -11,9 +11,9 @@ The data read from the potential is computed once each: the Hessian
 kappa_{i jbar} (:func:`kappa_hermitian_jets`), its dbar derivatives
 kappa_{i jbar kbar}, the triple (omega_I, omega_J, omega_K) and the action
 of alpha I + beta J + gamma K on 1-forms (:func:`quaternion_action`), which
-gives both I, J, K and the twistor structure.  On every chart the base
-coordinates are the last four real coordinates, z1 and z2 the last two
-complex ones, so no caller passes an offset.
+gives both I, J, K and the twistor structure.  On every chart z1 and z2
+are the last two complex coordinates, and the four real coordinates of the
+base are read from ``Chart.pairs`` (:func:`_base_coords`).
 
 The hyperkahler condition pins the complex Monge-Ampere determinant of
 the potential to 1/4, which is the certification oracle: a candidate
@@ -44,6 +44,7 @@ from .forms import (
     d_complex,
     gram_curvature,
     hermitian_form,
+    mat_det,
     mat_inv,
     standard_context,
     svalue,
@@ -148,38 +149,35 @@ def eguchi_hanson(a: float = 1.0) -> HyperkahlerModel:
 # jets of the potential
 
 
-def kappa_hermitian_jets(model: HyperkahlerModel, xjets):
-    """[kappa_{i jbar}] with jet entries valid two orders below ``xjets``; exact constants on a flat model.
+def _base_coords(chart: Chart, values) -> list:
+    """x1..x4 of ``values``, one per real coordinate of ``chart``: the pairs of z1 and z2, its last two complex coordinates."""
+    return [values[i] for pair in chart.pairs[-2:] for i in pair]
 
-    The base coordinates x1..x4 are the last four of ``xjets``: all of them
-    on the 4-manifold chart, the four after the sphere coordinate on a
-    twistor chart.  On other models the potential is evaluated once and
+
+def kappa_hermitian_jets(model: HyperkahlerModel, chart: Chart, xjets):
+    """[kappa_{i jbar}] from ``xjets``, the coordinate jets of ``chart``, valid two orders below them; exact constants on a flat model.
+
+    z1 and z2 are the last two pairs of ``chart``, a base or a twistor
+    chart, which the potential and the Wirtinger derivatives read.  On other
+    models the potential is evaluated once and
     :func:`jets.wirtinger_hessian` takes all four entries in two gathers.
     """
     if model.flat:
-        space = xjets[0].space
-        order = xjets[0].order
-        half = Jet.constant(space, 0.5, order)
-        zero = Jet.constant(space, 0.0, order)
+        half, zero = (Jet.constant(xjets[0].space, c, xjets[0].order) for c in (0.5, 0.0))
         return [[half, zero], [zero, half]]
-    base = len(xjets) - 4
-    return wirtinger_hessian(model.kappa(xjets[base:]), ((base, base + 1), (base + 2, base + 3)))
+    return wirtinger_hessian(model.kappa(_base_coords(chart, xjets)), chart.pairs[-2:])
 
 
-def kappa_third_jets(kh):
+def kappa_third_jets(chart: Chart, kh):
     """kappa_{i jbar kbar} indexed [i][j][k]: the dbar_k derivatives of the Hessian ``kh``.
 
-    ``kh`` is :func:`kappa_hermitian_jets`, whose base coordinates are the
-    last four variables of its jets; on a flat model it is constant, so
-    every entry is exactly 0.  These are the coefficients of the
-    dbar-system of ``twistor.frame_decompose``, which states the system
-    and, accepting flat models only, checks it with them at 0.
+    ``kh`` is :func:`kappa_hermitian_jets` on ``chart``, whose last two
+    pairs are z1 and z2; on a flat model it is constant, so every entry is
+    exactly 0.  These are the coefficients of the dbar-system of
+    ``twistor.frame_decompose``, which states the system and, accepting
+    flat models only, checks it with them at 0.
     """
-    base = kh[0][0].space.nvars - 4
-    return [
-        [[wirtinger(kij, base + 2 * k, base + 2 * k + 1, bar=True) for k in range(2)] for kij in row]
-        for row in kh
-    ]
+    return [[[wirtinger(kij, re, im, bar=True) for re, im in chart.pairs[-2:]] for kij in row] for row in kh]
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +263,20 @@ def quaternion_operator(kh, which: str, chart: Chart) -> AlmostComplexStructure:
 
 
 def det_residual(model: HyperkahlerModel, p: ChartPoint) -> float:
-    """|kappa_{1 1bar} kappa_{2 2bar} - kappa_{1 2bar} kappa_{2 1bar} - 1/4|, from the values of the point's Hessian.
+    """|det [kappa_{i jbar}] - 1/4| (``forms.mat_det``), from the values of the point's Hessian.
 
     The Hessian is the order-2 one that :func:`asd_residual` reads at the
     same point (see :func:`_base_geometry`), read to order 0: its values do
     not depend on the order it is built to, and order-0 jet products round
     as the products of a higher-order jet do at the point.
     """
-    model.check_domain(p.coords)
-    (k11, k12), (k21, k22) = ([e.to_order(0) for e in row] for row in _base_geometry(model, p)[0])
-    return abs(svalue(k11 * k22 - k12 * k21) - MONGE_AMPERE_TARGET)
+    model.check_domain(_base_coords(model.chart, p.coords))
+    return abs(svalue(mat_det([[e.to_order(0) for e in row] for row in _base_geometry(model, p)[0]])) - MONGE_AMPERE_TARGET)
 
 
 def cotangent_gram(model: HyperkahlerModel, xjets):
     """Gram <dz_i, dz_j> of the holomorphic coframe under the omega_I metric."""
-    return _dz_gram(kappa_hermitian_jets(model, xjets))
+    return _dz_gram(kappa_hermitian_jets(model, model.chart, xjets))
 
 
 def _dz_gram(kh):
@@ -297,7 +294,7 @@ def asd_residual(model: HyperkahlerModel, p: ChartPoint, gram=None) -> float:
     way the Hessian and the triple are the point's kept ones
     (:func:`_base_geometry`), and the type context the chart's shared one.
     """
-    model.check_domain(p.coords)
+    model.check_domain(_base_coords(model.chart, p.coords))
     kh, triple = _base_geometry(model, p)
     if gram is None:
         gram = _dz_gram(kh)
@@ -315,7 +312,7 @@ def _base_geometry(model: HyperkahlerModel, p: ChartPoint):
     """
 
     def build():
-        kh = kappa_hermitian_jets(model, seed_jets(p.coords, 4))
+        kh = kappa_hermitian_jets(model, model.chart, seed_jets(p.coords, 4))
         # the certificate reads the triple at the point only
         return kh, triple_forms(model.chart, [[svalue(e) for e in row] for row in kh])
 

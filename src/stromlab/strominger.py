@@ -22,7 +22,7 @@ enter identities of forms, are built as forms (``_trace``).
 Every second-order read at the point goes through the kernels of
 :mod:`stromlab.forms` and their one layout, Taylor rows with the monomial
 axis first: W's Taylor coefficients are products of stacked rows
-(``_taylor_rows``, ``jets._mul_coeffs``), del dbar of (A/B) W reads them
+(``_stacked``, ``jets._mul_coeffs``), del dbar of (A/B) W reads them
 (``del_dbar_of_taylor``), dbar del log A, log B and log s are -del dbar at
 degree 0 (``del_dbar_at_point``), and the radial reduction reads d rho and
 d of the sphere coordinates at the point (``_d_point``).  No module but
@@ -53,7 +53,7 @@ from .forms import (
     FormValue,
     _array_sup,
     _d_point,
-    _taylor_rows,
+    _stacked,
     _wedge_signs,
     closedness_residual,
     curvature_residual,
@@ -64,7 +64,7 @@ from .forms import (
     mat_inv,
     matrix_wedge_trace,
 )
-from .hyperkahler import HyperkahlerModel, _radius2, flat_model, quaternion_operator
+from .hyperkahler import HyperkahlerModel, _base_coords, _radius2, flat_model, quaternion_operator
 from .jets import Profile, _mul_coeffs, kept
 from .twistor import AnsatzMetric, AnsatzParams, twistor_frame
 
@@ -184,11 +184,11 @@ class AnsatzCurvatureData:
         fr = self.fr
         n = fr.chart.dim
         # dL[:, i, v]: d/dx_v of L_i
-        space, dL = _taylor_rows([[l.to_order(3).derivative(v) for v in range(n)] for l in self.Lvec], 2)
+        dL, space, _, _ = _stacked([[l.to_order(3).derivative(v) for v in range(n)] for l in self.Lvec], 2)
         mask = space.full_mask
         J = fr.ctx.acs.taylor(2)
         dbar_L = (dL + 1j * _mul_coeffs(space, J[:, None], dL[:, :, None], 2, mask).sum(axis=-1)) * 0.5
-        Ubar_inv = _taylor_rows(mat_inv([[e.conjugate().to_order(2) for e in row] for row in self.U]), 2)[1]
+        Ubar_inv = _stacked(mat_inv([[e.conjugate().to_order(2) for e in row] for row in self.U]), 2)[0]
         # V[:, j, w] = sum_i dbar L_i Ubar^-1_ij, then W = sum_j V_j ^ conj(dbar L_j)
         V = _mul_coeffs(space, Ubar_inv[..., None], dbar_L[:, :, None], 2, mask).sum(axis=1)
         pairs = _mul_coeffs(space, V[..., None], np.conj(dbar_L)[:, :, None], 2, mask).sum(axis=1)
@@ -281,7 +281,7 @@ def curvature_identities(model: HyperkahlerModel, params: AnsatzParams, p: Chart
 
     # tr(R^R) against 2 del dbar((A/B) W) + 2 (dbar del log B)^2 + tr(F'^F')
     tr_RR = data.tr_RR
-    space, ratio = _taylor_rows([A2 / B2], 2)
+    ratio, space, _, _ = _stacked([A2 / B2], 2)
     Y = _mul_coeffs(space, ratio, W, 2, space.full_mask)
     del_dbar_Y = del_dbar_of_taylor(ctx, space, Y, degree=2)
     c2_rhs = (
@@ -329,13 +329,13 @@ def radial_h_residual(h_profile: Profile, p: ChartPoint) -> float:
     with J the pointwise twistor structure; the right side uses the
     independent Dolbeault machinery for log s.
     """
-    rho_val = _radius2(p.coords[2:])
+    rho_val = _radius2(_base_coords(p.chart, p.coords))
     if rho_val <= 0.0:
         raise DomainError("radial profile is singular at rho = 0")
     fr = twistor_frame(flat_model(), p, 2)
     chart = fr.chart
     rho = _radius2(fr.x)
-    space, rows = _taylor_rows([[rho], [fr.alpha], [fr.beta], [fr.gamma]], 1)
+    rows, space, _, _ = _stacked([[rho], [fr.alpha], [fr.beta], [fr.gamma]], 1)
     d_rho, d_alpha, d_beta, d_gamma = (FormValue(chart, 1, v) for v in _d_point(space, rows, 0)[0])
     h1, h2 = h_profile.derivatives(rho_val)
 

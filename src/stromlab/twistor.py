@@ -4,11 +4,11 @@ The twistor space of N is CP^1 x N with the complex structure that acts as
 the standard structure along the sphere and as alpha I + beta J + gamma K
 along N, where (alpha, beta, gamma) is the unit vector of the sphere point.
 The action along N is ``hyperkahler.quaternion_action``, the one place
-alpha I + beta J + gamma K is written; the twistor chart puts the sphere
-coordinate first, so N has its last four real coordinates.  Removing the
-fiber at infinity leaves C x N, which carries a nowhere vanishing
-holomorphic volume form and the two-parameter family of Hermitian ansatz
-metrics studied here.
+alpha I + beta J + gamma K is written; the twistor chart's first pair is
+the sphere coordinate and its last two are z1, z2 of N.  Removing the fiber
+at infinity leaves C x N, which carries a nowhere vanishing holomorphic
+volume form and the two-parameter family of Hermitian ansatz metrics
+studied here.
 
 For flat N = R^4 the total space is biholomorphic to C^3, with an explicit
 chart map; the differentials of its coordinates w1, w2 decompose in the
@@ -37,7 +37,7 @@ from .forms import (
     FormValue,
     TypeContext,
     _d_point,
-    _taylor_rows,
+    _stacked,
     _type_part,
     acs_from_complex_action,
     d_complex,
@@ -50,6 +50,7 @@ from .hyperkahler import (
     TWISTOR_EH,
     TWISTOR_FLAT,
     HyperkahlerModel,
+    _base_coords,
     _radius2,
     kappa_hermitian_jets,
     quaternion_action,
@@ -166,37 +167,36 @@ class AnsatzParams:
 class TwistorFrame:
     """Jets of every basic quantity of the twistor space at one point, each valid to ``order``.
 
-    The kappa Hessian costs two orders on a model that is not flat, so
-    there the coordinates are seeded two orders higher for kappa only; the
-    coordinate jets the frame holds, and so the sphere, are those seeds read
-    to ``order``.  The type context of the twistor structure and the frame
-    coefficients are cached properties, built on first use; do not mutate
-    them.  A frame holds no ansatz profiles: those sit beside it, in an
-    :class:`AnsatzMetric` that refers to the frame, so a frame is freed as
-    soon as its last holder lets it go.
+    zeta, the base jets ``x`` and the coordinates the domain check reads
+    come from ``Chart.pairs``.  The kappa Hessian costs two orders on a
+    model that is not flat, so there the coordinates are seeded two orders
+    higher for kappa only; the coordinate jets the frame holds, and so the
+    sphere, are those seeds read to ``order``.  The type context of the
+    twistor structure and the frame coefficients are cached properties,
+    built on first use; do not mutate them.  A frame holds no ansatz
+    profiles: those sit beside it, in an :class:`AnsatzMetric` that refers
+    to the frame, so a frame is freed as soon as its last holder lets it go.
     """
 
     def __init__(self, model: HyperkahlerModel, p: ChartPoint, order: int):
         chart = model.twistor_chart
         if p.chart != chart:
             raise ValueError(f"point lives on {p.chart.name!r}, expected {chart.name!r}")
-        model.check_domain(p.coords[2:])
+        model.check_domain(_base_coords(chart, p.coords))
         self.model = model
         self.chart = chart
         self.order = order
         seeds = seed_jets(p.coords, order if model.flat else order + 2)
-        jets = [x.to_order(order) for x in seeds]
-        self.jets = jets
-        self.zr, self.zi = jets[0], jets[1]
-        self.x = jets[2:]
+        self.jets = jets = [x.to_order(order) for x in seeds]
+        re, im = chart.pairs[0]
+        self.zr, self.zi = jets[re], jets[im]
+        self.x = _base_coords(chart, jets)
         self.zeta = self.zr + 1j * self.zi
         self.alpha, self.beta, self.gamma, self.s = sphere_jets(self.zr, self.zi)
-        self.kh = kappa_hermitian_jets(model, seeds)
+        self.kh = kappa_hermitian_jets(model, chart, seeds)
         self.triple = triple_forms(chart, self.kh)
-        self.dzeta = d_complex(chart, 0)
-        self.dzeta_bar = d_complex_bar(chart, 0)
-        self.dz = [d_complex(chart, 1), d_complex(chart, 2)]
-        self.dzb = [d_complex_bar(chart, 1), d_complex_bar(chart, 2)]
+        self.dzeta, *self.dz = (d_complex(chart, j) for j in range(chart.ncomplex))
+        self.dzeta_bar, *self.dzb = (d_complex_bar(chart, j) for j in range(chart.ncomplex))
 
     @cached_property
     def ctx(self) -> TypeContext:
@@ -228,7 +228,8 @@ class TwistorFrame:
 def _twistor_acs_from_frame(fr: TwistorFrame) -> AlmostComplexStructure:
     """i on dzeta and alpha I + beta J + gamma K on the base, at the sphere point of zeta."""
     action = quaternion_action(fr.kh, fr.alpha, fr.beta, fr.gamma, fr.chart)
-    action[0][0], action[3][3] = 1j, -1j  # dzeta, dzeta_bar
+    m = fr.chart.ncomplex
+    action[0][0], action[m][m] = 1j, -1j  # dzeta, dzeta_bar
     return acs_from_complex_action(fr.chart, action)
 
 
@@ -397,7 +398,7 @@ def frame_decompose(model: HyperkahlerModel, p: ChartPoint) -> FrameDecompositio
     # every residual is read at its value: d w and the dbar terms come from d
     # at the point of w, C, D and L as 0-forms, and the right-hand sides from
     # the values of their factors
-    space, rows = _taylor_rows([[f] for f in (*w_field_jets(fr), *C, *D, *L)], 1)
+    rows, space, _, _ = _stacked([[f] for f in (*w_field_jets(fr), *C, *D, *L)], 1)
     d_fields = _d_point(space, rows, 0)
     dw = [FormValue(chart, 1, v) for v in d_fields[0, :2]]
     dbar = [FormValue(chart, 1, v) for v in _type_part(ctx, space, d_fields[:, 2:], 1, 0)[0]]

@@ -12,8 +12,9 @@ certificate wedge by wedge and pair of terms by pair of terms, del dbar of a
 2-form and i del dbar of a function through derivative jets and jet-valued
 projections, the Chern-Ricci form, the Chern scalar and the extremal
 residual of a Calabi metric through jet-valued forms and wedges, the
-Calabi metric itself from d R, its type parts and a wedge, a Gram matrix
-read back from its (1,1)-form through T^-1, and the Chern curvature of a
+Calabi metric itself from d R, its type parts and a wedge, the (1,1)-form
+of a matrix entry by entry, a Gram matrix read back from its (1,1)-form
+through T^-1, and the Chern curvature of a
 Gram matrix at the point and its tr(R wedge R) in 50-digit arithmetic.
 """
 
@@ -29,8 +30,11 @@ from stromlab.forms import (
     DegreeError,
     FormValue,
     _complex_basis_matrices,
+    _hermitian_basis,
     _jet,
+    _of_columns,
     _ranks,
+    _stacked,
     del_dbar_at_point,
     exterior_derivative_with_scale,
     form_power,
@@ -248,6 +252,25 @@ def calabi_metric_by_wedges(fr, dbar_from_del: bool = False) -> FormValue:
     fiber = del_R.wedge(dbar_R).scale(1j * fr.R.to_order(top).reciprocal() * (fr.v + fr.g).exp())
     base = hermitian_form(chart, [[e.to_order(top) for e in row] for row in fr.hmat])
     return base.scale((fr.u + fr.f).exp()) + fiber
+
+
+def hermitian_form_by_entries(chart: Chart, H, offset: int) -> FormValue:
+    """``forms.hermitian_form`` entry by entry: each entry adds its Taylor rows times the nonzero coefficients of its basis row.
+
+    The rows are those of ``_hermitian_basis``, whose nonzero entries are
+    +-1, +-i and 2, so every product is exact and a coefficient sums at most
+    two; a NaN entry reaches only its own coefficients.
+    """
+    m = chart.ncomplex
+    rows, space, order, mask = _stacked(H, None)
+    entries = rows.transpose(1, 2, 0) if space is not None else rows[0].tolist()
+    columns: dict = {}
+    for j, k in np.ndindex(len(H), len(H)):
+        b = _hermitian_basis(chart)[(offset + j) * m + offset + k].tolist()
+        for r in (r for r, x in enumerate(b) if x):
+            term = entries[j][k] * b[r]
+            columns[r] = columns[r] + term if r in columns else term
+    return _of_columns(chart, 2, columns, len(rows), space, order, mask)
 
 
 def frame_gram(data):

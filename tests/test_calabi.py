@@ -96,7 +96,7 @@ def test_base_scalar_constancy_across_sample():
 def test_scaling_divides_scalar():
     # lambda * omega has Chern scalar s / lambda
     scaled = BaseKahlerModel(
-        1, FS.chart, FS.total_chart, lambda zjets: [[e * 3.0 for e in row] for row in FS.metric(zjets)]
+        FS.chart, FS.total_chart, lambda zjets: [[e * 3.0 for e in row] for row in FS.metric(zjets)]
     )
     assert base_chern_scalar(scaled, (0.3, 0.4)) == pytest.approx(2.0 / 3.0, abs=1e-10)
 
@@ -113,7 +113,6 @@ def fubini_study_cp2_metric(zjets):
 
 
 CP2 = BaseKahlerModel(
-    2,
     Chart("cp2_base", ("y1", "y2", "y3", "y4"), ("z1", "z2")),
     Chart("cp2_total", ("y1", "y2", "y3", "y4", "tr", "ti"), ("z1", "z2", "t")),
     fubini_study_cp2_metric,

@@ -52,6 +52,7 @@ from stromlab import strominger as strominger_module
 
 from form_oracles import (
     exterior_derivative,
+    hermitian_form_by_entries,
     i_ddbar,
     jet_del_dbar,
     pairwise_curvature_terms,
@@ -1105,6 +1106,50 @@ def test_hermitian_wedge_matches_the_wedge_of_hermitian_forms(chart):
         assert got.degree == 4 and (got - want).sup() <= 1e-14 * want.sup()
     A[0, 0] = math.nan
     assert all(math.isnan(abs(c)) for c in hermitian_wedge(chart, A, B).coeffs[0])
+
+
+def jet_zero_to_its_order(space, rng):
+    """A jet valid to order 1 or 2 whose coefficients vanish to that order and not above it."""
+    order = rng.randint(1, 2)
+    c = np.zeros(space.size, dtype=np.complex128)
+    c[space.prefix_sizes[order] :] = rng.uniform(-1, 1)
+    return Jet(space, c, order, rng.randrange(1 << space.nvars))
+
+
+@pytest.mark.parametrize(
+    "chart,offset,size",
+    [(C2, 0, 2), (C2, 1, 1), (TWISTOR_FLAT, 0, 3), (TWISTOR_FLAT, 0, 2), (TWISTOR_FLAT, 1, 2)],
+    ids=["c2-0-2", "c2-1-1", "twistor-0-3", "twistor-0-2", "twistor-1-2"],
+)
+def test_hermitian_form_is_its_entry_by_entry_sum(chart, offset, size):
+    # the one product with the basis against the loop over the entries: every
+    # coefficient equal up to the sign of zero, for jets with random masks and
+    # orders (one of them exactly 0 to its order) and for numbers
+    rng = random.Random(10 * chart.dim + 3 * offset + size)
+    space = jet_space(chart.dim, 4)
+    for _ in range(4):
+        jets = [[random_masked_jet(space, rng) for _ in range(size)] for _ in range(size)]
+        jets[rng.randrange(size)][rng.randrange(size)] = jet_zero_to_its_order(space, rng)
+        numbers = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(size)] for _ in range(size)]
+        for H in (jets, numbers):
+            got, want = hermitian_form(chart, H, offset), hermitian_form_by_entries(chart, H, offset)
+            assert (got.degree, got.space, got.order, got.mask) == (2, want.space, want.order, want.mask)
+            assert got.coeffs.shape == want.coeffs.shape and np.array_equal(got.coeffs, want.coeffs)
+            assert got._live == want._live
+    # a NaN entry reaches every coefficient of the product, only its own in the loop; both read NaN
+    for H in (jets, numbers):
+        H[0][0] = H[0][0] * math.nan
+        for form in (hermitian_form(chart, H, offset), hermitian_form_by_entries(chart, H, offset)):
+            assert math.isnan(form.sup())
+
+
+def test_hermitian_form_refuses_a_matrix_that_does_not_fit_its_chart():
+    # a matrix that is not square, and blocks past either end of the chart's complex coordinates
+    cases = [(FLAT_CHART, [[1.0, 2.0, 3.0]], 0), (TWISTOR_FLAT, np.eye(3).tolist(), 1), (FLAT_CHART, [[1.0]], -1)]
+    for chart, H, offset in cases:
+        rows = rf"{len(H)} rows of lengths \[{', '.join(str(len(row)) for row in H)}\]"
+        with pytest.raises(ChartMismatch, match=rf"'{chart.name}' has {chart.ncomplex} complex .* {rows} at offset {offset}$"):
+            hermitian_form(chart, H, offset)
 
 
 def test_top_ratio_rejects_a_form_that_is_not_positive():

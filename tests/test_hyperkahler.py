@@ -53,13 +53,13 @@ EH = eguchi_hanson(1.0)
 
 
 def triple_values(model, p):
-    t = triple_forms(model.chart, kappa_hermitian_jets(model, seed_jets(p.coords, 2)))
+    t = triple_forms(model.chart, kappa_hermitian_jets(model, model.chart, seed_jets(p.coords, 2)))
     return t.omega_I.values(), t.omega_J.values(), t.omega_K.values()
 
 
 def quaternion_at(model, p):
     """I, J and K on the 1-forms of the 4-manifold chart, at the point's values."""
-    kh = kappa_hermitian_jets(model, seed_jets(p.coords, 2))
+    kh = kappa_hermitian_jets(model, model.chart, seed_jets(p.coords, 2))
     return {which: quaternion_operator(kh, which, model.chart) for which in "IJK"}
 
 
@@ -80,7 +80,7 @@ def test_flat_kappa_jet_values():
     assert d(k1, 2, True).value == pytest.approx(0.0, abs=1e-15)
     assert d(d(k1, 1, False), 1, True).value == pytest.approx(0.0, abs=1e-15)
     # the third derivatives come from the constant flat Hessian, so they are exactly 0
-    third = kappa_third_jets(kappa_hermitian_jets(FLAT, seed_jets(p.coords, 3)))
+    third = kappa_third_jets(FLAT_CHART, kappa_hermitian_jets(FLAT, FLAT_CHART, seed_jets(p.coords, 3)))
     assert all(not k.c.any() for plane in third for row in plane for k in row)
 
 
@@ -102,12 +102,12 @@ def test_kappa_third_jets_are_the_third_derivatives_of_the_potential():
     cases = []
     for p in sample_points(EH_CHART, 3, seed=71):
         xj = seed_jets(p.coords, 4)
-        cases.append((kappa_hermitian_jets(EH, xj), xj))
+        cases.append((EH_CHART, kappa_hermitian_jets(EH, EH_CHART, xj), xj))
     tp = point(TWISTOR_EH, 0.5, 0.3, 0.6, -0.2, 0.8, 0.5)
     fr = TwistorFrame(EH, tp, 3)
-    cases += [(fr.kh, fr.jets), (fr.kh, seed_jets(tp.coords, 5))]
-    for kh, xj in cases:
-        third = kappa_third_jets(kh)
+    cases += [(fr.chart, fr.kh, fr.jets), (fr.chart, fr.kh, seed_jets(tp.coords, 5))]
+    for chart, kh, xj in cases:
+        third = kappa_third_jets(chart, kh)
         oracle = third_wirtinger_derivatives(EH, xj)
         n = kh[0][0].space.prefix_sizes[min(third[0][0][0].order, oracle[0][0][0].order)]
         for i in range(2):
@@ -158,7 +158,7 @@ def test_eh_mixed_partials_chain_rule_oracle():
     z = [p.complex_coord(0), p.complex_coord(1)]
     t = sum(abs(w) ** 2 for w in z)
     _, k1, k2, _, _ = eh_radial_derivatives(t, 1.0)
-    kh = kappa_hermitian_jets(EH, seed_jets(p.coords, 2))
+    kh = kappa_hermitian_jets(EH, EH_CHART, seed_jets(p.coords, 2))
     for i in (1, 2):
         for j in (1, 2):
             expected = k1 * (i == j) + k2 * z[i - 1].conjugate() * z[j - 1]
@@ -287,7 +287,7 @@ def test_triple_orthogonality_and_volume(model, chart):
 @pytest.mark.parametrize("model,chart", [(FLAT, FLAT_CHART), (EH, EH_CHART)])
 def test_triple_is_closed(model, chart):
     for p in sample_points(chart, 4, seed=31):
-        t = triple_forms(chart, kappa_hermitian_jets(model, seed_jets(p.coords, 3)))
+        t = triple_forms(chart, kappa_hermitian_jets(model, model.chart, seed_jets(p.coords, 3)))
         for omega in (t.omega_I, t.omega_J, t.omega_K):
             assert exterior_derivative(omega).values().sup() <= 1e-10
 
@@ -297,7 +297,7 @@ def test_two_zero_form_is_dbar_closed_type_20():
     from stromlab.forms import TypeContext, standard_acs
 
     for p in sample_points(EH_CHART, 3, seed=5):
-        t = triple_forms(EH_CHART, kappa_hermitian_jets(EH, seed_jets(p.coords, 3)))
+        t = triple_forms(EH_CHART, kappa_hermitian_jets(EH, EH_CHART, seed_jets(p.coords, 3)))
         form = t.omega_J + t.omega_K.scale(1j)
         ctx = TypeContext(standard_acs(EH_CHART))
         parts = ctx.decompose(form.values())
@@ -323,7 +323,7 @@ def test_flat_action_table_cases():
 @pytest.mark.parametrize("model,chart", [(FLAT, FLAT_CHART), (EH, EH_CHART)])
 def test_quaternion_action_at_the_unit_vectors_is_the_written_out_table(model, chart):
     p = point(chart, 0.6, -0.2, 0.8, 0.5)
-    kh = kappa_hermitian_jets(model, seed_jets(p.coords, 2))
+    kh = kappa_hermitian_jets(model, model.chart, seed_jets(p.coords, 2))
     space = kh[0][0].space
 
     def coefficients(entry):
@@ -372,7 +372,7 @@ def test_eh_asd_residual():
 def test_triple_of_the_hessian_values_is_the_value_of_the_jet_triple(model, chart):
     # asd_residual builds the triple from the values of the Hessian; it must equal the jet triple's values bit for bit
     for p in sample_points(chart, 4, seed=59):
-        kh = kappa_hermitian_jets(model, seed_jets(p.coords, 4))
+        kh = kappa_hermitian_jets(model, model.chart, seed_jets(p.coords, 4))
         pointwise = triple_forms(chart, [[svalue(e) for e in row] for row in kh])
         jet_valued = triple_forms(chart, kh)
         for name in ("omega_I", "omega_J", "omega_K"):
@@ -386,7 +386,7 @@ def test_cotangent_gram_matches_the_generic_coframe_gram(model, chart):
     dz = [d_complex(chart, 0), d_complex(chart, 1)]
     for p in sample_points(chart, 3, seed=61):
         xj = seed_jets(p.coords, 4)
-        omega_I = triple_forms(chart, kappa_hermitian_jets(model, xj)).omega_I
+        omega_I = triple_forms(chart, kappa_hermitian_jets(model, chart, xj)).omega_I
         oracle = coframe_gram(omega_I, standard_acs(chart), dz)
         gram = cotangent_gram(model, xj)
         scale = max(max(abs(c) for c in e.c) for row in oracle for e in row)

@@ -333,7 +333,7 @@ def taylor_coefficient_reads(tree: ast.AST) -> list:
 
 def test_only_jets_and_forms_read_taylor_coefficients():
     # the monomial layout of a jet is known to jets.py, and to forms.py, whose forms and structures
-    # hold it as Taylor rows (forms._taylor_rows stacks it); every other module goes through them
+    # hold it as Taylor rows (forms._stacked stacks it); every other module goes through them
     stray = []
     for path in sorted((ROOT / "src" / "stromlab").glob("*.py")):
         if path.stem not in {"jets", "forms"}:
